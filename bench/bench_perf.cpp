@@ -65,26 +65,21 @@ static void BM_MaxCycleRatio(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxCycleRatio);
 
-// Sharded event simulation of the desynchronized 32x32 register fabric:
-// one domain per mesh cell (1024 bank-pair groups + env + remainder),
-// events/s across --sim-jobs. Results are byte-identical at every job
-// count; this benchmark measures only the speed. The simulator is built
-// once and advanced in slices so construction (fanout flattening, domain
-// CSR) stays out of the measured loop. Speedup requires cores: on a
-// single-CPU container the parking barrier keeps jobs > 1 near 1x instead
-// of collapsing (docs/PERF.md records both).
-static void BM_SimulateDesyncMeshSharded(benchmark::State& state) {
+// Event simulation of the desynchronized 32x32 register fabric (1024
+// bank-pair handshake controllers): the self-timed workload flow
+// equivalence spends its time on. The simulator is built once and
+// advanced in slices so construction (fanout flattening) stays out of the
+// measured loop.
+static void BM_SimulateDesyncMesh(benchmark::State& state) {
   const Tech& t = Tech::generic90();
-  // Static: desynchronizing the 4k-transition fabric dominates setup and
-  // is identical for every arg (the flow engine also caches it).
+  // Static: google-benchmark re-enters this function while it sizes the
+  // iteration count, and desynchronizing the fabric dominates set-up.
   static const flow::DesyncResult* dr = [&t] {
     circuits::Circuit c = circuits::register_mesh(32, 32, 1);
     return new flow::DesyncResult(
         flow::desynchronize(c.netlist, c.clock, t));
   }();
-  const int jobs = static_cast<int>(state.range(0));
-  sim::Simulator sim(dr->netlist, t,
-                     sim::SimOptions{jobs, flow::sim_domains(*dr)});
+  sim::Simulator sim(dr->netlist, t);
   uint64_t events = 0;
   Ps horizon = 0;
   for (auto _ : state) {
@@ -95,14 +90,7 @@ static void BM_SimulateDesyncMeshSharded(benchmark::State& state) {
   }
   state.counters["events/s"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
-  state.counters["domains"] = static_cast<double>(sim.num_domains());
-  state.counters["par_phases"] = static_cast<double>(sim.parallel_phases());
 }
-BENCHMARK(BM_SimulateDesyncMeshSharded)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimulateDesyncMesh)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

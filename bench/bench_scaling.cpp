@@ -1,14 +1,12 @@
 // A2 — ablation: de-synchronization overhead vs. circuit size and shape.
 // For every suite circuit: sync vs. desync cycle time / power / area (the
 // per-circuit miniature of Table 1), with flow equivalence asserted.
-#include <chrono>
 #include <cstdio>
 
 #include "circuits/circuits.h"
 #include "core/clocktree.h"
 #include "core/report.h"
 #include "netlist/query.h"
-#include "sim/sim.h"
 #include "verif/flow_equivalence.h"
 
 using namespace desyn;
@@ -54,32 +52,5 @@ int main() {
          "  with circuit size: relative overheads shrink from the tiny\n"
          "  circuits toward the DLX-class result of bench_table1 (a few\n"
          "  percent) — the regime the paper reports.\n");
-
-  // Sharded-simulation throughput: events/s of the desynchronized circuit
-  // under its derived domain map, serial oracle vs 4 worker threads. The
-  // two runs are byte-identical by contract; only the rate may differ
-  // (and only when the host actually has cores to run the shards on).
-  printf("\n== sharded event simulation: events/s at --sim-jobs 1 vs 4 ==\n\n");
-  printf("  %-12s %7s | %12s %12s %8s\n", "circuit", "domains", "jobs=1",
-         "jobs=4", "ratio");
-  constexpr Ps kHorizon = 100'000;
-  for (auto& s : circuits::scaling_suite()) {
-    flow::DesyncResult dr =
-        flow::desynchronize(s.circuit.netlist, s.circuit.clock, t);
-    const sim::DomainMap map = flow::sim_domains(dr);
-    auto rate = [&](int jobs) {
-      sim::Simulator sim(dr.netlist, t, sim::SimOptions{jobs, map});
-      auto t0 = std::chrono::steady_clock::now();
-      sim.run_until(kHorizon);
-      double secs = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-      return static_cast<double>(sim.events_processed()) / secs;
-    };
-    double r1 = rate(1);
-    double r4 = rate(4);
-    printf("  %-12s %7u | %10.0f/s %10.0f/s %7.2fx\n", s.name.c_str(),
-           map.num_domains, r1, r4, r4 / r1);
-  }
   return 0;
 }

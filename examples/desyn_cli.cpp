@@ -24,7 +24,7 @@
 //   desyn_cli sweep [--margins 1.0,1.1,1.3] [--protocol <p>|all]
 //                   [--strategies prefix,perff,single,auto:1.05]
 //                   [--rounds N] [--full-suite] [--jobs N] [--opt-jobs N]
-//                   [--sim-jobs N] [--json <path>] [--stable]
+//                   [--json <path>] [--stable]
 //
 // For every combination the tool desynchronizes the circuit, predicts the
 // cycle time analytically (max cycle ratio of the timed control model) and
@@ -33,11 +33,9 @@
 // nonzero if any combination fails flow equivalence.
 //
 // Each circuit x strategy x protocol x margin cell is an independent task;
-// --jobs N runs them on N worker threads, and --sim-jobs N additionally
-// shards each cell's event simulation by handshake domain (sim/domains.h).
-// Results are reported in the same deterministic order regardless of either
-// job count, so `--jobs 4 --sim-jobs 4` output is byte-identical to a
-// serial run. --json writes a structured report
+// --jobs N runs them on N worker threads. Results are reported in the same
+// deterministic order regardless of job count, so `--jobs 4` output is
+// byte-identical to a serial run. --json writes a structured report
 // (schema desyn-sweep-v2, documented in docs/PERF.md, with per-cell
 // partition stats: bank count, controller cells, matched-delay cells);
 // --stable omits the wall-clock fields from it so two runs of the same
@@ -83,8 +81,8 @@
 //                   [--io-timeout-ms N] [--max-request-bytes N]
 //                   [--fault-spec <spec>]
 //   desyn_cli submit <input.v> <clock-net> --socket <path> [margin]
-//                    [strategy] [--protocol <p>] [--sim-jobs N]
-//                    [--save <result.json>] [--retries N] [--timeout-ms N]
+//                    [strategy] [--protocol <p>] [--save <result.json>]
+//                    [--retries N] [--timeout-ms N]
 //
 // `serve` runs until SIGINT/SIGTERM, sharing one flow engine across all
 // clients: a re-submitted design is answered from the result cache
@@ -389,7 +387,6 @@ int run_sweep(int argc, char** argv) {
   int rounds = 25;
   int jobs = 1;
   int opt_jobs = 1;
-  int sim_jobs = 1;
   bool full_suite = false;
   bool stable = false;
   bool mc_mode = false;
@@ -414,9 +411,6 @@ int run_sweep(int argc, char** argv) {
     } else if (a == "--opt-jobs") {
       opt_jobs = cli::parse_count(cli::need_value(argc, argv, i, "--opt-jobs"),
                                   "--opt-jobs value");
-    } else if (a == "--sim-jobs") {
-      sim_jobs = cli::parse_count(cli::need_value(argc, argv, i, "--sim-jobs"),
-                                  "--sim-jobs value");
     } else if (a == "--json") {
       json_path = cli::need_value(argc, argv, i, "--json");
     } else if (a == "--stable") {
@@ -493,7 +487,6 @@ int run_sweep(int argc, char** argv) {
       opt.desync.margin = c.margin;
       opt.desync.protocol = c.protocol;
       opt.desync.opt_jobs = opt_jobs;
-      opt.desync.sim_jobs = sim_jobs;
       try {
         c.res = verif::check_flow_equivalence(
             s.circuit.netlist, s.circuit.clock, verif::random_stimulus(17),
@@ -628,7 +621,7 @@ int run_serve(int argc, char** argv) {
 int run_submit(int argc, char** argv) {
   std::vector<std::string> pos;
   std::string socket_path, save_path, protocol = "pulse";
-  int sim_jobs = 1, retries = 0, timeout_ms = 0;
+  int retries = 0, timeout_ms = 0;
   for (int i = 2; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--socket") {
@@ -637,9 +630,6 @@ int run_submit(int argc, char** argv) {
       save_path = cli::need_value(argc, argv, i, "--save");
     } else if (a == "--protocol") {
       protocol = cli::need_value(argc, argv, i, "--protocol");
-    } else if (a == "--sim-jobs") {
-      sim_jobs = cli::parse_count(cli::need_value(argc, argv, i, "--sim-jobs"),
-                                  "--sim-jobs value");
     } else if (a == "--retries") {
       retries = cli::parse_nonneg(
           cli::need_value(argc, argv, i, "--retries"), "--retries value");
@@ -670,7 +660,7 @@ int run_submit(int argc, char** argv) {
   std::string response = svc::submit_with_retry(
       socket_path,
       svc::make_request(ss.str(), pos[1], strategy, margin, protocol,
-                        sim_jobs, timeout_ms),
+                        timeout_ms),
       retry);
   std::string result = svc::extract_result(response);  // throws on error
 
@@ -1023,7 +1013,7 @@ int run_single(int argc, char** argv) {
                  "[--protocol <p>|all] "
                  "[--strategies prefix,perff,single,auto:1.05]\n"
                  "                 [--rounds N] [--full-suite] [--jobs N] "
-                 "[--opt-jobs N] [--sim-jobs N] [--json <path>] [--stable]\n"
+                 "[--opt-jobs N] [--json <path>] [--stable]\n"
                  "                 [--mc-samples N [--mc-seed S] "
                  "[--mc-sigma X] [--mc-jobs N]]  (analytic MC mode)\n"
                  "       desyn_cli optimize-margins <input.v> <clock-net> "
@@ -1038,8 +1028,7 @@ int run_single(int argc, char** argv) {
                  "                 [--io-timeout-ms N] "
                  "[--max-request-bytes N] [--fault-spec <spec>]\n"
                  "       desyn_cli submit <input.v> <clock-net> --socket "
-                 "<path> [margin] [strategy] [--protocol <p>] "
-                 "[--sim-jobs N]\n"
+                 "<path> [margin] [strategy] [--protocol <p>]\n"
                  "                 [--save <result.json>] [--retries N] "
                  "[--timeout-ms N]\n"
                  "       desyn_cli cache stats|verify|scrub <dir>\n"

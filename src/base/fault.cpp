@@ -30,6 +30,7 @@ const char* const kSites[] = {
     "engine.stage.partition",      // throws in the partition compute branch
     "engine.stage.result",         // throws before the result artifact is stored
     "engine.stage.synth",          // throws in the synth compute branch
+    "partition.probe",             // throws in an optimizer candidate probe
     "svc.accept",                  // accepted connection dropped immediately
     "svc.read",                    // connection dropped before a socket read
     "svc.write",                   // connection dropped before a response write

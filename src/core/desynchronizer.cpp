@@ -148,52 +148,4 @@ pn::MarkedGraph timed_control_model(const DesyncResult& r,
   return timed_model(r.cg, r.protocol, tech, r.ctrl.pulse_width);
 }
 
-sim::DomainMap sim_domains(const DesyncResult& r) {
-  const nl::Netlist& nl = r.netlist;
-  const auto groups = static_cast<uint32_t>(r.partition.num_groups());
-  std::vector<int32_t> seed(nl.num_cells(), -1);
-  // Bank-pair storage seeds its partition group: banks (2g, 2g+1) -> g.
-  for (size_t b = 0; b < r.banks.banks.size(); ++b) {
-    const auto g = static_cast<int32_t>(b / 2);
-    for (nl::CellId c : r.banks.banks[b].latches) seed[c.value()] = g;
-    for (nl::CellId c : r.banks.banks[b].rams) seed[c.value()] = g;
-  }
-  // Each bank's controller cone seeds the same group via the drivers of
-  // its handshake nets (enable, round token, capture acknowledge); without
-  // these the nearest-seed flood would pull every controller toward one
-  // group through the strongly-connected handshake graph. The env bank
-  // pair gets its own seed domain, `groups`.
-  std::vector<nl::CellId> driver(nl.num_nets());
-  for (nl::CellId c : nl.cells()) {
-    for (nl::NetId o : nl.cell(c).outs) driver[o.value()] = c;
-  }
-  auto seed_driver = [&](nl::NetId n, int32_t g) {
-    if (!n.valid()) return;
-    const nl::CellId d = driver[n.value()];
-    if (d.valid() && seed[d.value()] < 0) seed[d.value()] = g;
-  };
-  const size_t data_banks = 2 * static_cast<size_t>(groups);
-  for (size_t b = 0; b < r.ctrl.enables.size(); ++b) {
-    const int32_t g = b < data_banks ? static_cast<int32_t>(b / 2)
-                                     : static_cast<int32_t>(groups);
-    seed_driver(r.ctrl.enables[b], g);
-    seed_driver(r.ctrl.rounds[b], g);
-    if (b < r.ctrl.falls.size()) seed_driver(r.ctrl.falls[b], g);
-  }
-  return sim::derive_domains(nl, groups + 1, seed);
-}
-
-sim::DomainMap sync_sim_domains(const nl::Netlist& snl, const Partition& p) {
-  std::vector<int32_t> seed(snl.num_cells(), -1);
-  const auto& gs = p.groups();
-  for (size_t g = 0; g < gs.size(); ++g) {
-    for (nl::CellId c : gs[g].cells) {
-      seed[c.value()] = static_cast<int32_t>(g);
-    }
-  }
-  // The clock tree and the datapath cones flood toward their consuming
-  // groups; the tree root lands wherever its nearest leaves do.
-  return sim::derive_domains(snl, static_cast<uint32_t>(gs.size()), seed);
-}
-
 }  // namespace desyn::flow

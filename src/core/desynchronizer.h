@@ -15,7 +15,6 @@
 #include "core/adjacency.h"
 #include "core/latchify.h"
 #include "ctl/controller.h"
-#include "sim/domains.h"
 
 namespace desyn::flow {
 
@@ -41,10 +40,6 @@ struct DesyncOptions {
   /// optimizer (byte-identical results for any value; see
   /// PartitionOptOptions::jobs). Ignored by the other strategies.
   int opt_jobs = 1;
-  /// Worker threads for the sharded event simulator wherever the flow
-  /// simulates (flow equivalence, sweeps). Byte-identical results for any
-  /// value (see sim::SimOptions::jobs); 1 = the serial oracle.
-  int sim_jobs = 1;
 };
 
 struct DesyncResult {
@@ -99,21 +94,5 @@ ctl::ControllerNetwork attach_controllers(nl::Netlist& nl,
 /// exactly as the hardware delay lines are.
 pn::MarkedGraph timed_control_model(const DesyncResult& r,
                                     const cell::Tech& tech);
-
-/// Simulation domain map of a desynchronized circuit, derived from the
-/// resolved partition: one domain per bank-pair group (its latches, RAMs
-/// and controller cone, with receiver-side ownership of the data cones and
-/// matched-delay lines between groups), one for the environment bank pair,
-/// and one for whatever reaches no bank (primary-output cones) —
-/// `partition.num_groups() + 2` in total. Purely a performance policy:
-/// sim::Simulator results are byte-identical for any map (sim/domains.h).
-sim::DomainMap sim_domains(const DesyncResult& r);
-
-/// Simulation domain map for the synchronous reference circuit (`snl` =
-/// the FF netlist, possibly with a clock tree attached): storage cells
-/// seed the same partition groups the desynchronized side uses, so the
-/// clock/datapath cut shards identically on both sides of a
-/// flow-equivalence run.
-sim::DomainMap sync_sim_domains(const nl::Netlist& snl, const Partition& p);
 
 }  // namespace desyn::flow

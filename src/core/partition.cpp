@@ -4,15 +4,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <queue>
 #include <set>
 #include <thread>
 #include <tuple>
 #include <unordered_map>
 
+#include "base/cancel.h"
+#include "base/fault.h"
 #include "core/adjacency.h"
 #include "core/latchify.h"
 #include "ctl/controller.h"
@@ -537,21 +541,41 @@ class IncrementalEvaluator final : public Evaluator {
       replicas_.push_back(std::make_unique<Replica>(main_));
       replicas_.back()->synced = log_.size();
     }
+    // The caller's cancel token is re-installed in every worker so a
+    // deadline also stops replica probes. The first throw on any thread
+    // (this one included) is parked, the others stop pulling candidates,
+    // and it is rethrown once every worker has joined: an exception that
+    // escapes a std::thread body, or unwinds past a joinable one, is
+    // std::terminate.
+    const CancelToken* cancel = current_cancel();
     std::atomic<size_t> next{0};
+    std::atomic<bool> aborted{false};
+    std::exception_ptr error;
+    std::mutex error_mu;
     auto run = [&](Replica& r) {
-      sync(r);
-      for (;;) {
-        size_t i = next.fetch_add(1);
-        if (i >= cands.size()) return;
-        periods[i] = probe_merge(r, cands[i], &wave_sols_[i]);
+      try {
+        sync(r);
+        for (size_t i = next.fetch_add(1);
+             i < cands.size() && !aborted.load(std::memory_order_relaxed);
+             i = next.fetch_add(1)) {
+          periods[i] = probe_merge(r, cands[i], &wave_sols_[i]);
+        }
+      } catch (...) {
+        aborted.store(true, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (!error) error = std::current_exception();
       }
     };
     std::vector<std::thread> pool;
     for (size_t w = 0; w + 1 < workers; ++w) {
-      pool.emplace_back(run, std::ref(*replicas_[w]));
+      pool.emplace_back([&, w] {
+        CancelScope scope(cancel);
+        run(*replicas_[w]);
+      });
     }
     run(main_);
     for (std::thread& t : pool) t.join();
+    if (error) std::rethrow_exception(error);
   }
 
   double probe_move_period(int g, int to) override {
@@ -923,6 +947,7 @@ class IncrementalEvaluator final : public Evaluator {
 
   double probe_merge(Replica& r, std::pair<int, int> cand,
                      pn::McrContext::Solution* sol) const {
+    fault::maybe_throw("partition.probe");
     const int keep = cand.first, drop = cand.second;
     thread_local std::vector<Patch> journal;
     journal.clear();

@@ -83,7 +83,7 @@ Sha256& mix(Sha256& h, const Hash256& k) {
 
 /// Hash the per-bank margin overrides (DesyncOptions::margins) into a
 /// stage key. They change the hardware, so every stage from adjacency on
-/// must key on them — unlike opt_jobs/sim_jobs/mc jobs, which never do.
+/// must key on them — unlike opt_jobs/mc jobs, which never do.
 /// Deliberately *not* part of the partition key: the partitioner always
 /// scores at the global margin (bank ids do not exist before the
 /// clustering is fixed), so per-bank overrides cannot change its answer —
@@ -416,8 +416,8 @@ Hash256 Engine::partition_key(const nl::Netlist& ff, nl::NetId clock,
       break;
     case M::Auto:
       // The optimizer reads the whole netlist (timing!) and the knobs
-      // that shape its search; the job-count knobs (opt_jobs, sim_jobs)
-      // are excluded from every stage key: results are byte-identical at
+      // that shape its search; the job-count knob (opt_jobs) is
+      // excluded from every stage key: results are byte-identical at
       // any job count, so a submission re-run with different parallelism
       // must stay a pure cache hit.
       h.field("auto");

@@ -1,12 +1,7 @@
 #include "sim/sim.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
-#include <utility>
 
 #include "netlist/query.h"
 
@@ -17,29 +12,34 @@ using nl::CellId;
 using nl::NetId;
 using nl::Pin;
 
-// ---------------------------------------------------------------------------
-// EventQueue
-
 void Simulator::EventQueue::push(const Event& ev) {
   // The cursor never passes an undrained time and never exceeds the
   // simulation's `now_`, so a (time >= now) push is always reachable.
   DESYN_ASSERT(ev.time >= cursor_, "event scheduled in the past");
-  if (ev.time >= cursor_ + static_cast<Ps>(wheel_.size())) {
+  if (ev.time >= cursor_ + static_cast<Ps>(kWheelSize)) {
     overflow_.push(ev);
   } else {
-    const uint64_t idx = static_cast<uint64_t>(ev.time) & mask_;
+    const uint64_t idx = static_cast<uint64_t>(ev.time) & (kWheelSize - 1);
     occupied_[idx >> 6] |= uint64_t{1} << (idx & 63);
     wheel_[idx].push_back(ev);
     ++wheel_size_;
   }
 }
 
+bool Simulator::EventQueue::pop_now(Event* out) {
+  std::vector<Event>& b = bucket(cursor_);
+  if (drain_pos_ == b.size()) return false;
+  *out = b[drain_pos_++];
+  --wheel_size_;
+  return true;
+}
+
 void Simulator::EventQueue::migrate() {
-  const Ps horizon = cursor_ + static_cast<Ps>(wheel_.size());
+  const Ps horizon = cursor_ + static_cast<Ps>(kWheelSize);
   while (!overflow_.empty() && overflow_.top().time < horizon) {
     Event ev = overflow_.top();
     overflow_.pop();
-    const uint64_t idx = static_cast<uint64_t>(ev.time) & mask_;
+    const uint64_t idx = static_cast<uint64_t>(ev.time) & (kWheelSize - 1);
     occupied_[idx >> 6] |= uint64_t{1} << (idx & 63);
     wheel_[idx].push_back(ev);
     ++wheel_size_;
@@ -47,33 +47,21 @@ void Simulator::EventQueue::migrate() {
 }
 
 Ps Simulator::EventQueue::next_occupied_after(Ps t) const {
-  const size_t words = occupied_.size();
-  const uint64_t start = (static_cast<uint64_t>(t) + 1) & mask_;
+  const uint64_t start = (static_cast<uint64_t>(t) + 1) & (kWheelSize - 1);
   uint64_t w = start >> 6;
   uint64_t word = occupied_[w] & (~uint64_t{0} << (start & 63));
-  // <= words iterations: the wrapped-around first word re-checks only the
+  // <= kWords iterations: the wrapped-around first word re-checks only the
   // bits below `start`, which map to the far end of the window.
-  for (size_t i = 0; i <= words; ++i) {
+  for (size_t i = 0; i <= kWords; ++i) {
     if (word != 0) {
-      const uint64_t idx =
-          (w << 6) + static_cast<uint64_t>(std::countr_zero(word));
-      const uint64_t off = (idx - static_cast<uint64_t>(t)) & mask_;
+      const uint64_t idx = (w << 6) + static_cast<uint64_t>(
+                                          std::countr_zero(word));
+      const uint64_t off = (idx - static_cast<uint64_t>(t)) & (kWheelSize - 1);
       return t + static_cast<Ps>(off);
     }
-    w = (w + 1) & (words - 1);
+    w = (w + 1) & (kWords - 1);
     word = occupied_[w];
   }
-  return -1;
-}
-
-Ps Simulator::EventQueue::next_event_time() const {
-  if (drain_pos_ < bucket(cursor_).size()) return cursor_;
-  if (wheel_size_ > 0) {
-    const Ps next = next_occupied_after(cursor_);
-    DESYN_ASSERT(next >= 0);
-    return next;
-  }
-  if (!overflow_.empty()) return overflow_.top().time;
   return -1;
 }
 
@@ -88,7 +76,7 @@ bool Simulator::EventQueue::pop_next(Ps limit, Event* out) {
     }
     if (!b.empty()) {
       b.clear();
-      const uint64_t idx = static_cast<uint64_t>(cursor_) & mask_;
+      const uint64_t idx = static_cast<uint64_t>(cursor_) & (kWheelSize - 1);
       occupied_[idx >> 6] &= ~(uint64_t{1} << (idx & 63));
     }
     drain_pos_ = 0;
@@ -119,156 +107,8 @@ bool Simulator::EventQueue::pop_next(Ps limit, Event* out) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Pool: a persistent worker pool with a spin-then-park barrier. The
-// coordinator publishes a (phase, domain list) work unit by bumping
-// `epoch_`; workers watch the epoch, pull domain indices from a shared
-// atomic counter, and count themselves done once the counter runs out. The
-// coordinator participates in the pull loop and then waits until every
-// worker has checked in — that release/acquire pairing (reinforced by the
-// barrier mutex) is what orders one phase's owner-disjoint writes before
-// the next phase's cross-domain reads.
-//
-// Waiting is hybrid: a bounded busy spin (fast path on multicore, where a
-// phase completes within the spin window and no syscall is ever made)
-// followed by parking on a condition variable. The parking path is what
-// keeps oversubscribed machines sane — with more threads than cores a pure
-// spin barrier degrades to scheduler-timeslice ping-pong (observed: three
-// orders of magnitude slowdown on a single-core container), while parked
-// threads hand the core over in a few context switches. When the hardware
-// cannot run all pool threads at once the spin window is skipped entirely.
-
-namespace {
-inline void cpu_pause() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
-}  // namespace
-
-class Simulator::Pool {
- public:
-  Pool(Simulator* sim, int workers) : sim_(sim) {
-    const unsigned cores = std::thread::hardware_concurrency();
-    spin_limit_ = cores > static_cast<unsigned>(workers) ? 1 << 12 : 0;
-    threads_.reserve(static_cast<size_t>(workers));
-    for (int i = 0; i < workers; ++i) {
-      threads_.emplace_back([this] { worker(); });
-    }
-  }
-  ~Pool() {
-    stop_.store(true, std::memory_order_release);
-    publish_epoch();
-    for (std::thread& t : threads_) t.join();
-  }
-  Pool(const Pool&) = delete;
-  Pool& operator=(const Pool&) = delete;
-
-  void run(Phase phase, const std::vector<uint32_t>& domains) {
-    items_ = &domains;
-    phase_ = phase;
-    next_.store(0, std::memory_order_relaxed);
-    done_.store(0, std::memory_order_relaxed);
-    publish_epoch();
-    pull();
-    const uint32_t n = static_cast<uint32_t>(threads_.size());
-    for (int spins = 0; done_.load(std::memory_order_acquire) != n;) {
-      if (++spins < spin_limit_) {
-        cpu_pause();
-        continue;
-      }
-      std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [&] {
-        return done_.load(std::memory_order_acquire) == n;
-      });
-      break;
-    }
-  }
-
- private:
-  /// Bump the epoch inside the barrier mutex: a worker's park predicate
-  /// runs under the same mutex, so it cannot read a stale epoch and then
-  /// block past the wake-up (the classic lost-notify race).
-  void publish_epoch() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      epoch_.fetch_add(1, std::memory_order_release);
-    }
-    work_cv_.notify_all();
-  }
-
-  void pull() {
-    const std::vector<uint32_t>& items = *items_;
-    for (;;) {
-      const uint32_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= items.size()) break;
-      sim_->phase_work(phase_, items[i]);
-    }
-  }
-  void worker() {
-    uint64_t seen = 0;
-    for (;;) {
-      uint64_t e = 0;
-      for (int spins = 0;
-           (e = epoch_.load(std::memory_order_acquire)) == seen;) {
-        if (++spins < spin_limit_) {
-          cpu_pause();
-          continue;
-        }
-        std::unique_lock<std::mutex> lock(mu_);
-        work_cv_.wait(lock, [&] {
-          return (e = epoch_.load(std::memory_order_acquire)) != seen;
-        });
-        break;
-      }
-      seen = e;
-      if (stop_.load(std::memory_order_acquire)) return;
-      pull();
-      if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-          threads_.size()) {
-        // The empty critical section pairs with the coordinator's park
-        // predicate: either it has not blocked yet (and the predicate,
-        // evaluated after our unlock, sees the final count) or the notify
-        // wakes it.
-        { std::lock_guard<std::mutex> lock(mu_); }
-        done_cv_.notify_one();
-      }
-    }
-  }
-
-  Simulator* sim_;
-  const std::vector<uint32_t>* items_ = nullptr;
-  Phase phase_ = kCommit;
-  std::atomic<uint64_t> epoch_{0};
-  std::atomic<uint32_t> next_{0};
-  std::atomic<uint32_t> done_{0};
-  std::atomic<bool> stop_{false};
-  int spin_limit_ = 0;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::thread> threads_;
-};
-
-// ---------------------------------------------------------------------------
-// Construction
-
 Simulator::Simulator(const nl::Netlist& nl, const cell::Tech& tech)
-    : Simulator(nl, tech, SimOptions{}) {}
-
-Simulator::Simulator(const nl::Netlist& nl, const cell::Tech& tech,
-                     SimOptions opt)
     : nl_(nl), tech_(tech) {
-  jobs_ = std::max(1, opt.jobs);
-  const uint32_t nd = std::max<uint32_t>(1, opt.domains.num_domains);
-  cell_dom_ = std::move(opt.domains.cell_domain);
-  cell_dom_.resize(nl_.num_cells(), 0);
-  for (uint32_t d : cell_dom_) {
-    DESYN_ASSERT(d < nd, "cell domain out of range");
-  }
-
   val_.assign(nl_.num_nets(), V::VX);
   last_change_.assign(nl_.num_nets(), -1);
   toggles_.assign(nl_.num_nets(), 0);
@@ -280,124 +120,26 @@ Simulator::Simulator(const nl::Netlist& nl, const cell::Tech& tech,
   clock_half_period_.assign(nl_.num_nets(), 0);
   for (CellId c : nl_.cells()) delay_[c.value()] = cell_delay(c);
   dff_setup_ = tech_.dff_setup();
-
-  // Net ownership: the driver cell's domain; driverless nets (primary
-  // inputs) go to their first reader so their stimulus drains next to its
-  // consumers. Nets with neither stay in domain 0.
-  net_dom_.assign(nl_.num_nets(), nd);  // nd = "unowned" sentinel
-  for (CellId c : nl_.cells()) {
-    for (NetId o : nl_.cell(c).outs) net_dom_[o.value()] = cell_dom_[c.value()];
-  }
+  // Flatten each net's fanout into the DFF-clock fast path + the rest.
+  ff_ck_off_.reserve(nl_.num_nets() + 1);
+  fan_off_.reserve(nl_.num_nets() + 1);
   for (uint32_t n = 0; n < nl_.num_nets(); ++n) {
-    if (net_dom_[n] != nd) continue;
-    const auto& fanout = nl_.net(NetId(n)).fanout;
-    net_dom_[n] = fanout.empty() ? 0 : cell_dom_[fanout.front().cell.value()];
-  }
-
-  // Many-domain simulators get a smaller wheel per domain: a bank-pair
-  // domain sees only its own traffic, and 1025 x 1024-bucket wheels would
-  // dominate the footprint. Events past the horizon ride the overflow heap.
-  const size_t wheel = nd <= 8 ? size_t{1} << 10 : size_t{1} << 8;
-  dom_.reserve(nd);
-  for (uint32_t d = 0; d < nd; ++d) dom_.emplace_back(wheel);
-  dom_flag_.assign(nd, 0);
-
-  // Flatten each net's fanout into the DFF-clock fast path + the rest,
-  // grouped by reader domain so the evaluate phase can hand each domain
-  // exactly its slice.
-  range_off_.reserve(nl_.num_nets() + 1);
-  ranges_.reserve(nl_.num_nets());
-  {
-    size_t pins = 0;
-    for (uint32_t n = 0; n < nl_.num_nets(); ++n) {
-      pins += nl_.net(NetId(n)).fanout.size();
-    }
-    fan_pins_.reserve(pins);
-  }
-  std::vector<std::pair<uint32_t, FfCkPin>> ffs;
-  std::vector<std::pair<uint32_t, Pin>> fans;
-  for (uint32_t n = 0; n < nl_.num_nets(); ++n) {
-    range_off_.push_back(static_cast<uint32_t>(ranges_.size()));
-    const auto& fanout = nl_.net(NetId(n)).fanout;
-    if (fanout.empty()) continue;
-
-    // Common case — the whole fanout reads in one domain (every net of a
-    // single-domain map, and every interior net of a sharded one): emit
-    // the slice straight from the fanout list, no grouping pass. The
-    // slice order matches the general path below (stable by fanout
-    // position), so the flattened tables are identical either way.
-    uint32_t d0 = cell_dom_[fanout.front().cell.value()];
-    bool uniform = true;
-    if (nd > 1) {
-      for (const Pin& p : fanout) {
-        if (cell_dom_[p.cell.value()] != d0) {
-          uniform = false;
-          break;
-        }
-      }
-    }
-    if (uniform) {
-      NetRange r{};
-      r.dom = d0;
-      r.ff_begin = static_cast<uint32_t>(ff_ck_.size());
-      r.fan_begin = static_cast<uint32_t>(fan_pins_.size());
-      for (const Pin& p : fanout) {
-        const nl::CellData& cd = nl_.cell(p.cell);
-        if (cd.kind == Kind::Dff && p.index == 1) {
-          ff_ck_.push_back(FfCkPin{cd.ins[0], cd.outs[0], p.cell,
-                                   delay_[p.cell.value()]});
-        } else {
-          fan_pins_.push_back(p);
-        }
-      }
-      r.ff_end = static_cast<uint32_t>(ff_ck_.size());
-      r.fan_end = static_cast<uint32_t>(fan_pins_.size());
-      ranges_.push_back(r);
-      continue;
-    }
-
-    ffs.clear();
-    fans.clear();
-    for (const Pin& p : fanout) {
+    ff_ck_off_.push_back(static_cast<uint32_t>(ff_ck_.size()));
+    fan_off_.push_back(static_cast<uint32_t>(fan_pins_.size()));
+    for (const Pin& p : nl_.net(NetId(n)).fanout) {
       const nl::CellData& cd = nl_.cell(p.cell);
-      const uint32_t d = cell_dom_[p.cell.value()];
       if (cd.kind == Kind::Dff && p.index == 1) {
-        ffs.emplace_back(d, FfCkPin{cd.ins[0], cd.outs[0], p.cell,
-                                    delay_[p.cell.value()]});
+        ff_ck_.push_back(
+            FfCkPin{cd.ins[0], cd.outs[0], p.cell, delay_[p.cell.value()]});
       } else {
-        fans.emplace_back(d, p);
+        fan_pins_.push_back(p);
       }
-    }
-    std::stable_sort(ffs.begin(), ffs.end(),
-                     [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::stable_sort(fans.begin(), fans.end(),
-                     [](const auto& a, const auto& b) { return a.first < b.first; });
-    size_t fi = 0, pi = 0;
-    while (fi < ffs.size() || pi < fans.size()) {
-      uint32_t d = ~uint32_t{0};
-      if (fi < ffs.size()) d = ffs[fi].first;
-      if (pi < fans.size()) d = std::min(d, fans[pi].first);
-      NetRange r{};
-      r.dom = d;
-      r.ff_begin = static_cast<uint32_t>(ff_ck_.size());
-      for (; fi < ffs.size() && ffs[fi].first == d; ++fi) {
-        ff_ck_.push_back(ffs[fi].second);
-      }
-      r.ff_end = static_cast<uint32_t>(ff_ck_.size());
-      r.fan_begin = static_cast<uint32_t>(fan_pins_.size());
-      for (; pi < fans.size() && fans[pi].first == d; ++pi) {
-        fan_pins_.push_back(fans[pi].second);
-      }
-      r.fan_end = static_cast<uint32_t>(fan_pins_.size());
-      ranges_.push_back(r);
     }
   }
-  range_off_.push_back(static_cast<uint32_t>(ranges_.size()));
-
+  ff_ck_off_.push_back(static_cast<uint32_t>(ff_ck_.size()));
+  fan_off_.push_back(static_cast<uint32_t>(fan_pins_.size()));
   settle_initial_state();
 }
-
-Simulator::~Simulator() = default;
 
 Ps Simulator::cell_delay(CellId c) const {
   const nl::CellData& cd = nl_.cell(c);
@@ -473,35 +215,26 @@ void Simulator::settle_initial_state() {
       if (val_[cd.ins[1].value()] == t) {
         V d = val_[cd.ins[0].value()];
         if (d != val_[cd.outs[0].value()]) {
-          schedule(net_dom_[cd.outs[0].value()], cd.outs[0], d,
-                   delay_[c.value()]);
+          schedule(cd.outs[0], d, delay_[c.value()]);
         }
       }
     } else if (cell::is_state_holding(cd.kind)) {
       gather(val_, cd, buf);
       V nv = cell::eval_state_holding(cd.kind, buf, val_[cd.outs[0].value()]);
       if (nv != val_[cd.outs[0].value()]) {
-        schedule(net_dom_[cd.outs[0].value()], cd.outs[0], nv,
-                 delay_[c.value()]);
+        schedule(cd.outs[0], nv, delay_[c.value()]);
       }
     }
   }
 }
 
-// ---------------------------------------------------------------------------
-// Stimulus and observation
-
-void Simulator::schedule(uint32_t d, NetId net, V v, Ps at) {
-  const uint32_t ni = net.value();
-  DESYN_ASSERT(net_dom_[ni] == d, "cross-domain schedule on net ",
-               nl_.net(net).name);
+void Simulator::schedule(NetId net, V v, Ps at) {
   // No-op evaluations with nothing in flight need no event.
-  if (v == val_[ni] && !pending_[ni]) return;
+  if (v == val_[net.value()] && !pending_[net.value()]) return;
   // Inertial: a newer decision for the same net supersedes pending ones.
-  ++version_[ni];
-  pending_[ni] = 1;
-  Domain& dm = dom_[d];
-  dm.q.push(Event{at, dm.seq++, net, v, version_[ni]});
+  ++version_[net.value()];
+  pending_[net.value()] = 1;
+  queue_.push(Event{at, seq_++, net, v, version_[net.value()]});
 }
 
 void Simulator::set_input(NetId net, V v, Ps at) {
@@ -512,14 +245,7 @@ void Simulator::set_input(NetId net, V v, Ps at) {
   // whole waveform can be scheduled up front. The event carries the version
   // current at *application* time; stimulus nets are never cell-driven, so
   // their version never advances.
-  const uint32_t d = net_dom_[net.value()];
-  Domain& dm = dom_[d];
-  dm.q.push(Event{at, dm.seq++, net, v, version_[net.value()]});
-  if (in_watch_) {
-    wdirty_.push_back(d);
-  } else if (heap_init_) {
-    head_heap_.push({at, d});
-  }
+  queue_.push(Event{at, seq_++, net, v, version_[net.value()]});
 }
 
 void Simulator::add_clock(NetId net, Ps period, Ps first_rise) {
@@ -545,303 +271,94 @@ uint64_t Simulator::ram_word(CellId ram, uint64_t addr) const {
   return mem[addr];
 }
 
-uint64_t Simulator::events_processed() const {
-  uint64_t total = 0;
-  for (const Domain& dm : dom_) total += dm.events;
-  return total;
-}
-
-// ---------------------------------------------------------------------------
-// Execution
-
-void Simulator::ensure_heap() {
-  if (heap_init_) return;
-  heap_init_ = true;
-  for (uint32_t d = 0; d < dom_.size(); ++d) {
-    const Ps t = dom_[d].q.next_event_time();
-    if (t >= 0) head_heap_.push({t, d});
-  }
-}
-
-Ps Simulator::next_global_time() {
-  while (!head_heap_.empty()) {
-    const auto [t, d] = head_heap_.top();
-    const Ps actual = dom_[d].q.next_event_time();
-    if (actual == t) return t;
-    head_heap_.pop();
-    if (actual >= 0) head_heap_.push({actual, d});
-  }
-  return -1;
-}
-
-void Simulator::collect_active(Ps t) {
-  active_.clear();
-  while (!head_heap_.empty() && head_heap_.top().first == t) {
-    const uint32_t d = head_heap_.top().second;
-    head_heap_.pop();
-    if (dom_flag_[d]) continue;
-    const Ps actual = dom_[d].q.next_event_time();
-    if (actual == t) {
-      dom_flag_[d] = 1;
-      active_.push_back(d);
-    } else if (actual >= 0) {
-      head_heap_.push({actual, d});
-    }
-  }
-  for (uint32_t d : active_) dom_flag_[d] = 0;
-  std::sort(active_.begin(), active_.end());
-}
-
-void Simulator::run_phase(Phase phase, const std::vector<uint32_t>& domains) {
-  if (domains.size() > 1 && jobs_ > 1) {
-    if (!pool_) {
-      pool_ = std::make_unique<Pool>(this, jobs_ - 1);
-    }
-    ++parallel_phases_;
-    pool_->run(phase, domains);
-    return;
-  }
-  for (uint32_t d : domains) phase_work(phase, d);
-}
-
-void Simulator::phase_work(Phase phase, uint32_t d) {
-  if (phase == kCommit) {
-    commit_domain(d, round_time_);
-  } else {
-    evaluate_domain(d, round_time_);
-  }
-}
-
-void Simulator::commit_domain(uint32_t d, Ps t) {
-  Domain& dm = dom_[d];
-  Event ev;
-  while (dm.q.pop_next(t, &ev)) {
-    DESYN_ASSERT(ev.time == t);
-    ++dm.events;
-    const uint32_t ni = ev.net.value();
-    if (ev.version != version_[ni]) continue;  // superseded
-    pending_[ni] = 0;
-    const V oldv = val_[ni];
-    if (ev.value == oldv) continue;
-    val_[ni] = ev.value;
-    last_change_[ni] = t;
-    if (oldv != V::VX && ev.value != V::VX) ++toggles_[ni];
-    // Self-sustaining clocks reschedule their own next toggle. The initial
-    // X->0 reset assignment does not count as an edge.
-    if (Ps hp = clock_half_period_[ni];
-        hp > 0 && ev.value != V::VX && oldv != V::VX) {
-      const V nxt = ev.value == V::V1 ? V::V0 : V::V1;
-      dm.q.push(Event{t + hp, dm.seq++, ev.net, nxt, version_[ni]});
-    }
-    dm.changes.push_back(Change{ev.net, oldv, ev.value});
-  }
-}
-
-void Simulator::evaluate_range(const NetRange& r, const Change& ch, Ps t,
-                               Domain& dm, uint32_t d) {
-  // Rising edge: clocked flip-flops capture D (setup-checked) — the
-  // flattened fast path. Falling edges skip the whole flip-flop fanout.
-  if (ch.oldv == V::V0 && ch.newv == V::V1) {
-    for (uint32_t i = r.ff_begin; i < r.ff_end; ++i) {
-      const FfCkPin& ff = ff_ck_[i];
-      const Ps lc = last_change_[ff.d.value()];
-      if (lc >= 0) {
-        const Ps slack = (t - lc) - dff_setup_;
-        if (slack < 0) {
-          record_violation(dm, SetupViolation{t, ff.cell, ff.d, slack});
-        }
-      }
-      schedule(d, ff.q, val_[ff.d.value()], t + ff.delay);
-    }
-  }
-  for (uint32_t i = r.fan_begin; i < r.fan_end; ++i) {
-    evaluate_pin(fan_pins_[i], ch.oldv, t, dm, d);
-  }
-}
-
-void Simulator::evaluate_domain(uint32_t d, Ps t) {
-  Domain& dm = dom_[d];
-  for (const WorkItem& w : dm.work) {
-    evaluate_range(ranges_[w.range], merged_[w.change], t, dm, d);
-  }
-}
-
-void Simulator::record_violation(Domain& dm, const SetupViolation& v) {
-  ++dm.viol_count;
-  if (dm.viol.size() < kMaxRecordedViolations) dm.viol.push_back(v);
-}
-
-// Single-domain round: with one queue, commit order IS the canonical
-// merge order, every change routes to at most one range, and no other
-// domain can be touched — the generic sub-round machinery (merge buffer,
-// work-item routing, active/touched bookkeeping) collapses to a
-// pop-commit-evaluate loop with identical observables. This is the
-// default engine for plain `Simulator(nl, tech)` construction, so it
-// must not pay for sharding it doesn't use.
-void Simulator::round_at_single(Ps t) {
-  Domain& dm = dom_[0];
-  while (dm.q.next_event_time() == t) {
-    commit_domain(0, t);
-    wdirty_.clear();  // entries can only name domain 0; the loop re-checks
-    in_watch_ = true;
-    for (const Change& ch : dm.changes) {
-      for (const Watcher& w : watchers_[ch.net.value()]) w(t, ch.newv);
-    }
-    in_watch_ = false;
-    for (const Change& ch : dm.changes) {
-      const uint32_t ni = ch.net.value();
-      for (uint32_t r = range_off_[ni]; r < range_off_[ni + 1]; ++r) {
-        evaluate_range(ranges_[r], ch, t, dm, 0);
-      }
-    }
-    dm.changes.clear();
-    for (const SetupViolation& v : dm.viol) {
-      if (violations_.size() < kMaxRecordedViolations) {
-        violations_.push_back(v);
-      }
-    }
-    violation_count_ += dm.viol_count;
-    dm.viol.clear();
-    dm.viol_count = 0;
-  }
-  const Ps nt = dm.q.next_event_time();
-  if (nt >= 0) head_heap_.push({nt, 0});
-}
-
-void Simulator::round_at(Ps t) {
-  round_time_ = t;
-  if (dom_.size() == 1) {
-    round_at_single(t);
-    return;
-  }
-  while (!active_.empty()) {
-    // Commit phase: active domains drain their queues at `t` in parallel;
-    // every write is to owner state only.
-    run_phase(kCommit, active_);
-
-    // Merge: canonical (domain id, commit order) change order. Watchers
-    // fire here, single-threaded, and may inject same-time stimulus.
-    merged_.clear();
-    touched_.clear();
-    wdirty_.clear();
-    for (uint32_t d : active_) {
-      Domain& dm = dom_[d];
-      merged_.insert(merged_.end(), dm.changes.begin(), dm.changes.end());
-      dm.changes.clear();
-    }
-    in_watch_ = true;
-    for (const Change& ch : merged_) {
-      for (const Watcher& w : watchers_[ch.net.value()]) w(t, ch.newv);
-    }
-    in_watch_ = false;
-
-    // Route each change to the reader domains of its net.
-    for (uint32_t i = 0; i < merged_.size(); ++i) {
-      const uint32_t ni = merged_[i].net.value();
-      for (uint32_t r = range_off_[ni]; r < range_off_[ni + 1]; ++r) {
-        const uint32_t d = ranges_[r].dom;
-        if (!dom_flag_[d]) {
-          dom_flag_[d] = 1;
-          touched_.push_back(d);
-        }
-        dom_[d].work.push_back(WorkItem{i, r});
-      }
-    }
-    for (uint32_t d : touched_) dom_flag_[d] = 0;
-    std::sort(touched_.begin(), touched_.end());
-
-    // Evaluate phase: touched domains re-evaluate their fanout slices in
-    // parallel, reading committed values, scheduling only onto own nets.
-    run_phase(kEvaluate, touched_);
-
-    // Fold per-domain setup violations in canonical order.
-    for (uint32_t d : touched_) {
-      Domain& dm = dom_[d];
-      for (const SetupViolation& v : dm.viol) {
-        if (violations_.size() < kMaxRecordedViolations) {
-          violations_.push_back(v);
-        }
-      }
-      violation_count_ += dm.viol_count;
-      dm.viol.clear();
-      dm.viol_count = 0;
-      dm.work.clear();
-    }
-
-    // Every queue touched this sub-round (and only those) may hold new
-    // events: refresh the head heap and collect same-time continuations
-    // (zero-delay cells, watcher-injected stimulus at `t`).
-    scratch_.clear();
-    auto consider = [&](uint32_t d) {
-      if (!dom_flag_[d]) {
-        dom_flag_[d] = 1;
-        scratch_.push_back(d);
-      }
-    };
-    for (uint32_t d : active_) consider(d);
-    for (uint32_t d : touched_) consider(d);
-    for (uint32_t d : wdirty_) consider(d);
-    active_.clear();
-    for (uint32_t d : scratch_) {
-      dom_flag_[d] = 0;
-      const Ps nt = dom_[d].q.next_event_time();
-      if (nt == t) {
-        active_.push_back(d);
-      } else if (nt >= 0) {
-        head_heap_.push({nt, d});
-      }
-    }
-    std::sort(active_.begin(), active_.end());
-  }
-}
-
-void Simulator::finish_run(Ps t) {
-  // Clamp every queue's cursor to `t` (and migrate overflow) so later
-  // pushes at the current simulation time stay FIFO-reachable, exactly as
-  // the serial single-queue engine behaved.
-  Event ev;
-  for (Domain& dm : dom_) {
-    const bool popped = dm.q.pop_next(t, &ev);
-    DESYN_ASSERT(!popped, "events left behind the global clock");
-  }
-}
-
 void Simulator::run_until(Ps t) {
-  ensure_heap();
-  for (;;) {
-    const Ps next = next_global_time();
-    if (next < 0 || next > t) break;
-    DESYN_ASSERT(next >= now_);
-    now_ = next;
-    collect_active(next);
-    round_at(next);
+  Event ev;
+  while (queue_.pop_next(t, &ev)) {
+    DESYN_ASSERT(ev.time >= now_);
+    now_ = ev.time;
+    step(ev);
   }
-  finish_run(t);
   now_ = std::max(now_, t);
 }
 
 bool Simulator::run_until_quiet(Ps max_t) {
-  ensure_heap();
-  for (;;) {
-    const Ps next = next_global_time();
-    if (next < 0) return true;  // quiesced; now_ rests at the last event
-    if (next > max_t) break;
-    DESYN_ASSERT(next >= now_);
-    now_ = next;
-    collect_active(next);
-    round_at(next);
+  Event ev;
+  while (queue_.pop_next(max_t, &ev)) {
+    now_ = ev.time;
+    step(ev);
   }
-  finish_run(max_t);
+  if (queue_.empty()) return true;
   now_ = max_t;
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// Cell evaluation
+void Simulator::step(const Event& first) {
+  // Commit everything due now before any fanout reads a value, so the
+  // outcome of a step does not depend on the order its events were
+  // scheduled in (beyond FIFO last-wins on the same net).
+  commit(first);
+  Event ev;
+  while (queue_.pop_now(&ev)) commit(ev);
+  for (const Change& ch : changes_) {
+    for (const Watcher& w : watchers_[ch.net.value()]) w(now_, ch.newv);
+  }
+  for (const Change& ch : changes_) evaluate_fanout(ch);
+  changes_.clear();
+}
 
-void Simulator::check_setup(CellId c, Ps edge_time, Domain& dm) {
+void Simulator::commit(const Event& ev) {
+  ++events_processed_;
+  const uint32_t ni = ev.net.value();
+  if (ev.version != version_[ni]) return;  // superseded
+  pending_[ni] = 0;
+  const V oldv = val_[ni];
+  if (ev.value == oldv) return;
+  val_[ni] = ev.value;
+  last_change_[ni] = ev.time;
+  if (oldv != V::VX && ev.value != V::VX) ++toggles_[ni];
+
+  // Self-sustaining clocks reschedule their own next toggle. The initial
+  // X->0 reset assignment does not count as an edge.
+  if (Ps hp = clock_half_period_[ni];
+      hp > 0 && ev.value != V::VX && oldv != V::VX) {
+    V nxt = ev.value == V::V1 ? V::V0 : V::V1;
+    queue_.push(Event{ev.time + hp, seq_++, ev.net, nxt, version_[ni]});
+  }
+  changes_.push_back(Change{ev.net, oldv, ev.value});
+}
+
+void Simulator::evaluate_fanout(const Change& ch) {
+  const uint32_t ni = ch.net.value();
+  // Rising edge: clocked flip-flops capture D (setup-checked) — the
+  // flattened fast path. Falling edges skip the whole flip-flop fanout.
+  if (ch.oldv == V::V0 && ch.newv == V::V1) {
+    const uint32_t end = ff_ck_off_[ni + 1];
+    for (uint32_t i = ff_ck_off_[ni]; i < end; ++i) {
+      const FfCkPin& ff = ff_ck_[i];
+      const Ps lc = last_change_[ff.d.value()];
+      if (lc >= 0) {
+        const Ps slack = (now_ - lc) - dff_setup_;
+        if (slack < 0) {
+          record_violation(SetupViolation{now_, ff.cell, ff.d, slack});
+        }
+      }
+      schedule(ff.q, val_[ff.d.value()], now_ + ff.delay);
+    }
+  }
+  const uint32_t end = fan_off_[ni + 1];
+  for (uint32_t i = fan_off_[ni]; i < end; ++i) {
+    evaluate_pin(fan_pins_[i], ch.oldv);
+  }
+}
+
+void Simulator::record_violation(const SetupViolation& v) {
+  ++violation_count_;
+  if (violations_.size() < kMaxRecordedViolations) violations_.push_back(v);
+}
+
+void Simulator::check_setup(CellId c, Ps edge_time) {
   const nl::CellData& cd = nl_.cell(c);
-  // DFF capture edges are setup-checked inline by the evaluate phase's fast
+  // DFF capture edges are setup-checked inline by evaluate_fanout()'s fast
   // path; this generic path covers the latch closing edge and the RAM clock.
   Ps setup = cell::is_latch(cd.kind) ? tech_.latch_setup() : tech_.dff_setup();
   size_t lo = 0, hi = 0;
@@ -863,31 +380,32 @@ void Simulator::check_setup(CellId c, Ps edge_time, Domain& dm) {
     if (lc < 0) continue;
     Ps slack = (edge_time - lc) - setup;
     if (slack < 0) {
-      record_violation(dm, SetupViolation{edge_time, c, cd.ins[i], slack});
+      record_violation(SetupViolation{edge_time, c, cd.ins[i], slack});
     }
   }
 }
 
-void Simulator::evaluate_pin(Pin p, V oldv, Ps t, Domain& dm, uint32_t d) {
+void Simulator::evaluate_pin(Pin p, V oldv) {
   const nl::CellData& cd = nl_.cell(p.cell);
-  const Ps delay = delay_[p.cell.value()];
+  const Ps d = delay_[p.cell.value()];
   switch (cd.kind) {
     case Kind::Dff:
       // Only the D pin (index 0) is routed here, and D changes alone never
-      // act; clock pins take the flattened fast path in evaluate_domain().
+      // act; clock pins take the flattened ff_ck_ fast path in
+      // evaluate_fanout().
       return;
     case Kind::Latch:
     case Kind::LatchN: {
-      const V tr = cd.kind == Kind::Latch ? V::V1 : V::V0;
+      const V t = cd.kind == Kind::Latch ? V::V1 : V::V0;
       const V en = val_[cd.ins[1].value()];
       if (p.index == 1) {  // EN edge
-        if (en == tr) {
-          schedule(d, cd.outs[0], val_[cd.ins[0].value()], t + delay);
-        } else if (oldv == tr) {
-          check_setup(p.cell, t, dm);  // closing edge captures
+        if (en == t) {
+          schedule(cd.outs[0], val_[cd.ins[0].value()], now_ + d);
+        } else if (oldv == t) {
+          check_setup(p.cell, now_);  // closing edge captures
         }
-      } else if (p.index == 0 && en == tr) {  // D moves while transparent
-        schedule(d, cd.outs[0], val_[cd.ins[0].value()], t + delay);
+      } else if (p.index == 0 && en == t) {  // D moves while transparent
+        schedule(cd.outs[0], val_[cd.ins[0].value()], now_ + d);
       }
       return;
     }
@@ -897,7 +415,7 @@ void Simulator::evaluate_pin(Pin p, V oldv, Ps t, Domain& dm, uint32_t d) {
       if (p.index == 0) {  // CK
         V nv = val_[cd.ins[0].value()];
         if (oldv == V::V0 && nv == V::V1) {
-          check_setup(p.cell, t, dm);
+          check_setup(p.cell, now_);
           if (val_[cd.ins[1].value()] == V::V1) {  // WE
             uint64_t wa = 0;
             if (decode_addr(val_, cd.ins, 2, cd.p0, &wa)) {
@@ -922,7 +440,7 @@ void Simulator::evaluate_pin(Pin p, V oldv, Ps t, Domain& dm, uint32_t d) {
         const auto& mem = ram_state_[p.cell.value()];
         for (size_t b = 0; b < cd.outs.size(); ++b) {
           V v = known ? cell::from_bool((mem[ra] >> b) & 1) : V::VX;
-          schedule(d, cd.outs[b], v, t + delay);
+          schedule(cd.outs[b], v, now_ + d);
         }
       }
       return;
@@ -933,22 +451,21 @@ void Simulator::evaluate_pin(Pin p, V oldv, Ps t, Domain& dm, uint32_t d) {
       const auto& mem = nl_.payload(cd.payload);
       for (size_t b = 0; b < cd.outs.size(); ++b) {
         V v = known ? cell::from_bool((mem[a] >> b) & 1) : V::VX;
-        schedule(d, cd.outs[b], v, t + delay);
+        schedule(cd.outs[b], v, now_ + d);
       }
       return;
     }
     case Kind::CElem:
     case Kind::Gc: {
-      gather(val_, cd, dm.eval_buf);
-      V nv = cell::eval_state_holding(cd.kind, dm.eval_buf,
+      gather(val_, cd, eval_buf_);
+      V nv = cell::eval_state_holding(cd.kind, eval_buf_,
                                       val_[cd.outs[0].value()]);
-      schedule(d, cd.outs[0], nv, t + delay);
+      schedule(cd.outs[0], nv, now_ + d);
       return;
     }
     default: {
-      gather(val_, cd, dm.eval_buf);
-      schedule(d, cd.outs[0], cell::eval_comb(cd.kind, dm.eval_buf),
-               t + delay);
+      gather(val_, cd, eval_buf_);
+      schedule(cd.outs[0], cell::eval_comb(cd.kind, eval_buf_), now_ + d);
       return;
     }
   }

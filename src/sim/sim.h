@@ -1,6 +1,5 @@
-// Event-driven gate-level simulator with three-valued logic (0/1/X),
-// per-cell inertial delays taken from the technology library, and an
-// optional domain-sharded parallel execution mode.
+// Event-driven gate-level simulator with three-valued logic (0/1/X) and
+// per-cell inertial delays taken from the technology library.
 //
 // Delays are identical to what STA assumes (both call Tech::delay with the
 // instance's arity and fanout), so analytic and simulated timing agree.
@@ -20,35 +19,23 @@
 //    rise) with a data input that changed less than `setup` ago is recorded
 //    as a violation. The margin bench uses this to find the failure point
 //    of under-sized matched delays.
-//
-// Execution model (the key to parallel byte-identity): every picosecond
-// with pending events is processed as one or more two-phase sub-rounds.
-//  * Commit phase: each active domain drains its own calendar queue at the
-//    current time and commits the value changes of the nets it owns.
-//  * Merge: the changes are concatenated in canonical (domain id, commit
-//    order) order; watchers fire here, single-threaded, in that order.
-//  * Evaluate phase: every domain with a fanout pin on a changed net
-//    re-evaluates those cells, reading the committed (post-barrier) values
-//    of any net but scheduling only onto nets it owns, with a domain-local
-//    FIFO sequence.
-// All writes are owner-disjoint and all cross-domain reads happen after a
-// barrier, so the result is independent of thread interleaving: `jobs = 1`
-// runs the identical algorithm inline and is the serial oracle the parallel
-// path is pinned against (tests/test_sim_parallel.cpp). A sub-round whose
-// phase has a single active domain runs on the coordinator without touching
-// the pool — the common case between handshake interactions, whose spacing
-// is bounded below by the cross-domain matched-delay/handshake latency.
+//  * Every picosecond is one step: all events due at time t commit first
+//    (in FIFO scheduling order), then the watchers of the changed nets
+//    fire, then the fanout of every change re-evaluates against the
+//    committed values. A capture edge coinciding with its data change
+//    therefore sees the new data (and records a zero-slack violation).
+//    Events scheduled at t during a step (watcher stimulus, zero-delay
+//    cells) run as a further step at the same t.
 //
 // Performance: all per-net and per-cell state (values, toggle counters,
 // RAM contents, watchers, clock periods, cached delays) lives in dense
-// vectors indexed by id, and each domain's pending-event set is a
-// time-bucketed calendar queue (timing wheel + overflow heap) — O(1)
-// schedule/pop instead of hash lookups and binary-heap reshuffles on the
-// inner loop.
+// vectors indexed by id, and the pending-event set is a time-bucketed
+// calendar queue (timing wheel + overflow heap) — O(1) schedule/pop
+// instead of hash lookups and binary-heap reshuffles on the inner loop.
 #pragma once
 
+#include <array>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <span>
 #include <vector>
@@ -67,37 +54,9 @@ struct SetupViolation {
   Ps slack = 0;          ///< (negative) setup slack observed
 };
 
-/// Assignment of every cell to a simulation domain. A net is owned by its
-/// driver's domain (driverless nets by their first reader's); only the
-/// owner commits its value or schedules events on it. Any assignment is
-/// *correct*: for a fixed map, every observable is byte-identical at every
-/// job count, and across different maps the trajectory (values, times,
-/// toggle/event counts, violations) is identical too — only the
-/// within-timestamp ordering of watcher callbacks (and hence VCD line
-/// order inside one `#t` block) follows the map's canonical domain order.
-/// Parallel speedup comes from maps that follow the circuit's natural cuts
-/// (see sim/domains.h and flow::sim_domains()).
-struct DomainMap {
-  uint32_t num_domains = 1;
-  /// Per cell id; empty means every cell is in domain 0. Values must be
-  /// < num_domains.
-  std::vector<uint32_t> cell_domain;
-};
-
-struct SimOptions {
-  /// Worker threads for multi-domain phases. 1 = serial (the oracle);
-  /// any value yields byte-identical results.
-  int jobs = 1;
-  DomainMap domains;  ///< default: a single domain
-};
-
 class Simulator {
  public:
   Simulator(const nl::Netlist& nl, const cell::Tech& tech);
-  Simulator(const nl::Netlist& nl, const cell::Tech& tech, SimOptions opt);
-  ~Simulator();
-  Simulator(const Simulator&) = delete;
-  Simulator& operator=(const Simulator&) = delete;
 
   const nl::Netlist& netlist() const { return nl_; }
 
@@ -132,8 +91,8 @@ class Simulator {
   Ps activity_window_start() const { return window_start_; }
 
   using Watcher = std::function<void(Ps, V)>;
-  /// Invoke `w` after every applied value change of `net`. Watchers always
-  /// run on the calling thread, in canonical order, regardless of `jobs`.
+  /// Invoke `w` after every applied value change of `net`, once every
+  /// change of that picosecond has committed.
   void watch(nl::NetId net, Watcher w);
 
   const std::vector<SetupViolation>& setup_violations() const {
@@ -141,25 +100,15 @@ class Simulator {
   }
   uint64_t setup_violation_count() const { return violation_count_; }
 
-  uint64_t events_processed() const;
+  uint64_t events_processed() const { return events_processed_; }
 
   /// Current contents word of a RAM cell (for testbench inspection).
   uint64_t ram_word(nl::CellId ram, uint64_t addr) const;
 
-  size_t num_domains() const { return dom_.size(); }
-  int jobs() const { return jobs_; }
-  /// Domain a cell was assigned to (diagnostics / tests).
-  uint32_t cell_domain(nl::CellId c) const { return cell_dom_[c.value()]; }
-  /// Domain that owns (commits) a net.
-  uint32_t net_domain(nl::NetId n) const { return net_dom_[n.value()]; }
-  /// Sub-rounds that dispatched work to the thread pool (diagnostics; 0
-  /// when jobs = 1 or only one domain was ever active at a time).
-  uint64_t parallel_phases() const { return parallel_phases_; }
-
  private:
   struct Event {
     Ps time;
-    uint64_t seq;  // FIFO tie-break for equal times (domain-local)
+    uint64_t seq;  // FIFO tie-break for equal times
     nl::NetId net;
     V value;
     uint64_t version;
@@ -168,23 +117,18 @@ class Simulator {
     }
   };
 
-  /// Time-bucketed calendar queue. A timing wheel of 1 ps buckets covers
-  /// the next `wheel_size` picoseconds; events beyond that horizon wait in
-  /// a binary-heap overflow and migrate into the wheel as the cursor
-  /// advances. Within a bucket (one picosecond) events drain FIFO — push
-  /// order equals seq order, including migrated overflow events (the heap
-  /// ties on seq and migration happens the instant the horizon first covers
-  /// a time, before any direct push at that time can occur) — so
-  /// inertial-delay semantics are identical to a priority_queue, with O(1)
-  /// push/pop on the hot path.
+  /// Time-bucketed calendar queue. A timing wheel of 1 ps buckets covers the
+  /// next kWheelSize picoseconds; events beyond that horizon wait in a
+  /// binary-heap overflow and migrate into the wheel as the cursor advances.
+  /// Within a bucket (one picosecond) events drain FIFO — push order equals
+  /// seq order, including migrated overflow events (the heap ties on seq and
+  /// migration happens the instant the horizon first covers a time, before
+  /// any direct push at that time can occur) — so inertial-delay semantics
+  /// are identical to a priority_queue, with O(1) push/pop on the hot path
+  /// instead of O(log n).
   class EventQueue {
    public:
-    /// `wheel_size` must be a power of two. Many-domain simulators use a
-    /// smaller wheel per domain to bound memory.
-    explicit EventQueue(size_t wheel_size)
-        : wheel_(wheel_size),
-          occupied_(wheel_size / 64),
-          mask_(wheel_size - 1) {}
+    EventQueue() : wheel_(kWheelSize) {}
     /// `ev.time` must be >= the last popped/clamped time (simulation time
     /// is monotone; Simulator guarantees this via its `now_` asserts).
     void push(const Event& ev);
@@ -192,17 +136,17 @@ class Simulator {
     /// when none exists; the cursor then rests at min(next event, limit) so
     /// later pushes at the current simulation time stay reachable.
     bool pop_next(Ps limit, Event* out);
+    /// Pops the next event due at the cursor's own time, if any. All such
+    /// events sit in the cursor's bucket, so this never scans or moves.
+    bool pop_now(Event* out);
     bool empty() const { return wheel_size_ == 0 && overflow_.empty(); }
-    /// Time of the earliest pending event, or -1 when empty. Does not
-    /// advance the cursor.
-    Ps next_event_time() const;
 
    private:
-    const std::vector<Event>& bucket(Ps t) const {
-      return wheel_[static_cast<uint64_t>(t) & mask_];
-    }
+    static constexpr size_t kWheelSize = size_t{1} << 10;  // 1024 ps window
+    static constexpr size_t kWords = kWheelSize / 64;      // occupancy bitmap
+
     std::vector<Event>& bucket(Ps t) {
-      return wheel_[static_cast<uint64_t>(t) & mask_];
+      return wheel_[static_cast<uint64_t>(t) & (kWheelSize - 1)];
     }
     /// Smallest occupied wheel time strictly greater than `t` (which must
     /// be the cursor; the window invariant makes the mapping from bucket
@@ -212,8 +156,7 @@ class Simulator {
     void migrate();
 
     std::vector<std::vector<Event>> wheel_;
-    std::vector<uint64_t> occupied_;  // bit per non-empty bucket
-    uint64_t mask_;
+    std::array<uint64_t, kWords> occupied_{};  // bit per non-empty bucket
     size_t wheel_size_ = 0;  // live (unpopped) events on the wheel
     size_t drain_pos_ = 0;   // consumed prefix of bucket(cursor_)
     Ps cursor_ = 0;          // current drain time; never retreats
@@ -221,64 +164,26 @@ class Simulator {
         overflow_;
   };
 
-  /// A committed value change, queued for the merge + evaluate phases.
+  /// A committed value change, held until its step evaluates fanout.
   struct Change {
     nl::NetId net;
     V oldv, newv;
   };
-  /// One unit of evaluate-phase work: changed net x reader domain.
-  struct WorkItem {
-    uint32_t change;  // index into merged_
-    uint32_t range;   // index into ranges_
-  };
-  /// Per-net slice of the flattened fanout owned by one reader domain.
-  struct NetRange {
-    uint32_t dom;
-    uint32_t ff_begin, ff_end;    // ff_ck_ slice (DFF clock pins)
-    uint32_t fan_begin, fan_end;  // fan_pins_ slice (everything else)
-  };
 
-  /// All mutable per-domain state, cache-line separated so worker threads
-  /// never false-share hot counters.
-  struct alignas(64) Domain {
-    explicit Domain(size_t wheel_size) : q(wheel_size) {}
-    EventQueue q;
-    uint64_t seq = 0;     // FIFO tie-break, domain-local
-    uint64_t events = 0;  // events processed (summed for the public count)
-    std::vector<Change> changes;        // commit-phase output
-    std::vector<WorkItem> work;         // evaluate-phase input
-    std::vector<V> eval_buf;            // cell-eval scratch
-    std::vector<SetupViolation> viol;   // merged canonically per sub-round
-    uint64_t viol_count = 0;
-  };
-
-  class Pool;  // spin-barrier worker pool, defined in sim.cpp
-
-  enum Phase : int { kCommit = 0, kEvaluate = 1 };
-
-  void schedule(uint32_t d, nl::NetId net, V v, Ps at);
+  void schedule(nl::NetId net, V v, Ps at);
+  /// One step at `first.time`: commit `first` and every other event due
+  /// then, fire watchers, evaluate the fanout of each change.
+  void step(const Event& first);
+  void commit(const Event& ev);
+  void evaluate_fanout(const Change& ch);
+  void evaluate_pin(nl::Pin p, V old_cause);
   void settle_initial_state();
   Ps cell_delay(nl::CellId c) const;
-
-  void ensure_heap();
-  Ps next_global_time();
-  void collect_active(Ps t);
-  void round_at(Ps t);
-  void round_at_single(Ps t);
-  void run_phase(Phase phase, const std::vector<uint32_t>& domains);
-  void phase_work(Phase phase, uint32_t d);
-  void commit_domain(uint32_t d, Ps t);
-  void evaluate_domain(uint32_t d, Ps t);
-  void evaluate_range(const NetRange& r, const Change& ch, Ps t, Domain& dm,
-                      uint32_t d);
-  void evaluate_pin(nl::Pin p, V oldv, Ps t, Domain& dm, uint32_t d);
-  void check_setup(nl::CellId c, Ps edge_time, Domain& dm);
-  void record_violation(Domain& dm, const SetupViolation& v);
-  void finish_run(Ps t);
+  void check_setup(nl::CellId c, Ps edge_time);
+  void record_violation(const SetupViolation& v);
 
   const nl::Netlist& nl_;
   const cell::Tech& tech_;
-  int jobs_ = 1;
 
   std::vector<V> val_;             // per net
   std::vector<Ps> last_change_;    // per net, for setup checks
@@ -286,51 +191,31 @@ class Simulator {
   std::vector<uint64_t> version_;  // per net, pending-event version
   std::vector<uint8_t> pending_;   // per net, 1 if latest schedule not applied
   std::vector<Ps> delay_;          // per cell, cached
-  std::vector<uint32_t> cell_dom_;  // per cell
-  std::vector<uint32_t> net_dom_;   // per net: owner (committer) domain
-
-  std::vector<Domain> dom_;
-  std::unique_ptr<Pool> pool_;  // created on first parallel phase
+  EventQueue queue_;
+  uint64_t seq_ = 0;
+  std::vector<Change> changes_;  // the current step's commits
+  std::vector<V> eval_buf_;  // scratch for cell evaluation (no per-event
+                             // allocation on the hot path)
 
   std::vector<std::vector<uint64_t>> ram_state_;  // per cell; empty unless RAM
   std::vector<std::vector<Watcher>> watchers_;    // per net
   std::vector<Ps> clock_half_period_;  // per net; 0 = not a free-running clock
 
-  /// Flattened fanout, CSR-indexed by net id and grouped by reader domain
-  /// (ranges_/range_off_). DFF clock pins — the bulk of a clocked design's
-  /// event traffic — are pre-resolved into a dedicated record (D net, Q
-  /// net, delay) acted on only for rising edges, so the inner loop touches
-  /// no CellData at all and falling clock edges skip every flip-flop. All
-  /// remaining pins go through evaluate_pin.
+  /// Flattened fanout, CSR-indexed by net id. DFF clock pins — the bulk of
+  /// a clocked design's event traffic — are pre-resolved into a dedicated
+  /// record (D net, Q net, delay) acted on only for rising edges, so the
+  /// inner loop touches no CellData at all and falling clock edges skip
+  /// every flip-flop. All remaining pins go through evaluate_pin.
   struct FfCkPin {
     nl::NetId d, q;
     nl::CellId cell;  // for setup-violation reporting
     Ps delay;
   };
   std::vector<FfCkPin> ff_ck_;
+  std::vector<uint32_t> ff_ck_off_;  // num_nets + 1 offsets into ff_ck_
   std::vector<nl::Pin> fan_pins_;
-  std::vector<NetRange> ranges_;
-  std::vector<uint32_t> range_off_;  // num_nets + 1 offsets into ranges_
-  Ps dff_setup_ = 0;                 // cached tech_.dff_setup()
-
-  // Round/merge scratch (coordinator only).
-  std::vector<Change> merged_;       // canonical change order of a sub-round
-  std::vector<uint32_t> active_;     // domains with events at the round time
-  std::vector<uint32_t> touched_;    // domains with evaluate work
-  std::vector<uint32_t> wdirty_;     // domains poked by watchers this round
-  std::vector<uint32_t> scratch_;    // candidate collection
-  std::vector<uint8_t> dom_flag_;    // per domain, dedup scratch
-  Ps round_time_ = 0;                // read by workers during a phase
-  bool in_watch_ = false;            // set_input bookkeeping
-
-  /// Lazy min-heap of (next event time, domain): every queue push outside a
-  /// round adds a candidate; rounds re-add their participants. Stale
-  /// entries are validated against the queue on pop.
-  std::priority_queue<std::pair<Ps, uint32_t>,
-                      std::vector<std::pair<Ps, uint32_t>>,
-                      std::greater<std::pair<Ps, uint32_t>>>
-      head_heap_;
-  bool heap_init_ = false;
+  std::vector<uint32_t> fan_off_;  // num_nets + 1 offsets into fan_pins_
+  Ps dff_setup_ = 0;               // cached tech_.dff_setup()
 
   std::vector<SetupViolation> violations_;
   uint64_t violation_count_ = 0;
@@ -338,7 +223,7 @@ class Simulator {
 
   Ps now_ = 0;
   Ps window_start_ = 0;
-  uint64_t parallel_phases_ = 0;
+  uint64_t events_processed_ = 0;
 };
 
 /// Read a little-endian word off a bus of nets (LSB first). X bits read as 0;

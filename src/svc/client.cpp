@@ -84,21 +84,18 @@ std::string Client::roundtrip(const std::string& request) {
 
 std::string make_request(const std::string& verilog, const std::string& clock,
                          const std::string& strategy, double margin,
-                         const std::string& protocol, int sim_jobs,
-                         int64_t timeout_ms) {
+                         const std::string& protocol, int64_t timeout_ms) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.4f", margin);
   // Defaults are omitted so request lines (and anything keyed on them)
   // are byte-identical to older clients that never sent the field.
-  std::string jobs_field =
-      sim_jobs != 1 ? cat(", \"sim_jobs\": ", sim_jobs) : std::string();
   std::string timeout_field =
       timeout_ms > 0 ? cat(", \"timeout_ms\": ", timeout_ms) : std::string();
   return cat("{\"verilog\": \"", json::escape(verilog), "\", \"clock\": \"",
              json::escape(clock), "\", \"strategy\": \"",
              json::escape(strategy), "\", \"margin\": ", buf,
-             ", \"protocol\": \"", json::escape(protocol), "\"", jobs_field,
-             timeout_field, "}");
+             ", \"protocol\": \"", json::escape(protocol), "\"", timeout_field,
+             "}");
 }
 
 std::string extract_result(const std::string& response) {

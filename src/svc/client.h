@@ -44,16 +44,12 @@ class Client {
   std::string buf_;  ///< bytes read past the last response line
 };
 
-/// Build a desyn-svc-v1 request line from the flow inputs. `sim_jobs`
-/// rides along as DesyncOptions::sim_jobs (byte-identical results at any
-/// value, so it never affects the server's cache identity); the default 1
-/// is omitted from the line, keeping pre-sim_jobs request bytes stable.
-/// Likewise `timeout_ms` (a per-request deadline, 0 = none) is omitted
-/// when defaulted.
+/// Build a desyn-svc-v1 request line from the flow inputs. `timeout_ms`
+/// (a per-request deadline, 0 = none) is omitted when defaulted, keeping
+/// request bytes stable for older servers and caches.
 std::string make_request(const std::string& verilog, const std::string& clock,
                          const std::string& strategy, double margin,
-                         const std::string& protocol, int sim_jobs = 1,
-                         int64_t timeout_ms = 0);
+                         const std::string& protocol, int64_t timeout_ms = 0);
 
 /// Extract the raw bytes of the "result" object from a successful
 /// response line — exactly as the server emitted them, so saved results

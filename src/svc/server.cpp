@@ -107,17 +107,16 @@ std::string Server::handle_request(const std::string& line) {
     }
     opt.protocol = ctl::parse_protocol(req.get_string("protocol", "pulse"));
     protocol_name = ctl::protocol_name(opt.protocol);
-    // Parallelism knobs travel with the submission like margin/protocol
-    // do, but never enter a cache key (results are byte-identical at any
-    // job count — the cached re-run must still hit).
+    // `sim_jobs` is accepted and validated so v1 request bytes that carry
+    // it stay valid, then ignored: the simulator is serial and the server
+    // never simulates. It never enters a cache key.
     const double sim_jobs = req.get_number("sim_jobs", 1);
     if (sim_jobs < 1 || sim_jobs > 1024 ||
         sim_jobs != static_cast<int>(sim_jobs)) {
       fail("sim_jobs must be an integer in [1, 1024]");
     }
-    opt.sim_jobs = static_cast<int>(sim_jobs);
-    // Like the job knobs, a deadline shapes execution, never the result,
-    // so it stays out of every cache key (see base/cancel.h).
+    // A deadline shapes execution, never the result, so it stays out of
+    // every cache key (see base/cancel.h).
     const double t = req.get_number("timeout_ms", 0);
     if (t < 0 || t > static_cast<double>(kMaxTimeoutMs) ||
         t != static_cast<int64_t>(t)) {

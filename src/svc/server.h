@@ -11,6 +11,9 @@
 // An optional "timeout_ms" (integer, [0, 3600000], 0 = none) arms a
 // per-request deadline: the flow is cancelled cooperatively at stage
 // boundaries and inside the MCR solver loops once it expires.
+// "sim_jobs" (integer, [1, 1024]) is accepted and validated for
+// compatibility with older clients, then ignored: it never changes the
+// result or the cache identity.
 // A successful response reuses the desyn-sweep-v2 cell vocabulary and
 // carries the emitted circuit:
 //

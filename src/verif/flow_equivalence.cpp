@@ -39,14 +39,6 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
   FlowEqResult res;
   const int rounds = opt.rounds;
 
-  // The desynchronized circuit is produced first (served from the staged
-  // engine's cache on re-runs): its resolved partition seeds the domain
-  // maps of *both* simulators, so the sync reference shards by the same
-  // clock/datapath cut the desynchronized side banks by.
-  flow::DesyncResult dr =
-      flow::desynchronize(ff_netlist, clock, tech, opt.desync);
-  const int sim_jobs = opt.desync.sim_jobs;
-
   // ------------------------------------------------------------------ sync
   std::map<std::string, std::vector<V>> sync_stream;
   {
@@ -61,9 +53,7 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
     period += period % 2;  // clock generator needs an even period
     res.sync_period = period;
 
-    sim::Simulator sim(
-        snl, tech,
-        sim::SimOptions{sim_jobs, flow::sync_sim_domains(snl, dr.partition)});
+    sim::Simulator sim(snl, tech);
 
     // Capture taps grouped by clock leaf: D sampled at the leaf's rise.
     std::map<uint32_t, std::vector<Tap>> by_leaf;
@@ -104,14 +94,15 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
   // ---------------------------------------------------------------- desync
   std::map<std::string, std::vector<V>> desync_stream;
   {
+    flow::DesyncResult dr =
+        flow::desynchronize(ff_netlist, clock, tech, opt.desync);
     res.desync_cells = dr.netlist.num_live_cells();
     res.banks = dr.cg.num_banks();
     res.controller_cells = dr.ctrl.cells.size() - dr.ctrl.delay_units;
     res.delay_cells = dr.ctrl.delay_units;
     res.predicted_period =
         pn::max_cycle_ratio(flow::timed_control_model(dr, tech)).ratio;
-    sim::Simulator sim(dr.netlist, tech,
-                       sim::SimOptions{sim_jobs, flow::sim_domains(dr)});
+    sim::Simulator sim(dr.netlist, tech);
 
     std::vector<Ps> round_times;  // capture times of the first master bank
     size_t master_banks = 0;

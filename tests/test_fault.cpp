@@ -228,6 +228,51 @@ TEST(Cancel, CancelledTokenAbortsEngineRun) {
   EXPECT_THROW(engine.run(ff, clk, flow::DesyncOptions()), CancelledError);
 }
 
+flow::DesyncOptions parallel_auto() {
+  flow::DesyncOptions opt;
+  opt.strategy = flow::PartitionSpec::parse("auto:1.05");
+  opt.opt_jobs = 4;
+  return opt;
+}
+
+TEST(Cancel, ExpiredDeadlineAbortsParallelPartitionRun) {
+  circuits::Circuit mesh = circuits::register_mesh(6, 6, 2);
+  flow::Engine engine(Tech::generic90());
+  CancelToken t;
+  t.set_deadline_after_ms(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  CancelScope scope(&t);
+  EXPECT_THROW(engine.run(mesh.netlist, mesh.clock, parallel_auto()),
+               DeadlineError);
+}
+
+// A throw inside a candidate probe while the partition optimizer's waves
+// run on four threads: whichever thread throws, the others stop pulling
+// candidates, every worker joins, and the caller gets the typed error
+// rather than std::terminate. Swept over every probe of the search, so
+// the fault lands in each of its fanned-out waves.
+TEST(Cancel, ProbeThrowInParallelWaveReachesCaller) {
+  circuits::Circuit c = circuits::pipeline(4, 8, 2);
+  const Tech& tech = Tech::generic90();
+  flow::PartitionOptOptions po;
+  po.jobs = 4;
+  uint64_t probes = 0;
+  {
+    // Armed far past the end: counts probes, never fires.
+    ArmedSpec armed(fault::Spec::parse("site=partition.probe,hit=1000000"));
+    const flow::PartitionOptResult r =
+        flow::optimize_partition(c.netlist, c.clock, tech, po);
+    ASSERT_GT(r.stats.candidates, r.stats.waves);  // some wave fanned out
+    probes = fault::stats("partition.probe").hits;
+  }
+  for (uint64_t hit = 0; hit < probes; ++hit) {
+    SCOPED_TRACE(cat("hit=", hit));
+    ArmedSpec armed(fault::Spec::parse(cat("site=partition.probe,hit=", hit)));
+    EXPECT_THROW(flow::optimize_partition(c.netlist, c.clock, tech, po),
+                 fault::InjectedFault);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The fault-sweep property
 // ---------------------------------------------------------------------------
@@ -481,7 +526,7 @@ TEST(SvcDeadline, TimeoutProducesTypedDeadlineError) {
   circuits::Circuit mesh = circuits::register_mesh(6, 6, 2);
   std::string req = svc::make_request(nl::to_verilog(mesh.netlist),
                                       mesh.netlist.net(mesh.clock).name,
-                                      "auto:1.05", 1.1, "pulse", 1,
+                                      "auto:1.05", 1.1, "pulse",
                                       /*timeout_ms=*/1);
   svc::Server server(Tech::generic90(),
                      server_options(fresh_socket("deadline")));

@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <string_view>
+#include <tuple>
 
 #include "circuits/circuits.h"
 #include "core/desynchronizer.h"
 #include "netlist/builder.h"
 #include "sim/power.h"
 #include "sim/vcd.h"
+#include "verif/flow_equivalence.h"
+#include "verif/testbench.h"
 
 namespace desyn::sim {
 namespace {
@@ -497,6 +503,644 @@ TEST(Sim, RunUntilQuietMatchesBoundedRun) {
   s2.run_until(100000);
   EXPECT_EQ(s1.value(y), s2.value(y));
   EXPECT_EQ(s1.events_processed(), s2.events_processed());
+}
+
+TEST(Sim, SameTimestampBurstsKeepFifoOrder) {
+  // Equal-timestamp stimulus bursts on two inputs, including several
+  // changes of one net at the same instant: the last-scheduled value wins,
+  // and outputs caused in the same step commit (and notify watchers) in
+  // the order their causes were scheduled.
+  Netlist netl("t");
+  Builder b(netl);
+  NetId a = b.input("a");
+  NetId c = b.input("c");
+  NetId ya = b.buf(a, "ya");
+  NetId yc = b.buf(c, "yc");
+  NetId both = b.and_({ya, yc}, "both");
+  b.output(both);
+
+  Simulator sim(netl, Tech::generic90());
+  std::vector<std::tuple<Ps, uint32_t, char>> log;
+  for (NetId n : {ya, yc, both}) {
+    sim.watch(n, [&log, n](Ps at, V v) {
+      log.emplace_back(at, n.value(), cell::to_char(v));
+    });
+  }
+  for (Ps t : {Ps{0}, Ps{1'000}, Ps{1'000}, Ps{2'500}}) {
+    sim.set_input(a, V::V1, t);
+    sim.set_input(c, V::V1, t);
+    sim.set_input(a, V::V0, t);
+    sim.set_input(c, V::V0, t + 1);
+    sim.set_input(a, V::V1, t + 1);
+  }
+  sim.run_until(10'000);
+  // At t=1 c's change precedes a's, so yc settles before ya at t=31; the
+  // t=0 outputs were superseded (inertial) before they matured.
+  const std::vector<std::tuple<Ps, uint32_t, char>> expected = {
+      {31, yc.value(), '0'}, {31, ya.value(), '1'}, {66, both.value(), '0'}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(sim.value(a), V::V1);
+  EXPECT_EQ(sim.value(c), V::V0);
+  EXPECT_EQ(sim.events_processed(), 37u);
+}
+
+TEST(Sim, CaptureCoincidentWithDataChangeSeesCommittedData) {
+  // A DFF clock rise landing on the same picosecond as its D change. Every
+  // commit of a step precedes evaluation, so the flop captures the new
+  // data regardless of which event was scheduled first (here the clock
+  // was), and the setup check sees a zero-length window.
+  Netlist netl("t");
+  Builder b(netl);
+  NetId d = b.input("d");
+  NetId ck = b.input("ck");
+  NetId x = b.buf(d, "x");
+  NetId q = b.dff(x, ck, V::V0, "q");
+  b.output(q);
+  const Tech& t = Tech::generic90();
+
+  // When x settles after a d poke at t=1000.
+  Ps x_change = -1;
+  {
+    Simulator probe(netl, t);
+    probe.watch(x, [&](Ps at, V v) {
+      if (v == V::V1) x_change = at;
+    });
+    probe.set_input(d, V::V0, 0);
+    probe.set_input(ck, V::V0, 0);
+    probe.set_input(d, V::V1, 1'000);
+    probe.run_until(5'000);
+    ASSERT_EQ(x_change, 1'030);
+  }
+
+  Simulator sim(netl, t);
+  std::vector<std::tuple<Ps, uint32_t, char>> log;
+  for (NetId n : {x, ck, q}) {
+    sim.watch(n, [&log, n](Ps at, V v) {
+      log.emplace_back(at, n.value(), cell::to_char(v));
+    });
+  }
+  sim.set_input(d, V::V0, 0);
+  sim.set_input(ck, V::V0, 0);
+  sim.set_input(d, V::V1, 1'000);
+  sim.set_input(ck, V::V1, x_change);  // rise exactly at the data commit
+  sim.run_until(10'000);
+
+  const std::vector<std::tuple<Ps, uint32_t, char>> expected = {
+      {0, ck.value(), '0'},
+      {30, x.value(), '0'},
+      {1'030, ck.value(), '1'},
+      {1'030, x.value(), '1'},
+      {1'125, q.value(), '1'}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(sim.value(q), V::V1);
+  ASSERT_EQ(sim.setup_violation_count(), 1u);
+  const SetupViolation& v = sim.setup_violations().front();
+  EXPECT_EQ(v.at, x_change);
+  EXPECT_EQ(v.cell, netl.find_cell("q"));
+  EXPECT_EQ(v.data_net, x);
+  EXPECT_EQ(v.slack, -t.dff_setup());
+  EXPECT_EQ(sim.events_processed(), 7u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden trajectory. For every scaling-suite circuit x protocol: the
+// flow-equivalence figures, and the event count and final state of a
+// fixed-horizon run of the desynchronized circuit. Recorded from the
+// previous, domain-sharded engine at one job; doubles are exact (%.17g
+// round-trips), so any change to tie order, inertial resolution or the
+// commit/evaluate staging of a step shows up here.
+// ---------------------------------------------------------------------------
+
+struct GoldenRow {
+  const char* circuit;
+  ctl::Protocol protocol;
+  double desync_period;
+  uint64_t sync_setup_violations, desync_setup_violations;
+  size_t captures_compared;
+  double sync_power_mw, desync_power_mw, sync_clock_power_mw,
+      desync_ctl_power_mw;
+  uint64_t events;      ///< fixed-horizon desync run
+  uint64_t state_hash;  ///< state_hash() at the end of that run
+};
+
+using P = ctl::Protocol;
+constexpr GoldenRow kGolden[] = {
+    {"pipe4x8", P::Lockstep, 936.06132879045992, 0, 0, 384,
+     2.2779404761904765, 1.4957497272727271, 1.2097142857142857,
+     1.0818899090909093, 4927, 0x1a731bd3f93a1de2},
+    {"pipe4x8", P::SemiDecoupled, 803.05259313367424, 0, 0, 384,
+     2.2779404761904765, 1.5301672727272719, 1.2097142857142857,
+     1.0488474545454547, 4781, 0x8e27a5ee8d4522c7},
+    {"pipe4x8", P::FullyDecoupled, 636.96407879490152, 0, 0, 384,
+     2.2779404761904765, 1.8807050000000001, 1.2097142857142857,
+     1.2760212727272722, 5816, 0x5dd5cb1d8eef8f60},
+    {"pipe4x8", P::Pulse, 458.01249999999999, 0, 0, 384,
+     2.2779404761904765, 2.3218829545454569, 1.2097142857142857,
+     1.478611045454546, 6399, 0xc5a7cd63a1006f43},
+    {"pipe8x16", P::Lockstep, 1397.0622617534943, 0, 0, 1536,
+     7.0622695852534578, 3.1454799090909127, 3.9343317972350222,
+     2.0865621818181808, 8763, 0x76c14c17c1580a80},
+    {"pipe8x16", P::SemiDecoupled, 1264.1645569620252, 0, 0, 1536,
+     7.0622695852534578, 3.2364150909090976, 3.9343317972350222,
+     2.0633783636363638, 8544, 0x26256c3c6650db9b},
+    {"pipe8x16", P::FullyDecoupled, 997.0526315789474, 0, 0, 1536,
+     7.0622695852534578, 4.0410544090909157, 3.9343317972350222,
+     2.5533101363636348, 10233, 0x6ad88ff745d70c98},
+    {"pipe8x16", P::Pulse, 706.0770712909441, 0, 0, 1536,
+     7.0622695852534578, 5.268404954545435, 3.9343317972350222,
+     3.1685027727272739, 11659, 0x65b14b5e4e3eace3},
+    {"pipe16x32", P::Lockstep, 1541.9242636746144, 0, 0, 6144,
+     22.787548262548185, 9.5279128636363399, 13.185328185328197,
+     5.8117853181818049, 20100, 0x98b76f82a263ec06},
+    {"pipe16x32", P::SemiDecoupled, 1408.8461538461538, 0, 0, 6144,
+     22.787548262548185, 10.021783954545475, 13.185328185328197,
+     5.949881954545444, 19879, 0xdc8a2a1ffab38f57},
+    {"pipe16x32", P::FullyDecoupled, 1117.0589430894308, 0, 0, 6144,
+     22.787548262548185, 12.466805090908966, 13.185328185328197,
+     7.3340418181818405, 23276, 0x2624c80c1f5c8d38},
+    {"pipe16x32", P::Pulse, 837.8064024390244, 0, 0, 6144,
+     22.787548262548185, 15.918343045454495, 13.185328185328197,
+     9.0764826818181685, 25935, 0x5395f6055b9be823},
+    {"lfsr16", P::Lockstep, 1390, 0, 0, 192,
+     0.83629976580796261, 0.41257604545454546, 0.7436768149882903,
+     0.33740913636363623, 1693, 0xf740968bd9c62bc0},
+    {"lfsr16", P::SemiDecoupled, 1234, 0, 0, 192,
+     0.83629976580796261, 0.41115445454545452, 0.7436768149882903,
+     0.32478227272727261, 1684, 0xc1949ee3dd38f826},
+    {"lfsr16", P::FullyDecoupled, 945, 0, 0, 192,
+     0.83629976580796261, 0.52866181818181801, 0.7436768149882903,
+     0.41593963636363629, 2296, 0x3d2772499fe3737d},
+    {"lfsr16", P::Pulse, 639, 0, 0, 192,
+     0.83629976580796261, 0.68857759090909054, 0.7436768149882903,
+     0.52160604545454547, 3024, 0x4ccd5df2d30e5d5a},
+    {"lfsr64", P::Lockstep, 1390, 0, 0, 768,
+     3.0673302107728335, 0.858383590909091, 2.9747072599531617,
+     0.75950504545454534, 2153, 0x6a7f091f81a349c6},
+    {"lfsr64", P::SemiDecoupled, 1234, 0, 0, 768,
+     3.0673302107728335, 0.92428827272727287, 2.9747072599531617,
+     0.80022363636363625, 2180, 0x99c3a26859735a60},
+    {"lfsr64", P::FullyDecoupled, 945, 0, 0, 768,
+     3.0673302107728335, 1.2231219090909085, 2.9747072599531617,
+     1.0367473636363636, 2858, 0xa2b10f6734c4237f},
+    {"lfsr64", P::Pulse, 639, 0, 0, 768,
+     3.0673302107728335, 1.7945747727272718, 2.9747072599531617,
+     1.439948045454545, 3708, 0xf727b5d88f285d5e},
+    {"counters4x8", P::Lockstep, 1542, 0, 0, 384,
+     0.71662661584355303, 0.9494347272727266, 0.42101425256877695,
+     0.82196090909090891, 5259, 0x464035b2454dd5e4},
+    {"counters4x8", P::SemiDecoupled, 1415, 0, 0, 384,
+     0.71662661584355303, 0.89617813636363586, 0.42101425256877695,
+     0.75754236363636362, 5266, 0xf0e2720d65fe9194},
+    {"counters4x8", P::FullyDecoupled, 1179, 0, 0, 384,
+     0.71662661584355303, 0.94751081818181804, 0.42101425256877695,
+     0.77975822727272714, 5687, 0x301df72d01a59512},
+    {"counters4x8", P::Pulse, 1057, 0, 0, 384,
+     0.71662661584355303, 0.94964695454545522, 0.42101425256877695,
+     0.76836368181818182, 5829, 0x8ad94ff2939fb45f},
+    {"crc32", P::Lockstep, 1542, 0, 0, 384,
+     1.6936084494773522, 0.66445977272727252, 1.1064459930313588,
+     0.44553845454545449, 1647, 0xde8efc069fdce004},
+    {"crc32", P::SemiDecoupled, 1415, 0, 0, 384,
+     1.6936084494773522, 0.67793690909090909, 1.1064459930313588,
+     0.43817400000000001, 1623, 0x4e65f6c4bc7fc983},
+    {"crc32", P::FullyDecoupled, 1033, 0, 0, 384,
+     1.6936084494773522, 0.9095469545454542, 1.1064459930313588,
+     0.5796799545454544, 2108, 0xd2092da2ac4f5fbc},
+    {"crc32", P::Pulse, 817, 0, 0, 384,
+     1.6936084494773522, 1.0802571818181814, 1.1064459930313588,
+     0.66320722727272707, 2502, 0xd041077a8fff8a04},
+    {"fir8x12", P::Lockstep, 3017.447802197802, 0, 0, 1680,
+     2.8550143204304801, 2.4071165454545413, 0.97838482902273882,
+     1.321332818181816, 6882, 0x416a25a06a98a62b},
+    {"fir8x12", P::SemiDecoupled, 2817.5435897435896, 0, 0, 1680,
+     2.8550143204304801, 2.4501093181818221, 0.97838482902273882,
+     1.2899509090909089, 6838, 0xd4bcacf6e0efeaa4},
+    {"fir8x12", P::FullyDecoupled, 2476.0382882882882, 0, 0, 1680,
+     2.8550143204304801, 2.6889619545454506, 0.97838482902273882,
+     1.2790669999999993, 6483, 0x7e2232658c63a662},
+    {"fir8x12", P::Pulse, 2170, 0, 0, 1680,
+     2.8550143204304801, 2.8224534090909317, 0.97838482902273882,
+     1.3177493181818158, 6387, 0xe7cb7a52d6b99ac5},
+    {"fir16x16", P::Lockstep, 3445.3699059561127, 0, 0, 4032,
+     6.4432258177243433, 5.3475391363636726, 1.8823071009225614,
+     2.5850537272727161, 14287, 0xb915fbc425f6e2a4},
+    {"fir16x16", P::SemiDecoupled, 3211.4795321637425, 0, 0, 4032,
+     6.4432258177243433, 5.5388505000000325, 1.8823071009225614,
+     2.5781862727272706, 14587, 0xd9af2e088fc86728},
+    {"fir16x16", P::FullyDecoupled, 2914.9814323607429, 0, 0, 4032,
+     6.4432258177243433, 5.9858152727273053, 1.8823071009225614,
+     2.4459424090909092, 13702, 0xe69111f3ff1bcda4},
+    {"fir16x16", P::Pulse, 2564, 0, 0, 4032,
+     6.4432258177243433, 6.2724319545455804, 1.8823071009225614,
+     2.567150499999987, 14010, 0xf3c237330ec6a84f},
+    {"rpipe32x8", P::Lockstep, 1179.6047261009667, 0, 0, 3072,
+     17.714473164956605, 9.9674726818182062, 8.0860299921073366,
+     6.61915281818185, 46247, 0xd5244a7742bf7e02},
+    {"rpipe32x8", P::SemiDecoupled, 973.73162090345443, 0, 0, 3072,
+     17.714473164956605, 10.708892090909155, 8.0860299921073366,
+     6.7232070454545223, 50702, 0xbb3fcd287ccb11a7},
+    {"rpipe32x8", P::FullyDecoupled, 734.92379679144381, 0, 0, 3072,
+     17.714473164956605, 13.180000045454515, 8.0860299921073366,
+     8.2328241818182093, 62990, 0x83e2bb840ac0c74a},
+    {"rpipe32x8", P::Pulse, 602.8952276467362, 0, 0, 3072,
+     17.714473164956605, 15.117090499999998, 8.0860299921073366,
+     8.7919375454545534, 70934, 0xade9660493672727},
+    {"mesh6x6x2", P::Lockstep, 1212, 0, 0, 864,
+     5.0262844611528807, 6.9820734090909955, 2.426159147869674,
+     6.1723499545455063, 38728, 0xe57bbc3956a34a16},
+    {"mesh6x6x2", P::SemiDecoupled, 996.99092558983671, 0, 0, 864,
+     5.0262844611528807, 6.3853184090908828, 2.426159147869674,
+     5.4079290909090769, 39156, 0x56b53d14bfb785f3},
+    {"mesh6x6x2", P::FullyDecoupled, 732, 0, 0, 864,
+     5.0262844611528807, 7.7129971363636836, 2.426159147869674,
+     6.399896636363672, 47905, 0x765ce6eb1f195fd0},
+    {"mesh6x6x2", P::Pulse, 616, 0, 0, 864,
+     5.0262844611528807, 7.9231083636363175, 2.426159147869674,
+     6.3465424545454079, 53493, 0xa971bf23d433b601},
+};
+
+/// FNV-1a over every net's (value, toggle count).
+uint64_t state_hash(const Simulator& sim) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (uint32_t n = 0; n < sim.netlist().num_nets(); ++n) {
+    mix(static_cast<uint64_t>(sim.value(NetId(n))));
+    mix(sim.toggles(NetId(n)));
+  }
+  return h;
+}
+
+TEST(Sim, TrajectoryMatchesGoldenTable) {
+  const Tech& tech = Tech::generic90();
+  size_t row = 0;
+  for (const circuits::Suite& s : circuits::scaling_suite()) {
+    for (ctl::Protocol p : ctl::kAllProtocols) {
+      ASSERT_LT(row, std::size(kGolden));
+      const GoldenRow& g = kGolden[row++];
+      ASSERT_EQ(s.name, g.circuit);
+      ASSERT_EQ(p, g.protocol);
+      SCOPED_TRACE(cat(s.name, " / ", ctl::protocol_name(p)));
+
+      verif::FlowEqOptions opt;
+      opt.rounds = 12;
+      opt.desync.protocol = p;
+      const verif::FlowEqResult r = verif::check_flow_equivalence(
+          s.circuit.netlist, s.circuit.clock, verif::random_stimulus(17),
+          tech, opt);
+      EXPECT_TRUE(r.equivalent) << r.mismatch;
+      EXPECT_EQ(r.desync_period, g.desync_period);
+      EXPECT_EQ(r.sync_setup_violations, g.sync_setup_violations);
+      EXPECT_EQ(r.desync_setup_violations, g.desync_setup_violations);
+      EXPECT_EQ(r.captures_compared, g.captures_compared);
+      EXPECT_EQ(r.sync_power_mw, g.sync_power_mw);
+      EXPECT_EQ(r.desync_power_mw, g.desync_power_mw);
+      EXPECT_EQ(r.sync_clock_power_mw, g.sync_clock_power_mw);
+      EXPECT_EQ(r.desync_ctl_power_mw, g.desync_ctl_power_mw);
+
+      flow::DesyncOptions dopt;
+      dopt.protocol = p;
+      const flow::DesyncResult dr = flow::desynchronize(
+          s.circuit.netlist, s.circuit.clock, tech, dopt);
+      Simulator sim(dr.netlist, tech);
+      poke_word(sim, dr.netlist.inputs(), 0x5a, 0);
+      sim.run_until(30'000);
+      EXPECT_EQ(sim.events_processed(), g.events);
+      EXPECT_EQ(state_hash(sim), g.state_hash);
+    }
+  }
+  EXPECT_EQ(row, std::size(kGolden));
+}
+
+// ---------------------------------------------------------------------------
+// Scattered stimulus: seeded pseudo-random pokes on every non-clock input,
+// spread over the run, so input changes land mid-handshake and on the same
+// picosecond as internal events. A RunRecord holds everything a run shows:
+// the VCD bytes, final state, event count, setup violations, RAM words.
+// ---------------------------------------------------------------------------
+
+struct Poke {
+  NetId net;
+  V v;
+  Ps at;
+};
+
+std::vector<Poke> scattered_pokes(const Netlist& netl, NetId skip,
+                                  uint64_t seed, Ps horizon, int per_input) {
+  uint64_t s = seed * 0x9E3779B97F4A7C15ull + 1;
+  auto next = [&s] {
+    s ^= s >> 12;
+    s ^= s << 25;
+    s ^= s >> 27;
+    return s * 0x2545F4914F6CDD1Dull;
+  };
+  std::vector<Poke> pokes;
+  for (NetId in : netl.inputs()) {
+    if (in == skip) continue;
+    for (int k = 0; k < per_input; ++k) {
+      const Ps at = static_cast<Ps>(next() % static_cast<uint64_t>(horizon));
+      pokes.push_back({in, (next() & 1) ? V::V1 : V::V0, at});
+    }
+  }
+  std::stable_sort(pokes.begin(), pokes.end(),
+                   [](const Poke& a, const Poke& b) { return a.at < b.at; });
+  return pokes;
+}
+
+struct RunRecord {
+  std::string vcd;
+  uint64_t state = 0;  ///< state_hash() at the end of the run
+  uint64_t events = 0;
+  uint64_t violation_count = 0;
+  std::vector<std::tuple<Ps, uint32_t, uint32_t, Ps>> violations;
+  std::vector<uint64_t> ram_words;  ///< every RAM's words, in cell order
+
+  friend bool operator==(const RunRecord&, const RunRecord&) = default;
+};
+
+/// FNV-1a over a byte string.
+uint64_t fnv(std::string_view bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (char ch : bytes) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Apply `pokes`, free-run `clock` (if valid) at `period`, and run to
+/// `horizon` in one call or, with `chunk` > 0, in chunk-sized steps.
+RunRecord run_scattered(const Netlist& netl, const Tech& tech,
+                        const std::vector<Poke>& pokes, Ps horizon,
+                        Ps chunk = 0, NetId clock = {}, Ps period = 0) {
+  Simulator sim(netl, tech);
+  std::vector<NetId> vcd_nets;  // a strided subset bounds the stream size
+  const size_t stride = std::max<size_t>(1, netl.num_nets() / 256);
+  for (size_t i = 0; i < netl.num_nets(); i += stride) {
+    vcd_nets.push_back(NetId(static_cast<uint32_t>(i)));
+  }
+  std::ostringstream vcd;
+  VcdWriter writer(sim, vcd, vcd_nets);
+
+  if (clock.valid()) sim.add_clock(clock, period, period / 2);
+  for (const Poke& p : pokes) sim.set_input(p.net, p.v, p.at);
+  if (chunk > 0) {
+    for (Ps t = chunk; t < horizon; t += chunk) sim.run_until(t);
+  }
+  sim.run_until(horizon);
+  writer.finish();
+
+  RunRecord r;
+  r.vcd = vcd.str();
+  r.state = state_hash(sim);
+  r.events = sim.events_processed();
+  r.violation_count = sim.setup_violation_count();
+  for (const SetupViolation& v : sim.setup_violations()) {
+    r.violations.emplace_back(v.at, v.cell.value(), v.data_net.value(),
+                              v.slack);
+  }
+  for (nl::CellId c : netl.cells()) {
+    if (netl.cell(c).kind != Kind::Ram) continue;
+    for (uint64_t a = 0; a < (1ull << netl.cell(c).p0); ++a) {
+      r.ram_words.push_back(sim.ram_word(c, a));
+    }
+  }
+  return r;
+}
+
+/// FNV-1a over the recorded violations (time, cell, data net, slack).
+uint64_t violations_hash(const RunRecord& r) {
+  std::string bytes;
+  for (const auto& [at, cellid, net, slack] : r.violations) {
+    bytes += cat(at, ",", cellid, ",", net, ",", slack, ";");
+  }
+  return fnv(bytes);
+}
+
+/// Two RAMs sharing clock, write port and read address.
+Netlist two_ram_netlist() {
+  Netlist netl("rams");
+  Builder b(netl);
+  NetId ck = b.input("ck");
+  NetId we = b.input("we");
+  std::vector<NetId> wa = {b.input("wa0"), b.input("wa1")};
+  std::vector<NetId> wd;
+  for (int i = 0; i < 4; ++i) wd.push_back(b.input(cat("wd", i)));
+  std::vector<NetId> ra = {b.input("ra0"), b.input("ra1")};
+  for (NetId n : b.ram(ck, we, wa, wd, ra, 4, "m0")) b.output(n);
+  for (NetId n : b.ram(ck, we, wa, wd, ra, 4, "m1")) b.output(n);
+  return netl;
+}
+
+// Scattered stimulus on every scaling-suite circuit x protocol, recorded
+// from the previous, domain-sharded engine at one job: the event count,
+// violation count, final state and VCD bytes of a 30 000 ps desync run.
+struct ScatterRow {
+  const char* circuit;
+  ctl::Protocol protocol;
+  uint64_t events, violations;
+  uint64_t state_hash, vcd_hash;
+};
+
+constexpr ScatterRow kScatterGolden[] = {
+    {"pipe4x8", P::Lockstep, 6217, 4,
+     0x8b04768e47934a80, 0x38216135e388d096},
+    {"pipe4x8", P::SemiDecoupled, 6066, 0,
+     0x9df525e63dabf745, 0x49c1ec900f09df9b},
+    {"pipe4x8", P::FullyDecoupled, 7127, 0,
+     0x9266c61fac3ea920, 0x7e9d63080976e0e4},
+    {"pipe4x8", P::Pulse, 7794, 2,
+     0xfc1c7e9961a28a09, 0x5a095633bad5c791},
+    {"pipe8x16", P::Lockstep, 13832, 1,
+     0x01054cc826cc8182, 0x64f519e53a6a245e},
+    {"pipe8x16", P::SemiDecoupled, 14122, 1,
+     0x78893f23d3348596, 0xb3a58b0cba39d61d},
+    {"pipe8x16", P::FullyDecoupled, 16219, 0,
+     0x2d93432aee1c63fb, 0x0b7bfed455c051f7},
+    {"pipe8x16", P::Pulse, 18066, 4,
+     0x2595b1bfcebb35e4, 0x3479074eaa5f31ec},
+    {"pipe16x32", P::Lockstep, 36038, 1,
+     0xa730f3cab2602ceb, 0x62ab74e66285ef2e},
+    {"pipe16x32", P::SemiDecoupled, 37956, 0,
+     0xd647ff38aa458bdd, 0x8e8fc59d697eace5},
+    {"pipe16x32", P::FullyDecoupled, 44612, 4,
+     0x5741217281ee04dc, 0xdd9e16f355c127b9},
+    {"pipe16x32", P::Pulse, 49552, 5,
+     0x5bce36bfb0e97b00, 0xcc4abbd9445edb07},
+    {"lfsr16", P::Lockstep, 1692, 0,
+     0x7c6c90d48285e5c2, 0xdef5147a0e383cb2},
+    {"lfsr16", P::SemiDecoupled, 1683, 0,
+     0x92eddbce39866fa4, 0xe8261158a3e3208c},
+    {"lfsr16", P::FullyDecoupled, 2295, 0,
+     0x091fe5be33c99aff, 0xa45c25a1a40ca054},
+    {"lfsr16", P::Pulse, 3023, 0,
+     0xf5d11f7c035ff7d8, 0x8c0051399ed7aab7},
+    {"lfsr64", P::Lockstep, 2152, 0,
+     0x147997b352792744, 0x29d86ff3b8b2bee2},
+    {"lfsr64", P::SemiDecoupled, 2179, 0,
+     0x0ac977dd777b5762, 0x1cdd6d0a445a0395},
+    {"lfsr64", P::FullyDecoupled, 2857, 0,
+     0x29d48094e5009e7d, 0xeeb2fe495286a87b},
+    {"lfsr64", P::Pulse, 3707, 0,
+     0xc808105faf9f37dc, 0x13eacb8f9d19eb0b},
+    {"counters4x8", P::Lockstep, 4256, 2,
+     0x2eecd9966d7b7e22, 0x1f9966c2360e6f70},
+    {"counters4x8", P::SemiDecoupled, 4124, 0,
+     0x8933a353370c98f2, 0xec369c409238da29},
+    {"counters4x8", P::FullyDecoupled, 4067, 0,
+     0xd884ad5986a1c37c, 0xf4974666b4291e9f},
+    {"counters4x8", P::Pulse, 4153, 0,
+     0xb68c8c6921be7486, 0x8ca64c85d671e93b},
+    {"crc32", P::Lockstep, 1672, 0,
+     0x535fad29294454c0, 0xd6d926a628075610},
+    {"crc32", P::SemiDecoupled, 1640, 0,
+     0xa2821b273e499d47, 0x125ed669ba4662c8},
+    {"crc32", P::FullyDecoupled, 2050, 0,
+     0x59efa1640de23d58, 0x384bebbbf032a689},
+    {"crc32", P::Pulse, 2198, 0,
+     0x8c4f91ca166d1221, 0x736a1f8684195e1a},
+    {"fir8x12", P::Lockstep, 8751, 0,
+     0x9470fe93acd2062b, 0xf1f2b8a18dcdbbfc},
+    {"fir8x12", P::SemiDecoupled, 8836, 1,
+     0x423168ea1a09c001, 0x628d223901506087},
+    {"fir8x12", P::FullyDecoupled, 9045, 1,
+     0xb1759eaf03584b2a, 0x380b02994ef322c3},
+    {"fir8x12", P::Pulse, 9120, 0,
+     0x7655aa9fc9d29d4a, 0x75eeae828a68cccf},
+    {"fir16x16", P::Lockstep, 16710, 0,
+     0xa4c858c50d4175ad, 0x150dc52bb533c19e},
+    {"fir16x16", P::SemiDecoupled, 17242, 0,
+     0x499d2106c098b3e5, 0x41554f9dbd0cadaf},
+    {"fir16x16", P::FullyDecoupled, 16600, 3,
+     0x5342ff6b8e99b6ea, 0x29c6345b07c39046},
+    {"fir16x16", P::Pulse, 16849, 1,
+     0x2eccd09c57912aad, 0x88f03386ad51ac42},
+    {"rpipe32x8", P::Lockstep, 32361, 1,
+     0x4556bbc4f8219e64, 0xdd1a29adf7f325a7},
+    {"rpipe32x8", P::SemiDecoupled, 33756, 1,
+     0x9a0b5231f1c5732b, 0x4599f0f190443453},
+    {"rpipe32x8", P::FullyDecoupled, 39667, 3,
+     0xb384d5fcbf94062f, 0xd27d4a4421d92140},
+    {"rpipe32x8", P::Pulse, 42720, 3,
+     0x5f04c5f6ca6bc50f, 0x9b8eecb5dcdbce4e},
+    {"mesh6x6x2", P::Lockstep, 35946, 0,
+     0x2bca20bd1791b721, 0x4e2e5b0bd4d0dfc3},
+    {"mesh6x6x2", P::SemiDecoupled, 35586, 0,
+     0x0d539e34325c984c, 0x94536e7a345ef4a8},
+    {"mesh6x6x2", P::FullyDecoupled, 43169, 0,
+     0x92a3a92396810dd3, 0xa119b86977aa6b25},
+    {"mesh6x6x2", P::Pulse, 47408, 0,
+     0xfb2c32f5683898b7, 0xb54aae5a78020a51},
+};
+
+TEST(Sim, ScatteredStimulusMatchesGoldenTable) {
+  const Tech& tech = Tech::generic90();
+  constexpr Ps kHorizon = 30'000;
+  size_t row = 0;
+  for (const circuits::Suite& s : circuits::scaling_suite()) {
+    for (ctl::Protocol p : ctl::kAllProtocols) {
+      ASSERT_LT(row, std::size(kScatterGolden));
+      const ScatterRow& g = kScatterGolden[row++];
+      ASSERT_EQ(s.name, g.circuit);
+      ASSERT_EQ(p, g.protocol);
+      SCOPED_TRACE(cat(s.name, " / ", ctl::protocol_name(p)));
+
+      flow::DesyncOptions opt;
+      opt.protocol = p;
+      const flow::DesyncResult dr =
+          flow::desynchronize(s.circuit.netlist, s.circuit.clock, tech, opt);
+      const RunRecord r = run_scattered(
+          dr.netlist, tech,
+          scattered_pokes(dr.netlist, s.circuit.clock, 17, kHorizon, 6),
+          kHorizon);
+      EXPECT_EQ(r.events, g.events);
+      EXPECT_EQ(r.violation_count, g.violations);
+      EXPECT_EQ(r.violations.size(), g.violations);
+      EXPECT_EQ(r.state, g.state_hash);
+      EXPECT_EQ(fnv(r.vcd), g.vcd_hash);
+    }
+  }
+  EXPECT_EQ(row, std::size(kScatterGolden));
+}
+
+TEST(Sim, ClockedScatteredStimulusMatchesGoldenTable) {
+  // The synchronous side of a flow-equivalence proof: a free-running
+  // clock with input changes scattered across its edges, so some land
+  // inside a setup window. Recorded like kScatterGolden.
+  struct Row {
+    const char* circuit;
+    uint64_t events, violations;
+    uint64_t violations_hash, state_hash, vcd_hash;
+  };
+  constexpr Row kRows[] = {
+      {"crc32", 139, 0,
+       0x14650fb0739d0383, 0x6b8dd9eb3b169f0b, 0x7ea20bd0d9dd0404},
+      {"pipe8x16", 5227, 1,
+       0x43427def14c24eb8, 0x9e5fc51a05d51064, 0x50e4db62df950343},
+  };
+  const Tech& tech = Tech::generic90();
+  constexpr Ps kHorizon = 40'000;
+  for (const Row& g : kRows) {
+    SCOPED_TRACE(g.circuit);
+    const circuits::Circuit c = std::string_view(g.circuit) == "crc32"
+                                    ? circuits::crc32()
+                                    : circuits::pipeline(8, 16, 3);
+    const RunRecord r = run_scattered(
+        c.netlist, tech, scattered_pokes(c.netlist, c.clock, 23, kHorizon, 8),
+        kHorizon, 0, c.clock, 2'000);
+    EXPECT_EQ(r.events, g.events);
+    EXPECT_EQ(r.violation_count, g.violations);
+    EXPECT_EQ(violations_hash(r), g.violations_hash);
+    EXPECT_EQ(r.state, g.state_hash);
+    EXPECT_EQ(fnv(r.vcd), g.vcd_hash);
+  }
+}
+
+TEST(Sim, ScatteredStimulusReplayAndChunkingAreDeterministic) {
+  // Two runs of a handshake circuit agree event for event, and run_until
+  // in chunks that do not divide the horizon (so run boundaries fall in
+  // the middle of handshakes) matches one call, VCD bytes included.
+  const Tech& tech = Tech::generic90();
+  constexpr Ps kHorizon = 30'000;
+  const circuits::Circuit c = circuits::pipeline(4, 8, 2);
+  const flow::DesyncResult dr =
+      flow::desynchronize(c.netlist, c.clock, tech, flow::DesyncOptions{});
+  const std::vector<Poke> pokes =
+      scattered_pokes(dr.netlist, c.clock, 29, kHorizon, 6);
+
+  const RunRecord once = run_scattered(dr.netlist, tech, pokes, kHorizon);
+  EXPECT_GT(once.events, 1'000u);
+  EXPECT_TRUE(once == run_scattered(dr.netlist, tech, pokes, kHorizon));
+  for (Ps chunk : {Ps{997}, Ps{7'001}}) {
+    SCOPED_TRACE(cat("chunk=", chunk));
+    EXPECT_TRUE(once ==
+                run_scattered(dr.netlist, tech, pokes, kHorizon, chunk));
+  }
+}
+
+TEST(Sim, RamStateMatchesAcrossChunkedRuns) {
+  // RAM words are simulator state outside the net values: two RAMs
+  // written under scattered stimulus end with the same words whether the
+  // run is one call or chunked, and with the words the previous engine
+  // produced.
+  const Netlist netl = two_ram_netlist();
+  const NetId ck = netl.find_net("ck");
+  const Tech& tech = Tech::generic90();
+  constexpr Ps kHorizon = 50'000;
+  const std::vector<Poke> pokes = scattered_pokes(netl, ck, 31, kHorizon, 10);
+
+  const RunRecord once =
+      run_scattered(netl, tech, pokes, kHorizon, 0, ck, 4'000);
+  const std::vector<uint64_t> words = {0, 12, 0, 15, 0, 12, 0, 15};
+  EXPECT_EQ(once.ram_words, words);  // 2 RAMs x 4 words
+  EXPECT_EQ(once.events, 136u);
+  EXPECT_EQ(once.state, 0x1e956eb81549871aull);
+  EXPECT_TRUE(once ==
+              run_scattered(netl, tech, pokes, kHorizon, 997, ck, 4'000));
 }
 
 }  // namespace

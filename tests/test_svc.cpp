@@ -130,6 +130,33 @@ TEST(SvcProtocol, LintRequestEmbedsReport) {
   EXPECT_EQ(plain.find("\"lint\""), std::string::npos);
 }
 
+TEST(SvcProtocol, SimJobsIsAcceptedAndIgnored) {
+  // v1 requests may still carry "sim_jobs": it is validated, then has no
+  // effect — the same coordinates without it are a result-cache hit with
+  // byte-identical result bytes.
+  Server server(Tech::generic90(), options(fresh_socket("simjobs")));
+  std::string req =
+      make_request(nl::to_verilog(pipeline3()), "clk", "prefix", 1.1, "pulse");
+  ASSERT_EQ(req.back(), '}');
+  auto with_jobs = [&req](const char* v) {
+    return req.substr(0, req.size() - 1) + ", \"sim_jobs\": " + v + "}";
+  };
+
+  std::string cold = server.handle_request(with_jobs("4"));
+  EXPECT_NE(cold.find("\"cached\": false"), std::string::npos) << cold;
+  std::string plain = server.handle_request(req);
+  EXPECT_NE(plain.find("\"cached\": true"), std::string::npos) << plain;
+  EXPECT_EQ(extract_result(cold), extract_result(plain));
+
+  for (const char* bad : {"0", "1025", "2.5"}) {
+    std::string resp = server.handle_request(with_jobs(bad));
+    EXPECT_TRUE(has_error_kind(resp, "request")) << bad << " -> " << resp;
+    EXPECT_NE(resp.find("sim_jobs must be an integer in [1, 1024]"),
+              std::string::npos)
+        << resp;
+  }
+}
+
 TEST(SvcProtocol, MalformedJsonIsTypedParseError) {
   Server server(Tech::generic90(), options(fresh_socket("parse")));
   for (const char* line : {"", "not json", "{\"verilog\": ", "[1,2,", "}"}) {
