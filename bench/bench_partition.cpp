@@ -118,7 +118,7 @@ void write_json(const std::string& path, const std::vector<Case>& cases,
           << ", \"pruned\": " << c.stats.pruned
           << ", \"warm_solves\": " << c.stats.warm_solves
           << ", \"cold_solves\": " << c.stats.cold_solves
-          << ", \"waves\": " << c.stats.waves << ", \"merges\": " << c.merges
+          << ", \"merges\": " << c.merges
           << ", \"moves\": " << c.moves;
     }
     out << "}" << (i + 1 < cases.size() ? "," : "") << "\n";

@@ -12,8 +12,7 @@
 // cycle-time prediction. `strategy` is one of prefix[:N]|perff|single|
 // auto[:B] (default prefix): prefix:N strips N trailing name segments,
 // auto:B runs the MCR-guided partition optimizer with period budget B.
-// --opt-jobs N scores the optimizer's candidate waves on N threads — the
-// result is byte-identical for any N (deterministic reduction).
+// --opt-jobs N is accepted and ignored (the optimizer is serial).
 // --cache-dir keeps the staged flow engine's artifacts on disk, so an
 // unchanged re-run is a pure cache hit and an edited design re-runs only
 // the stages whose inputs changed (see docs/ARCHITECTURE.md).

@@ -128,7 +128,7 @@ DesyncResult desynchronize_reference(const nl::Netlist& ff_netlist,
   // clustering is fixed, so the optimizer always scores at the global
   // margin (mirrored in the engine's partition stage key).
   res.partition = make_partition(ff_netlist, clock, opt.strategy, tech,
-                                 opt.protocol, opt.margin, opt.opt_jobs);
+                                 opt.protocol, opt.margin);
   res.banks = latchify(nl, clock, res.partition);
   AdjacencyResult adj =
       extract_control_graph(nl, res.banks, clock, tech,

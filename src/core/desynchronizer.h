@@ -36,9 +36,8 @@ struct DesyncOptions {
   /// historical default; the Fig. 4 family (Lockstep/Semi/Fully) yields
   /// level-sensitive enables with progressively more overlap.
   ctl::Protocol protocol = ctl::Protocol::Pulse;
-  /// Candidate-scoring threads for the Auto strategy's partition
-  /// optimizer (byte-identical results for any value; see
-  /// PartitionOptOptions::jobs). Ignored by the other strategies.
+  /// Accepted and ignored, like PartitionOptOptions::jobs: the Auto
+  /// strategy's partition optimizer is serial.
   int opt_jobs = 1;
 };
 

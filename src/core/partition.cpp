@@ -3,21 +3,16 @@
 #include "base/rng.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <set>
-#include <thread>
 #include <tuple>
 #include <unordered_map>
 
-#include "base/cancel.h"
 #include "base/fault.h"
 #include "core/adjacency.h"
+#include "core/certificate.h"
 #include "core/latchify.h"
 #include "ctl/controller.h"
 #include "netlist/builder.h"
@@ -311,7 +306,8 @@ std::string PartitionSpec::label() const {
 
 Partition make_partition(const nl::Netlist& ff_netlist, nl::NetId clock,
                          const PartitionSpec& spec, const cell::Tech& tech,
-                         ctl::Protocol protocol, double margin, int opt_jobs) {
+                         ctl::Protocol protocol, double margin,
+                         int /*opt_jobs*/) {
   switch (spec.mode) {
     case PartitionSpec::Mode::Prefix:
       return Partition::prefix(ff_netlist, spec.prefix_depth);
@@ -324,7 +320,6 @@ Partition make_partition(const nl::Netlist& ff_netlist, nl::NetId clock,
       opt.period_budget = spec.auto_budget;
       opt.margin = margin;
       opt.protocol = protocol;
-      opt.jobs = opt_jobs;
       return optimize_partition(ff_netlist, clock, tech, opt).partition;
     }
     case PartitionSpec::Mode::Explicit:
@@ -398,10 +393,10 @@ uint64_t pair_key(int a, int b) {
 }
 
 // ---------------------------------------------------------------------------
-// Candidate evaluators: how a tentative delta gets a period and a cost.
+// Candidate evaluators: how a tentative delta gets a verdict and a cost.
 //
 // The search loop below is shared verbatim between the production
-// incremental scorer and the cold reference oracle; only this interface
+// certificate scorer and the cold reference oracle; only this interface
 // differs. Both track the committed clustering themselves (driven by the
 // commit_* calls) so a probe is always measured against the same state the
 // loop believes in.
@@ -410,17 +405,11 @@ uint64_t pair_key(int a, int b) {
 class Evaluator {
  public:
   virtual ~Evaluator() = default;
-  /// Period of the per-flip-flop start (also primes any internal state).
-  virtual double initial_period() = 0;
-  /// The search's period budget, once known; lets the scorer decide which
-  /// probe solutions are worth exporting for adoption.
-  virtual void set_limit(double limit) = 0;
-  /// Score each candidate merge (keep, drop) against the committed
-  /// clustering, filling `periods` positionally. May fan out internally;
-  /// results must not depend on the fan-out.
-  virtual void probe_merges(std::span<const std::pair<int, int>> cands,
-                            std::span<double> periods) = 0;
-  virtual double probe_move_period(int g, int to) = 0;
+  /// Settle a candidate against the committed clustering: a value <= the
+  /// limit iff its predicted period fits; above the limit, a lower bound on
+  /// that period (the bound cache stores it).
+  virtual double probe_merge(int keep, int drop) = 0;
+  virtual double probe_move(int g, int to) = 0;
   virtual size_t probe_move_cost(int g, int to) = 0;
   virtual void commit_merge(int keep, int drop) = 0;
   virtual void commit_move(int g, int to) = 0;
@@ -441,28 +430,15 @@ class ReferenceEvaluator final : public Evaluator {
   ReferenceEvaluator(const ctl::ControlGraph& fine,
                      std::vector<char> merge_ok, ctl::Protocol p,
                      const cell::Tech& tech)
-      : fine_(fine), cq_(fine, std::move(merge_ok)), p_(p), tech_(tech) {}
+      : cq_(fine, std::move(merge_ok)), p_(p), tech_(tech) {}
 
-  double initial_period() override {
-    ++cold_;
-    return predicted_period(fine_, p_, tech_);
+  double probe_merge(int keep, int drop) override {
+    cq_.merge(keep, drop);
+    return solve_and_undo();
   }
-  void set_limit(double) override {}
-  void probe_merges(std::span<const std::pair<int, int>> cands,
-                    std::span<double> periods) override {
-    for (size_t i = 0; i < cands.size(); ++i) {
-      cq_.merge(cands[i].first, cands[i].second);
-      ++cold_;
-      periods[i] = predicted_period(cq_.materialize(), p_, tech_);
-      cq_.undo();
-    }
-  }
-  double probe_move_period(int g, int to) override {
+  double probe_move(int g, int to) override {
     cq_.move(g, to);
-    ++cold_;
-    double p = predicted_period(cq_.materialize(), p_, tech_);
-    cq_.undo();
-    return p;
+    return solve_and_undo();
   }
   size_t probe_move_cost(int g, int to) override {
     cq_.move(g, to);
@@ -478,531 +454,59 @@ class ReferenceEvaluator final : public Evaluator {
   size_t cold_solves() const override { return cold_; }
 
  private:
-  const ctl::ControlGraph& fine_;
+  double solve_and_undo() {
+    ++cold_;
+    double p = predicted_period(cq_.materialize(), p_, tech_);
+    cq_.undo();
+    return p;
+  }
+
   IncrementalQuotient cq_;
   ctl::Protocol p_;
   const cell::Tech& tech_;
   size_t cold_ = 0;
 };
 
-/// The production scorer. One flat timed model of the fine hardware arc
-/// list is kept materialized per replica: arc endpoints live in quotient
-/// transition space (fine bank b of cluster c appears as bank 2c + parity,
-/// transition 2*bank + sign; merged-away ids are holes Howard skips), and
-/// every arc's delay follows the hardware line-sizing rule — pred-side
-/// arcs carry the quantized per-destination worst-in of their target bank
-/// plus the controller response, succ-side arcs the response alone,
-/// alternation arcs the pulse width (+ edge) or nothing (- edge).
-///
-/// A candidate is applied as an O(deg) endpoint/delay patch with an undo
-/// journal, solved by a Howard re-run warm-started from the committed
-/// solution (pn::McrContext), and reverted; the winning candidate's probe
-/// solution is adopted wholesale, so a commit costs no extra solve. Waves
-/// fan out over per-thread replicas kept in sync by replaying the commit
-/// log. Merging never removes arcs — parallel duplicates just pile onto
-/// the surviving transitions (same tokens, same delay: both are functions
-/// of parity, sign and destination alone, merge-invariant) — so every
-/// kCompactEvery merges the arc list is deduplicated in place and the
-/// baseline's policy arcs remapped, keeping each solve proportional to the
-/// *live* quotient, not the original fine graph.
+/// The production scorer: every candidate is settled by the exact
+/// potential certificate (core/certificate.h) — an O(deg) arc patch plus a
+/// backward repair, no Howard solve.
 class IncrementalEvaluator final : public Evaluator {
  public:
   IncrementalEvaluator(const ctl::ControlGraph& fine,
                        std::vector<char> merge_ok, ctl::Protocol p,
-                       const cell::Tech& tech, int jobs)
-      : fine_(fine),
-        tech_(tech),
-        jobs_(std::max(1, jobs)),
+                       const cell::Tech& tech, double limit)
+      : cq_(fine, std::move(merge_ok)),
+        cert_(fine, cq_, p, tech, limit),
         proto_(p),
-        main_(fine, merge_ok) {
-    G_ = merge_ok.size();
-    num_nodes_ = 2 * static_cast<uint32_t>(fine.num_banks());
-    ctrl_ = ctl::controller_response_delay(tech);
-    pulse_ = ctl::min_pulse_width(tech);
-    rebuild_fine();
+        tech_(tech) {}
+
+  double probe_merge(int keep, int drop) override {
+    fault::maybe_throw("partition.probe");
+    return cert_.probe_merge(keep, drop) ? 0.0 : cert_.failure_ratio();
   }
-
-  double initial_period() override { return ctx_.solve(view(main_)).ratio; }
-  void set_limit(double limit) override { limit_ = limit; }
-
-  void probe_merges(std::span<const std::pair<int, int>> cands,
-                    std::span<double> periods) override {
-    probes_ += cands.size();
-    wave_.assign(cands.begin(), cands.end());
-    wave_sols_.assign(cands.size(), {});
-    size_t workers = std::min<size_t>(static_cast<size_t>(jobs_), cands.size());
-    if (workers <= 1) {
-      for (size_t i = 0; i < cands.size(); ++i) {
-        periods[i] = probe_merge(main_, cands[i], &wave_sols_[i]);
-      }
-      return;
-    }
-    while (replicas_.size() < workers - 1) {
-      replicas_.push_back(std::make_unique<Replica>(main_));
-      replicas_.back()->synced = log_.size();
-    }
-    // The caller's cancel token is re-installed in every worker so a
-    // deadline also stops replica probes. The first throw on any thread
-    // (this one included) is parked, the others stop pulling candidates,
-    // and it is rethrown once every worker has joined: an exception that
-    // escapes a std::thread body, or unwinds past a joinable one, is
-    // std::terminate.
-    const CancelToken* cancel = current_cancel();
-    std::atomic<size_t> next{0};
-    std::atomic<bool> aborted{false};
-    std::exception_ptr error;
-    std::mutex error_mu;
-    auto run = [&](Replica& r) {
-      try {
-        sync(r);
-        for (size_t i = next.fetch_add(1);
-             i < cands.size() && !aborted.load(std::memory_order_relaxed);
-             i = next.fetch_add(1)) {
-          periods[i] = probe_merge(r, cands[i], &wave_sols_[i]);
-        }
-      } catch (...) {
-        aborted.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) error = std::current_exception();
-      }
-    };
-    std::vector<std::thread> pool;
-    for (size_t w = 0; w + 1 < workers; ++w) {
-      pool.emplace_back([&, w] {
-        CancelScope scope(cancel);
-        run(*replicas_[w]);
-      });
-    }
-    run(main_);
-    for (std::thread& t : pool) t.join();
-    if (error) std::rethrow_exception(error);
+  double probe_move(int g, int to) override {
+    return cert_.probe_move(g, to) ? 0.0 : cert_.failure_ratio();
   }
-
-  double probe_move_period(int g, int to) override {
-    ensure_fine();
-    ++probes_;
-    journal_.clear();
-    apply_move(main_, g, to, &journal_);
-    double p = ctx_.probe(view(main_), main_.node_map, main_.scratch).ratio;
-    move_sol_.valid = false;
-    if (p <= limit_) {
-      pn::McrContext::export_solution(main_.scratch, num_nodes_, &move_sol_);
-      move_key_ = {g, to};
-    }
-    revert(main_, journal_);
-    return p;
-  }
-
   size_t probe_move_cost(int g, int to) override {
-    main_.cq.move(g, to);
-    size_t c = synthesis_cost(main_.cq.materialize(), proto_, tech_);
-    main_.cq.undo();
+    cq_.move(g, to);
+    size_t c = synthesis_cost(cq_.materialize(), proto_, tech_);
+    cq_.undo();
     return c;
   }
-
   void commit_merge(int keep, int drop) override {
-    apply_merge(main_, keep, drop, nullptr);
-    log_.push_back({true, keep, drop});
-    main_.synced = log_.size();
-    // Rebase the warm-start baseline onto the committed graph. The
-    // committed candidate was already solved by its probe — adopt that
-    // solution outright; re-solve only if the probe had nothing to export.
-    size_t idx = wave_.size();
-    for (size_t i = 0; i < wave_.size(); ++i) {
-      if (wave_[i] == std::make_pair(keep, drop)) {
-        idx = i;
-        break;
-      }
-    }
-    if (idx < wave_sols_.size() && wave_sols_[idx].valid) {
-      ctx_.adopt_solution(std::move(wave_sols_[idx]));
-    } else {
-      for (int s = 0; s < 4; ++s) {
-        main_.node_map[static_cast<size_t>(4 * drop + s)] =
-            static_cast<uint32_t>(4 * keep + s);
-      }
-      ctx_.resolve(view(main_), main_.node_map);
-      for (int s = 0; s < 4; ++s) {
-        main_.node_map[static_cast<size_t>(4 * drop + s)] =
-            static_cast<uint32_t>(4 * drop + s);
-      }
-    }
-    if (++merges_since_compact_ >= kCompactEvery) compact();
+    cert_.commit_merge(keep, drop);
   }
-
-  void commit_move(int g, int to) override {
-    ensure_fine();
-    apply_move(main_, g, to, nullptr);
-    log_.push_back({false, g, to});
-    main_.synced = log_.size();
-    if (move_sol_.valid && move_key_ == std::make_pair(g, to)) {
-      ctx_.adopt_solution(std::move(move_sol_));
-      move_sol_.valid = false;
-    } else {
-      ctx_.resolve(view(main_), main_.node_map);  // identity: no nodes merge
-    }
-  }
-
-  ctl::ControlGraph quotient() override { return main_.cq.materialize(); }
-  const IncrementalQuotient& clusters() const override { return main_.cq; }
-  size_t warm_solves() const override { return probes_ + ctx_.warm_solves(); }
-  size_t cold_solves() const override { return ctx_.cold_solves(); }
+  void commit_move(int g, int to) override { cert_.commit_move(g, to); }
+  ctl::ControlGraph quotient() override { return cq_.materialize(); }
+  const IncrementalQuotient& clusters() const override { return cq_; }
+  size_t warm_solves() const override { return cert_.probes(); }
+  size_t cold_solves() const override { return 0; }
 
  private:
-  /// Compact when this many merges piled parallel arcs onto the quotient.
-  static constexpr size_t kCompactEvery = 256;
-  enum : uint8_t { kAltPlus = 0, kAltMinus = 1, kPred = 2, kSucc = 3 };
-
-  struct Patch {
-    uint32_t arc;
-    uint32_t from, to;
-    Ps delay;
-  };
-  struct CommitOp {
-    bool is_merge;
-    int a, b;
-  };
-  struct Replica {
-    Replica(const ctl::ControlGraph& fine, const std::vector<char>& merge_ok)
-        : cq(fine, merge_ok) {}
-    Replica(const Replica&) = default;
-    IncrementalQuotient cq;
-    std::vector<uint32_t> from, to;  ///< arc endpoints, quotient transitions
-    std::vector<Ps> delay;           ///< arc delays under the sizing rule
-    std::vector<std::vector<uint32_t>> incident;  ///< arc ids per cluster
-    std::vector<uint32_t> node_map;               ///< identity scratch map
-    pn::McrScratch scratch;
-    size_t synced = 0;  ///< commit-log prefix already applied
-  };
-
-  /// Quantized matched-delay-line length into quotient bank `qb` (per the
-  /// current clustering of `r`), exactly as the synthesis sizes it.
-  Ps qdelay(const Replica& r, uint32_t qb) const {
-    Ps worst = qb >= 2 * G_
-                   ? r.cq.fine_worst_in(static_cast<int>(qb))
-                   : r.cq.worst_in(static_cast<int>(qb) / 2, (qb & 1) == 0);
-    return ctl::matched_delay_cells(worst, tech_) * tech_.delay_unit();
-  }
-
-  Ps arc_delay(const Replica& r, size_t j, uint32_t to_bank) const {
-    switch (kind_[j]) {
-      case kAltPlus: return pulse_;
-      case kAltMinus: return 0;
-      case kPred: return qdelay(r, to_bank) + ctrl_;
-      default: return ctrl_;
-    }
-  }
-
-  /// (Re)build the fine-grained arc arrays — one arc per hardware arc of
-  /// the per-flip-flop model — with endpoints mapped through main_'s
-  /// current clustering. Run at construction (identity clustering) and
-  /// when the refinement phase needs per-group arcs back after compaction.
-  void rebuild_fine() {
-    std::vector<ctl::ProtoArc> arcs = ctl::hardware_arcs(fine_, proto_);
-    const size_t m = arcs.size();
-    kind_.resize(m);
-    tokens_.resize(m);
-    ffrom_.resize(m);
-    fto_.resize(m);
-    group_arcs_.assign(G_, {});
-    main_.from.resize(m);
-    main_.to.resize(m);
-    main_.delay.resize(m);
-    main_.incident.assign(G_, {});
-    auto mapped_bank = [&](int bank) {
-      if (bank >= static_cast<int>(2 * G_)) return static_cast<uint32_t>(bank);
-      return 2 * static_cast<uint32_t>(main_.cq.cluster_of(bank / 2)) +
-             (static_cast<uint32_t>(bank) & 1);
-    };
-    for (size_t j = 0; j < m; ++j) {
-      const ctl::ProtoArc& a = arcs[j];
-      kind_[j] = a.alternation ? (a.from_plus ? kAltPlus : kAltMinus)
-                               : (a.pred_side ? kPred : kSucc);
-      tokens_[j] = a.marked ? 1 : 0;
-      ffrom_[j] = a.from;
-      fto_[j] = a.to;
-      uint32_t mfb = mapped_bank(a.from);
-      uint32_t mtb = mapped_bank(a.to);
-      main_.from[j] = 2 * mfb + (a.from_plus ? 0u : 1u);
-      main_.to[j] = 2 * mtb + (a.to_plus ? 0u : 1u);
-      main_.delay[j] = arc_delay(main_, j, mtb);
-      uint32_t last = UINT32_MAX;
-      for (int bank : {a.from, a.to}) {
-        if (bank < static_cast<int>(2 * G_) &&
-            static_cast<uint32_t>(bank) / 2 != last) {
-          last = static_cast<uint32_t>(bank) / 2;
-          group_arcs_[last].push_back(static_cast<uint32_t>(j));
-        }
-      }
-      last = UINT32_MAX;
-      for (uint32_t mb : {mfb, mtb}) {
-        if (mb < 2 * G_ && mb / 2 != last) {
-          last = mb / 2;
-          main_.incident[last].push_back(static_cast<uint32_t>(j));
-        }
-      }
-    }
-    main_.node_map.resize(num_nodes_);
-    for (uint32_t i = 0; i < num_nodes_; ++i) main_.node_map[i] = i;
-    fine_mode_ = true;
-    replicas_.clear();
-    log_.clear();
-    main_.synced = 0;
-  }
-
-  /// Deduplicate parallel arcs in place (first-occurrence order, so the
-  /// rebuild is deterministic) and remap the warm-start baseline's policy
-  /// arcs. Fine-group arc lists die here; ensure_fine() resurrects them.
-  void compact() {
-    const size_t m = main_.from.size();
-    std::unordered_map<uint64_t, uint32_t> seen;
-    seen.reserve(m);
-    std::vector<uint32_t> arc_map(m);
-    std::vector<uint32_t> nfrom, nto;
-    std::vector<Ps> ndelay;
-    std::vector<uint8_t> nkind;
-    std::vector<int32_t> ntokens;
-    for (size_t j = 0; j < m; ++j) {
-      uint64_t key = (static_cast<uint64_t>(main_.from[j]) << 35) |
-                     (static_cast<uint64_t>(main_.to[j]) << 3) |
-                     (static_cast<uint64_t>(kind_[j]) << 1) |
-                     static_cast<uint64_t>(tokens_[j]);
-      auto [it, inserted] =
-          seen.try_emplace(key, static_cast<uint32_t>(nfrom.size()));
-      arc_map[j] = it->second;
-      if (inserted) {
-        nfrom.push_back(main_.from[j]);
-        nto.push_back(main_.to[j]);
-        ndelay.push_back(main_.delay[j]);
-        nkind.push_back(kind_[j]);
-        ntokens.push_back(tokens_[j]);
-      } else {
-        // Parallel duplicates carry identical annotations by construction.
-        DESYN_ASSERT(ndelay[it->second] == main_.delay[j]);
-      }
-    }
-    main_.from = std::move(nfrom);
-    main_.to = std::move(nto);
-    main_.delay = std::move(ndelay);
-    kind_ = std::move(nkind);
-    tokens_ = std::move(ntokens);
-    main_.incident.assign(G_, {});
-    for (size_t j = 0; j < main_.from.size(); ++j) {
-      uint32_t last = UINT32_MAX;
-      for (uint32_t trans : {main_.from[j], main_.to[j]}) {
-        uint32_t bank = trans >> 1;
-        if (bank < 2 * G_ && bank / 2 != last) {
-          last = bank / 2;
-          main_.incident[last].push_back(static_cast<uint32_t>(j));
-        }
-      }
-    }
-    group_arcs_.clear();
-    ffrom_.clear();
-    fto_.clear();
-    fine_mode_ = false;
-    ctx_.remap_baseline_arcs(arc_map);
-    replicas_.clear();
-    log_.clear();
-    main_.synced = 0;
-    merges_since_compact_ = 0;
-  }
-
-  /// The refinement phase moves single fine groups, which needs the
-  /// per-group arc structure compaction destroyed; rebuild and re-prime.
-  void ensure_fine() {
-    if (fine_mode_) return;
-    rebuild_fine();
-    ctx_.solve(view(main_));  // arc ids changed: one cold re-prime
-  }
-
-  pn::McrArcs view(const Replica& r) const {
-    return {num_nodes_, r.from, r.to, tokens_, r.delay};
-  }
-
-  static uint32_t bank_of(uint32_t trans) { return trans >> 1; }
-
-  /// Apply merge(drop -> keep) to `r`: O(deg) endpoint rewrites on the
-  /// dropped cluster's incident arcs, delay re-quantization where the
-  /// merged destination's worst-in grew. `journal` records the previous
-  /// arc state for undo; committed merges (null journal) also splice the
-  /// incident lists.
-  void apply_merge(Replica& r, int keep, int drop,
-                   std::vector<Patch>* journal) const {
-    const Ps qe_old = qdelay(r, 2 * static_cast<uint32_t>(keep));
-    const Ps qo_old = qdelay(r, 2 * static_cast<uint32_t>(keep) + 1);
-    r.cq.merge(keep, drop);
-    const Ps qe = qdelay(r, 2 * static_cast<uint32_t>(keep));
-    const Ps qo = qdelay(r, 2 * static_cast<uint32_t>(keep) + 1);
-    auto patch = [&](uint32_t j) {
-      if (journal) journal->push_back({j, r.from[j], r.to[j], r.delay[j]});
-    };
-    for (uint32_t j : r.incident[static_cast<size_t>(drop)]) {
-      patch(j);
-      uint32_t fb = bank_of(r.from[j]);
-      if (fb < 2 * G_ && static_cast<int>(fb) / 2 == drop) {
-        r.from[j] = 2 * (2 * static_cast<uint32_t>(keep) + (fb & 1)) +
-                    (r.from[j] & 1);
-      }
-      uint32_t tb = bank_of(r.to[j]);
-      if (tb < 2 * G_ && static_cast<int>(tb) / 2 == drop) {
-        uint32_t nb = 2 * static_cast<uint32_t>(keep) + (tb & 1);
-        r.to[j] = 2 * nb + (r.to[j] & 1);
-        if (kind_[j] == kPred) r.delay[j] = ((tb & 1) == 0 ? qe : qo) + ctrl_;
-      }
-    }
-    if (qe != qe_old || qo != qo_old) {
-      for (uint32_t j : r.incident[static_cast<size_t>(keep)]) {
-        if (kind_[j] != kPred) continue;
-        uint32_t tb = bank_of(r.to[j]);
-        if (tb >= 2 * G_ || static_cast<int>(tb) / 2 != keep) continue;
-        patch(j);
-        r.delay[j] = ((tb & 1) == 0 ? qe : qo) + ctrl_;
-      }
-    }
-    if (!journal) {
-      auto& win = r.incident[static_cast<size_t>(keep)];
-      auto& lose = r.incident[static_cast<size_t>(drop)];
-      win.insert(win.end(), lose.begin(), lose.end());
-      lose.clear();
-    }
-  }
-
-  /// Apply move(g -> to): g's fine arcs re-point from its donor cluster to
-  /// the receiver, both clusters' destinations re-quantize as needed.
-  /// Only valid in fine mode (ensure_fine() ran).
-  void apply_move(Replica& r, int g, int to, std::vector<Patch>* journal) const {
-    DESYN_ASSERT(fine_mode_, "moves need the per-group arc structure");
-    const int from_c = r.cq.cluster_of(g);
-    const Ps qfe_old = qdelay(r, 2 * static_cast<uint32_t>(from_c));
-    const Ps qfo_old = qdelay(r, 2 * static_cast<uint32_t>(from_c) + 1);
-    const Ps qte_old = qdelay(r, 2 * static_cast<uint32_t>(to));
-    const Ps qto_old = qdelay(r, 2 * static_cast<uint32_t>(to) + 1);
-    r.cq.move(g, to);
-    const Ps qfe = qdelay(r, 2 * static_cast<uint32_t>(from_c));
-    const Ps qfo = qdelay(r, 2 * static_cast<uint32_t>(from_c) + 1);
-    const Ps qte = qdelay(r, 2 * static_cast<uint32_t>(to));
-    const Ps qto = qdelay(r, 2 * static_cast<uint32_t>(to) + 1);
-    auto patch = [&](uint32_t j) {
-      if (journal) journal->push_back({j, r.from[j], r.to[j], r.delay[j]});
-    };
-    for (uint32_t j : group_arcs_[static_cast<size_t>(g)]) {
-      patch(j);
-      if (ffrom_[j] / 2 == g) {
-        uint32_t nb = 2 * static_cast<uint32_t>(to) +
-                      (static_cast<uint32_t>(ffrom_[j]) & 1);
-        r.from[j] = 2 * nb + (r.from[j] & 1);
-      }
-      if (fto_[j] / 2 == g) {
-        uint32_t nb =
-            2 * static_cast<uint32_t>(to) + (static_cast<uint32_t>(fto_[j]) & 1);
-        r.to[j] = 2 * nb + (r.to[j] & 1);
-        if (kind_[j] == kPred) {
-          r.delay[j] = ((static_cast<uint32_t>(fto_[j]) & 1) == 0 ? qte : qto) +
-                       ctrl_;
-        }
-      }
-    }
-    auto requant = [&](int c, Ps qe, Ps qo, Ps qe_old2, Ps qo_old2) {
-      if (qe == qe_old2 && qo == qo_old2) return;
-      for (uint32_t j : r.incident[static_cast<size_t>(c)]) {
-        if (kind_[j] != kPred) continue;
-        uint32_t tb = bank_of(r.to[j]);
-        if (tb >= 2 * G_ || static_cast<int>(tb) / 2 != c) continue;
-        patch(j);
-        r.delay[j] = ((tb & 1) == 0 ? qe : qo) + ctrl_;
-      }
-    };
-    requant(from_c, qfe, qfo, qfe_old, qfo_old);
-    requant(to, qte, qto, qte_old, qto_old);
-    if (!journal) {
-      // Incident-list maintenance: g's arcs leave the donor, join the
-      // receiver. Committed moves are rare (one refinement pass), so a
-      // filter over the donor's list is fine.
-      auto& donor = r.incident[static_cast<size_t>(from_c)];
-      auto still = [&](uint32_t j) {
-        uint32_t fb = bank_of(r.from[j]);
-        uint32_t tb = bank_of(r.to[j]);
-        return (fb < 2 * G_ && static_cast<int>(fb) / 2 == from_c) ||
-               (tb < 2 * G_ && static_cast<int>(tb) / 2 == from_c);
-      };
-      donor.erase(std::remove_if(donor.begin(), donor.end(),
-                                 [&](uint32_t j) { return !still(j); }),
-                  donor.end());
-      auto& recv = r.incident[static_cast<size_t>(to)];
-      recv.insert(recv.end(), group_arcs_[static_cast<size_t>(g)].begin(),
-                  group_arcs_[static_cast<size_t>(g)].end());
-    }
-  }
-
-  void revert(Replica& r, const std::vector<Patch>& journal) const {
-    for (size_t i = journal.size(); i-- > 0;) {
-      const Patch& p = journal[i];
-      r.from[p.arc] = p.from;
-      r.to[p.arc] = p.to;
-      r.delay[p.arc] = p.delay;
-    }
-    r.cq.undo();
-  }
-
-  double probe_merge(Replica& r, std::pair<int, int> cand,
-                     pn::McrContext::Solution* sol) const {
-    fault::maybe_throw("partition.probe");
-    const int keep = cand.first, drop = cand.second;
-    thread_local std::vector<Patch> journal;
-    journal.clear();
-    apply_merge(r, keep, drop, &journal);
-    for (int s = 0; s < 4; ++s) {
-      r.node_map[static_cast<size_t>(4 * drop + s)] =
-          static_cast<uint32_t>(4 * keep + s);
-    }
-    double p = ctx_.probe(view(r), r.node_map, r.scratch).ratio;
-    if (sol && p <= limit_) {
-      pn::McrContext::export_solution(r.scratch, num_nodes_, sol);
-    }
-    for (int s = 0; s < 4; ++s) {
-      r.node_map[static_cast<size_t>(4 * drop + s)] =
-          static_cast<uint32_t>(4 * drop + s);
-    }
-    revert(r, journal);
-    return p;
-  }
-
-  void sync(Replica& r) const {
-    while (r.synced < log_.size()) {
-      const CommitOp& op = log_[r.synced++];
-      if (op.is_merge) {
-        apply_merge(r, op.a, op.b, nullptr);
-      } else {
-        apply_move(r, op.a, op.b, nullptr);
-      }
-    }
-  }
-
-  const ctl::ControlGraph& fine_;
-  const cell::Tech& tech_;
-  int jobs_;
+  IncrementalQuotient cq_;
+  BudgetCertificate cert_;
   ctl::Protocol proto_;
-  size_t G_ = 0;
-  uint32_t num_nodes_ = 0;
-  Ps ctrl_ = 0, pulse_ = 0;
-  double limit_ = std::numeric_limits<double>::infinity();
-  std::vector<uint8_t> kind_;
-  std::vector<int32_t> tokens_;
-  std::vector<int> ffrom_, fto_;  ///< fine endpoint banks (fine mode)
-  std::vector<std::vector<uint32_t>> group_arcs_;  ///< per group (fine mode)
-  bool fine_mode_ = true;
-  Replica main_;
-  std::vector<std::unique_ptr<Replica>> replicas_;
-  std::vector<CommitOp> log_;
-  std::vector<Patch> journal_;
-  std::vector<std::pair<int, int>> wave_;
-  std::vector<pn::McrContext::Solution> wave_sols_;
-  pn::McrContext::Solution move_sol_;
-  std::pair<int, int> move_key_{-1, -1};
-  pn::McrContext ctx_;
-  size_t probes_ = 0;
-  size_t merges_since_compact_ = 0;
+  const cell::Tech& tech_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1052,17 +556,8 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
   std::vector<char> merge_ok(G);
   for (size_t g = 0; g < G; ++g) merge_ok[g] = perff.groups()[g].ram ? 0 : 1;
 
-  std::unique_ptr<Evaluator> ev;
-  if (incremental) {
-    ev = std::make_unique<IncrementalEvaluator>(fine.cg, merge_ok,
-                                                opt.protocol, tech, opt.jobs);
-  } else {
-    ev = std::make_unique<ReferenceEvaluator>(fine.cg, merge_ok,
-                                              opt.protocol, tech);
-  }
-
-  res.perff_period = ev->initial_period();
-  res.perff_cost = synthesis_cost(fine.cg, opt.protocol, tech);
+  // The per-flip-flop start: the one Howard solve the search itself needs.
+  res.perff_period = predicted_period(fine.cg, opt.protocol, tech);
   {
     nl::Netlist l2 = ff_netlist;
     const LatchifyResult lr2 =
@@ -1078,7 +573,16 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
   const double limit =
       opt.period_budget * std::max(res.baseline_period, res.perff_period);
   const double eps = 1e-6;
-  ev->set_limit(limit + eps);
+
+  std::unique_ptr<Evaluator> ev;
+  if (incremental) {
+    ev = std::make_unique<IncrementalEvaluator>(fine.cg, merge_ok,
+                                                opt.protocol, tech,
+                                                limit + eps);
+  } else {
+    ev = std::make_unique<ReferenceEvaluator>(fine.cg, merge_ok,
+                                              opt.protocol, tech);
+  }
 
   // The committed clustering, owned and advanced by the evaluator; labels
   // stay the smallest fine-group index, so the tie-break hash and the
@@ -1150,73 +654,43 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
   raw.clear();
   raw.shrink_to_fit();
 
-  // ---- greedy merge waves -------------------------------------------------
-  // Pop candidates in rank order; score a wave of them against the current
-  // committed clustering (in parallel for the incremental evaluator);
-  // commit the first in-budget candidate of the wave. A failed candidate's
-  // ratio is a *monotone lower bound* — any later state is coarser and
-  // coarsening only adds rendezvous — so it rejects the pair solve-free
-  // forever after, surviving label folds by max-transfer. Wave size starts
-  // at 1 (the top candidate usually passes) and doubles while a whole wave
-  // fails, so the fail-heavy endgame is what actually fans out. Wave
-  // composition depends only on committed history: byte-identical results
-  // for any job count.
-  size_t wave_cap = 1;
-  std::vector<std::pair<int, int>> wave;
-  std::vector<double> periods;
-  std::vector<uint32_t> wave_epochs;
+  // ---- greedy merges -----------------------------------------------------
+  // Pop candidates in rank order and commit the first one that stays in
+  // budget. A failed candidate's bound is *monotone* — any later state is
+  // coarser and coarsening only adds rendezvous — so it rejects the pair
+  // probe-free forever after, surviving label folds by max-transfer.
   for (;;) {
     if (opt.max_merges && res.merges >= static_cast<int>(opt.max_merges)) {
       break;
     }
-    wave.clear();
-    wave_epochs.clear();
-    while (wave.size() < wave_cap && !heap.empty()) {
-      HeapEntry e = heap.top();
-      heap.pop();
-      auto it = pairs.find(pair_key(e.a, e.b));
-      if (it == pairs.end() || it->second.epoch != e.epoch) continue;  // stale
-      ++res.stats.candidates;
-      // The oracle deliberately skips bound pruning: it re-solves pruned
-      // candidates cold, so an invalid bound would make the two searches
-      // commit different merges and fail the equivalence tests.
-      if (incremental) {
-        auto bi = bounds.find(pair_key(e.a, e.b));
-        if (bi != bounds.end() && bi->second > limit + eps) {
-          ++res.stats.pruned;
-          continue;  // permanently over budget: monotone bound
-        }
+    if (heap.empty()) break;
+    const HeapEntry e = heap.top();
+    heap.pop();
+    const uint64_t k = pair_key(e.a, e.b);
+    if (auto it = pairs.find(k);
+        it == pairs.end() || it->second.epoch != e.epoch) {
+      continue;  // stale
+    }
+    ++res.stats.candidates;
+    // The oracle deliberately skips bound pruning: it re-solves pruned
+    // candidates cold, so an invalid bound would make the two searches
+    // commit different merges and fail the equivalence tests.
+    if (incremental) {
+      auto bi = bounds.find(k);
+      if (bi != bounds.end() && bi->second > limit + eps) {
+        ++res.stats.pruned;
+        continue;  // permanently over budget: monotone bound
       }
-      wave.push_back({e.a, e.b});
-      wave_epochs.push_back(e.epoch);
     }
-    if (wave.empty()) break;
-    ++res.stats.waves;
-    periods.resize(wave.size());
-    ev->probe_merges(wave, periods);
-    size_t win = wave.size();
-    for (size_t i = 0; i < wave.size(); ++i) {
-      uint64_t k = pair_key(wave[i].first, wave[i].second);
+    const double score = ev->probe_merge(e.a, e.b);
+    if (score > limit + eps) {
       double& bd = bounds[k];
-      bd = std::max(bd, periods[i]);
-      if (win == wave.size() && periods[i] <= limit + eps) win = i;
-    }
-    if (win == wave.size()) {
-      wave_cap = std::min<size_t>(32, wave_cap * 2);
+      bd = std::max(bd, score);
       continue;
     }
-    // Candidates ranked after the winner stay in play: re-arm their heap
-    // entries (their just-solved ratios remain valid bounds).
-    for (size_t i = win + 1; i < wave.size(); ++i) {
-      auto it = pairs.find(pair_key(wave[i].first, wave[i].second));
-      if (it == pairs.end()) continue;
-      ++it->second.epoch;
-      push_entry(wave[i].first, wave[i].second, it->second);
-    }
-    const int a = wave[win].first, b = wave[win].second;
+    const int a = e.a, b = e.b;
     ev->commit_merge(a, b);
     ++res.merges;
-    wave_cap = 1;
     // Fold b's rank structure into a: weights add, bounds max-transfer
     // (merging a∪b with x is coarser than merging b with x was, so b's
     // bound still holds).
@@ -1279,7 +753,7 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
                     targets.end());
       for (int t : targets) {
         ++res.stats.candidates;
-        if (ev->probe_move_period(static_cast<int>(g), t) > limit + eps) {
+        if (ev->probe_move(static_cast<int>(g), t) > limit + eps) {
           continue;
         }
         size_t cost = ev->probe_move_cost(static_cast<int>(g), t);
@@ -1309,7 +783,7 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
   res.period = predicted_period(final_q, opt.protocol, tech);
   res.cost = synthesis_cost(final_q, opt.protocol, tech);
   res.stats.warm_solves = ev->warm_solves();
-  res.stats.cold_solves = ev->cold_solves();
+  res.stats.cold_solves = 1 + ev->cold_solves();  // + the start
   res.evaluations = res.stats.warm_solves + res.stats.cold_solves;
   return res;
 }

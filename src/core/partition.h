@@ -157,8 +157,8 @@ struct PartitionSpec {
 
 /// Materialize `spec` for `ff_netlist`. Mode::Auto runs
 /// optimize_partition() with `protocol`/`margin` (the knobs that shape the
-/// control graph being scored) across `opt_jobs` scoring threads; the
-/// other modes ignore tech entirely.
+/// control graph being scored); the other modes ignore tech entirely.
+/// `opt_jobs` is accepted and ignored, like PartitionOptOptions::jobs.
 Partition make_partition(const nl::Netlist& ff_netlist, nl::NetId clock,
                          const PartitionSpec& spec, const cell::Tech& tech,
                          ctl::Protocol protocol, double margin,
@@ -183,25 +183,24 @@ struct PartitionOptOptions {
   /// Run the post-merge refinement pass (single-cell moves between
   /// adjacent groups that further reduce gate cost within budget).
   bool refine = true;
-  /// Candidate-scoring threads. The search result is byte-identical for
-  /// any job count: scoring waves have a jobs-independent composition and
-  /// a deterministic reduction (fixed candidate order, seeded tie-breaks).
+  /// Accepted and ignored: the search is serial (a certificate probe is
+  /// far cheaper than a thread hand-off). Kept so existing callers and
+  /// `--opt-jobs` keep working.
   int jobs = 1;
 };
 
 /// Where the optimizer's time went — the scaling counters the benches and
 /// CI track. `candidates` counts every merge/move the search considered;
-/// most are settled without any solver run (`pruned`, rejected by a cached
-/// monotone lower bound) or by a warm-started Howard re-solve
-/// (`warm_solves`); `cold_solves` counts full cold solves (the baselines
-/// plus structural-invalidation fallbacks) and should stay a small
-/// constant regardless of design size.
+/// most are settled without any solver run, either rejected by a cached
+/// monotone lower bound (`pruned`) or by the exact potential certificate
+/// (`warm_solves`, see core/certificate.h); `cold_solves` counts full
+/// Howard solves (the per-flip-flop start; one per candidate for the
+/// reference oracle) and stays a constant regardless of design size.
 struct OptimizeStats {
   size_t candidates = 0;
   size_t pruned = 0;
   size_t warm_solves = 0;
   size_t cold_solves = 0;
-  size_t waves = 0;  ///< scoring waves dispatched (parallelism grain)
 };
 
 struct PartitionOptResult {
@@ -209,11 +208,10 @@ struct PartitionOptResult {
   double perff_period = 0;    ///< predicted period of the PerFlipFlop start
   double baseline_period = 0; ///< predicted period of the Prefix baseline
   double period = 0;          ///< predicted period of `partition`
-  size_t perff_cost = 0;      ///< controller+delay cells of the start
   size_t cost = 0;            ///< controller+delay cells of `partition`
   int merges = 0;             ///< committed group merges
   int moves = 0;              ///< committed refinement moves
-  size_t evaluations = 0;     ///< MCR solver runs spent (warm + cold)
+  size_t evaluations = 0;     ///< probes + Howard solves (warm + cold)
   OptimizeStats stats;        ///< the scaling breakdown
 };
 
@@ -226,14 +224,13 @@ struct PartitionOptResult {
 /// synthesized controller + matched-delay gate cost.
 ///
 /// The scoring loop is incremental end to end: one STA pass sizes the
-/// per-flip-flop control graph, every candidate is a delta on the current
-/// quotient (IncrementalQuotient, O(deg) apply/undo), its model is solved
-/// by a Howard re-run warm-started from the committed solution
-/// (pn::McrContext), failed candidates leave a monotone lower bound that
-/// rejects them solve-free forever after (coarsening only adds
-/// rendezvous), and scoring waves fan out across `opt.jobs` threads with a
-/// deterministic reduction. Deterministic for a fixed seed at any job
-/// count.
+/// per-flip-flop control graph, every candidate is an O(deg) arc patch on
+/// the current quotient settled by an exact potential certificate (a
+/// backward repair of integer potentials that either settles — within
+/// budget — or closes an over-budget cycle; see core/certificate.h), and
+/// failed candidates leave a monotone lower bound that rejects them
+/// probe-free forever after (coarsening only adds rendezvous). Howard runs
+/// once, on the per-flip-flop start. Deterministic for a fixed seed.
 PartitionOptResult optimize_partition(const nl::Netlist& ff_netlist,
                                       nl::NetId clock, const cell::Tech& tech,
                                       const PartitionOptOptions& opt = {});

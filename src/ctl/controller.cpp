@@ -414,7 +414,7 @@ ControllerNetwork synthesize_controllers(nl::Builder& b,
   // the abstract model and the hardware refinement must be live (no
   // token-free cycle: the network cannot deadlock) and safe (1-bounded:
   // a single wire per arc can carry the marking). is_safe() runs one
-  // shortest-path query per arc, so it is gated on graph size — big
+  // BFS per distinct arc head, so it is gated on graph size — big
   // fabrics (4k+ transitions) still get the linear liveness check.
   {
     pn::MarkedGraph model = protocol_mg(cg, p);

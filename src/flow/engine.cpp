@@ -416,10 +416,9 @@ Hash256 Engine::partition_key(const nl::Netlist& ff, nl::NetId clock,
       break;
     case M::Auto:
       // The optimizer reads the whole netlist (timing!) and the knobs
-      // that shape its search; the job-count knob (opt_jobs) is
-      // excluded from every stage key: results are byte-identical at
-      // any job count, so a submission re-run with different parallelism
-      // must stay a pure cache hit.
+      // that shape its search; the ignored job-count knob (opt_jobs) is
+      // excluded from every stage key, so a submission re-run with a
+      // different value stays a pure cache hit.
       h.field("auto");
       mix(h, ff_hash);
       h.field(ff.net(clock).name);
@@ -500,11 +499,10 @@ Engine::Stages Engine::run_stages(const nl::Netlist& ff, nl::NetId clock,
         po.period_budget = opt.strategy.auto_budget;
         po.margin = opt.margin;
         po.protocol = opt.protocol;
-        po.jobs = opt.opt_jobs;
         p = optimize(ff, clock, po)->partition;
       } else {
         p = make_partition(ff, clock, opt.strategy, tech_, opt.protocol,
-                           opt.margin, opt.opt_jobs);
+                           opt.margin);
       }
       {
         std::lock_guard<std::mutex> lock(mu_);

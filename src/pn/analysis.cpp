@@ -1,6 +1,7 @@
 #include "pn/analysis.h"
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -80,9 +81,50 @@ int place_bound(const MarkedGraph& mg, ArcId a) {
 }
 
 bool is_safe(const MarkedGraph& mg) {
+  // Bound of the place on arc a = u -> v: a's tokens plus the fewest
+  // tokens on a path v ~> u. Safety needs it to be exactly 1 for every
+  // arc, so group arcs by head and run one 0-1 BFS per distinct head
+  // (min-token distances to every tail at once), buffers reused.
+  const uint32_t n = static_cast<uint32_t>(mg.num_transitions());
+  std::vector<std::vector<ArcId>> by_head(n);
   for (uint32_t i = 0; i < mg.num_arcs(); ++i) {
-    int b = place_bound(mg, ArcId(i));
-    if (b != 1) return false;
+    const Arc& a = mg.arc(ArcId(i));
+    if (a.tokens >= 2) return false;
+    by_head[a.to.value()].push_back(ArcId(i));
+  }
+  constexpr int kInf = std::numeric_limits<int>::max();
+  std::vector<int> dist(n, kInf);
+  std::vector<uint32_t> seen;  // nodes whose dist is set, for the reset
+  std::deque<uint32_t> dq;
+  for (uint32_t v = 0; v < n; ++v) {
+    if (by_head[v].empty()) continue;
+    for (uint32_t t : seen) dist[t] = kInf;
+    seen.clear();
+    dist[v] = 0;
+    seen.push_back(v);
+    dq.push_back(v);
+    while (!dq.empty()) {
+      uint32_t t = dq.front();
+      dq.pop_front();
+      for (ArcId out : mg.transition(TransId(t)).out) {
+        const Arc& arc = mg.arc(out);
+        const int nd = dist[t] + arc.tokens;  // tokens are 0 or 1 here
+        const uint32_t w = arc.to.value();
+        if (nd >= dist[w]) continue;
+        if (dist[w] == kInf) seen.push_back(w);
+        dist[w] = nd;
+        if (arc.tokens == 0) {
+          dq.push_front(w);
+        } else {
+          dq.push_back(w);
+        }
+      }
+    }
+    for (ArcId a : by_head[v]) {
+      const Arc& arc = mg.arc(a);
+      const int d = dist[arc.from.value()];
+      if (d == kInf || d + arc.tokens != 1) return false;
+    }
   }
   return true;
 }

@@ -22,6 +22,7 @@ bool is_live(const MarkedGraph& mg);
 int place_bound(const MarkedGraph& mg, ArcId a);
 
 /// Safety: every arc lies on a cycle and has bound 1. Requires liveness.
+/// One 0-1 BFS per distinct arc head; place_bound() is the per-arc oracle.
 bool is_safe(const MarkedGraph& mg);
 
 /// Explicit reachability (for small control graphs and conformance tests).

@@ -521,7 +521,8 @@ CycleRatioResult McrScratch::howard(const McrArcs& g, int comps) {
 
 CycleRatioResult McrContext::run(const McrArcs& g,
                                  std::span<const uint32_t> node_map,
-                                 McrScratch& s, bool* warmed) const {
+                                 bool* warmed) {
+  McrScratch& s = scratch_;
   const uint32_t n = g.num_nodes;
   const uint32_t m = static_cast<uint32_t>(g.num_arcs());
   *warmed = false;
@@ -570,7 +571,7 @@ void McrContext::adopt(const McrArcs& g) {
 
 CycleRatioResult McrContext::solve(const McrArcs& g) {
   bool warmed = false;
-  CycleRatioResult res = run(g, {}, scratch_, &warmed);
+  CycleRatioResult res = run(g, {}, &warmed);
   ++cold_solves_;
   adopt(g);
   return res;
@@ -579,7 +580,7 @@ CycleRatioResult McrContext::solve(const McrArcs& g) {
 CycleRatioResult McrContext::resolve(const McrArcs& g,
                                      std::span<const uint32_t> node_map) {
   bool warmed = false;
-  CycleRatioResult res = run(g, node_map, scratch_, &warmed);
+  CycleRatioResult res = run(g, node_map, &warmed);
   if (warmed) {
     ++warm_solves_;
   } else {
@@ -587,42 +588,6 @@ CycleRatioResult McrContext::resolve(const McrArcs& g,
   }
   adopt(g);
   return res;
-}
-
-CycleRatioResult McrContext::probe(const McrArcs& g,
-                                   std::span<const uint32_t> node_map,
-                                   McrScratch& scratch) const {
-  bool warmed = false;
-  return run(g, node_map, scratch, &warmed);
-}
-
-void McrContext::export_solution(const McrScratch& scratch,
-                                 uint32_t num_nodes, Solution* out) {
-  DESYN_ASSERT(out != nullptr);
-  out->valid = scratch.howard_converged_;
-  if (!out->valid) return;
-  out->num_nodes = num_nodes;
-  out->policy = scratch.policy_;
-  out->r = scratch.r_;
-  out->d = scratch.d_;
-}
-
-void McrContext::adopt_solution(Solution sol) {
-  if (!sol.valid) {
-    base_nodes_ = 0;
-    return;
-  }
-  base_nodes_ = sol.num_nodes;
-  base_policy_ = std::move(sol.policy);
-  base_r_ = std::move(sol.r);
-  base_d_ = std::move(sol.d);
-}
-
-void McrContext::remap_baseline_arcs(std::span<const uint32_t> arc_map) {
-  for (uint32_t& a : base_policy_) {
-    if (a == kNoArc) continue;
-    a = a < arc_map.size() ? arc_map[a] : kNoArc;
-  }
 }
 
 // ---------------------------------------------------------------------------

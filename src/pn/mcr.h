@@ -14,14 +14,14 @@
 //    positive-cycle detection, O(64·n·m). Kept as an independent oracle for
 //    cross-checking (tests compare the two on randomized marked graphs).
 //
-// For callers that solve long sequences of *related* graphs — the partition
-// optimizer scores thousands of candidate clusterings, each one merge away
-// from the last — the solver is also exposed as a reusable McrContext that
-// retains the converged policy and potentials of its last solve and
-// warm-starts the next one through a node map, typically converging in one
-// or two sweeps instead of a full cold iteration. Warm and cold solves
-// return bit-equal ratios (property-tested): both terminate on a genuinely
-// critical cycle and report its exact delay/token quotient.
+// For callers that solve sequences of *related* graphs — the flow engine
+// re-solves a cached model after an ECO — the solver is also exposed as a
+// reusable McrContext that retains the converged policy and potentials of
+// its last solve and warm-starts the next one through a node map,
+// typically converging in one or two sweeps instead of a full cold
+// iteration. Warm and cold solves return bit-equal ratios
+// (property-tested): both terminate on a genuinely critical cycle and
+// report its exact delay/token quotient.
 #pragma once
 
 #include <span>
@@ -62,8 +62,8 @@ CycleRatioResult max_cycle_ratio_reference(const MarkedGraph& mg);
 /// Non-owning struct-of-arrays view of a timed marked graph: arc `j` runs
 /// from node `from[j]` to `to[j]` carrying `tokens[j]` initial tokens and
 /// `delay[j]` ps. Node and arc indices double as the TransId/ArcId values
-/// of the returned CycleRatioResult. Nodes without arcs are allowed (the
-/// optimizer leaves merged-away transitions as holes); self-loops are
+/// of the returned CycleRatioResult. Nodes without arcs are allowed (a
+/// caller that merges transitions in place leaves holes); self-loops are
 /// allowed; parallel arcs are allowed (the larger-delay one dominates).
 struct McrArcs {
   uint32_t num_nodes = 0;
@@ -88,8 +88,7 @@ McrFlat flatten(const MarkedGraph& mg);
 /// McrArcs twin of cycle_ratio above).
 double cycle_ratio(const McrArcs& g, std::span<const ArcId> arcs);
 
-/// Reusable per-solve working memory. One per thread: a McrContext::probe
-/// is const and thread-safe provided every thread brings its own scratch.
+/// Reusable per-solve working memory (one per thread).
 ///
 /// The solve decomposes into two phases with different data dependence:
 /// build_structure() (out-arc CSR, Tarjan SCCs, intra-SCC policy-candidate
@@ -129,7 +128,7 @@ class McrScratch {
 /// Howard's policy iteration with warm-start across graph deltas.
 ///
 /// solve() runs cold and retains the converged policy and node potentials
-/// as the context's baseline. resolve()/probe() solve a *related* graph:
+/// as the context's baseline. resolve() solves a *related* graph:
 /// `node_map[u]` names the node of the new graph that baseline node `u`
 /// became (many-to-one for merges; UINT32_MAX drops the node). Arc indices
 /// must be preserved across the delta — the caller re-points endpoints of
@@ -144,46 +143,18 @@ class McrScratch {
 /// cold solve of the same graph (property-tested in test_pn.cpp).
 class McrContext {
  public:
-  /// A detached converged solution, exported from a probe's scratch so the
-  /// caller can later adopt it as the baseline without re-solving (the
-  /// committed candidate of a scoring wave was already solved by its
-  /// probe).
-  struct Solution {
-    bool valid = false;
-    uint32_t num_nodes = 0;
-    std::vector<uint32_t> policy;
-    std::vector<double> r, d;
-  };
-
   /// Cold solve; the solution becomes the warm-start baseline.
   CycleRatioResult solve(const McrArcs& g);
   /// Warm re-solve after a delta; adopts the new solution as the baseline.
   CycleRatioResult resolve(const McrArcs& g,
                            std::span<const uint32_t> node_map);
-  /// Warm solve of a tentative delta *without* adopting it — the candidate
-  /// probe of the partition optimizer. Thread-safe against concurrent
-  /// probes of the same context (each thread passes its own scratch).
-  CycleRatioResult probe(const McrArcs& g, std::span<const uint32_t> node_map,
-                         McrScratch& scratch) const;
-  /// Copy the converged solution out of a just-probed scratch. Call before
-  /// reusing the scratch; `num_nodes` names the probed graph's node count.
-  static void export_solution(const McrScratch& scratch, uint32_t num_nodes,
-                              Solution* out);
-  /// Install an exported solution as the warm-start baseline (it must
-  /// describe the caller's current graph).
-  void adopt_solution(Solution sol);
-  /// Rewrite the baseline's policy arc ids through `arc_map` (old id ->
-  /// new id, UINT32_MAX drops the arc) after the caller compacted its arc
-  /// list. Node ids must be unchanged.
-  void remap_baseline_arcs(std::span<const uint32_t> arc_map);
 
-  bool has_baseline() const { return base_nodes_ > 0; }
   size_t cold_solves() const { return cold_solves_; }
   size_t warm_solves() const { return warm_solves_; }
 
  private:
   CycleRatioResult run(const McrArcs& g, std::span<const uint32_t> node_map,
-                       McrScratch& scratch, bool* warmed) const;
+                       bool* warmed);
   void adopt(const McrArcs& g);  ///< scratch_ solution -> baseline
 
   // Baseline: per-node chosen out-arc (UINT32_MAX = none), cycle ratio and
@@ -219,7 +190,7 @@ class McrContext {
 /// grows the block's dictionary and refreshes the potentials. Results are
 /// bit-equal to independent cold solves either way (property-tested).
 ///
-/// Parallelism contract (same as PartitionOptOptions::jobs): samples are
+/// Parallelism contract: samples are
 /// processed in fixed blocks of kBlock; a block's first sample solves from
 /// the cold policy and later samples reuse certificate state within the
 /// block only, so every block is independent of every other. Workers claim

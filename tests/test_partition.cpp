@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <tuple>
 
+#include "base/rng.h"
+#include "base/sha256.h"
 #include "circuits/circuits.h"
+#include "core/certificate.h"
 #include "core/desynchronizer.h"
+#include "ctl/controller.h"
 #include "dlx/cpu_builder.h"
 #include "dlx/programs.h"
+#include "flow/engine.h"
 #include "netlist/builder.h"
 #include "pn/mcr.h"
 #include "verif/flow_equivalence.h"
@@ -343,8 +349,14 @@ void expect_optimized(const Netlist& nl, NetId clk, const char* what) {
   opt.period_budget = 1.05;
   opt.protocol = ctl::Protocol::SemiDecoupled;
   PartitionOptResult r = optimize_partition(nl, clk, tech, opt);
-  // Measurably cheaper than per-flip-flop...
-  EXPECT_LT(r.cost, r.perff_cost / 2) << what;
+  // Measurably cheaper than the flow's own per-flip-flop result...
+  DesyncOptions perff;
+  perff.strategy = PartitionSpec::parse("perff");
+  perff.protocol = opt.protocol;
+  perff.margin = opt.margin;
+  Engine engine(tech);
+  const FlowStats st = engine.run(nl, clk, perff).stats;
+  EXPECT_LT(r.cost, (st.controller_cells + st.delay_cells) / 2) << what;
   EXPECT_GT(r.merges, 0) << what;
   // ...within the stated budget of the Prefix baseline.
   EXPECT_LE(r.period,
@@ -396,20 +408,20 @@ TEST(Optimizer, BeatsPerFlipFlopWithinBudgetOnDlx) {
 // The incremental search vs the cold oracle: identical results.
 // ---------------------------------------------------------------------------
 
-/// The incremental optimizer (delta quotients + warm-started Howard +
-/// bound pruning + parallel waves) must return exactly the partition the
+/// The incremental optimizer (delta quotients + the potential certificate
+/// + bound pruning) must return exactly the partition the
 /// cold reference search does — same merges, same refinement moves, same
 /// final period and synthesized cost. The oracle deliberately skips bound
 /// pruning and re-solves every candidate from scratch, so an invalid
-/// monotone bound or a warm/cold solver divergence shows up here as a
-/// different committed merge.
+/// monotone bound or a certificate/cold solver divergence shows up here as
+/// a different committed merge.
 void expect_matches_reference(const Netlist& nl, NetId clk, double budget,
                               const char* what) {
   const Tech& tech = Tech::generic90();
   PartitionOptOptions opt;
   opt.period_budget = budget;
   opt.protocol = ctl::Protocol::SemiDecoupled;
-  opt.jobs = 3;  // also exercises the parallel-wave path
+  opt.jobs = 3;  // accepted and ignored
   PartitionOptResult inc = optimize_partition(nl, clk, tech, opt);
   PartitionOptResult ref = optimize_partition_reference(nl, clk, tech, opt);
   EXPECT_TRUE(inc.partition == ref.partition)
@@ -456,7 +468,7 @@ TEST(OptimizerEquivalence, DlxMatchesReferenceUnderTightBudget) {
   Netlist nl("dlx");
   dlx::build_dlx(nl, cfg, dlx::fibonacci_program(6));
   // budget 1.0 is the fail-heavy regime: candidates bust the budget, the
-  // bound cache prunes, and waves escalate — the riskiest path to pin.
+  // bound cache prunes — the riskiest path to pin.
   expect_matches_reference(nl, nl.find_net("clk"), 1.0, "dlx");
 }
 
@@ -473,12 +485,245 @@ TEST(Optimizer, ByteIdenticalForAnyJobCount) {
   EXPECT_TRUE(serial.partition == par.partition);
   EXPECT_EQ(serial.period, par.period);
   EXPECT_EQ(serial.cost, par.cost);
-  // Wave composition is jobs-independent, so even the counters agree.
+  // The job count is ignored, so even the counters agree.
   EXPECT_EQ(serial.stats.candidates, par.stats.candidates);
   EXPECT_EQ(serial.stats.pruned, par.stats.pruned);
   EXPECT_EQ(serial.stats.warm_solves, par.stats.warm_solves);
   EXPECT_EQ(serial.stats.cold_solves, par.stats.cold_solves);
   EXPECT_EQ(serial.evaluations, par.evaluations);
+}
+
+// ---------------------------------------------------------------------------
+// BudgetCertificate: every verdict agrees with a cold solve of the
+// candidate quotient, and every failure carries a real over-budget cycle.
+// ---------------------------------------------------------------------------
+
+/// The optimizer's starting point for `nl`: the per-flip-flop control graph
+/// and the mergeable (non-RAM) groups.
+struct FineGraph {
+  AdjacencyResult adj;
+  std::vector<char> merge_ok;
+};
+
+FineGraph fine_graph(const Netlist& nl, NetId clk, ctl::Protocol proto) {
+  Netlist latched = nl;
+  const Partition perff = Partition::per_flip_flop(nl);
+  const LatchifyResult lr = latchify(latched, clk, perff);
+  FineGraph f{extract_control_graph(latched, lr, clk, Tech::generic90(), 1.10,
+                                    proto),
+              {}};
+  for (const PartitionGroup& g : perff.groups()) f.merge_ok.push_back(!g.ram);
+  return f;
+}
+
+/// Check that `cycle` (certificate transition space, under clustering
+/// `cand`) is a closed cycle of real arcs of `cand`'s timed model and that
+/// its exact delay/token ratio is `ratio`.
+void expect_real_cycle(const IncrementalQuotient& cand, ctl::Protocol proto,
+                       const std::vector<BudgetCertificate::CycleArc>& cycle,
+                       double ratio, const std::string& what) {
+  ASSERT_FALSE(cycle.empty()) << what;
+  const Tech& tech = Tech::generic90();
+  const pn::MarkedGraph mg = timed_model(cand.materialize(), proto, tech,
+                                         ctl::min_pulse_width(tech));
+  const std::vector<int> bank_map = cand.bank_map(nullptr);
+  const size_t G = cand.num_groups();
+  auto model_trans = [&](uint32_t t) {
+    const uint32_t qb = t >> 1;
+    const size_t fine_bank =
+        qb >= 2 * G ? qb
+                    : 2 * static_cast<size_t>(cand.members(
+                              static_cast<int>(qb / 2))[0]) +
+                          (qb & 1);
+    return pn::TransId(2 * static_cast<uint32_t>(bank_map[fine_bank]) +
+                       (t & 1));
+  };
+  Ps delay = 0;
+  int64_t tokens = 0;
+  for (size_t i = 0; i < cycle.size(); ++i) {
+    const BudgetCertificate::CycleArc& a = cycle[i];
+    EXPECT_EQ(a.to, cycle[(i + 1) % cycle.size()].from) << what;
+    bool found = false;
+    for (pn::ArcId out : mg.transition(model_trans(a.from)).out) {
+      const pn::Arc& arc = mg.arc(out);
+      found = found || (arc.to == model_trans(a.to) &&
+                        arc.tokens == a.tokens && arc.delay == a.delay);
+    }
+    EXPECT_TRUE(found) << what << ": cycle arc " << a.from << " -> " << a.to
+                       << " is not an arc of the candidate's model";
+    delay += a.delay;
+    tokens += a.tokens;
+  }
+  ASSERT_GT(tokens, 0) << what;
+  EXPECT_EQ(static_cast<double>(delay) / static_cast<double>(tokens), ratio)
+      << what;
+}
+
+TEST(BudgetCertificate, VerdictsMatchColdSolvesOnRandomDeltas) {
+  const Tech& tech = Tech::generic90();
+  size_t passes = 0, failures = 0, moves = 0;
+  for (circuits::Suite& s : circuits::scaling_suite()) {
+    if (s.name != "pipe4x8" && s.name != "counters4x8" &&
+        s.name != "lfsr16" && s.name != "rpipe32x8") {
+      continue;
+    }
+    for (ctl::Protocol proto :
+         {ctl::Protocol::Pulse, ctl::Protocol::SemiDecoupled}) {
+      const FineGraph f =
+          fine_graph(s.circuit.netlist, s.circuit.clock, proto);
+      const double start = predicted_period(f.adj.cg, proto, tech);
+      for (double budget : {1.0, 1.05}) {
+        const double limit = budget * start + 1e-6;
+        IncrementalQuotient cq(f.adj.cg, f.merge_ok);
+        BudgetCertificate cert(f.adj.cg, cq, proto, tech, limit);
+        Rng rng(0x5eed ^ std::hash<std::string>()(s.name) ^
+                static_cast<uint64_t>(budget * 100));
+        const size_t G = cq.num_groups();
+        for (int step = 0; step < 80; ++step) {
+          std::vector<int> live;
+          for (size_t c = 0; c < G; ++c) {
+            if (cq.live(static_cast<int>(c)) &&
+                cq.mergeable(static_cast<int>(c))) {
+              live.push_back(static_cast<int>(c));
+            }
+          }
+          if (live.size() < 2) break;
+          const int x = live[rng.below(live.size())];
+          int y = live[rng.below(live.size())];
+          if (x == y) continue;
+          // A move takes a random member of a multi-member cluster x.
+          const bool move = cq.members(x).size() >= 2 && rng.below(3) == 0;
+          const int g = cq.members(x)[rng.below(cq.members(x).size())];
+          const int keep = std::min(x, y), drop = std::max(x, y);
+          IncrementalQuotient cand = cq;
+          if (move) {
+            cand.move(g, y);
+          } else {
+            cand.merge(keep, drop);
+          }
+          const double cold = predicted_period(cand.materialize(), proto, tech);
+          const std::string what =
+              cat(s.name, " ", ctl::protocol_name(proto), " budget ", budget,
+                  " step ", step, move ? " move" : " merge");
+          const bool pass =
+              move ? cert.probe_move(g, y) : cert.probe_merge(keep, drop);
+          EXPECT_EQ(pass, cold <= limit) << what << ": cold period " << cold;
+          moves += move;
+          if (!pass) {
+            ++failures;
+            EXPECT_GT(cert.failure_ratio(), limit) << what;
+            EXPECT_LE(cert.failure_ratio(), cold) << what;
+            expect_real_cycle(cand, proto, cert.failure_cycle(),
+                              cert.failure_ratio(), what);
+            EXPECT_TRUE(cert.consistent()) << what;
+            continue;
+          }
+          ++passes;
+          if (rng.below(3) != 0) {  // commit most passing deltas
+            if (move) {
+              cert.commit_move(g, y);
+            } else {
+              cert.commit_merge(keep, drop);
+            }
+            EXPECT_TRUE(cert.consistent()) << what;
+          }
+        }
+      }
+    }
+  }
+  // The sweep exercised both verdicts and both delta kinds.
+  EXPECT_GT(passes, 100u);
+  EXPECT_GT(failures, 100u);
+  EXPECT_GT(moves, 20u);
+}
+
+/// The verdict flips exactly at the candidate's period: a limit equal to it
+/// passes, the next double below fails.
+TEST(BudgetCertificate, VerdictFlipsExactlyAtThePeriod) {
+  const Tech& tech = Tech::generic90();
+  size_t checked = 0;
+  for (circuits::Suite& s : circuits::scaling_suite()) {
+    if (s.name != "pipe4x8" && s.name != "lfsr16" && s.name != "crc32") {
+      continue;
+    }
+    for (ctl::Protocol proto :
+         {ctl::Protocol::Pulse, ctl::Protocol::SemiDecoupled}) {
+      const FineGraph f =
+          fine_graph(s.circuit.netlist, s.circuit.clock, proto);
+      const double start = predicted_period(f.adj.cg, proto, tech);
+      Rng rng(0xb0a7 ^ std::hash<std::string>()(s.name));
+      const int G = static_cast<int>(f.merge_ok.size());
+      for (int trial = 0; trial < 12; ++trial) {
+        const int a = static_cast<int>(rng.below(static_cast<uint64_t>(G)));
+        const int b = static_cast<int>(rng.below(static_cast<uint64_t>(G)));
+        if (a == b || !f.merge_ok[static_cast<size_t>(a)] ||
+            !f.merge_ok[static_cast<size_t>(b)]) {
+          continue;
+        }
+        const int keep = std::min(a, b), drop = std::max(a, b);
+        IncrementalQuotient cand(f.adj.cg, f.merge_ok);
+        cand.merge(keep, drop);
+        const double period = predicted_period(cand.materialize(), proto, tech);
+        const double below = std::nextafter(period, 0.0);
+        if (below < start) continue;  // the start itself must fit
+        const std::string what = cat(s.name, " ", ctl::protocol_name(proto),
+                                     " merge ", keep, "+", drop);
+        for (double limit : {period, below}) {
+          IncrementalQuotient cq(f.adj.cg, f.merge_ok);
+          BudgetCertificate cert(f.adj.cg, cq, proto, tech, limit);
+          EXPECT_EQ(cert.probe_merge(keep, drop), limit == period)
+              << what << " at limit " << limit;
+        }
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 20u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden: the standard DLX case study, as recorded before the certificate
+// replaced the warm Howard probes.
+// ---------------------------------------------------------------------------
+
+TEST(Optimizer, StandardDlxMatchesGoldenPartitions) {
+  Netlist nl("dlx");
+  dlx::build_dlx(nl, dlx::DlxConfig{}, dlx::fibonacci_program(8));
+  const NetId clk = nl.find_net("clk");
+  struct Golden {
+    double budget;
+    ctl::Protocol proto;
+    const char* describe_sha256;
+    int merges;
+    size_t groups, cost;
+    double period;
+  };
+  const char* kB102 =
+      "58985d618b76c6ccf7ac5d2723803d30086b699a57b5eed22445e5cd286decbb";
+  const char* kB105 =
+      "e585adb363b6bf7380ce5a102696b6066e70698c132df97e0163ff8c4bdcded3";
+  const Golden golden[] = {
+      {1.02, ctl::Protocol::Pulse, kB102, 764, 3, 121, 3332},
+      {1.02, ctl::Protocol::SemiDecoupled, kB102, 764, 3, 190, 3512},
+      {1.05, ctl::Protocol::Pulse, kB105, 765, 2, 78, 3392},
+      {1.05, ctl::Protocol::SemiDecoupled, kB105, 765, 2, 119, 3572},
+  };
+  for (const Golden& g : golden) {
+    PartitionOptOptions opt;
+    opt.period_budget = g.budget;
+    opt.protocol = g.proto;
+    const PartitionOptResult r =
+        optimize_partition(nl, clk, Tech::generic90(), opt);
+    const std::string what =
+        cat("auto:", g.budget, " ", ctl::protocol_name(g.proto));
+    EXPECT_EQ(sha256(r.partition.describe(nl)).hex(), g.describe_sha256)
+        << what;
+    EXPECT_EQ(r.merges, g.merges) << what;
+    EXPECT_EQ(r.moves, 0) << what;
+    EXPECT_EQ(r.partition.num_groups(), g.groups) << what;
+    EXPECT_EQ(r.cost, g.cost) << what;
+    EXPECT_EQ(r.period, g.period) << what;
+  }
 }
 
 // ---------------------------------------------------------------------------
