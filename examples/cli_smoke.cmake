@@ -55,7 +55,7 @@ if(NOT rc EQUAL 0)
 endif()
 
 # 6. the analytic Monte-Carlo sweep: no simulation, and the JSON report is
-#    byte-identical for any --jobs x --mc-jobs combination.
+#    byte-identical at any --jobs count (--mc-jobs is an alias of --jobs).
 execute_process(COMMAND ${CLI} sweep --margins 1.1 --protocol pulse
     --mc-samples 32 --mc-seed 3 --stable --json mc_serial.json
   WORKING_DIRECTORY ${WORKDIR}

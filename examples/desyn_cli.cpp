@@ -32,9 +32,10 @@
 // nonzero if any combination fails flow equivalence.
 //
 // Each circuit x strategy x protocol x margin cell is an independent task;
-// --jobs N runs them on N worker threads. Results are reported in the same
-// deterministic order regardless of job count, so `--jobs 4` output is
-// byte-identical to a serial run. --json writes a structured report
+// --jobs N runs them on N worker threads and is the sweep's one thread
+// budget (base/parallel.h). Results are reported in the same deterministic
+// order regardless of job count, so `--jobs 4` output is byte-identical to
+// a serial run. --json writes a structured report
 // (schema desyn-sweep-v2, documented in docs/PERF.md, with per-cell
 // partition stats: bank count, controller cells, matched-delay cells);
 // --stable omits the wall-clock fields from it so two runs of the same
@@ -49,13 +50,13 @@
 // matrix orders of magnitude faster:
 //
 //   desyn_cli sweep --mc-samples 256 [--mc-seed S] [--mc-sigma 0.05]
-//                   [--mc-jobs N] [other sweep options]
+//                   [--jobs N] [other sweep options]
 //
-// --mc-jobs N solves each cell's sample batch on N threads; reports are
-// byte-identical for any --mc-jobs x --jobs combination (every draw is a
-// pure function of its (seed, stream, sample) coordinates and the batch
-// solver's blocks warm-start from cold anchors). --json writes schema
-// desyn-mc-v1 instead of the sweep schema.
+// Each cell's sample batch solves on its worker's share of the --jobs
+// budget (--mc-jobs N is an alias of --jobs N); reports are byte-identical
+// at any job count (every draw is a pure function of its (seed, stream,
+// sample) coordinates and the batch solver's blocks warm-start from cold
+// anchors). --json writes schema desyn-mc-v1 instead of the sweep schema.
 //
 // Margin-optimizer mode — replace the uniform matched-delay margin with a
 // per-destination-bank vector sized by the same Monte-Carlo model
@@ -65,7 +66,7 @@
 //
 //   desyn_cli optimize-margins <input.v> <clock-net> [margin] [strategy]
 //                              [--protocol <p>] [--mc-samples N]
-//                              [--mc-seed S] [--mc-sigma X] [--mc-jobs N]
+//                              [--mc-seed S] [--mc-sigma X] [--jobs N]
 //                              [--json <path>] [--out <optimized.v>]
 //   desyn_cli optimize-margins --circuit <suite-name> [margin] [strategy] ...
 //
@@ -128,6 +129,7 @@
 #include "base/cli_args.h"
 #include "base/fault.h"
 #include "base/json.h"
+#include "base/parallel.h"
 #include "check/check.h"
 #include "circuits/circuits.h"
 #include "core/desynchronizer.h"
@@ -151,86 +153,55 @@ using namespace desyn;
 
 namespace {
 
-/// One circuit x strategy x protocol x margin cell of the sweep. Cells are
-/// independent tasks; the vector order is the deterministic report order.
-struct SweepCell {
-  size_t suite_idx;
-  size_t strategy_idx;
-  ctl::Protocol protocol;
-  double margin;
+/// The coordinates of one circuit x strategy x protocol x margin sweep
+/// cell, and its wall time.
+struct CellKey {
+  size_t suite_idx = 0;
+  size_t strategy_idx = 0;
+  ctl::Protocol protocol = ctl::Protocol::Pulse;
+  double margin = 1.0;
+  double wall_ms = 0;
+};
+
+/// One cell of the flow-equivalence sweep.
+struct SweepCell : CellKey {
   Ps sync_period = 0;
   verif::FlowEqResult res;
-  double wall_ms = 0;
   bool ok = false;
 };
 
-/// Structured sweep report (schema "desyn-sweep-v2", see docs/PERF.md).
-/// With `stable` the wall-clock fields are omitted so two runs of the same
-/// sweep — any job count — are byte-identical.
-void write_sweep_json(const std::string& path,
-                      const std::vector<circuits::Suite>& suite,
-                      const std::vector<flow::PartitionSpec>& strategies,
-                      const std::vector<SweepCell>& cells, int rounds,
-                      int failures, bool stable, double total_ms) {
-  std::ofstream out(path);
-  if (!out) fail("cannot write ", path);
-  char buf[256];
-  out << "{\n  \"schema\": \"desyn-sweep-v2\",\n";
-  out << "  \"rounds\": " << rounds << ",\n";
-  out << "  \"cells\": [\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const SweepCell& c = cells[i];
-    const verif::FlowEqResult& r = c.res;
-    out << "    {\"circuit\": \"" << json::escape(suite[c.suite_idx].name)
-        << "\", \"strategy\": \""
-        << json::escape(strategies[c.strategy_idx].label())
-        << "\", \"protocol\": \"" << ctl::protocol_name(c.protocol) << "\",";
-    std::snprintf(buf, sizeof buf, " \"margin\": %.4f,", c.margin);
-    out << buf << "\n     \"banks\": " << r.banks
-        << ", \"controller_cells\": " << r.controller_cells
-        << ", \"delay_cells\": " << r.delay_cells << ",\n";
-    out << "     \"sync_cells\": " << r.sync_cells
-        << ", \"desync_cells\": " << r.desync_cells
-        << ", \"registers\": " << r.registers_compared
-        << ", \"captures\": " << r.captures_compared << ",\n";
-    std::snprintf(buf, sizeof buf,
-                  "     \"sync_period_ps\": %lld, \"predicted_period_ps\": "
-                  "%.6f, \"measured_period_ps\": %.6f,\n",
-                  static_cast<long long>(c.sync_period), r.predicted_period,
-                  r.desync_period);
-    out << buf;
-    out << "     \"sync_setup_violations\": " << r.sync_setup_violations
-        << ", \"desync_setup_violations\": " << r.desync_setup_violations
-        << ", \"equivalent\": " << (r.equivalent ? "true" : "false")
-        << ", \"ok\": " << (c.ok ? "true" : "false");
-    if (!r.mismatch.empty()) {
-      out << ",\n     \"mismatch\": \"" << json::escape(r.mismatch) << "\"";
-    }
-    if (!stable) {
-      std::snprintf(buf, sizeof buf, ",\n     \"wall_ms\": %.3f", c.wall_ms);
-      out << buf;
-    }
-    out << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"failures\": " << failures;
-  if (!stable) {
-    std::snprintf(buf, sizeof buf, ",\n  \"total_wall_ms\": %.3f", total_ms);
-    out << buf;
-  }
-  out << "\n}\n";
-}
-
 /// One cell of the Monte-Carlo sweep (--mc-samples): the analytic variation
 /// report instead of a simulated flow-equivalence run.
-struct McSweepCell {
-  size_t suite_idx;
-  size_t strategy_idx;
-  ctl::Protocol protocol;
-  double margin;
+struct McSweepCell : CellKey {
   flow::McReport rep;
-  double wall_ms = 0;
   std::string error;  ///< nonempty when the flow threw; cell failed
 };
+
+/// One flow-equivalence cell's fields of the desyn-sweep-v2 report.
+void cell_json(std::ostream& out, const SweepCell& c) {
+  const verif::FlowEqResult& r = c.res;
+  char buf[256];
+  out << "\"banks\": " << r.banks
+      << ", \"controller_cells\": " << r.controller_cells
+      << ", \"delay_cells\": " << r.delay_cells << ",\n";
+  out << "     \"sync_cells\": " << r.sync_cells
+      << ", \"desync_cells\": " << r.desync_cells
+      << ", \"registers\": " << r.registers_compared
+      << ", \"captures\": " << r.captures_compared << ",\n";
+  std::snprintf(buf, sizeof buf,
+                "     \"sync_period_ps\": %lld, \"predicted_period_ps\": "
+                "%.6f, \"measured_period_ps\": %.6f,\n",
+                static_cast<long long>(c.sync_period), r.predicted_period,
+                r.desync_period);
+  out << buf;
+  out << "     \"sync_setup_violations\": " << r.sync_setup_violations
+      << ", \"desync_setup_violations\": " << r.desync_setup_violations
+      << ", \"equivalent\": " << (r.equivalent ? "true" : "false")
+      << ", \"ok\": " << (c.ok ? "true" : "false");
+  if (!r.mismatch.empty()) {
+    out << ",\n     \"mismatch\": \"" << json::escape(r.mismatch) << "\"";
+  }
+}
 
 /// One McReport as a JSON object body (shared by the desyn-mc-v1 sweep
 /// report and the optimize-margins report).
@@ -250,170 +221,178 @@ std::string mc_report_json(const flow::McReport& r) {
   return buf;
 }
 
-/// Structured MC sweep report (schema "desyn-mc-v1", see docs/PERF.md).
-/// Deterministic for any --jobs / --mc-jobs combination; --stable omits
-/// the wall-clock fields so two runs diff cleanly.
-void write_mc_json(const std::string& path,
-                   const std::vector<circuits::Suite>& suite,
-                   const std::vector<flow::PartitionSpec>& strategies,
-                   const std::vector<McSweepCell>& cells,
-                   const flow::McOptions& mc, int failures, bool stable,
-                   double total_ms) {
-  std::ofstream out(path);
-  if (!out) fail("cannot write ", path);
-  char buf[256];
-  out << "{\n  \"schema\": \"desyn-mc-v1\",\n";
-  std::snprintf(buf, sizeof buf,
-                "  \"samples\": %zu, \"seed\": %llu, \"sigma\": %.6f,\n",
-                mc.samples, static_cast<unsigned long long>(mc.seed),
-                mc.sigma);
-  out << buf;
-  out << "  \"cells\": [\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const McSweepCell& c = cells[i];
-    out << "    {\"circuit\": \"" << json::escape(suite[c.suite_idx].name)
-        << "\", \"strategy\": \""
-        << json::escape(strategies[c.strategy_idx].label())
-        << "\", \"protocol\": \"" << ctl::protocol_name(c.protocol) << "\",";
-    std::snprintf(buf, sizeof buf, " \"margin\": %.4f,", c.margin);
-    out << buf << "\n     ";
-    if (c.error.empty()) {
-      out << mc_report_json(c.rep) << ", \"ok\": true";
-    } else {
-      out << "\"ok\": false, \"error\": \"" << json::escape(c.error) << "\"";
+/// One Monte-Carlo cell's fields of the desyn-mc-v1 report.
+void cell_json(std::ostream& out, const McSweepCell& c) {
+  if (c.error.empty()) {
+    out << mc_report_json(c.rep) << ", \"ok\": true";
+  } else {
+    out << "\"ok\": false, \"error\": \"" << json::escape(c.error) << "\"";
+  }
+}
+
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// The circuit x strategy x protocol x margin matrix of `desyn_cli sweep`
+/// and its settings. Cells are independent tasks on one --jobs budget; the
+/// cell order is the deterministic report order.
+struct Sweep {
+  std::vector<circuits::Suite> suite;
+  std::vector<flow::PartitionSpec> strategies = {flow::PartitionSpec{}};
+  std::vector<ctl::Protocol> protocols = std::vector<ctl::Protocol>(
+      std::begin(ctl::kAllProtocols), std::end(ctl::kAllProtocols));
+  std::vector<double> margins = {1.0, 1.1, 1.3};
+  int jobs = 1;
+  bool stable = false;
+  std::string json_path;
+  double total_ms = 0;  ///< wall time of the last run()
+
+  /// Every cell in report order, each filled by fill(cell) and timed.
+  template <class Cell, class Fill>
+  std::vector<Cell> run(const Fill& fill) {
+    std::vector<Cell> cells;
+    for (size_t si = 0; si < suite.size(); ++si) {
+      for (size_t st = 0; st < strategies.size(); ++st) {
+        for (ctl::Protocol p : protocols) {
+          for (double m : margins) {
+            static_cast<CellKey&>(cells.emplace_back()) = {si, st, p, m, 0.0};
+          }
+        }
+      }
     }
+    const auto t0 = std::chrono::steady_clock::now();
+    parallel_for(cells.size(), jobs, [&](size_t i) {
+      const auto start = std::chrono::steady_clock::now();
+      fill(cells[i]);
+      cells[i].wall_ms = ms_since(start);
+    });
+    total_ms = ms_since(t0);
+    return cells;
+  }
+
+  /// The circuit, strategy, protocol and margin columns of a table row.
+  void print_key(const CellKey& c) const {
+    printf("%-12s %-10s %-15s %-7.2f ", suite[c.suite_idx].name.c_str(),
+           strategies[c.strategy_idx].label().c_str(),
+           ctl::protocol_name(c.protocol), c.margin);
+  }
+
+  /// Structured report (schemas desyn-sweep-v2 and desyn-mc-v1, see
+  /// docs/PERF.md): `head` (schema and run-wide fields), one object per
+  /// cell holding its coordinates and cell_json(), then the failure count.
+  /// With `stable` the wall-clock fields are omitted so two runs of the
+  /// same sweep — any job count — are byte-identical.
+  template <class Cell>
+  void write_json(const std::string& head, const std::vector<Cell>& cells,
+                  int failures) const {
+    std::ofstream out(json_path);
+    if (!out) fail("cannot write ", json_path);
+    char buf[64];
+    out << "{\n" << head << "  \"cells\": [\n";
+    for (size_t i = 0; i < cells.size(); ++i) {
+      const Cell& c = cells[i];
+      out << "    {\"circuit\": \"" << json::escape(suite[c.suite_idx].name)
+          << "\", \"strategy\": \""
+          << json::escape(strategies[c.strategy_idx].label())
+          << "\", \"protocol\": \"" << ctl::protocol_name(c.protocol) << "\",";
+      std::snprintf(buf, sizeof buf, " \"margin\": %.4f,\n     ", c.margin);
+      out << buf;
+      cell_json(out, c);
+      if (!stable) {
+        std::snprintf(buf, sizeof buf, ",\n     \"wall_ms\": %.3f", c.wall_ms);
+        out << buf;
+      }
+      out << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
+    }
+    out << "  ],\n  \"failures\": " << failures;
     if (!stable) {
-      std::snprintf(buf, sizeof buf, ",\n     \"wall_ms\": %.3f", c.wall_ms);
+      std::snprintf(buf, sizeof buf, ",\n  \"total_wall_ms\": %.3f", total_ms);
       out << buf;
     }
-    out << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
+    out << "\n}\n";
   }
-  out << "  ],\n  \"failures\": " << failures;
-  if (!stable) {
-    std::snprintf(buf, sizeof buf, ",\n  \"total_wall_ms\": %.3f", total_ms);
-    out << buf;
-  }
-  out << "\n}\n";
-}
+};
 
 /// The --mc-samples branch of `sweep`: every cell runs through the flow
 /// engine's cached MC stage instead of the flow-equivalence checker.
-int run_mc_sweep(const std::vector<circuits::Suite>& suite,
-                 const std::vector<flow::PartitionSpec>& strategies,
-                 const std::vector<ctl::Protocol>& protocols,
-                 const std::vector<double>& margins,
-                 const flow::McOptions& mc, int jobs, int opt_jobs,
-                 const std::string& json_path, bool stable) {
-  std::vector<McSweepCell> cells;
-  for (size_t si = 0; si < suite.size(); ++si) {
-    for (size_t st = 0; st < strategies.size(); ++st) {
-      for (ctl::Protocol p : protocols) {
-        for (double m : margins) cells.push_back({si, st, p, m, {}, 0.0, ""});
-      }
-    }
-  }
-
-  const cell::Tech& tech = cell::Tech::generic90();
-  flow::Engine& engine = flow::Engine::process(tech);
-  auto t0 = std::chrono::steady_clock::now();
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    for (;;) {
-      size_t i = next.fetch_add(1);
-      if (i >= cells.size()) return;
-      McSweepCell& c = cells[i];
-      const circuits::Suite& s = suite[c.suite_idx];
-      auto start = std::chrono::steady_clock::now();
-      flow::DesyncOptions opt;
-      opt.strategy = strategies[c.strategy_idx];
-      opt.margin = c.margin;
-      opt.protocol = c.protocol;
-      opt.opt_jobs = opt_jobs;
-      try {
-        c.rep = *engine.mc(s.circuit.netlist, s.circuit.clock, opt, mc);
-      } catch (const std::exception& e) {
-        c.error = e.what();  // recorded per cell, sweep continues
-      }
-      c.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    }
-  };
-  std::vector<std::thread> pool;
-  jobs = std::min(jobs, static_cast<int>(cells.size()));
-  for (int j = 1; j < jobs; ++j) pool.emplace_back(worker);
-  worker();
-  for (std::thread& th : pool) th.join();
-  double total_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
+int run_mc_sweep(Sweep& sweep, const flow::McOptions& mc) {
+  flow::Engine& engine = flow::Engine::process(cell::Tech::generic90());
+  const std::vector<McSweepCell> cells =
+      sweep.run<McSweepCell>([&](McSweepCell& c) {
+        const circuits::Suite& s = sweep.suite[c.suite_idx];
+        flow::DesyncOptions opt;
+        opt.strategy = sweep.strategies[c.strategy_idx];
+        opt.margin = c.margin;
+        opt.protocol = c.protocol;
+        try {
+          c.rep = *engine.mc(s.circuit.netlist, s.circuit.clock, opt, mc);
+        } catch (const std::exception& e) {
+          c.error = e.what();  // recorded per cell, sweep continues
+        }
+      });
 
   printf("%-12s %-10s %-15s %-7s %10s %10s %10s %10s %10s %6s\n", "circuit",
          "strategy", "protocol", "margin", "nom(ps)", "p50(ps)", "p95(ps)",
          "max(ps)", "slackmin", "yield");
   int failures = 0;
   for (const McSweepCell& c : cells) {
+    sweep.print_key(c);
     if (!c.error.empty()) {
       ++failures;
-      printf("%-12s %-10s %-15s %-7.2f FAILED: %s\n",
-             suite[c.suite_idx].name.c_str(),
-             strategies[c.strategy_idx].label().c_str(),
-             ctl::protocol_name(c.protocol), c.margin, c.error.c_str());
+      printf("FAILED: %s\n", c.error.c_str());
       continue;
     }
-    printf("%-12s %-10s %-15s %-7.2f %10.0f %10.0f %10.0f %10.0f %10.0f "
-           "%6.3f\n",
-           suite[c.suite_idx].name.c_str(),
-           strategies[c.strategy_idx].label().c_str(),
-           ctl::protocol_name(c.protocol), c.margin, c.rep.nominal_period,
+    printf("%10.0f %10.0f %10.0f %10.0f %10.0f %6.3f\n", c.rep.nominal_period,
            c.rep.period.p50, c.rep.period.p95, c.rep.period.max,
            c.rep.min_slack.min, c.rep.yield);
   }
   printf("\n%d combination(s) failed (%zu samples each)\n", failures,
          mc.samples + 1);
-  if (!json_path.empty()) {
-    write_mc_json(json_path, suite, strategies, cells, mc, failures, stable,
-                  total_ms);
+  if (!sweep.json_path.empty()) {
+    char head[256];
+    std::snprintf(head, sizeof head,
+                  "  \"schema\": \"desyn-mc-v1\",\n"
+                  "  \"samples\": %zu, \"seed\": %llu, \"sigma\": %.6f,\n",
+                  mc.samples, static_cast<unsigned long long>(mc.seed),
+                  mc.sigma);
+    sweep.write_json(head, cells, failures);
   }
   return failures == 0 ? 0 : 1;
 }
 
 int run_sweep(int argc, char** argv) {
-  std::vector<double> margins = {1.0, 1.1, 1.3};
-  std::vector<ctl::Protocol> protocols(std::begin(ctl::kAllProtocols),
-                                       std::end(ctl::kAllProtocols));
-  std::vector<flow::PartitionSpec> strategies = {flow::PartitionSpec{}};
+  Sweep sweep;
   int rounds = 25;
-  int jobs = 1;
-  int opt_jobs = 1;
   bool full_suite = false;
-  bool stable = false;
   bool mc_mode = false;
   flow::McOptions mc;
-  std::string json_path;
   for (int i = 2; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--margins") {
-      margins = cli::parse_margins(cli::need_value(argc, argv, i, "--margins"));
+      sweep.margins =
+          cli::parse_margins(cli::need_value(argc, argv, i, "--margins"));
     } else if (a == "--strategies") {
-      strategies =
+      sweep.strategies =
           cli::parse_strategies(cli::need_value(argc, argv, i, "--strategies"));
     } else if (a == "--protocol") {
       std::string v = cli::need_value(argc, argv, i, "--protocol");
-      if (v != "all") protocols = {ctl::parse_protocol(v)};
+      if (v != "all") sweep.protocols = {ctl::parse_protocol(v)};
     } else if (a == "--rounds") {
       rounds = cli::parse_count(cli::need_value(argc, argv, i, "--rounds"),
                                 "--rounds value");
-    } else if (a == "--jobs") {
-      jobs = cli::parse_count(cli::need_value(argc, argv, i, "--jobs"),
-                              "--jobs value");
-    } else if (a == "--opt-jobs") {
-      opt_jobs = cli::parse_count(cli::need_value(argc, argv, i, "--opt-jobs"),
-                                  "--opt-jobs value");
+    } else if (a == "--jobs" || a == "--mc-jobs") {  // --mc-jobs: alias
+      sweep.jobs = cli::parse_count(cli::need_value(argc, argv, i, a.c_str()),
+                                    (a + " value").c_str());
+    } else if (a == "--opt-jobs") {  // accepted and ignored
+      cli::parse_count(cli::need_value(argc, argv, i, "--opt-jobs"),
+                       "--opt-jobs value");
     } else if (a == "--json") {
-      json_path = cli::need_value(argc, argv, i, "--json");
+      sweep.json_path = cli::need_value(argc, argv, i, "--json");
     } else if (a == "--stable") {
-      stable = true;
+      sweep.stable = true;
     } else if (a == "--full-suite") {
       full_suite = true;
     } else if (a == "--mc-samples") {
@@ -427,9 +406,6 @@ int run_sweep(int argc, char** argv) {
     } else if (a == "--mc-sigma") {
       mc.sigma = cli::parse_nonneg(
           cli::need_value(argc, argv, i, "--mc-sigma"), "--mc-sigma value");
-    } else if (a == "--mc-jobs") {
-      mc.jobs = cli::parse_count(cli::need_value(argc, argv, i, "--mc-jobs"),
-                                 "--mc-jobs value");
     } else {
       fail("unknown sweep option '", a, "'");
     }
@@ -437,76 +413,45 @@ int run_sweep(int argc, char** argv) {
 
   // The compact mix keeps the sweep CI-friendly; --full-suite runs all of
   // circuits::scaling_suite() (the largest entries dominate the runtime).
-  std::vector<circuits::Suite> suite;
   for (circuits::Suite& s : circuits::scaling_suite()) {
     if (full_suite || s.name == "pipe4x8" || s.name == "lfsr16" ||
         s.name == "counters4x8" || s.name == "crc32" || s.name == "fir8x12" ||
         s.name == "mesh6x6x2") {
-      suite.push_back(std::move(s));
+      sweep.suite.push_back(std::move(s));
     }
   }
 
   if (mc_mode) {
-    return run_mc_sweep(suite, strategies, protocols, margins, mc, jobs,
-                        opt_jobs, json_path, stable);
+    mc.jobs = sweep.jobs;  // each cell's batch: its worker's share of it
+    return run_mc_sweep(sweep, mc);
   }
 
   const cell::Tech& tech = cell::Tech::generic90();
 
-  // Deterministic task list; the STA minimum period per circuit is shared
-  // by all of its cells, so compute it up front.
+  // The STA minimum period per circuit is shared by all of its cells, so
+  // compute it up front.
   std::vector<Ps> sync_periods;
-  for (const circuits::Suite& s : suite) {
+  for (const circuits::Suite& s : sweep.suite) {
     sta::Sta sta(s.circuit.netlist, tech);
     sync_periods.push_back(sta.min_clock_period().min_period);
   }
-  std::vector<SweepCell> cells;
-  for (size_t si = 0; si < suite.size(); ++si) {
-    for (size_t st = 0; st < strategies.size(); ++st) {
-      for (ctl::Protocol p : protocols) {
-        for (double m : margins) {
-          cells.push_back({si, st, p, m, sync_periods[si], {}, 0.0, false});
-        }
-      }
+  const std::vector<SweepCell> cells = sweep.run<SweepCell>([&](SweepCell& c) {
+    const circuits::Suite& s = sweep.suite[c.suite_idx];
+    c.sync_period = sync_periods[c.suite_idx];
+    verif::FlowEqOptions opt;
+    opt.rounds = rounds;
+    opt.desync.strategy = sweep.strategies[c.strategy_idx];
+    opt.desync.margin = c.margin;
+    opt.desync.protocol = c.protocol;
+    try {
+      c.res = verif::check_flow_equivalence(s.circuit.netlist, s.circuit.clock,
+                                            verif::random_stimulus(17), tech,
+                                            opt);
+    } catch (const std::exception& e) {
+      c.res.mismatch = e.what();  // recorded per cell, sweep continues
     }
-  }
-
-  auto t0 = std::chrono::steady_clock::now();
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    for (;;) {
-      size_t i = next.fetch_add(1);
-      if (i >= cells.size()) return;
-      SweepCell& c = cells[i];
-      const circuits::Suite& s = suite[c.suite_idx];
-      auto start = std::chrono::steady_clock::now();
-      verif::FlowEqOptions opt;
-      opt.rounds = rounds;
-      opt.desync.strategy = strategies[c.strategy_idx];
-      opt.desync.margin = c.margin;
-      opt.desync.protocol = c.protocol;
-      opt.desync.opt_jobs = opt_jobs;
-      try {
-        c.res = verif::check_flow_equivalence(
-            s.circuit.netlist, s.circuit.clock, verif::random_stimulus(17),
-            tech, opt);
-      } catch (const std::exception& e) {
-        c.res.mismatch = e.what();  // recorded per cell, sweep continues
-      }
-      c.ok = c.res.equivalent && c.res.desync_setup_violations == 0;
-      c.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    }
-  };
-  std::vector<std::thread> pool;
-  jobs = std::min(jobs, static_cast<int>(cells.size()));
-  for (int j = 1; j < jobs; ++j) pool.emplace_back(worker);
-  worker();
-  for (std::thread& th : pool) th.join();
-  double total_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
+    c.ok = c.res.equivalent && c.res.desync_setup_violations == 0;
+  });
 
   printf("%-12s %-10s %-15s %-7s %6s %9s %10s %10s %8s %5s\n", "circuit",
          "strategy", "protocol", "margin", "banks", "sync(ps)", "pred(ps)",
@@ -514,10 +459,8 @@ int run_sweep(int argc, char** argv) {
   int failures = 0;
   for (const SweepCell& c : cells) {
     if (!c.ok) ++failures;
-    printf("%-12s %-10s %-15s %-7.2f %6zu %9lld %10.0f %10.0f %8.2f %5s\n",
-           suite[c.suite_idx].name.c_str(),
-           strategies[c.strategy_idx].label().c_str(),
-           ctl::protocol_name(c.protocol), c.margin, c.res.banks,
+    sweep.print_key(c);
+    printf("%6zu %9lld %10.0f %10.0f %8.2f %5s\n", c.res.banks,
            static_cast<long long>(c.sync_period), c.res.predicted_period,
            c.res.desync_period,
            c.res.predicted_period > 0
@@ -529,9 +472,10 @@ int run_sweep(int argc, char** argv) {
     }
   }
   printf("\n%d combination(s) failed\n", failures);
-  if (!json_path.empty()) {
-    write_sweep_json(json_path, suite, strategies, cells, rounds, failures,
-                     stable, total_ms);
+  if (!sweep.json_path.empty()) {
+    sweep.write_json(cat("  \"schema\": \"desyn-sweep-v2\",\n  \"rounds\": ",
+                         rounds, ",\n"),
+                     cells, failures);
   }
   return failures == 0 ? 0 : 1;
 }
@@ -815,9 +759,9 @@ int run_optimize_margins(int argc, char** argv) {
     } else if (a == "--mc-sigma") {
       mc.sigma = cli::parse_nonneg(
           cli::need_value(argc, argv, i, "--mc-sigma"), "--mc-sigma value");
-    } else if (a == "--mc-jobs") {
-      mc.jobs = cli::parse_count(cli::need_value(argc, argv, i, "--mc-jobs"),
-                                 "--mc-jobs value");
+    } else if (a == "--jobs" || a == "--mc-jobs") {  // --mc-jobs: alias
+      mc.jobs = cli::parse_count(cli::need_value(argc, argv, i, a.c_str()),
+                                 (a + " value").c_str());
     } else {
       pos.push_back(a);
     }
@@ -986,16 +930,15 @@ int run_single(int argc, char** argv) {
   // Positional arguments with optional flags anywhere after them.
   std::vector<std::string> pos;
   ctl::Protocol protocol = ctl::Protocol::Pulse;
-  int opt_jobs = 1;
   std::string cache_dir;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--protocol") {
       protocol =
           ctl::parse_protocol(cli::need_value(argc, argv, i, "--protocol"));
-    } else if (a == "--opt-jobs") {
-      opt_jobs = cli::parse_count(
-          cli::need_value(argc, argv, i, "--opt-jobs"), "--opt-jobs value");
+    } else if (a == "--opt-jobs") {  // accepted and ignored
+      cli::parse_count(cli::need_value(argc, argv, i, "--opt-jobs"),
+                       "--opt-jobs value");
     } else if (a == "--cache-dir") {
       cache_dir = cli::need_value(argc, argv, i, "--cache-dir");
     } else {
@@ -1014,11 +957,11 @@ int run_single(int argc, char** argv) {
                  "                 [--rounds N] [--full-suite] [--jobs N] "
                  "[--opt-jobs N] [--json <path>] [--stable]\n"
                  "                 [--mc-samples N [--mc-seed S] "
-                 "[--mc-sigma X] [--mc-jobs N]]  (analytic MC mode)\n"
+                 "[--mc-sigma X]]  (analytic MC mode)\n"
                  "       desyn_cli optimize-margins <input.v> <clock-net> "
                  "[margin] [strategy] [--protocol <p>]\n"
                  "                 [--mc-samples N] [--mc-seed S] "
-                 "[--mc-sigma X] [--mc-jobs N] [--json <path>] "
+                 "[--mc-sigma X] [--jobs N] [--json <path>] "
                  "[--out <file.v>]\n"
                  "       desyn_cli optimize-margins --circuit <suite-name> "
                  "[margin] [strategy] [...]\n"
@@ -1047,7 +990,6 @@ int run_single(int argc, char** argv) {
 
   flow::DesyncOptions opt;
   opt.protocol = protocol;
-  opt.opt_jobs = opt_jobs;
   if (pos.size() > 3) opt.margin = cli::parse_margin(pos[3]);
   if (pos.size() > 4) opt.strategy = flow::PartitionSpec::parse(pos[4]);
 

@@ -9,7 +9,7 @@
 // identical no matter which thread computes it or in what order —
 // order-independence by construction. Monte-Carlo delay sampling
 // (cell/variation.h) keys every per-gate draw this way, which is what makes
-// sample i byte-identical at any --mc-jobs count.
+// sample i byte-identical at any --jobs count.
 #pragma once
 
 #include <cstdint>

@@ -10,7 +10,7 @@
 //     truncated-Gaussian factor per element.
 // Draws are counter-based (base/rng.h): factor(stream, sample) is a pure
 // function of (seed, stream, sample), so sample i is byte-identical no
-// matter how many --mc-jobs workers compute it or in which order.
+// matter how many --jobs workers compute it or in which order.
 #pragma once
 
 #include <cstdint>

@@ -24,7 +24,7 @@ constexpr Ps kGuardPs = 8;
 // Stream-key derivation: every sampled element owns a distinct 64-bit
 // stream, a pure function of what the element *is* (kind, bank, index) —
 // never of evaluation order, so reports are byte-identical for any
-// --mc-jobs count or loop restructuring.
+// --jobs count or loop restructuring.
 enum StreamKind : uint64_t {
   kLineCell = 1,  ///< (bank, cell index): one DELAY cell of the bank's line
   kCtrlInv = 2,   ///< (bank): the marking inverter of its controller

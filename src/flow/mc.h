@@ -23,7 +23,7 @@
 //                    flow-equivalent (asserted by tests/test_mc.cpp).
 //
 // Determinism: every draw is a pure function of (seed, stream, sample), so
-// reports are byte-identical for any --mc-jobs count (the batch solver's
+// reports are byte-identical for any --jobs count (the batch solver's
 // block contract) and for any evaluation order.
 #pragma once
 
@@ -39,8 +39,8 @@ struct McOptions {
   /// Corner factors prepended to the sample space; keep 1.0 first so
   /// sample 0 is the nominal design (optimize_margins relies on it).
   std::vector<double> corners = {1.0};
-  /// Worker threads for the batch MCR solve; byte-identical results for
-  /// any value (pn::McrBatch contract). Excluded from engine cache keys.
+  /// Worker threads for the batch MCR solve (a parallel_for budget);
+  /// byte-identical results for any value. Excluded from engine cache keys.
   int jobs = 1;
 };
 

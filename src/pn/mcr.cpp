@@ -1,13 +1,10 @@
 #include "pn/mcr.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
-#include <mutex>
-#include <thread>
 
 #include "base/cancel.h"
+#include "base/parallel.h"
 #include "pn/analysis.h"
 
 namespace desyn::pn {
@@ -769,7 +766,9 @@ std::vector<CycleRatioResult> McrBatch::solve_all(std::span<const Ps> delays,
     }
     return true;
   };
-  auto run_block = [&](McrScratch& s, size_t b) {
+  auto run_block = [&](size_t b) {
+    // One scratch copy per block, cheaper than the block's cold start.
+    McrScratch s = structure_;
     const size_t lo = b * kBlock;
     const size_t hi = std::min(samples, lo + kBlock);
     BlockState bs;
@@ -807,47 +806,10 @@ std::vector<CycleRatioResult> McrBatch::solve_all(std::span<const Ps> delays,
     }
   };
 
-  const int workers = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(std::max(jobs, 1)), blocks));
-  if (workers <= 1) {
-    McrScratch s = structure_;
-    for (size_t b = 0; b < blocks; ++b) run_block(s, b);
-    return out;
-  }
-  // Workers claim whole blocks; every block's solves depend only on data
-  // inside the block and results land at fixed sample indices, so the
-  // output is byte-identical at any worker count.
-  //
-  // The caller's cancel token (a thread-local) is re-installed inside each
-  // worker so a request deadline also aborts batch solves; a throw inside a
-  // worker is parked and rethrown on the caller after the join, because an
-  // exception escaping a std::thread body is std::terminate.
-  const CancelToken* cancel = current_cancel();
-  std::atomic<size_t> next{0};
-  std::atomic<bool> aborted{false};
-  std::exception_ptr error;
-  std::mutex error_mu;
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      CancelScope scope(cancel);
-      McrScratch s = structure_;  // shared structure, private solve state
-      try {
-        for (size_t b = next.fetch_add(1);
-             b < blocks && !aborted.load(std::memory_order_relaxed);
-             b = next.fetch_add(1)) {
-          run_block(s, b);
-        }
-      } catch (...) {
-        aborted.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) error = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  if (error) std::rethrow_exception(error);
+  // Every block's solves depend only on data inside the block and results
+  // land at fixed sample indices, so the output is byte-identical at any
+  // job count.
+  parallel_for(blocks, jobs, run_block);
   return out;
 }
 

@@ -190,12 +190,12 @@ class McrContext {
 /// grows the block's dictionary and refreshes the potentials. Results are
 /// bit-equal to independent cold solves either way (property-tested).
 ///
-/// Parallelism contract: samples are
-/// processed in fixed blocks of kBlock; a block's first sample solves from
-/// the cold policy and later samples reuse certificate state within the
-/// block only, so every block is independent of every other. Workers claim
-/// whole blocks and write results by sample index — byte-identical output
-/// at any `jobs` count, and identical to jobs = 1.
+/// Parallelism contract: samples are processed in fixed blocks of kBlock; a
+/// block's first sample solves from the cold policy and later samples reuse
+/// certificate state within the block only, so every block is independent
+/// of every other. Blocks are the granules of one parallel_for
+/// (base/parallel.h) and write results by sample index — byte-identical
+/// output at any `jobs` count, and identical to jobs = 1.
 class McrBatch {
  public:
   /// Samples per certificate block (also the parallel work granule). Each
@@ -230,7 +230,7 @@ class McrBatch {
   uint32_t num_nodes_ = 0;
   std::vector<uint32_t> from_, to_;
   std::vector<int32_t> tokens_;
-  McrScratch structure_;  ///< built once; copied into each worker's scratch
+  McrScratch structure_;  ///< built once; copied into each block's scratch
   int comps_ = 0;
   /// Every 1- and 2-arc cycle of the graph, canonical arc order — the
   /// structural seed of each block's critical-cycle dictionary.

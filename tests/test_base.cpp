@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "base/cancel.h"
+#include "base/parallel.h"
 #include "base/rng.h"
 #include "base/sha256.h"
 
@@ -208,6 +214,158 @@ TEST(Sha256, HexIsLowercase64Chars) {
   for (char c : hex) {
     EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << c;
   }
+}
+
+// ---------------------------------------------------------------------------
+// parallel_for: the one executor
+// ---------------------------------------------------------------------------
+
+TEST(Parallel, ResultsIdenticalAtAnyJobCount) {
+  for (size_t granules : {size_t{0}, size_t{1}, size_t{7}, size_t{64}}) {
+    std::vector<uint64_t> serial(granules);
+    for (size_t g = 0; g < granules; ++g) serial[g] = rng_draw(5, g, 0);
+    for (int jobs : {1, 2, 3, 8}) {
+      std::vector<uint64_t> out(granules, 0);
+      std::vector<int> calls(granules, 0);
+      parallel_for(granules, jobs, [&](size_t g) {
+        out[g] = rng_draw(5, g, 0);
+        ++calls[g];
+      });
+      EXPECT_EQ(out, serial) << granules << " granules, jobs " << jobs;
+      EXPECT_EQ(calls, std::vector<int>(granules, 1))
+          << granules << " granules, jobs " << jobs;
+    }
+  }
+}
+
+/// Waits (up to 2 s) until `n` granules have bumped `started`; true when
+/// they all did, i.e. the `n` granules were in flight at once.
+bool all_started(std::atomic<size_t>& started, size_t n) {
+  started.fetch_add(1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (started.load() < n && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  return started.load() >= n;
+}
+
+/// Four granules at jobs 4, all in flight at once; the ones on the calling
+/// thread (`on_caller`) or on the spawned workers (otherwise) throw
+/// `thrown`, which must reach the caller as `E` after the join.
+template <class E, class Thrown>
+void expect_rethrown(const Thrown& thrown, bool on_caller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<size_t> started{0};
+  auto granule = [&](size_t) {
+    if (all_started(started, 4) &&
+        (std::this_thread::get_id() == caller) == on_caller) {
+      throw thrown;
+    }
+  };
+  EXPECT_THROW(parallel_for(4, 4, granule), E);
+}
+
+TEST(Parallel, ExceptionsReachTheCallerAfterTheJoin) {
+  expect_rethrown<Error>(Error("granule failed"), false);
+  expect_rethrown<std::runtime_error>(std::runtime_error("boom"), false);
+  expect_rethrown<int>(42, false);
+  // The caller's thread is a worker too; a throw there is parked the same
+  // way while the spawned workers drain.
+  expect_rethrown<Error>(Error("caller granule"), true);
+}
+
+TEST(Parallel, ThrowStopsTheHandOut) {
+  // Granules 0-3 run at once, one per worker. The caller's throws; the
+  // spawned workers finish theirs well after it and must then find the
+  // hand-out closed, so none of granules 4-63 runs.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<size_t> started{0};
+  std::atomic<bool> thrown{false};
+  std::atomic<int> later{0};
+  auto granule = [&](size_t g) {
+    if (g >= 4) {
+      later.fetch_add(1);
+      return;
+    }
+    EXPECT_TRUE(all_started(started, 4));
+    if (std::this_thread::get_id() == caller) {
+      thrown = true;
+      throw Error("stop");
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!thrown && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  };
+  EXPECT_THROW(parallel_for(64, 4, granule), Error);
+  EXPECT_EQ(later.load(), 0);
+}
+
+TEST(Parallel, CallerCancelScopeReachesEveryWorker) {
+  CancelToken t;
+  t.set_deadline_after_ms(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  CancelScope scope(&t);
+  // Every worker, spawned or not, sees the caller's expired token.
+  std::atomic<size_t> started{0};
+  std::atomic<int> expired{0};
+  parallel_for(4, 4, [&](size_t) {
+    EXPECT_TRUE(all_started(started, 4));
+    try {
+      cancel_point();
+    } catch (const DeadlineError&) {
+      expired.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(expired.load(), 4);
+  // Uncaught, the first DeadlineError stops the hand-out and reaches the
+  // caller: at most one granule per worker runs.
+  std::atomic<int> ran{0};
+  auto granule = [&](size_t) {
+    ran.fetch_add(1);
+    cancel_point();
+  };
+  EXPECT_THROW(parallel_for(16, 4, granule), DeadlineError);
+  EXPECT_LE(ran.load(), 4);
+}
+
+/// True when all `inner` granules of every nested call were in flight at
+/// once.
+bool nested_granules_run_together(size_t outer, size_t inner) {
+  std::vector<uint8_t> together(outer * inner, 0);
+  parallel_for(outer, 4, [&](size_t o) {
+    std::atomic<size_t> started{0};
+    parallel_for(inner, 4, [&](size_t i) {
+      together[o * inner + i] = all_started(started, inner);
+    });
+  });
+  return std::all_of(together.begin(), together.end(),
+                     [](uint8_t t) { return t != 0; });
+}
+
+TEST(Parallel, NestedCallsShareOneJobsBudget) {
+  // Eight outer granules at jobs 4 take four workers, each with share 1,
+  // so every nested call runs inline on the worker that made it.
+  std::vector<std::thread::id> outer_id(8), inner_id(8 * 4);
+  parallel_for(8, 4, [&](size_t o) {
+    outer_id[o] = std::this_thread::get_id();
+    parallel_for(4, 4, [&](size_t i) {
+      inner_id[o * 4 + i] = std::this_thread::get_id();
+    });
+  });
+  for (size_t o = 0; o < 8; ++o) {
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(inner_id[o * 4 + i], outer_id[o]) << o << "/" << i;
+    }
+  }
+  // Two outer granules at jobs 4: each worker's share is 2, so the two
+  // nested granules of each call run on two threads at once.
+  EXPECT_TRUE(nested_granules_run_together(2, 2));
+  // One outer granule runs inline with the whole budget.
+  EXPECT_TRUE(nested_granules_run_together(1, 4));
 }
 
 }  // namespace

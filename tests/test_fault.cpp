@@ -24,6 +24,7 @@
 #include "flow/engine.h"
 #include "netlist/builder.h"
 #include "netlist/writer.h"
+#include "pn/mcr.h"
 #include "svc/client.h"
 #include "svc/server.h"
 
@@ -244,6 +245,29 @@ TEST(Cancel, ExpiredDeadlineAbortsParallelPartitionRun) {
   CancelScope scope(&t);
   EXPECT_THROW(engine.run(mesh.netlist, mesh.clock, parallel_auto()),
                DeadlineError);
+}
+
+// A request deadline reaches the Monte-Carlo batch solver's worker threads:
+// an expired scope aborts a four-worker solve_all with the typed error.
+TEST(Cancel, ExpiredDeadlineAbortsBatchSolve) {
+  pn::MarkedGraph ring("ring");
+  const pn::TransId a = ring.add_transition("a");
+  const pn::TransId b = ring.add_transition("b");
+  ring.add_arc(a, b, 1, 100);
+  ring.add_arc(b, a, 0, 50);
+  const pn::McrFlat flat = pn::flatten(ring);
+  const pn::McrBatch batch(flat.view());
+  const size_t samples = 4 * pn::McrBatch::kBlock;  // a block per worker
+  std::vector<Ps> rows;
+  for (size_t s = 0; s < samples; ++s) {
+    rows.insert(rows.end(), flat.delay.begin(), flat.delay.end());
+  }
+  ASSERT_EQ(batch.solve_all(rows, samples, 4).size(), samples);
+  CancelToken t;
+  t.set_deadline_after_ms(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  CancelScope scope(&t);
+  EXPECT_THROW(batch.solve_all(rows, samples, 4), DeadlineError);
 }
 
 // A throw inside a candidate probe of the partition optimizer reaches the
