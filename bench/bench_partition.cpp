@@ -14,8 +14,8 @@
 // auto:* rows additionally report the optimizer's scaling counters
 // (candidates / pruned / warm / cold solves) and wall time.
 //
-//   bench_partition [--only d1,d2] [--strategies s1,s2] [--opt-jobs N]
-//                   [--json <path>] [--budget-ms M]
+//   bench_partition [--only d1,d2] [--strategies s1,s2] [--json <path>]
+//                   [--budget-ms M]
 //
 // --only filters the design list by name; --budget-ms M makes the bench
 // exit nonzero if any auto:* case exceeds M wall milliseconds — the CI
@@ -95,14 +95,12 @@ struct Case {
   int merges = 0, moves = 0;
 };
 
-void write_json(const std::string& path, const std::vector<Case>& cases,
-                int opt_jobs) {
+void write_json(const std::string& path, const std::vector<Case>& cases) {
   std::ofstream out(path);
   if (!out) fail("cannot write ", path);
   char buf[128];
   out << "{\n  \"schema\": \"desyn-bench-v1\",\n"
-      << "  \"bench\": \"bench_partition\",\n"
-      << "  \"opt_jobs\": " << opt_jobs << ",\n  \"cases\": [\n";
+      << "  \"bench\": \"bench_partition\",\n  \"cases\": [\n";
   for (size_t i = 0; i < cases.size(); ++i) {
     const Case& c = cases[i];
     out << "    {\"design\": \"" << c.design << "\", \"strategy\": \""
@@ -133,7 +131,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> strategies = {"prefix",    "perff",     "single",
                                          "auto:1.02", "auto:1.05", "auto:1.2"};
   std::string json_path;
-  int opt_jobs = 1;
   double budget_ms = 0;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
@@ -144,9 +141,6 @@ int main(int argc, char** argv) {
           cli::split_list(cli::need_value(argc, argv, i, "--strategies"));
     } else if (a == "--json") {
       json_path = cli::need_value(argc, argv, i, "--json");
-    } else if (a == "--opt-jobs") {
-      opt_jobs = cli::parse_count(
-          cli::need_value(argc, argv, i, "--opt-jobs"), "--opt-jobs value");
     } else if (a == "--budget-ms") {
       budget_ms = cli::parse_nonneg(
           cli::need_value(argc, argv, i, "--budget-ms"), "--budget-ms value");
@@ -175,7 +169,6 @@ int main(int argc, char** argv) {
       flow::DesyncOptions opt;
       opt.strategy = flow::PartitionSpec::parse(strat);
       opt.protocol = protocol;
-      opt.opt_jobs = opt_jobs;
       c.is_auto = opt.strategy.mode == flow::PartitionSpec::Mode::Auto;
       auto t0 = std::chrono::steady_clock::now();
       if (c.is_auto) {
@@ -184,7 +177,6 @@ int main(int argc, char** argv) {
         flow::PartitionOptOptions popt;
         popt.period_budget = opt.strategy.auto_budget;
         popt.protocol = protocol;
-        popt.jobs = opt_jobs;
         flow::PartitionOptResult r =
             flow::optimize_partition(d.netlist, d.clock, tech, popt);
         c.stats = r.stats;
@@ -219,7 +211,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  if (!json_path.empty()) write_json(json_path, cases, opt_jobs);
+  if (!json_path.empty()) write_json(json_path, cases);
   if (over_budget) {
     std::printf("FAIL: an auto:* case exceeded the %.0f ms wall budget\n",
                 budget_ms);

@@ -5,7 +5,8 @@
 // Lockstep/Semi/Fully controllers are real hardware too, the ablation
 // benchmarks gates against model across the whole family. The measured
 // period must sit on or above the MCR bound (the model abstracts join
-// trees, fanout-loaded gates and the token-gating AND).
+// trees, fanout-loaded gates and the token-gating AND). Exits 1 if any
+// ring's gate-level network deadlocks.
 #include <cstdio>
 
 #include "ctl/conformance.h"
@@ -28,7 +29,7 @@ static ControlGraph ring(int n, Ps delay) {
 }
 
 /// Steady-state period of the synthesized network, from the last eight
-/// rises of bank 0's enable.
+/// rises of bank 0's enable; -1 if the ring stalled (deadlock).
 static double measure_gates(const ControlGraph& cg, Protocol p,
                             const Tech& t) {
   nl::Netlist nl("ctrl");
@@ -46,8 +47,6 @@ static double measure_gates(const ControlGraph& cg, Protocol p,
 
 int main() {
   const Tech& t = Tech::generic90();
-  const Ps ctrl = t.delay(cell::Kind::Inv, 1, 1) +
-                  t.delay(cell::Kind::CElem, 2, 2);
   const Ps cl = 900;  // slave->master combinational delay per stage
 
   printf("== A1: protocol comparison, M/S pipeline rings (CL=%lldps) ==\n\n",
@@ -56,15 +55,17 @@ int main() {
          "gates", "gates/mcr");
   for (int n : {4, 8, 12, 16, 24, 32}) {
     ControlGraph cg = ring(n, cl);
-    ControlGraph q = ctl::quantize_matched_delays(cg, t);
     for (Protocol p : ctl::kAllProtocols) {
-      Ps pw = 3 * t.spec(cell::Kind::Buf).delay;
       double analytic =
-          pn::max_cycle_ratio(ctl::hardware_mg(q, p, ctrl, pw)).ratio;
+          pn::max_cycle_ratio(ctl::hardware_model(cg, p, t).mg).ratio;
       double gates = measure_gates(cg, p, t);
+      if (gates < 0) {
+        fprintf(stderr, "error: %d-bank %s ring deadlocked (bank 0 stopped "
+                "pulsing)\n", n, ctl::protocol_name(p));
+        return 1;
+      }
       printf("  %-6d %-15s %10.0fps %10.0fps %11.2f\n", n,
-             ctl::protocol_name(p), analytic, gates,
-             gates > 0 ? gates / analytic : 0.0);
+             ctl::protocol_name(p), analytic, gates, gates / analytic);
     }
     printf("\n");
   }

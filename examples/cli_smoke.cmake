@@ -55,7 +55,7 @@ if(NOT rc EQUAL 0)
 endif()
 
 # 6. the analytic Monte-Carlo sweep: no simulation, and the JSON report is
-#    byte-identical at any --jobs count (--mc-jobs is an alias of --jobs).
+#    byte-identical at any --jobs count.
 execute_process(COMMAND ${CLI} sweep --margins 1.1 --protocol pulse
     --mc-samples 32 --mc-seed 3 --stable --json mc_serial.json
   WORKING_DIRECTORY ${WORKDIR}
@@ -65,7 +65,7 @@ if(NOT rc EQUAL 0)
 endif()
 execute_process(COMMAND ${CLI} sweep --margins 1.1 --protocol pulse
     --mc-samples 32 --mc-seed 3 --stable --json mc_parallel.json
-    --jobs 2 --mc-jobs 4
+    --jobs 4
   WORKING_DIRECTORY ${WORKDIR}
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

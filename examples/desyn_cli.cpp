@@ -3,8 +3,7 @@
 // Single-design mode:
 //
 //   desyn_cli <input.v> <clock-net> <output.v> [margin] [strategy]
-//             [--protocol lockstep|semi|fully|pulse] [--opt-jobs N]
-//             [--cache-dir <dir>]
+//             [--protocol lockstep|semi|fully|pulse] [--cache-dir <dir>]
 //
 // Reads a structural-Verilog FF netlist (the subset write_verilog emits),
 // desynchronizes it under the chosen handshake protocol, writes the
@@ -12,7 +11,6 @@
 // cycle-time prediction. `strategy` is one of prefix[:N]|perff|single|
 // auto[:B] (default prefix): prefix:N strips N trailing name segments,
 // auto:B runs the MCR-guided partition optimizer with period budget B.
-// --opt-jobs N is accepted and ignored (the optimizer is serial).
 // --cache-dir keeps the staged flow engine's artifacts on disk, so an
 // unchanged re-run is a pure cache hit and an edited design re-runs only
 // the stages whose inputs changed (see docs/ARCHITECTURE.md).
@@ -22,7 +20,7 @@
 //
 //   desyn_cli sweep [--margins 1.0,1.1,1.3] [--protocol <p>|all]
 //                   [--strategies prefix,perff,single,auto:1.05]
-//                   [--rounds N] [--full-suite] [--jobs N] [--opt-jobs N]
+//                   [--rounds N] [--full-suite] [--jobs N]
 //                   [--json <path>] [--stable]
 //
 // For every combination the tool desynchronizes the circuit, predicts the
@@ -53,10 +51,9 @@
 //                   [--jobs N] [other sweep options]
 //
 // Each cell's sample batch solves on its worker's share of the --jobs
-// budget (--mc-jobs N is an alias of --jobs N); reports are byte-identical
-// at any job count (every draw is a pure function of its (seed, stream,
-// sample) coordinates and the batch solver's blocks warm-start from cold
-// anchors). --json writes schema desyn-mc-v1 instead of the sweep schema.
+// budget; reports are byte-identical at any job count (every draw is a
+// pure function of its (seed, stream, sample) coordinates and the batch
+// solver's blocks warm-start from cold anchors). --json writes schema desyn-mc-v1 instead of the sweep schema.
 //
 // Margin-optimizer mode — replace the uniform matched-delay margin with a
 // per-destination-bank vector sized by the same Monte-Carlo model
@@ -383,12 +380,9 @@ int run_sweep(int argc, char** argv) {
     } else if (a == "--rounds") {
       rounds = cli::parse_count(cli::need_value(argc, argv, i, "--rounds"),
                                 "--rounds value");
-    } else if (a == "--jobs" || a == "--mc-jobs") {  // --mc-jobs: alias
-      sweep.jobs = cli::parse_count(cli::need_value(argc, argv, i, a.c_str()),
-                                    (a + " value").c_str());
-    } else if (a == "--opt-jobs") {  // accepted and ignored
-      cli::parse_count(cli::need_value(argc, argv, i, "--opt-jobs"),
-                       "--opt-jobs value");
+    } else if (a == "--jobs") {
+      sweep.jobs = cli::parse_count(cli::need_value(argc, argv, i, "--jobs"),
+                                    "--jobs value");
     } else if (a == "--json") {
       sweep.json_path = cli::need_value(argc, argv, i, "--json");
     } else if (a == "--stable") {
@@ -759,9 +753,11 @@ int run_optimize_margins(int argc, char** argv) {
     } else if (a == "--mc-sigma") {
       mc.sigma = cli::parse_nonneg(
           cli::need_value(argc, argv, i, "--mc-sigma"), "--mc-sigma value");
-    } else if (a == "--jobs" || a == "--mc-jobs") {  // --mc-jobs: alias
-      mc.jobs = cli::parse_count(cli::need_value(argc, argv, i, a.c_str()),
-                                 (a + " value").c_str());
+    } else if (a == "--jobs") {
+      mc.jobs = cli::parse_count(cli::need_value(argc, argv, i, "--jobs"),
+                                 "--jobs value");
+    } else if (a.starts_with("--")) {
+      fail("unknown option '", a, "'");
     } else {
       pos.push_back(a);
     }
@@ -936,11 +932,10 @@ int run_single(int argc, char** argv) {
     if (a == "--protocol") {
       protocol =
           ctl::parse_protocol(cli::need_value(argc, argv, i, "--protocol"));
-    } else if (a == "--opt-jobs") {  // accepted and ignored
-      cli::parse_count(cli::need_value(argc, argv, i, "--opt-jobs"),
-                       "--opt-jobs value");
     } else if (a == "--cache-dir") {
       cache_dir = cli::need_value(argc, argv, i, "--cache-dir");
+    } else if (a.starts_with("--")) {
+      fail("unknown option '", a, "'");
     } else {
       pos.push_back(a);
     }
@@ -949,13 +944,13 @@ int run_single(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: desyn_cli <input.v> <clock-net> <output.v> [margin] "
                  "[prefix[:N]|perff|single|auto[:B]] "
-                 "[--protocol lockstep|semi|fully|pulse] [--opt-jobs N] "
+                 "[--protocol lockstep|semi|fully|pulse] "
                  "[--cache-dir <dir>]\n"
                  "       desyn_cli sweep [--margins 1.0,1.1,1.3] "
                  "[--protocol <p>|all] "
                  "[--strategies prefix,perff,single,auto:1.05]\n"
                  "                 [--rounds N] [--full-suite] [--jobs N] "
-                 "[--opt-jobs N] [--json <path>] [--stable]\n"
+                 "[--json <path>] [--stable]\n"
                  "                 [--mc-samples N [--mc-seed S] "
                  "[--mc-sigma X]]  (analytic MC mode)\n"
                  "       desyn_cli optimize-margins <input.v> <clock-net> "

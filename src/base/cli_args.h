@@ -21,7 +21,7 @@ namespace desyn::cli {
 /// "a,b,,c" -> {"a","b","c"} (empty fields dropped).
 std::vector<std::string> split_list(const std::string& list);
 
-/// Positive integer (--jobs, --opt-jobs, --rounds, --threads, ...).
+/// Positive integer (--jobs, --rounds, --threads, ...).
 int parse_count(const std::string& s, const char* what);
 
 /// Non-negative real (--budget-ms and friends).

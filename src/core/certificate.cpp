@@ -12,8 +12,6 @@ namespace desyn::flow {
 
 namespace {
 
-enum : uint8_t { kAltPlus = 0, kAltMinus = 1, kPred = 2, kSucc = 3 };
-
 uint32_t bank_of(uint32_t trans) { return trans >> 1; }
 
 /// The largest fraction p/q with q <= max_den whose double quotient (the
@@ -94,13 +92,8 @@ Ps BudgetCertificate::qdelay(uint32_t qb) const {
   return ctl::matched_delay_cells(worst, tech_) * tech_.delay_unit();
 }
 
-Ps BudgetCertificate::arc_delay(size_t j, uint32_t to_bank) const {
-  switch (kind_[j]) {
-    case kAltPlus: return pulse_;
-    case kAltMinus: return 0;
-    case kPred: return qdelay(to_bank) + ctrl_;
-    default: return ctrl_;
-  }
+Ps BudgetCertificate::arc_delay(size_t j, Ps line) const {
+  return ctl::arc_delay(kind_[j], line, ctrl_, pulse_);
 }
 
 /// (Re)build the fine-grained arc arrays — one arc per hardware arc of the
@@ -127,8 +120,7 @@ void BudgetCertificate::rebuild_fine() {
   };
   for (size_t j = 0; j < m; ++j) {
     const ctl::ProtoArc& a = arcs[j];
-    kind_[j] = a.alternation ? (a.from_plus ? kAltPlus : kAltMinus)
-                             : (a.pred_side ? kPred : kSucc);
+    kind_[j] = ctl::arc_timing(a);
     tokens_[j] = a.marked ? 1 : 0;
     ffrom_[j] = a.from;
     fto_[j] = a.to;
@@ -136,7 +128,7 @@ void BudgetCertificate::rebuild_fine() {
     uint32_t mtb = mapped_bank(a.to);
     from_[j] = 2 * mfb + (a.from_plus ? 0u : 1u);
     to_[j] = 2 * mtb + (a.to_plus ? 0u : 1u);
-    delay_[j] = arc_delay(j, mtb);
+    delay_[j] = arc_delay(j, qdelay(mtb));
     uint32_t last = UINT32_MAX;
     for (int bank : {a.from, a.to}) {
       if (bank < static_cast<int>(2 * G_) &&
@@ -169,7 +161,7 @@ void BudgetCertificate::compact() {
   seen.reserve(m);
   std::vector<uint32_t> nfrom, nto;
   std::vector<Ps> ndelay;
-  std::vector<uint8_t> nkind;
+  std::vector<ctl::ArcTiming> nkind;
   std::vector<int32_t> ntokens;
   for (size_t j = 0; j < m; ++j) {
     uint64_t key = (static_cast<uint64_t>(from_[j]) << 35) |
@@ -241,16 +233,16 @@ void BudgetCertificate::apply_merge(int keep, int drop) {
     if (tb < 2 * G_ && static_cast<int>(tb) / 2 == drop) {
       uint32_t nb = 2 * static_cast<uint32_t>(keep) + (tb & 1);
       to_[j] = 2 * nb + (to_[j] & 1);
-      if (kind_[j] == kPred) delay_[j] = ((tb & 1) == 0 ? qe : qo) + ctrl_;
+      delay_[j] = arc_delay(j, (tb & 1) == 0 ? qe : qo);
     }
   }
   if (qe != qe_old || qo != qo_old) {
     for (uint32_t j : incident_[static_cast<size_t>(keep)]) {
-      if (kind_[j] != kPred) continue;
+      if (kind_[j] != ctl::ArcTiming::Line) continue;
       uint32_t tb = bank_of(to_[j]);
       if (tb >= 2 * G_ || static_cast<int>(tb) / 2 != keep) continue;
       patch(j);
-      delay_[j] = ((tb & 1) == 0 ? qe : qo) + ctrl_;
+      delay_[j] = arc_delay(j, (tb & 1) == 0 ? qe : qo);
     }
   }
   alias_to_ = keep;
@@ -286,20 +278,18 @@ void BudgetCertificate::apply_move(int g, int to) {
       uint32_t nb =
           2 * static_cast<uint32_t>(to) + (static_cast<uint32_t>(fto_[j]) & 1);
       to_[j] = 2 * nb + (to_[j] & 1);
-      if (kind_[j] == kPred) {
-        delay_[j] =
-            ((static_cast<uint32_t>(fto_[j]) & 1) == 0 ? qte : qto) + ctrl_;
-      }
+      delay_[j] =
+          arc_delay(j, (static_cast<uint32_t>(fto_[j]) & 1) == 0 ? qte : qto);
     }
   }
   auto requant = [&](int c, Ps qe, Ps qo, Ps qe_old, Ps qo_old) {
     if (qe == qe_old && qo == qo_old) return;
     for (uint32_t j : incident_[static_cast<size_t>(c)]) {
-      if (kind_[j] != kPred) continue;
+      if (kind_[j] != ctl::ArcTiming::Line) continue;
       uint32_t tb = bank_of(to_[j]);
       if (tb >= 2 * G_ || static_cast<int>(tb) / 2 != c) continue;
       patch(j);
-      delay_[j] = ((tb & 1) == 0 ? qe : qo) + ctrl_;
+      delay_[j] = arc_delay(j, (tb & 1) == 0 ? qe : qo);
     }
   };
   requant(from_c, qfe, qfo, qfe_old, qfo_old);

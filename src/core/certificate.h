@@ -25,10 +25,11 @@
 // Arc endpoints live in quotient transition space: cluster c's banks are 2c
 // (even/master) and 2c+1 (odd/slave), the env pair keeps fine banks 2G and
 // 2G+1, and bank b's transitions are 2b (+) and 2b+1 (-). Merged-away
-// clusters leave holes with no arcs. Arc delays follow the hardware line
-// sizing (flow::timed_model): pred-side arcs carry the quantized worst-in of
-// their target bank plus the controller response, succ-side arcs the
-// response alone, alternation arcs the pulse width (+ edge) or nothing.
+// clusters leave holes with no arcs. Arc delays are ctl::hardware_model's:
+// each arc keeps its ctl::ArcTiming, and every delay the certificate writes
+// is ctl::arc_delay of that timing, with the quotient's line — the quantized
+// worst-in of the arc's target bank under the current clustering, sized by
+// ctl::matched_delay_cells as the synthesis sizes it.
 #pragma once
 
 #include <cstdint>
@@ -99,7 +100,7 @@ class BudgetCertificate {
   };
 
   Ps qdelay(uint32_t qb) const;
-  Ps arc_delay(size_t j, uint32_t to_bank) const;
+  Ps arc_delay(size_t j, Ps line) const;
   int64_t weight(uint32_t j) const { return q_ * delay_[j] - p_ * tokens_[j]; }
 
   void rebuild_fine();
@@ -129,7 +130,7 @@ class BudgetCertificate {
   // The quotient's arc list (parallel arrays by arc id).
   std::vector<uint32_t> from_, to_;
   std::vector<Ps> delay_;
-  std::vector<uint8_t> kind_;
+  std::vector<ctl::ArcTiming> kind_;
   std::vector<int32_t> tokens_;
   std::vector<std::vector<uint32_t>> incident_;  ///< arc ids per cluster
   /// Per node, a superset of the arcs ending there (entries whose head

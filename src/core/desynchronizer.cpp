@@ -142,10 +142,7 @@ DesyncResult desynchronize_reference(const nl::Netlist& ff_netlist,
 
 pn::MarkedGraph timed_control_model(const DesyncResult& r,
                                     const cell::Tech& tech) {
-  // The line-sizing rules (per-destination aggregation, response credit,
-  // quantization) live in flow::timed_model, shared with the partition
-  // optimizer's scoring loop so predictions cannot drift apart.
-  return timed_model(r.cg, r.protocol, tech, r.ctrl.pulse_width);
+  return ctl::hardware_model(r.cg, r.protocol, tech).mg;
 }
 
 }  // namespace desyn::flow

@@ -89,8 +89,8 @@ ctl::ControllerNetwork attach_controllers(nl::Netlist& nl,
                                           const cell::Tech& tech);
 
 /// The timed protocol model of a desynchronized circuit, ready for
-/// max-cycle-ratio throughput prediction (bench A3). Delays are quantized
-/// exactly as the hardware delay lines are.
+/// max-cycle-ratio throughput prediction (bench A3): ctl::hardware_model's
+/// MG, whose delays are quantized exactly as the hardware delay lines are.
 pn::MarkedGraph timed_control_model(const DesyncResult& r,
                                     const cell::Tech& tech);
 

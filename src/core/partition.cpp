@@ -330,40 +330,9 @@ Partition make_partition(const nl::Netlist& ff_netlist, nl::NetId clock,
   fail("unreachable PartitionSpec mode");
 }
 
-// ---------------------------------------------------------------------------
-// Scoring: the shared timed model
-// ---------------------------------------------------------------------------
-
-pn::MarkedGraph timed_model(const ctl::ControlGraph& cg, ctl::Protocol p,
-                            const cell::Tech& tech, Ps pulse_width) {
-  // Mirror the hardware line sizing: per-destination aggregation, response
-  // credit, quantization to whole DELAY cells (minimum one).
-  std::vector<Ps> worst(cg.num_banks(), 0);
-  for (const auto& e : cg.edges()) {
-    worst[static_cast<size_t>(e.to)] =
-        std::max(worst[static_cast<size_t>(e.to)], e.matched_delay);
-  }
-  ctl::ControlGraph q;
-  for (size_t i = 0; i < cg.num_banks(); ++i) {
-    q.add_bank(cg.bank(static_cast<int>(i)).name,
-               cg.bank(static_cast<int>(i)).even);
-  }
-  for (const auto& e : cg.edges()) {
-    q.add_edge(e.from, e.to,
-               ctl::matched_delay_cells(worst[static_cast<size_t>(e.to)],
-                                        tech) *
-                   tech.delay_unit());
-  }
-  return ctl::hardware_mg(q, p, ctl::controller_response_delay(tech),
-                          pulse_width);
-}
-
 double predicted_period(const ctl::ControlGraph& cg, ctl::Protocol protocol,
                         const cell::Tech& tech) {
-  // ctl::min_pulse_width is what every synthesis backend sizes, so scores
-  // match flow::timed_control_model exactly.
-  return pn::max_cycle_ratio(
-             timed_model(cg, protocol, tech, ctl::min_pulse_width(tech)))
+  return pn::max_cycle_ratio(ctl::hardware_model(cg, protocol, tech).mg)
       .ratio;
 }
 
@@ -423,7 +392,7 @@ class Evaluator {
 };
 
 /// The cold oracle: every probe re-derives the full quotient control graph
-/// and solves it from scratch through the exact same timed_model /
+/// and solves it from scratch through the exact same ctl::hardware_model /
 /// max_cycle_ratio path the flow uses.
 class ReferenceEvaluator final : public Evaluator {
  public:

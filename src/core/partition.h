@@ -184,8 +184,8 @@ struct PartitionOptOptions {
   /// adjacent groups that further reduce gate cost within budget).
   bool refine = true;
   /// Accepted and ignored: the search is serial (a certificate probe is
-  /// far cheaper than a thread hand-off). Kept so existing callers and
-  /// `--opt-jobs` keep working.
+  /// far cheaper than a thread hand-off). Kept so existing callers keep
+  /// compiling.
   int jobs = 1;
 };
 
@@ -245,16 +245,9 @@ PartitionOptResult optimize_partition_reference(
     const nl::Netlist& ff_netlist, nl::NetId clock, const cell::Tech& tech,
     const PartitionOptOptions& opt = {});
 
-/// The timed protocol model of a control graph with hardware line sizing
-/// (per-destination aggregation, response credit, quantization to whole
-/// DELAY cells): the shared core of flow::timed_control_model and the
-/// optimizer's scoring loop.
-pn::MarkedGraph timed_model(const ctl::ControlGraph& cg, ctl::Protocol p,
-                            const cell::Tech& tech, Ps pulse_width);
-
-/// Predicted cycle time of a control graph under `protocol`: timed_model
-/// with the synthesis' pulse width, solved by Howard max-cycle-ratio. The
-/// single scoring rule shared by the flow and the optimizer.
+/// Predicted cycle time of a control graph under `protocol`: the max cycle
+/// ratio of ctl::hardware_model's timed MG (Howard). The single scoring
+/// rule shared by the flow and the optimizer.
 double predicted_period(const ctl::ControlGraph& cg, ctl::Protocol protocol,
                         const cell::Tech& tech);
 

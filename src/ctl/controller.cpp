@@ -185,7 +185,6 @@ ControllerNetwork synthesize_pulse(nl::Builder& b, const ControlGraph& cg,
     net.control_nets.push_back(en);
     net.enables.push_back(en);
   }
-  net.pulse_width = min_pulse_width(tech);
   return net;
 }
 
@@ -348,9 +347,6 @@ ControllerNetwork synthesize_level(nl::Builder& b, const ControlGraph& cg,
     net.control_nets.push_back(en);
     net.enables.push_back(en);
   }
-  // The a+ -> a- minimum-width leg; annotates the same alternation arcs in
-  // the timed MG model.
-  net.pulse_width = min_pulse_width(tech);
   return net;
 }
 
@@ -383,24 +379,29 @@ int matched_delay_cells(Ps matched, const cell::Tech& tech) {
       static_cast<int>((std::max<Ps>(0, matched - credit) + unit - 1) / unit));
 }
 
-ControlGraph quantize_matched_delays(const ControlGraph& cg,
-                                     const cell::Tech& tech) {
-  ControlGraph q;
-  for (size_t i = 0; i < cg.num_banks(); ++i) {
-    q.add_bank(cg.bank(static_cast<int>(i)).name,
-               cg.bank(static_cast<int>(i)).even);
-  }
+HardwareModel hardware_model(const ControlGraph& cg, Protocol p,
+                             const cell::Tech& tech) {
+  HardwareModel m;
+  m.worst_in.assign(cg.num_banks(), 0);
   for (const ControlGraph::Edge& e : cg.edges()) {
-    q.add_edge(e.from, e.to,
-               matched_delay_cells(e.matched_delay, tech) * tech.delay_unit());
+    Ps& w = m.worst_in[static_cast<size_t>(e.to)];
+    w = std::max(w, e.matched_delay);
   }
-  return q;
-}
-
-pn::MarkedGraph hardware_mg(const ControlGraph& cg, Protocol p,
-                            Ps ctrl_delay, Ps pulse_width) {
-  return mg_from_arcs(cat("hw_", protocol_name(p)), cg, hardware_arcs(cg, p),
-                      ctrl_delay, pulse_width);
+  m.line_cells.reserve(cg.num_banks());
+  for (Ps w : m.worst_in) m.line_cells.push_back(matched_delay_cells(w, tech));
+  // The synthesis sizes one line per destination (per transition for the
+  // level protocols, whose pred arcs into a transition all come from the
+  // same bank's incoming edges), so every pred arc carries its consumer's.
+  m.arcs = hardware_arcs(cg, p);
+  for (ProtoArc& a : m.arcs) {
+    if (a.pred_side) {
+      a.matched_delay =
+          m.line_cells[static_cast<size_t>(a.to)] * tech.delay_unit();
+    }
+  }
+  m.mg = mg_from_arcs(cat("hw_", protocol_name(p)), cg, m.arcs,
+                      controller_response_delay(tech), min_pulse_width(tech));
+  return m;
 }
 
 ControllerNetwork synthesize_controllers(nl::Builder& b,
@@ -420,7 +421,7 @@ ControllerNetwork synthesize_controllers(nl::Builder& b,
     pn::MarkedGraph model = protocol_mg(cg, p);
     DESYN_ASSERT(pn::is_live(model), "protocol MG not live: ",
                  protocol_name(p));
-    pn::MarkedGraph hw = hardware_mg(cg, p);
+    pn::MarkedGraph hw = hardware_model(cg, p, tech).mg;
     DESYN_ASSERT(pn::is_live(hw), "hardware MG not live: ", protocol_name(p));
     constexpr uint32_t kSafeCheckMaxArcs = 4096;
     if (hw.num_arcs() <= kSafeCheckMaxArcs) {

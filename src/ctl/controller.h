@@ -66,8 +66,6 @@ struct ControllerNetwork {
   std::vector<nl::NetId> control_nets;  ///< every net the synthesis created
   std::vector<nl::CellId> cells;        ///< every cell the synthesis created
   size_t delay_units = 0;               ///< total DELAY cells inserted
-  Ps pulse_width = 0;  ///< nominal latch pulse width (Pulse) / minimum
-                       ///< transparency width (level protocols)
 };
 
 /// Instantiate protocol `p` controllers for `cg` into the netlist behind
@@ -80,49 +78,50 @@ ControllerNetwork synthesize_controllers(nl::Builder& b,
                                          const cell::Tech& tech);
 
 /// The consumer-side control-path delay (inverter + C-element + pulse XOR)
-/// subtracted from every matched-delay line; exposed so the analytic model
-/// (flow::timed_control_model) sizes lines identically to the hardware.
+/// subtracted from every matched-delay line; exposed so the timed model
+/// and Monte-Carlo slack size and credit lines identically to the hardware.
 Ps controller_response_credit(const cell::Tech& tech);
 
-/// The controller response time the timed models add to every cross-bank
-/// arc (marking inverter + C-element). One definition shared by
-/// flow::timed_model and the partition optimizer's delta scorer.
+/// The controller response time the timed model adds to every cross-bank
+/// arc (marking inverter + C-element).
 Ps controller_response_delay(const cell::Tech& tech);
 
 /// The minimum transparency / pulse width every synthesis backend sizes
-/// (three buffer delays, the pulse-generator chain). Shared by the
-/// synthesis (ControllerNetwork::pulse_width) and every scoring model so
-/// predictions cannot drift from the hardware.
+/// (three buffer delays, the pulse-generator chain) and the timed model
+/// puts on the a+ -> a- alternation arcs.
 Ps min_pulse_width(const cell::Tech& tech);
 
 /// Number of whole DELAY cells the synthesis spends on a matched delay:
 /// response credit subtracted, rounded up, minimum one. The single sizing
-/// rule shared by the synthesis, the timed models and the benches — keep
+/// rule shared by the synthesis, the timed model and the benches — keep
 /// every prediction in lockstep with the hardware.
 int matched_delay_cells(Ps matched, const cell::Tech& tech);
 
-/// `cg` with every edge's matched delay replaced by the length of its
-/// synthesized delay line (matched_delay_cells * delay_unit), per edge.
-/// On graphs where each transition has one predecessor edge (the bench
-/// rings) this equals the per-destination aggregation the synthesis
-/// performs, making hardware_mg of the result the analytic twin of the
-/// synthesized network.
-ControlGraph quantize_matched_delays(const ControlGraph& cg,
-                                     const cell::Tech& tech);
-
 /// The arcs the synthesized network implements: protocol_arcs(cg, p) plus,
 /// for FullyDecoupled, a capture-ordering refinement arc per edge (see the
-/// .cpp). hardware_mg is mg_from_arcs over this list; the partition
-/// optimizer's delta scorer consumes the list directly so its incremental
-/// timed model is arc-for-arc the hardware model.
+/// .cpp). hardware_model times these arcs; protocol_mg stays the model for
+/// protocol-level analysis and conformance (the refinement only restricts
+/// behavior, so hardware traces conform to both).
 std::vector<ProtoArc> hardware_arcs(const ControlGraph& cg, Protocol p);
 
-/// The timed marked graph of the network synthesize_controllers() builds:
-/// the protocol model plus the fully-decoupled capture-ordering refinement
-/// (see the .cpp). Use this for throughput prediction of the hardware;
-/// use protocol_mg for protocol-level analysis and conformance (the
-/// refinement only restricts behavior, so hardware traces conform to both).
-pn::MarkedGraph hardware_mg(const ControlGraph& cg, Protocol p,
-                            Ps ctrl_delay = 0, Ps pulse_width = 0);
+/// The timed model of the network synthesize_controllers() builds — the
+/// paper's cycle-time prediction (Fig. 2) is the max cycle ratio of `mg`.
+/// The one place a control graph becomes arc delays: the flow's predicted
+/// period, the engine's MCR stage, the partition optimizer's scoring and
+/// Monte-Carlo sampling all read it (the optimizer's certificate re-derives
+/// quotient lines with the same matched_delay_cells and ctl::arc_delay).
+struct HardwareModel {
+  /// hardware_arcs(cg, p), each pred-side arc's matched_delay replaced by
+  /// its consumer's synthesized line length (line_cells * delay_unit).
+  std::vector<ProtoArc> arcs;
+  std::vector<Ps> worst_in;     ///< per bank: worst incoming matched delay
+  std::vector<int> line_cells;  ///< per bank: matched_delay_cells(worst_in)
+  /// mg_from_arcs over `arcs` with controller_response_delay and
+  /// min_pulse_width; bank b's transitions are 2b (+) and 2b+1 (-), and MG
+  /// arc j is arcs[j].
+  pn::MarkedGraph mg;
+};
+HardwareModel hardware_model(const ControlGraph& cg, Protocol p,
+                             const cell::Tech& tech);
 
 }  // namespace desyn::ctl

@@ -171,10 +171,10 @@ pn::MarkedGraph mg_from_arcs(std::string name, const ControlGraph& cg,
                 : bt[static_cast<size_t>(bank)].minus;
   };
   for (const ProtoArc& a : arcs) {
-    Ps delay = a.pred_side ? a.matched_delay + ctrl_delay : ctrl_delay;
-    if (a.alternation) delay = a.from_plus ? pulse_width : 0;
     mg.add_arc(trans(a.from, a.from_plus), trans(a.to, a.to_plus),
-               a.marked ? 1 : 0, delay);
+               a.marked ? 1 : 0,
+               arc_delay(arc_timing(a), a.matched_delay, ctrl_delay,
+                         pulse_width));
   }
   return mg;
 }

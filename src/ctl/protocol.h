@@ -29,6 +29,7 @@
 // Fig. 4 (e.g. a+ -> b- marked, b- -> a+ unmarked).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -129,11 +130,40 @@ struct ProtoArc {
 /// per-edge arcs in cg.edges() order.
 std::vector<ProtoArc> protocol_arcs(const ControlGraph& cg, Protocol p);
 
+/// What delays an arc of a timed control MG (paper Fig. 2).
+enum class ArcTiming : uint8_t {
+  Pulse,  ///< a+ -> a- alternation: the pulse / minimum transparency width
+  None,   ///< a- -> a+ alternation: no delay
+  Line,   ///< pred side: the consumer's matched-delay line + the response
+  Ctrl,   ///< succ side: the controller response alone
+};
+
+/// The timing class of `a`, from its alternation / pred_side flags.
+constexpr ArcTiming arc_timing(const ProtoArc& a) {
+  if (a.alternation) return a.from_plus ? ArcTiming::Pulse : ArcTiming::None;
+  return a.pred_side ? ArcTiming::Line : ArcTiming::Ctrl;
+}
+
+/// The one arc-delay rule every timed model shares (the MG builder, the
+/// partition optimizer's certificate, Monte-Carlo sampling): `line` is the
+/// consumer's matched-delay line, `ctrl` its controller response, `pulse`
+/// the source bank's pulse width.
+constexpr Ps arc_delay(ArcTiming t, Ps line, Ps ctrl, Ps pulse) {
+  switch (t) {
+    case ArcTiming::Pulse: return pulse;
+    case ArcTiming::None: return 0;
+    case ArcTiming::Line: return line + ctrl;
+    case ArcTiming::Ctrl: return ctrl;
+  }
+  return 0;
+}
+
 /// Build a timed marked graph from an explicit arc list — the one
-/// arcs-to-MG translation (transition naming, marking, and the delay
-/// annotation rule: pred arcs carry matched + ctrl, succ arcs ctrl, the
-/// a+ -> a- alternation pulse_width) shared by protocol_mg and
-/// ctl::hardware_mg so model and hardware predictions cannot drift apart.
+/// arcs-to-MG translation (transition naming: bank b's transitions are 2b
+/// (+) and 2b+1 (-); marking; delays by arc_delay with each arc's
+/// matched_delay as the line) shared by protocol_mg and
+/// ctl::hardware_model so model and hardware predictions cannot drift
+/// apart.
 pn::MarkedGraph mg_from_arcs(std::string name, const ControlGraph& cg,
                              std::span<const ProtoArc> arcs, Ps ctrl_delay,
                              Ps pulse_width);

@@ -750,10 +750,9 @@ std::shared_ptr<const Engine::McrArtifact> Engine::mcr_stage(
   cancel_point();
   Lineage prev = lineage_snapshot(lineage_key);
   auto m = std::make_shared<McrArtifact>();
-  // The same pulse width every synthesis backend sizes: predictions match
-  // flow::timed_control_model / flow::predicted_period exactly.
-  m->flat = pn::flatten(
-      timed_model(adj.adj.cg, protocol, tech_, ctl::min_pulse_width(tech_)));
+  // The one timed model: predictions match flow::timed_control_model /
+  // flow::predicted_period exactly.
+  m->flat = pn::flatten(ctl::hardware_model(adj.adj.cg, protocol, tech_).mg);
   const McrArtifact* p = prev.mcr.get();
   bool warm = p && p->flat.num_nodes == m->flat.num_nodes &&
               p->flat.from == m->flat.from && p->flat.to == m->flat.to &&

@@ -39,12 +39,9 @@ uint64_t skey(uint64_t kind, uint64_t a, uint64_t b = 0) {
                     splitmix64(a * 0xbf58476d1ce4e5b9ull + b));
 }
 
-/// The hardware timed model in batchable form: the quantized control
-/// graph's arc list (flat MG arc j corresponds to arcs[j] — mg_from_arcs
-/// adds arcs in list order) plus the per-bank sizing data the sampler
-/// needs. Mirrors flow::timed_model's per-destination aggregation and
-/// quantization exactly, so sample 0 (the 1.0 corner) reproduces the
-/// nominal predicted period bit-for-bit.
+/// ctl::hardware_model in batchable form: its arc list (flat MG arc j is
+/// arcs[j]) plus the per-bank sizing data the sampler needs, so sample 0
+/// (the 1.0 corner) reproduces the nominal predicted period bit-for-bit.
 struct Model {
   std::vector<ctl::ProtoArc> arcs;
   pn::McrFlat flat;
@@ -56,45 +53,31 @@ struct Model {
 };
 
 Model build_model(const ctl::ControlGraph& cg, ctl::Protocol p,
-                  const cell::Tech& tech, Ps pulse_width,
-                  const Margins& margins) {
+                  const cell::Tech& tech, const Margins& margins) {
+  ctl::HardwareModel hw = ctl::hardware_model(cg, p, tech);
   Model m;
   m.inv = tech.delay(cell::Kind::Inv, 1, 1);
   m.celem = tech.delay(cell::Kind::CElem, 2, 2);
   m.xorg = tech.delay(cell::Kind::Xor, 2, 1);
   m.unit = tech.delay_unit();
-  m.pulse_width = pulse_width;
+  m.pulse_width = ctl::min_pulse_width(tech);
+  m.arcs = std::move(hw.arcs);
+  m.units = std::move(hw.line_cells);
+  m.flat = pn::flatten(hw.mg);
+  DESYN_ASSERT(m.flat.from.size() == m.arcs.size());
 
   const size_t nb = cg.num_banks();
-  std::vector<Ps> worst(nb, 0);
-  for (const auto& e : cg.edges()) {
-    worst[static_cast<size_t>(e.to)] =
-        std::max(worst[static_cast<size_t>(e.to)], e.matched_delay);
-  }
-  m.units.resize(nb);
   m.raw_required.assign(nb, 0);
   for (size_t b = 0; b < nb; ++b) {
-    m.units[b] = ctl::matched_delay_cells(worst[b], tech);
-    if (worst[b] > 0) {
+    const Ps worst = hw.worst_in[b];
+    if (worst > 0) {
       m.timed_banks.push_back(b);
       // worst = ceil(raw * margin), so worst / margin bounds the raw STA
       // requirement from above by < 1 ps — conservative, never optimistic.
       m.raw_required[b] = static_cast<Ps>(std::ceil(
-          static_cast<double>(worst[b]) / margins.of(static_cast<int>(b))));
+          static_cast<double>(worst) / margins.of(static_cast<int>(b))));
     }
   }
-  ctl::ControlGraph q;
-  for (size_t i = 0; i < nb; ++i) {
-    q.add_bank(cg.bank(static_cast<int>(i)).name,
-               cg.bank(static_cast<int>(i)).even);
-  }
-  for (const auto& e : cg.edges()) {
-    q.add_edge(e.from, e.to, m.units[static_cast<size_t>(e.to)] * m.unit);
-  }
-  m.arcs = ctl::hardware_arcs(q, p);
-  m.flat = pn::flatten(ctl::mg_from_arcs(
-      "mc", q, m.arcs, ctl::controller_response_delay(tech), pulse_width));
-  DESYN_ASSERT(m.flat.from.size() == m.arcs.size());
   return m;
 }
 
@@ -160,8 +143,7 @@ McStats stats_of(std::vector<double> v) {
 
 McReport mc_analysis(const DesyncResult& r, const cell::Tech& tech,
                      const Margins& margins, const McOptions& opt) {
-  const Model m =
-      build_model(r.cg, r.protocol, tech, r.ctrl.pulse_width, margins);
+  const Model m = build_model(r.cg, r.protocol, tech, margins);
   const cell::VariationModel vm{opt.seed, opt.sigma, opt.corners};
   const size_t S = vm.total_samples(opt.samples);
   const size_t nb = r.cg.num_banks();
@@ -192,13 +174,8 @@ McReport mc_analysis(const DesyncResult& r, const cell::Tech& tech,
     for (size_t j = 0; j < na; ++j) {
       const ctl::ProtoArc& a = m.arcs[j];
       const size_t to = static_cast<size_t>(a.to);
-      if (a.alternation) {
-        row[j] = a.from_plus ? pulse[static_cast<size_t>(a.from)] : 0;
-      } else if (a.pred_side) {
-        row[j] = line[to] + ctrl[to];
-      } else {
-        row[j] = ctrl[to];
-      }
+      row[j] = ctl::arc_delay(ctl::arc_timing(a), line[to], ctrl[to],
+                              pulse[static_cast<size_t>(a.from)]);
     }
     double worst_slack = std::numeric_limits<double>::infinity();
     size_t violations = 0;
@@ -235,8 +212,7 @@ MarginOptResult optimize_margins(const nl::Netlist& ff, nl::NetId clock,
   out.baseline = mc_analysis(base, tech, base_margins, mc);
   out.delay_cells_before = base.ctrl.delay_units;
 
-  const Model m = build_model(base.cg, base.protocol, tech,
-                              base.ctrl.pulse_width, base_margins);
+  const Model m = build_model(base.cg, base.protocol, tech, base_margins);
   const cell::VariationModel vm{mc.seed, mc.sigma, mc.corners};
   const size_t S = vm.total_samples(mc.samples);
   const size_t nb = base.cg.num_banks();

@@ -1,5 +1,6 @@
 #include "netlist/reader.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <map>
@@ -180,7 +181,13 @@ class Parser {
       return m;
     }();
     auto it = fixed.find(t);
-    if (it != fixed.end()) return {it->second, 0};
+    if (it != fixed.end()) {
+      if (cell::is_variable_arity(it->second)) {
+        err("cell type '", t, "' needs an arity suffix (", t, "2..", t,
+            cell::kMaxArity, ")");
+      }
+      return {it->second, 0};
+    }
     // Trailing digits: variable-arity kind. The suffix is untrusted input —
     // a checked parse bounded by the library's arity limits, not stoi.
     size_t d = t.size();
@@ -321,6 +328,15 @@ class Parser {
     }
     for (NetId n : outs) {
       if (!n.valid()) err("unconnected output on ", iname.text);
+      // Netlist::add_cell asserts one driver per net and no driven primary
+      // input; untrusted text gets a typed error instead.
+      if (nl.is_primary_input(n)) {
+        err(iname.text, " drives primary input '", nl.net(n).name, "'");
+      }
+      if (nl.net(n).driver.valid() ||
+          std::count(outs.begin(), outs.end(), n) > 1) {
+        err("net '", nl.net(n).name, "' has a second driver in ", iname.text);
+      }
     }
 
     cell::V init =

@@ -257,13 +257,10 @@ TEST_P(MeasuredPeriod, TracksMcrOfHardwareModel) {
   ASSERT_GT(rises.size(), 10u) << protocol_name(proto);
   Ps measured = (rises.back() - rises[rises.size() - 9]) / 8;
 
-  // Analytic prediction: hardware MG with controller delay = C-element and
-  // matched delays sized and quantized exactly as the synthesis does.
-  const Tech& t = Tech::generic90();
-  ControlGraph cg2 = quantize_matched_delays(cg, t);
-  Ps ctrl = t.delay(cell::Kind::Inv, 1, 1) + t.delay(cell::Kind::CElem, 2, 2);
+  // Analytic prediction: the hardware timed model, matched delays sized
+  // and quantized exactly as the synthesis does.
   auto mcr = pn::max_cycle_ratio(
-      hardware_mg(cg2, proto, ctrl, net.pulse_width));
+      hardware_model(cg, proto, Tech::generic90()).mg);
   // The MG is a lower bound (it abstracts fanout-dependent gate delays,
   // join trees and the token-gating AND); the gate level must stay within
   // 45% of it and never beat it by more than the abstraction slack.

@@ -547,7 +547,10 @@ TEST(SvcFaults, InjectedEngineFaultIsTypedInternalAndRetryable) {
 TEST(SvcDeadline, TimeoutProducesTypedDeadlineError) {
   // A circuit whose auto-partitioned flow takes well over a millisecond,
   // so a 1 ms deadline reliably trips a cancel point mid-flow.
-  circuits::Circuit mesh = circuits::register_mesh(6, 6, 2);
+  // A 16x16 mesh keeps the auto:1.05 flow at ~10 ms on a current core:
+  // long against the cancel loop's period. (A 6x6 mesh runs in ~1.5 ms,
+  // which one 1 ms sleep could miss entirely.)
+  circuits::Circuit mesh = circuits::register_mesh(16, 16, 2);
   std::string req = svc::make_request(nl::to_verilog(mesh.netlist),
                                       mesh.netlist.net(mesh.clock).name,
                                       "auto:1.05", 1.1, "pulse",
@@ -615,7 +618,10 @@ TEST(SvcLimits, IdleConnectionIsDroppedAtIoDeadline) {
 }
 
 TEST(SvcCancel, CancelInflightAnswersTyped) {
-  circuits::Circuit mesh = circuits::register_mesh(6, 6, 2);
+  // A 16x16 mesh keeps the auto:1.05 flow at ~10 ms on a current core:
+  // long against the cancel loop's period. (A 6x6 mesh runs in ~1.5 ms,
+  // which one 1 ms sleep could miss entirely.)
+  circuits::Circuit mesh = circuits::register_mesh(16, 16, 2);
   std::string req = svc::make_request(nl::to_verilog(mesh.netlist),
                                       mesh.netlist.net(mesh.clock).name,
                                       "auto:1.05", 1.1, "pulse");
@@ -631,10 +637,10 @@ TEST(SvcCancel, CancelInflightAnswersTyped) {
   });
   // Hammer cancel_inflight until the round trip completes: the request's
   // token is registered before the flow starts, so some cancel lands
-  // within ~1 ms of registration and the first cancel point trips it.
+  // within ~0.1 ms of registration and the next cancel point trips it.
   while (!done.load()) {
     server.cancel_inflight();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   submitter.join();
   EXPECT_NE(resp.find("\"kind\": \"cancelled\""), std::string::npos) << resp;

@@ -15,6 +15,7 @@
 #include "circuits/circuits.h"
 #include "dlx/cpu_builder.h"
 #include "dlx/programs.h"
+#include "core/partition.h"
 #include "flow/engine.h"
 #include "pn/mcr.h"
 #include "verif/flow_equivalence.h"
@@ -40,28 +41,52 @@ McOptions quick_mc() {
 }
 
 TEST(McAnalysis, NominalSampleReproducesTimedModel) {
+  // Every consumer of ctl::hardware_model must read the same numbers: MC
+  // sample 0, the flow's timed model, the optimizer's scoring rule and the
+  // engine's MCR stage agree bit for bit on every suite circuit, protocol
+  // and partition strategy.
   const Tech& t = Tech::generic90();
-  circuits::Circuit c = circuits::pipeline(6, 8, 2);
-  DesyncResult dr = desynchronize(c.netlist, c.clock, t);
+  Engine engine(t);
   McOptions mc = quick_mc();
   mc.samples = 8;
-  McReport rep = mc_analysis(dr, t, Margins(1.10), mc);
-  ASSERT_EQ(rep.samples, 9u);  // 1.0 corner + 8 statistical
-  // Sample 0 is the 1.0 corner: every factor is exactly 1, so its period
-  // is the nominal hardware timed model's max cycle ratio, bit-for-bit.
-  const double nominal =
-      pn::max_cycle_ratio(timed_control_model(dr, t)).ratio;
-  EXPECT_EQ(rep.nominal_period, nominal);
-  EXPECT_EQ(rep.periods[0], nominal);
-  // The nominal sample satisfies setup by construction (margin >= 1), so
-  // it never counts as a violation and its worst slack is non-negative.
-  EXPECT_GE(rep.min_slacks[0], 0.0);
-  // Distribution sanity: percentiles are ordered and bracket the samples.
-  EXPECT_LE(rep.period.p50, rep.period.p95);
-  EXPECT_LE(rep.period.p95, rep.period.max);
-  EXPECT_LE(rep.period.min, rep.period.p50);
-  EXPECT_GE(rep.yield, 0.0);
-  EXPECT_LE(rep.yield, 1.0);
+  for (const circuits::Suite& s : circuits::scaling_suite()) {
+    for (ctl::Protocol p : ctl::kAllProtocols) {
+      for (const char* strategy : {"prefix", "perff"}) {
+        const std::string what =
+            cat(s.name, " ", ctl::protocol_name(p), " ", strategy);
+        DesyncOptions opt;
+        opt.protocol = p;
+        opt.strategy = PartitionSpec::parse(strategy);
+        const nl::Netlist& ff = s.circuit.netlist;
+        DesyncResult dr = desynchronize(ff, s.circuit.clock, t, opt);
+        McReport rep =
+            mc_analysis(dr, t, Margins(opt.margin, opt.margins), mc);
+        ASSERT_EQ(rep.samples, 9u) << what;  // 1.0 corner + 8 statistical
+        // Sample 0 is the 1.0 corner: every factor is exactly 1, so its
+        // period is the nominal hardware timed model's max cycle ratio.
+        const double nominal =
+            pn::max_cycle_ratio(timed_control_model(dr, t)).ratio;
+        EXPECT_EQ(rep.nominal_period, nominal) << what;
+        EXPECT_EQ(rep.periods[0], nominal) << what;
+        EXPECT_EQ(predicted_period(dr.cg, p, t), nominal) << what;
+        EXPECT_EQ(engine.run(ff, s.circuit.clock, opt)
+                      .stats.predicted_period_ps,
+                  nominal)
+            << what;
+        // The nominal sample satisfies setup by construction (margin >=
+        // 1), so it never counts as a violation and its worst slack is
+        // non-negative.
+        EXPECT_GE(rep.min_slacks[0], 0.0) << what;
+        // Distribution sanity: percentiles are ordered and bracket the
+        // samples.
+        EXPECT_LE(rep.period.p50, rep.period.p95) << what;
+        EXPECT_LE(rep.period.p95, rep.period.max) << what;
+        EXPECT_LE(rep.period.min, rep.period.p50) << what;
+        EXPECT_GE(rep.yield, 0.0) << what;
+        EXPECT_LE(rep.yield, 1.0) << what;
+      }
+    }
+  }
 }
 
 TEST(McAnalysis, ByteIdenticalAcrossMcJobs) {

@@ -294,6 +294,39 @@ TEST(Reader, CorruptNumbersAreReportedNotFatal) {
   }
 }
 
+TEST(Reader, MalformedStructureIsReportedNotFatal) {
+  // Netlist::add_cell and cell::num_inputs assert on each of these (an
+  // abort would take a server down with it), so the reader must reject
+  // them first, with a desyn::Error naming source:line.
+  struct Case {
+    const char* inst;
+    int line;  // the offending instance's line in the module text
+  };
+  const Case cases[] = {
+      // Two cells drive one net.
+      {"INV \\u ( .A(\\a ), .Y(\\y ) );\nINV \\v ( .A(\\a ), .Y(\\y ) );",
+       6},
+      // One cell drives the same net from two outputs.
+      {"(* p0 = 1, p1 = 2, payload = \"1,2\" *) ROM \\u ( .A0(\\a ), "
+       ".D0(\\y ), .D1(\\y ) );",
+       5},
+      // A cell drives a primary input.
+      {"INV \\u ( .A(\\y ), .Y(\\a ) );", 5},
+      // A variable-arity kind without its arity suffix.
+      {"AND \\u ( .A0(\\a ), .A1(\\a ), .Y(\\y ) );", 5},
+  };
+  for (const Case& c : cases) {
+    try {
+      read_verilog(one_cell_module(c.inst), "x.v");
+      ADD_FAILURE() << "expected Error: " << c.inst;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(cat("x.v:", c.line, ":")),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Reader, ErrorsNameSourceAndLine) {
   try {
     read_verilog(one_cell_module("INV3 \\u ( .A(\\a ), .Y(\\y ) );"),

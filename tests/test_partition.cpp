@@ -524,8 +524,8 @@ void expect_real_cycle(const IncrementalQuotient& cand, ctl::Protocol proto,
                        double ratio, const std::string& what) {
   ASSERT_FALSE(cycle.empty()) << what;
   const Tech& tech = Tech::generic90();
-  const pn::MarkedGraph mg = timed_model(cand.materialize(), proto, tech,
-                                         ctl::min_pulse_width(tech));
+  const pn::MarkedGraph mg =
+      ctl::hardware_model(cand.materialize(), proto, tech).mg;
   const std::vector<int> bank_map = cand.bank_map(nullptr);
   const size_t G = cand.num_groups();
   auto model_trans = [&](uint32_t t) {

@@ -238,6 +238,34 @@ TEST(SvcServer, ConnectionSurvivesGarbageThenServes) {
   server.stop();
 }
 
+TEST(SvcServer, StructurallyBrokenVerilogIsTypedThenServes) {
+  // Netlists that would reach a DESYN_ASSERT past the reader abort the
+  // whole server; the reader must answer them as request errors.
+  std::string path = fresh_socket("broken");
+  Server server(Tech::generic90(), options(path));
+  server.start();
+  Client client(path);
+  auto module = [](const char* body) {
+    return cat("module \\m (\n  input \\clk ,\n  input \\a ,\n",
+               "  output \\y \n);\n", body, "\nendmodule\n");
+  };
+  for (const char* body : {
+           // Two cells drive one net.
+           "INV \\u ( .A(\\a ), .Y(\\y ) );\nINV \\v ( .A(\\a ), .Y(\\y ) );",
+           // A cell drives a primary input.
+           "INV \\u ( .A(\\y ), .Y(\\a ) );",
+           // A variable-arity kind without its arity suffix.
+           "AND \\u ( .A0(\\a ), .A1(\\a ), .Y(\\y ) );"}) {
+    std::string resp = client.roundtrip(
+        make_request(module(body), "clk", "prefix", 1.1, "pulse"));
+    EXPECT_TRUE(has_error_kind(resp, "request")) << body << " -> " << resp;
+  }
+  std::string resp = client.roundtrip(
+      make_request(nl::to_verilog(pipeline3()), "clk", "prefix", 1.1, "pulse"));
+  EXPECT_NE(resp.find("\"result\""), std::string::npos) << resp;
+  server.stop();
+}
+
 TEST(SvcServer, ConcurrentClientsGetByteIdenticalResults) {
   std::string path = fresh_socket("stress");
   Server server(Tech::generic90(), options(path, 4));
