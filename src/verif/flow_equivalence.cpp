@@ -1,5 +1,7 @@
 #include "verif/flow_equivalence.h"
 
+#include <algorithm>
+#include <limits>
 #include <map>
 
 #include "core/clocktree.h"
@@ -14,10 +16,145 @@ using cell::V;
 
 namespace {
 
+/// Start-up captures of the first master bank skipped before the
+/// steady-state period window.
+constexpr size_t kWarmupRounds = 8;
+/// Captures of the first master bank the measured period averages over.
+constexpr size_t kPeriodRounds = 32;
+
 struct Tap {
   std::string name;   // original FF name
   nl::NetId d;        // data net sampled at capture
 };
+
+/// Data-independent setup check under the simulated enable schedule. The
+/// simulator's own check sees only the paths the stimulus toggles within
+/// the horizon. This one charges every bank closing edge with the STA
+/// worst-case arrival from each source bank's latest opening (plus its
+/// enable-tree insertion and latch delay) and from the latest input
+/// vector, so a matched delay too short for a path the stimulus reaches
+/// only late is caught in the first rounds. RAM macros are left to the
+/// simulated check.
+class WorstCaseSetup {
+ public:
+  WorstCaseSetup(const flow::DesyncResult& dr, nl::NetId clock,
+                 const cell::Tech& tech);
+  WorstCaseSetup(const WorstCaseSetup&) = delete;  // watchers hold `this`
+  WorstCaseSetup& operator=(const WorstCaseSetup&) = delete;
+  /// Watch every bank enable of `sim`, which simulates dr.netlist.
+  void watch(sim::Simulator& sim);
+  /// The testbench applied an input vector at `at`.
+  void vector_applied(Ps at) { open_.back() = at; }
+  /// Closing edges that missed setup, counted once per source.
+  uint64_t violations() const { return violations_; }
+
+ private:
+  struct Pred {
+    size_t src;  // source bank; preds_.size() stands for the inputs
+    Ps worst;    // worst arrival after the source's opening, less the
+                 // capturing latch's own insertion delay
+  };
+  std::vector<nl::NetId> enables_;
+  std::vector<std::vector<Pred>> preds_;  // per capturing bank
+  std::vector<Ps> open_;  // latest opening per bank, then the inputs
+  Ps setup_;
+  uint64_t violations_ = 0;
+};
+
+WorstCaseSetup::WorstCaseSetup(const flow::DesyncResult& dr, nl::NetId clock,
+                               const cell::Tech& tech)
+    : preds_(dr.banks.banks.size()),
+      open_(dr.banks.banks.size() + 1, -1),
+      setup_(tech.latch_setup()) {
+  const nl::Netlist& nl = dr.netlist;
+  const size_t nbanks = dr.banks.banks.size();
+  const sta::Sta sta(nl, tech);
+
+  // Insertion delay of every net of a bank's enable tree (buffers only).
+  std::vector<Ps> ins(nl.num_nets(), -1);
+  std::vector<nl::NetId> stack;
+  for (size_t b = 0; b < nbanks; ++b) {
+    enables_.push_back(dr.enable(static_cast<int>(b)));
+    ins[enables_.back().value()] = 0;
+    stack.push_back(enables_.back());
+    while (!stack.empty()) {
+      const nl::NetId n = stack.back();
+      stack.pop_back();
+      for (const nl::Pin& p : nl.net(n).fanout) {
+        const nl::CellData& cd = nl.cell(p.cell);
+        if (cd.kind != cell::Kind::Buf) continue;
+        ins[cd.outs[0].value()] = ins[n.value()] + sta.cell_delay(p.cell);
+        stack.push_back(cd.outs[0]);
+      }
+    }
+  }
+  auto en_ins = [&](nl::CellId c) { return ins[nl.cell(c).ins[1].value()]; };
+
+  // Capturing latches by D net, with the insertion delay of their enable.
+  struct Cap {
+    size_t bank;
+    Ps ins;
+  };
+  std::vector<std::vector<Cap>> caps(nl.num_nets());
+  for (size_t b = 0; b < nbanks; ++b) {
+    for (nl::CellId c : dr.banks.banks[b].latches) {
+      if (en_ins(c) < 0) continue;
+      caps[nl.cell(c).ins[0].value()].push_back({b, en_ins(c)});
+    }
+  }
+
+  constexpr Ps kNone = std::numeric_limits<Ps>::min();
+  std::vector<Ps> worst(nbanks, kNone);
+  std::vector<size_t> dests;
+  std::vector<sta::Source> sources;
+  sta::Sta::SparseScratch scratch;
+  auto propagate = [&](size_t src) {
+    sta.arrivals_sparse(sources, scratch);
+    for (nl::NetId n : scratch.touched) {
+      for (const Cap& c : caps[n.value()]) {
+        if (c.bank == src) continue;
+        if (worst[c.bank] == kNone) dests.push_back(c.bank);
+        worst[c.bank] = std::max(worst[c.bank], scratch.arr[n.value()] - c.ins);
+      }
+    }
+    scratch.reset();
+    for (size_t d : dests) {
+      preds_[d].push_back({src, worst[d]});
+      worst[d] = kNone;
+    }
+    dests.clear();
+  };
+  for (size_t s = 0; s < nbanks; ++s) {
+    sources.clear();
+    for (nl::CellId c : dr.banks.banks[s].latches) {
+      if (en_ins(c) < 0) continue;
+      sources.push_back({nl.cell(c).outs[0], en_ins(c) + sta.cell_delay(c)});
+    }
+    if (!sources.empty()) propagate(s);
+  }
+  sources.clear();
+  for (nl::NetId in : nl.inputs()) {
+    if (in != clock) sources.push_back({in, 0});
+  }
+  if (!sources.empty()) propagate(nbanks);
+}
+
+void WorstCaseSetup::watch(sim::Simulator& sim) {
+  for (size_t b = 0; b < enables_.size(); ++b) {
+    sim.watch(enables_[b], [this, b](Ps at, V v) {
+      if (v == V::V1) {
+        open_[b] = at;
+        return;
+      }
+      if (v != V::V0 || open_[b] < 0) return;  // not a closing edge
+      for (const Pred& p : preds_[b]) {
+        // A source opening at the closing instant launches the next token.
+        const Ps o = open_[p.src];
+        if (o >= 0 && o < at && o + p.worst + setup_ > at) ++violations_;
+      }
+    });
+  }
+}
 
 /// Apply stimulus vector `round` to every non-clock primary input.
 void apply_vector(sim::Simulator& sim, const nl::Netlist& nl, nl::NetId clock,
@@ -35,6 +172,16 @@ void apply_vector(sim::Simulator& sim, const nl::Netlist& nl, nl::NetId clock,
 FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
                                     nl::NetId clock, const Stimulus& stim,
                                     const cell::Tech& tech,
+                                    const FlowEqOptions& opt) {
+  return check_flow_equivalence(
+      ff_netlist, clock, stim, tech,
+      flow::desynchronize(ff_netlist, clock, tech, opt.desync), opt);
+}
+
+FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
+                                    nl::NetId clock, const Stimulus& stim,
+                                    const cell::Tech& tech,
+                                    const flow::DesyncResult& dr,
                                     const FlowEqOptions& opt) {
   FlowEqResult res;
   const int rounds = opt.rounds;
@@ -94,8 +241,6 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
   // ---------------------------------------------------------------- desync
   std::map<std::string, std::vector<V>> desync_stream;
   {
-    flow::DesyncResult dr =
-        flow::desynchronize(ff_netlist, clock, tech, opt.desync);
     res.desync_cells = dr.netlist.num_live_cells();
     res.banks = dr.cg.num_banks();
     res.controller_cells = dr.ctrl.cells.size() - dr.ctrl.delay_units;
@@ -105,10 +250,15 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
     sim::Simulator sim(dr.netlist, tech);
 
     std::vector<Ps> round_times;  // capture times of the first master bank
-    size_t master_banks = 0;
-    uint64_t captures = 0;
-    uint64_t min_needed = 0;
-    std::vector<uint64_t> bank_captures(dr.banks.banks.size(), 0);
+    // Captures per leaf-enable tap group, and how many groups reached the
+    // `rounds + 1` the comparison needs.
+    const uint64_t needed = static_cast<uint64_t>(rounds) + 1;
+    const size_t window_end = kWarmupRounds + kPeriodRounds;
+    std::vector<uint64_t> leaf_captures;
+    size_t leaves_done = 0;
+    // Latest capture that still counted toward the stop condition; the
+    // watchdog measures progress from it.
+    Ps last_progress = 0;
 
     for (size_t i = 0; i < dr.banks.banks.size(); ++i) {
       const flow::Bank& bank = dr.banks.banks[i];
@@ -128,29 +278,33 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
             Tap{name.substr(0, name.size() - 2), dr.netlist.cell(c).ins[0]});
       }
       if (by_en.empty()) continue;
-      ++master_banks;
-      bool first_bank = master_banks == 1;
-      // Round accounting and progress detection stay on the bank root (one
-      // event per capture, before any tree delay).
-      sim.watch(dr.enable(static_cast<int>(i)),
-                [&captures, &bank_captures, i, &round_times,
-                 first_bank](Ps at, V v) {
-                  if (v != V::V0) return;
-                  ++captures;
-                  ++bank_captures[i];
-                  if (first_bank) round_times.push_back(at);
-                });
+      if (leaf_captures.empty()) {
+        // Round timing stays on the first master bank's root (one event
+        // per capture, before any tree delay).
+        sim.watch(dr.enable(static_cast<int>(i)),
+                  [&round_times, &last_progress, window_end](Ps at, V v) {
+                    if (v != V::V0) return;
+                    if (round_times.size() <= window_end) last_progress = at;
+                    round_times.push_back(at);
+                  });
+      }
       for (auto& [en, taps] : by_en) {
+        const size_t leaf = leaf_captures.size();
+        leaf_captures.push_back(0);
         sim.watch(nl::NetId(en),
-                  [&sim, &desync_stream, taps](Ps, V v) {
+                  [&sim, &desync_stream, &leaf_captures, &leaves_done,
+                   &last_progress, leaf, needed, taps](Ps at, V v) {
                     if (v != V::V0) return;
                     for (const Tap& t : taps) {
                       desync_stream[t.name].push_back(sim.value(t.d));
                     }
+                    if (leaf_captures[leaf] < needed) last_progress = at;
+                    if (++leaf_captures[leaf] == needed) ++leaves_done;
                   });
       }
     }
-    min_needed = master_banks * static_cast<uint64_t>(rounds + 1);
+    WorstCaseSetup worst_case(dr, clock, tech);
+    worst_case.watch(sim);
 
     // The environment publishes vectors where the matched-delay model puts
     // the env bank's data launch. Under Pulse ([O+ O- E+ E-]) that is the
@@ -164,34 +318,38 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
     // consumer captured vector k before it.
     const bool pulse_env = dr.protocol == ctl::Protocol::Pulse;
     apply_vector(sim, dr.netlist, clock, stim, 0);
+    worst_case.vector_applied(sim.now());
     int dround = pulse_env ? 0 : 1;
-    sim.watch(dr.env_src_enable(), [&](Ps, V v) {
+    sim.watch(dr.env_src_enable(), [&](Ps at, V v) {
       if (v == (pulse_env ? V::V0 : V::V1)) {
         apply_vector(sim, dr.netlist, clock, stim, dround);
+        worst_case.vector_applied(at);
         ++dround;
       }
     });
 
-    Ps t = 0;
-    while (captures < min_needed) {
-      uint64_t before = captures;
-      t += opt.round_timeout;
-      sim.run_until(t);
-      if (captures == before) {
+    // Advance one predicted period at a time until the proof has every
+    // capture it compares and the period window is complete.
+    const Ps step = std::max<Ps>(1, static_cast<Ps>(res.predicted_period));
+    while (!leaf_captures.empty() &&
+           (leaves_done < leaf_captures.size() ||
+            round_times.size() <= window_end)) {
+      sim.run_until(sim.now() + step);
+      if (sim.now() - last_progress >= opt.round_timeout) {
         res.mismatch =
-            cat("desynchronized circuit made no progress (deadlock?) after ",
-                captures, " captures at t=", sim.now(), "ps");
+            cat("desynchronized circuit made no progress (deadlock?): no "
+                "counted master capture since t=", last_progress,
+                "ps, now t=", sim.now(), "ps");
         return res;
       }
     }
-    // Flush: the leaf-enable captures of the last round trail the root
-    // event by the distribution tree's insertion delay.
-    sim.run_until(sim.now() + 100'000);
-    res.desync_setup_violations = sim.setup_violation_count();
-    if (round_times.size() >= 2) {
+    res.desync_setup_violations =
+        sim.setup_violation_count() + worst_case.violations();
+    if (round_times.size() > window_end) {
       res.desync_period =
-          static_cast<double>(round_times.back() - round_times.front()) /
-          static_cast<double>(round_times.size() - 1);
+          static_cast<double>(round_times[window_end] -
+                              round_times[kWarmupRounds]) /
+          static_cast<double>(kPeriodRounds);
     }
     sim::PowerReport p = sim::estimate_power(sim, tech, dr.ctrl.control_nets);
     res.desync_power_mw = p.total_mw;

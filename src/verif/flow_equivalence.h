@@ -15,6 +15,23 @@
 // The checker compares the two streams per FF for `rounds` entries and also
 // reports throughput (measured periods) and any setup violations — a
 // mis-sized matched delay shows up here first (bench A4 exploits this).
+//
+// Horizons. The sync side runs `rounds + 2` clock periods. The desync side
+// advances one predicted period at a time and stops as soon as the proof
+// is complete: every master tap, counted at its *leaf* enable (so the
+// enable tree's insertion delay is covered), has captured `rounds + 1`
+// values, and the first master bank has captured 41 times. Power is
+// measured over exactly that horizon. `desync_period` is the steady-state
+// average over that bank's captures 8 to 40 (kWarmupRounds and
+// kPeriodRounds in the .cpp), so it depends on neither `rounds` nor the
+// last step's overshoot.
+//
+// Setup violations are found two ways over that horizon: the simulator's
+// check on the paths the stimulus toggles, and a data-independent check
+// that charges every bank closing edge with the STA worst-case arrival
+// from each source bank's latest opening (and from the latest input
+// vector). The second catches a matched delay too short for a path the
+// stimulus would reach only after the compared rounds.
 #pragma once
 
 #include "core/desynchronizer.h"
@@ -23,11 +40,14 @@
 namespace desyn::verif {
 
 struct FlowEqOptions {
+  /// Captures compared per register.
   int rounds = 40;
+  /// Flow options (unused by the prebuilt-DesyncResult overload).
   flow::DesyncOptions desync;
   /// Sync clock period factor over the STA minimum.
   double clock_margin = 1.10;
-  /// Simulation watchdog: give up (deadlock) after this many ps per round.
+  /// Desync watchdog: report "made no progress (deadlock?)" once no
+  /// capture the stop condition still needs has happened for this many ps.
   Ps round_timeout = 1'000'000;
 };
 
@@ -37,12 +57,14 @@ struct FlowEqResult {
   size_t registers_compared = 0;
   size_t captures_compared = 0;
   Ps sync_period = 0;            ///< clock period used
-  double desync_period = 0;      ///< measured average round period
+  double desync_period = 0;      ///< measured steady-state round period
   /// Analytic cycle-time prediction: max cycle ratio of the timed control
   /// model of the desynchronized circuit this check built (saves callers
   /// re-running the whole flow just to predict).
   double predicted_period = 0;
   uint64_t sync_setup_violations = 0;
+  /// Simulated violations plus worst-case ones (one per closing edge and
+  /// source that misses setup); see the header comment.
   uint64_t desync_setup_violations = 0;
   /// Gate counts of the two implementations actually simulated (the sync
   /// one includes its clock tree, the desync one its controllers and
@@ -56,7 +78,7 @@ struct FlowEqResult {
   size_t banks = 0;
   size_t controller_cells = 0;
   size_t delay_cells = 0;
-  double sync_power_mw = 0;      ///< total dynamic power (measured window)
+  double sync_power_mw = 0;      ///< total dynamic power (simulated horizon)
   double desync_power_mw = 0;
   double sync_clock_power_mw = 0;   ///< clock-tree share
   double desync_ctl_power_mw = 0;   ///< controller+delay-line share
@@ -68,6 +90,15 @@ struct FlowEqResult {
 FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
                                     nl::NetId clock, const Stimulus& stim,
                                     const cell::Tech& tech,
+                                    const FlowEqOptions& opt = {});
+
+/// The same check against an already-built desynchronized implementation
+/// `dr` of `ff_netlist` (`opt.desync` is unused). The overload above runs
+/// flow::desynchronize and then this; tests use it to check mutants.
+FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
+                                    nl::NetId clock, const Stimulus& stim,
+                                    const cell::Tech& tech,
+                                    const flow::DesyncResult& dr,
                                     const FlowEqOptions& opt = {});
 
 }  // namespace desyn::verif

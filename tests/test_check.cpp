@@ -12,6 +12,7 @@
 #include "core/desynchronizer.h"
 #include "ctl/protocol.h"
 #include "flow/engine.h"
+#include "mutants.h"
 #include "netlist/builder.h"
 
 namespace desyn::check {
@@ -386,20 +387,7 @@ TEST(CheckControl, Pr2LockstepArcSetRegressionIsDSN205) {
 // Pass 3 (matched-delay coverage) mutations
 // --------------------------------------------------------------------------
 
-/// A (delay, delay) chain pair: `second` is fed by `first`.
-bool find_delay_pair(const Netlist& nl, CellId* second, CellId* first) {
-  for (CellId c : nl.cells()) {
-    const nl::CellData& cd = nl.cell(c);
-    if (cd.kind != Kind::Delay) continue;
-    CellId up = nl.net(cd.ins[0]).driver;
-    if (up.valid() && nl.cell(up).kind == Kind::Delay) {
-      *second = c;
-      *first = up;
-      return true;
-    }
-  }
-  return false;
-}
+using mutants::find_delay_pair;
 
 TEST(CheckTiming, ShavedDelayLineIsDSN301) {
   CellId second, first;

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <tuple>
 
+#include "circuits/circuits.h"
 #include "core/clocktree.h"
 #include "ctl/conformance.h"
 #include "core/report.h"
+#include "mutants.h"
 #include "netlist/builder.h"
 #include "netlist/reader.h"
 #include "netlist/writer.h"
@@ -554,6 +556,219 @@ TEST(ClockTree, InsertionDelayMatchesSimulatedArrival) {
   sim.run_until(3000);
   ASSERT_GE(seen, 0);
   EXPECT_EQ(seen - 1000, tree.insertion_delay);
+}
+
+}  // namespace
+}  // namespace desyn::flow
+
+// ---------------------------------------------------------------------------
+// Flow-equivalence horizon: the desync simulation stops once the compared
+// captures and the steady-state period window are in. These tests pin that
+// the short horizon keeps every verdict on the suite, that the measured
+// period is a property of the circuit (not of `rounds`), and that the
+// watchdog fires.
+// ---------------------------------------------------------------------------
+
+namespace desyn::flow {
+namespace {
+
+using cell::Kind;
+using cell::Tech;
+using nl::CellId;
+using nl::NetId;
+
+/// What a flow-equivalence run decides, as the agreement tests compare it.
+struct Verdict {
+  bool equivalent;
+  bool mismatch;
+  bool violations;
+  bool flagged() const { return !equivalent || violations; }
+};
+
+Verdict verdict_of(const verif::FlowEqResult& r) {
+  return {r.equivalent, !r.mismatch.empty(), r.desync_setup_violations > 0};
+}
+
+/// `dr` checked at the default `rounds` (short) and at 600 rounds (long):
+/// 15x the compared captures on the same code path.
+struct Verdicts {
+  Verdict shrt, lng;
+};
+
+Verdicts verdicts(const circuits::Suite& s, const DesyncResult& dr) {
+  const Tech& tech = Tech::generic90();
+  const verif::Stimulus stim = verif::random_stimulus(17);
+  verif::FlowEqOptions opt;
+  Verdicts v;
+  v.shrt = verdict_of(verif::check_flow_equivalence(
+      s.circuit.netlist, s.circuit.clock, stim, tech, dr, opt));
+  opt.rounds = 600;
+  v.lng = verdict_of(verif::check_flow_equivalence(
+      s.circuit.netlist, s.circuit.clock, stim, tech, dr, opt));
+  return v;
+}
+
+DesyncResult suite_flow(const circuits::Suite& s, ctl::Protocol p) {
+  DesyncOptions dopt;
+  dopt.protocol = p;
+  dopt.margin = 1.0;
+  return desynchronize(s.circuit.netlist, s.circuit.clock, Tech::generic90(),
+                       dopt);
+}
+
+// One instance per protocol keeps each well inside the per-test timeout
+// of the sanitizer builds.
+class FlowEq : public ::testing::TestWithParam<ctl::Protocol> {};
+
+TEST_P(FlowEq, ShortHorizonKeepsVerdicts) {
+  // Every suite cell passes, and the long run finds no setup violation
+  // past the short horizon either. The long run's equivalence is a deeper
+  // proof (600 compared captures, not 40), so it is not an oracle for the
+  // short one: on counters4x8 the synchronous reference itself breaks
+  // setup from round 40 on and its stream goes wrong at round 373.
+  for (const circuits::Suite& s : circuits::scaling_suite()) {
+    const Verdicts v = verdicts(s, suite_flow(s, GetParam()));
+    EXPECT_FALSE(v.shrt.flagged()) << s.name;
+    EXPECT_EQ(v.shrt.violations, v.lng.violations) << s.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, FlowEq, ::testing::ValuesIn(kProtocols),
+                         [](const ::testing::TestParamInfo<ctl::Protocol>& i) {
+                           return protocol_suffix(i.param);
+                         });
+
+TEST(FlowEq, ShortHorizonMutantVerdicts) {
+  // Short-delay-line mutants of the smaller suite cells: one DELAY cell
+  // shaved off a line, and a whole line bypassed. The worst-case setup
+  // check makes violation presence independent of how long the stimulus
+  // takes to reach a broken path, so short and long runs agree on it.
+  // They agree on the verdict wherever the long run is a valid oracle,
+  // i.e. the unmutated cell passes it (counters4x8's synchronous
+  // reference goes wrong at round 373, see ShortHorizonKeepsVerdicts).
+  int mutants = 0, flagged = 0;
+  for (const circuits::Suite& s : circuits::scaling_suite()) {
+    for (ctl::Protocol p : kProtocols) {
+      const DesyncResult dr = suite_flow(s, p);
+      if (dr.netlist.num_live_cells() > 1500) continue;
+      const bool oracle = !verdicts(s, dr).lng.flagged();
+      std::vector<std::pair<std::string, DesyncResult>> muts;
+      CellId second, first;
+      if (mutants::find_delay_pair(dr.netlist, &second, &first)) {
+        DesyncResult& shaved = muts.emplace_back("shaved", dr).second;
+        shaved.netlist.rewire_input(second, 0,
+                                    shaved.netlist.cell(first).ins[0]);
+      }
+      DesyncResult bypassed = dr;
+      if (mutants::bypass_longest_line(bypassed.netlist)) {
+        muts.emplace_back("bypassed", std::move(bypassed));
+      }
+      for (const auto& [kind, mut] : muts) {
+        const std::string label =
+            cat(s.name, " / ", ctl::protocol_name(p), " ", kind);
+        const Verdicts m = verdicts(s, mut);
+        EXPECT_EQ(m.shrt.violations, m.lng.violations) << label;
+        if (oracle) {
+          EXPECT_EQ(m.shrt.mismatch, m.lng.mismatch) << label;
+          EXPECT_EQ(m.shrt.flagged(), m.lng.flagged()) << label;
+        }
+        ++mutants;
+        flagged += m.shrt.flagged();
+      }
+    }
+  }
+  EXPECT_GT(mutants, 0);
+  // The test has teeth: the short horizon catches at least one mutant.
+  EXPECT_GT(flagged, 0);
+}
+
+TEST(FlowEq, LateSensitizedShortLineIsFlagged) {
+  // counters4x8, fully-decoupled, margin 1.0, prefix banks, longest line
+  // bypassed: the broken carry path first toggles after round 100 under
+  // random_stimulus(17), so the simulated setup check alone passes the
+  // default 40-round proof. The worst-case check flags it.
+  for (const circuits::Suite& s : circuits::scaling_suite()) {
+    if (s.name != "counters4x8") continue;
+    DesyncResult dr = suite_flow(s, ctl::Protocol::FullyDecoupled);
+    ASSERT_TRUE(mutants::bypass_longest_line(dr.netlist));
+    const verif::FlowEqResult r = verif::check_flow_equivalence(
+        s.circuit.netlist, s.circuit.clock, verif::random_stimulus(17),
+        Tech::generic90(), dr);
+    EXPECT_TRUE(r.equivalent) << r.mismatch;
+    EXPECT_GT(r.desync_setup_violations, 0u);
+    return;
+  }
+  FAIL() << "counters4x8 not in the scaling suite";
+}
+
+TEST(FlowEq, PeriodIndependentOfRounds) {
+  const Tech& tech = Tech::generic90();
+  for (const circuits::Suite& s : circuits::scaling_suite()) {
+    if (s.name != "pipe4x8" && s.name != "crc32" && s.name != "mesh6x6x2") {
+      continue;
+    }
+    for (ctl::Protocol p : ctl::kAllProtocols) {
+      SCOPED_TRACE(cat(s.name, " / ", ctl::protocol_name(p)));
+      verif::FlowEqOptions opt;
+      opt.desync.protocol = p;
+      std::vector<double> periods;
+      for (int rounds : {8, 12, 40}) {
+        opt.rounds = rounds;
+        const verif::FlowEqResult r = verif::check_flow_equivalence(
+            s.circuit.netlist, s.circuit.clock, verif::random_stimulus(17),
+            tech, opt);
+        EXPECT_TRUE(r.equivalent) << r.mismatch;
+        periods.push_back(r.desync_period);
+      }
+      EXPECT_GT(periods[0], 0.0);
+      EXPECT_EQ(periods[0], periods[1]);
+      EXPECT_EQ(periods[0], periods[2]);
+    }
+  }
+}
+
+TEST(FlowEq, WatchdogReportsStall) {
+  const circuits::Suite s = circuits::scaling_suite().front();
+  verif::FlowEqOptions opt;
+  opt.round_timeout = 10;  // far below one period: every step looks stalled
+  const verif::FlowEqResult r = verif::check_flow_equivalence(
+      s.circuit.netlist, s.circuit.clock, verif::random_stimulus(17),
+      Tech::generic90(), opt);
+  EXPECT_FALSE(r.equivalent);
+  EXPECT_NE(r.mismatch.find("made no progress"), std::string::npos)
+      << r.mismatch;
+  // It gave up before the steady-state period window even filled.
+  EXPECT_EQ(r.desync_period, 0.0);
+  EXPECT_EQ(r.captures_compared, 0u);
+}
+
+TEST(FlowEq, WatchdogReportsDeadLeafEnable) {
+  // One master latch's EN tied low: it never captures, while every other
+  // bank keeps running. Progress is measured only on captures the stop
+  // condition still needs, so the check reports the stall instead of
+  // simulating forever.
+  const circuits::Suite s = circuits::scaling_suite().front();
+  DesyncResult dr = suite_flow(s, ctl::Protocol::SemiDecoupled);
+  Netlist& nl = dr.netlist;
+  CellId master;
+  for (CellId c : nl.cells()) {
+    const std::string& name = nl.cell(c).name;
+    if (nl.cell(c).kind == Kind::Latch && name.size() > 2 &&
+        name.substr(name.size() - 2) == ".m") {
+      master = c;
+      break;
+    }
+  }
+  ASSERT_TRUE(master.valid());
+  const NetId lo = nl.add_net("tied_en");
+  nl.add_cell(Kind::TieLo, "tie_en", {}, {lo});
+  nl.rewire_input(master, 1, lo);
+  const verif::FlowEqResult r = verif::check_flow_equivalence(
+      s.circuit.netlist, s.circuit.clock, verif::random_stimulus(17),
+      Tech::generic90(), dr);
+  EXPECT_FALSE(r.equivalent);
+  EXPECT_NE(r.mismatch.find("made no progress"), std::string::npos)
+      << r.mismatch;
 }
 
 }  // namespace

@@ -625,138 +625,138 @@ struct GoldenRow {
 
 using P = ctl::Protocol;
 constexpr GoldenRow kGolden[] = {
-    {"pipe4x8", P::Lockstep, 936.06132879045992, 0, 0, 384,
-     2.2779404761904765, 1.4957497272727271, 1.2097142857142857,
-     1.0818899090909093, 4927, 0x1a731bd3f93a1de2},
-    {"pipe4x8", P::SemiDecoupled, 803.05259313367424, 0, 0, 384,
-     2.2779404761904765, 1.5301672727272719, 1.2097142857142857,
-     1.0488474545454547, 4781, 0x8e27a5ee8d4522c7},
-    {"pipe4x8", P::FullyDecoupled, 636.96407879490152, 0, 0, 384,
-     2.2779404761904765, 1.8807050000000001, 1.2097142857142857,
-     1.2760212727272722, 5816, 0x5dd5cb1d8eef8f60},
-    {"pipe4x8", P::Pulse, 458.01249999999999, 0, 0, 384,
-     2.2779404761904765, 2.3218829545454569, 1.2097142857142857,
-     1.478611045454546, 6399, 0xc5a7cd63a1006f43},
-    {"pipe8x16", P::Lockstep, 1397.0622617534943, 0, 0, 1536,
-     7.0622695852534578, 3.1454799090909127, 3.9343317972350222,
-     2.0865621818181808, 8763, 0x76c14c17c1580a80},
-    {"pipe8x16", P::SemiDecoupled, 1264.1645569620252, 0, 0, 1536,
-     7.0622695852534578, 3.2364150909090976, 3.9343317972350222,
-     2.0633783636363638, 8544, 0x26256c3c6650db9b},
-    {"pipe8x16", P::FullyDecoupled, 997.0526315789474, 0, 0, 1536,
-     7.0622695852534578, 4.0410544090909157, 3.9343317972350222,
-     2.5533101363636348, 10233, 0x6ad88ff745d70c98},
-    {"pipe8x16", P::Pulse, 706.0770712909441, 0, 0, 1536,
-     7.0622695852534578, 5.268404954545435, 3.9343317972350222,
-     3.1685027727272739, 11659, 0x65b14b5e4e3eace3},
-    {"pipe16x32", P::Lockstep, 1541.9242636746144, 0, 0, 6144,
-     22.787548262548185, 9.5279128636363399, 13.185328185328197,
-     5.8117853181818049, 20100, 0x98b76f82a263ec06},
-    {"pipe16x32", P::SemiDecoupled, 1408.8461538461538, 0, 0, 6144,
-     22.787548262548185, 10.021783954545475, 13.185328185328197,
-     5.949881954545444, 19879, 0xdc8a2a1ffab38f57},
-    {"pipe16x32", P::FullyDecoupled, 1117.0589430894308, 0, 0, 6144,
-     22.787548262548185, 12.466805090908966, 13.185328185328197,
-     7.3340418181818405, 23276, 0x2624c80c1f5c8d38},
-    {"pipe16x32", P::Pulse, 837.8064024390244, 0, 0, 6144,
-     22.787548262548185, 15.918343045454495, 13.185328185328197,
-     9.0764826818181685, 25935, 0x5395f6055b9be823},
+    {"pipe4x8", P::Lockstep, 935.25, 0, 0, 384,
+     2.2779404761904765, 1.4691770186335398, 1.2097142857142857,
+     1.0749749973681442, 4927, 0x1a731bd3f93a1de2},
+    {"pipe4x8", P::SemiDecoupled, 802.25, 0, 0, 384,
+     2.2779404761904765, 1.5008631713554974, 1.2097142857142857,
+     1.0418082450371453, 4781, 0x8e27a5ee8d4522c7},
+    {"pipe4x8", P::FullyDecoupled, 637, 0, 0, 384,
+     2.2779404761904765, 1.8470762256031945, 1.2097142857142857,
+     1.2679422160749967, 5816, 0x5dd5cb1d8eef8f60},
+    {"pipe4x8", P::Pulse, 458.1875, 0, 0, 384,
+     2.2779404761904765, 2.270424201009249, 1.2097142857142857,
+     1.473436185870479, 6399, 0xc5a7cd63a1006f43},
+    {"pipe8x16", P::Lockstep, 1389, 0, 0, 1536,
+     7.0622695852534578, 3.1091107794007864, 3.9343317972350222,
+     2.0725645946618338, 8763, 0x76c14c17c1580a80},
+    {"pipe8x16", P::SemiDecoupled, 1256, 0, 0, 1536,
+     7.0622695852534578, 3.1964995083579133, 3.9343317972350222,
+     2.0500176991150445, 8544, 0x26256c3c6650db9b},
+    {"pipe8x16", P::FullyDecoupled, 997, 0, 0, 1536,
+     7.0622695852534578, 3.9817442609945894, 3.9343317972350222,
+     2.5329218106995892, 10233, 0x6ad88ff745d70c98},
+    {"pipe8x16", P::Pulse, 701, 0, 0, 1536,
+     7.0622695852534578, 5.1743248857499085, 3.9343317972350222,
+     3.1559548538983502, 11659, 0x65b14b5e4e3eace3},
+    {"pipe16x32", P::Lockstep, 1539, 0, 0, 6144,
+     22.787548262548185, 9.2736914068783332, 13.185328185328197,
+     5.7576472669948284, 20100, 0x98b76f82a263ec06},
+    {"pipe16x32", P::SemiDecoupled, 1406, 0, 0, 6144,
+     22.787548262548185, 9.7631850071570998, 13.185328185328197,
+     5.9028920069980844, 19879, 0xdc8a2a1ffab38f57},
+    {"pipe16x32", P::FullyDecoupled, 1117, 0, 0, 6144,
+     22.787548262548185, 12.085621358798013, 13.185328185328197,
+     7.2752978667484074, 23276, 0x2624c80c1f5c8d38},
+    {"pipe16x32", P::Pulse, 836, 0, 0, 6144,
+     22.787548262548185, 15.467143725399273, 13.185328185328197,
+     9.0620788955776845, 25935, 0x5395f6055b9be823},
     {"lfsr16", P::Lockstep, 1390, 0, 0, 192,
-     0.83629976580796261, 0.41257604545454546, 0.7436768149882903,
-     0.33740913636363623, 1693, 0xf740968bd9c62bc0},
+     0.83629976580796261, 0.37741990152704441, 0.7436768149882903,
+     0.33766322962751538, 1693, 0xf740968bd9c62bc0},
     {"lfsr16", P::SemiDecoupled, 1234, 0, 0, 192,
-     0.83629976580796261, 0.41115445454545452, 0.7436768149882903,
-     0.32478227272727261, 1684, 0xc1949ee3dd38f826},
+     0.83629976580796261, 0.36948697853870272, 0.7436768149882903,
+     0.32470360099670437, 1684, 0xc1949ee3dd38f826},
     {"lfsr16", P::FullyDecoupled, 945, 0, 0, 192,
-     0.83629976580796261, 0.52866181818181801, 0.7436768149882903,
-     0.41593963636363629, 2296, 0x3d2772499fe3737d},
+     0.83629976580796261, 0.47414618908788003, 0.7436768149882903,
+     0.41613390254060789, 2296, 0x3d2772499fe3737d},
     {"lfsr16", P::Pulse, 639, 0, 0, 192,
-     0.83629976580796261, 0.68857759090909054, 0.7436768149882903,
-     0.52160604545454547, 3024, 0x4ccd5df2d30e5d5a},
+     0.83629976580796261, 0.60607295156868746, 0.7436768149882903,
+     0.52121915930551344, 3024, 0x4ccd5df2d30e5d5a},
     {"lfsr64", P::Lockstep, 1390, 0, 0, 768,
-     3.0673302107728335, 0.858383590909091, 2.9747072599531617,
-     0.75950504545454534, 2153, 0x6a7f091f81a349c6},
+     3.0673302107728335, 0.77877747252747254, 2.9747072599531617,
+     0.75900438846867413, 2153, 0x6a7f091f81a349c6},
     {"lfsr64", P::SemiDecoupled, 1234, 0, 0, 768,
-     3.0673302107728335, 0.92428827272727287, 2.9747072599531617,
-     0.80022363636363625, 2180, 0x99c3a26859735a60},
+     3.0673302107728335, 0.82159090909090893, 2.9747072599531617,
+     0.79931777992122821, 2180, 0x99c3a26859735a60},
     {"lfsr64", P::FullyDecoupled, 945, 0, 0, 768,
-     3.0673302107728335, 1.2231219090909085, 2.9747072599531617,
-     1.0367473636363636, 2858, 0xa2b10f6734c4237f},
+     3.0673302107728335, 1.0636193252811332, 2.9747072599531617,
+     1.0347667638483966, 2858, 0xa2b10f6734c4237f},
     {"lfsr64", P::Pulse, 639, 0, 0, 768,
-     3.0673302107728335, 1.7945747727272718, 2.9747072599531617,
-     1.439948045454545, 3708, 0xf727b5d88f285d5e},
+     3.0673302107728335, 1.4794585744745654, 2.9747072599531617,
+     1.4372563204386226, 3708, 0xf727b5d88f285d5e},
     {"counters4x8", P::Lockstep, 1542, 0, 0, 384,
-     0.71662661584355303, 0.9494347272727266, 0.42101425256877695,
-     0.82196090909090891, 5259, 0x464035b2454dd5e4},
+     0.71662661584355303, 0.96413933131083274, 0.42101425256877695,
+     0.8169408102641893, 5259, 0x464035b2454dd5e4},
     {"counters4x8", P::SemiDecoupled, 1415, 0, 0, 384,
-     0.71662661584355303, 0.89617813636363586, 0.42101425256877695,
-     0.75754236363636362, 5266, 0xf0e2720d65fe9194},
+     0.71662661584355303, 0.90879010238907842, 0.42101425256877695,
+     0.7497713310580203, 5266, 0xf0e2720d65fe9194},
     {"counters4x8", P::FullyDecoupled, 1179, 0, 0, 384,
-     0.71662661584355303, 0.94751081818181804, 0.42101425256877695,
-     0.77975822727272714, 5687, 0x301df72d01a59512},
+     0.71662661584355303, 0.97127016129032229, 0.42101425256877695,
+     0.77760759545753799, 5687, 0x301df72d01a59512},
     {"counters4x8", P::Pulse, 1057, 0, 0, 384,
-     0.71662661584355303, 0.94964695454545522, 0.42101425256877695,
-     0.76836368181818182, 5829, 0x8ad94ff2939fb45f},
+     0.71662661584355303, 0.97787527492668547, 0.42101425256877695,
+     0.77134347507331313, 5829, 0x8ad94ff2939fb45f},
     {"crc32", P::Lockstep, 1542, 0, 0, 384,
-     1.6936084494773522, 0.66445977272727252, 1.1064459930313588,
-     0.44553845454545449, 1647, 0xde8efc069fdce004},
+     1.6936084494773522, 0.6453821451509314, 1.1064459930313588,
+     0.44458413615928066, 1647, 0xde8efc069fdce004},
     {"crc32", P::SemiDecoupled, 1415, 0, 0, 384,
-     1.6936084494773522, 0.67793690909090909, 1.1064459930313588,
-     0.43817400000000001, 1623, 0x4e65f6c4bc7fc983},
+     1.6936084494773522, 0.65565498990180371, 1.1064459930313588,
+     0.43585469043805281, 1623, 0x4e65f6c4bc7fc983},
     {"crc32", P::FullyDecoupled, 1033, 0, 0, 384,
-     1.6936084494773522, 0.9095469545454542, 1.1064459930313588,
-     0.5796799545454544, 2108, 0xd2092da2ac4f5fbc},
+     1.6936084494773522, 0.87357445693597569, 1.1064459930313588,
+     0.57566215701219503, 2108, 0xd2092da2ac4f5fbc},
     {"crc32", P::Pulse, 817, 0, 0, 384,
-     1.6936084494773522, 1.0802571818181814, 1.1064459930313588,
-     0.66320722727272707, 2502, 0xd041077a8fff8a04},
-    {"fir8x12", P::Lockstep, 3017.447802197802, 0, 0, 1680,
-     2.8550143204304801, 2.4071165454545413, 0.97838482902273882,
-     1.321332818181816, 6882, 0x416a25a06a98a62b},
-    {"fir8x12", P::SemiDecoupled, 2817.5435897435896, 0, 0, 1680,
-     2.8550143204304801, 2.4501093181818221, 0.97838482902273882,
-     1.2899509090909089, 6838, 0xd4bcacf6e0efeaa4},
-    {"fir8x12", P::FullyDecoupled, 2476.0382882882882, 0, 0, 1680,
-     2.8550143204304801, 2.6889619545454506, 0.97838482902273882,
-     1.2790669999999993, 6483, 0x7e2232658c63a662},
+     1.6936084494773522, 1.0426743016098481, 1.1064459930313588,
+     0.66509676846590926, 2502, 0xd041077a8fff8a04},
+    {"fir8x12", P::Lockstep, 3018, 0, 0, 1680,
+     2.8550143204304801, 2.3871221756078249, 0.97838482902273882,
+     1.3136264534883717, 6882, 0x416a25a06a98a62b},
+    {"fir8x12", P::SemiDecoupled, 2818, 0, 0, 1680,
+     2.8550143204304801, 2.426291842847069, 0.97838482902273882,
+     1.2800158562367872, 6838, 0xd4bcacf6e0efeaa4},
+    {"fir8x12", P::FullyDecoupled, 2476, 0, 0, 1680,
+     2.8550143204304801, 2.6432956437291764, 0.97838482902273882,
+     1.2699143808466802, 6483, 0x7e2232658c63a662},
     {"fir8x12", P::Pulse, 2170, 0, 0, 1680,
-     2.8550143204304801, 2.8224534090909317, 0.97838482902273882,
-     1.3177493181818158, 6387, 0xe7cb7a52d6b99ac5},
-    {"fir16x16", P::Lockstep, 3445.3699059561127, 0, 0, 4032,
-     6.4432258177243433, 5.3475391363636726, 1.8823071009225614,
-     2.5850537272727161, 14287, 0xb915fbc425f6e2a4},
-    {"fir16x16", P::SemiDecoupled, 3211.4795321637425, 0, 0, 4032,
-     6.4432258177243433, 5.5388505000000325, 1.8823071009225614,
-     2.5781862727272706, 14587, 0xd9af2e088fc86728},
-    {"fir16x16", P::FullyDecoupled, 2914.9814323607429, 0, 0, 4032,
-     6.4432258177243433, 5.9858152727273053, 1.8823071009225614,
-     2.4459424090909092, 13702, 0xe69111f3ff1bcda4},
+     2.8550143204304801, 2.782233442667132, 0.97838482902273882,
+     1.3199114845434958, 6387, 0xe7cb7a52d6b99ac5},
+    {"fir16x16", P::Lockstep, 3446, 0, 0, 4032,
+     6.4432258177243433, 5.2552970594978756, 1.8823071009225614,
+     2.5537766536741948, 14287, 0xb915fbc425f6e2a4},
+    {"fir16x16", P::SemiDecoupled, 3212, 0, 0, 4032,
+     6.4432258177243433, 5.4454403600785106, 1.8823071009225614,
+     2.5499091369157165, 14587, 0xd9af2e088fc86728},
+    {"fir16x16", P::FullyDecoupled, 2915, 0, 0, 4032,
+     6.4432258177243433, 5.8586372046085318, 1.8823071009225614,
+     2.4247165923807947, 13702, 0xe69111f3ff1bcda4},
     {"fir16x16", P::Pulse, 2564, 0, 0, 4032,
-     6.4432258177243433, 6.2724319545455804, 1.8823071009225614,
-     2.567150499999987, 14010, 0xf3c237330ec6a84f},
-    {"rpipe32x8", P::Lockstep, 1179.6047261009667, 0, 0, 3072,
-     17.714473164956605, 9.9674726818182062, 8.0860299921073366,
-     6.61915281818185, 46247, 0xd5244a7742bf7e02},
-    {"rpipe32x8", P::SemiDecoupled, 973.73162090345443, 0, 0, 3072,
-     17.714473164956605, 10.708892090909155, 8.0860299921073366,
-     6.7232070454545223, 50702, 0xbb3fcd287ccb11a7},
-    {"rpipe32x8", P::FullyDecoupled, 734.92379679144381, 0, 0, 3072,
-     17.714473164956605, 13.180000045454515, 8.0860299921073366,
-     8.2328241818182093, 62990, 0x83e2bb840ac0c74a},
-    {"rpipe32x8", P::Pulse, 602.8952276467362, 0, 0, 3072,
-     17.714473164956605, 15.117090499999998, 8.0860299921073366,
-     8.7919375454545534, 70934, 0xade9660493672727},
+     6.4432258177243433, 6.2147925299151598, 1.8823071009225614,
+     2.5789577121171106, 14010, 0xf3c237330ec6a84f},
+    {"rpipe32x8", P::Lockstep, 1180, 0, 0, 3072,
+     17.714473164956605, 9.935463265477166, 8.0860299921073366,
+     6.5943673033425831, 46247, 0xd5244a7742bf7e02},
+    {"rpipe32x8", P::SemiDecoupled, 974, 0, 0, 3072,
+     17.714473164956605, 10.643504715546142, 8.0860299921073366,
+     6.6843664435655645, 50702, 0xbb3fcd287ccb11a7},
+    {"rpipe32x8", P::FullyDecoupled, 735, 0, 0, 3072,
+     17.714473164956605, 13.072414592161111, 8.0860299921073366,
+     8.1497815148305364, 62990, 0x83e2bb840ac0c74a},
+    {"rpipe32x8", P::Pulse, 603, 0, 0, 3072,
+     17.714473164956605, 15.071317545572812, 8.0860299921073366,
+     8.8221089680989468, 70934, 0xade9660493672727},
     {"mesh6x6x2", P::Lockstep, 1212, 0, 0, 864,
-     5.0262844611528807, 6.9820734090909955, 2.426159147869674,
-     6.1723499545455063, 38728, 0xe57bbc3956a34a16},
-    {"mesh6x6x2", P::SemiDecoupled, 996.99092558983671, 0, 0, 864,
-     5.0262844611528807, 6.3853184090908828, 2.426159147869674,
-     5.4079290909090769, 39156, 0x56b53d14bfb785f3},
+     5.0262844611528807, 6.9464374598587622, 2.426159147869674,
+     6.1219442437380112, 38728, 0xe57bbc3956a34a16},
+    {"mesh6x6x2", P::SemiDecoupled, 997, 0, 0, 864,
+     5.0262844611528807, 6.3476425492309572, 2.426159147869674,
+     5.3691988341334556, 39156, 0x56b53d14bfb785f3},
     {"mesh6x6x2", P::FullyDecoupled, 732, 0, 0, 864,
-     5.0262844611528807, 7.7129971363636836, 2.426159147869674,
-     6.399896636363672, 47905, 0x765ce6eb1f195fd0},
+     5.0262844611528807, 7.6643736758474903, 2.426159147869674,
+     6.3483083951271277, 47905, 0x765ce6eb1f195fd0},
     {"mesh6x6x2", P::Pulse, 616, 0, 0, 864,
-     5.0262844611528807, 7.9231083636363175, 2.426159147869674,
-     6.3465424545454079, 53493, 0xa971bf23d433b601},
+     5.0262844611528807, 7.9050507812500692, 2.426159147869674,
+     6.3364824218750471, 53493, 0xa971bf23d433b601},
 };
 
 /// FNV-1a over every net's (value, toggle count).
