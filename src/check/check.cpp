@@ -1,7 +1,6 @@
 #include "check/check.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <deque>
 #include <map>
@@ -10,9 +9,9 @@
 #include <vector>
 
 #include "base/json.h"
+#include "core/adjacency.h"
 #include "netlist/query.h"
 #include "pn/analysis.h"
-#include "sta/sta.h"
 
 namespace desyn::check {
 
@@ -20,12 +19,6 @@ namespace {
 
 using cell::Kind;
 using cell::V;
-
-/// The adjacency extractor's margin rule — must match core/adjacency.cpp so
-/// the timing pass recomputes exactly the delays the flow would size.
-Ps with_margin(Ps delay, double margin) {
-  return static_cast<Ps>(std::ceil(static_cast<double>(delay) * margin));
-}
 
 /// topo_order's cut rule (netlist/query.cpp): storage and state-holding
 /// cells break combinational paths, the RAM read path does not.
@@ -165,7 +158,7 @@ struct ControlExtractor {
 struct Linter {
   const flow::DesyncResult& r;
   const cell::Tech& tech;
-  const LintOptions& opt;
+  const flow::Margins& margins;
   const nl::Netlist& nl;
   const ctl::ControlGraph& cg;
   LintReport rep;
@@ -177,12 +170,12 @@ struct Linter {
   std::set<std::pair<Quad, bool>> ext_set;  ///< (quad, marked)
   std::map<Quad, int> ext_delays;           ///< quad -> max DELAY count
   std::vector<ctl::ProtoArc> model;
-  /// Recomputed launch->capture delay per bank pair (the STA mirror).
+  /// Recomputed launch->capture delay per bank pair (flow::timed_edges).
   std::map<std::pair<int, int>, Ps> recomputed;
 
   Linter(const flow::DesyncResult& res, const cell::Tech& t,
-         const LintOptions& o)
-      : r(res), tech(t), opt(o), nl(res.netlist), cg(res.cg) {
+         const flow::Margins& m)
+      : r(res), tech(t), margins(m), nl(res.netlist), cg(res.cg) {
     level = r.protocol != ctl::Protocol::Pulse;
   }
 
@@ -506,17 +499,12 @@ struct Linter {
     }
   }
 
-  /// Minimum-token path between extracted transitions (0-1 BFS). Returns
-  /// INT_MAX when unreachable.
-  int min_tokens(int from_node, int to_node) const {
-    size_t nodes = cg.num_banks() * (level ? 2 : 1);
-    std::vector<std::vector<std::pair<int, int>>> adj(nodes);
-    for (const auto& [q, marked] : ext_set) {
-      auto [f, fp, t, tp] = q;
-      adj[static_cast<size_t>(node_of(f, fp))].push_back(
-          {node_of(t, tp), marked ? 1 : 0});
-    }
-    std::vector<int> dist(nodes, INT32_MAX);
+  /// Minimum-token distance from `from_node` to every transition of the
+  /// extracted graph `adj` (0-1 BFS); INT32_MAX when unreachable.
+  static void min_tokens(
+      const std::vector<std::vector<std::pair<int, int>>>& adj,
+      int from_node, std::vector<int>& dist) {
+    dist.assign(adj.size(), INT32_MAX);
     std::deque<int> dq;
     dist[static_cast<size_t>(from_node)] = 0;
     dq.push_back(from_node);
@@ -534,7 +522,6 @@ struct Linter {
         }
       }
     }
-    return dist[static_cast<size_t>(to_node)];
   }
 
   /// Protocol contracts that hold independently of the arc enumeration —
@@ -550,9 +537,32 @@ struct Linter {
     if (!level) return;
     bool overlap_free = r.protocol == ctl::Protocol::Lockstep ||
                         r.protocol == ctl::Protocol::SemiDecoupled;
-    for (const ctl::ControlGraph::Edge& e : cg.edges()) {
+    std::vector<std::vector<std::pair<int, int>>> adj(cg.num_banks() * 2);
+    for (const auto& [q, marked] : ext_set) {
+      auto [f, fp, t, tp] = q;
+      adj[static_cast<size_t>(node_of(f, fp))].push_back(
+          {node_of(t, tp), marked ? 1 : 0});
+    }
+    // Both contracts start at the producer's a-: one BFS per source bank
+    // yields the min-token count of every edge, reported in edge order.
+    const auto& edges = cg.edges();
+    std::vector<std::vector<size_t>> by_from(cg.num_banks());
+    for (size_t i = 0; i < edges.size(); ++i) {
+      by_from[static_cast<size_t>(edges[i].from)].push_back(i);
+    }
+    std::vector<int> tokens(edges.size()), dist;
+    for (size_t b = 0; b < by_from.size(); ++b) {
+      if (by_from[b].empty()) continue;
+      min_tokens(adj, node_of(static_cast<int>(b), false), dist);
+      for (size_t i : by_from[b]) {
+        tokens[i] =
+            dist[static_cast<size_t>(node_of(edges[i].to, overlap_free))];
+      }
+    }
+    for (size_t i = 0; i < edges.size(); ++i) {
+      const ctl::ControlGraph::Edge& e = edges[i];
+      const int mt = tokens[i];
       if (overlap_free) {
-        int mt = min_tokens(node_of(e.from, false), node_of(e.to, true));
         if (mt != 0) {
           add(kProtocolContract, Severity::Error,
               cat("non-overlap violated on edge ", cg.bank(e.from).name,
@@ -568,7 +578,6 @@ struct Linter {
                                           false)
                 ? 1
                 : 0;
-        int mt = min_tokens(node_of(e.from, false), node_of(e.to, false));
         if (mt > allowed) {
           add(kProtocolContract, Severity::Error,
               cat("capture ordering violated on edge ", cg.bank(e.from).name,
@@ -584,100 +593,17 @@ struct Linter {
 
   // ---- pass 3: matched-delay coverage ------------------------------------
 
-  /// The adjacency Extractor re-run on the *final* netlist: one sparse STA
-  /// propagation per source bank plus one from the primary inputs, worst
-  /// data-endpoint arrival per destination, margin applied. LATCH and
-  /// LATCHN share one liberty spec, so launching the flipped masters here
-  /// reproduces the latchified netlist's timing exactly; control nets feed
-  /// only enable pins (not data endpoints), so the controller never
-  /// contaminates the datapath arrivals.
+  /// flow::timed_edges re-run on the *final* netlist: the delays the flow
+  /// would size for it now. LATCH and LATCHN share one liberty spec, so
+  /// timing the flipped masters reproduces the latchified netlist's
+  /// timing exactly; control nets feed only enable pins (not data
+  /// endpoints), so the controller never contaminates the datapath
+  /// arrivals. Every primary input launches: the ex-clock has no fanout in
+  /// a desynchronized netlist, so it contributes nothing.
   void pass_timing() {
-    sta::Sta sta(nl, tech);
-    size_t nreal = static_cast<size_t>(real_banks());
-    std::vector<std::vector<int>> watchers(nl.num_nets());
-    for (size_t d = 0; d < nreal; ++d) {
-      const flow::Bank& b = r.banks.banks[d];
-      auto watch = [&](nl::CellId c) {
-        const nl::CellData& cd = nl.cell(c);
-        for (size_t i = 0; i < cd.ins.size(); ++i) {
-          if (!sta::Sta::data_endpoint_pin(cd, i)) continue;
-          auto& w = watchers[cd.ins[i].value()];
-          if (w.empty() || w.back() != static_cast<int>(d)) {
-            w.push_back(static_cast<int>(d));
-          }
-        }
-      };
-      for (nl::CellId c : b.latches) watch(c);
-      for (nl::CellId c : b.rams) watch(c);
-    }
-    auto setup_of = [&](int bank) {
-      return r.banks.banks[static_cast<size_t>(bank)].rams.empty()
-                 ? tech.latch_setup()
-                 : tech.dff_setup();
-    };
-
-    sta::Sta::SparseScratch scratch;
-    std::vector<Ps> dest_worst(nreal, sta::kUnreached);
-    std::vector<int> dests;
-    std::vector<sta::Source> sources;
-    auto collect = [&](int src_bank, auto&& emit) {
-      for (nl::NetId n : scratch.touched) {
-        Ps a = scratch.arr[n.value()];
-        for (int d : watchers[n.value()]) {
-          if (d == src_bank) continue;
-          if (dest_worst[static_cast<size_t>(d)] == sta::kUnreached) {
-            dests.push_back(d);
-          }
-          dest_worst[static_cast<size_t>(d)] =
-              std::max(dest_worst[static_cast<size_t>(d)], a);
-        }
-      }
-      std::sort(dests.begin(), dests.end());
-      for (int d : dests) {
-        emit(d, dest_worst[static_cast<size_t>(d)]);
-        dest_worst[static_cast<size_t>(d)] = sta::kUnreached;
-      }
-      dests.clear();
-    };
-
-    for (size_t s = 0; s < nreal; ++s) {
-      const flow::Bank& src = r.banks.banks[s];
-      sources.clear();
-      for (nl::CellId c : src.latches) {
-        sources.push_back({nl.cell(c).outs[0], sta.cell_delay(c)});
-      }
-      for (nl::CellId c : src.rams) {
-        for (nl::NetId rd : nl.cell(c).outs) {
-          sources.push_back({rd, sta.cell_delay(c)});
-        }
-      }
-      if (sources.empty()) continue;
-      sta.arrivals_sparse(sources, scratch);
-      collect(static_cast<int>(s), [&](int d, Ps a) {
-        recomputed[{static_cast<int>(s), d}] =
-            with_margin(a + setup_of(d), opt.margin_of(d));
-      });
-      Ps po = sta::kUnreached;
-      for (nl::NetId out : nl.outputs()) {
-        po = std::max(po, scratch.arr[out.value()]);
-      }
-      scratch.reset();
-      if (po != sta::kUnreached && !src.even) {
-        recomputed[{static_cast<int>(s), r.env_snk}] =
-            with_margin(po, opt.margin_of(r.env_snk));
-      }
-    }
-    // The environment source: all primary inputs. The ex-clock input has
-    // no fanout in a desynchronized netlist, so it contributes nothing.
-    sources.clear();
-    for (nl::NetId in : nl.inputs()) sources.push_back({in, 0});
-    if (!sources.empty()) {
-      sta.arrivals_sparse(sources, scratch);
-      collect(-1, [&](int d, Ps a) {
-        recomputed[{r.env_src, d}] =
-            with_margin(a + setup_of(d), opt.margin_of(d));
-      });
-      scratch.reset();
+    for (const ctl::ControlGraph::Edge& e :
+         flow::timed_edges(nl, r.banks, nl::NetId(), tech, margins)) {
+      recomputed[{e.from, e.to}] = e.matched_delay;
     }
     rep.edges_checked = recomputed.size();
 
@@ -853,8 +779,8 @@ bool LintReport::has(int code) const {
 }
 
 LintReport lint(const flow::DesyncResult& r, const cell::Tech& tech,
-                const LintOptions& opt) {
-  Linter linter(r, tech, opt);
+                const flow::Margins& margins) {
+  Linter linter(r, tech, margins);
   return linter.run();
 }
 

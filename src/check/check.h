@@ -19,11 +19,11 @@
 //               protocol contracts that hold even if the model itself were
 //               wrong (non-overlap for Lockstep/Semi, capture ordering for
 //               FullyDecoupled) — the PR 2 Lockstep arc-set bug class.
-//   timing      matched-delay coverage: an independent STA mirror of the
-//               adjacency extraction recomputes every launch->capture bank
-//               delay on the final netlist and checks each synthesized
-//               delay line is long enough (margin applied, controller
-//               response credited, enable-tree skew compensation included).
+//   timing      matched-delay coverage: re-runs flow::timed_edges on the
+//               final netlist to recompute every launch->capture bank
+//               delay and checks each synthesized delay line is long
+//               enough (margin applied, controller response credited,
+//               enable-tree skew compensation included).
 //   handshake   every request has an acknowledging arc and every RAM
 //               writer keeps its read-ordering / command-source closure
 //               arcs.
@@ -74,24 +74,6 @@ struct Diag {
   std::string cell;     ///< offending cell name ("" when not cell-anchored)
 };
 
-struct LintOptions {
-  /// The matched-delay margin the flow ran with (DesyncOptions::margin).
-  /// DesyncResult does not carry it, so the caller passes it through; the
-  /// timing pass re-derives required delay-line lengths with it.
-  double margin = 1.10;
-  /// Per-destination-bank overrides (DesyncOptions::margins / flow::
-  /// Margins indexing). Without these the timing pass would flag every
-  /// line optimize_margins legitimately shaved as DSN301.
-  std::vector<double> margins;
-
-  /// Effective margin for matched delays captured by `bank`.
-  double margin_of(int bank) const {
-    size_t b = static_cast<size_t>(bank);
-    return bank >= 0 && b < margins.size() && margins[b] > 0 ? margins[b]
-                                                             : margin;
-  }
-};
-
 struct LintReport {
   std::vector<Diag> diags;
   bool structure_clean = false;   ///< pass 1 found nothing cycle-breaking
@@ -108,9 +90,13 @@ struct LintReport {
 
 /// Run all four passes over a flow result. Pure analysis: `r` is not
 /// modified and no exception escapes for any mutation of a once-valid
-/// DesyncResult (defects become diagnostics, not crashes).
+/// DesyncResult (defects become diagnostics, not crashes). `margins` must
+/// be the ones the flow ran with (DesyncOptions::margin and ::margins;
+/// DesyncResult does not carry them): the timing pass re-derives the
+/// required delay-line lengths with them, so a line optimize_margins
+/// shaved is not flagged as DSN301.
 LintReport lint(const flow::DesyncResult& r, const cell::Tech& tech,
-                const LintOptions& opt = {});
+                const flow::Margins& margins = {});
 
 /// Human-readable multi-line rendering ("" header line per diag plus a
 /// summary); `circuit` labels the run.

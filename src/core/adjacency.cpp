@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
-
-#include "sta/sta.h"
 
 namespace desyn::flow {
 
@@ -14,124 +13,125 @@ Ps with_margin(Ps delay, double margin) {
   return static_cast<Ps>(std::ceil(static_cast<double>(delay) * margin));
 }
 
-/// Shared machinery of full and ECO extraction: the STA, the
-/// capture-endpoint watcher index, and the one-propagation-per-source-bank
-/// destination aggregation. The ECO path reruns propagate_bank() for the
-/// affected sources only, so everything a propagation needs lives here.
-struct Extractor {
-  const nl::Netlist& nl;
-  const LatchifyResult& lr;
-  const cell::Tech& tech;
-  sta::Sta sta;
-  /// Capture-endpoint index: the banks whose member data pins watch each
-  /// net. With it, one sparse propagation aggregates destinations in
-  /// O(touched nets) — per-flip-flop extraction runs one propagation per
-  /// bank, and the old dense dest scan was O(banks^2 * member cells).
-  std::vector<std::vector<int>> watchers;
-  sta::Sta::SparseScratch scratch;
-  std::vector<Ps> dest_worst;
-  std::vector<int> dests;
-  std::vector<sta::Source> sources;
-
-  Extractor(const nl::Netlist& n, const LatchifyResult& l,
-            const cell::Tech& t)
-      : nl(n), lr(l), tech(t), sta(n, t) {
-    watchers.assign(nl.num_nets(), {});
-    for (size_t d = 0; d < lr.banks.size(); ++d) {
-      const Bank& b = lr.banks[d];
-      auto watch = [&](nl::CellId c) {
-        const nl::CellData& cd = nl.cell(c);
-        for (size_t i = 0; i < cd.ins.size(); ++i) {
-          if (!sta::Sta::data_endpoint_pin(cd, i)) continue;
-          auto& w = watchers[cd.ins[i].value()];
-          if (w.empty() || w.back() != static_cast<int>(d)) {
-            w.push_back(static_cast<int>(d));
-          }
-        }
-      };
-      for (nl::CellId c : b.latches) watch(c);
-      for (nl::CellId c : b.rams) watch(c);
-    }
-    dest_worst.assign(lr.banks.size(), sta::kUnreached);
-  }
-
-  Ps setup_of(int bank) const {
-    const Bank& b = lr.banks[static_cast<size_t>(bank)];
-    return b.rams.empty() ? tech.latch_setup() : tech.dff_setup();
-  }
-
-  /// Worst data-pin arrival per reached bank under the scratch's map;
-  /// restores its own state, leaves `dests` sorted for deterministic edge
-  /// order (the order the dense scan produced).
-  template <typename Emit>
-  void collect_dests(int src_bank, Emit&& emit) {
-    for (nl::NetId n : scratch.touched) {
-      Ps a = scratch.arr[n.value()];
-      for (int d : watchers[n.value()]) {
-        if (d == src_bank) continue;
-        if (dest_worst[static_cast<size_t>(d)] == sta::kUnreached) {
-          dests.push_back(d);
-        }
-        dest_worst[static_cast<size_t>(d)] =
-            std::max(dest_worst[static_cast<size_t>(d)], a);
-      }
-    }
-    std::sort(dests.begin(), dests.end());
-    for (int d : dests) {
-      emit(d, dest_worst[static_cast<size_t>(d)]);
-      dest_worst[static_cast<size_t>(d)] = sta::kUnreached;
-    }
-    dests.clear();
-  }
-
-  /// One arrival propagation from bank `s`'s launch points. Calls
-  /// emit(dest_bank, worst_data_arrival) per reached destination in sorted
-  /// order; returns the worst primary-output arrival (kUnreached when no
-  /// PO is reached or the bank has no launch nets).
-  template <typename Emit>
-  Ps propagate_bank(size_t s, Emit&& emit) {
-    const Bank& src = lr.banks[s];
-    sources.clear();
-    for (nl::CellId c : src.latches) {
-      // Launch at the latch's propagation delay (enable -> Q).
-      sources.push_back({nl.cell(c).outs[0], sta.cell_delay(c)});
-    }
-    for (nl::CellId c : src.rams) {
-      // Read data launches at the RAM access time (relative to the write
-      // pulse of this odd bank).
-      for (nl::NetId rd : nl.cell(c).outs) {
-        sources.push_back({rd, sta.cell_delay(c)});
-      }
-    }
-    if (sources.empty()) return sta::kUnreached;
-    sta.arrivals_sparse(sources, scratch);
-    collect_dests(static_cast<int>(s), emit);
-    // Primary outputs observed by the environment sink.
-    Ps po = sta::kUnreached;
-    for (nl::NetId out : nl.outputs()) {
-      po = std::max(po, scratch.arr[out.value()]);
-    }
-    scratch.reset();
-    return po;
-  }
-
-  /// One propagation from all non-clock primary inputs (the env_src
-  /// launch). No-op when the design has none.
-  template <typename Emit>
-  void propagate_pis(nl::NetId clock, Emit&& emit) {
-    sources.clear();
-    for (nl::NetId in : nl.inputs()) {
-      if (in == clock) continue;
-      sources.push_back({in, 0});
-    }
-    if (sources.empty()) return;
-    sta.arrivals_sparse(sources, scratch);
-    collect_dests(-1, emit);
-    scratch.reset();
-  }
-};
+constexpr Ps kNone = std::numeric_limits<Ps>::min();
 
 }  // namespace
+
+BankTiming::BankTiming(const nl::Netlist& nl, const LatchifyResult& lr,
+                       const cell::Tech& tech, std::vector<Ps> insertion)
+    : nl_(nl),
+      lr_(lr),
+      sta_(nl, tech),
+      insertion_(std::move(insertion)),
+      captures_(nl.num_nets()),
+      worst_(lr.banks.size(), kNone) {
+  for (size_t d = 0; d < lr.banks.size(); ++d) {
+    const int bank = static_cast<int>(d);
+    auto watch = [&](nl::CellId c) {
+      const Ps ins = insertion_of(c);
+      if (ins < 0) return;
+      const nl::CellData& cd = nl.cell(c);
+      for (size_t i = 0; i < cd.ins.size(); ++i) {
+        if (!sta::Sta::data_endpoint_pin(cd, i)) continue;
+        auto& w = captures_[cd.ins[i].value()];
+        if (!w.empty() && w.back().bank == bank) {
+          w.back().ins = std::min(w.back().ins, ins);
+        } else {
+          w.push_back({bank, ins});
+        }
+      }
+    };
+    for (nl::CellId c : lr.banks[d].latches) watch(c);
+    for (nl::CellId c : lr.banks[d].rams) watch(c);
+  }
+}
+
+const BankTiming::Reach& BankTiming::from_bank(size_t s) {
+  const Bank& src = lr_.banks[s];
+  sources_.clear();
+  auto launch = [&](nl::CellId c, nl::NetId out) {
+    const Ps ins = insertion_of(c);
+    if (ins >= 0) sources_.push_back({out, ins + sta_.cell_delay(c)});
+  };
+  // Latches launch at their enable -> Q delay; RAM read data at the access
+  // time (relative to the write pulse of this odd bank).
+  for (nl::CellId c : src.latches) launch(c, nl_.cell(c).outs[0]);
+  for (nl::CellId c : src.rams) {
+    for (nl::NetId rd : nl_.cell(c).outs) launch(c, rd);
+  }
+  return propagate(static_cast<int>(s));
+}
+
+const BankTiming::Reach& BankTiming::from_inputs(nl::NetId clock) {
+  sources_.clear();
+  for (nl::NetId in : nl_.inputs()) {
+    if (in != clock) sources_.push_back({in, 0});
+  }
+  return propagate(-1);
+}
+
+const BankTiming::Reach& BankTiming::propagate(int src) {
+  reach_.banks.clear();
+  reach_.po = sta::kUnreached;
+  if (sources_.empty()) return reach_;
+  sta_.arrivals_sparse(sources_, scratch_);
+  for (nl::NetId n : scratch_.touched) {
+    const Ps a = scratch_.arr[n.value()];
+    for (const Capture& c : captures_[n.value()]) {
+      if (c.bank == src) continue;
+      Ps& w = worst_[static_cast<size_t>(c.bank)];
+      if (w == kNone) dests_.push_back(c.bank);
+      w = std::max(w, a - c.ins);
+    }
+  }
+  // Bank order keeps the edge order deterministic.
+  std::sort(dests_.begin(), dests_.end());
+  for (int d : dests_) {
+    reach_.banks.push_back({d, worst_[static_cast<size_t>(d)]});
+    worst_[static_cast<size_t>(d)] = kNone;
+  }
+  dests_.clear();
+  for (nl::NetId out : nl_.outputs()) {
+    reach_.po = std::max(reach_.po, scratch_.arr[out.value()]);
+  }
+  scratch_.reset();
+  return reach_;
+}
+
+std::vector<ctl::ControlGraph::Edge> timed_edges(
+    const nl::Netlist& nl, const LatchifyResult& lr, nl::NetId clock,
+    const cell::Tech& tech, const Margins& margins,
+    std::span<const char> sources) {
+  const int nbanks = static_cast<int>(lr.banks.size());
+  const int env_snk = nbanks, env_src = nbanks + 1;
+  auto timed = [&](int b) {
+    return sources.empty() || sources[static_cast<size_t>(b)];
+  };
+  std::vector<ctl::ControlGraph::Edge> edges;
+  // The margin is looked up per *destination* bank: every matched delay
+  // protects the capture at its endpoint, which is where optimize_margins
+  // shaves slack.
+  auto add = [&](int from, const BankTiming::Reach& r) {
+    for (auto [to, a] : r.banks) {
+      const Ps setup = lr.banks[static_cast<size_t>(to)].rams.empty()
+                           ? tech.latch_setup()
+                           : tech.dff_setup();
+      edges.push_back({from, to, with_margin(a + setup, margins.of(to))});
+    }
+  };
+  BankTiming timing(nl, lr, tech);
+  for (int s = 0; s < nbanks; ++s) {
+    if (!timed(s)) continue;
+    const BankTiming::Reach& r = timing.from_bank(static_cast<size_t>(s));
+    add(s, r);
+    // Primary outputs observed by the environment sink.
+    if (r.po != sta::kUnreached && !lr.banks[static_cast<size_t>(s)].even) {
+      edges.push_back({s, env_snk, with_margin(r.po, margins.of(env_snk))});
+    }
+  }
+  if (timed(env_src)) add(env_src, timing.from_inputs(clock));
+  return edges;
+}
 
 AdjacencyResult extract_control_graph(const nl::Netlist& nl,
                                       const LatchifyResult& lr,
@@ -144,27 +144,10 @@ AdjacencyResult extract_control_graph(const nl::Netlist& nl,
   res.env_snk = res.cg.add_bank("env_snk", true);
   res.env_src = res.cg.add_bank("env_src", false);
 
-  Extractor ex(nl, lr, tech);
-
-  // One arrival propagation per source bank. The margin is looked up per
-  // *destination* bank: every matched delay protects the capture at its
-  // endpoint, which is where optimize_margins shaves slack.
-  for (size_t s = 0; s < lr.banks.size(); ++s) {
-    Ps po = ex.propagate_bank(s, [&](int d, Ps a) {
-      res.cg.add_edge(static_cast<int>(s), d,
-                      with_margin(a + ex.setup_of(d), margins.of(d)));
-    });
-    if (po != sta::kUnreached && !lr.banks[s].even) {
-      res.cg.add_edge(static_cast<int>(s), res.env_snk,
-                      with_margin(po, margins.of(res.env_snk)));
-    }
+  for (const ctl::ControlGraph::Edge& e :
+       timed_edges(nl, lr, clock, tech, margins)) {
+    res.cg.add_edge(e.from, e.to, e.matched_delay);
   }
-
-  // Primary inputs: one propagation from all non-clock PIs.
-  ex.propagate_pis(clock, [&](int d, Ps a) {
-    res.cg.add_edge(res.env_src, d,
-                    with_margin(a + ex.setup_of(d), margins.of(d)));
-  });
   res.cg.add_edge(res.env_snk, res.env_src, 0);
 
   // Read-before-write ordering: a RAM's write pulse (odd bank) must follow
@@ -261,8 +244,9 @@ AdjacencyResult extract_control_graph_eco(
       bank_of[c.value()] = static_cast<int>(b);
     }
   }
-  std::vector<char> affected(nbanks, 0);
-  bool env_affected = false;
+  // Indexed by control-graph bank id; the env_src slot (nbanks + 1) flags
+  // the primary-input propagation, env_snk (nbanks) is never set.
+  std::vector<char> affected(nbanks + 2, 0);
   std::vector<char> seen(nl.num_cells(), 0);
   std::vector<nl::CellId> work;
   auto enter = [&](nl::CellId c) {
@@ -282,7 +266,7 @@ AdjacencyResult extract_control_graph_eco(
     for (nl::NetId in : cd.ins) {
       const nl::NetData& nd = nl.net(in);
       if (!nd.driver.valid()) {
-        env_affected = true;  // primary input (or undriven) in the cone
+        affected[nbanks + 1] = 1;  // primary input (or undriven) in the cone
       } else {
         enter(nd.driver);
       }
@@ -296,32 +280,19 @@ AdjacencyResult extract_control_graph_eco(
   DESYN_ASSERT(res.env_snk == prev.env_snk && res.env_src == prev.env_src);
 
   // Re-time the affected sources' outgoing edges.
-  Extractor ex(nl, lr, tech);
   std::unordered_map<uint64_t, Ps> fresh;
   auto key = [](int f, int t) {
     return static_cast<uint64_t>(static_cast<uint32_t>(f)) << 32 |
            static_cast<uint32_t>(t);
   };
-  size_t ran = 0;
-  for (size_t s = 0; s < nbanks; ++s) {
-    if (!affected[s]) continue;
-    ++ran;
-    Ps po = ex.propagate_bank(s, [&](int d, Ps a) {
-      fresh[key(static_cast<int>(s), d)] =
-          with_margin(a + ex.setup_of(d), margins.of(d));
-    });
-    if (po != sta::kUnreached && !lr.banks[s].even) {
-      fresh[key(static_cast<int>(s), res.env_snk)] =
-          with_margin(po, margins.of(res.env_snk));
-    }
+  for (const ctl::ControlGraph::Edge& e :
+       timed_edges(nl, lr, clock, tech, margins, affected)) {
+    fresh[key(e.from, e.to)] = e.matched_delay;
   }
-  if (env_affected) {
-    ex.propagate_pis(clock, [&](int d, Ps a) {
-      fresh[key(res.env_src, d)] =
-          with_margin(a + ex.setup_of(d), margins.of(d));
-    });
+  if (banks_recomputed) {
+    *banks_recomputed =
+        static_cast<size_t>(std::count(affected.begin(), affected.end(), 1));
   }
-  if (banks_recomputed) *banks_recomputed = ran + (env_affected ? 1 : 0);
 
   // Replay the previous edge list in order. Identical structure means
   // identical reachability, so the full extraction would produce exactly
@@ -337,11 +308,8 @@ AdjacencyResult extract_control_graph_eco(
       d = it->second;
       ++used;
     } else {
-      bool retimed_src =
-          e.from < static_cast<int>(nbanks)
-              ? affected[static_cast<size_t>(e.from)] != 0
-              : (e.from == res.env_src && env_affected);
-      DESYN_ASSERT(!(retimed_src && e.matched_delay > 0),
+      DESYN_ASSERT(!(affected[static_cast<size_t>(e.from)] &&
+                     e.matched_delay > 0),
                    "eco: timed edge of a re-timed source not re-timed "
                    "(structure changed?)");
     }

@@ -7,6 +7,11 @@
 //   margin * (worst STA path from a's outputs, launched at the latch
 //             propagation delay, to b's data pins  +  setup)
 //
+// BankTiming times those launch->capture paths (the one place that does),
+// and timed_edges applies the margin rule. The flow, its ECO re-timing,
+// lint's timing pass (on the final netlist) and flow equivalence's
+// worst-case setup check all read them.
+//
 // The environment is modeled as a bank pair: env_src (odd) feeds every bank
 // whose input cone reaches a primary input (delay = worst PI path) and
 // env_snk (even) absorbs every bank whose output cone reaches a primary
@@ -19,6 +24,7 @@
 #include "cell/tech.h"
 #include "core/latchify.h"
 #include "ctl/protocol.h"
+#include "sta/sta.h"
 
 namespace desyn::flow {
 
@@ -51,6 +57,69 @@ struct Margins {
                                                                : global;
   }
 };
+
+/// Worst-case launch->capture timing between the banks of `lr`: one sparse
+/// STA propagation per source bank (or from the primary inputs), reduced
+/// to the worst data-pin arrival per capturing bank through a capture
+/// index (the banks whose latch D / RAM write pins watch each net), so a
+/// propagation costs O(touched nets).
+class BankTiming {
+ public:
+  /// `insertion` (per cell id; empty = 0 for every cell): a storage cell
+  /// launches later and captures earlier by its entry, and a cell whose
+  /// entry is negative takes no part.
+  BankTiming(const nl::Netlist& nl, const LatchifyResult& lr,
+             const cell::Tech& tech, std::vector<Ps> insertion = {});
+
+  /// The paths one launch reaches. Valid until the next from_*() call.
+  struct Reach {
+    /// (capturing bank, worst data-pin arrival) in bank order; the
+    /// launching bank itself is never listed.
+    std::vector<std::pair<int, Ps>> banks;
+    Ps po = sta::kUnreached;  ///< worst primary-output arrival
+  };
+  /// Launch from bank `s`: latch Q and RAM read data at the cell's
+  /// propagation delay (plus its insertion).
+  const Reach& from_bank(size_t s);
+  /// Launch at 0 from every primary input except `clock` (an invalid id
+  /// excludes none).
+  const Reach& from_inputs(nl::NetId clock);
+
+ private:
+  struct Capture {
+    int bank;
+    Ps ins;  ///< smallest insertion among the bank's cells on this net
+  };
+  Ps insertion_of(nl::CellId c) const {
+    return insertion_.empty() ? 0 : insertion_[c.value()];
+  }
+  const Reach& propagate(int src);
+
+  const nl::Netlist& nl_;
+  const LatchifyResult& lr_;
+  sta::Sta sta_;
+  std::vector<Ps> insertion_;
+  std::vector<std::vector<Capture>> captures_;  ///< per net
+  sta::Sta::SparseScratch scratch_;
+  std::vector<sta::Source> sources_;
+  std::vector<Ps> worst_;  ///< per bank, kNone between propagations
+  std::vector<int> dests_;
+  Reach reach_;
+};
+
+/// The STA-timed data edges of the control graph of `lr`, in extraction
+/// order, with bank ids as in AdjacencyResult (env_snk = lr.banks.size(),
+/// env_src = env_snk + 1). Per source bank: every capturing bank `to` at
+/// margins.of(to) * (arrival + setup) (FF setup for a bank holding a RAM,
+/// else latch setup), then env_snk at margins.of(env_snk) * arrival when
+/// an odd bank reaches a primary output; last env_src -> every bank the
+/// primary inputs but `clock` reach. `sources` (indexed by
+/// bank id, env_src standing for the inputs; empty = all) limits which
+/// sources are timed.
+std::vector<ctl::ControlGraph::Edge> timed_edges(
+    const nl::Netlist& nl, const LatchifyResult& lr, nl::NetId clock,
+    const cell::Tech& tech, const Margins& margins,
+    std::span<const char> sources = {});
 
 /// `protocol` only affects RAM-bearing designs: the ordering edges that
 /// keep a RAM's write commit inside the window its readers and command
@@ -151,8 +220,6 @@ class IncrementalQuotient {
   void move(int g, int to);
   /// Revert the most recent un-undone merge/move (LIFO).
   void undo();
-  /// Committed (un-undone) delta count — replicas replay by it.
-  size_t ops() const { return log_.size(); }
 
   /// Fine-bank -> quotient-bank map of the current clustering: quotient
   /// indices in first-seen fine-group order, env pair last (the order

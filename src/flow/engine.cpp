@@ -820,7 +820,7 @@ std::shared_ptr<const check::LintReport> Engine::lint(
   Stages st = run_stages(ff, clock, opt, ff_hash, part_key);
   auto la = std::make_shared<LintArtifact>();
   la->rep = check::lint(st.synth->result, tech_,
-                        check::LintOptions{opt.margin, opt.margins});
+                        Margins{opt.margin, opt.margins});
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.lint_runs;

@@ -67,7 +67,7 @@ struct McReport {
 
 /// Monte-Carlo sweep of `r`'s hardware timed model. `margins` must be the
 /// margins the flow ran with (DesyncResult does not carry them; same
-/// contract as check::LintOptions) — the slack model de-margins the sized
+/// contract as check::lint) — the slack model de-margins the sized
 /// matched delays with them to recover the raw data-path requirement.
 McReport mc_analysis(const DesyncResult& r, const cell::Tech& tech,
                      const Margins& margins, const McOptions& opt = {});

@@ -101,6 +101,8 @@ class Simulator {
   uint64_t setup_violation_count() const { return violation_count_; }
 
   uint64_t events_processed() const { return events_processed_; }
+  /// Propagation delay of cell `c` (the model sta::Sta times with).
+  Ps delay(nl::CellId c) const { return delay_[c.value()]; }
 
   /// Current contents word of a RAM cell (for testbench inspection).
   uint64_t ram_word(nl::CellId ram, uint64_t addr) const;

@@ -94,8 +94,6 @@ class Sta {
   std::vector<nl::NetId> trace_path(const std::vector<Ps>& arr,
                                     nl::NetId net) const;
 
-  const std::vector<nl::CellId>& topo() const { return topo_; }
-
  private:
   const nl::Netlist& nl_;
   const cell::Tech& tech_;

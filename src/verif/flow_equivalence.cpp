@@ -1,7 +1,6 @@
 #include "verif/flow_equivalence.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 
 #include "core/clocktree.h"
@@ -30,19 +29,18 @@ struct Tap {
 /// Data-independent setup check under the simulated enable schedule. The
 /// simulator's own check sees only the paths the stimulus toggles within
 /// the horizon. This one charges every bank closing edge with the STA
-/// worst-case arrival from each source bank's latest opening (plus its
-/// enable-tree insertion and latch delay) and from the latest input
-/// vector, so a matched delay too short for a path the stimulus reaches
-/// only late is caught in the first rounds. RAM macros are left to the
-/// simulated check.
+/// worst-case arrival (flow::BankTiming) from each source bank's latest
+/// opening and from the latest input vector, so a matched delay too short
+/// for a path the stimulus reaches only late is caught in the first
+/// rounds. Each latch launches and captures at its own enable-tree
+/// insertion delay. RAM macros are left to the simulated check.
 class WorstCaseSetup {
  public:
+  /// Watches every bank enable of `sim`, which simulates dr.netlist.
   WorstCaseSetup(const flow::DesyncResult& dr, nl::NetId clock,
-                 const cell::Tech& tech);
+                 const cell::Tech& tech, sim::Simulator& sim);
   WorstCaseSetup(const WorstCaseSetup&) = delete;  // watchers hold `this`
   WorstCaseSetup& operator=(const WorstCaseSetup&) = delete;
-  /// Watch every bank enable of `sim`, which simulates dr.netlist.
-  void watch(sim::Simulator& sim);
   /// The testbench applied an input vector at `at`.
   void vector_applied(Ps at) { open_.back() = at; }
   /// Closing edges that missed setup, counted once per source.
@@ -54,7 +52,6 @@ class WorstCaseSetup {
     Ps worst;    // worst arrival after the source's opening, less the
                  // capturing latch's own insertion delay
   };
-  std::vector<nl::NetId> enables_;
   std::vector<std::vector<Pred>> preds_;  // per capturing bank
   std::vector<Ps> open_;  // latest opening per bank, then the inputs
   Ps setup_;
@@ -62,86 +59,51 @@ class WorstCaseSetup {
 };
 
 WorstCaseSetup::WorstCaseSetup(const flow::DesyncResult& dr, nl::NetId clock,
-                               const cell::Tech& tech)
+                               const cell::Tech& tech, sim::Simulator& sim)
     : preds_(dr.banks.banks.size()),
       open_(dr.banks.banks.size() + 1, -1),
       setup_(tech.latch_setup()) {
   const nl::Netlist& nl = dr.netlist;
   const size_t nbanks = dr.banks.banks.size();
-  const sta::Sta sta(nl, tech);
 
-  // Insertion delay of every net of a bank's enable tree (buffers only).
-  std::vector<Ps> ins(nl.num_nets(), -1);
+  // Insertion delay of every net of a bank's enable tree (buffers only),
+  // then of every latch's enable pin; RAM cells keep -1 and take no part.
+  std::vector<Ps> net_ins(nl.num_nets(), -1);
   std::vector<nl::NetId> stack;
   for (size_t b = 0; b < nbanks; ++b) {
-    enables_.push_back(dr.enable(static_cast<int>(b)));
-    ins[enables_.back().value()] = 0;
-    stack.push_back(enables_.back());
+    const nl::NetId en = dr.enable(static_cast<int>(b));
+    net_ins[en.value()] = 0;
+    stack.push_back(en);
     while (!stack.empty()) {
       const nl::NetId n = stack.back();
       stack.pop_back();
       for (const nl::Pin& p : nl.net(n).fanout) {
         const nl::CellData& cd = nl.cell(p.cell);
         if (cd.kind != cell::Kind::Buf) continue;
-        ins[cd.outs[0].value()] = ins[n.value()] + sta.cell_delay(p.cell);
+        net_ins[cd.outs[0].value()] = net_ins[n.value()] + sim.delay(p.cell);
         stack.push_back(cd.outs[0]);
       }
     }
   }
-  auto en_ins = [&](nl::CellId c) { return ins[nl.cell(c).ins[1].value()]; };
-
-  // Capturing latches by D net, with the insertion delay of their enable.
-  struct Cap {
-    size_t bank;
-    Ps ins;
-  };
-  std::vector<std::vector<Cap>> caps(nl.num_nets());
-  for (size_t b = 0; b < nbanks; ++b) {
-    for (nl::CellId c : dr.banks.banks[b].latches) {
-      if (en_ins(c) < 0) continue;
-      caps[nl.cell(c).ins[0].value()].push_back({b, en_ins(c)});
+  std::vector<Ps> cell_ins(nl.num_cells(), -1);
+  for (const flow::Bank& b : dr.banks.banks) {
+    for (nl::CellId c : b.latches) {
+      cell_ins[c.value()] = net_ins[nl.cell(c).ins[1].value()];
     }
   }
 
-  constexpr Ps kNone = std::numeric_limits<Ps>::min();
-  std::vector<Ps> worst(nbanks, kNone);
-  std::vector<size_t> dests;
-  std::vector<sta::Source> sources;
-  sta::Sta::SparseScratch scratch;
-  auto propagate = [&](size_t src) {
-    sta.arrivals_sparse(sources, scratch);
-    for (nl::NetId n : scratch.touched) {
-      for (const Cap& c : caps[n.value()]) {
-        if (c.bank == src) continue;
-        if (worst[c.bank] == kNone) dests.push_back(c.bank);
-        worst[c.bank] = std::max(worst[c.bank], scratch.arr[n.value()] - c.ins);
-      }
-    }
-    scratch.reset();
-    for (size_t d : dests) {
-      preds_[d].push_back({src, worst[d]});
-      worst[d] = kNone;
-    }
-    dests.clear();
-  };
+  flow::BankTiming timing(nl, dr.banks, tech, std::move(cell_ins));
   for (size_t s = 0; s < nbanks; ++s) {
-    sources.clear();
-    for (nl::CellId c : dr.banks.banks[s].latches) {
-      if (en_ins(c) < 0) continue;
-      sources.push_back({nl.cell(c).outs[0], en_ins(c) + sta.cell_delay(c)});
+    for (auto [d, worst] : timing.from_bank(s).banks) {
+      preds_[static_cast<size_t>(d)].push_back({s, worst});
     }
-    if (!sources.empty()) propagate(s);
   }
-  sources.clear();
-  for (nl::NetId in : nl.inputs()) {
-    if (in != clock) sources.push_back({in, 0});
+  for (auto [d, worst] : timing.from_inputs(clock).banks) {
+    preds_[static_cast<size_t>(d)].push_back({nbanks, worst});
   }
-  if (!sources.empty()) propagate(nbanks);
-}
 
-void WorstCaseSetup::watch(sim::Simulator& sim) {
-  for (size_t b = 0; b < enables_.size(); ++b) {
-    sim.watch(enables_[b], [this, b](Ps at, V v) {
+  for (size_t b = 0; b < nbanks; ++b) {
+    sim.watch(dr.enable(static_cast<int>(b)), [this, b](Ps at, V v) {
       if (v == V::V1) {
         open_[b] = at;
         return;
@@ -303,8 +265,7 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
                   });
       }
     }
-    WorstCaseSetup worst_case(dr, clock, tech);
-    worst_case.watch(sim);
+    WorstCaseSetup worst_case(dr, clock, tech, sim);
 
     // The environment publishes vectors where the matched-delay model puts
     // the env bank's data launch. Under Pulse ([O+ O- E+ E-]) that is the

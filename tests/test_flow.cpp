@@ -9,6 +9,8 @@
 #include "core/clocktree.h"
 #include "ctl/conformance.h"
 #include "core/report.h"
+#include "dlx/cpu_builder.h"
+#include "dlx/programs.h"
 #include "mutants.h"
 #include "netlist/builder.h"
 #include "netlist/reader.h"
@@ -769,6 +771,66 @@ TEST(FlowEq, WatchdogReportsDeadLeafEnable) {
   EXPECT_FALSE(r.equivalent);
   EXPECT_NE(r.mismatch.find("made no progress"), std::string::npos)
       << r.mismatch;
+}
+
+TEST(FlowEq, WorstCaseSetupCountsPinned) {
+  // Exact desync_setup_violations (the worst-case check dominates) and
+  // verdicts of short-line mutants, recorded before flow::BankTiming
+  // replaced the check's own STA loop. A presence check would miss a
+  // shifted enable-tree insertion offset: the pipe cases have wide banks
+  // (buffered enables), and dropping the launch or the capture offset
+  // moves their counts. The DLX case is the one with a RAM bank. Margin
+  // 1.0, random_stimulus(17), default FlowEqOptions.
+  struct Case {
+    const char* circuit;
+    ctl::Protocol protocol;
+    const char* strategy;
+    bool bypass;  ///< longest line bypassed; else one DELAY shaved
+    uint64_t violations;
+    bool equivalent;
+  };
+  using P = ctl::Protocol;
+  const Case cases[] = {
+      {"counters4x8", P::FullyDecoupled, "prefix", true, 41, true},
+      {"counters4x8", P::Pulse, "perff", true, 210, true},
+      {"fir16x16", P::Pulse, "perff", false, 62, true},
+      {"rpipe32x8", P::Pulse, "prefix", true, 4, true},
+      {"pipe8x16", P::Pulse, "prefix", true, 41, false},
+      {"pipe16x32", P::Pulse, "prefix", true, 50, false},
+      {"dlx", P::FullyDecoupled, "prefix", true, 52, false},
+  };
+  const std::vector<circuits::Suite> suite = circuits::scaling_suite();
+  circuits::Circuit dlx_cpu{Netlist("dlx"), {}};
+  dlx_cpu.clock =
+      dlx::build_dlx(dlx_cpu.netlist, dlx::DlxConfig{},
+                     dlx::fibonacci_program(6))
+          .clk;
+  const Tech& tech = Tech::generic90();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(cat(c.circuit, " / ", ctl::protocol_name(c.protocol), " / ",
+                     c.strategy, c.bypass ? " / bypassed" : " / shaved"));
+    const circuits::Circuit* circ = &dlx_cpu;
+    for (const circuits::Suite& s : suite) {
+      if (s.name == c.circuit) circ = &s.circuit;
+    }
+    DesyncOptions dopt;
+    dopt.protocol = c.protocol;
+    dopt.margin = 1.0;
+    dopt.strategy = PartitionSpec::parse(c.strategy);
+    DesyncResult dr =
+        desynchronize(circ->netlist, circ->clock, tech, dopt);
+    if (c.bypass) {
+      ASSERT_TRUE(mutants::bypass_longest_line(dr.netlist));
+    } else {
+      CellId second, first;
+      ASSERT_TRUE(mutants::find_delay_pair(dr.netlist, &second, &first));
+      dr.netlist.rewire_input(second, 0, dr.netlist.cell(first).ins[0]);
+    }
+    const verif::FlowEqResult r = verif::check_flow_equivalence(
+        circ->netlist, circ->clock, verif::random_stimulus(17), tech, dr);
+    EXPECT_EQ(r.desync_setup_violations, c.violations);
+    EXPECT_EQ(r.equivalent, c.equivalent) << r.mismatch;
+  }
 }
 
 }  // namespace
