@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <queue>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -14,6 +13,7 @@
 #include "core/adjacency.h"
 #include "core/certificate.h"
 #include "core/latchify.h"
+#include "core/pair_table.h"
 #include "ctl/controller.h"
 #include "netlist/builder.h"
 #include "pn/mcr.h"
@@ -484,8 +484,8 @@ class IncrementalEvaluator final : public Evaluator {
 
 /// Candidate heap entry; stale entries are recognized by their epoch.
 struct HeapEntry {
-  int weight;
   uint64_t h;
+  int weight;
   int a, b;
   uint32_t epoch;
 };
@@ -563,12 +563,26 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
   // between two groups, +1 per fine bank with edges to (from) both groups
   // on the same side. Additive under merging — W(a∪b, x) = W(a,x) +
   // W(b,x) — which is what lets the rank structure update in O(deg) per
-  // commit instead of a full O(V+E) rescan per round. A flat sorted-vector
-  // pass; the old per-round std::map rescan is gone.
-  std::vector<uint64_t> raw;
+  // commit instead of a full O(V+E) rescan per round. Accumulated densely,
+  // one group a at a time: a G-sized counter takes a's direct edges and,
+  // for every bank side listing a, the tail of that sorted list after a;
+  // the touched b > a come out in (a, b) order with no pair-key sort.
+  struct PairInfo {
+    int weight = 0;
+    uint32_t epoch = 0;
+  };
+  std::vector<HeapEntry> heap;
+  std::vector<std::vector<int>> partners(G);
+  auto entry = [&](int a, int b, const PairInfo& pi) {
+    return HeapEntry{mix(opt.seed ^ pair_key(a, b)), pi.weight, a, b,
+                     pi.epoch};
+  };
   {
     const size_t B = fine.cg.num_banks();
-    std::vector<std::vector<int>> succs(B), preds(B);
+    // Per bank: the sorted mergeable groups it drives (first B lists) and
+    // is driven by (last B lists).
+    std::vector<std::vector<int>> sides(2 * B);
+    std::vector<std::vector<int>> direct(G);  // b > a, once per fine edge
     auto group_of_bank = [&](int bank) {
       return bank < static_cast<int>(2 * G) ? bank / 2 : -1;
     };
@@ -577,51 +591,66 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
       bool mf = gf >= 0 && merge_ok[static_cast<size_t>(gf)];
       bool mt = gt >= 0 && merge_ok[static_cast<size_t>(gt)];
       if (mf && mt && gf != gt) {
-        raw.push_back(pair_key(std::min(gf, gt), std::max(gf, gt)));
+        direct[static_cast<size_t>(std::min(gf, gt))].push_back(
+            std::max(gf, gt));
       }
-      if (mt) succs[static_cast<size_t>(e.from)].push_back(gt);
-      if (mf) preds[static_cast<size_t>(e.to)].push_back(gf);
+      if (mt) sides[static_cast<size_t>(e.from)].push_back(gt);
+      if (mf) sides[B + static_cast<size_t>(e.to)].push_back(gf);
     }
-    for (auto* side : {&succs, &preds}) {
-      for (auto& v : *side) {
-        std::sort(v.begin(), v.end());
-        v.erase(std::unique(v.begin(), v.end()), v.end());
-        for (size_t i = 0; i < v.size(); ++i) {
-          for (size_t j = i + 1; j < v.size(); ++j) {
-            raw.push_back(pair_key(v[i], v[j]));
-          }
-        }
+    // tails[a]: (side, index past a) for every side list holding a.
+    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> tails(G);
+    for (size_t s = 0; s < sides.size(); ++s) {
+      std::vector<int>& v = sides[s];
+      std::sort(v.begin(), v.end());
+      v.erase(std::unique(v.begin(), v.end()), v.end());
+      for (size_t i = 0; i + 1 < v.size(); ++i) {
+        tails[static_cast<size_t>(v[i])].push_back(
+            {static_cast<uint32_t>(s), static_cast<uint32_t>(i + 1)});
       }
+    }
+    std::vector<int> count(G, 0);
+    std::vector<int> touched;
+    auto bump = [&](int b) {
+      if (count[static_cast<size_t>(b)]++ == 0) touched.push_back(b);
+    };
+    for (size_t a = 0; a < G; ++a) {
+      for (int b : direct[a]) bump(b);
+      for (const auto& [s, from] : tails[a]) {
+        const std::vector<int>& v = sides[s];
+        for (size_t i = from; i < v.size(); ++i) bump(v[i]);
+      }
+      std::sort(touched.begin(), touched.end());
+      for (int b : touched) {
+        const int ia = static_cast<int>(a);
+        heap.push_back(entry(ia, b, {count[static_cast<size_t>(b)], 0}));
+        partners[a].push_back(b);
+        partners[static_cast<size_t>(b)].push_back(ia);
+        count[static_cast<size_t>(b)] = 0;
+      }
+      touched.clear();
     }
   }
-  std::sort(raw.begin(), raw.end());
 
-  struct PairInfo {
-    int weight = 0;
-    uint32_t epoch = 0;
-  };
-  std::unordered_map<uint64_t, PairInfo> pairs;
-  std::unordered_map<uint64_t, double> bounds;
-  std::vector<std::vector<int>> partners(G);
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapCmp> heap;
-  auto push_entry = [&](int a, int b, const PairInfo& pi) {
-    heap.push({pi.weight,
-               mix(opt.seed ^ pair_key(a, b)), a, b, pi.epoch});
-  };
-  for (size_t i = 0; i < raw.size();) {
-    size_t j = i;
-    while (j < raw.size() && raw[j] == raw[i]) ++j;
-    int a = static_cast<int>(raw[i] >> 32);
-    int b = static_cast<int>(raw[i] & 0xffffffffu);
-    PairInfo pi{static_cast<int>(j - i), 0};
-    pairs.emplace(raw[i], pi);
-    partners[static_cast<size_t>(a)].push_back(b);
-    partners[static_cast<size_t>(b)].push_back(a);
-    push_entry(a, b, pi);
-    i = j;
+  // ---- rank structure ------------------------------------------------------
+  // Live pairs sit in one open-addressed table sized once: a fold erases
+  // (b,x) before it may insert (a,x), so the live count never exceeds the
+  // initial one. The heap is a flat vector under HeapCmp, a total order on
+  // (weight, h, a, b), so its pop order never depends on its layout. An
+  // entry is stale once its pair is gone or its epoch moved on (exact: a
+  // dropped label never returns); when stale entries make up more than
+  // half the heap, one sequential sweep drops them all and re-heapifies.
+  PairTable<PairInfo> pairs(heap.size());
+  for (const HeapEntry& e : heap) {
+    *pairs.try_emplace(pair_key(e.a, e.b)).first = {e.weight, 0};
   }
-  raw.clear();
-  raw.shrink_to_fit();
+  std::make_heap(heap.begin(), heap.end(), HeapCmp{});
+  std::unordered_map<uint64_t, double> bounds;
+  auto stale = [&](const HeapEntry& e) {
+    // A dropped label's fold erased all its pairs: no lookup needed.
+    if (!cq.live(e.a) || !cq.live(e.b)) return true;
+    const PairInfo* pi = pairs.find(pair_key(e.a, e.b));
+    return !pi || pi->epoch != e.epoch;
+  };
 
   // ---- greedy merges -----------------------------------------------------
   // Pop candidates in rank order and commit the first one that stays in
@@ -632,14 +661,16 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
     if (opt.max_merges && res.merges >= static_cast<int>(opt.max_merges)) {
       break;
     }
-    if (heap.empty()) break;
-    const HeapEntry e = heap.top();
-    heap.pop();
-    const uint64_t k = pair_key(e.a, e.b);
-    if (auto it = pairs.find(k);
-        it == pairs.end() || it->second.epoch != e.epoch) {
-      continue;  // stale
+    if (heap.size() > 2 * pairs.size()) {
+      heap.erase(std::remove_if(heap.begin(), heap.end(), stale), heap.end());
+      std::make_heap(heap.begin(), heap.end(), HeapCmp{});
     }
+    if (heap.empty()) break;
+    std::pop_heap(heap.begin(), heap.end(), HeapCmp{});
+    const HeapEntry e = heap.back();
+    heap.pop_back();
+    if (stale(e)) continue;
+    const uint64_t k = pair_key(e.a, e.b);
     ++res.stats.candidates;
     // The oracle deliberately skips bound pruning: it re-solves pruned
     // candidates cold, so an invalid bound would make the two searches
@@ -665,10 +696,8 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
     // bound still holds).
     for (int x : partners[static_cast<size_t>(b)]) {
       uint64_t kbx = pair_key(std::min(b, x), std::max(b, x));
-      auto it = pairs.find(kbx);
-      if (it == pairs.end()) continue;
-      int w = it->second.weight;
-      pairs.erase(it);
+      PairInfo bx_info;
+      if (!pairs.erase(kbx, &bx_info)) continue;
       auto bx = bounds.find(kbx);
       double bound = bx != bounds.end() ? bx->second : 0.0;
       if (bx != bounds.end()) bounds.erase(bx);
@@ -678,10 +707,11 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
         double& bd = bounds[kax];
         bd = std::max(bd, bound);
       }
-      auto [pit, fresh] = pairs.try_emplace(kax);
-      pit->second.weight += w;
-      ++pit->second.epoch;
-      push_entry(std::min(a, x), std::max(a, x), pit->second);
+      auto [ax, fresh] = pairs.try_emplace(kax);
+      ax->weight += bx_info.weight;
+      ++ax->epoch;
+      heap.push_back(entry(std::min(a, x), std::max(a, x), *ax));
+      std::push_heap(heap.begin(), heap.end(), HeapCmp{});
       if (fresh) {
         // An existing (a,x) already has the partner links; only a pair
         // born from the fold needs them.

@@ -57,11 +57,20 @@ std::string Client::roundtrip(const std::string& request) {
     ssize_t w = ::send(fd_, line.data() + off, line.size() - off,
                        MSG_NOSIGNAL);
     if (w < 0 && errno == EINTR) continue;
+    if (w < 0 && errno == EPIPE) {
+      // A shedding server answers before it reads, then closes: its
+      // refusal may be waiting even though the request was cut off.
+      return read_line("server closed the connection while writing");
+    }
     if (w <= 0) {
       throw TransientError("server closed the connection while writing");
     }
     off += static_cast<size_t>(w);
   }
+  return read_line("server closed the connection while reading");
+}
+
+std::string Client::read_line(const char* closed_what) {
   char chunk[65536];
   for (;;) {
     size_t eol = buf_.find('\n');
@@ -75,9 +84,7 @@ std::string Client::roundtrip(const std::string& request) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       throw TransientError("timed out waiting for the server's response");
     }
-    if (n <= 0) {
-      throw TransientError("server closed the connection while reading");
-    }
+    if (n <= 0) throw TransientError(closed_what);
     buf_.append(chunk, static_cast<size_t>(n));
   }
 }

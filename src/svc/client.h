@@ -36,10 +36,16 @@ class Client {
   /// Send one request line and block for the response line. `request`
   /// must not contain '\n' (the protocol's line delimiter); the returned
   /// response has its delimiter stripped. Throws TransientError when the
-  /// server hangs up mid-round-trip or the io deadline expires.
+  /// server hangs up mid-round-trip or the io deadline expires. A server
+  /// that hangs up before taking the whole request may still have answered
+  /// (a shed connection's `busy` refusal); that answer is returned.
   std::string roundtrip(const std::string& request);
 
  private:
+  /// The next response line; throws TransientError(`closed_what`) when the
+  /// server hangs up first.
+  std::string read_line(const char* closed_what);
+
   int fd_ = -1;
   std::string buf_;  ///< bytes read past the last response line
 };

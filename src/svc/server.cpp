@@ -252,6 +252,11 @@ void Server::cancel_inflight() {
   for (CancelToken* t : inflight_) t->cancel();
 }
 
+size_t Server::pending() const {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  return pending_.size();
+}
+
 void Server::acceptor() {
   for (;;) {
     int fd = ::accept(listen_fd_, nullptr, nullptr);

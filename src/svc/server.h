@@ -115,6 +115,8 @@ class Server {
   void cancel_inflight();
 
   bool running() const { return listen_fd_ >= 0; }
+  /// Connections admitted and waiting for a worker.
+  size_t pending() const;
   const std::string& socket_path() const { return opt_.socket_path; }
   flow::Engine& engine() { return engine_; }
 
@@ -136,7 +138,7 @@ class Server {
   int listen_fd_ = -1;
   std::thread acceptor_;
   std::vector<std::thread> workers_;
-  std::mutex conn_mu_;  ///< guards conns_/pending_/inflight_/stopping_
+  mutable std::mutex conn_mu_;  ///< guards conns_/pending_/inflight_/stopping_
   std::condition_variable pending_cv_;
   std::deque<int> pending_;  ///< admitted, waiting for a worker
   std::set<int> conns_;      ///< connections currently being served

@@ -576,12 +576,19 @@ TEST(SvcShed, QueueFullGetsTypedBusyResponse) {
   svc::Server server(Tech::generic90(), opt);
   server.start();
 
-  // Occupy the single worker with an idle-but-served connection, then
-  // fill the one pending slot with another.
+  // Occupy the single worker: an answered round trip proves a worker took
+  // `held`, and it stays parked on the open connection.
   svc::Client held(path);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  held.roundtrip("{}");
+  // Fill the one pending slot, and wait until the acceptor has admitted it.
   svc::Client queued(path);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.pending() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.pending(), 1u);
 
   // The next admission must be shed with a typed, retryable busy error.
   svc::Client shed(path);

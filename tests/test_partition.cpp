@@ -5,12 +5,14 @@
 #include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <unordered_map>
 
 #include "base/rng.h"
 #include "base/sha256.h"
 #include "circuits/circuits.h"
 #include "core/certificate.h"
 #include "core/desynchronizer.h"
+#include "core/pair_table.h"
 #include "ctl/controller.h"
 #include "dlx/cpu_builder.h"
 #include "dlx/programs.h"
@@ -683,7 +685,9 @@ TEST(BudgetCertificate, VerdictFlipsExactlyAtThePeriod) {
 
 // ---------------------------------------------------------------------------
 // Golden: the standard DLX case study, as recorded before the certificate
-// replaced the warm Howard probes.
+// replaced the warm Howard probes. The candidates/pruned columns pin the
+// search order itself, not just its result: OptimizerEquivalence runs the
+// same rank structure as the oracle, so only these counts see a reordering.
 // ---------------------------------------------------------------------------
 
 TEST(Optimizer, StandardDlxMatchesGoldenPartitions) {
@@ -697,16 +701,22 @@ TEST(Optimizer, StandardDlxMatchesGoldenPartitions) {
     int merges;
     size_t groups, cost;
     double period;
+    size_t candidates, pruned;
   };
+  const char* kB100 =
+      "55fecba49057eb8d5cbfb17f559f2134c19dc95b7db246512c1ae871f8a7583c";
   const char* kB102 =
       "58985d618b76c6ccf7ac5d2723803d30086b699a57b5eed22445e5cd286decbb";
   const char* kB105 =
       "e585adb363b6bf7380ce5a102696b6066e70698c132df97e0163ff8c4bdcded3";
   const Golden golden[] = {
-      {1.02, ctl::Protocol::Pulse, kB102, 764, 3, 121, 3332},
-      {1.02, ctl::Protocol::SemiDecoupled, kB102, 764, 3, 190, 3512},
-      {1.05, ctl::Protocol::Pulse, kB105, 765, 2, 78, 3392},
-      {1.05, ctl::Protocol::SemiDecoupled, kB105, 765, 2, 119, 3572},
+      {1.0, ctl::Protocol::Pulse, kB100, 763, 4, 143, 3272, 2484, 796},
+      {1.0, ctl::Protocol::SemiDecoupled, kB100, 763, 4, 219, 3452, 2484, 796},
+      {1.02, ctl::Protocol::Pulse, kB102, 764, 3, 121, 3332, 1122, 218},
+      {1.02, ctl::Protocol::SemiDecoupled, kB102, 764, 3, 190, 3512, 1122,
+       218},
+      {1.05, ctl::Protocol::Pulse, kB105, 765, 2, 78, 3392, 765, 0},
+      {1.05, ctl::Protocol::SemiDecoupled, kB105, 765, 2, 119, 3572, 765, 0},
   };
   for (const Golden& g : golden) {
     PartitionOptOptions opt;
@@ -723,7 +733,85 @@ TEST(Optimizer, StandardDlxMatchesGoldenPartitions) {
     EXPECT_EQ(r.partition.num_groups(), g.groups) << what;
     EXPECT_EQ(r.cost, g.cost) << what;
     EXPECT_EQ(r.period, g.period) << what;
+    EXPECT_EQ(r.stats.candidates, g.candidates) << what;
+    EXPECT_EQ(r.stats.pruned, g.pruned) << what;
   }
+}
+
+// ---------------------------------------------------------------------------
+// PairTable: the optimizer's open-addressed pair index against
+// std::unordered_map.
+// ---------------------------------------------------------------------------
+
+/// 200k mixed inserts and erases, with a lookup of every key checked
+/// against the map after each one. The table is deliberately crowded
+/// (sized for 48 keys, up to 80 live), and 8 of the 80 keys have their
+/// home in its last three slots: once four of them are live a probe run
+/// must wrap past the last slot, and erases backward-shift across that
+/// wrap. Few such keys keep the wrapped runs short, so erases also end
+/// with their hole at slot 0.
+TEST(PairTable, MatchesUnorderedMapUnderRandomOps) {
+  PairTable<int> table(48);
+  const size_t cap = table.capacity();
+  std::vector<uint64_t> keys;
+  size_t n_tail = 0, n_other = 0;
+  for (uint32_t a = 0; n_tail < 8 || n_other < 72; ++a) {
+    const uint64_t k = (uint64_t{a} << 32) | (a + 1);
+    const bool tail = table.home(k) + 3 >= cap;
+    if (tail && n_tail < 8) {
+      ++n_tail;
+      keys.push_back(k);
+    } else if (!tail && n_other < 72) {
+      ++n_other;
+      keys.push_back(k);
+    }
+  }
+  ASSERT_LT(keys.size(), cap);  // even all live, one slot stays empty
+
+  std::unordered_map<uint64_t, int> ref;
+  Rng rng(0x9a17ab1e);
+  // Live keys homed in the last three slots; four or more means some
+  // probe run wraps past the last slot.
+  size_t tail_live = 0, max_tail_live = 0, wrapped_erases = 0;
+  for (int op = 0; op < 200000; ++op) {
+    const uint64_t k = keys[rng.below(keys.size())];
+    if (rng.below(7) < 5) {
+      auto [v, fresh] = table.try_emplace(k);
+      auto [it, ref_fresh] = ref.try_emplace(k);
+      ASSERT_EQ(fresh, ref_fresh) << "op " << op;
+      ASSERT_EQ(*v, it->second) << "op " << op;
+      *v += op;
+      it->second += op;
+    } else {
+      int taken = -1;
+      const bool with_value = rng.flip();
+      auto it = ref.find(k);
+      ASSERT_EQ(table.erase(k, with_value ? &taken : nullptr), it != ref.end())
+          << "op " << op;
+      if (it != ref.end()) {
+        if (with_value) {
+          ASSERT_EQ(taken, it->second) << "op " << op;
+        }
+        ref.erase(it);
+        if (tail_live >= 4) ++wrapped_erases;
+      }
+    }
+    // Every key of the space agrees (find), so the contents are equal.
+    ASSERT_EQ(table.size(), ref.size()) << "op " << op;
+    tail_live = 0;
+    for (uint64_t key : keys) {
+      const int* v = table.find(key);
+      auto it = ref.find(key);
+      ASSERT_EQ(v != nullptr, it != ref.end()) << "op " << op;
+      if (v) {
+        ASSERT_EQ(*v, it->second) << "op " << op;
+        if (table.home(key) + 3 >= cap) ++tail_live;
+      }
+    }
+    max_tail_live = std::max(max_tail_live, tail_live);
+  }
+  EXPECT_GE(max_tail_live, 4u);
+  EXPECT_GT(wrapped_erases, 1000u);  // erases inside a wrapped run
 }
 
 // ---------------------------------------------------------------------------
