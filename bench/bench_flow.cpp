@@ -4,8 +4,10 @@
 //
 //   bench_flow [--json <path>] [--min-speedup X]
 //
-// Four scenarios, each verified byte-identical to a cold flow before its
-// time is reported (a fast wrong answer would be worthless):
+// Four scenarios, each checked against a cold flow before its time is
+// reported (a fast wrong answer would be worthless): a row is identical
+// only if both the Verilog bytes and the FlowStats (banks, cells and the
+// predicted period, bit for bit) match.
 //
 //   resubmit    the same design again: a pure result-cache hit (one
 //               content hash + one LRU lookup). --min-speedup gates the
@@ -14,7 +16,8 @@
 //               a single-delay edit (-12ps) that stays inside its 120ps
 //               DELAY quantization bucket. Only the edited cone's source
 //               bank re-runs STA, the synthesized controllers are
-//               field-patched, and Howard warm-restarts.
+//               field-patched, and the moved delay re-solves the timed
+//               model cold.
 //   eco-requant one cell flipped to a DELAY (+90ps+): the matched-delay
 //               chains resize, so controller synthesis honestly re-runs —
 //               the worst-case ECO, bounded below cold only by the skipped
@@ -25,18 +28,18 @@
 //
 // --json writes the rows as a machine-readable report (schema
 // desyn-bench-v1); CI uploads it as an artifact.
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "base/cli_args.h"
+#include "bench_util.h"
 #include "circuits/circuits.h"
 #include "flow/engine.h"
 #include "netlist/writer.h"
 
 using namespace desyn;
+using bench::time_ms;
 
 namespace {
 
@@ -46,42 +49,30 @@ struct Row {
   double fast_ms = 0;  ///< warm / ECO time
   double speedup = 0;
   size_t banks_retimed = 0;  ///< ECO rows: source-bank STA re-runs
-  bool identical = false;    ///< byte-identical to a cold flow
+  bool identical = false;    ///< Verilog and stats equal a cold flow's
 };
 
-template <typename F>
-double time_ms(F&& f) {
-  auto t0 = std::chrono::steady_clock::now();
-  f();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
+bool same(const flow::FlowOutcome& a, const flow::FlowOutcome& b) {
+  return *a.verilog == *b.verilog && a.stats == b.stats;
 }
 
 /// Cold-flow oracle: a throwaway engine, so nothing is cached.
-std::string cold_verilog(const cell::Tech& tech, const nl::Netlist& ff,
-                         nl::NetId clock, const flow::DesyncOptions& opt) {
+flow::FlowOutcome cold_flow(const cell::Tech& tech, const nl::Netlist& ff,
+                            nl::NetId clock, const flow::DesyncOptions& opt) {
   flow::Engine fresh(tech);
-  return *fresh.run(ff, clock, opt).verilog;
+  return fresh.run(ff, clock, opt);
 }
 
 void write_json(const std::string& path, const std::vector<Row>& rows) {
-  std::ofstream out(path);
-  if (!out) fail("cannot write ", path);
-  char buf[160];
-  out << "{\n  \"schema\": \"desyn-bench-v1\",\n"
-      << "  \"bench\": \"bench_flow\",\n  \"cases\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    out << "    {\"case\": \"" << r.name << "\",";
-    std::snprintf(buf, sizeof buf,
-                  " \"cold_ms\": %.3f, \"fast_ms\": %.3f, \"speedup\": %.2f,",
-                  r.cold_ms, r.fast_ms, r.speedup);
-    out << buf << " \"banks_retimed\": " << r.banks_retimed
-        << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
+  std::vector<std::string> cases;
+  for (const Row& r : rows) {
+    cases.push_back(bench::fmt(
+        "{\"case\": \"%s\", \"cold_ms\": %.3f, \"fast_ms\": %.3f, "
+        "\"speedup\": %.2f, \"banks_retimed\": %zu, \"identical\": %s}",
+        r.name.c_str(), r.cold_ms, r.fast_ms, r.speedup, r.banks_retimed,
+        r.identical ? "true" : "false"));
   }
-  out << "  ]\n}\n";
+  bench::write_report(path, "bench_flow", cases);
 }
 
 }  // namespace
@@ -127,15 +118,11 @@ int main(int argc, char** argv) {
 
   const int kWarmReps = 10;
   flow::FlowOutcome warm;
-  double warm_ms = time_ms([&] {
-                     for (int i = 0; i < kWarmReps; ++i) {
-                       warm = engine.run(base.netlist, base.clock, opt);
-                     }
-                   }) /
-                   kWarmReps;
+  double warm_ms = time_ms(
+      [&] { warm = engine.run(base.netlist, base.clock, opt); }, kWarmReps);
   DESYN_ASSERT(warm.cached, "re-submission must be a result-cache hit");
-  rows.push_back({"resubmit", cold_ms, warm_ms, cold_ms / warm_ms, 0,
-                  *warm.verilog == *cold.verilog});
+  rows.push_back(
+      {"resubmit", cold_ms, warm_ms, cold_ms / warm_ms, 0, same(warm, cold)});
 
   // --- eco-delay: polarity fix, one Buf becomes an Inv -------------------
   nl::CellId buf_cell;
@@ -163,8 +150,7 @@ int main(int argc, char** argv) {
                "in-bucket delay edit must take the synth field-patch path");
   rows.push_back({"eco-delay", cold_ms, eco1_ms, cold_ms / eco1_ms,
                   after.eco_banks_retimed - before.eco_banks_retimed,
-                  *eco1.verilog ==
-                      cold_verilog(tech, inv_edit, base.clock, opt)});
+                  same(eco1, cold_flow(tech, inv_edit, base.clock, opt))});
 
   // --- eco-requant: the edited cell becomes a DELAY (+90ps or more) ------
   nl::Netlist delay_edit = inv_edit;
@@ -181,8 +167,7 @@ int main(int argc, char** argv) {
                "bucket-crossing delay edit must re-synthesize");
   rows.push_back({"eco-requant", cold_ms, eco2_ms, cold_ms / eco2_ms,
                   after.eco_banks_retimed - before.eco_banks_retimed,
-                  *eco2.verilog ==
-                      cold_verilog(tech, delay_edit, base.clock, opt)});
+                  same(eco2, cold_flow(tech, delay_edit, base.clock, opt))});
 
   // --- eco-init: one flip-flop init flips (relative to eco-requant) ------
   nl::Netlist init_edit = delay_edit;
@@ -207,8 +192,7 @@ int main(int argc, char** argv) {
                "init edit must take the synth field-patch path");
   rows.push_back({"eco-init", cold_ms, eco3_ms, cold_ms / eco3_ms,
                   after.eco_banks_retimed - before.eco_banks_retimed,
-                  *eco3.verilog ==
-                      cold_verilog(tech, init_edit, base.clock, opt)});
+                  same(eco3, cold_flow(tech, init_edit, base.clock, opt))});
 
   std::printf("  %-10s %10s %10s %9s %8s %10s\n", "case", "cold(ms)",
               "fast(ms)", "speedup", "retimed", "identical");

@@ -9,11 +9,11 @@
 // desyn-bench-v1); CI uploads it next to bench_mc's so the margin/period
 // trade-off and the Monte-Carlo throughput numbers travel together.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "base/cli_args.h"
+#include "bench_util.h"
 #include "circuits/circuits.h"
 #include "verif/flow_equivalence.h"
 
@@ -32,23 +32,16 @@ struct Row {
 };
 
 void write_json(const std::string& path, const std::vector<Row>& rows) {
-  std::ofstream out(path);
-  if (!out) fail("cannot write ", path);
-  char buf[160];
-  out << "{\n  \"schema\": \"desyn-bench-v1\",\n"
-      << "  \"bench\": \"bench_margin\",\n  \"cases\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    out << "    {\"circuit\": \"" << r.circuit << "\",";
-    std::snprintf(buf, sizeof buf,
-                  " \"margin\": %.2f, \"measured_period_ps\": %.1f,", r.margin,
-                  r.period);
-    out << buf << " \"sync_violations\": " << r.sync_viol
-        << ", \"desync_violations\": " << r.desync_viol
-        << ", \"equivalent\": " << (r.equivalent ? "true" : "false") << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
+  std::vector<std::string> cases;
+  for (const Row& r : rows) {
+    cases.push_back(bench::fmt(
+        "{\"circuit\": \"%s\", \"margin\": %.2f, "
+        "\"measured_period_ps\": %.1f, \"sync_violations\": %zu, "
+        "\"desync_violations\": %zu, \"equivalent\": %s}",
+        r.circuit.c_str(), r.margin, r.period, r.sync_viol, r.desync_viol,
+        r.equivalent ? "true" : "false"));
   }
-  out << "  ]\n}\n";
+  bench::write_report(path, "bench_margin", cases);
 }
 
 }  // namespace

@@ -6,31 +6,31 @@
 //
 // A Monte-Carlo variation sweep solves the same marked graph under N
 // sampled delay assignments. The baseline is N independent cold solves
-// (McrBatch::solve_one_cold: fresh context, full structure build + cold
-// Howard per row); the contender builds the structure once and warm-starts
-// each sample from its block predecessor. Every batch ratio is asserted
-// bit-equal to its cold oracle before any time is reported, and the
-// parallel rows are asserted byte-identical to the serial ones.
+// (McrBatch::solve_one_cold: a flat max_cycle_ratio, full structure build
+// + cold Howard per row); the contender builds the structure once and
+// warm-starts each sample from its block predecessor. Every batch ratio
+// is asserted bit-equal to its cold oracle before any time is reported,
+// and the parallel rows are asserted byte-identical to the serial ones.
 //
 // --min-speedup gates the serial (jobs = 1) batch-vs-cold ratio — CI uses
 // 8 at 256 samples — so the structure sharing itself is gated, not thread
 // scaling (which a loaded single-CPU runner cannot promise). --json writes
 // the rows as a machine-readable report (schema desyn-bench-v1).
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "base/cli_args.h"
 #include "base/rng.h"
+#include "bench_util.h"
 #include "circuits/circuits.h"
 #include "core/desynchronizer.h"
 #include "core/partition.h"
 #include "pn/mcr.h"
 
 using namespace desyn;
+using bench::time_ms;
 
 namespace {
 
@@ -42,34 +42,20 @@ struct Row {
   bool identical = false;  ///< bit-equal ratios vs. the cold oracle
 };
 
-template <typename F>
-double time_ms(F&& f) {
-  auto t0 = std::chrono::steady_clock::now();
-  f();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 void write_json(const std::string& path, const std::vector<Row>& rows,
                 size_t samples, size_t nodes, size_t arcs) {
-  std::ofstream out(path);
-  if (!out) fail("cannot write ", path);
-  char buf[160];
-  out << "{\n  \"schema\": \"desyn-bench-v1\",\n"
-      << "  \"bench\": \"bench_mc\",\n"
-      << "  \"samples\": " << samples << ", \"nodes\": " << nodes
-      << ", \"arcs\": " << arcs << ",\n  \"cases\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    out << "    {\"case\": \"" << r.name << "\",";
-    std::snprintf(buf, sizeof buf,
-                  " \"cold_ms\": %.3f, \"fast_ms\": %.3f, \"speedup\": %.2f,",
-                  r.cold_ms, r.fast_ms, r.speedup);
-    out << buf << " \"identical\": " << (r.identical ? "true" : "false")
-        << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+  std::vector<std::string> cases;
+  for (const Row& r : rows) {
+    cases.push_back(bench::fmt(
+        "{\"case\": \"%s\", \"cold_ms\": %.3f, \"fast_ms\": %.3f, "
+        "\"speedup\": %.2f, \"identical\": %s}",
+        r.name.c_str(), r.cold_ms, r.fast_ms, r.speedup,
+        r.identical ? "true" : "false"));
   }
-  out << "  ]\n}\n";
+  bench::write_report(
+      path, "bench_mc", cases,
+      bench::fmt("\"samples\": %zu, \"nodes\": %zu, \"arcs\": %zu", samples,
+                 nodes, arcs));
 }
 
 }  // namespace

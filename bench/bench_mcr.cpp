@@ -11,32 +11,24 @@
 // --json writes the solver-race rows as a machine-readable report (schema
 // desyn-bench-v1) so per-commit perf trajectories can be tracked; CI
 // uploads it as an artifact.
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "base/cli_args.h"
+#include "bench_util.h"
 #include "circuits/circuits.h"
 #include "core/desynchronizer.h"
 #include "pn/mcr.h"
 #include "verif/flow_equivalence.h"
 
 using namespace desyn;
+using bench::time_ms;
 using cell::Tech;
 
 namespace {
-
-template <typename F>
-double time_ms(F&& f, int reps) {
-  auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < reps; ++i) f();
-  auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count() / reps;
-}
 
 struct RaceRow {
   std::string model;
@@ -63,23 +55,16 @@ bool race_solvers(const char* name, const pn::MarkedGraph& mg, int reps_h,
 }
 
 void write_json(const std::string& path, const std::vector<RaceRow>& rows) {
-  std::ofstream out(path);
-  if (!out) fail("cannot write ", path);
-  char buf[160];
-  out << "{\n  \"schema\": \"desyn-bench-v1\",\n"
-      << "  \"bench\": \"bench_mcr\",\n  \"cases\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const RaceRow& r = rows[i];
-    out << "    {\"model\": \"" << r.model
-        << "\", \"transitions\": " << r.transitions
-        << ", \"arcs\": " << r.arcs << ",";
-    std::snprintf(buf, sizeof buf,
-                  " \"howard_ms\": %.6f, \"reference_ms\": %.6f, "
-                  "\"ratio_ps\": %.6f, \"agree\": %s",
-                  r.howard_ms, r.ref_ms, r.ratio, r.agree ? "true" : "false");
-    out << buf << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+  std::vector<std::string> cases;
+  for (const RaceRow& r : rows) {
+    cases.push_back(bench::fmt(
+        "{\"model\": \"%s\", \"transitions\": %zu, \"arcs\": %zu, "
+        "\"howard_ms\": %.6f, \"reference_ms\": %.6f, \"ratio_ps\": %.6f, "
+        "\"agree\": %s}",
+        r.model.c_str(), r.transitions, r.arcs, r.howard_ms, r.ref_ms, r.ratio,
+        r.agree ? "true" : "false"));
   }
-  out << "  ]\n}\n";
+  bench::write_report(path, "bench_mcr", cases);
 }
 
 }  // namespace

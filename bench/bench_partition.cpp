@@ -20,14 +20,14 @@
 // --only filters the design list by name; --budget-ms M makes the bench
 // exit nonzero if any auto:* case exceeds M wall milliseconds — the CI
 // regression gate for the optimizer's scaling.
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "base/cli_args.h"
+#include "bench_util.h"
 #include "circuits/circuits.h"
 #include "core/desynchronizer.h"
 #include "dlx/cpu_builder.h"
@@ -96,32 +96,25 @@ struct Case {
 };
 
 void write_json(const std::string& path, const std::vector<Case>& cases) {
-  std::ofstream out(path);
-  if (!out) fail("cannot write ", path);
-  char buf[128];
-  out << "{\n  \"schema\": \"desyn-bench-v1\",\n"
-      << "  \"bench\": \"bench_partition\",\n  \"cases\": [\n";
-  for (size_t i = 0; i < cases.size(); ++i) {
-    const Case& c = cases[i];
-    out << "    {\"design\": \"" << c.design << "\", \"strategy\": \""
-        << c.strategy << "\", \"banks\": " << c.banks
-        << ", \"cells\": " << c.cells << ",";
-    std::snprintf(buf, sizeof buf,
-                  " \"predicted_ps\": %.6f, \"vs_prefix\": %.4f, "
-                  "\"wall_ms\": %.3f",
-                  c.predicted, c.vs_prefix, c.wall_ms);
-    out << buf;
+  std::vector<std::string> objs;
+  for (const Case& c : cases) {
+    std::string o = bench::fmt(
+        "{\"design\": \"%s\", \"strategy\": \"%s\", \"banks\": %zu, "
+        "\"cells\": %zu, \"predicted_ps\": %.6f, \"vs_prefix\": %.4f, "
+        "\"wall_ms\": %.3f",
+        c.design.c_str(), c.strategy.c_str(), c.banks, c.cells, c.predicted,
+        c.vs_prefix, c.wall_ms);
     if (c.is_auto) {
-      out << ",\n     \"candidates\": " << c.stats.candidates
-          << ", \"pruned\": " << c.stats.pruned
-          << ", \"warm_solves\": " << c.stats.warm_solves
-          << ", \"cold_solves\": " << c.stats.cold_solves
-          << ", \"merges\": " << c.merges
-          << ", \"moves\": " << c.moves;
+      o += bench::fmt(
+          ",\n     \"candidates\": %zu, \"pruned\": %zu, "
+          "\"warm_solves\": %zu, \"cold_solves\": %zu, \"merges\": %d, "
+          "\"moves\": %d",
+          c.stats.candidates, c.stats.pruned, c.stats.warm_solves,
+          c.stats.cold_solves, c.merges, c.moves);
     }
-    out << "}" << (i + 1 < cases.size() ? "," : "") << "\n";
+    objs.push_back(o + "}");
   }
-  out << "  ]\n}\n";
+  bench::write_report(path, "bench_partition", objs);
 }
 
 }  // namespace
@@ -170,29 +163,28 @@ int main(int argc, char** argv) {
       opt.strategy = flow::PartitionSpec::parse(strat);
       opt.protocol = protocol;
       c.is_auto = opt.strategy.mode == flow::PartitionSpec::Mode::Auto;
-      auto t0 = std::chrono::steady_clock::now();
-      if (c.is_auto) {
-        // Run the optimizer directly so its scaling counters are
-        // reportable, then drive the flow with the resulting partition.
-        flow::PartitionOptOptions popt;
-        popt.period_budget = opt.strategy.auto_budget;
-        popt.protocol = protocol;
-        flow::PartitionOptResult r =
-            flow::optimize_partition(d.netlist, d.clock, tech, popt);
-        c.stats = r.stats;
-        c.merges = r.merges;
-        c.moves = r.moves;
-        opt.strategy = flow::PartitionSpec::explicit_(std::move(r.partition));
-      }
-      flow::DesyncResult dr =
-          flow::desynchronize(d.netlist, d.clock, tech, opt);
-      c.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-      c.banks = dr.cg.num_banks();
-      c.cells = dr.ctrl.cells.size();
+      std::optional<flow::DesyncResult> dr;
+      c.wall_ms = bench::time_ms([&] {
+        if (c.is_auto) {
+          // Run the optimizer directly so its scaling counters are
+          // reportable, then drive the flow with the resulting partition.
+          flow::PartitionOptOptions popt;
+          popt.period_budget = opt.strategy.auto_budget;
+          popt.protocol = protocol;
+          flow::PartitionOptResult r =
+              flow::optimize_partition(d.netlist, d.clock, tech, popt);
+          c.stats = r.stats;
+          c.merges = r.merges;
+          c.moves = r.moves;
+          opt.strategy =
+              flow::PartitionSpec::explicit_(std::move(r.partition));
+        }
+        dr.emplace(flow::desynchronize(d.netlist, d.clock, tech, opt));
+      });
+      c.banks = dr->cg.num_banks();
+      c.cells = dr->ctrl.cells.size();
       c.predicted =
-          pn::max_cycle_ratio(flow::timed_control_model(dr, tech)).ratio;
+          pn::max_cycle_ratio(flow::timed_control_model(*dr, tech)).ratio;
       if (strat == "prefix") prefix_period = c.predicted;
       c.vs_prefix = prefix_period > 0 ? c.predicted / prefix_period : 0.0;
       if (c.is_auto && budget_ms > 0 && c.wall_ms > budget_ms) {

@@ -528,13 +528,20 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
   // The per-flip-flop start: the one Howard solve the search itself needs.
   res.perff_period = predicted_period(fine.cg, opt.protocol, tech);
   {
-    nl::Netlist l2 = ff_netlist;
-    const LatchifyResult lr2 =
-        latchify(l2, clock, Partition::prefix(ff_netlist));
-    res.baseline_period = predicted_period(
-        extract_control_graph(l2, lr2, clock, tech, opt.margin, opt.protocol)
-            .cg,
-        opt.protocol, tech);
+    // The Prefix baseline is a quotient of the fine graph too: every
+    // flip-flop group joins the first group with its bank_prefix, and RAM
+    // groups stay singletons, as in Partition::prefix.
+    IncrementalQuotient prefix(fine.cg, merge_ok);
+    std::unordered_map<std::string, int> first;
+    for (size_t g = 0; g < G; ++g) {
+      if (!merge_ok[g]) continue;
+      auto [it, inserted] = first.try_emplace(
+          bank_prefix(ff_netlist.cell(perff.groups()[g].cells[0]).name),
+          static_cast<int>(g));
+      if (!inserted) prefix.merge(it->second, static_cast<int>(g));
+    }
+    res.baseline_period =
+        predicted_period(prefix.materialize(), opt.protocol, tech);
   }
   // Coarsening only adds rendezvous, so merged periods are never below the
   // per-flip-flop start; measuring the budget against the larger of the

@@ -209,12 +209,6 @@ size_t ArtifactStore::size() const {
   return lru_.size();
 }
 
-void ArtifactStore::clear_memory() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  map_.clear();
-}
-
 std::string with_integrity_header(std::string_view kind,
                                   const std::string& body) {
   return cat(kind, "-v1 ", sha256(body).hex(), "\n", body);

@@ -91,9 +91,6 @@ class ArtifactStore {
   size_t size() const;
   const std::string& dir() const { return opt_.dir; }
 
-  /// Drop the in-memory tier (tests: force disk reloads / recomputes).
-  void clear_memory();
-
  private:
   struct Entry {
     std::string key;  ///< "<kind>:<hex>"

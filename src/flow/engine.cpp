@@ -4,7 +4,6 @@
 #include <cstring>
 #include <limits>
 #include <map>
-#include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -15,7 +14,6 @@
 #include "core/adjacency.h"
 #include "ctl/controller.h"
 #include "netlist/writer.h"
-#include "pn/mcr.h"
 
 namespace desyn::flow {
 
@@ -42,9 +40,7 @@ struct Engine::SynthArtifact : Artifact {
 };
 
 struct Engine::McrArtifact : Artifact {
-  pn::McrFlat flat;     ///< the timed model, kept for the next warm start
-  pn::McrContext ctx;   ///< converged Howard baseline
-  double period = 0;    ///< the max-cycle-ratio prediction
+  double period = 0;  ///< the max-cycle-ratio prediction
 };
 
 namespace {
@@ -725,14 +721,13 @@ Engine::Stages Engine::run_stages(const nl::Netlist& ff, nl::NetId clock,
     Lineage& l = lineage_[lineage_key];
     l.latch = latch;
     l.adj = adj;
-    l.synth = synth;  // l.mcr is owned by mcr_stage
+    l.synth = synth;
   }
-  return {synth, adj, lineage_key};
+  return {synth, adj};
 }
 
 std::shared_ptr<const Engine::McrArtifact> Engine::mcr_stage(
-    const AdjArtifact& adj, ctl::Protocol protocol,
-    const Hash256& lineage_key) {
+    const AdjArtifact& adj, ctl::Protocol protocol) {
   Hash256 key;
   {
     Sha256 h;
@@ -748,36 +743,14 @@ std::shared_ptr<const Engine::McrArtifact> Engine::mcr_stage(
   }
   fault::maybe_throw("engine.stage.mcr");
   cancel_point();
-  Lineage prev = lineage_snapshot(lineage_key);
   auto m = std::make_shared<McrArtifact>();
-  // The one timed model: predictions match flow::timed_control_model /
-  // flow::predicted_period exactly.
-  m->flat = pn::flatten(ctl::hardware_model(adj.adj.cg, protocol, tech_).mg);
-  const McrArtifact* p = prev.mcr.get();
-  bool warm = p && p->flat.num_nodes == m->flat.num_nodes &&
-              p->flat.from == m->flat.from && p->flat.to == m->flat.to &&
-              p->flat.tokens == m->flat.tokens;
-  pn::CycleRatioResult res;
-  if (warm) {
-    // Same structure, only delays moved: warm-restart Howard from the
-    // previous converged policy (bit-equal to a cold solve by contract).
-    m->ctx = p->ctx;
-    std::vector<uint32_t> identity(m->flat.num_nodes);
-    std::iota(identity.begin(), identity.end(), 0u);
-    res = m->ctx.resolve(m->flat.view(), identity);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.mcr_warm;
-  } else {
-    res = m->ctx.solve(m->flat.view());
+  // The one scoring rule the optimizer and Monte-Carlo sample 0 share.
+  m->period = predicted_period(adj.adj.cg, protocol, tech_);
+  {
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.mcr_runs;
   }
-  m->period = res.ratio;
   store_.put("mcr", key, m);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    lineage_[lineage_key].mcr = m;
-  }
   return m;
 }
 
@@ -907,8 +880,7 @@ FlowOutcome Engine::run(const nl::Netlist& ff, nl::NetId clock,
   }
 
   Stages st = run_stages(ff, clock, opt, ff_hash, part_key);
-  std::shared_ptr<const McrArtifact> mcr =
-      mcr_stage(*st.adj, opt.protocol, st.lineage_key);
+  std::shared_ptr<const McrArtifact> mcr = mcr_stage(*st.adj, opt.protocol);
   // Last probe before the result artifact is assembled and published: a
   // fault here proves a failed submission leaves no partial result entry.
   fault::maybe_throw("engine.stage.result");

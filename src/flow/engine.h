@@ -16,7 +16,7 @@
 // Re-submitting an unchanged design is a pure result-cache hit: no stage
 // runs, the stored Verilog is returned. An *edited* design re-runs only
 // the stages whose inputs actually changed; on top of that, per-design
-// lineage enables three ECO fast paths when the edit is field-only (cell
+// lineage enables two ECO fast paths when the edit is field-only (cell
 // kind within the same pin structure, init value, payload contents):
 //
 //   * adjacency: cone-limited re-timing via extract_control_graph_eco —
@@ -26,12 +26,13 @@
 //     unchanged), the previous synthesized netlist is copied and the
 //     field edits are replayed onto the same cell ids — no controller
 //     re-synthesis.
-//   * mcr: when the timed model's structure is unchanged, the previous
-//     Howard context is warm-restarted (bit-equal ratios by the
-//     McrContext contract).
 //
-// Determinism contract: every cached, ECO-patched or warm-started result
-// is byte-identical to what the cold monolithic flow
+// The mcr stage is keyed on the control graph's content hash, so an edit
+// that moves no matched delay is a cache hit there; any other edit solves
+// the timed model cold (flow::predicted_period).
+//
+// Determinism contract: every cached or ECO-patched result is
+// byte-identical to what the cold monolithic flow
 // (desynchronize_reference) produces for the same canonical content.
 // Hash keys address canonical content, not bytes: two netlists that
 // differ only in construction order share artifacts, and both receive
@@ -80,7 +81,7 @@ struct StageCounters {
   size_t synth_patched = 0;   ///< field-patch replays of a cached synth
   size_t mcr_runs = 0;        ///< cold Howard solves
   size_t mcr_hits = 0;
-  size_t mcr_warm = 0;        ///< warm-restarted Howard solves
+  size_t mcr_warm = 0;        ///< always 0: the mcr stage solves cold
   size_t optimize_runs = 0;   ///< partition-optimizer searches
   size_t optimize_hits = 0;
   size_t lint_runs = 0;       ///< static-verification (check::lint) runs
@@ -98,6 +99,7 @@ struct FlowStats {
   size_t cells_in = 0;          ///< live cells of the submitted netlist
   size_t cells_out = 0;         ///< live cells of the desynchronized one
   double predicted_period_ps = 0;  ///< Howard max-cycle-ratio prediction
+  bool operator==(const FlowStats&) const = default;
 };
 
 struct FlowOutcome {
@@ -174,22 +176,19 @@ class Engine {
     std::shared_ptr<const LatchArtifact> latch;
     std::shared_ptr<const AdjArtifact> adj;
     std::shared_ptr<const SynthArtifact> synth;
-    std::shared_ptr<const McrArtifact> mcr;
   };
 
   /// Everything run() needs beyond what desynchronize() returns.
   struct Stages {
     std::shared_ptr<const SynthArtifact> synth;
     std::shared_ptr<const AdjArtifact> adj;
-    Hash256 lineage_key;
   };
 
   Stages run_stages(const nl::Netlist& ff, nl::NetId clock,
                     const DesyncOptions& opt, const Hash256& ff_hash,
                     const Hash256& part_key);
   std::shared_ptr<const McrArtifact> mcr_stage(const AdjArtifact& adj,
-                                               ctl::Protocol protocol,
-                                               const Hash256& lineage_key);
+                                               ctl::Protocol protocol);
   Hash256 partition_key(const nl::Netlist& ff, nl::NetId clock,
                         const DesyncOptions& opt, const Hash256& ff_hash);
   Lineage lineage_snapshot(const Hash256& key) const;

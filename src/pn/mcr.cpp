@@ -303,9 +303,7 @@ void McrScratch::init_policy_cold(const McrArcs& g) {
       s.policy_[v] = s.csr_arc_[s.csr_off_[v]];
     }
   }
-  // state_ doubles as "node already inherited a policy" during a warm
-  // init (McrContext::run); Howard itself resets it per component.
-  s.state_.assign(n, 0);
+  s.state_.assign(n, 0);  // sized here; howard() resets it per component
 }
 
 CycleRatioResult McrScratch::howard(const McrArcs& g, int comps) {
@@ -513,78 +511,17 @@ CycleRatioResult McrScratch::howard(const McrArcs& g, int comps) {
 }
 
 // ---------------------------------------------------------------------------
-// McrContext: Howard's policy iteration on the flat view, warm-startable
+// The cold flat solve
 // ---------------------------------------------------------------------------
 
-CycleRatioResult McrContext::run(const McrArcs& g,
-                                 std::span<const uint32_t> node_map,
-                                 bool* warmed) {
-  McrScratch& s = scratch_;
-  const uint32_t n = g.num_nodes;
-  const uint32_t m = static_cast<uint32_t>(g.num_arcs());
-  *warmed = false;
-  DESYN_ASSERT(g.to.size() == m && g.tokens.size() == m && g.delay.size() == m);
-
+CycleRatioResult max_cycle_ratio(const McrArcs& g) {
+  DESYN_ASSERT(g.to.size() == g.from.size() &&
+               g.tokens.size() == g.from.size() &&
+               g.delay.size() == g.from.size());
+  McrScratch s;
   const int comps = s.build_structure(g);
-
-  // ---- policy initialization: cold default, then inherited baseline -----
   s.init_policy_cold(g);
-  if (!node_map.empty() && base_nodes_ > 0 &&
-      node_map.size() == base_nodes_) {
-    // Map the baseline policy through the delta. The arc list is shared
-    // across the delta (endpoints re-pointed in place), so a policy arc is
-    // inherited iff it still leaves its mapped node and stays inside the
-    // node's strongly-connected component. When several baseline nodes map
-    // to one node (a merge), the one whose baseline cycle ratio is larger
-    // wins — it was the binding constraint — ties to the smaller node id.
-    for (uint32_t u = 0; u < base_nodes_; ++u) {
-      uint32_t v = node_map[u];
-      if (v >= n) continue;
-      uint32_t a = base_policy_[u];
-      if (a == kNoArc || a >= m) continue;
-      if (g.from[a] != v) continue;
-      if (s.comp_[g.from[a]] != s.comp_[g.to[a]]) continue;
-      if (s.state_[v] && !(base_r_[u] > s.r_[v])) continue;
-      s.policy_[v] = a;
-      s.r_[v] = base_r_[u];
-      s.state_[v] = 1;
-      *warmed = true;
-    }
-  }
-
   return s.howard(g, comps);
-}
-
-void McrContext::adopt(const McrArcs& g) {
-  if (!scratch_.howard_converged_) {
-    base_nodes_ = 0;  // fell back to the reference solver: no baseline
-    return;
-  }
-  base_nodes_ = g.num_nodes;
-  base_policy_ = scratch_.policy_;
-  base_r_ = scratch_.r_;
-  base_d_ = scratch_.d_;
-}
-
-CycleRatioResult McrContext::solve(const McrArcs& g) {
-  bool warmed = false;
-  CycleRatioResult res = run(g, {}, &warmed);
-  ++cold_solves_;
-  adopt(g);
-  return res;
-}
-
-CycleRatioResult McrContext::resolve(const McrArcs& g,
-                                     std::span<const uint32_t> node_map) {
-  bool warmed = false;
-  CycleRatioResult res = run(g, node_map, &warmed);
-  if (warmed) {
-    ++warm_solves_;
-  } else {
-    ++cold_solves_;
-  }
-  adopt(g);
-  return res;
 }
 
 // ---------------------------------------------------------------------------
@@ -647,8 +584,7 @@ McrBatch::McrBatch(const McrArcs& g)
 CycleRatioResult McrBatch::solve_one_cold(
     std::span<const Ps> delay_row) const {
   DESYN_ASSERT(delay_row.size() == num_arcs());
-  McrContext ctx;
-  return ctx.solve(row_view(delay_row));
+  return max_cycle_ratio(row_view(delay_row));
 }
 
 std::vector<CycleRatioResult> McrBatch::solve_all(std::span<const Ps> delays,
@@ -819,9 +755,7 @@ std::vector<CycleRatioResult> McrBatch::solve_all(std::span<const Ps> delays,
 
 CycleRatioResult max_cycle_ratio(const MarkedGraph& mg) {
   DESYN_ASSERT(is_live(mg), "max_cycle_ratio requires a live marked graph");
-  McrFlat flat = flatten(mg);
-  McrContext ctx;
-  return ctx.solve(flat.view());
+  return max_cycle_ratio(flatten(mg).view());
 }
 
 CycleRatioResult max_cycle_ratio_reference(const MarkedGraph& mg) {

@@ -13,15 +13,6 @@
 //  * max_cycle_ratio_reference — parametric binary search over Bellman-Ford
 //    positive-cycle detection, O(64·n·m). Kept as an independent oracle for
 //    cross-checking (tests compare the two on randomized marked graphs).
-//
-// For callers that solve sequences of *related* graphs — the flow engine
-// re-solves a cached model after an ECO — the solver is also exposed as a
-// reusable McrContext that retains the converged policy and potentials of
-// its last solve and warm-starts the next one through a node map,
-// typically converging in one or two sweeps instead of a full cold
-// iteration. Warm and cold solves return bit-equal ratios
-// (property-tested): both terminate on a genuinely critical cycle and
-// report its exact delay/token quotient.
 #pragma once
 
 #include <span>
@@ -56,7 +47,7 @@ CycleRatioResult max_cycle_ratio(const MarkedGraph& mg);
 CycleRatioResult max_cycle_ratio_reference(const MarkedGraph& mg);
 
 // ---------------------------------------------------------------------------
-// Flat solver interface: repeated solves over related graphs
+// Flat solver interface
 // ---------------------------------------------------------------------------
 
 /// Non-owning struct-of-arrays view of a timed marked graph: arc `j` runs
@@ -88,7 +79,14 @@ McrFlat flatten(const MarkedGraph& mg);
 /// McrArcs twin of cycle_ratio above).
 double cycle_ratio(const McrArcs& g, std::span<const ArcId> arcs);
 
-/// Reusable per-solve working memory (one per thread).
+/// Maximum cycle ratio of a flat graph: Howard's policy iteration from a
+/// cold policy (every node's first intra-SCC out-arc), falling back to the
+/// reference solver if epsilon-induced policy cycling keeps it from
+/// converging. max_cycle_ratio(MarkedGraph) and McrBatch::solve_one_cold
+/// are this solve.
+CycleRatioResult max_cycle_ratio(const McrArcs& g);
+
+/// Per-solve working memory of a Howard solve.
 ///
 /// The solve decomposes into two phases with different data dependence:
 /// build_structure() (out-arc CSR, Tarjan SCCs, intra-SCC policy-candidate
@@ -101,7 +99,7 @@ class McrScratch {
   McrScratch() = default;
 
  private:
-  friend class McrContext;
+  friend CycleRatioResult max_cycle_ratio(const McrArcs& g);
   friend class McrBatch;
 
   /// Phases of a solve (bodies in mcr.cpp). build_structure returns the
@@ -123,47 +121,6 @@ class McrScratch {
   std::vector<double> r_, d_;
   std::vector<uint32_t> cycle_;
   bool howard_converged_ = true;
-};
-
-/// Howard's policy iteration with warm-start across graph deltas.
-///
-/// solve() runs cold and retains the converged policy and node potentials
-/// as the context's baseline. resolve() solves a *related* graph:
-/// `node_map[u]` names the node of the new graph that baseline node `u`
-/// became (many-to-one for merges; UINT32_MAX drops the node). Arc indices
-/// must be preserved across the delta — the caller re-points endpoints of
-/// the same arc list rather than rebuilding it — so an inherited policy arc
-/// can be validated structurally (it must still leave its node inside its
-/// strongly-connected component). Nodes whose inherited policy fails
-/// validation fall back to a cold initialization; an empty or mismatched
-/// node_map falls back to a full cold solve (structural invalidation).
-///
-/// Warm starts change the iteration path, not the answer: the returned
-/// ratio is the exact D/T of a genuinely critical cycle, bit-equal to a
-/// cold solve of the same graph (property-tested in test_pn.cpp).
-class McrContext {
- public:
-  /// Cold solve; the solution becomes the warm-start baseline.
-  CycleRatioResult solve(const McrArcs& g);
-  /// Warm re-solve after a delta; adopts the new solution as the baseline.
-  CycleRatioResult resolve(const McrArcs& g,
-                           std::span<const uint32_t> node_map);
-
-  size_t cold_solves() const { return cold_solves_; }
-  size_t warm_solves() const { return warm_solves_; }
-
- private:
-  CycleRatioResult run(const McrArcs& g, std::span<const uint32_t> node_map,
-                       bool* warmed);
-  void adopt(const McrArcs& g);  ///< scratch_ solution -> baseline
-
-  // Baseline: per-node chosen out-arc (UINT32_MAX = none), cycle ratio and
-  // potential of the last adopted solve.
-  std::vector<uint32_t> base_policy_;
-  std::vector<double> base_r_, base_d_;
-  uint32_t base_nodes_ = 0;
-  McrScratch scratch_;
-  size_t cold_solves_ = 0, warm_solves_ = 0;
 };
 
 /// Structure-shared batch Howard solver for Monte-Carlo throughput sweeps.
@@ -217,8 +174,8 @@ class McrBatch {
   std::vector<CycleRatioResult> solve_all(std::span<const Ps> delays,
                                           size_t samples, int jobs = 1) const;
 
-  /// Independent per-sample oracle: a fresh cold McrContext solve of one
-  /// row, sharing nothing with the batch machinery (also the baseline the
+  /// Independent per-sample oracle: a cold max_cycle_ratio of one row,
+  /// sharing nothing with the batch machinery (also the baseline the
   /// bench_mc speedup is measured against).
   CycleRatioResult solve_one_cold(std::span<const Ps> delay_row) const;
 

@@ -19,11 +19,4 @@ Stimulus constant_stimulus(cell::V v) {
   return [v](int, size_t) { return v; };
 }
 
-Stimulus walking_ones(size_t n_inputs) {
-  return [n_inputs](int round, size_t input_index) {
-    return cell::from_bool(static_cast<size_t>(round) % n_inputs ==
-                           input_index);
-  };
-}
-
 }  // namespace desyn::verif

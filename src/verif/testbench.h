@@ -15,7 +15,5 @@ using Stimulus = std::function<cell::V(int round, size_t input_index)>;
 Stimulus random_stimulus(uint64_t seed);
 /// All inputs constant.
 Stimulus constant_stimulus(cell::V v);
-/// Walking-ones pattern (input i high when round % n_inputs == i).
-Stimulus walking_ones(size_t n_inputs);
 
 }  // namespace desyn::verif

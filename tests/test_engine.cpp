@@ -228,10 +228,17 @@ TEST(EngineEco, KindEditTakesConeLimitedStaAndStaysIdentical) {
   EXPECT_EQ(after.synth_patched + after.synth_runs,
             before.synth_patched + before.synth_runs + 1);
   EXPECT_EQ(after.synth_hits, before.synth_hits);
+  // The timed model is solved once, cold, whatever the edit moved.
+  EXPECT_EQ(after.mcr_runs + after.mcr_hits,
+            before.mcr_runs + before.mcr_hits + 1);
+  EXPECT_EQ(after.mcr_warm, 0u);
 
-  // Whatever path ran, the bytes match a cold engine's.
+  // Whatever path ran, the bytes and the stats match a cold engine's.
   Engine fresh(Tech::generic90());
-  EXPECT_EQ(*eco.verilog, *fresh.run(edit, clk, opt).verilog);
+  FlowOutcome cold = fresh.run(edit, clk, opt);
+  EXPECT_EQ(*eco.verilog, *cold.verilog);
+  EXPECT_EQ(eco.stats.predicted_period_ps, cold.stats.predicted_period_ps);
+  EXPECT_EQ(eco.stats, cold.stats);
 }
 
 TEST(EngineEco, InitFlipFieldPatchesSynthAndHitsMcr) {
@@ -259,7 +266,10 @@ TEST(EngineEco, InitFlipFieldPatchesSynthAndHitsMcr) {
   EXPECT_EQ(after.mcr_hits, before.mcr_hits + 1);
 
   Engine fresh(Tech::generic90());
-  EXPECT_EQ(*eco.verilog, *fresh.run(edit, clk, opt).verilog);
+  FlowOutcome cold = fresh.run(edit, clk, opt);
+  EXPECT_EQ(*eco.verilog, *cold.verilog);
+  EXPECT_EQ(eco.stats.predicted_period_ps, cold.stats.predicted_period_ps);
+  EXPECT_EQ(eco.stats, cold.stats);
 }
 
 TEST(EngineEco, StructuralEditFallsBackToFullStages) {

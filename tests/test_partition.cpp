@@ -738,6 +738,45 @@ TEST(Optimizer, StandardDlxMatchesGoldenPartitions) {
   }
 }
 
+/// The optimizer takes its Prefix baseline from a quotient of the
+/// per-flip-flop graph it already extracted. The oracle is the flow's own
+/// path: latchify the Prefix partition and extract its control graph.
+TEST(Optimizer, PrefixBaselineMatchesExtractedPrefixGraph) {
+  const Tech& tech = Tech::generic90();
+  std::vector<circuits::Suite> designs = circuits::scaling_suite();
+  {
+    Netlist nl("dlx");
+    dlx::build_dlx(nl, dlx::DlxConfig{}, dlx::fibonacci_program(8));
+    const NetId clk = nl.find_net("clk");
+    designs.push_back({"dlx", {std::move(nl), clk}});
+  }
+  for (const circuits::Suite& d : designs) {
+    const Netlist& ff = d.circuit.netlist;
+    for (ctl::Protocol proto : ctl::kAllProtocols) {
+      for (double margin : {1.0, 1.1}) {
+        Netlist latched = ff;
+        const LatchifyResult lr =
+            latchify(latched, d.circuit.clock, Partition::prefix(ff));
+        const double oracle = predicted_period(
+            extract_control_graph(latched, lr, d.circuit.clock, tech, margin,
+                                  proto)
+                .cg,
+            proto, tech);
+        PartitionOptOptions opt;
+        opt.margin = margin;
+        opt.protocol = proto;
+        opt.max_merges = 1;  // the baseline is set before the search runs
+        opt.refine = false;
+        const PartitionOptResult r =
+            optimize_partition(ff, d.circuit.clock, tech, opt);
+        EXPECT_EQ(r.baseline_period, oracle)
+            << d.name << " " << ctl::protocol_name(proto) << " margin "
+            << margin;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // PairTable: the optimizer's open-addressed pair index against
 // std::unordered_map.
