@@ -2,6 +2,6 @@
 
 namespace desyn::detail {
 
-thread_local const CancelToken* t_cancel = nullptr;
+thread_local constinit const CancelToken* t_cancel = nullptr;
 
 }  // namespace desyn::detail

@@ -65,7 +65,9 @@ class CancelToken {
 };
 
 namespace detail {
-extern thread_local const CancelToken* t_cancel;
+/// constinit: no dynamic initialization, so an access needs no TLS wrapper
+/// call (GCC's UBSan null check misfires on the wrapper's result).
+extern thread_local constinit const CancelToken* t_cancel;
 }  // namespace detail
 
 /// Installs `token` as the current thread's cancel token for the scope's

@@ -10,6 +10,7 @@
 
 #include "base/json.h"
 #include "core/adjacency.h"
+#include "core/clocktree.h"
 #include "netlist/query.h"
 #include "pn/analysis.h"
 
@@ -662,26 +663,14 @@ struct Linter {
   }
 
   /// The enable-tree skew compensation the flow inserts for wide banks
-  /// (core/desynchronizer.cpp): a bank whose enable drives more than 8
-  /// storage pins gets a fanout-8 buffer tree, and every handshake
-  /// consumer of its transition nets is pushed back by the tree's
-  /// insertion delay in whole DELAY units. Recomputed here from the bank's
-  /// sink count so the expected line lengths match the hardware exactly.
+  /// (core/desynchronizer.cpp): every handshake consumer of a bank's
+  /// transition nets is pushed back by its enable tree's insertion in
+  /// whole DELAY units. Recomputed here from the bank's sink count with
+  /// the flow's own rule, so the expected line lengths match the hardware.
   int skew_units(int bank) const {
     if (bank >= real_banks()) return 0;  // env banks drive no storage
     const flow::Bank& b = r.banks.banks[static_cast<size_t>(bank)];
-    size_t sinks = b.latches.size() + b.rams.size();
-    constexpr size_t kMaxFanout = 8;
-    if (sinks <= kMaxFanout) return 0;
-    int levels = 0;
-    while (sinks > kMaxFanout) {
-      sinks = (sinks + kMaxFanout - 1) / kMaxFanout;
-      ++levels;
-    }
-    Ps insertion = tech.delay(Kind::Buf, 1, static_cast<int>(kMaxFanout)) *
-                   levels;
-    return static_cast<int>(
-        (insertion + tech.delay_unit() - 1) / tech.delay_unit());
+    return flow::tree_insertion(b.latches.size() + b.rams.size(), tech).units;
   }
 
   // ---- pass 4: handshake completeness ------------------------------------

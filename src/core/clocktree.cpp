@@ -2,6 +2,20 @@
 
 namespace desyn::flow {
 
+TreeInsertion tree_insertion(size_t sinks, const cell::Tech& tech,
+                             int max_fanout) {
+  DESYN_ASSERT(max_fanout >= 2);
+  TreeInsertion ins;
+  const size_t fanout = static_cast<size_t>(max_fanout);
+  for (; sinks > fanout; sinks = (sinks + fanout - 1) / fanout) ++ins.levels;
+  if (ins.levels == 0) return ins;
+  ins.delay = tech.delay(cell::Kind::Buf, 1, max_fanout) * ins.levels;
+  const Ps unit = tech.delay_unit();
+  DESYN_ASSERT(unit > 0);
+  ins.units = static_cast<int>((ins.delay + unit - 1) / unit);
+  return ins;
+}
+
 ClockTree build_clock_tree(nl::Netlist& nl, nl::NetId clock,
                            const cell::Tech& tech, int max_fanout) {
   DESYN_ASSERT(max_fanout >= 2);
@@ -36,8 +50,9 @@ ClockTree build_clock_tree(nl::Netlist& nl, nl::NetId clock,
   // Remaining consumers hang directly off the clock input.
   tree.nets.push_back(clock);
   // Insertion delay: every sink sits under `levels` buffers.
-  Ps per_buf = tech.delay(cell::Kind::Buf, 1, max_fanout);
-  tree.insertion_delay = per_buf * tree.levels;
+  const TreeInsertion ins = tree_insertion(sinks.size(), tech, max_fanout);
+  DESYN_ASSERT(ins.levels == tree.levels);
+  tree.insertion_delay = ins.delay;
   return tree;
 }
 

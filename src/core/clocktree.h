@@ -20,6 +20,19 @@ struct ClockTree {
   Ps insertion_delay = 0;           ///< clock pin to sink pin
 };
 
+/// The insertion of a fanout-bounded buffer tree over `sinks` pins:
+/// `levels` buffer stages (0 when every sink fits under the root), each a
+/// Buf loaded with `max_fanout`. `units` is that delay rounded up to whole
+/// DELAY cells: the handshake compensation a desynchronized bank's enable
+/// tree needs. build_clock_tree builds exactly this shape.
+struct TreeInsertion {
+  int levels = 0;
+  Ps delay = 0;   ///< root pin to sink pin
+  int units = 0;  ///< `delay` in DELAY cells, rounded up
+};
+TreeInsertion tree_insertion(size_t sinks, const cell::Tech& tech,
+                             int max_fanout = 8);
+
 /// Build the tree in place; all pins previously connected to `clock` are
 /// re-pointed at leaf buffers. `max_fanout` bounds every tree node's load
 /// (8 is a typical CTS buffer fanout). The returned net list includes the

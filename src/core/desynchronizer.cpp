@@ -19,16 +19,13 @@ namespace {
 /// makes first-class (a per-flip-flop producer has no tree at all, so the
 /// two insertion delays do not cancel). Compensate by delaying the bank's
 /// outgoing handshake signals (the round net under Pulse, both transition
-/// signals under the level protocols) by the insertion delay, rounded up
-/// to whole DELAY cells. Only the bank's own enable generator (and, for
-/// Pulse, its pulse-generator buffer chain) keeps the raw signals —
-/// delaying those would shift the window itself and re-create the skew.
+/// signals under the level protocols) by the insertion delay in whole
+/// DELAY cells (`units`, from tree_insertion). Only the bank's own enable
+/// generator (and, for Pulse, its pulse-generator buffer chain) keeps the
+/// raw signals — delaying those would shift the window itself and
+/// re-create the skew.
 void compensate_enable_skew(nl::Netlist& nl, ctl::ControllerNetwork& ctrl,
-                            size_t bank, Ps insertion_delay,
-                            const cell::Tech& tech) {
-  const Ps unit = tech.delay_unit();
-  DESYN_ASSERT(unit > 0);
-  const int units = static_cast<int>((insertion_delay + unit - 1) / unit);
+                            size_t bank, int units) {
   if (units <= 0) return;
   std::set<uint32_t> keep;  // cells that must keep the raw signal
   nl::CellId eg = nl.net(ctrl.enables[bank]).driver;
@@ -95,11 +92,12 @@ ctl::ControllerNetwork attach_controllers(nl::Netlist& nl,
     // High-fanout enables get a distribution tree so no buffer stage's
     // loaded delay approaches the pulse width (inertial swallowing), plus
     // handshake-side compensation for the tree's insertion delay.
-    if (nl.net(en).fanout.size() > 8) {
-      ClockTree tree = build_clock_tree(nl, en, tech, 8);
+    const TreeInsertion ins = tree_insertion(nl.net(en).fanout.size(), tech);
+    if (ins.levels > 0) {
+      ClockTree tree = build_clock_tree(nl, en, tech);
       for (nl::NetId n : tree.nets) ctrl.control_nets.push_back(n);
       for (nl::CellId c : tree.buffers) ctrl.cells.push_back(c);
-      compensate_enable_skew(nl, ctrl, i, tree.insertion_delay, tech);
+      compensate_enable_skew(nl, ctrl, i, ins.units);
     }
   }
   nl.check();

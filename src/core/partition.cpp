@@ -542,6 +542,7 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
     }
     res.baseline_period =
         predicted_period(prefix.materialize(), opt.protocol, tech);
+    res.baseline_banks = prefix.num_live();
   }
   // Coarsening only adds rendezvous, so merged periods are never below the
   // per-flip-flop start; measuring the budget against the larger of the

@@ -207,6 +207,7 @@ struct PartitionOptResult {
   Partition partition;        ///< the optimized clustering
   double perff_period = 0;    ///< predicted period of the PerFlipFlop start
   double baseline_period = 0; ///< predicted period of the Prefix baseline
+  size_t baseline_banks = 0;  ///< groups of the Prefix baseline
   double period = 0;          ///< predicted period of `partition`
   size_t cost = 0;            ///< controller+delay cells of `partition`
   int merges = 0;             ///< committed group merges

@@ -76,17 +76,35 @@ Sha256& mix(Sha256& h, const Hash256& k) {
   return h.field(std::string_view(reinterpret_cast<const char*>(k.bytes.data()),
                                   k.bytes.size()));
 }
+Sha256& mix(Sha256& h, std::string_view s) { return h.field(s); }
 
 /// Hash the per-bank margin overrides (DesyncOptions::margins) into a
 /// stage key. They change the hardware, so every stage from adjacency on
-/// must key on them — unlike opt_jobs/mc jobs, which never do.
-/// Deliberately *not* part of the partition key: the partitioner always
+/// must key on them — unlike the optimizer and mc job counts, which never
+/// do. Deliberately *not* part of the partition key: the partitioner always
 /// scores at the global margin (bank ids do not exist before the
 /// clustering is fixed), so per-bank overrides cannot change its answer —
 /// pinned by EngineTest.CacheKeySensitivity.
 Sha256& hash_margins(Sha256& h, const std::vector<double>& margins) {
   h.field_u64(margins.size());
   for (double m : margins) h.field_f64(m);
+  return h;
+}
+
+/// The key of a stage at one design coordinate: "<tag>", the tech, the
+/// stage's upstream identity (the latchify key for adjacency and synth;
+/// ff_hash, clock name and partition key for result, lint and mc), then
+/// the knobs that shape the hardware: margin, per-bank margins, protocol.
+/// Returned open, so a stage can append knobs of its own.
+template <class... Upstream>
+Sha256 coordinate_hash(std::string_view tag, const cell::Tech& tech,
+                       const DesyncOptions& opt, const Upstream&... up) {
+  Sha256 h;
+  h.field(tag).field(tech.name());
+  (mix(h, up), ...);
+  h.field_f64(opt.margin);
+  hash_margins(h, opt.margins);
+  h.field_u64(static_cast<uint64_t>(opt.protocol));
   return h;
 }
 
@@ -369,6 +387,11 @@ StageCounters Engine::counters() const {
   return counters_;
 }
 
+void Engine::count(size_t StageCounters::*c, size_t n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  counters_.*c += n;
+}
+
 ArtifactStore::Stats Engine::store_stats() const { return store_.stats(); }
 
 Engine::Lineage Engine::lineage_snapshot(const Hash256& key) const {
@@ -388,9 +411,39 @@ Engine& Engine::process(const cell::Tech& tech) {
   return *e;
 }
 
-Hash256 Engine::partition_key(const nl::Netlist& ff, nl::NetId clock,
-                              const DesyncOptions& opt,
-                              const Hash256& ff_hash) {
+// Every cached stage is served here, in one order:
+//   1. lookup: the memory tier, then the disk tier when `des` is set;
+//   2. hit: bump the stage's hit counter, return the shared artifact;
+//   3. miss: fire the stage's fault probe, then a cancel point. Both sit
+//      on the miss path only: a hit involves none of the machinery the
+//      probe models and is too cheap to be worth aborting;
+//   4. compute: the callback picks the run counter its path bumps
+//      (adjacency_eco vs adjacency_runs, synth_patched vs synth_runs);
+//   5. publish: the artifact goes into the store, and to disk when the
+//      compute returned a body. A compute that throws publishes nothing.
+template <class A, class Compute>
+std::shared_ptr<const A> Engine::serve(std::string_view kind,
+                                       const Hash256& key,
+                                       size_t StageCounters::*hit,
+                                       const char* site, Compute&& compute,
+                                       const ArtifactStore::Deserializer& des) {
+  if (ArtifactStore::Ptr a = store_.get(kind, key, des)) {
+    count(hit);
+    return std::static_pointer_cast<const A>(a);
+  }
+  if (site) {
+    fault::maybe_throw(site);
+    cancel_point();
+  }
+  Computed c = compute();
+  if (c.ran) count(c.ran);
+  store_.put(kind, key, c.art, c.body);
+  return std::static_pointer_cast<const A>(c.art);
+}
+
+Engine::Submission Engine::identify(const nl::Netlist& ff, nl::NetId clock,
+                                    const DesyncOptions& opt) {
+  Submission sub{nl::content_hash(ff), ff.net(clock).name, {}};
   Sha256 h;
   h.field("partition-v1").field(tech_.name());
   mix(h, census_hash(ff));
@@ -416,13 +469,14 @@ Hash256 Engine::partition_key(const nl::Netlist& ff, nl::NetId clock,
       // excluded from every stage key, so a submission re-run with a
       // different value stays a pure cache hit.
       h.field("auto");
-      mix(h, ff_hash);
-      h.field(ff.net(clock).name);
+      mix(h, sub.ff_hash);
+      h.field(sub.clock);
       h.field_f64(opt.strategy.auto_budget).field_f64(opt.margin);
       h.field_u64(static_cast<uint64_t>(opt.protocol));
       break;
   }
-  return h.digest();
+  sub.part_key = h.digest();
+  return sub;
 }
 
 std::shared_ptr<const PartitionOptResult> Engine::optimize(
@@ -436,114 +490,74 @@ std::shared_ptr<const PartitionOptResult> Engine::optimize(
   h.field_u64(static_cast<uint64_t>(opt.protocol));
   h.field_u64(opt.seed).field_u64(opt.max_merges);
   h.field_u64(opt.refine ? 1 : 0);
-  Hash256 key = h.digest();
-
-  if (ArtifactStore::Ptr a = store_.get("optimize", key)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.optimize_hits;
-    auto oa = std::static_pointer_cast<const OptArtifact>(a);
-    return {oa, &oa->result};
-  }
-  PartitionOptResult r = optimize_partition(ff, clock, tech_, opt);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.optimize_runs;
-  }
-  auto oa = std::make_shared<OptArtifact>(std::move(r));
-  store_.put("optimize", key, oa);
+  auto oa = serve<OptArtifact>(
+      "optimize", h.digest(), &StageCounters::optimize_hits, nullptr,
+      [&]() -> Computed {
+        return {std::make_shared<OptArtifact>(
+                    optimize_partition(ff, clock, tech_, opt)),
+                &StageCounters::optimize_runs};
+      });
   return {oa, &oa->result};
 }
 
 Engine::Stages Engine::run_stages(const nl::Netlist& ff, nl::NetId clock,
                                   const DesyncOptions& opt,
-                                  const Hash256& ff_hash,
-                                  const Hash256& part_key) {
+                                  const Submission& sub) {
   DESYN_ASSERT(opt.margin >= 1.0, "matched-delay margin must be >= 1");
   for (double m : opt.margins) {
     DESYN_ASSERT(m <= 0.0 || m >= 1.0,
                  "per-bank margins must be >= 1 (or <= 0 = unset)");
   }
-  const std::string clock_name = ff.net(clock).name;
 
   // ---- partition stage ----------------------------------------------------
+  // Only Auto partitions earn a disk entry: the cheap strategies recompute
+  // faster than a disk round trip, and only from_groups output round-trips
+  // the naming exactly.
   const bool is_auto = opt.strategy.mode == PartitionSpec::Mode::Auto;
-  std::shared_ptr<const PartArtifact> part;
-  {
-    ArtifactStore::Deserializer des;
-    if (is_auto) {
-      // Only Auto partitions earn a disk entry: the cheap strategies
-      // recompute faster than a disk round trip, and only from_groups
-      // output round-trips the naming exactly.
-      des = [&ff](const std::string& body) -> ArtifactStore::Ptr {
-        return std::make_shared<PartArtifact>(
-            deserialize_partition(body, ff));
-      };
-    }
-    ArtifactStore::Ptr a = store_.get("partition", part_key, des);
-    if (a) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.partition_hits;
-    } else {
-      // Stage-boundary probes sit in the compute branch only: a cache hit
-      // involves none of the machinery the probe models. Likewise the
-      // cancel points — hits are too cheap to be worth aborting.
-      fault::maybe_throw("engine.stage.partition");
-      cancel_point();
-      Partition p;
-      if (is_auto) {
-        PartitionOptOptions po;
-        po.period_budget = opt.strategy.auto_budget;
-        po.margin = opt.margin;
-        po.protocol = opt.protocol;
-        p = optimize(ff, clock, po)->partition;
-      } else {
-        p = make_partition(ff, clock, opt.strategy, tech_, opt.protocol,
-                           opt.margin);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.partition_runs;
-      }
-      auto pa = std::make_shared<PartArtifact>(std::move(p));
-      store_.put("partition", part_key, pa,
-                 is_auto ? serialize_partition(pa->partition, ff)
-                         : std::string());
-      a = pa;
-    }
-    part = std::static_pointer_cast<const PartArtifact>(a);
+  ArtifactStore::Deserializer part_des;
+  if (is_auto) {
+    part_des = [&ff](const std::string& body) -> ArtifactStore::Ptr {
+      return std::make_shared<PartArtifact>(deserialize_partition(body, ff));
+    };
   }
+  auto part = serve<PartArtifact>(
+      "partition", sub.part_key, &StageCounters::partition_hits,
+      "engine.stage.partition",
+      [&]() -> Computed {
+        Partition p;
+        if (is_auto) {
+          PartitionOptOptions po;
+          po.period_budget = opt.strategy.auto_budget;
+          po.margin = opt.margin;
+          po.protocol = opt.protocol;
+          p = optimize(ff, clock, po)->partition;
+        } else {
+          p = make_partition(ff, clock, opt.strategy, tech_, opt.protocol,
+                             opt.margin);
+        }
+        auto pa = std::make_shared<PartArtifact>(std::move(p));
+        std::string body =
+            is_auto ? serialize_partition(pa->partition, ff) : std::string();
+        return {pa, &StageCounters::partition_runs, std::move(body)};
+      },
+      part_des);
 
   // ---- latchify stage -----------------------------------------------------
-  Hash256 latch_key;
-  {
-    Sha256 h;
-    h.field("latchify-v1").field(tech_.name());
-    mix(h, ff_hash);
-    h.field(clock_name);
-    mix(h, part_key);
-    latch_key = h.digest();
-  }
-  std::shared_ptr<const LatchArtifact> latch;
-  if (ArtifactStore::Ptr a = store_.get("latchify", latch_key)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.latchify_hits;
-    latch = std::static_pointer_cast<const LatchArtifact>(a);
-  } else {
-    fault::maybe_throw("engine.stage.latchify");
-    cancel_point();
-    nl::Netlist copy = ff;
-    LatchifyResult lr = latchify(copy, clock, part->partition);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.latchify_runs;
-    }
-    auto la = std::make_shared<LatchArtifact>(std::move(copy), std::move(lr));
-    store_.put("latchify", latch_key, la);
-    latch = la;
-  }
+  Sha256 lh;
+  lh.field("latchify-v1").field(tech_.name());
+  mix(lh, sub.ff_hash).field(sub.clock);
+  const Hash256 latch_key = mix(lh, sub.part_key).digest();
+  auto latch = serve<LatchArtifact>(
+      "latchify", latch_key, &StageCounters::latchify_hits,
+      "engine.stage.latchify", [&]() -> Computed {
+        nl::Netlist copy = ff;
+        LatchifyResult lr = latchify(copy, clock, part->partition);
+        return {std::make_shared<LatchArtifact>(std::move(copy), std::move(lr)),
+                &StageCounters::latchify_runs};
+      });
   // The cached latched netlist may be another (canonically equal)
   // representation of the submission: re-resolve the clock by name.
-  nl::NetId lclock = latch->netlist.find_net(clock_name);
+  nl::NetId lclock = latch->netlist.find_net(sub.clock);
   DESYN_ASSERT(lclock.valid());
 
   // ---- lineage: the previous submission of this design coordinate --------
@@ -551,7 +565,7 @@ Engine::Stages Engine::run_stages(const nl::Netlist& ff, nl::NetId clock,
   {
     Sha256 h;
     h.field("lineage-v1").field(tech_.name());
-    h.field(ff.name()).field(clock_name);
+    h.field(ff.name()).field(sub.clock);
     h.field(opt.strategy.label());
     if (opt.strategy.mode == PartitionSpec::Mode::Explicit) {
       mix(h, partition_content_hash(*opt.strategy.partition, ff));
@@ -575,141 +589,99 @@ Engine::Stages Engine::run_stages(const nl::Netlist& ff, nl::NetId clock,
   };
 
   // ---- adjacency stage ----------------------------------------------------
-  Hash256 adj_key;
-  {
-    Sha256 h;
-    h.field("adjacency-v1").field(tech_.name());
-    mix(h, latch_key);
-    h.field_f64(opt.margin);
-    hash_margins(h, opt.margins);
-    h.field_u64(static_cast<uint64_t>(opt.protocol));
-    adj_key = h.digest();
-  }
-  std::shared_ptr<const AdjArtifact> adj;
-  {
-    ArtifactStore::Deserializer des =
-        [](const std::string& body) -> ArtifactStore::Ptr {
-      auto aa = std::make_shared<AdjArtifact>(deserialize_adjacency(body));
-      aa->cg_hash = control_graph_hash(aa->adj);
-      return aa;
-    };
-    if (ArtifactStore::Ptr a = store_.get("adjacency", adj_key, des)) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.adjacency_hits;
-      adj = std::static_pointer_cast<const AdjArtifact>(a);
-    } else {
-      fault::maybe_throw("engine.stage.adjacency");
-      cancel_point();
-      AdjacencyResult ar;
-      if (prev.latch && prev.adj && diff_vs_prev().structural_same) {
-        size_t retimed = 0;
-        ar = extract_control_graph_eco(latch->netlist, latch->lr, lclock,
-                                       tech_, Margins(opt.margin, opt.margins),
-                                       opt.protocol, prev.adj->adj,
-                                       diff_vs_prev().changed, &retimed);
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.adjacency_eco;
-        counters_.eco_banks_retimed += retimed;
-      } else {
-        ar = extract_control_graph(latch->netlist, latch->lr, lclock, tech_,
-                                   Margins(opt.margin, opt.margins),
-                                   opt.protocol);
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.adjacency_runs;
-      }
-      auto aa = std::make_shared<AdjArtifact>(std::move(ar));
-      aa->cg_hash = control_graph_hash(aa->adj);
-      store_.put("adjacency", adj_key, aa, serialize_adjacency(aa->adj));
-      adj = aa;
-    }
-  }
+  auto adj = serve<AdjArtifact>(
+      "adjacency",
+      coordinate_hash("adjacency-v1", tech_, opt, latch_key).digest(),
+      &StageCounters::adjacency_hits, "engine.stage.adjacency",
+      [&]() -> Computed {
+        const Margins margins(opt.margin, opt.margins);
+        AdjacencyResult ar;
+        size_t StageCounters::*ran = &StageCounters::adjacency_runs;
+        if (prev.latch && prev.adj && diff_vs_prev().structural_same) {
+          size_t retimed = 0;
+          ar = extract_control_graph_eco(latch->netlist, latch->lr, lclock,
+                                         tech_, margins, opt.protocol,
+                                         prev.adj->adj,
+                                         diff_vs_prev().changed, &retimed);
+          ran = &StageCounters::adjacency_eco;
+          count(&StageCounters::eco_banks_retimed, retimed);
+        } else {
+          ar = extract_control_graph(latch->netlist, latch->lr, lclock, tech_,
+                                     margins, opt.protocol);
+        }
+        auto aa = std::make_shared<AdjArtifact>(std::move(ar));
+        aa->cg_hash = control_graph_hash(aa->adj);
+        std::string body = serialize_adjacency(aa->adj);
+        return {aa, ran, std::move(body)};
+      },
+      [](const std::string& body) -> ArtifactStore::Ptr {
+        auto aa = std::make_shared<AdjArtifact>(deserialize_adjacency(body));
+        aa->cg_hash = control_graph_hash(aa->adj);
+        return aa;
+      });
 
   // ---- synth stage --------------------------------------------------------
-  Hash256 synth_key;
-  {
-    Sha256 h;
-    h.field("synth-v1").field(tech_.name());
-    mix(h, latch_key);
-    h.field_f64(opt.margin);
-    hash_margins(h, opt.margins);
-    h.field_u64(static_cast<uint64_t>(opt.protocol));
-    synth_key = h.digest();
-  }
-  std::shared_ptr<const SynthArtifact> synth;
-  if (ArtifactStore::Ptr a = store_.get("synth", synth_key)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.synth_hits;
-    synth = std::static_pointer_cast<const SynthArtifact>(a);
-  } else {
-    fault::maybe_throw("engine.stage.synth");
-    cancel_point();
-    // Patch path: the edit left the synthesized control structure alone —
-    // either no matched delay moved (cg hash unchanged) or every moved
-    // delay stayed inside its quantization bucket — so controller
-    // synthesis would reproduce the previous netlist exactly: copy it and
-    // replay the field edits onto the same cell ids. Kind flips on bank
-    // latches are excluded: attach_controllers rewrites latch kinds, so
-    // the delta would not commute with it.
-    bool patchable =
-        prev.latch && prev.adj && prev.synth &&
-        diff_vs_prev().structural_same &&
-        (prev.adj->cg_hash == adj->cg_hash ||
-         same_quantized_control(prev.adj->adj, adj->adj, tech_));
-    if (patchable) {
-      std::set<uint32_t> bank_latches;
-      for (const Bank& b : latch->lr.banks) {
-        for (nl::CellId c : b.latches) bank_latches.insert(c.value());
-      }
-      for (nl::CellId c : diff_vs_prev().changed) {
-        if (prev.latch->netlist.cell(c).kind != latch->netlist.cell(c).kind &&
-            bank_latches.count(c.value())) {
-          patchable = false;
-          break;
+  auto synth = serve<SynthArtifact>(
+      "synth", coordinate_hash("synth-v1", tech_, opt, latch_key).digest(),
+      &StageCounters::synth_hits, "engine.stage.synth", [&]() -> Computed {
+        // Patch path: the edit left the synthesized control structure
+        // alone — either no matched delay moved (cg hash unchanged) or
+        // every moved delay stayed inside its quantization bucket — so
+        // controller synthesis would reproduce the previous netlist
+        // exactly: copy it and replay the field edits onto the same cell
+        // ids. Kind flips on bank latches are excluded: attach_controllers
+        // rewrites latch kinds, so the delta would not commute with it.
+        bool patchable =
+            prev.latch && prev.adj && prev.synth &&
+            diff_vs_prev().structural_same &&
+            (prev.adj->cg_hash == adj->cg_hash ||
+             same_quantized_control(prev.adj->adj, adj->adj, tech_));
+        if (patchable) {
+          std::set<uint32_t> bank_latches;
+          for (const Bank& b : latch->lr.banks) {
+            for (nl::CellId c : b.latches) bank_latches.insert(c.value());
+          }
+          for (nl::CellId c : diff_vs_prev().changed) {
+            if (prev.latch->netlist.cell(c).kind !=
+                    latch->netlist.cell(c).kind &&
+                bank_latches.count(c.value())) {
+              patchable = false;
+              break;
+            }
+          }
         }
-      }
-    }
-    if (patchable) {
-      DesyncResult r = prev.synth->result;  // deep copy, then field-patch
-      for (nl::CellId c : diff_vs_prev().changed) {
-        const nl::CellData& pc = prev.latch->netlist.cell(c);
-        const nl::CellData& nc = latch->netlist.cell(c);
-        if (pc.kind != nc.kind) r.netlist.set_kind(c, nc.kind);
-        if (pc.init != nc.init) r.netlist.set_init(c, nc.init);
-        if (nc.payload >= 0 && prev.latch->netlist.payload(pc.payload) !=
-                                   latch->netlist.payload(nc.payload)) {
-          r.netlist.replace_payload(nc.payload,
-                                    latch->netlist.payload(nc.payload));
+        if (!patchable) {
+          DesyncResult r{latch->netlist,    part->partition,
+                         latch->lr,         adj->adj.cg,
+                         {},                adj->adj.env_snk,
+                         adj->adj.env_src,  opt.protocol};
+          r.ctrl = attach_controllers(r.netlist, r.banks, r.cg, opt.protocol,
+                                      tech_);
+          return {std::make_shared<SynthArtifact>(std::move(r)),
+                  &StageCounters::synth_runs};
         }
-      }
-      if (prev.adj->cg_hash != adj->cg_hash) {
-        // Delays moved within their quantization buckets: the hardware is
-        // unchanged but the result must carry the re-extracted graph.
-        r.cg = adj->adj.cg;
-        r.env_snk = adj->adj.env_snk;
-        r.env_src = adj->adj.env_src;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.synth_patched;
-      }
-      auto sa = std::make_shared<SynthArtifact>(std::move(r));
-      store_.put("synth", synth_key, sa);
-      synth = sa;
-    } else {
-      DesyncResult r{latch->netlist, part->partition, latch->lr, adj->adj.cg,
-                     {},             adj->adj.env_snk, adj->adj.env_src,
-                     opt.protocol};
-      r.ctrl = attach_controllers(r.netlist, r.banks, r.cg, opt.protocol,
-                                  tech_);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.synth_runs;
-      }
-      auto sa = std::make_shared<SynthArtifact>(std::move(r));
-      store_.put("synth", synth_key, sa);
-      synth = sa;
-    }
-  }
+        DesyncResult r = prev.synth->result;  // deep copy, then field-patch
+        for (nl::CellId c : diff_vs_prev().changed) {
+          const nl::CellData& pc = prev.latch->netlist.cell(c);
+          const nl::CellData& nc = latch->netlist.cell(c);
+          if (pc.kind != nc.kind) r.netlist.set_kind(c, nc.kind);
+          if (pc.init != nc.init) r.netlist.set_init(c, nc.init);
+          if (nc.payload >= 0 && prev.latch->netlist.payload(pc.payload) !=
+                                     latch->netlist.payload(nc.payload)) {
+            r.netlist.replace_payload(nc.payload,
+                                      latch->netlist.payload(nc.payload));
+          }
+        }
+        if (prev.adj->cg_hash != adj->cg_hash) {
+          // Delays moved within their quantization buckets: the hardware
+          // is unchanged but the result must carry the re-extracted graph.
+          r.cg = adj->adj.cg;
+          r.env_snk = adj->adj.env_snk;
+          r.env_src = adj->adj.env_src;
+        }
+        return {std::make_shared<SynthArtifact>(std::move(r)),
+                &StageCounters::synth_patched};
+      });
 
   // ---- lineage update -----------------------------------------------------
   {
@@ -726,182 +698,103 @@ Engine::Stages Engine::run_stages(const nl::Netlist& ff, nl::NetId clock,
   return {synth, adj};
 }
 
-std::shared_ptr<const Engine::McrArtifact> Engine::mcr_stage(
-    const AdjArtifact& adj, ctl::Protocol protocol) {
-  Hash256 key;
-  {
-    Sha256 h;
-    h.field("mcr-v1").field(tech_.name());
-    mix(h, adj.cg_hash);
-    h.field_u64(static_cast<uint64_t>(protocol));
-    key = h.digest();
-  }
-  if (ArtifactStore::Ptr a = store_.get("mcr", key)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.mcr_hits;
-    return std::static_pointer_cast<const McrArtifact>(a);
-  }
-  fault::maybe_throw("engine.stage.mcr");
-  cancel_point();
-  auto m = std::make_shared<McrArtifact>();
-  // The one scoring rule the optimizer and Monte-Carlo sample 0 share.
-  m->period = predicted_period(adj.adj.cg, protocol, tech_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.mcr_runs;
-  }
-  store_.put("mcr", key, m);
-  return m;
-}
-
 std::shared_ptr<const DesyncResult> Engine::desynchronize(
     const nl::Netlist& ff, nl::NetId clock, const DesyncOptions& opt) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.runs;
-  }
-  Hash256 ff_hash = nl::content_hash(ff);
-  Hash256 part_key = partition_key(ff, clock, opt, ff_hash);
-  Stages st = run_stages(ff, clock, opt, ff_hash, part_key);
+  count(&StageCounters::runs);
+  Stages st = run_stages(ff, clock, opt, identify(ff, clock, opt));
   return {st.synth, &st.synth->result};
 }
 
 std::shared_ptr<const check::LintReport> Engine::lint(
     const nl::Netlist& ff, nl::NetId clock, const DesyncOptions& opt) {
-  Hash256 ff_hash = nl::content_hash(ff);
-  Hash256 part_key = partition_key(ff, clock, opt, ff_hash);
-  Hash256 key;
-  {
-    // Same coordinates as the result cache: anything that can change the
-    // desynchronized netlist can change the report, nothing else can.
-    Sha256 h;
-    h.field("lint-v1").field(tech_.name());
-    mix(h, ff_hash);
-    h.field(ff.net(clock).name);
-    mix(h, part_key);
-    h.field_f64(opt.margin);
-    hash_margins(h, opt.margins);
-    h.field_u64(static_cast<uint64_t>(opt.protocol));
-    key = h.digest();
-  }
-  if (ArtifactStore::Ptr a = store_.get("lint", key)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.lint_hits;
-    auto la = std::static_pointer_cast<const LintArtifact>(a);
-    return {la, &la->rep};
-  }
-  Stages st = run_stages(ff, clock, opt, ff_hash, part_key);
-  auto la = std::make_shared<LintArtifact>();
-  la->rep = check::lint(st.synth->result, tech_,
-                        Margins{opt.margin, opt.margins});
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.lint_runs;
-  }
-  store_.put("lint", key, la);  // memory tier only: reports are cheap to redo
-  return {std::shared_ptr<const LintArtifact>(la), &la->rep};
+  // Same coordinates as the result cache: anything that can change the
+  // desynchronized netlist can change the report, nothing else can.
+  // Memory tier only: reports are cheap to redo.
+  const Submission sub = identify(ff, clock, opt);
+  auto la = serve<LintArtifact>(
+      "lint",
+      coordinate_hash("lint-v1", tech_, opt, sub.ff_hash, sub.clock,
+                      sub.part_key)
+          .digest(),
+      &StageCounters::lint_hits, nullptr, [&]() -> Computed {
+        auto a = std::make_shared<LintArtifact>();
+        a->rep = check::lint(run_stages(ff, clock, opt, sub).synth->result,
+                             tech_, Margins{opt.margin, opt.margins});
+        return {a, &StageCounters::lint_runs};
+      });
+  return {la, &la->rep};
 }
 
 std::shared_ptr<const McReport> Engine::mc(const nl::Netlist& ff,
                                            nl::NetId clock,
                                            const DesyncOptions& opt,
                                            const McOptions& mc) {
-  Hash256 ff_hash = nl::content_hash(ff);
-  Hash256 part_key = partition_key(ff, clock, opt, ff_hash);
-  Hash256 key;
-  {
-    // Result-cache coordinates plus the sampling knobs that shape the
-    // distribution. `mc.jobs` is excluded: the batch solver is
-    // byte-identical at any worker count (pn::McrBatch contract), the same
-    // exclusion the partition/sim job counts get.
-    Sha256 h;
-    h.field("mc-v1").field(tech_.name());
-    mix(h, ff_hash);
-    h.field(ff.net(clock).name);
-    mix(h, part_key);
-    h.field_f64(opt.margin);
-    hash_margins(h, opt.margins);
-    h.field_u64(static_cast<uint64_t>(opt.protocol));
-    h.field_u64(mc.samples).field_u64(mc.seed);
-    h.field_f64(mc.sigma);
-    h.field_u64(mc.corners.size());
-    for (double c : mc.corners) h.field_f64(c);
-    key = h.digest();
-  }
-  if (ArtifactStore::Ptr a = store_.get("mc", key)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.mc_hits;
-    auto ma = std::static_pointer_cast<const McAnalysisArtifact>(a);
-    return {ma, &ma->rep};
-  }
-  Stages st = run_stages(ff, clock, opt, ff_hash, part_key);
-  auto ma = std::make_shared<McAnalysisArtifact>();
-  ma->rep = mc_analysis(st.synth->result, tech_,
-                        Margins(opt.margin, opt.margins), mc);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.mc_runs;
-  }
-  store_.put("mc", key, ma);  // memory tier only, like lint
-  return {std::shared_ptr<const McAnalysisArtifact>(ma), &ma->rep};
+  // Result-cache coordinates plus the sampling knobs that shape the
+  // distribution. `mc.jobs` is excluded: the batch solver is
+  // byte-identical at any worker count (pn::McrBatch contract), the same
+  // exclusion the ignored optimizer job counts get. Memory tier only, like
+  // lint.
+  const Submission sub = identify(ff, clock, opt);
+  Sha256 h = coordinate_hash("mc-v1", tech_, opt, sub.ff_hash, sub.clock,
+                             sub.part_key);
+  h.field_u64(mc.samples).field_u64(mc.seed);
+  h.field_f64(mc.sigma);
+  h.field_u64(mc.corners.size());
+  for (double c : mc.corners) h.field_f64(c);
+  auto ma = serve<McAnalysisArtifact>(
+      "mc", h.digest(), &StageCounters::mc_hits, nullptr, [&]() -> Computed {
+        auto a = std::make_shared<McAnalysisArtifact>();
+        a->rep = mc_analysis(run_stages(ff, clock, opt, sub).synth->result,
+                             tech_, Margins(opt.margin, opt.margins), mc);
+        return {a, &StageCounters::mc_runs};
+      });
+  return {ma, &ma->rep};
 }
 
 FlowOutcome Engine::run(const nl::Netlist& ff, nl::NetId clock,
                         const DesyncOptions& opt) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.runs;
-  }
-  Hash256 ff_hash = nl::content_hash(ff);
-  Hash256 part_key = partition_key(ff, clock, opt, ff_hash);
-  Hash256 result_key;
-  {
-    Sha256 h;
-    h.field("result-v1").field(tech_.name());
-    mix(h, ff_hash);
-    h.field(ff.net(clock).name);
-    mix(h, part_key);
-    h.field_f64(opt.margin);
-    hash_margins(h, opt.margins);
-    h.field_u64(static_cast<uint64_t>(opt.protocol));
-    result_key = h.digest();
-  }
-  ArtifactStore::Deserializer des =
-      [](const std::string& body) -> ArtifactStore::Ptr {
-    return deserialize_result(body);
-  };
-  if (ArtifactStore::Ptr a = store_.get("result", result_key, des)) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.result_hits;
-    }
-    auto ra = std::static_pointer_cast<const ResultArtifact>(a);
-    return {ra->verilog, ra->stats, true};
-  }
+  count(&StageCounters::runs);
+  const Submission sub = identify(ff, clock, opt);
+  bool cached = true;
+  auto ra = serve<ResultArtifact>(
+      "result",
+      coordinate_hash("result-v1", tech_, opt, sub.ff_hash, sub.clock,
+                      sub.part_key)
+          .digest(),
+      &StageCounters::result_hits, "engine.stage.result",
+      [&]() -> Computed {
+        cached = false;
+        Stages st = run_stages(ff, clock, opt, sub);
+        // ---- mcr stage ----------------------------------------------------
+        Sha256 h;
+        h.field("mcr-v1").field(tech_.name());
+        mix(h, st.adj->cg_hash).field_u64(static_cast<uint64_t>(opt.protocol));
+        auto mcr = serve<McrArtifact>(
+            "mcr", h.digest(), &StageCounters::mcr_hits, "engine.stage.mcr",
+            [&]() -> Computed {
+              auto m = std::make_shared<McrArtifact>();
+              // The one scoring rule the optimizer and MC sample 0 share.
+              m->period = predicted_period(st.adj->adj.cg, opt.protocol, tech_);
+              return {m, &StageCounters::mcr_runs};
+            });
 
-  Stages st = run_stages(ff, clock, opt, ff_hash, part_key);
-  std::shared_ptr<const McrArtifact> mcr = mcr_stage(*st.adj, opt.protocol);
-  // Last probe before the result artifact is assembled and published: a
-  // fault here proves a failed submission leaves no partial result entry.
-  fault::maybe_throw("engine.stage.result");
-  cancel_point();
-
-  const DesyncResult& dr = st.synth->result;
-  auto ra = std::make_shared<ResultArtifact>();
-  {
-    std::ostringstream os;
-    nl::write_verilog(dr.netlist, os);
-    ra->verilog = std::make_shared<const std::string>(std::move(os).str());
-  }
-  // The same cost split verif::check_flow_equivalence reports.
-  ra->stats.banks = dr.cg.num_banks();
-  ra->stats.controller_cells = dr.ctrl.cells.size() - dr.ctrl.delay_units;
-  ra->stats.delay_cells = dr.ctrl.delay_units;
-  ra->stats.cells_in = ff.num_live_cells();
-  ra->stats.cells_out = dr.netlist.num_live_cells();
-  ra->stats.predicted_period_ps = mcr->period;
-  store_.put("result", result_key, ra, serialize_result(*ra));
-  return {ra->verilog, ra->stats, false};
+        const DesyncResult& dr = st.synth->result;
+        auto r = std::make_shared<ResultArtifact>();
+        std::ostringstream os;
+        nl::write_verilog(dr.netlist, os);
+        r->verilog = std::make_shared<const std::string>(std::move(os).str());
+        // The same cost split verif::check_flow_equivalence reports.
+        r->stats.banks = dr.cg.num_banks();
+        r->stats.controller_cells = dr.ctrl.cells.size() - dr.ctrl.delay_units;
+        r->stats.delay_cells = dr.ctrl.delay_units;
+        r->stats.cells_in = ff.num_live_cells();
+        r->stats.cells_out = dr.netlist.num_live_cells();
+        r->stats.predicted_period_ps = mcr->period;
+        std::string body = serialize_result(*r);
+        return {r, nullptr, std::move(body)};
+      },
+      deserialize_result);
+  return {ra->verilog, ra->stats, cached};
 }
 
 }  // namespace desyn::flow

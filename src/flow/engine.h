@@ -4,14 +4,19 @@
 //   partition  ->  latchify  ->  adjacency  ->  synth  ->  mcr  ->  result
 //
 // Every stage produces an immutable artifact keyed by a canonical hash of
-// exactly the inputs that stage depends on:
+// exactly the inputs that stage depends on, and every stage is served by
+// one protocol (Engine::serve: lookup, then on a miss probe, compute and
+// publish). Margins are the global margin plus the per-bank overrides:
 //
 //   partition   H(tech, census | ff_hash, strategy knobs)
 //   latchify    H(tech, ff_hash, clock, partition key)
-//   adjacency   H(tech, latchify key, margin, protocol)
-//   synth       H(tech, latchify key, margin, protocol)
+//   adjacency   H(tech, latchify key, margins, protocol)
+//   synth       H(tech, latchify key, margins, protocol)
 //   mcr         H(tech, cg content hash, protocol)
-//   result      H(tech, ff_hash, clock, partition key, margin, protocol)
+//   result      H(tech, ff_hash, clock, partition key, margins, protocol)
+//
+// lint and mc are keyed at the result's coordinates (mc adds its sampling
+// knobs), optimize on the census, content and search knobs.
 //
 // Re-submitting an unchanged design is a pure result-cache hit: no stage
 // runs, the stored Verilog is returned. An *edited* design re-runs only
@@ -130,9 +135,9 @@ class Engine {
       const nl::Netlist& ff_netlist, nl::NetId clock,
       const DesyncOptions& opt);
 
-  /// Cached optimize_partition(): keyed on the search knobs that shape the
-  /// result (`opt.jobs` is excluded — results are byte-identical for any
-  /// job count).
+  /// Cached optimize_partition(): keyed on the netlist and the search
+  /// knobs that shape the result. `opt.jobs` is excluded: the search is
+  /// serial and ignores it.
   std::shared_ptr<const PartitionOptResult> optimize(
       const nl::Netlist& ff_netlist, nl::NetId clock,
       const PartitionOptOptions& opt);
@@ -184,13 +189,39 @@ class Engine {
     std::shared_ptr<const AdjArtifact> adj;
   };
 
+  /// What every stage key of one submission derives from.
+  struct Submission {
+    Hash256 ff_hash;    ///< canonical content of the flip-flop netlist
+    std::string clock;  ///< clock net name
+    Hash256 part_key;   ///< the partition stage's key
+  };
+
+  /// A stage compute's outcome, handed back to serve(): the artifact, the
+  /// run counter this compute path bumps (null: none) and the disk body
+  /// (empty: memory tier only).
+  struct Computed {
+    Computed(ArtifactStore::Ptr a, size_t StageCounters::*r,
+             std::string b = {})
+        : art(std::move(a)), ran(r), body(std::move(b)) {}
+    ArtifactStore::Ptr art;
+    size_t StageCounters::*ran;
+    std::string body;
+  };
+
+  /// The one stage protocol: serve (kind, key) from the store, or compute
+  /// and publish it. `hit` is the stage's hit counter, `site` its fault
+  /// probe (null: none), `des` its disk reader (empty: memory tier only).
+  template <class A, class Compute>
+  std::shared_ptr<const A> serve(std::string_view kind, const Hash256& key,
+                                 size_t StageCounters::*hit, const char* site,
+                                 Compute&& compute,
+                                 const ArtifactStore::Deserializer& des = {});
+  void count(size_t StageCounters::*c, size_t n = 1);
+
+  Submission identify(const nl::Netlist& ff, nl::NetId clock,
+                      const DesyncOptions& opt);
   Stages run_stages(const nl::Netlist& ff, nl::NetId clock,
-                    const DesyncOptions& opt, const Hash256& ff_hash,
-                    const Hash256& part_key);
-  std::shared_ptr<const McrArtifact> mcr_stage(const AdjArtifact& adj,
-                                               ctl::Protocol protocol);
-  Hash256 partition_key(const nl::Netlist& ff, nl::NetId clock,
-                        const DesyncOptions& opt, const Hash256& ff_hash);
+                    const DesyncOptions& opt, const Submission& sub);
   Lineage lineage_snapshot(const Hash256& key) const;
 
   const cell::Tech& tech_;

@@ -1,5 +1,7 @@
 #include "netlist/query.h"
 
+#include <algorithm>
+
 namespace desyn::nl {
 
 namespace {
@@ -74,6 +76,14 @@ std::vector<CellId> combinational_fanin(const Netlist& nl, NetId net) {
     for (NetId in : cd.ins) stack.push_back(in);
   }
   return cone;
+}
+
+Ps cell_delay(const Netlist& nl, CellId c, const cell::Tech& tech) {
+  const CellData& cd = nl.cell(c);
+  size_t fanout = 0;
+  for (NetId o : cd.outs) fanout = std::max(fanout, nl.net(o).fanout.size());
+  return tech.delay(cd.kind, static_cast<int>(cd.ins.size()),
+                    static_cast<int>(fanout));
 }
 
 Stats stats(const Netlist& nl, const cell::Tech& tech) {

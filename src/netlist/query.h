@@ -21,6 +21,10 @@ std::vector<CellId> topo_order(const Netlist& nl);
 /// outputs and primary inputs. Includes the RAM/ROM read path.
 std::vector<CellId> combinational_fanin(const Netlist& nl, NetId net);
 
+/// The loaded propagation delay of `c`: Tech::delay(kind, arity, largest
+/// output fanout). The one delay rule of the STA and the simulator.
+Ps cell_delay(const Netlist& nl, CellId c, const cell::Tech& tech);
+
 /// Inventory of a netlist: per-kind counts and area.
 struct Stats {
   std::array<size_t, 21> count_by_kind{};

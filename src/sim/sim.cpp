@@ -118,7 +118,9 @@ Simulator::Simulator(const nl::Netlist& nl, const cell::Tech& tech)
   ram_state_.resize(nl_.num_cells());
   watchers_.resize(nl_.num_nets());
   clock_half_period_.assign(nl_.num_nets(), 0);
-  for (CellId c : nl_.cells()) delay_[c.value()] = cell_delay(c);
+  for (CellId c : nl_.cells()) {
+    delay_[c.value()] = nl::cell_delay(nl_, c, tech_);
+  }
   dff_setup_ = tech_.dff_setup();
   // Flatten each net's fanout into the DFF-clock fast path + the rest.
   ff_ck_off_.reserve(nl_.num_nets() + 1);
@@ -139,14 +141,6 @@ Simulator::Simulator(const nl::Netlist& nl, const cell::Tech& tech)
   ff_ck_off_.push_back(static_cast<uint32_t>(ff_ck_.size()));
   fan_off_.push_back(static_cast<uint32_t>(fan_pins_.size()));
   settle_initial_state();
-}
-
-Ps Simulator::cell_delay(CellId c) const {
-  const nl::CellData& cd = nl_.cell(c);
-  size_t fanout = 0;
-  for (NetId o : cd.outs) fanout = std::max(fanout, nl_.net(o).fanout.size());
-  return tech_.delay(cd.kind, static_cast<int>(cd.ins.size()),
-                     static_cast<int>(fanout));
 }
 
 namespace {

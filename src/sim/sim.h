@@ -180,7 +180,6 @@ class Simulator {
   void evaluate_fanout(const Change& ch);
   void evaluate_pin(nl::Pin p, V old_cause);
   void settle_initial_state();
-  Ps cell_delay(nl::CellId c) const;
   void check_setup(nl::CellId c, Ps edge_time);
   void record_violation(const SetupViolation& v);
 

@@ -55,11 +55,7 @@ bool Sta::data_endpoint_pin(const nl::CellData& cd, size_t i) {
 }
 
 Ps Sta::cell_delay(nl::CellId c) const {
-  const nl::CellData& cd = nl_.cell(c);
-  size_t fanout = 0;
-  for (NetId o : cd.outs) fanout = std::max(fanout, nl_.net(o).fanout.size());
-  return tech_.delay(cd.kind, static_cast<int>(cd.ins.size()),
-                     static_cast<int>(fanout));
+  return nl::cell_delay(nl_, c, tech_);
 }
 
 std::vector<Ps> Sta::arrivals(std::span<const Source> sources) const {

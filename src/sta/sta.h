@@ -74,7 +74,7 @@ class Sta {
   /// (D; RAM WE/WA/WD) — the pins storage_input_arrival aggregates.
   static bool data_endpoint_pin(const nl::CellData& cd, size_t i);
 
-  /// Propagation delay this STA (and the simulator) uses for `c`.
+  /// Propagation delay of `c`: nl::cell_delay, the simulator's rule too.
   Ps cell_delay(nl::CellId c) const;
 
   struct PeriodReport {

@@ -357,6 +357,45 @@ TEST(EngineDisk, SecondEngineIsServedFromDisk) {
   std::filesystem::remove_all(dir);
 }
 
+/// The persisted stage keys are the on-disk format: a cache directory
+/// written by an earlier build is only served if every key hashes the same
+/// bytes. The file names (kind + key hex) of counter4 under a cheap and an
+/// optimized strategy are pinned.
+TEST(EngineDisk, PersistedStageKeysArePinned) {
+  std::string dir = fresh_dir("pinned");
+  NetId clk;
+  Netlist ff = counter4(&clk);
+  EngineOptions eopt;
+  eopt.cache_dir = dir;
+  {
+    Engine engine(Tech::generic90(), eopt);
+    for (const char* strategy : {"prefix", "auto:1.05"}) {
+      DesyncOptions opt;
+      opt.strategy = PartitionSpec::parse(strategy);
+      engine.run(ff, clk, opt);
+    }
+  }
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  const std::vector<std::string> want = {
+      "adjacency-"
+      "beda42b74c9cf3875dee9f14e1fdaba2d9ea00112cf3f80224987cebd6aa1a7f.art",
+      "adjacency-"
+      "eb217311993d836029222c76f4786b2ad873ab57aa933f28907d34b665d123b7.art",
+      "partition-"
+      "14f388747436e75ef95294b875f09f1989a21601fde93d8ff999f94bee66c359.art",
+      "result-"
+      "2f08d6721cc46fc28f3b8794fba0c59613945ee9f99c325b8dec212b144bb769.art",
+      "result-"
+      "51e84361c036ce096eccd67041c8693dda6db948a545cee1128b98d8b8ddea46.art",
+  };
+  EXPECT_EQ(names, want);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(EngineDisk, CorruptEntriesAreRejectedAndRecomputed) {
   std::string dir = fresh_dir("corrupt");
   NetId clk;

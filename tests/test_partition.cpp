@@ -740,7 +740,8 @@ TEST(Optimizer, StandardDlxMatchesGoldenPartitions) {
 
 /// The optimizer takes its Prefix baseline from a quotient of the
 /// per-flip-flop graph it already extracted. The oracle is the flow's own
-/// path: latchify the Prefix partition and extract its control graph.
+/// path: latchify the Prefix partition and extract its control graph. The
+/// bank count is checked too: a lost merge can leave the period unchanged.
 TEST(Optimizer, PrefixBaselineMatchesExtractedPrefixGraph) {
   const Tech& tech = Tech::generic90();
   std::vector<circuits::Suite> designs = circuits::scaling_suite();
@@ -755,8 +756,8 @@ TEST(Optimizer, PrefixBaselineMatchesExtractedPrefixGraph) {
     for (ctl::Protocol proto : ctl::kAllProtocols) {
       for (double margin : {1.0, 1.1}) {
         Netlist latched = ff;
-        const LatchifyResult lr =
-            latchify(latched, d.circuit.clock, Partition::prefix(ff));
+        const Partition prefix = Partition::prefix(ff);
+        const LatchifyResult lr = latchify(latched, d.circuit.clock, prefix);
         const double oracle = predicted_period(
             extract_control_graph(latched, lr, d.circuit.clock, tech, margin,
                                   proto)
@@ -769,9 +770,10 @@ TEST(Optimizer, PrefixBaselineMatchesExtractedPrefixGraph) {
         opt.refine = false;
         const PartitionOptResult r =
             optimize_partition(ff, d.circuit.clock, tech, opt);
-        EXPECT_EQ(r.baseline_period, oracle)
-            << d.name << " " << ctl::protocol_name(proto) << " margin "
-            << margin;
+        const std::string what = cat(d.name, " ", ctl::protocol_name(proto),
+                                     " margin ", margin);
+        EXPECT_EQ(r.baseline_period, oracle) << what;
+        EXPECT_EQ(r.baseline_banks, prefix.num_groups()) << what;
       }
     }
   }
