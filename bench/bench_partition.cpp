@@ -92,7 +92,7 @@ struct Case {
   double wall_ms = 0;
   bool is_auto = false;
   flow::OptimizeStats stats;  ///< auto rows only
-  int merges = 0, moves = 0;
+  int merges = 0;
 };
 
 void write_json(const std::string& path, const std::vector<Case>& cases) {
@@ -107,10 +107,9 @@ void write_json(const std::string& path, const std::vector<Case>& cases) {
     if (c.is_auto) {
       o += bench::fmt(
           ",\n     \"candidates\": %zu, \"pruned\": %zu, "
-          "\"warm_solves\": %zu, \"cold_solves\": %zu, \"merges\": %d, "
-          "\"moves\": %d",
+          "\"warm_solves\": %zu, \"cold_solves\": %zu, \"merges\": %d",
           c.stats.candidates, c.stats.pruned, c.stats.warm_solves,
-          c.stats.cold_solves, c.merges, c.moves);
+          c.stats.cold_solves, c.merges);
     }
     objs.push_back(o + "}");
   }
@@ -175,7 +174,6 @@ int main(int argc, char** argv) {
               flow::optimize_partition(d.netlist, d.clock, tech, popt);
           c.stats = r.stats;
           c.merges = r.merges;
-          c.moves = r.moves;
           opt.strategy =
               flow::PartitionSpec::explicit_(std::move(r.partition));
         }

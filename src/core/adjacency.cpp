@@ -373,9 +373,8 @@ void IncrementalQuotient::merge(int keep, int drop) {
   DESYN_ASSERT(keep != drop && live(keep) && live(drop));
   DESYN_ASSERT(mergeable(keep) && mergeable(drop));
   Delta d;
-  d.is_merge = true;
-  d.a = keep;
-  d.b = drop;
+  d.keep = keep;
+  d.drop = drop;
   d.keep_size = members_[static_cast<size_t>(keep)].size();
   d.old_wi[0] = wi_[2 * static_cast<size_t>(keep)];
   d.old_wi[1] = wi_[2 * static_cast<size_t>(keep) + 1];
@@ -392,69 +391,19 @@ void IncrementalQuotient::merge(int keep, int drop) {
   log_.push_back(d);
 }
 
-void IncrementalQuotient::move(int g, int to) {
-  int from = cluster_[static_cast<size_t>(g)];
-  DESYN_ASSERT(from != to && live(to));
-  DESYN_ASSERT(mergeable(from) && mergeable(to));
-  auto& donor = members_[static_cast<size_t>(from)];
-  DESYN_ASSERT(donor.size() >= 2, "a move may not empty the donor cluster");
-  Delta d;
-  d.is_merge = false;
-  d.a = g;
-  d.b = to;
-  d.from = from;
-  d.old_wi[0] = wi_[2 * static_cast<size_t>(from)];
-  d.old_wi[1] = wi_[2 * static_cast<size_t>(from) + 1];
-  d.old_wi[2] = wi_[2 * static_cast<size_t>(to)];
-  d.old_wi[3] = wi_[2 * static_cast<size_t>(to) + 1];
-  auto it = std::find(donor.begin(), donor.end(), g);
-  DESYN_ASSERT(it != donor.end());
-  d.member_idx = static_cast<size_t>(it - donor.begin());
-  donor.erase(it);
-  members_[static_cast<size_t>(to)].push_back(g);
-  cluster_[static_cast<size_t>(g)] = to;
-  // Donor loses a max contributor: recompute from its member banks. The
-  // receiver only gains one: max-combine.
-  Ps we = 0, wo = 0;
-  for (int m : donor) {
-    we = std::max(we, fine_wi_[2 * static_cast<size_t>(m)]);
-    wo = std::max(wo, fine_wi_[2 * static_cast<size_t>(m) + 1]);
-  }
-  wi_[2 * static_cast<size_t>(from)] = we;
-  wi_[2 * static_cast<size_t>(from) + 1] = wo;
-  wi_[2 * static_cast<size_t>(to)] =
-      std::max(d.old_wi[2], fine_wi_[2 * static_cast<size_t>(g)]);
-  wi_[2 * static_cast<size_t>(to) + 1] =
-      std::max(d.old_wi[3], fine_wi_[2 * static_cast<size_t>(g) + 1]);
-  log_.push_back(d);
-}
-
 void IncrementalQuotient::undo() {
-  DESYN_ASSERT(!log_.empty(), "undo() without a pending delta");
-  Delta d = log_.back();
+  DESYN_ASSERT(!log_.empty(), "undo() without a pending merge");
+  const Delta d = log_.back();
   log_.pop_back();
-  if (d.is_merge) {
-    auto& win = members_[static_cast<size_t>(d.a)];
-    auto& lose = members_[static_cast<size_t>(d.b)];
-    DESYN_ASSERT(lose.empty() && win.size() > d.keep_size);
-    lose.assign(win.begin() + static_cast<ptrdiff_t>(d.keep_size), win.end());
-    win.resize(d.keep_size);
-    for (int g : lose) cluster_[static_cast<size_t>(g)] = d.b;
-    wi_[2 * static_cast<size_t>(d.a)] = d.old_wi[0];
-    wi_[2 * static_cast<size_t>(d.a) + 1] = d.old_wi[1];
-    ++live_;
-  } else {
-    auto& donor = members_[static_cast<size_t>(d.from)];
-    auto& recv = members_[static_cast<size_t>(d.b)];
-    DESYN_ASSERT(!recv.empty() && recv.back() == d.a);
-    recv.pop_back();
-    donor.insert(donor.begin() + static_cast<ptrdiff_t>(d.member_idx), d.a);
-    cluster_[static_cast<size_t>(d.a)] = d.from;
-    wi_[2 * static_cast<size_t>(d.from)] = d.old_wi[0];
-    wi_[2 * static_cast<size_t>(d.from) + 1] = d.old_wi[1];
-    wi_[2 * static_cast<size_t>(d.b)] = d.old_wi[2];
-    wi_[2 * static_cast<size_t>(d.b) + 1] = d.old_wi[3];
-  }
+  auto& win = members_[static_cast<size_t>(d.keep)];
+  auto& lose = members_[static_cast<size_t>(d.drop)];
+  DESYN_ASSERT(lose.empty() && win.size() > d.keep_size);
+  lose.assign(win.begin() + static_cast<ptrdiff_t>(d.keep_size), win.end());
+  win.resize(d.keep_size);
+  for (int g : lose) cluster_[static_cast<size_t>(g)] = d.drop;
+  wi_[2 * static_cast<size_t>(d.keep)] = d.old_wi[0];
+  wi_[2 * static_cast<size_t>(d.keep) + 1] = d.old_wi[1];
+  ++live_;
 }
 
 std::vector<int> IncrementalQuotient::bank_map(

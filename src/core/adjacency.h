@@ -176,12 +176,11 @@ ctl::ControlGraph quotient_control_graph(
 /// under a mutable clustering of its fine groups — the partition
 /// optimizer's candidate-scoring substrate. Where quotient_control_graph
 /// re-derives the whole quotient (O(V+E)), this class keeps the current
-/// quotient materialized and applies each candidate as a *delta* with an
-/// undo log: a merge collapses two clusters (O(1) state, max-combining the
-/// per-destination worst-in delays exactly as the hardware line sizing
-/// aggregates them), a refinement move relabels one fine group and
-/// recomputes the donor's worst-in from its member banks. undo() reverts
-/// the latest delta, so a tentative candidate costs O(deg), not O(V+E).
+/// clustering and applies each candidate merge with an undo log: a merge
+/// collapses two clusters (relabelling the dropped cluster's members and
+/// max-combining the per-destination worst-in delays exactly as the
+/// hardware line sizing aggregates them). undo() reverts the latest merge,
+/// so a tentative candidate costs O(members), not O(V+E).
 ///
 /// Layout contract (the per-flip-flop extraction): fine group `g` owns
 /// banks 2g (even/master) and 2g+1 (odd/slave); the env pair env_snk
@@ -215,10 +214,7 @@ class IncrementalQuotient {
 
   /// Merge live mergeable cluster `drop` into live mergeable `keep`.
   void merge(int keep, int drop);
-  /// Move fine group `g` out of its (multi-member) cluster into live
-  /// mergeable cluster `to`.
-  void move(int g, int to);
-  /// Revert the most recent un-undone merge/move (LIFO).
+  /// Revert the most recent un-undone merge (LIFO).
   void undo();
 
   /// Fine-bank -> quotient-bank map of the current clustering: quotient
@@ -231,12 +227,9 @@ class IncrementalQuotient {
 
  private:
   struct Delta {
-    bool is_merge = true;
-    int a = -1, b = -1;      ///< merge: keep/drop; move: group/to-cluster
-    int from = -1;           ///< move: donor cluster
-    size_t keep_size = 0;    ///< merge: members_[keep] size before
-    size_t member_idx = 0;   ///< move: g's index in the donor's members
-    Ps old_wi[4] = {0, 0, 0, 0};  ///< affected clusters' worst-in pairs
+    int keep = -1, drop = -1;
+    size_t keep_size = 0;       ///< members_[keep] size before
+    Ps old_wi[2] = {0, 0};      ///< keep's worst-in pair before
   };
 
   const ctl::ControlGraph& fine_;

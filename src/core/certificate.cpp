@@ -41,13 +41,46 @@ BudgetCertificate::BudgetCertificate(const ctl::ControlGraph& fine,
                                      IncrementalQuotient& cq,
                                      ctl::Protocol protocol,
                                      const cell::Tech& tech, double limit)
-    : fine_(fine), cq_(cq), tech_(tech), proto_(protocol) {
+    : cq_(cq), tech_(tech) {
   DESYN_ASSERT(limit >= 0 && limit < 1e12, "period limit out of range");
   G_ = cq.num_groups();
   num_nodes_ = 2 * static_cast<uint32_t>(fine.num_banks());
   ctrl_ = ctl::controller_response_delay(tech);
   pulse_ = ctl::min_pulse_width(tech);
-  rebuild_fine();
+
+  // One arc per hardware arc of the per-flip-flop model, endpoints mapped
+  // through the clustering `cq` holds now.
+  std::vector<ctl::ProtoArc> arcs = ctl::hardware_arcs(fine, protocol);
+  const size_t m = arcs.size();
+  kind_.resize(m);
+  tokens_.resize(m);
+  from_.resize(m);
+  to_.resize(m);
+  delay_.resize(m);
+  incident_.assign(G_, {});
+  auto mapped_bank = [&](int bank) {
+    if (bank >= static_cast<int>(2 * G_)) return static_cast<uint32_t>(bank);
+    return 2 * static_cast<uint32_t>(cq_.cluster_of(bank / 2)) +
+           (static_cast<uint32_t>(bank) & 1);
+  };
+  for (size_t j = 0; j < m; ++j) {
+    const ctl::ProtoArc& a = arcs[j];
+    kind_[j] = ctl::arc_timing(a);
+    tokens_[j] = a.marked ? 1 : 0;
+    uint32_t mfb = mapped_bank(a.from);
+    uint32_t mtb = mapped_bank(a.to);
+    from_[j] = 2 * mfb + (a.from_plus ? 0u : 1u);
+    to_[j] = 2 * mtb + (a.to_plus ? 0u : 1u);
+    delay_[j] = arc_delay(j, qdelay(mtb));
+    uint32_t last = UINT32_MAX;
+    for (uint32_t mb : {mfb, mtb}) {
+      if (mb < 2 * G_ && mb / 2 != last) {
+        last = mb / 2;
+        incident_[last].push_back(static_cast<uint32_t>(j));
+      }
+    }
+  }
+  index_in_arcs();
 
   int64_t marked = 0;
   Ps max_delay = 0;
@@ -96,65 +129,12 @@ Ps BudgetCertificate::arc_delay(size_t j, Ps line) const {
   return ctl::arc_delay(kind_[j], line, ctrl_, pulse_);
 }
 
-/// (Re)build the fine-grained arc arrays — one arc per hardware arc of the
-/// per-flip-flop model — with endpoints mapped through the current
-/// clustering. Runs at construction and when the refinement phase needs
-/// per-group arcs back after compaction; the constraint set is unchanged,
-/// so the potentials stay valid.
-void BudgetCertificate::rebuild_fine() {
-  std::vector<ctl::ProtoArc> arcs = ctl::hardware_arcs(fine_, proto_);
-  const size_t m = arcs.size();
-  kind_.resize(m);
-  tokens_.resize(m);
-  ffrom_.resize(m);
-  fto_.resize(m);
-  from_.resize(m);
-  to_.resize(m);
-  delay_.resize(m);
-  group_arcs_.assign(G_, {});
-  incident_.assign(G_, {});
-  auto mapped_bank = [&](int bank) {
-    if (bank >= static_cast<int>(2 * G_)) return static_cast<uint32_t>(bank);
-    return 2 * static_cast<uint32_t>(cq_.cluster_of(bank / 2)) +
-           (static_cast<uint32_t>(bank) & 1);
-  };
-  for (size_t j = 0; j < m; ++j) {
-    const ctl::ProtoArc& a = arcs[j];
-    kind_[j] = ctl::arc_timing(a);
-    tokens_[j] = a.marked ? 1 : 0;
-    ffrom_[j] = a.from;
-    fto_[j] = a.to;
-    uint32_t mfb = mapped_bank(a.from);
-    uint32_t mtb = mapped_bank(a.to);
-    from_[j] = 2 * mfb + (a.from_plus ? 0u : 1u);
-    to_[j] = 2 * mtb + (a.to_plus ? 0u : 1u);
-    delay_[j] = arc_delay(j, qdelay(mtb));
-    uint32_t last = UINT32_MAX;
-    for (int bank : {a.from, a.to}) {
-      if (bank < static_cast<int>(2 * G_) &&
-          static_cast<uint32_t>(bank) / 2 != last) {
-        last = static_cast<uint32_t>(bank) / 2;
-        group_arcs_[last].push_back(static_cast<uint32_t>(j));
-      }
-    }
-    last = UINT32_MAX;
-    for (uint32_t mb : {mfb, mtb}) {
-      if (mb < 2 * G_ && mb / 2 != last) {
-        last = mb / 2;
-        incident_[last].push_back(static_cast<uint32_t>(j));
-      }
-    }
-  }
-  fine_mode_ = true;
-  index_in_arcs();
-}
-
 /// Merging never removes arcs — parallel duplicates pile onto the surviving
 /// transitions (same tokens, same delay: both are functions of parity, sign
 /// and destination alone, merge-invariant) — so every kCompactEvery merges
 /// the arc list is deduplicated in place (first-occurrence order, so the
 /// rebuild is deterministic), keeping each repair proportional to the
-/// *live* quotient. Fine-group arc lists die here; apply() rebuilds them.
+/// *live* quotient.
 void BudgetCertificate::compact() {
   const size_t m = from_.size();
   std::unordered_map<uint64_t, uint32_t> seen;
@@ -197,10 +177,6 @@ void BudgetCertificate::compact() {
       }
     }
   }
-  group_arcs_.clear();
-  ffrom_.clear();
-  fto_.clear();
-  fine_mode_ = false;
   merges_since_compact_ = 0;
   index_in_arcs();
 }
@@ -213,7 +189,8 @@ void BudgetCertificate::index_in_arcs() {
 /// Apply merge(drop -> keep): O(deg) endpoint rewrites on the dropped
 /// cluster's incident arcs, delay re-quantization where the merged
 /// destination's worst-in grew. journal_ records every patched arc.
-void BudgetCertificate::apply_merge(int keep, int drop) {
+void BudgetCertificate::apply(const Delta& d) {
+  const int keep = d.keep, drop = d.drop;
   const Ps qe_old = qdelay(2 * static_cast<uint32_t>(keep));
   const Ps qo_old = qdelay(2 * static_cast<uint32_t>(keep) + 1);
   cq_.merge(keep, drop);
@@ -249,67 +226,7 @@ void BudgetCertificate::apply_merge(int keep, int drop) {
   alias_from_ = drop;
 }
 
-/// Apply move(g -> to): g's fine arcs re-point from its donor cluster to
-/// the receiver, both clusters' destinations re-quantize as needed. Only
-/// valid in fine mode.
-void BudgetCertificate::apply_move(int g, int to) {
-  DESYN_ASSERT(fine_mode_, "moves need the per-group arc structure");
-  const int from_c = cq_.cluster_of(g);
-  const Ps qfe_old = qdelay(2 * static_cast<uint32_t>(from_c));
-  const Ps qfo_old = qdelay(2 * static_cast<uint32_t>(from_c) + 1);
-  const Ps qte_old = qdelay(2 * static_cast<uint32_t>(to));
-  const Ps qto_old = qdelay(2 * static_cast<uint32_t>(to) + 1);
-  cq_.move(g, to);
-  const Ps qfe = qdelay(2 * static_cast<uint32_t>(from_c));
-  const Ps qfo = qdelay(2 * static_cast<uint32_t>(from_c) + 1);
-  const Ps qte = qdelay(2 * static_cast<uint32_t>(to));
-  const Ps qto = qdelay(2 * static_cast<uint32_t>(to) + 1);
-  auto patch = [&](uint32_t j) {
-    journal_.push_back({j, from_[j], to_[j], delay_[j]});
-  };
-  for (uint32_t j : group_arcs_[static_cast<size_t>(g)]) {
-    patch(j);
-    if (ffrom_[j] / 2 == g) {
-      uint32_t nb = 2 * static_cast<uint32_t>(to) +
-                    (static_cast<uint32_t>(ffrom_[j]) & 1);
-      from_[j] = 2 * nb + (from_[j] & 1);
-    }
-    if (fto_[j] / 2 == g) {
-      uint32_t nb =
-          2 * static_cast<uint32_t>(to) + (static_cast<uint32_t>(fto_[j]) & 1);
-      to_[j] = 2 * nb + (to_[j] & 1);
-      delay_[j] =
-          arc_delay(j, (static_cast<uint32_t>(fto_[j]) & 1) == 0 ? qte : qto);
-    }
-  }
-  auto requant = [&](int c, Ps qe, Ps qo, Ps qe_old, Ps qo_old) {
-    if (qe == qe_old && qo == qo_old) return;
-    for (uint32_t j : incident_[static_cast<size_t>(c)]) {
-      if (kind_[j] != ctl::ArcTiming::Line) continue;
-      uint32_t tb = bank_of(to_[j]);
-      if (tb >= 2 * G_ || static_cast<int>(tb) / 2 != c) continue;
-      patch(j);
-      delay_[j] = arc_delay(j, (tb & 1) == 0 ? qe : qo);
-    }
-  };
-  requant(from_c, qfe, qfo, qfe_old, qfo_old);
-  requant(to, qte, qto, qte_old, qto_old);
-  alias_to_ = to;
-  alias_from_ = from_c;
-}
-
-/// Apply a delta, journaling every patched arc. Moves need the per-group
-/// arc lists, which compaction drops: rebuild them first.
-void BudgetCertificate::apply(const Delta& d) {
-  if (d.merge) {
-    apply_merge(d.a, d.b);
-    return;
-  }
-  if (!fine_mode_) rebuild_fine();
-  apply_move(d.a, d.b);
-}
-
-/// Undo the applied delta: arcs from the journal, the clustering by undo.
+/// Undo the applied merge: arcs from the journal, the clustering by undo.
 void BudgetCertificate::revert() {
   for (size_t i = journal_.size(); i-- > 0;) {
     const Patch& p = journal_[i];
@@ -326,13 +243,13 @@ void BudgetCertificate::revert() {
 // Potentials
 // ---------------------------------------------------------------------------
 
-/// Restore every arc constraint after the delta in journal_: relax the
+/// Restore every arc constraint after the merge in journal_: relax the
 /// patched arcs, then walk raises backward until nothing moves (true) or a
 /// raise closes a cycle of parent arcs (false, failure_* filled in).
 /// Raised nodes are logged in touched_/old_pi_ for restore_potentials().
 bool BudgetCertificate::settle() {
   // One deadline/cancel poll per repair, as Howard polls once per policy
-  // iteration: a repair walks only the region the delta disturbed.
+  // iteration: a repair walks only the region the merge disturbed.
   cancel_point();
   if (++epoch_ == 0) {  // wrapped: no stale stamp may alias the new epoch
     std::fill(stamp_.begin(), stamp_.end(), 0);
@@ -425,9 +342,10 @@ void BudgetCertificate::restore_potentials() {
 // Probes and commits
 // ---------------------------------------------------------------------------
 
-bool BudgetCertificate::probe(const Delta& d) {
+bool BudgetCertificate::probe_merge(int keep, int drop) {
   restore_potentials();  // a previous passing probe that was not committed
   ++probes_;
+  const Delta d{keep, drop};
   apply(d);
   const bool ok = settle();
   revert();
@@ -440,31 +358,20 @@ bool BudgetCertificate::probe(const Delta& d) {
   return ok;
 }
 
-void BudgetCertificate::commit(const Delta& d) {
+void BudgetCertificate::commit_merge(int keep, int drop) {
+  const Delta d{keep, drop};
   const bool proven = has_pending_ && pending_ == d;
   if (!proven) restore_potentials();
   apply(d);
   if (!proven) {
     const bool fits = settle();
-    DESYN_ASSERT(fits, "committed a delta that exceeds the period limit");
+    DESYN_ASSERT(fits, "committed a merge that exceeds the period limit");
   }
   touched_.clear();
   old_pi_.clear();
   has_pending_ = false;
   journal_.clear();
   alias_to_ = alias_from_ = -1;
-}
-
-bool BudgetCertificate::probe_merge(int keep, int drop) {
-  return probe({true, keep, drop});
-}
-
-bool BudgetCertificate::probe_move(int g, int to) {
-  return probe({false, g, to});
-}
-
-void BudgetCertificate::commit_merge(int keep, int drop) {
-  commit({true, keep, drop});
   // The dropped cluster's arcs (and the arcs ending at its nodes) now
   // belong to keep.
   auto& win = incident_[static_cast<size_t>(keep)];
@@ -479,29 +386,6 @@ void BudgetCertificate::commit_merge(int keep, int drop) {
     from.shrink_to_fit();
   }
   if (++merges_since_compact_ >= kCompactEvery) compact();
-}
-
-void BudgetCertificate::commit_move(int g, int to) {
-  const int from_c = cq_.cluster_of(g);
-  commit({false, g, to});
-  // g's arcs leave the donor, join the receiver. Committed moves are rare
-  // (one refinement pass), so a filter over the donor's list is fine.
-  auto& donor = incident_[static_cast<size_t>(from_c)];
-  auto still = [&](uint32_t j) {
-    uint32_t fb = bank_of(from_[j]);
-    uint32_t tb = bank_of(to_[j]);
-    return (fb < 2 * G_ && static_cast<int>(fb) / 2 == from_c) ||
-           (tb < 2 * G_ && static_cast<int>(tb) / 2 == from_c);
-  };
-  donor.erase(std::remove_if(donor.begin(), donor.end(),
-                             [&](uint32_t j) { return !still(j); }),
-              donor.end());
-  const auto& moved = group_arcs_[static_cast<size_t>(g)];
-  auto& recv = incident_[static_cast<size_t>(to)];
-  recv.insert(recv.end(), moved.begin(), moved.end());
-  for (uint32_t j : moved) {
-    if (fto_[j] / 2 == g) in_[to_[j]].push_back(j);
-  }
 }
 
 }  // namespace desyn::flow

@@ -14,12 +14,12 @@
 //     pi[u] >= pi[v] + q*delay(a) - p*tokens(a)   for every arc a = u -> v
 //
 // (sum the inequality around a cycle). The certificate keeps such a pi for
-// the committed clustering. A candidate merge or refinement move patches
-// O(deg) arcs and then repairs pi by a backward worklist from the patched
-// arcs' tails: each raise of pi[u] through arc a records a as u's parent,
-// and a raise that closes a cycle of parent arcs proves a positive cycle —
-// an over-budget cycle of the candidate, whose exact D/T is the failure
-// bound. A repair that settles proves the candidate within budget; the
+// the committed clustering. A candidate merge patches O(deg) arcs — the
+// dropped cluster's, re-pointed onto the kept one — and then repairs pi by
+// a backward worklist from the patched arcs' tails: each raise of pi[u]
+// through arc a records a as u's parent, and a raise that closes a cycle
+// of parent arcs proves a positive cycle — an over-budget cycle of the
+// candidate, whose exact D/T is the failure bound. A repair that settles proves the candidate within budget; the
 // committed winner keeps its repaired pi, so a commit costs no extra work.
 //
 // Arc endpoints live in quotient transition space: cluster c's banks are 2c
@@ -53,10 +53,9 @@ class BudgetCertificate {
 
   /// `cq` is the committed clustering of `fine`'s groups, owned by the
   /// caller. The certificate keeps its arc arrays in lockstep with it:
-  /// probes apply a delta to `cq` and undo it, commits apply it for good.
-  /// The caller must not change `cq` otherwise (a tentative move/undo pair
-  /// between calls is fine). The clustering `cq` holds at construction
-  /// must fit within `limit`.
+  /// probes apply a merge to `cq` and undo it, commits apply it for good.
+  /// The caller must not change `cq` otherwise. The clustering `cq` holds
+  /// at construction must fit within `limit`.
   BudgetCertificate(const ctl::ControlGraph& fine, IncrementalQuotient& cq,
                     ctl::Protocol protocol, const cell::Tech& tech,
                     double limit);
@@ -64,19 +63,15 @@ class BudgetCertificate {
   /// Does merging cluster `drop` into `keep` keep every cycle ratio
   /// <= limit? On false, failure_ratio()/failure_cycle() hold the proof.
   bool probe_merge(int keep, int drop);
-  /// Does moving fine group `g` into cluster `to` keep every cycle ratio
-  /// <= limit?
-  bool probe_move(int g, int to);
-  /// Commit a delta that fits the limit (asserted). Free right after a
-  /// passing probe of the same delta: its repaired potentials are kept.
+  /// Commit a merge that fits the limit (asserted). Free right after a
+  /// passing probe of the same merge: its repaired potentials are kept.
   void commit_merge(int keep, int drop);
-  void commit_move(int g, int to);
 
   /// Exact delay/token ratio of the last failing probe's cycle (> limit;
   /// +infinity for a token-free cycle).
   double failure_ratio() const { return fail_ratio_; }
   const std::vector<CycleArc>& failure_cycle() const { return fail_cycle_; }
-  /// Candidates settled so far (merge and move probes).
+  /// Candidates settled so far (merge probes).
   size_t probes() const { return probes_; }
   /// Whether the potentials satisfy every arc of the committed quotient —
   /// the certificate's invariant. O(arcs); for tests. Not valid while a
@@ -93,9 +88,8 @@ class BudgetCertificate {
     uint32_t from, to;
     Ps delay;
   };
-  struct Delta {
-    bool merge = false;
-    int a = -1, b = -1;  ///< merge: keep/drop; move: group/to-cluster
+  struct Delta {  ///< a candidate merge of cluster `drop` into `keep`
+    int keep = -1, drop = -1;
     bool operator==(const Delta&) const = default;
   };
 
@@ -103,25 +97,18 @@ class BudgetCertificate {
   Ps arc_delay(size_t j, Ps line) const;
   int64_t weight(uint32_t j) const { return q_ * delay_[j] - p_ * tokens_[j]; }
 
-  void rebuild_fine();
   void compact();
   void index_in_arcs();
   void apply(const Delta& d);
-  void apply_merge(int keep, int drop);
-  void apply_move(int g, int to);
   void revert();
 
-  bool probe(const Delta& d);
-  void commit(const Delta& d);
   bool settle();
   bool relax(uint32_t j);
   void record_cycle(uint32_t u, uint32_t j);
   void restore_potentials();
 
-  const ctl::ControlGraph& fine_;
   IncrementalQuotient& cq_;
   const cell::Tech& tech_;
-  ctl::Protocol proto_;
   size_t G_ = 0;
   uint32_t num_nodes_ = 0;
   Ps ctrl_ = 0, pulse_ = 0;
@@ -136,11 +123,8 @@ class BudgetCertificate {
   /// Per node, a superset of the arcs ending there (entries whose head
   /// moved away are skipped on scan).
   std::vector<std::vector<uint32_t>> in_;
-  std::vector<int> ffrom_, fto_;  ///< fine endpoint banks (fine mode)
-  std::vector<std::vector<uint32_t>> group_arcs_;  ///< per group (fine mode)
-  bool fine_mode_ = true;
   size_t merges_since_compact_ = 0;
-  std::vector<Patch> journal_;  ///< the applied delta's arc patches
+  std::vector<Patch> journal_;  ///< the applied merge's arc patches
 
   // Potentials and the repair worklist.
   std::vector<int64_t> pi_;
@@ -151,8 +135,8 @@ class BudgetCertificate {
   std::vector<uint32_t> touched_;  ///< nodes raised since the last commit
   std::vector<int64_t> old_pi_;    ///< their values before
   uint32_t epoch_ = 0;
-  /// While a delta is applied, in-arcs of `alias_to_`'s nodes may still be
-  /// listed under `alias_from_`'s (the cluster the delta drains).
+  /// While a merge is applied, in-arcs of `alias_to_`'s nodes may still be
+  /// listed under `alias_from_`'s (the cluster the merge drains).
   int alias_to_ = -1, alias_from_ = -1;
   Delta pending_;  ///< the passing probe whose potentials pi_ holds
   bool has_pending_ = false;

@@ -342,9 +342,11 @@ double predicted_period(const ctl::ControlGraph& cg, ctl::Protocol protocol,
 
 namespace {
 
-/// splitmix64 finalizer for deterministic candidate tie-breaking (the
-/// shared mixing step from base/rng.h).
-uint64_t mix(uint64_t z) { return splitmix64(z); }
+/// Deterministic candidate tie-break: candidates of equal weight order by
+/// splitmix64 (base/rng.h) of their pair key, salted with a fixed constant.
+/// Changing the salt reorders ties and so changes the committed partitions.
+constexpr uint64_t kTieSalt = 1;
+uint64_t tie_hash(uint64_t pair) { return splitmix64(kTieSalt ^ pair); }
 
 /// Total controller + matched-delay cell count the real synthesis would
 /// spend on `cg` — counted by running it against a scratch netlist, so the
@@ -362,12 +364,12 @@ uint64_t pair_key(int a, int b) {
 }
 
 // ---------------------------------------------------------------------------
-// Candidate evaluators: how a tentative delta gets a verdict and a cost.
+// Candidate evaluators: how a tentative merge gets a verdict.
 //
 // The search loop below is shared verbatim between the production
 // certificate scorer and the cold reference oracle; only this interface
-// differs. Both track the committed clustering themselves (driven by the
-// commit_* calls) so a probe is always measured against the same state the
+// differs. Both track the committed clustering themselves (driven by
+// commit_merge) so a probe is always measured against the same state the
 // loop believes in.
 // ---------------------------------------------------------------------------
 
@@ -378,12 +380,7 @@ class Evaluator {
   /// limit iff its predicted period fits; above the limit, a lower bound on
   /// that period (the bound cache stores it).
   virtual double probe_merge(int keep, int drop) = 0;
-  virtual double probe_move(int g, int to) = 0;
-  virtual size_t probe_move_cost(int g, int to) = 0;
   virtual void commit_merge(int keep, int drop) = 0;
-  virtual void commit_move(int g, int to) = 0;
-  /// The committed quotient control graph (for synthesis costing).
-  virtual ctl::ControlGraph quotient() = 0;
   /// The committed clustering itself — the single source of truth the
   /// search loop reads (labels, members, liveness).
   virtual const IncrementalQuotient& clusters() const = 0;
@@ -403,33 +400,17 @@ class ReferenceEvaluator final : public Evaluator {
 
   double probe_merge(int keep, int drop) override {
     cq_.merge(keep, drop);
-    return solve_and_undo();
-  }
-  double probe_move(int g, int to) override {
-    cq_.move(g, to);
-    return solve_and_undo();
-  }
-  size_t probe_move_cost(int g, int to) override {
-    cq_.move(g, to);
-    size_t c = synthesis_cost(cq_.materialize(), p_, tech_);
-    cq_.undo();
-    return c;
-  }
-  void commit_merge(int keep, int drop) override { cq_.merge(keep, drop); }
-  void commit_move(int g, int to) override { cq_.move(g, to); }
-  ctl::ControlGraph quotient() override { return cq_.materialize(); }
-  const IncrementalQuotient& clusters() const override { return cq_; }
-  size_t warm_solves() const override { return 0; }
-  size_t cold_solves() const override { return cold_; }
-
- private:
-  double solve_and_undo() {
     ++cold_;
     double p = predicted_period(cq_.materialize(), p_, tech_);
     cq_.undo();
     return p;
   }
+  void commit_merge(int keep, int drop) override { cq_.merge(keep, drop); }
+  const IncrementalQuotient& clusters() const override { return cq_; }
+  size_t warm_solves() const override { return 0; }
+  size_t cold_solves() const override { return cold_; }
 
+ private:
   IncrementalQuotient cq_;
   ctl::Protocol p_;
   const cell::Tech& tech_;
@@ -444,29 +425,15 @@ class IncrementalEvaluator final : public Evaluator {
   IncrementalEvaluator(const ctl::ControlGraph& fine,
                        std::vector<char> merge_ok, ctl::Protocol p,
                        const cell::Tech& tech, double limit)
-      : cq_(fine, std::move(merge_ok)),
-        cert_(fine, cq_, p, tech, limit),
-        proto_(p),
-        tech_(tech) {}
+      : cq_(fine, std::move(merge_ok)), cert_(fine, cq_, p, tech, limit) {}
 
   double probe_merge(int keep, int drop) override {
     fault::maybe_throw("partition.probe");
     return cert_.probe_merge(keep, drop) ? 0.0 : cert_.failure_ratio();
   }
-  double probe_move(int g, int to) override {
-    return cert_.probe_move(g, to) ? 0.0 : cert_.failure_ratio();
-  }
-  size_t probe_move_cost(int g, int to) override {
-    cq_.move(g, to);
-    size_t c = synthesis_cost(cq_.materialize(), proto_, tech_);
-    cq_.undo();
-    return c;
-  }
   void commit_merge(int keep, int drop) override {
     cert_.commit_merge(keep, drop);
   }
-  void commit_move(int g, int to) override { cert_.commit_move(g, to); }
-  ctl::ControlGraph quotient() override { return cq_.materialize(); }
   const IncrementalQuotient& clusters() const override { return cq_; }
   size_t warm_solves() const override { return cert_.probes(); }
   size_t cold_solves() const override { return 0; }
@@ -474,8 +441,6 @@ class IncrementalEvaluator final : public Evaluator {
  private:
   IncrementalQuotient cq_;
   BudgetCertificate cert_;
-  ctl::Protocol proto_;
-  const cell::Tech& tech_;
 };
 
 // ---------------------------------------------------------------------------
@@ -582,8 +547,7 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
   std::vector<HeapEntry> heap;
   std::vector<std::vector<int>> partners(G);
   auto entry = [&](int a, int b, const PairInfo& pi) {
-    return HeapEntry{mix(opt.seed ^ pair_key(a, b)), pi.weight, a, b,
-                     pi.epoch};
+    return HeapEntry{tie_hash(pair_key(a, b)), pi.weight, a, b, pi.epoch};
   };
   {
     const size_t B = fine.cg.num_banks();
@@ -666,9 +630,6 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
   // coarser and coarsening only adds rendezvous — so it rejects the pair
   // probe-free forever after, surviving label folds by max-transfer.
   for (;;) {
-    if (opt.max_merges && res.merges >= static_cast<int>(opt.max_merges)) {
-      break;
-    }
     if (heap.size() > 2 * pairs.size()) {
       heap.erase(std::remove_if(heap.begin(), heap.end(), stale), heap.end());
       std::make_heap(heap.begin(), heap.end(), HeapCmp{});
@@ -730,49 +691,6 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
     partners[static_cast<size_t>(b)].clear();
   }
 
-  // ---- refinement phase ---------------------------------------------------
-  // Single-group moves between adjacent clusters that strictly reduce the
-  // synthesized gate cost while staying inside the budget. One pass, in
-  // fine-group order: bounded and deterministic. (Moves are not monotone,
-  // so no bound caching here.)
-  if (opt.refine) {
-    std::vector<std::vector<int>> nbr_banks(G);
-    for (const auto& e : fine.cg.edges()) {
-      if (e.from < static_cast<int>(2 * G)) {
-        nbr_banks[static_cast<size_t>(e.from) / 2].push_back(e.to);
-      }
-      if (e.to < static_cast<int>(2 * G)) {
-        nbr_banks[static_cast<size_t>(e.to) / 2].push_back(e.from);
-      }
-    }
-    size_t cur_cost = synthesis_cost(ev->quotient(), opt.protocol, tech);
-    for (size_t g = 0; g < G; ++g) {
-      int c = cq.cluster_of(static_cast<int>(g));
-      if (!cq.mergeable(c) || cq.members(c).size() < 2) continue;
-      std::vector<int> targets;
-      for (int nb : nbr_banks[g]) {
-        if (nb >= static_cast<int>(2 * G)) continue;  // env
-        int other = cq.cluster_of(nb / 2);
-        if (other != c && cq.mergeable(other)) targets.push_back(other);
-      }
-      std::sort(targets.begin(), targets.end());
-      targets.erase(std::unique(targets.begin(), targets.end()),
-                    targets.end());
-      for (int t : targets) {
-        ++res.stats.candidates;
-        if (ev->probe_move(static_cast<int>(g), t) > limit + eps) {
-          continue;
-        }
-        size_t cost = ev->probe_move_cost(static_cast<int>(g), t);
-        if (cost >= cur_cost) continue;
-        ev->commit_move(static_cast<int>(g), t);
-        cur_cost = cost;
-        ++res.moves;
-        break;
-      }
-    }
-  }
-
   // ---- wrap up ------------------------------------------------------------
   std::vector<std::vector<nl::CellId>> out;
   for (size_t c = 0; c < G; ++c) {
@@ -786,12 +704,11 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
     out.push_back(std::move(cells));
   }
   res.partition = Partition::from_groups(ff_netlist, std::move(out));
-  ctl::ControlGraph final_q = ev->quotient();
+  const ctl::ControlGraph final_q = cq.materialize();
   res.period = predicted_period(final_q, opt.protocol, tech);
   res.cost = synthesis_cost(final_q, opt.protocol, tech);
   res.stats.warm_solves = ev->warm_solves();
   res.stats.cold_solves = 1 + ev->cold_solves();  // + the start
-  res.evaluations = res.stats.warm_solves + res.stats.cold_solves;
   return res;
 }
 

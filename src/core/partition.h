@@ -174,15 +174,6 @@ struct PartitionOptOptions {
   double period_budget = 1.05;
   double margin = 1.10;  ///< matched-delay margin (mirrors DesyncOptions)
   ctl::Protocol protocol = ctl::Protocol::Pulse;
-  /// Tie-break seed: candidates with equal savings are ordered by a
-  /// seeded hash. The search is fully deterministic for a fixed seed.
-  uint64_t seed = 1;
-  /// Upper bound on merge rounds (0 = unlimited); a safety valve for
-  /// interactive use on very large designs.
-  size_t max_merges = 0;
-  /// Run the post-merge refinement pass (single-cell moves between
-  /// adjacent groups that further reduce gate cost within budget).
-  bool refine = true;
   /// Accepted and ignored: the search is serial (a certificate probe is
   /// far cheaper than a thread hand-off). Kept so existing callers keep
   /// compiling.
@@ -190,7 +181,7 @@ struct PartitionOptOptions {
 };
 
 /// Where the optimizer's time went — the scaling counters the benches and
-/// CI track. `candidates` counts every merge/move the search considered;
+/// CI track. `candidates` counts every merge the search considered;
 /// most are settled without any solver run, either rejected by a cached
 /// monotone lower bound (`pruned`) or by the exact potential certificate
 /// (`warm_solves`, see core/certificate.h); `cold_solves` counts full
@@ -211,8 +202,6 @@ struct PartitionOptResult {
   double period = 0;          ///< predicted period of `partition`
   size_t cost = 0;            ///< controller+delay cells of `partition`
   int merges = 0;             ///< committed group merges
-  int moves = 0;              ///< committed refinement moves
-  size_t evaluations = 0;     ///< probes + Howard solves (warm + cold)
   OptimizeStats stats;        ///< the scaling breakdown
 };
 
@@ -220,9 +209,9 @@ struct PartitionOptResult {
 /// stays within `opt.period_budget` of the Prefix baseline. Greedy
 /// agglomerative: start from per-flip-flop and repeatedly commit the
 /// highest-ranked candidate merge that keeps the predicted period (Howard
-/// max-cycle-ratio of the candidate's timed control model) within budget;
-/// a refinement pass then retries single-group moves that reduce the real
-/// synthesized controller + matched-delay gate cost.
+/// max-cycle-ratio of the candidate's timed control model) within budget.
+/// Candidates rank by co-occurrence weight, ties broken by a fixed hash of
+/// the pair, so the search is deterministic.
 ///
 /// The scoring loop is incremental end to end: one STA pass sizes the
 /// per-flip-flop control graph, every candidate is an O(deg) arc patch on
@@ -231,7 +220,7 @@ struct PartitionOptResult {
 /// budget — or closes an over-budget cycle; see core/certificate.h), and
 /// failed candidates leave a monotone lower bound that rejects them
 /// probe-free forever after (coarsening only adds rendezvous). Howard runs
-/// once, on the per-flip-flop start. Deterministic for a fixed seed.
+/// once, on the per-flip-flop start.
 PartitionOptResult optimize_partition(const nl::Netlist& ff_netlist,
                                       nl::NetId clock, const cell::Tech& tech,
                                       const PartitionOptOptions& opt = {});

@@ -488,8 +488,6 @@ std::shared_ptr<const PartitionOptResult> Engine::optimize(
   h.field(ff.net(clock).name);
   h.field_f64(opt.period_budget).field_f64(opt.margin);
   h.field_u64(static_cast<uint64_t>(opt.protocol));
-  h.field_u64(opt.seed).field_u64(opt.max_merges);
-  h.field_u64(opt.refine ? 1 : 0);
   auto oa = serve<OptArtifact>(
       "optimize", h.digest(), &StageCounters::optimize_hits, nullptr,
       [&]() -> Computed {

@@ -287,7 +287,7 @@ TEST(Cancel, ProbeThrowReachesCaller) {
     probes = fault::stats("partition.probe").hits;
     // One hit per merge candidate that reached the certificate.
     ASSERT_GT(probes, 0u);
-    ASSERT_LE(probes, r.stats.candidates - r.stats.pruned);
+    ASSERT_EQ(probes, r.stats.candidates - r.stats.pruned);
   }
   for (uint64_t hit = 0; hit < probes; ++hit) {
     SCOPED_TRACE(cat("hit=", hit));
