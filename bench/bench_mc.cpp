@@ -12,6 +12,11 @@
 // is asserted bit-equal to its cold oracle before any time is reported,
 // and the parallel rows are asserted byte-identical to the serial ones.
 //
+// The mc_analysis rows time the whole Monte-Carlo analysis of the same
+// flow end to end — the element draws and delay-matrix fill plus the batch
+// solve — in ms per sample at jobs 1, 2 and 4 (mean of 3 calls),
+// asserting the reports byte-identical across job counts.
+//
 // --min-speedup gates the serial (jobs = 1) batch-vs-cold ratio — CI uses
 // 8 at 256 samples — so the structure sharing itself is gated, not thread
 // scaling (which a loaded single-CPU runner cannot promise). --json writes
@@ -27,6 +32,7 @@
 #include "circuits/circuits.h"
 #include "core/desynchronizer.h"
 #include "core/partition.h"
+#include "flow/mc.h"
 #include "pn/mcr.h"
 
 using namespace desyn;
@@ -42,14 +48,30 @@ struct Row {
   bool identical = false;  ///< bit-equal ratios vs. the cold oracle
 };
 
+/// One end-to-end flow::mc_analysis run (fill + solve).
+struct AnalysisRow {
+  std::string name;
+  double ms = 0;
+  double ms_per_sample = 0;
+  bool identical = false;  ///< report byte-equal to the jobs = 1 run
+};
+
 void write_json(const std::string& path, const std::vector<Row>& rows,
-                size_t samples, size_t nodes, size_t arcs) {
+                const std::vector<AnalysisRow>& analyses, size_t samples,
+                size_t nodes, size_t arcs) {
   std::vector<std::string> cases;
   for (const Row& r : rows) {
     cases.push_back(bench::fmt(
         "{\"case\": \"%s\", \"cold_ms\": %.3f, \"fast_ms\": %.3f, "
         "\"speedup\": %.2f, \"identical\": %s}",
         r.name.c_str(), r.cold_ms, r.fast_ms, r.speedup,
+        r.identical ? "true" : "false"));
+  }
+  for (const AnalysisRow& r : analyses) {
+    cases.push_back(bench::fmt(
+        "{\"case\": \"%s\", \"ms\": %.3f, \"ms_per_sample\": %.4f, "
+        "\"identical\": %s}",
+        r.name.c_str(), r.ms, r.ms_per_sample,
         r.identical ? "true" : "false"));
   }
   bench::write_report(
@@ -140,11 +162,41 @@ int main(int argc, char** argv) {
                 r.cold_ms, r.fast_ms, r.speedup, r.identical ? "yes" : "NO");
     ok = ok && r.identical;
   }
+
+  // End to end: the variation model's draws, the delay-matrix fill and the
+  // batch solve of flow::mc_analysis on the same flow.
+  std::vector<AnalysisRow> analyses;
+  flow::McReport serial_rep;
+  for (int jobs : {1, 2, 4}) {
+    flow::McOptions mc;
+    mc.samples = samples;
+    mc.jobs = jobs;
+    flow::McReport rep;
+    const double ms = time_ms(
+        [&] { rep = flow::mc_analysis(dr, tech, flow::Margins(), mc); }, 3);
+    const bool identical =
+        jobs == 1 || (rep.periods == serial_rep.periods &&
+                      rep.min_slacks == serial_rep.min_slacks &&
+                      rep.violation_samples == serial_rep.violation_samples);
+    analyses.push_back({cat("mc_analysis-j", jobs), ms,
+                        ms / static_cast<double>(rep.samples), identical});
+    if (jobs == 1) serial_rep = std::move(rep);
+  }
+  std::printf("\n  %-14s %10s %14s %10s\n", "case", "ms", "ms/sample",
+              "identical");
+  for (const AnalysisRow& r : analyses) {
+    std::printf("  %-14s %10.3f %14.4f %10s\n", r.name.c_str(), r.ms,
+                r.ms_per_sample, r.identical ? "yes" : "NO");
+    ok = ok && r.identical;
+  }
+
   if (!json_path.empty()) {
-    write_json(json_path, rows, samples, flat.num_nodes, na);
+    write_json(json_path, rows, analyses, samples, flat.num_nodes, na);
   }
   if (!ok) {
-    std::fprintf(stderr, "FAIL: batch ratios diverged from cold solves\n");
+    std::fprintf(stderr,
+                 "FAIL: batch ratios diverged from cold solves or "
+                 "mc_analysis reports differ across job counts\n");
     return 1;
   }
   if (min_speedup > 0 && rows[0].speedup < min_speedup) {

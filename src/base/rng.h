@@ -24,14 +24,27 @@ constexpr uint64_t splitmix64(uint64_t z) {
   return z ^ (z >> 31);
 }
 
+/// The per-stream half of rng_draw: the whitened key of logical stream
+/// `stream`. A caller drawing many counters of one stream prepares it once
+/// and draws with rng_draw_prepared.
+constexpr uint64_t rng_prepare(uint64_t stream) {
+  return splitmix64(stream + 0xbf58476d1ce4e5b9ull);
+}
+
+/// The per-counter half of rng_draw, on a key from rng_prepare.
+constexpr uint64_t rng_draw_prepared(uint64_t seed, uint64_t prepared,
+                                     uint64_t counter) {
+  return splitmix64((seed + 0x9e3779b97f4a7c15ull * (counter + 1)) ^
+                    prepared);
+}
+
 /// The `counter`-th draw of logical stream `stream` under `seed`: a pure
 /// function (no state), uniform over uint64_t. The golden-ratio Weyl step
 /// on the counter and the pre-whitened stream keep distinct
 /// (seed, stream, counter) triples from colliding under the combination.
 constexpr uint64_t rng_draw(uint64_t seed, uint64_t stream,
                             uint64_t counter) {
-  uint64_t z = seed + 0x9e3779b97f4a7c15ull * (counter + 1);
-  return splitmix64(z ^ splitmix64(stream + 0xbf58476d1ce4e5b9ull));
+  return rng_draw_prepared(seed, rng_prepare(stream), counter);
 }
 
 /// Uniform double in [0, 1) from a counter-based draw (53-bit mantissa,

@@ -43,13 +43,18 @@ double inverse_normal_cdf(double p) {
          (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
 }
 
-double VariationModel::factor(uint64_t stream, size_t sample) const {
+uint64_t VariationModel::prepare(uint64_t stream) {
+  return rng_prepare(stream);
+}
+
+double VariationModel::factor_prepared(uint64_t key, size_t sample) const {
   if (sample < corners.size()) return corners[sample];
   // Midpoint offset keeps the uniform strictly inside (0, 1) so the
   // inverse CDF is always defined.
-  double u = (static_cast<double>(rng_draw(seed, stream, sample) >> 11) +
-              0.5) *
-             0x1.0p-53;
+  double u =
+      (static_cast<double>(rng_draw_prepared(seed, key, sample) >> 11) +
+       0.5) *
+      0x1.0p-53;
   double z = std::clamp(inverse_normal_cdf(u), -3.0, 3.0);
   // A delay factor cannot reach zero no matter how large sigma is set.
   return std::max(0.01, 1.0 + sigma * z);

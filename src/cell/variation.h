@@ -10,7 +10,9 @@
 //     truncated-Gaussian factor per element.
 // Draws are counter-based (base/rng.h): factor(stream, sample) is a pure
 // function of (seed, stream, sample), so sample i is byte-identical no
-// matter how many --jobs workers compute it or in which order.
+// matter how many --jobs workers compute it or in which order. A draw
+// splits into a per-element step (prepare) and a per-sample step
+// (factor_prepared); factor() is their composition.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +36,17 @@ struct VariationModel {
   /// Global corner factors applied before statistical sampling starts.
   std::vector<double> corners = {1.0};
 
-  /// Multiplicative delay factor of element `stream` in sample `sample`.
-  double factor(uint64_t stream, size_t sample) const;
+  /// Multiplicative delay factor of element `stream` in sample `sample`:
+  /// factor_prepared of the element's prepared key.
+  double factor(uint64_t stream, size_t sample) const {
+    return factor_prepared(prepare(stream), sample);
+  }
+
+  /// The per-element half of a draw (base/rng.h rng_prepare): a caller
+  /// sampling one element many times prepares its key once.
+  static uint64_t prepare(uint64_t stream);
+  /// The per-sample half: factor(stream, sample) for key = prepare(stream).
+  double factor_prepared(uint64_t key, size_t sample) const;
 
   /// Total sample count needed for `statistical` non-corner samples.
   size_t total_samples(size_t statistical) const {

@@ -728,10 +728,10 @@ std::shared_ptr<const McReport> Engine::mc(const nl::Netlist& ff,
                                            const DesyncOptions& opt,
                                            const McOptions& mc) {
   // Result-cache coordinates plus the sampling knobs that shape the
-  // distribution. `mc.jobs` is excluded: the batch solver is
-  // byte-identical at any worker count (pn::McrBatch contract), the same
-  // exclusion the ignored optimizer job counts get. Memory tier only, like
-  // lint.
+  // distribution. `mc.jobs` is excluded: the fill and the batch solver
+  // are byte-identical at any worker count (per-block writes, the
+  // pn::McrBatch contract), the same exclusion the ignored optimizer job
+  // counts get. Memory tier only, like lint.
   const Submission sub = identify(ff, clock, opt);
   Sha256 h = coordinate_hash("mc-v1", tech_, opt, sub.ff_hash, sub.clock,
                              sub.part_key);

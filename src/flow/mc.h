@@ -20,7 +20,13 @@
 //                    flow and report both MC analyses. Sample 0 is the
 //                    nominal corner (factor 1.0), so the shaved hardware
 //                    still covers the worst-case STA path and stays
-//                    flow-equivalent (asserted by tests/test_mc.cpp).
+//                    flow-equivalent (asserted by tests/test_mc.cpp). When
+//                    no bank is shaved the vector resolves to the baseline
+//                    margins, and the baseline analysis is the answer.
+//
+// Every sampled element's draw key is prepared once per analysed model
+// (cell::VariationModel::prepare); the fill, the batch solve and the
+// margin shave run on McOptions::jobs.
 //
 // Determinism: every draw is a pure function of (seed, stream, sample), so
 // reports are byte-identical for any --jobs count (the batch solver's
@@ -39,7 +45,8 @@ struct McOptions {
   /// Corner factors prepended to the sample space; keep 1.0 first so
   /// sample 0 is the nominal design (optimize_margins relies on it).
   std::vector<double> corners = {1.0};
-  /// Worker threads for the batch MCR solve (a parallel_for budget);
+  /// Worker threads (a parallel_for budget) for the delay-matrix fill and
+  /// the batch MCR solve, and for optimize_margins' per-bank shave;
   /// byte-identical results for any value. Excluded from engine cache keys.
   int jobs = 1;
 };
@@ -83,11 +90,15 @@ struct MarginOptResult {
   McReport optimized;            ///< MC analysis at the optimized vector
 };
 
-/// Run the flow at `opt`, shave every matched-delay line to the minimum
-/// length with zero setup violations across all `mc` samples, re-run the
-/// flow at the back-mapped per-bank margin vector and report both MC
-/// analyses. The partition is identical in both runs (per-bank margins do
-/// not feed the partitioner), so bank indices line up by construction.
+/// Run the flow at `opt` (through Engine::process), shave every
+/// matched-delay line to the minimum length with zero setup violations
+/// across all `mc` samples, re-run the flow at the back-mapped per-bank
+/// margin vector and report both MC analyses. The partition is identical
+/// in both runs (per-bank margins do not feed the partitioner), so bank
+/// indices line up by construction. With no bank shaved the vector
+/// resolves to the baseline margins bank for bank: `optimized` is then the
+/// baseline report and `delay_cells_after == delay_cells_before`, with no
+/// second flow or analysis.
 MarginOptResult optimize_margins(const nl::Netlist& ff, nl::NetId clock,
                                  const cell::Tech& tech,
                                  const DesyncOptions& opt,

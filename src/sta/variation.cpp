@@ -6,22 +6,41 @@
 
 namespace desyn::sta {
 
+size_t path_stages(Ps nominal, Ps unit) {
+  if (nominal <= 0) return 0;
+  return unit > 0 ? static_cast<size_t>((nominal + unit - 1) / unit) : 1;
+}
+
+std::vector<uint64_t> path_stage_keys(uint64_t stream, size_t n) {
+  std::vector<uint64_t> keys(n);
+  for (size_t i = 0; i < n; ++i) {
+    // Whiten the stage index into the element stream so stage draws are
+    // independent of each other and of other paths.
+    keys[i] = cell::VariationModel::prepare(
+        splitmix64(stream + 0x9e3779b97f4a7c15ull * (i + 1)));
+  }
+  return keys;
+}
+
 Ps sample_path_delay(Ps nominal, Ps unit, const cell::VariationModel& model,
-                     uint64_t stream, size_t sample) {
-  if (nominal <= 0) return nominal;
-  const int64_t stages =
-      unit > 0 ? (nominal + unit - 1) / unit : 1;  // ceil(D / unit)
+                     std::span<const uint64_t> stage_keys, size_t sample) {
+  const size_t stages = path_stages(nominal, unit);
+  if (stages == 0) return nominal;
+  DESYN_ASSERT(stage_keys.size() >= stages);
   const double per_stage =
       static_cast<double>(nominal) / static_cast<double>(stages);
   double acc = 0.0;
-  for (int64_t i = 0; i < stages; ++i) {
-    // Whiten the stage index into the element stream so stage draws are
-    // independent of each other and of other paths.
-    uint64_t seg = splitmix64(stream + 0x9e3779b97f4a7c15ull *
-                                           static_cast<uint64_t>(i + 1));
-    acc += per_stage * model.factor(seg, sample);
+  for (size_t i = 0; i < stages; ++i) {
+    acc += per_stage * model.factor_prepared(stage_keys[i], sample);
   }
   return static_cast<Ps>(std::llround(acc));
+}
+
+Ps sample_path_delay(Ps nominal, Ps unit, const cell::VariationModel& model,
+                     uint64_t stream, size_t sample) {
+  return sample_path_delay(nominal, unit, model,
+                           path_stage_keys(stream, path_stages(nominal, unit)),
+                           sample);
 }
 
 }  // namespace desyn::sta

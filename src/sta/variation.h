@@ -9,14 +9,30 @@
 // their variation by exactly that factor.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "cell/variation.h"
 
 namespace desyn::sta {
 
-/// Sampled realization of a path with nominal worst-case delay `nominal`.
-/// `stream` identifies the path (sub-streams are derived per stage);
-/// deterministic in (model.seed, stream, sample). Nominal delays <= 0 pass
-/// through unchanged.
+/// Stage count of a path with nominal delay `nominal`: ceil(nominal /
+/// unit) (1 when unit <= 0), 0 when nominal <= 0.
+size_t path_stages(Ps nominal, Ps unit);
+
+/// Prepared keys (cell::VariationModel::prepare) of the first `n` stages
+/// of path `stream`. Stage i's key does not depend on the path's length,
+/// so a longer list serves every shorter path of the same stream.
+std::vector<uint64_t> path_stage_keys(uint64_t stream, size_t n);
+
+/// Sampled realization of a path with nominal worst-case delay `nominal`
+/// from its prepared stage keys (at least path_stages(nominal, unit) of
+/// them). Nominal delays <= 0 pass through unchanged.
+Ps sample_path_delay(Ps nominal, Ps unit, const cell::VariationModel& model,
+                     std::span<const uint64_t> stage_keys, size_t sample);
+
+/// The same realization keyed by the path's stream: deterministic in
+/// (model.seed, stream, sample).
 Ps sample_path_delay(Ps nominal, Ps unit, const cell::VariationModel& model,
                      uint64_t stream, size_t sample);
 

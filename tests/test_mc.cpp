@@ -10,14 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "cell/tech.h"
 #include "circuits/circuits.h"
 #include "dlx/cpu_builder.h"
 #include "dlx/programs.h"
 #include "core/partition.h"
+#include "base/rng.h"
 #include "flow/engine.h"
 #include "pn/mcr.h"
+#include "sta/variation.h"
 #include "verif/flow_equivalence.h"
 
 namespace desyn::flow {
@@ -89,6 +92,87 @@ TEST(McAnalysis, NominalSampleReproducesTimedModel) {
   }
 }
 
+/// Field-by-field report identity (doubles compared bit for bit).
+void expect_same_report(const McReport& a, const McReport& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.samples, b.samples) << what;
+  EXPECT_EQ(a.corner_samples, b.corner_samples) << what;
+  EXPECT_EQ(a.mcr_arcs, b.mcr_arcs) << what;
+  EXPECT_EQ(a.nominal_period, b.nominal_period) << what;
+  for (auto [x, y] : {std::pair{a.period, b.period},
+                      std::pair{a.min_slack, b.min_slack}}) {
+    EXPECT_EQ(x.p50, y.p50) << what;
+    EXPECT_EQ(x.p95, y.p95) << what;
+    EXPECT_EQ(x.min, y.min) << what;
+    EXPECT_EQ(x.max, y.max) << what;
+  }
+  EXPECT_EQ(a.violation_samples, b.violation_samples) << what;
+  EXPECT_EQ(a.yield, b.yield) << what;
+  EXPECT_EQ(a.periods, b.periods) << what;
+  EXPECT_EQ(a.min_slacks, b.min_slacks) << what;
+}
+
+/// The draw formulas written out in full, one element at a time: the
+/// oracle the prepared (per-stream key, then per-sample) draw path must
+/// reproduce bit for bit.
+double reference_factor(const cell::VariationModel& vm, uint64_t stream,
+                        size_t sample) {
+  if (sample < vm.corners.size()) return vm.corners[sample];
+  const uint64_t z = vm.seed + 0x9e3779b97f4a7c15ull * (sample + 1);
+  const uint64_t draw =
+      splitmix64(z ^ splitmix64(stream + 0xbf58476d1ce4e5b9ull));
+  const double u = (static_cast<double>(draw >> 11) + 0.5) * 0x1.0p-53;
+  const double g = std::clamp(cell::inverse_normal_cdf(u), -3.0, 3.0);
+  return std::max(0.01, 1.0 + vm.sigma * g);
+}
+
+Ps reference_path_delay(Ps nominal, Ps unit, const cell::VariationModel& vm,
+                        uint64_t stream, size_t sample) {
+  if (nominal <= 0) return nominal;
+  const int64_t stages = unit > 0 ? (nominal + unit - 1) / unit : 1;
+  const double per_stage =
+      static_cast<double>(nominal) / static_cast<double>(stages);
+  double acc = 0.0;
+  for (int64_t i = 0; i < stages; ++i) {
+    const uint64_t seg = splitmix64(
+        stream + 0x9e3779b97f4a7c15ull * static_cast<uint64_t>(i + 1));
+    acc += per_stage * reference_factor(vm, seg, sample);
+  }
+  return static_cast<Ps>(std::llround(acc));
+}
+
+TEST(McDraws, PreparedStreamsReproduceTheFullDrawBitForBit) {
+  const cell::VariationModel vm{0x5eedull, 0.07, {0.9, 1.0, 1.1}};
+  const Ps unit = Tech::generic90().delay_unit();
+  CounterRng pick(17);
+  for (int i = 0; i < 200; ++i) {
+    const uint64_t stream = pick.next();
+    const uint64_t key = cell::VariationModel::prepare(stream);
+    EXPECT_EQ(key, rng_prepare(stream));
+    // Corner samples 0..2, then statistical ones, near and far.
+    for (size_t s : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                     size_t{63}, size_t{64}, size_t{200},
+                     static_cast<size_t>(pick.below(1u << 20))}) {
+      EXPECT_EQ(rng_draw_prepared(vm.seed, key, s),
+                rng_draw(vm.seed, stream, s));
+      const double ref = reference_factor(vm, stream, s);
+      EXPECT_EQ(vm.factor_prepared(key, s), ref) << stream << " " << s;
+      EXPECT_EQ(vm.factor(stream, s), ref) << stream << " " << s;
+      // Paths from empty to many stages; the prepared keys of the longest
+      // path serve every shorter one of the same stream.
+      const std::vector<uint64_t> keys = sta::path_stage_keys(stream, 40);
+      for (Ps nominal : {Ps{-5}, Ps{0}, Ps{1}, unit - 1, unit, unit + 1,
+                         Ps{7} * unit + 3, Ps{40} * unit}) {
+        const Ps want = reference_path_delay(nominal, unit, vm, stream, s);
+        EXPECT_EQ(sta::sample_path_delay(nominal, unit, vm, stream, s), want)
+            << nominal;
+        EXPECT_EQ(sta::sample_path_delay(nominal, unit, vm, keys, s), want)
+            << nominal;
+      }
+    }
+  }
+}
+
 TEST(McAnalysis, ByteIdenticalAcrossMcJobs) {
   const Tech& t = Tech::generic90();
   circuits::Circuit c = test_fabric();
@@ -102,6 +186,37 @@ TEST(McAnalysis, ByteIdenticalAcrossMcJobs) {
     EXPECT_EQ(par.min_slacks, serial.min_slacks) << "jobs " << jobs;
     EXPECT_EQ(par.violation_samples, serial.violation_samples);
   }
+}
+
+TEST(McAnalysis, ByteIdenticalAcrossMcJobsOverManyBlocks) {
+  // 3 corners + 200 statistical samples span four solver blocks (the last
+  // one partial), so every worker count splits the fill differently.
+  const Tech& t = Tech::generic90();
+  circuits::Circuit c = test_fabric();
+  DesyncResult dr = desynchronize(c.netlist, c.clock, t);
+  McOptions mc = quick_mc();
+  mc.samples = 200;
+  mc.corners = {0.9, 1.0, 1.1};
+  ASSERT_GE(203u, 3 * pn::McrBatch::kBlock);
+  const McReport serial = mc_analysis(dr, t, Margins(1.10), mc);
+  ASSERT_EQ(serial.samples, 203u);
+  for (int jobs : {2, 3, 4}) {
+    mc.jobs = jobs;
+    expect_same_report(mc_analysis(dr, t, Margins(1.10), mc), serial,
+                       cat("jobs ", jobs));
+  }
+  // Sample i is a function of i alone: a short run is a prefix of the long
+  // one, whichever block each sample falls in.
+  mc.samples = 10;
+  const McReport prefix = mc_analysis(dr, t, Margins(1.10), mc);
+  ASSERT_EQ(prefix.samples, 13u);
+  for (size_t s = 0; s < prefix.samples; ++s) {
+    EXPECT_EQ(prefix.periods[s], serial.periods[s]) << s;
+    EXPECT_EQ(prefix.min_slacks[s], serial.min_slacks[s]) << s;
+  }
+  EXPECT_LT(serial.periods[0], serial.periods[1]);
+  EXPECT_LT(serial.periods[1], serial.periods[2]);
+  for (double p : serial.periods) EXPECT_GT(p, 0.0);
 }
 
 TEST(McAnalysis, CornersScaleThePeriod) {
@@ -186,6 +301,51 @@ TEST_P(OptimizeMargins, FlowEquivalentAtOptimizedMargins) {
   EXPECT_TRUE(eq.equivalent)
       << ctl::protocol_name(GetParam()) << ": " << eq.mismatch;
   EXPECT_EQ(eq.desync_setup_violations, 0u);
+}
+
+TEST_P(OptimizeMargins, ByteIdenticalAcrossMcJobs) {
+  const Tech& t = Tech::generic90();
+  circuits::Circuit c = test_fabric();
+  DesyncOptions opt;
+  opt.protocol = GetParam();
+  McOptions mc = quick_mc();
+  mc.samples = 200;
+  const MarginOptResult serial =
+      optimize_margins(c.netlist, c.clock, t, opt, mc);
+  ASSERT_GT(serial.banks_shaved, 0u);
+  mc.jobs = 4;
+  const MarginOptResult par = optimize_margins(c.netlist, c.clock, t, opt, mc);
+  EXPECT_EQ(par.margins, serial.margins);
+  EXPECT_EQ(par.banks_shaved, serial.banks_shaved);
+  EXPECT_EQ(par.delay_cells_before, serial.delay_cells_before);
+  EXPECT_EQ(par.delay_cells_after, serial.delay_cells_after);
+  expect_same_report(par.baseline, serial.baseline, "baseline");
+  expect_same_report(par.optimized, serial.optimized, "optimized");
+}
+
+TEST(OptimizeMarginsUnshaved, OptimizedIsAColdAnalysisAtTheReturnedMargins) {
+  // The register mesh's margin is smaller than the variation spread, so
+  // no bank is shaved and the baseline analysis stands for the optimized
+  // one. It must equal what a cold engine computes at the returned vector.
+  const Tech& t = Tech::generic90();
+  circuits::Circuit c = circuits::register_mesh(6, 6, 2);
+  DesyncOptions opt;
+  const McOptions mc = quick_mc();
+  const MarginOptResult res = optimize_margins(c.netlist, c.clock, t, opt, mc);
+  ASSERT_EQ(res.banks_shaved, 0u);
+  EXPECT_EQ(res.delay_cells_after, res.delay_cells_before);
+
+  DesyncOptions at = opt;
+  at.margins = res.margins;
+  Engine cold(t);
+  const std::shared_ptr<const DesyncResult> dr =
+      cold.desynchronize(c.netlist, c.clock, at);
+  EXPECT_EQ(res.margins.size(), dr->cg.num_banks());
+  EXPECT_EQ(res.delay_cells_after, dr->ctrl.delay_units);
+  expect_same_report(res.optimized,
+                     mc_analysis(*dr, t, Margins(at.margin, at.margins), mc),
+                     "optimized");
+  expect_same_report(res.optimized, res.baseline, "baseline");
 }
 
 INSTANTIATE_TEST_SUITE_P(
