@@ -1,8 +1,11 @@
+// The linter's four passes (see check.h). The graph passes are the
+// library's: pass 1 runs nl::comb_order once (its blocked cells are the
+// DSN102 cycle, its order settles the reset state); pass 2 runs
+// pn::is_live, pn::is_safe and pn::MinTokenSearch on one extracted MG.
 #include "check/check.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -20,12 +23,6 @@ namespace {
 
 using cell::Kind;
 using cell::V;
-
-/// topo_order's cut rule (netlist/query.cpp): storage and state-holding
-/// cells break combinational paths, the RAM read path does not.
-bool is_cut_kind(Kind k) {
-  return k != Kind::Ram && (cell::is_storage(k) || cell::is_state_holding(k));
-}
 
 const char* severity_name(Severity s) {
   return s == Severity::Error ? "error" : "warning";
@@ -170,6 +167,9 @@ struct Linter {
   std::vector<ExtArc> extracted;
   std::set<std::pair<Quad, bool>> ext_set;  ///< (quad, marked)
   std::map<Quad, int> ext_delays;           ///< quad -> max DELAY count
+  /// The extracted control MG (transitions indexed by node_of, unnamed):
+  /// liveness, safety and the protocol contracts all run on it.
+  pn::MarkedGraph ext_mg;
   std::vector<ctl::ProtoArc> model;
   /// Recomputed launch->capture delay per bank pair (flow::timed_edges).
   std::map<std::pair<int, int>, Ps> recomputed;
@@ -193,10 +193,11 @@ struct Linter {
   void pass_structure() {
     size_t before = rep.diags.size();
     check_floating_nets();
-    check_comb_cycles();
+    nl::CombOrder co = nl::comb_order(nl);
+    check_comb_cycles(co.blocked);
     if (!comb_cycle) {
       check_enable_roots();
-      check_reset_settling();
+      check_reset_settling(co.order);
     }
     rep.structure_clean = rep.diags.size() == before;
   }
@@ -214,56 +215,22 @@ struct Linter {
     }
   }
 
-  /// Kahn's algorithm with topo_order's cut rule: leftover cells sit on or
-  /// behind a genuine combinational cycle (C-element feedback is cut and
-  /// therefore never reported).
-  void check_comb_cycles() {
-    std::vector<int> degree(nl.num_cells(), 0);
-    std::vector<nl::CellId> queue;
-    for (nl::CellId c : nl.cells()) {
-      const nl::CellData& cd = nl.cell(c);
-      if (is_cut_kind(cd.kind)) continue;
-      int d = 0;
-      for (nl::NetId in : cd.ins) {
-        nl::CellId drv = nl.net(in).driver;
-        if (drv.valid() && !is_cut_kind(nl.cell(drv).kind)) ++d;
-      }
-      degree[c.value()] = d;
-      if (d == 0) queue.push_back(c);
-    }
-    size_t processed = 0, comb_total = 0;
-    for (nl::CellId c : nl.cells()) {
-      if (!is_cut_kind(nl.cell(c).kind)) ++comb_total;
-    }
-    while (!queue.empty()) {
-      nl::CellId c = queue.back();
-      queue.pop_back();
-      ++processed;
-      for (nl::NetId out : nl.cell(c).outs) {
-        for (const nl::Pin& p : nl.net(out).fanout) {
-          if (is_cut_kind(nl.cell(p.cell).kind)) continue;
-          if (--degree[p.cell.value()] == 0) queue.push_back(p.cell);
-        }
-      }
-    }
-    if (processed == comb_total) return;
+  /// The cells nl::comb_order could not order sit on or behind a genuine
+  /// combinational cycle (C-element feedback is cut and therefore never
+  /// reported).
+  void check_comb_cycles(const std::vector<nl::CellId>& blocked) {
+    if (blocked.empty()) return;
     comb_cycle = true;
-    // Walk backward through still-blocked predecessors until a repeat: the
+    // Walk backward through blocked predecessors until a repeat: the
     // repeated cell is a member of an actual cycle, not just downstream.
-    nl::CellId seed;
-    for (nl::CellId c : nl.cells()) {
-      if (!is_cut_kind(nl.cell(c).kind) && degree[c.value()] > 0) {
-        seed = c;
-        break;
-      }
-    }
+    std::vector<uint8_t> is_blocked(nl.num_cells(), 0);
+    for (nl::CellId c : blocked) is_blocked[c.value()] = 1;
     std::set<uint32_t> seen;
-    nl::CellId at = seed;
+    nl::CellId at = blocked.front();
     while (seen.insert(at.value()).second) {
       for (nl::NetId in : nl.cell(at).ins) {
         nl::CellId drv = nl.net(in).driver;
-        if (drv.valid() && !is_cut_kind(nl.cell(drv).kind) &&
-            degree[drv.value()] > 0) {
+        if (drv.valid() && is_blocked[drv.value()]) {
           at = drv;
           break;
         }
@@ -318,10 +285,9 @@ struct Linter {
 
   /// Three-valued reset snapshot: storage and C-elements output their init
   /// value, primary inputs and memory read data are unknown; one pass over
-  /// the combinational topo order settles everything else. Every control
-  /// net must come out binary, or the controller's reset state is
-  /// undefined.
-  void check_reset_settling() {
+  /// the combinational order settles everything else. Every control net
+  /// must come out binary, or the controller's reset state is undefined.
+  void check_reset_settling(const std::vector<nl::CellId>& order) {
     std::vector<V> val(nl.num_nets(), V::VX);
     for (nl::CellId c : nl.cells()) {
       const nl::CellData& cd = nl.cell(c);
@@ -331,7 +297,7 @@ struct Linter {
       }
     }
     std::vector<V> ins;
-    for (nl::CellId c : nl::topo_order(nl)) {
+    for (nl::CellId c : order) {
       const nl::CellData& cd = nl.cell(c);
       if (!cell::is_combinational(cd.kind) || cd.kind == Kind::Rom) continue;
       ins.clear();
@@ -375,6 +341,7 @@ struct Linter {
     if (!extract()) return;
     rep.control_extracted = true;
     rep.arcs_checked = ext_set.size();
+    build_ext_mg();
     check_live_safe();
     check_arc_sets();
     check_protocol_contracts();
@@ -439,31 +406,30 @@ struct Linter {
     return true;
   }
 
-  /// Transition index in the extracted MG / contract BFS graph.
+  /// Transition index in the extracted MG.
   int node_of(int bank, bool plus) const {
     return level ? bank * 2 + (plus ? 0 : 1) : bank;
   }
 
-  void check_live_safe() {
-    pn::MarkedGraph mg("extracted");
-    size_t nbanks = cg.num_banks();
-    for (size_t b = 0; b < nbanks; ++b) {
-      mg.add_transition(sign_name(static_cast<int>(b), true, cg));
-      if (level) mg.add_transition(sign_name(static_cast<int>(b), false, cg));
-    }
+  void build_ext_mg() {
+    const size_t nodes = cg.num_banks() * (level ? 2 : 1);
+    for (size_t t = 0; t < nodes; ++t) ext_mg.add_transition({});
     for (const auto& [q, marked] : ext_set) {
       auto [f, fp, t, tp] = q;
-      mg.add_arc(pn::TransId(static_cast<uint32_t>(node_of(f, fp))),
-                 pn::TransId(static_cast<uint32_t>(node_of(t, tp))),
-                 marked ? 1 : 0);
+      ext_mg.add_arc(pn::TransId(static_cast<uint32_t>(node_of(f, fp))),
+                     pn::TransId(static_cast<uint32_t>(node_of(t, tp))),
+                     marked ? 1 : 0);
     }
-    if (!pn::is_live(mg)) {
+  }
+
+  void check_live_safe() {
+    if (!pn::is_live(ext_mg)) {
       add(kNotLive, Severity::Error,
           "extracted control MG is not live (token-free cycle: the "
           "controllers deadlock)");
       return;  // is_safe requires liveness
     }
-    if (!pn::is_safe(mg)) {
+    if (!pn::is_safe(ext_mg)) {
       add(kNotSafe, Severity::Error,
           "extracted control MG is not safe (a handshake place can hold "
           "more than one token)");
@@ -500,31 +466,6 @@ struct Linter {
     }
   }
 
-  /// Minimum-token distance from `from_node` to every transition of the
-  /// extracted graph `adj` (0-1 BFS); INT32_MAX when unreachable.
-  static void min_tokens(
-      const std::vector<std::vector<std::pair<int, int>>>& adj,
-      int from_node, std::vector<int>& dist) {
-    dist.assign(adj.size(), INT32_MAX);
-    std::deque<int> dq;
-    dist[static_cast<size_t>(from_node)] = 0;
-    dq.push_back(from_node);
-    while (!dq.empty()) {
-      int u = dq.front();
-      dq.pop_front();
-      for (auto [v, w] : adj[static_cast<size_t>(u)]) {
-        if (dist[static_cast<size_t>(u)] + w < dist[static_cast<size_t>(v)]) {
-          dist[static_cast<size_t>(v)] = dist[static_cast<size_t>(u)] + w;
-          if (w == 0) {
-            dq.push_front(v);
-          } else {
-            dq.push_back(v);
-          }
-        }
-      }
-    }
-  }
-
   /// Protocol contracts that hold independently of the arc enumeration —
   /// the second source of truth that catches a PR 2-class bug where model
   /// and hardware share the same wrong arc list. Checked per data edge on
@@ -538,23 +479,19 @@ struct Linter {
     if (!level) return;
     bool overlap_free = r.protocol == ctl::Protocol::Lockstep ||
                         r.protocol == ctl::Protocol::SemiDecoupled;
-    std::vector<std::vector<std::pair<int, int>>> adj(cg.num_banks() * 2);
-    for (const auto& [q, marked] : ext_set) {
-      auto [f, fp, t, tp] = q;
-      adj[static_cast<size_t>(node_of(f, fp))].push_back(
-          {node_of(t, tp), marked ? 1 : 0});
-    }
-    // Both contracts start at the producer's a-: one BFS per source bank
+    // Both contracts start at the producer's a-: one search per source bank
     // yields the min-token count of every edge, reported in edge order.
     const auto& edges = cg.edges();
     std::vector<std::vector<size_t>> by_from(cg.num_banks());
     for (size_t i = 0; i < edges.size(); ++i) {
       by_from[static_cast<size_t>(edges[i].from)].push_back(i);
     }
-    std::vector<int> tokens(edges.size()), dist;
+    std::vector<int> tokens(edges.size());
+    pn::MinTokenSearch search(ext_mg);
     for (size_t b = 0; b < by_from.size(); ++b) {
       if (by_from[b].empty()) continue;
-      min_tokens(adj, node_of(static_cast<int>(b), false), dist);
+      const std::vector<int>& dist = search.from(pn::TransId(
+          static_cast<uint32_t>(node_of(static_cast<int>(b), false))));
       for (size_t i : by_from[b]) {
         tokens[i] =
             dist[static_cast<size_t>(node_of(edges[i].to, overlap_free))];
@@ -585,7 +522,9 @@ struct Linter {
                   " -> ", cg.bank(e.to).name, ": min-token path ",
                   sign_name(e.from, false, cg), " -> ",
                   sign_name(e.to, false, cg), " carries ",
-                  mt == INT32_MAX ? cat("no path") : cat(mt, " token(s)"),
+                  mt == pn::MinTokenSearch::kUnreachable
+                      ? cat("no path")
+                      : cat(mt, " token(s)"),
                   ", schedule allows ", allowed));
         }
       }

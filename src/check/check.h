@@ -7,18 +7,21 @@
 // without simulating a single event.
 //
 //   structure   netlist-level sanity: floating nets, genuine combinational
-//               cycles (C-element feedback excluded), storage control pins
-//               not rooted at their bank's enable, control nets that do not
-//               settle to a binary value at reset.
+//               cycles (the cells nl::comb_order cannot order; C-element
+//               feedback is cut), storage control pins not rooted at their
+//               bank's enable, control nets that do not settle to a binary
+//               value at reset (one pass over that same order).
 //   control     the marked graph is reverse-extracted from the synthesized
 //               Muller gates (C-element input cones traced through
 //               buffers/inverters/delay lines/join trees; an arc's initial
 //               marking is recovered from reset values and path inversion
-//               parity) and checked for liveness, safeness, arc-for-arc
+//               parity) into one pn::MarkedGraph, checked for liveness,
+//               safeness (pn::is_live/is_safe), arc-for-arc
 //               agreement with the intended ctl::hardware_arcs model, and
 //               protocol contracts that hold even if the model itself were
 //               wrong (non-overlap for Lockstep/Semi, capture ordering for
-//               FullyDecoupled) — the PR 2 Lockstep arc-set bug class.
+//               FullyDecoupled; pn::MinTokenSearch on the same graph) —
+//               the PR 2 Lockstep arc-set bug class.
 //   timing      matched-delay coverage: re-runs flow::timed_edges on the
 //               final netlist to recompute every launch->capture bank
 //               delay and checks each synthesized delay line is long

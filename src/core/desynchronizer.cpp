@@ -1,6 +1,6 @@
 #include "core/desynchronizer.h"
 
-#include <set>
+#include <algorithm>
 
 #include "core/clocktree.h"
 #include "flow/engine.h"
@@ -20,29 +20,21 @@ namespace {
 /// two insertion delays do not cancel). Compensate by delaying the bank's
 /// outgoing handshake signals (the round net under Pulse, both transition
 /// signals under the level protocols) by the insertion delay in whole
-/// DELAY cells (`units`, from tree_insertion). Only the bank's own enable
-/// generator (and, for Pulse, its pulse-generator buffer chain) keeps the
-/// raw signals — delaying those would shift the window itself and
-/// re-create the skew.
+/// DELAY cells (`units`, from tree_insertion). Only the bank's window
+/// cells, as synthesis recorded them (the enable gate and, for Pulse, its
+/// pulse-generator buffer chain), keep the raw signals — delaying those
+/// would shift the window itself and re-create the skew.
 void compensate_enable_skew(nl::Netlist& nl, ctl::ControllerNetwork& ctrl,
                             size_t bank, int units) {
   if (units <= 0) return;
-  std::set<uint32_t> keep;  // cells that must keep the raw signal
-  nl::CellId eg = nl.net(ctrl.enables[bank]).driver;
-  DESYN_ASSERT(eg.valid());
-  keep.insert(eg.value());
-  for (nl::NetId in : nl.cell(eg).ins) {
-    nl::CellId d = nl.net(in).driver;
-    while (d.valid() && nl.cell(d).kind == cell::Kind::Buf) {
-      keep.insert(d.value());
-      d = nl.net(nl.cell(d).ins[0]).driver;
-    }
-  }
+  const std::vector<nl::CellId>& keep = ctrl.window_cells[bank];
   for (nl::NetId s : {ctrl.rounds[bank], ctrl.falls[bank]}) {
     if (!s.valid()) continue;
     std::vector<nl::Pin> pins;  // copy: rewiring mutates the fanout list
     for (const nl::Pin& p : nl.net(s).fanout) {
-      if (!keep.count(p.cell.value())) pins.push_back(p);
+      if (std::find(keep.begin(), keep.end(), p.cell) == keep.end()) {
+        pins.push_back(p);
+      }
     }
     if (pins.empty()) continue;
     nl::NetId tap = s;

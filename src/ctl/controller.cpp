@@ -179,6 +179,7 @@ ControllerNetwork synthesize_pulse(nl::Builder& b, const ControlGraph& cg,
     net.cells.push_back(nl.add_cell(cell::Kind::Buf, "", {d2}, {d3}));
     net.cells.push_back(nl.add_cell(cell::Kind::Xor, cat("ctl.", bname, ".pg"),
                                     {net.rounds[i], d3}, {en}));
+    net.window_cells.emplace_back(net.cells.end() - 4, net.cells.end());
     net.control_nets.push_back(d1);
     net.control_nets.push_back(d2);
     net.control_nets.push_back(d3);
@@ -344,6 +345,7 @@ ControllerNetwork synthesize_level(nl::Builder& b, const ControlGraph& cg,
         nl.add_cell(cg.bank(static_cast<int>(i)).even ? cell::Kind::Xnor
                                                       : cell::Kind::Xor,
                     cat("ctl.", bname, ".eg"), {s[i][1], s[i][0]}, {en}));
+    net.window_cells.push_back({net.cells.back()});
     net.control_nets.push_back(en);
     net.enables.push_back(en);
   }

@@ -63,6 +63,11 @@ struct ControllerNetwork {
   /// both roles. The flow uses rounds/falls to compensate enable-tree
   /// insertion delay on wide banks (see core/desynchronizer.cpp).
   std::vector<nl::NetId> falls;
+  /// Per bank: the cells that shape its transparency window from the raw
+  /// transition signals — the enable gate, plus Pulse's p1..p3
+  /// pulse-generator chain. Enable-skew compensation leaves exactly these
+  /// on the raw signals.
+  std::vector<std::vector<nl::CellId>> window_cells;
   std::vector<nl::NetId> control_nets;  ///< every net the synthesis created
   std::vector<nl::CellId> cells;        ///< every cell the synthesis created
   size_t delay_units = 0;               ///< total DELAY cells inserted

@@ -64,10 +64,10 @@ ArtifactStore::ArtifactStore(const Options& opt) : opt_(opt) {
   fs::create_directories(opt_.dir, ec);
   if (ec) fail("cannot create cache dir ", opt_.dir, ": ", ec.message());
   // Heal the directory before trusting it: reap tmp files whose writer is
-  // dead (a crashed put() mid-publish), and — unless disabled — verify
-  // every entry so corruption surfaces as a counted discard now instead
-  // of a latent miss later.
-  CacheScan scan = scan_cache_dir(opt_.dir, opt_.scrub_on_open);
+  // dead (a crashed put() mid-publish), and verify every entry so
+  // corruption surfaces as a counted discard now instead of a latent miss
+  // later.
+  CacheScan scan = scan_cache_dir(opt_.dir, /*verify=*/true);
   for (const std::string& path : scan.tmp_orphan_paths) {
     if (fs::remove(path, ec)) ++stats_.tmp_reaped;
   }

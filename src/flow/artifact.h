@@ -57,9 +57,8 @@ class ArtifactStore {
   using Deserializer = std::function<Ptr(const std::string& body)>;
 
   struct Options {
-    size_t capacity = 96;       ///< in-memory entries before LRU eviction
-    std::string dir;            ///< on-disk tier; empty = memory only
-    bool scrub_on_open = true;  ///< verify + discard corrupt entries on open
+    size_t capacity = 96;  ///< in-memory entries before LRU eviction
+    std::string dir;       ///< on-disk tier; empty = memory only
   };
 
   struct Stats {

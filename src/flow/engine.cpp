@@ -50,11 +50,6 @@ struct PartArtifact : Artifact {
   explicit PartArtifact(Partition p) : partition(std::move(p)) {}
 };
 
-struct OptArtifact : Artifact {
-  PartitionOptResult result;
-  explicit OptArtifact(PartitionOptResult r) : result(std::move(r)) {}
-};
-
 struct LintArtifact : Artifact {
   check::LintReport rep;
 };
@@ -479,25 +474,6 @@ Engine::Submission Engine::identify(const nl::Netlist& ff, nl::NetId clock,
   return sub;
 }
 
-std::shared_ptr<const PartitionOptResult> Engine::optimize(
-    const nl::Netlist& ff, nl::NetId clock, const PartitionOptOptions& opt) {
-  Sha256 h;
-  h.field("optimize-v1").field(tech_.name());
-  mix(h, census_hash(ff));
-  mix(h, nl::content_hash(ff));
-  h.field(ff.net(clock).name);
-  h.field_f64(opt.period_budget).field_f64(opt.margin);
-  h.field_u64(static_cast<uint64_t>(opt.protocol));
-  auto oa = serve<OptArtifact>(
-      "optimize", h.digest(), &StageCounters::optimize_hits, nullptr,
-      [&]() -> Computed {
-        return {std::make_shared<OptArtifact>(
-                    optimize_partition(ff, clock, tech_, opt)),
-                &StageCounters::optimize_runs};
-      });
-  return {oa, &oa->result};
-}
-
 Engine::Stages Engine::run_stages(const nl::Netlist& ff, nl::NetId clock,
                                   const DesyncOptions& opt,
                                   const Submission& sub) {
@@ -528,7 +504,7 @@ Engine::Stages Engine::run_stages(const nl::Netlist& ff, nl::NetId clock,
           po.period_budget = opt.strategy.auto_budget;
           po.margin = opt.margin;
           po.protocol = opt.protocol;
-          p = optimize(ff, clock, po)->partition;
+          p = optimize_partition(ff, clock, tech_, po).partition;
         } else {
           p = make_partition(ff, clock, opt.strategy, tech_, opt.protocol,
                              opt.margin);

@@ -16,7 +16,7 @@
 //   result      H(tech, ff_hash, clock, partition key, margins, protocol)
 //
 // lint and mc are keyed at the result's coordinates (mc adds its sampling
-// knobs), optimize on the census, content and search knobs.
+// knobs).
 //
 // Re-submitting an unchanged design is a pure result-cache hit: no stage
 // runs, the stored Verilog is returned. An *edited* design re-runs only
@@ -87,8 +87,6 @@ struct StageCounters {
   size_t mcr_runs = 0;        ///< cold Howard solves
   size_t mcr_hits = 0;
   size_t mcr_warm = 0;        ///< always 0: the mcr stage solves cold
-  size_t optimize_runs = 0;   ///< partition-optimizer searches
-  size_t optimize_hits = 0;
   size_t lint_runs = 0;       ///< static-verification (check::lint) runs
   size_t lint_hits = 0;       ///< lint reports served from the cache
   size_t mc_runs = 0;         ///< Monte-Carlo analyses (flow::mc_analysis)
@@ -134,13 +132,6 @@ class Engine {
   std::shared_ptr<const DesyncResult> desynchronize(
       const nl::Netlist& ff_netlist, nl::NetId clock,
       const DesyncOptions& opt);
-
-  /// Cached optimize_partition(): keyed on the netlist and the search
-  /// knobs that shape the result. `opt.jobs` is excluded: the search is
-  /// serial and ignores it.
-  std::shared_ptr<const PartitionOptResult> optimize(
-      const nl::Netlist& ff_netlist, nl::NetId clock,
-      const PartitionOptOptions& opt);
 
   /// Static verification (check::lint) of the desynchronized design as a
   /// content-addressed stage: keyed at the same coordinates as the result

@@ -15,9 +15,8 @@ bool is_cut(cell::Kind k) {
 
 }  // namespace
 
-std::vector<CellId> topo_order(const Netlist& nl) {
-  // Kahn's algorithm over the "evaluated" cells (non-cut). In-degree counts
-  // input nets driven by other evaluated cells.
+CombOrder comb_order(const Netlist& nl) {
+  // In-degree counts input nets driven by other evaluated (non-cut) cells.
   std::vector<uint32_t> indeg(nl.num_cells(), 0);
   // Worklist: a plain vector with a consuming head index (a deque's block
   // allocations showed up hot in simulator construction).
@@ -38,11 +37,11 @@ std::vector<CellId> topo_order(const Netlist& nl) {
     if (d == 0) ready.push_back(c);
   }
 
-  std::vector<CellId> order;
-  order.reserve(nl.num_live_cells());
+  CombOrder res;
+  res.order.reserve(nl.num_live_cells());
   while (ready_head < ready.size()) {
     CellId c = ready[ready_head++];
-    order.push_back(c);
+    res.order.push_back(c);
     for (NetId out : nl.cell(c).outs) {
       for (const Pin& p : nl.net(out).fanout) {
         if (is_cut(nl.cell(p.cell).kind)) continue;
@@ -50,14 +49,27 @@ std::vector<CellId> topo_order(const Netlist& nl) {
       }
     }
   }
-  if (order.size() != eval_cells) {
-    fail("netlist '", nl.name(), "' has a combinational cycle (", eval_cells,
-         " combinational cells, only ", order.size(), " orderable)");
+  if (res.order.size() != eval_cells) {
+    // An evaluated cell keeps a positive in-degree exactly when it was
+    // never ordered.
+    for (CellId c : nl.cells()) {
+      if (indeg[c.value()] > 0) res.blocked.push_back(c);
+    }
+  }
+  return res;
+}
+
+std::vector<CellId> topo_order(const Netlist& nl) {
+  CombOrder co = comb_order(nl);
+  if (!co.blocked.empty()) {
+    fail("netlist '", nl.name(), "' has a combinational cycle (",
+         co.order.size() + co.blocked.size(), " combinational cells, only ",
+         co.order.size(), " orderable)");
   }
   for (CellId c : nl.cells()) {
-    if (is_cut(nl.cell(c).kind)) order.push_back(c);
+    if (is_cut(nl.cell(c).kind)) co.order.push_back(c);
   }
-  return order;
+  return std::move(co.order);
 }
 
 std::vector<CellId> combinational_fanin(const Netlist& nl, NetId net) {

@@ -8,13 +8,23 @@
 
 namespace desyn::nl {
 
-/// Topological order of all live cells such that every cell evaluated
-/// combinationally (gates, ROM, and the RAM read path) appears after the
-/// drivers of its inputs. Latch/FF/CElem/Gc outputs are cut points (their
+/// Kahn's pass over the cells evaluated combinationally (gates, ROM, and
+/// the RAM read path); Latch/FF/CElem/Gc outputs are cut points (their
 /// value at any instant is state, initialized from `init` and updated
-/// event-wise by the simulator); those cells are appended at the end of the
-/// order. Throws desyn::Error if the remaining graph contains a cycle,
-/// i.e. a combinational loop not broken by any state element.
+/// event-wise by the simulator). `order` lists the evaluated cells it could
+/// order, each after the drivers of its inputs. `blocked` lists, in cell-id
+/// order, the evaluated cells it could not: each sits on or behind a
+/// combinational loop not broken by any state element. The blocked set
+/// does not depend on the order the pass pops ready cells in.
+struct CombOrder {
+  std::vector<CellId> order;
+  std::vector<CellId> blocked;
+};
+CombOrder comb_order(const Netlist& nl);
+
+/// comb_order()'s order with the cut cells appended at the end: every live
+/// cell, each evaluated one after the drivers of its inputs. Throws
+/// desyn::Error if some cell is blocked (a combinational loop).
 std::vector<CellId> topo_order(const Netlist& nl);
 
 /// All cells in the combinational fanin cone of `net`, stopping at storage

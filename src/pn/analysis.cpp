@@ -1,7 +1,6 @@
 #include "pn/analysis.h"
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -80,50 +79,67 @@ int place_bound(const MarkedGraph& mg, ArcId a) {
   return dist[target.from.value()] + target.tokens;
 }
 
+MinTokenSearch::MinTokenSearch(const MarkedGraph& mg)
+    : first_(mg.num_transitions() + 1, 0),
+      out_(mg.num_arcs()),
+      dist_(mg.num_transitions(), kUnreachable) {
+  for (uint32_t i = 0; i < mg.num_arcs(); ++i) {
+    ++first_[mg.arc(ArcId(i)).from.value() + 1];
+  }
+  for (size_t t = 1; t < first_.size(); ++t) first_[t] += first_[t - 1];
+  // Arc-id order within each out-list, as MarkedGraph's own out lists.
+  std::vector<uint32_t> fill(first_.begin(), first_.end() - 1);
+  for (uint32_t i = 0; i < mg.num_arcs(); ++i) {
+    const Arc& a = mg.arc(ArcId(i));
+    out_[fill[a.from.value()]++] = {a.to.value(), a.tokens};
+  }
+}
+
+const std::vector<int>& MinTokenSearch::from(TransId src) {
+  for (uint32_t t : seen_) dist_[t] = kUnreachable;
+  seen_.clear();
+  const uint32_t s = src.value();
+  dist_[s] = 0;
+  seen_.push_back(s);
+  dq_.push_back(s);
+  while (!dq_.empty()) {
+    const uint32_t t = dq_.front();
+    dq_.pop_front();
+    for (uint32_t i = first_[t]; i < first_[t + 1]; ++i) {
+      const auto [w, tokens] = out_[i];
+      const int nd = dist_[t] + tokens;
+      if (nd >= dist_[w]) continue;
+      if (dist_[w] == kUnreachable) seen_.push_back(w);
+      dist_[w] = nd;
+      if (tokens == 0) {
+        dq_.push_front(w);
+      } else {
+        dq_.push_back(w);
+      }
+    }
+  }
+  return dist_;
+}
+
 bool is_safe(const MarkedGraph& mg) {
   // Bound of the place on arc a = u -> v: a's tokens plus the fewest
   // tokens on a path v ~> u. Safety needs it to be exactly 1 for every
-  // arc, so group arcs by head and run one 0-1 BFS per distinct head
-  // (min-token distances to every tail at once), buffers reused.
-  const uint32_t n = static_cast<uint32_t>(mg.num_transitions());
-  std::vector<std::vector<ArcId>> by_head(n);
+  // arc, so run one search per distinct head (min-token distances to the
+  // tails of all its in-arcs at once).
   for (uint32_t i = 0; i < mg.num_arcs(); ++i) {
-    const Arc& a = mg.arc(ArcId(i));
-    if (a.tokens >= 2) return false;
-    by_head[a.to.value()].push_back(ArcId(i));
+    if (mg.arc(ArcId(i)).tokens >= 2) return false;
   }
-  constexpr int kInf = std::numeric_limits<int>::max();
-  std::vector<int> dist(n, kInf);
-  std::vector<uint32_t> seen;  // nodes whose dist is set, for the reset
-  std::deque<uint32_t> dq;
-  for (uint32_t v = 0; v < n; ++v) {
-    if (by_head[v].empty()) continue;
-    for (uint32_t t : seen) dist[t] = kInf;
-    seen.clear();
-    dist[v] = 0;
-    seen.push_back(v);
-    dq.push_back(v);
-    while (!dq.empty()) {
-      uint32_t t = dq.front();
-      dq.pop_front();
-      for (ArcId out : mg.transition(TransId(t)).out) {
-        const Arc& arc = mg.arc(out);
-        const int nd = dist[t] + arc.tokens;  // tokens are 0 or 1 here
-        const uint32_t w = arc.to.value();
-        if (nd >= dist[w]) continue;
-        if (dist[w] == kInf) seen.push_back(w);
-        dist[w] = nd;
-        if (arc.tokens == 0) {
-          dq.push_front(w);
-        } else {
-          dq.push_back(w);
-        }
-      }
-    }
-    for (ArcId a : by_head[v]) {
+  MinTokenSearch search(mg);
+  for (uint32_t v = 0; v < mg.num_transitions(); ++v) {
+    const std::vector<ArcId>& in = mg.transition(TransId(v)).in;
+    if (in.empty()) continue;
+    const std::vector<int>& dist = search.from(TransId(v));
+    for (ArcId a : in) {
       const Arc& arc = mg.arc(a);
       const int d = dist[arc.from.value()];
-      if (d == kInf || d + arc.tokens != 1) return false;
+      if (d == MinTokenSearch::kUnreachable || d + arc.tokens != 1) {
+        return false;
+      }
     }
   }
   return true;

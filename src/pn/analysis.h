@@ -5,8 +5,14 @@
 //    equivalently, the subgraph of zero-token arcs is acyclic.
 //  * In a live MG, the bound of a place equals the minimum token count over
 //    the cycles through it; the MG is safe iff every such minimum is 1.
+//
+// MinTokenSearch is the one min-token search: is_safe runs it once per arc
+// head, and the linter's protocol contracts (check/check.cpp) run it on
+// the same extracted graph once per source bank.
 #pragma once
 
+#include <deque>
+#include <limits>
 #include <span>
 
 #include "pn/petri.h"
@@ -21,8 +27,32 @@ bool is_live(const MarkedGraph& mg);
 /// unbounded under repeated firing of its producer).
 int place_bound(const MarkedGraph& mg, ArcId a);
 
+/// Fewest tokens on a path from one transition to every transition: a 0-1
+/// BFS that re-queues a transition whenever its distance drops, so it is
+/// exact for any token counts and linear when every arc carries 0 or 1.
+/// The arcs are flattened once into per-transition out-lists, and every
+/// search reuses the same buffers, so one search per source stays cheap.
+class MinTokenSearch {
+ public:
+  static constexpr int kUnreachable = std::numeric_limits<int>::max();
+
+  explicit MinTokenSearch(const MarkedGraph& mg);
+
+  /// Distances from `src`, indexed by transition, kUnreachable where no
+  /// path exists. Valid until the next call.
+  const std::vector<int>& from(TransId src);
+
+ private:
+  std::vector<uint32_t> first_;  ///< out-list offsets, one per transition + 1
+  std::vector<std::pair<uint32_t, int>> out_;  ///< (head, tokens) per arc
+  std::vector<int> dist_;
+  std::vector<uint32_t> seen_;  ///< transitions whose dist_ is set
+  std::deque<uint32_t> dq_;
+};
+
 /// Safety: every arc lies on a cycle and has bound 1. Requires liveness.
-/// One 0-1 BFS per distinct arc head; place_bound() is the per-arc oracle.
+/// One MinTokenSearch::from per distinct arc head; place_bound() is the
+/// per-arc oracle.
 bool is_safe(const MarkedGraph& mg);
 
 /// Explicit reachability (for small control graphs and conformance tests).

@@ -20,6 +20,8 @@ namespace {
 constexpr size_t kWarmupRounds = 8;
 /// Captures of the first master bank the measured period averages over.
 constexpr size_t kPeriodRounds = 32;
+/// Sync clock period factor over the STA minimum.
+constexpr double kClockMargin = 1.10;
 
 struct Tap {
   std::string name;   // original FF name
@@ -158,7 +160,7 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
     sta::Sta sta(ff_netlist, tech);
     Ps period = static_cast<Ps>(
         static_cast<double>(sta.min_clock_period().min_period) *
-        opt.clock_margin);
+        kClockMargin);
     period += period % 2;  // clock generator needs an even period
     res.sync_period = period;
 

@@ -44,8 +44,6 @@ struct FlowEqOptions {
   int rounds = 40;
   /// Flow options (unused by the prebuilt-DesyncResult overload).
   flow::DesyncOptions desync;
-  /// Sync clock period factor over the STA minimum.
-  double clock_margin = 1.10;
   /// Desync watchdog: report "made no progress (deadlock?)" once no
   /// capture the stop condition still needs has happened for this many ps.
   Ps round_timeout = 1'000'000;

@@ -247,6 +247,11 @@ TEST(CheckStructure, CombCycleIsDSN102AndGatesLaterPasses) {
   r.netlist.add_cell(Kind::Inv, "mut.cyc.i1", {b}, {a});
   LintReport rep = lint_of(r);
   EXPECT_TRUE(rep.has(kCombCycle)) << render_text(rep, "mut");
+  ASSERT_EQ(rep.diags.size(), 1u) << render_text(rep, "mut");
+  EXPECT_EQ(rep.diags[0].cell, "mut.cyc.i0");
+  EXPECT_EQ(rep.diags[0].message,
+            "combinational cycle through cell 'mut.cyc.i0' (not C-element "
+            "feedback)");
   EXPECT_FALSE(rep.structure_clean);
   // STA/extraction need an acyclic netlist; the linter must degrade, not
   // crash, and must not claim the control network was verified.

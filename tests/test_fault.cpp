@@ -427,7 +427,7 @@ TEST(ArtifactScrub, OrphanTmpReapedAliveWriterKept) {
   EXPECT_EQ(scan.tmp_orphans, 1u);
 
   flow::ArtifactStore store(
-      flow::ArtifactStore::Options{4, dir, /*scrub_on_open=*/true});
+      flow::ArtifactStore::Options{4, dir});
   EXPECT_EQ(store.stats().tmp_reaped, 1u);
   EXPECT_FALSE(fs::exists(cat(dir, "/result-abc.art.tmp.", child, ".0")));
   EXPECT_TRUE(fs::exists(cat(dir, "/result-def.art.tmp.", ::getpid(), ".1")));

@@ -93,7 +93,9 @@ TEST(Analysis, PlaceBoundsAndSafety) {
 /// Seeded random live marked graphs, safe and unsafe alike: a ring through
 /// every transition carrying one token (sometimes more), chords with 0-2
 /// tokens, and now and then an arc into a sink (on no cycle). The
-/// per-head BFS of is_safe must agree with the per-arc place_bound oracle.
+/// per-head BFS of is_safe must agree with the per-arc place_bound oracle,
+/// and so must the shared MinTokenSearch distances on every arc of every
+/// graph, live or not.
 TEST(Analysis, IsSafeMatchesPlaceBoundsOnRandomLiveGraphs) {
   int safe = 0, unsafe = 0;
   for (uint64_t seed = 0; seed < 400; ++seed) {
@@ -115,6 +117,14 @@ TEST(Analysis, IsSafeMatchesPlaceBoundsOnRandomLiveGraphs) {
     if (rng.below(10) == 0) {
       TransId sink = mg.add_transition("sink");
       mg.add_arc(TransId(static_cast<uint32_t>(rng.below(n))), sink, 0);
+    }
+    MinTokenSearch search(mg);
+    for (uint32_t a = 0; a < mg.num_arcs(); ++a) {
+      const Arc& arc = mg.arc(ArcId(a));
+      const int d = search.from(arc.to)[arc.from.value()];
+      EXPECT_EQ(d == MinTokenSearch::kUnreachable ? -1 : d + arc.tokens,
+                place_bound(mg, ArcId(a)))
+          << "arc " << a << "\n" << mg.to_dot();
     }
     if (!is_live(mg)) continue;
     bool all_one = true;
