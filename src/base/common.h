@@ -5,12 +5,14 @@
 // types (EDA data-structure corruption must never propagate silently).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace desyn {
@@ -23,21 +25,61 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
-inline void cat_into(std::ostringstream&) {}
-template <typename T, typename... Rest>
-void cat_into(std::ostringstream& os, const T& v, const Rest&... rest) {
-  os << v;
-  cat_into(os, rest...);
+/// Integers `cat` renders with std::to_chars: exactly the types an ostream
+/// prints as a plain decimal number (bool and the char types are excluded:
+/// the stream prints those as "1"/"0" and as characters).
+template <typename T>
+inline constexpr bool kCatInteger =
+    std::is_same_v<T, short> || std::is_same_v<T, unsigned short> ||
+    std::is_same_v<T, int> || std::is_same_v<T, unsigned> ||
+    std::is_same_v<T, long> || std::is_same_v<T, unsigned long> ||
+    std::is_same_v<T, long long> || std::is_same_v<T, unsigned long long>;
+
+/// Character data `cat` appends verbatim (char arrays decay to char*).
+template <typename T>
+inline constexpr bool kCatText =
+    std::is_same_v<std::decay_t<T>, std::string> ||
+    std::is_same_v<std::decay_t<T>, std::string_view> ||
+    std::is_same_v<std::decay_t<T>, const char*> ||
+    std::is_same_v<std::decay_t<T>, char*>;
+
+template <typename T>
+inline constexpr bool kCatFast =
+    std::is_same_v<T, char> || kCatInteger<T> || kCatText<T>;
+
+template <typename T>
+void cat_append(std::string& out, const T& v) {
+  if constexpr (std::is_same_v<T, char>) {
+    out.push_back(v);
+  } else if constexpr (kCatInteger<T>) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  } else if constexpr (std::is_pointer_v<T>) {
+    if (v != nullptr) out.append(v);
+  } else {
+    out.append(std::string_view(v));
+  }
 }
 }  // namespace detail
 
 /// Concatenate arbitrary streamable values into a std::string.
 /// (gcc 12 has no std::format; this is the project-wide substitute.)
+/// When every argument is text, a char or a non-bool, non-char integer the
+/// pieces are appended directly (integers through std::to_chars, which
+/// prints what a default-formatted ostream prints); any other argument
+/// (double, bool, enum, Id, manipulator, ...) sends the whole call through
+/// one std::ostringstream, so the rendered bytes never depend on the path.
 template <typename... Args>
 std::string cat(const Args&... args) {
-  std::ostringstream os;
-  detail::cat_into(os, args...);
-  return os.str();
+  if constexpr ((detail::kCatFast<Args> && ...)) {
+    std::string out;
+    (detail::cat_append(out, args), ...);
+    return out;
+  } else {
+    std::ostringstream os;
+    (os << ... << args);
+    return os.str();
+  }
 }
 
 [[noreturn]] void assert_fail(const char* expr, const char* file, int line,

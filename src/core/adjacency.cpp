@@ -196,17 +196,24 @@ AdjacencyResult extract_control_graph(const nl::Netlist& nl,
 
   // Banks without a predecessor or successor park on the environment so the
   // controller network stays connected (e.g. registers whose outputs are
-  // unobservable).
+  // unobservable). Parking only ever adds edges incident to the env pair,
+  // so one pass over the edges settles every bank's flags up front.
+  std::vector<char> has_pred(res.cg.num_banks(), 0),
+      has_succ(res.cg.num_banks(), 0);
+  for (const auto& e : res.cg.edges()) {
+    has_pred[static_cast<size_t>(e.to)] = 1;
+    has_succ[static_cast<size_t>(e.from)] = 1;
+  }
   for (size_t i = 0; i < lr.banks.size(); ++i) {
     int bank = static_cast<int>(i);
-    if (res.cg.preds(bank).empty()) {
+    if (!has_pred[i]) {
       if (lr.banks[i].even) {
         res.cg.add_edge(res.env_src, bank, 0);
       } else {
         res.cg.add_edge(res.env_snk, bank, 0);
       }
     }
-    if (res.cg.succs(bank).empty()) {
+    if (!has_succ[i]) {
       if (lr.banks[i].even) {
         res.cg.add_edge(bank, res.env_src, 0);
       } else {

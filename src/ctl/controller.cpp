@@ -98,6 +98,14 @@ ControllerNetwork synthesize_pulse(nl::Builder& b, const ControlGraph& cg,
     net.control_nets.push_back(r);
   }
 
+  // Per-bank incoming and outgoing edges, each list in cg.edges() order.
+  std::vector<std::vector<const ControlGraph::Edge*>> in_edges(cg.num_banks()),
+      out_edges(cg.num_banks());
+  for (const ControlGraph::Edge& e : cg.edges()) {
+    in_edges[static_cast<size_t>(e.to)].push_back(&e);
+    out_edges[static_cast<size_t>(e.from)].push_back(&e);
+  }
+
   for (size_t i = 0; i < cg.num_banks(); ++i) {
     const int bank = static_cast<int>(i);
     const std::string& bname = cg.bank(bank).name;
@@ -109,10 +117,9 @@ ControllerNetwork synthesize_pulse(nl::Builder& b, const ControlGraph& cg,
     // the paper's per-block matched delay.
     std::vector<nl::NetId> pred_tokens;
     Ps worst = 0;
-    for (const ControlGraph::Edge& e : cg.edges()) {
-      if (e.to != bank) continue;
-      pred_tokens.push_back(net.rounds[static_cast<size_t>(e.from)]);
-      worst = std::max(worst, e.matched_delay);
+    for (const ControlGraph::Edge* e : in_edges[i]) {
+      pred_tokens.push_back(net.rounds[static_cast<size_t>(e->from)]);
+      worst = std::max(worst, e->matched_delay);
     }
     std::vector<nl::NetId> inputs;
     if (!pred_tokens.empty()) {
@@ -133,12 +140,11 @@ ControllerNetwork synthesize_pulse(nl::Builder& b, const ControlGraph& cg,
       inputs.push_back(tap);
     }
     // Successor round tokens through buffers (spatial wiring).
-    for (const ControlGraph::Edge& e : cg.edges()) {
-      if (e.from != bank) continue;
+    for (const ControlGraph::Edge* e : out_edges[i]) {
       nl::NetId ack =
-          nl.add_net(cat("ctl.", cg.bank(e.to).name, ".ack.to.", bname));
+          nl.add_net(cat("ctl.", cg.bank(e->to).name, ".ack.to.", bname));
       nl::CellId bc = nl.add_cell(cell::Kind::Buf, "",
-                                  {net.rounds[static_cast<size_t>(e.to)]}, {ack});
+                                  {net.rounds[static_cast<size_t>(e->to)]}, {ack});
       net.cells.push_back(bc);
       net.control_nets.push_back(ack);
       inputs.push_back(ack);

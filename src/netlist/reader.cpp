@@ -5,6 +5,7 @@
 #include <charconv>
 #include <map>
 #include <optional>
+#include <tuple>
 
 namespace desyn::nl {
 
@@ -286,6 +287,34 @@ class Parser {
     return it->second;
   }
 
+  /// Pin name -> (direction, index) for one cell shape. An input shadows
+  /// an output of the same name, and a later pin an earlier one.
+  struct Pin {
+    bool output = false;
+    size_t index = 0;
+  };
+  using PinTable = std::map<std::string, Pin, std::less<>>;
+
+  /// The pin table of a (kind, arity, p0, p1) shape, built on first use
+  /// and shared by every later instance of the shape in this parse.
+  const PinTable& pin_table(cell::Kind kind, int arity, uint16_t p0,
+                            uint16_t p1, int nin, int nout) {
+    auto [it, inserted] = pin_tables_.try_emplace(
+        std::tuple{static_cast<int>(kind), arity, p0, p1});
+    if (inserted) {
+      PinTable& t = it->second;
+      for (int o = 0; o < nout; ++o) {
+        t[cell::output_pin_name(kind, o, p0, p1)] = {true,
+                                                     static_cast<size_t>(o)};
+      }
+      for (int i = 0; i < nin; ++i) {
+        t[cell::input_pin_name(kind, i, p0, p1)] = {false,
+                                                    static_cast<size_t>(i)};
+      }
+    }
+    return it->second;
+  }
+
   void parse_instance(Netlist& nl, const std::string& type) {
     auto [kind, arity] = parse_type(type);
     Token iname = expect(Token::Id);
@@ -296,10 +325,7 @@ class Parser {
     int nin = cell::num_inputs(kind, arity, p0, p1);
     int nout = cell::num_outputs(kind, p0, p1);
 
-    // Pin-name -> index maps for this kind.
-    std::map<std::string, int> in_idx, out_idx;
-    for (int i = 0; i < nin; ++i) in_idx[cell::input_pin_name(kind, i, p0, p1)] = i;
-    for (int o = 0; o < nout; ++o) out_idx[cell::output_pin_name(kind, o, p0, p1)] = o;
+    const PinTable& pins = pin_table(kind, arity, p0, p1, nin, nout);
 
     std::vector<NetId> ins(static_cast<size_t>(nin), NetId::invalid());
     std::vector<NetId> outs(static_cast<size_t>(nout), NetId::invalid());
@@ -308,19 +334,15 @@ class Parser {
       if (t.type == Token::Punct && t.text == ")") break;
       if (t.type == Token::Punct && (t.text == "," || t.text == ".")) continue;
       if (t.type != Token::Id) err("bad connection in ", iname.text);
-      std::string pin = t.text;
+      std::string pin = std::move(t.text);
       expect_punct("(");
       Token netname = expect(Token::Id);
       expect_punct(")");
       NetId n = nl.find_net(netname.text);
       if (!n.valid()) err("unknown net '", netname.text, "'");
-      if (auto it = in_idx.find(pin); it != in_idx.end()) {
-        ins[static_cast<size_t>(it->second)] = n;
-      } else if (auto ot = out_idx.find(pin); ot != out_idx.end()) {
-        outs[static_cast<size_t>(ot->second)] = n;
-      } else {
-        err("unknown pin '", pin, "' on ", type);
-      }
+      auto it = pins.find(pin);
+      if (it == pins.end()) err("unknown pin '", pin, "' on ", type);
+      (it->second.output ? outs : ins)[it->second.index] = n;
     }
     expect_punct(";");
     for (NetId n : ins) {
@@ -368,6 +390,7 @@ class Parser {
   std::string source_;
   std::vector<std::string> output_names_;
   std::map<std::string, int64_t> attrs_;
+  std::map<std::tuple<int, int, uint16_t, uint16_t>, PinTable> pin_tables_;
   std::optional<std::vector<uint64_t>> payload_;
 };
 

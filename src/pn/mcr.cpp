@@ -768,12 +768,12 @@ CycleRatioResult max_cycle_ratio_reference(const MarkedGraph& mg) {
 std::vector<std::vector<Ps>> earliest_schedule(const MarkedGraph& mg,
                                                int rounds) {
   DESYN_ASSERT(rounds > 0);
-  DESYN_ASSERT(is_live(mg), "earliest_schedule requires liveness");
   const uint32_t n = static_cast<uint32_t>(mg.num_transitions());
 
-  // Topological order of the zero-token subgraph (acyclic by liveness):
-  // within one round, a transition may depend on same-round firings only
-  // through token-free arcs.
+  // Topological order of the zero-token subgraph: within one round, a
+  // transition may depend on same-round firings only through token-free
+  // arcs. The subgraph is acyclic exactly when the marked graph is live, so
+  // a complete order is the liveness check.
   std::vector<uint32_t> indeg(n, 0);
   for (uint32_t a = 0; a < mg.num_arcs(); ++a) {
     const Arc& arc = mg.arc(ArcId(a));
@@ -792,7 +792,7 @@ std::vector<std::vector<Ps>> earliest_schedule(const MarkedGraph& mg,
       }
     }
   }
-  DESYN_ASSERT(order.size() == n);
+  DESYN_ASSERT(order.size() == n, "earliest_schedule requires liveness");
 
   std::vector<std::vector<Ps>> fire(n, std::vector<Ps>(rounds, 0));
   for (int k = 0; k < rounds; ++k) {

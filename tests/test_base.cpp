@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -21,6 +23,62 @@ namespace {
 TEST(Cat, ConcatenatesValues) {
   EXPECT_EQ(cat("a", 1, "b", 2.5), "a1b2.5");
   EXPECT_EQ(cat(), "");
+}
+
+template <typename... Args>
+std::string streamed(const Args&... args) {
+  std::ostringstream os;
+  (os << ... << args);
+  return os.str();
+}
+
+enum class Shade { Light, Dark };
+std::ostream& operator<<(std::ostream& os, Shade s) {
+  return os << (s == Shade::Light ? "light" : "dark");
+}
+
+TEST(Cat, FastPathMatchesOstream) {
+  const int i = -42;
+  const int64_t neg = std::numeric_limits<int64_t>::min();
+  const uint64_t big = std::numeric_limits<uint64_t>::max();
+  const size_t sz = 1536;
+  const uint16_t u16 = 65535;
+  const char ch = 'q';
+  const char* ptr = "ptr";
+  char arr[8] = "arr";
+  const std::string str = "str";
+  const std::string_view sv = "view";
+  EXPECT_EQ(cat(i), streamed(i));
+  EXPECT_EQ(cat(neg), streamed(neg));
+  EXPECT_EQ(cat(big), streamed(big));
+  EXPECT_EQ(cat(sz), streamed(sz));
+  EXPECT_EQ(cat(u16), streamed(u16));
+  EXPECT_EQ(cat(ch), streamed(ch));
+  EXPECT_EQ(cat(ptr), streamed(ptr));
+  EXPECT_EQ(cat(arr), streamed(arr));
+  EXPECT_EQ(cat("lit"), streamed("lit"));
+  EXPECT_EQ(cat(str), streamed(str));
+  EXPECT_EQ(cat(sv), streamed(sv));
+  EXPECT_EQ(cat("ctl.", str, ".d", 0, "_", sz, ch, neg, sv, u16, ptr),
+            streamed("ctl.", str, ".d", 0, "_", sz, ch, neg, sv, u16, ptr));
+  EXPECT_EQ(cat(0, -1, 7u, 8l, 9ll, 10ul, 11ull, short{-12}),
+            "0-17891011-12");
+}
+
+TEST(Cat, StreamPathTypesRenderAsOstream) {
+  // bool, the char-sized integers, floating point and user types keep the
+  // ostream rendering: "1", characters, the default 6-digit %g and the
+  // type's own operator<<, also when mixed with fast-path arguments.
+  const uint8_t u8 = 65;
+  const int8_t i8 = 66;
+  EXPECT_EQ(cat(true, false), streamed(true, false));
+  EXPECT_EQ(cat(true), "1");
+  EXPECT_EQ(cat(u8, i8), streamed(u8, i8));
+  EXPECT_EQ(cat(u8, i8), "AB");
+  EXPECT_EQ(cat(2.5, 1.0 / 3, 1e21), streamed(2.5, 1.0 / 3, 1e21));
+  EXPECT_EQ(cat(Shade::Dark, "/", Shade::Light), "dark/light");
+  EXPECT_EQ(cat("p", 3, Shade::Light, 0.1, true),
+            streamed("p", 3, Shade::Light, 0.1, true));
 }
 
 TEST(Ids, DefaultInvalid) {

@@ -251,6 +251,124 @@ TEST(Desynchronizer, MatchedDelaysCoverCombinationalPaths) {
   }
 }
 
+/// Leaf round nets feeding `net` through the Pulse controller's join
+/// structure (C-element trees, delay lines, ack buffers, inverters), in
+/// fan-in order.
+void round_leaves(const Netlist& nl, const std::vector<char>& is_round,
+                  NetId net, std::vector<NetId>& out) {
+  if (is_round[net.value()]) {
+    out.push_back(net);
+    return;
+  }
+  const nl::CellData& cd = nl.cell(nl.net(net).driver);
+  ASSERT_TRUE(cd.kind == Kind::CElem || cd.kind == Kind::Delay ||
+              cd.kind == Kind::Buf || cd.kind == Kind::Inv)
+      << nl.net(net).name;
+  for (NetId in : cd.ins) round_leaves(nl, is_round, in, out);
+}
+
+/// The per-flip-flop graphs are where most banks have a neighbour and a
+/// few park on the environment. The parking edges are the tail of the edge
+/// list (zero-delay, exactly one env endpoint; every STA-timed edge has a
+/// positive delay); replaying the parking rule on the edges before them,
+/// with ControlGraph::preds/succs re-read after every addition, must give
+/// back exactly the extracted graph. Pulse synthesis must join each bank's
+/// predecessors, then its successors, in cg.edges() order.
+TEST(Desynchronizer, PerFlipFlopParkingAndPulseFaninFollowEdgeOrder) {
+  const Tech& tech = Tech::generic90();
+  std::vector<circuits::Suite> designs;
+  {
+    Netlist nl("dlx");
+    dlx::build_dlx(nl, dlx::DlxConfig{}, dlx::fibonacci_program(8));
+    const NetId clk = nl.find_net("clk");
+    designs.push_back({"dlx", {std::move(nl), clk}});
+  }
+  designs.push_back({"rpipe128x4", circuits::random_pipeline(13, 128, 4)});
+  for (const circuits::Suite& d : designs) {
+    Netlist latched = d.circuit.netlist;
+    const LatchifyResult lr = latchify(
+        latched, d.circuit.clock, Partition::per_flip_flop(d.circuit.netlist));
+    for (ctl::Protocol proto : ctl::kAllProtocols) {
+      const std::string what = cat(d.name, " ", ctl::protocol_name(proto));
+      const AdjacencyResult r = extract_control_graph(
+          latched, lr, d.circuit.clock, tech, 1.1, proto);
+      const ctl::ControlGraph& cg = r.cg;
+      const auto& edges = cg.edges();
+      const int nbanks = static_cast<int>(lr.banks.size());
+      std::vector<char> has_pred(cg.num_banks(), 0),
+          has_succ(cg.num_banks(), 0);
+      for (const auto& e : edges) {
+        has_pred[static_cast<size_t>(e.to)] = 1;
+        has_succ[static_cast<size_t>(e.from)] = 1;
+      }
+      for (int b = 0; b < nbanks; ++b) {
+        EXPECT_TRUE(has_pred[static_cast<size_t>(b)] &&
+                    has_succ[static_cast<size_t>(b)])
+            << what << " bank " << cg.bank(b).name;
+      }
+
+      auto is_env = [&](int b) { return b == r.env_snk || b == r.env_src; };
+      size_t kept = edges.size();
+      while (kept > 0 && edges[kept - 1].matched_delay == 0 &&
+             is_env(edges[kept - 1].from) != is_env(edges[kept - 1].to)) {
+        --kept;
+      }
+      ctl::ControlGraph oracle;
+      for (size_t b = 0; b < cg.num_banks(); ++b) {
+        oracle.add_bank(cg.bank(static_cast<int>(b)).name,
+                        cg.bank(static_cast<int>(b)).even);
+      }
+      for (size_t k = 0; k < kept; ++k) {
+        oracle.add_edge(edges[k].from, edges[k].to, edges[k].matched_delay);
+      }
+      for (int b = 0; b < nbanks; ++b) {
+        const bool even = cg.bank(b).even;
+        if (oracle.preds(b).empty()) {
+          oracle.add_edge(even ? r.env_src : r.env_snk, b, 0);
+        }
+        if (oracle.succs(b).empty()) {
+          oracle.add_edge(b, even ? r.env_src : r.env_snk, 0);
+        }
+      }
+      ASSERT_EQ(oracle.edges().size(), edges.size()) << what;
+      for (size_t k = 0; k < edges.size(); ++k) {
+        EXPECT_EQ(std::tie(oracle.edges()[k].from, oracle.edges()[k].to,
+                           oracle.edges()[k].matched_delay),
+                  std::tie(edges[k].from, edges[k].to, edges[k].matched_delay))
+            << what << " edge " << k;
+      }
+      if (proto != ctl::Protocol::Pulse) continue;
+
+      Netlist host("host");
+      Builder b(host);
+      const ctl::ControllerNetwork net =
+          ctl::synthesize_controllers(b, cg, proto, tech);
+      std::vector<char> is_round(host.num_nets(), 0);
+      for (NetId n : net.rounds) is_round[n.value()] = 1;
+      for (size_t i = 0; i < cg.num_banks(); ++i) {
+        const int bank = static_cast<int>(i);
+        std::vector<NetId> want;
+        for (const auto& e : edges) {
+          if (e.to == bank) {
+            want.push_back(net.rounds[static_cast<size_t>(e.from)]);
+          }
+        }
+        for (const auto& e : edges) {
+          if (e.from == bank) {
+            want.push_back(net.rounds[static_cast<size_t>(e.to)]);
+          }
+        }
+        if (want.size() == 1) want.push_back(want[0]);  // C(a,a) follower
+        const nl::CellData& round = host.cell(host.net(net.rounds[i]).driver);
+        ASSERT_EQ(round.kind, Kind::CElem) << what;
+        std::vector<NetId> got;
+        for (NetId in : round.ins) round_leaves(host, is_round, in, got);
+        EXPECT_EQ(got, want) << what << " bank " << cg.bank(bank).name;
+      }
+    }
+  }
+}
+
 struct EqCase {
   const char* name;
   Netlist (*build)(NetId*);
