@@ -1,5 +1,6 @@
 // P1 — library performance (google-benchmark): how fast the flow itself
-// runs (STA, event simulation, desynchronization, model analytics).
+// runs (STA, event simulation, desynchronization, model analytics, a
+// flow-equivalence proof).
 #include <benchmark/benchmark.h>
 
 #include "circuits/circuits.h"
@@ -9,6 +10,7 @@
 #include "pn/mcr.h"
 #include "sim/sim.h"
 #include "sta/sta.h"
+#include "verif/flow_equivalence.h"
 
 using namespace desyn;
 using cell::Tech;
@@ -92,5 +94,29 @@ static void BM_SimulateDesyncMesh(benchmark::State& state) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimulateDesyncMesh)->Unit(benchmark::kMillisecond);
+
+// One flow-equivalence proof of the standard DLX (prefix banks,
+// semi-decoupled) on a warm engine: the flow is served from the process
+// engine's cache, so the loop times the two simulations and the
+// bookkeeping around them — what every perfbench `verify` op pays.
+static void BM_FlowEquivalenceDlx(benchmark::State& state) {
+  nl::Netlist nl("dlx");
+  const nl::NetId clk =
+      dlx::build_dlx(nl, {}, dlx::standard_workloads()[0].words).clk;
+  const Tech& t = Tech::generic90();
+  const verif::Stimulus stim = verif::random_stimulus(1);
+  verif::FlowEqOptions opt;
+  opt.desync.protocol = ctl::Protocol::SemiDecoupled;
+  // Warm the engine; every timed proof is then a cache hit.
+  if (!verif::check_flow_equivalence(nl, clk, stim, t, opt).equivalent) {
+    state.SkipWithError("DLX proof failed");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        verif::check_flow_equivalence(nl, clk, stim, t, opt).captures_compared);
+  }
+}
+BENCHMARK(BM_FlowEquivalenceDlx)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -119,94 +119,6 @@ int num_outputs(Kind k, int p0, int p1) {
   }
 }
 
-namespace {
-
-// AND over three-valued inputs: 0 dominates, else X dominates, else 1.
-V and_all(std::span<const V> ins) {
-  bool any_x = false;
-  for (V v : ins) {
-    if (v == V::V0) return V::V0;
-    if (v == V::VX) any_x = true;
-  }
-  return any_x ? V::VX : V::V1;
-}
-
-V or_all(std::span<const V> ins) {
-  bool any_x = false;
-  for (V v : ins) {
-    if (v == V::V1) return V::V1;
-    if (v == V::VX) any_x = true;
-  }
-  return any_x ? V::VX : V::V0;
-}
-
-V inv(V v) {
-  if (v == V::VX) return V::VX;
-  return v == V::V0 ? V::V1 : V::V0;
-}
-
-V xor2(V a, V b) {
-  if (a == V::VX || b == V::VX) return V::VX;
-  return from_bool((a == V::V1) != (b == V::V1));
-}
-
-}  // namespace
-
-V eval_comb(Kind k, std::span<const V> ins) {
-  switch (k) {
-    case Kind::TieLo: return V::V0;
-    case Kind::TieHi: return V::V1;
-    case Kind::Buf:
-    case Kind::Delay: return ins[0];
-    case Kind::Inv: return inv(ins[0]);
-    case Kind::And: return and_all(ins);
-    case Kind::Nand: return inv(and_all(ins));
-    case Kind::Or: return or_all(ins);
-    case Kind::Nor: return inv(or_all(ins));
-    case Kind::Xor: return xor2(ins[0], ins[1]);
-    case Kind::Xnor: return inv(xor2(ins[0], ins[1]));
-    case Kind::Mux2: {
-      V s = ins[2];
-      if (s == V::V0) return ins[0];
-      if (s == V::V1) return ins[1];
-      // Unknown select: output known only if both data inputs agree.
-      return ins[0] == ins[1] ? ins[0] : V::VX;
-    }
-    case Kind::Aoi21: {
-      V ab[2] = {ins[0], ins[1]};
-      V t[2] = {and_all(ab), ins[2]};
-      return inv(or_all(t));
-    }
-    case Kind::Oai21: {
-      V ab[2] = {ins[0], ins[1]};
-      V t[2] = {or_all(ab), ins[2]};
-      return inv(and_all(t));
-    }
-    default:
-      fail("eval_comb on non-combinational cell ", kind_name(k));
-  }
-}
-
-V eval_state_holding(Kind k, std::span<const V> ins, V prev) {
-  if (k == Kind::CElem) {
-    bool all1 = true, all0 = true;
-    for (V v : ins) {
-      if (v != V::V1) all1 = false;
-      if (v != V::V0) all0 = false;
-    }
-    if (all1) return V::V1;
-    if (all0) return V::V0;
-    return prev;
-  }
-  DESYN_ASSERT(k == Kind::Gc);
-  V s = ins[0], r = ins[1];
-  if (s == V::V1 && r == V::V1) return V::VX;  // set/reset conflict: hazard
-  if (s == V::V1) return V::V1;
-  if (r == V::V1) return V::V0;
-  if (s == V::VX || r == V::VX) return prev == V::VX ? V::VX : prev;
-  return prev;
-}
-
 std::string input_pin_name(Kind k, int i, int p0, int p1) {
   switch (k) {
     case Kind::Buf:

@@ -95,7 +95,7 @@ MinTokenSearch::MinTokenSearch(const MarkedGraph& mg)
   }
 }
 
-const std::vector<int>& MinTokenSearch::from(TransId src) {
+const std::vector<int>& MinTokenSearch::from(TransId src, int bound) {
   for (uint32_t t : seen_) dist_[t] = kUnreachable;
   seen_.clear();
   const uint32_t s = src.value();
@@ -108,7 +108,7 @@ const std::vector<int>& MinTokenSearch::from(TransId src) {
     for (uint32_t i = first_[t]; i < first_[t + 1]; ++i) {
       const auto [w, tokens] = out_[i];
       const int nd = dist_[t] + tokens;
-      if (nd >= dist_[w]) continue;
+      if (nd >= dist_[w] || nd > bound) continue;
       if (dist_[w] == kUnreachable) seen_.push_back(w);
       dist_[w] = nd;
       if (tokens == 0) {
@@ -125,7 +125,9 @@ bool is_safe(const MarkedGraph& mg) {
   // Bound of the place on arc a = u -> v: a's tokens plus the fewest
   // tokens on a path v ~> u. Safety needs it to be exactly 1 for every
   // arc, so run one search per distinct head (min-token distances to the
-  // tails of all its in-arcs at once).
+  // tails of all its in-arcs at once). No tail may lie further than 1
+  // token away, so each search stops there: a tail beyond reads as
+  // unreachable, which fails the check just as its true distance would.
   for (uint32_t i = 0; i < mg.num_arcs(); ++i) {
     if (mg.arc(ArcId(i)).tokens >= 2) return false;
   }
@@ -133,7 +135,7 @@ bool is_safe(const MarkedGraph& mg) {
   for (uint32_t v = 0; v < mg.num_transitions(); ++v) {
     const std::vector<ArcId>& in = mg.transition(TransId(v)).in;
     if (in.empty()) continue;
-    const std::vector<int>& dist = search.from(TransId(v));
+    const std::vector<int>& dist = search.from(TransId(v), 1);
     for (ArcId a : in) {
       const Arc& arc = mg.arc(a);
       const int d = dist[arc.from.value()];

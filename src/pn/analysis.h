@@ -7,8 +7,9 @@
 //    the cycles through it; the MG is safe iff every such minimum is 1.
 //
 // MinTokenSearch is the one min-token search: is_safe runs it once per arc
-// head, and the linter's protocol contracts (check/check.cpp) run it on
-// the same extracted graph once per source bank.
+// head, bounded at one token, and the linter's protocol contracts
+// (check/check.cpp) run it unbounded on the same extracted graph once per
+// source bank.
 #pragma once
 
 #include <deque>
@@ -39,8 +40,10 @@ class MinTokenSearch {
   explicit MinTokenSearch(const MarkedGraph& mg);
 
   /// Distances from `src`, indexed by transition, kUnreachable where no
-  /// path exists. Valid until the next call.
-  const std::vector<int>& from(TransId src);
+  /// path exists. With a `bound`, the search stops at that many tokens:
+  /// distances up to `bound` are exact, and transitions every path to
+  /// which carries more read kUnreachable. Valid until the next call.
+  const std::vector<int>& from(TransId src, int bound = kUnreachable);
 
  private:
   std::vector<uint32_t> first_;  ///< out-list offsets, one per transition + 1
@@ -51,8 +54,9 @@ class MinTokenSearch {
 };
 
 /// Safety: every arc lies on a cycle and has bound 1. Requires liveness.
-/// One MinTokenSearch::from per distinct arc head; place_bound() is the
-/// per-arc oracle.
+/// One MinTokenSearch::from per distinct arc head, bounded at 1 token (a
+/// longer path already breaks safety); place_bound() is the per-arc
+/// oracle.
 bool is_safe(const MarkedGraph& mg);
 
 /// Explicit reachability (for small control graphs and conformance tests).

@@ -140,17 +140,21 @@ Simulator::Simulator(const nl::Netlist& nl, const cell::Tech& tech)
   }
   ff_ck_off_.push_back(static_cast<uint32_t>(ff_ck_.size()));
   fan_off_.push_back(static_cast<uint32_t>(fan_pins_.size()));
+  // Flatten each cell's pins (tombstoned cells included: ids stay dense).
+  latch_setup_ = tech_.latch_setup();
+  flat_.reserve(nl_.num_cells());
+  in_.reserve(ff_ck_.size() + fan_pins_.size());  // every live input pin
+  for (uint32_t c = 0; c < nl_.num_cells(); ++c) {
+    const nl::CellData& cd = nl_.cell(CellId(c));
+    flat_.push_back(FlatCell{static_cast<uint32_t>(in_.size()),
+                             cd.outs.empty() ? NetId::invalid() : cd.outs[0],
+                             static_cast<uint16_t>(cd.ins.size()), cd.kind});
+    in_.insert(in_.end(), cd.ins.begin(), cd.ins.end());
+  }
   settle_initial_state();
 }
 
 namespace {
-
-/// Gathers current input values of a cell into `buf`.
-void gather(const std::vector<V>& val, const nl::CellData& cd,
-            std::vector<V>& buf) {
-  buf.clear();
-  for (NetId in : cd.ins) buf.push_back(val[in.value()]);
-}
 
 /// Decodes an address from bit nets (index 0 = LSB). Returns false on X.
 bool decode_addr(const std::vector<V>& val, const std::vector<NetId>& ins,
@@ -180,13 +184,19 @@ void Simulator::settle_initial_state() {
       for (NetId o : cd.outs) val_[o.value()] = cd.init;
     }
   }
+  // Input i of cell c, read in place.
+  auto input = [this](uint32_t c) {
+    return [this, in = in_.data() + flat_[c].in](size_t i) {
+      return val_[in[i].value()];
+    };
+  };
+  auto arity = [this](uint32_t c) { return size_t{flat_[c].n_in}; };
   // Combinational settle in topological order (zero time).
-  std::vector<V> buf;
   for (CellId c : nl::topo_order(nl_)) {
     const nl::CellData& cd = nl_.cell(c);
     if (cell::is_combinational(cd.kind) && cd.kind != Kind::Rom) {
-      gather(val_, cd, buf);
-      val_[cd.outs[0].value()] = cell::eval_comb(cd.kind, buf);
+      val_[cd.outs[0].value()] =
+          cell::eval_comb(cd.kind, arity(c.value()), input(c.value()));
     } else if (cd.kind == Kind::Rom || cd.kind == Kind::Ram) {
       size_t ra_begin = cd.kind == Kind::Rom ? 0 : size_t{2} + cd.p0 + cd.p1;
       uint64_t addr = 0;
@@ -213,8 +223,9 @@ void Simulator::settle_initial_state() {
         }
       }
     } else if (cell::is_state_holding(cd.kind)) {
-      gather(val_, cd, buf);
-      V nv = cell::eval_state_holding(cd.kind, buf, val_[cd.outs[0].value()]);
+      V nv = cell::eval_state_holding(cd.kind, arity(c.value()),
+                                      input(c.value()),
+                                      val_[cd.outs[0].value()]);
       if (nv != val_[cd.outs[0].value()]) {
         schedule(cd.outs[0], nv, delay_[c.value()]);
       }
@@ -350,39 +361,22 @@ void Simulator::record_violation(const SetupViolation& v) {
   if (violations_.size() < kMaxRecordedViolations) violations_.push_back(v);
 }
 
-void Simulator::check_setup(CellId c, Ps edge_time) {
-  const nl::CellData& cd = nl_.cell(c);
-  // DFF capture edges are setup-checked inline by evaluate_fanout()'s fast
-  // path; this generic path covers the latch closing edge and the RAM clock.
-  Ps setup = cell::is_latch(cd.kind) ? tech_.latch_setup() : tech_.dff_setup();
-  size_t lo = 0, hi = 0;
-  switch (cd.kind) {
-    case Kind::Latch:
-    case Kind::LatchN:
-      lo = 0;
-      hi = 1;
-      break;
-    case Kind::Ram:
-      lo = 1;
-      hi = size_t{2} + cd.p0 + cd.p1;
-      break;
-    default:
-      return;
-  }
-  for (size_t i = lo; i < hi; ++i) {
-    Ps lc = last_change_[cd.ins[i].value()];
-    if (lc < 0) continue;
-    Ps slack = (edge_time - lc) - setup;
-    if (slack < 0) {
-      record_violation(SetupViolation{edge_time, c, cd.ins[i], slack});
-    }
-  }
+void Simulator::check_setup(CellId c, NetId data, Ps setup) {
+  const Ps lc = last_change_[data.value()];
+  if (lc < 0) return;
+  const Ps slack = (now_ - lc) - setup;
+  if (slack < 0) record_violation(SetupViolation{now_, c, data, slack});
 }
 
 void Simulator::evaluate_pin(Pin p, V oldv) {
-  const nl::CellData& cd = nl_.cell(p.cell);
-  const Ps d = delay_[p.cell.value()];
-  switch (cd.kind) {
+  const uint32_t c = p.cell.value();
+  const FlatCell& fc = flat_[c];
+  const Kind kind = fc.kind;
+  const NetId* in = in_.data() + fc.in;
+  const NetId out = fc.out;
+  const Ps d = delay_[c];
+  auto input = [this, in](size_t i) { return val_[in[i].value()]; };
+  switch (kind) {
     case Kind::Dff:
       // Only the D pin (index 0) is routed here, and D changes alone never
       // act; clock pins take the flattened ff_ck_ fast path in
@@ -390,26 +384,30 @@ void Simulator::evaluate_pin(Pin p, V oldv) {
       return;
     case Kind::Latch:
     case Kind::LatchN: {
-      const V t = cd.kind == Kind::Latch ? V::V1 : V::V0;
-      const V en = val_[cd.ins[1].value()];
+      const V t = kind == Kind::Latch ? V::V1 : V::V0;
+      const V en = val_[in[1].value()];
       if (p.index == 1) {  // EN edge
         if (en == t) {
-          schedule(cd.outs[0], val_[cd.ins[0].value()], now_ + d);
+          schedule(out, val_[in[0].value()], now_ + d);
         } else if (oldv == t) {
-          check_setup(p.cell, now_);  // closing edge captures
+          check_setup(p.cell, in[0], latch_setup_);  // closing edge captures
         }
       } else if (p.index == 0 && en == t) {  // D moves while transparent
-        schedule(cd.outs[0], val_[cd.ins[0].value()], now_ + d);
+        schedule(out, val_[in[0].value()], now_ + d);
       }
       return;
     }
     case Kind::Ram: {
+      const nl::CellData& cd = nl_.cell(p.cell);
       const size_t ra_begin = size_t{2} + cd.p0 + cd.p1;
       bool read_dirty = p.index >= ra_begin;
       if (p.index == 0) {  // CK
         V nv = val_[cd.ins[0].value()];
         if (oldv == V::V0 && nv == V::V1) {
-          check_setup(p.cell, now_);
+          // WE, write address and write data are setup-checked.
+          for (size_t i = 1; i < ra_begin; ++i) {
+            check_setup(p.cell, cd.ins[i], dff_setup_);
+          }
           if (val_[cd.ins[1].value()] == V::V1) {  // WE
             uint64_t wa = 0;
             if (decode_addr(val_, cd.ins, 2, cd.p0, &wa)) {
@@ -421,7 +419,7 @@ void Simulator::evaluate_pin(Pin p, V oldv) {
                 if (v == V::V1) word |= (1ull << b);
               }
               if (known) {
-                ram_state_[p.cell.value()][wa] = word;
+                ram_state_[c][wa] = word;
                 read_dirty = true;  // write-through visibility
               }
             }
@@ -431,7 +429,7 @@ void Simulator::evaluate_pin(Pin p, V oldv) {
       if (read_dirty) {
         uint64_t ra = 0;
         bool known = decode_addr(val_, cd.ins, ra_begin, cd.p0, &ra);
-        const auto& mem = ram_state_[p.cell.value()];
+        const auto& mem = ram_state_[c];
         for (size_t b = 0; b < cd.outs.size(); ++b) {
           V v = known ? cell::from_bool((mem[ra] >> b) & 1) : V::VX;
           schedule(cd.outs[b], v, now_ + d);
@@ -440,6 +438,7 @@ void Simulator::evaluate_pin(Pin p, V oldv) {
       return;
     }
     case Kind::Rom: {
+      const nl::CellData& cd = nl_.cell(p.cell);
       uint64_t a = 0;
       bool known = decode_addr(val_, cd.ins, 0, cd.p0, &a);
       const auto& mem = nl_.payload(cd.payload);
@@ -450,18 +449,14 @@ void Simulator::evaluate_pin(Pin p, V oldv) {
       return;
     }
     case Kind::CElem:
-    case Kind::Gc: {
-      gather(val_, cd, eval_buf_);
-      V nv = cell::eval_state_holding(cd.kind, eval_buf_,
-                                      val_[cd.outs[0].value()]);
-      schedule(cd.outs[0], nv, now_ + d);
+    case Kind::Gc:
+      schedule(out, cell::eval_state_holding(kind, fc.n_in, input,
+                                             val_[out.value()]),
+               now_ + d);
       return;
-    }
-    default: {
-      gather(val_, cd, eval_buf_);
-      schedule(cd.outs[0], cell::eval_comb(cd.kind, eval_buf_), now_ + d);
+    default:
+      schedule(out, cell::eval_comb(kind, fc.n_in, input), now_ + d);
       return;
-    }
   }
 }
 

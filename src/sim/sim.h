@@ -32,6 +32,12 @@
 // vectors indexed by id, and the pending-event set is a time-bucketed
 // calendar queue (timing wheel + overflow heap) — O(1) schedule/pop
 // instead of hash lookups and binary-heap reshuffles on the inner loop.
+// The constructor flattens each net's fanout and each cell's pins (kind,
+// first output, input nets) into CSR tables, so gates, latches and
+// C-elements evaluate from those tables and the net values in place,
+// through cell::eval_comb / eval_state_holding — the one gate evaluator —
+// without reading a CellData or copying their inputs. Only RAM and ROM
+// macros read their CellData.
 #pragma once
 
 #include <array>
@@ -180,7 +186,9 @@ class Simulator {
   void evaluate_fanout(const Change& ch);
   void evaluate_pin(nl::Pin p, V old_cause);
   void settle_initial_state();
-  void check_setup(nl::CellId c, Ps edge_time);
+  /// A capture edge of cell `c` now: records a violation if `data` changed
+  /// less than `setup` ago.
+  void check_setup(nl::CellId c, nl::NetId data, Ps setup);
   void record_violation(const SetupViolation& v);
 
   const nl::Netlist& nl_;
@@ -195,8 +203,6 @@ class Simulator {
   EventQueue queue_;
   uint64_t seq_ = 0;
   std::vector<Change> changes_;  // the current step's commits
-  std::vector<V> eval_buf_;  // scratch for cell evaluation (no per-event
-                             // allocation on the hot path)
 
   std::vector<std::vector<uint64_t>> ram_state_;  // per cell; empty unless RAM
   std::vector<std::vector<Watcher>> watchers_;    // per net
@@ -216,7 +222,19 @@ class Simulator {
   std::vector<uint32_t> ff_ck_off_;  // num_nets + 1 offsets into ff_ck_
   std::vector<nl::Pin> fan_pins_;
   std::vector<uint32_t> fan_off_;  // num_nets + 1 offsets into fan_pins_
-  Ps dff_setup_ = 0;               // cached tech_.dff_setup()
+
+  /// Flattened pins of one cell: kind, first output and its input nets
+  /// `in_[in]` to `in_[in + n_in - 1]`.
+  struct FlatCell {
+    uint32_t in;
+    nl::NetId out;
+    uint16_t n_in;
+    cell::Kind kind;
+  };
+  std::vector<FlatCell> flat_;  // per cell
+  std::vector<nl::NetId> in_;
+  Ps dff_setup_ = 0;    // cached tech_.dff_setup()
+  Ps latch_setup_ = 0;  // cached tech_.latch_setup()
 
   std::vector<SetupViolation> violations_;
   uint64_t violation_count_ = 0;

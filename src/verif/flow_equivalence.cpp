@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 
 #include "core/clocktree.h"
+#include "flow/engine.h"
 #include "pn/mcr.h"
 #include "sim/power.h"
 #include "sim/sim.h"
@@ -24,8 +26,53 @@ constexpr size_t kPeriodRounds = 32;
 constexpr double kClockMargin = 1.10;
 
 struct Tap {
-  std::string name;   // original FF name
-  nl::NetId d;        // data net sampled at capture
+  size_t reg;   // row in Registers
+  nl::NetId d;  // data net sampled at capture
+};
+
+/// FF master latches are named "<ff>.m"; returns "<ff>", or an empty view
+/// for any other latch (RAM write-port holds, "<ram>.m_p<i>", have no FF
+/// counterpart).
+std::string_view master_of(std::string_view latch) {
+  if (latch.size() <= 2 || !latch.ends_with(".m")) return {};
+  return latch.substr(0, latch.size() - 2);
+}
+
+/// Every register name either side can capture, in name order, with its
+/// sync and desync capture streams. Taps resolve their row once, when the
+/// watchers are set up; a capture is then one push_back. A row whose
+/// stream stays empty is a register that side never captured.
+struct Registers {
+  std::vector<std::string_view> names;
+  std::vector<std::vector<V>> sync, desync;
+
+  Registers(const nl::Netlist& ff_netlist, const flow::DesyncResult& dr,
+            size_t reserve) {
+    for (nl::CellId c : ff_netlist.cells()) {
+      const nl::CellData& cd = ff_netlist.cell(c);
+      if (cd.kind == cell::Kind::Dff) names.push_back(cd.name);
+    }
+    for (const flow::Bank& bank : dr.banks.banks) {
+      if (!bank.even) continue;
+      for (nl::CellId c : bank.latches) {
+        const std::string_view ff = master_of(dr.netlist.cell(c).name);
+        if (!ff.empty()) names.push_back(ff);
+      }
+    }
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+    sync.resize(names.size());
+    desync.resize(names.size());
+    for (size_t r = 0; r < names.size(); ++r) {
+      sync[r].reserve(reserve);
+      desync[r].reserve(reserve);
+    }
+  }
+
+  size_t row(std::string_view name) const {
+    return static_cast<size_t>(
+        std::lower_bound(names.begin(), names.end(), name) - names.begin());
+  }
 };
 
 /// Data-independent setup check under the simulated enable schedule. The
@@ -137,9 +184,12 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
                                     nl::NetId clock, const Stimulus& stim,
                                     const cell::Tech& tech,
                                     const FlowEqOptions& opt) {
-  return check_flow_equivalence(
-      ff_netlist, clock, stim, tech,
-      flow::desynchronize(ff_netlist, clock, tech, opt.desync), opt);
+  // Prove the engine's cached result in place; the shared_ptr keeps it
+  // alive should the cache evict it meanwhile.
+  const std::shared_ptr<const flow::DesyncResult> dr =
+      flow::Engine::process(tech).desynchronize(ff_netlist, clock,
+                                                opt.desync);
+  return check_flow_equivalence(ff_netlist, clock, stim, tech, *dr, opt);
 }
 
 FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
@@ -149,9 +199,10 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
                                     const FlowEqOptions& opt) {
   FlowEqResult res;
   const int rounds = opt.rounds;
+  // Each side captures about `rounds + 2` values per register.
+  Registers regs(ff_netlist, dr, static_cast<size_t>(rounds) + 3);
 
   // ------------------------------------------------------------------ sync
-  std::map<std::string, std::vector<V>> sync_stream;
   {
     nl::Netlist snl = ff_netlist;
     flow::ClockTree tree = flow::build_clock_tree(snl, clock, tech);
@@ -171,14 +222,12 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
     for (nl::CellId c : snl.cells()) {
       const nl::CellData& cd = snl.cell(c);
       if (cd.kind != cell::Kind::Dff) continue;
-      by_leaf[cd.ins[1].value()].push_back(Tap{cd.name, cd.ins[0]});
+      by_leaf[cd.ins[1].value()].push_back(Tap{regs.row(cd.name), cd.ins[0]});
     }
     for (auto& [leaf, taps] : by_leaf) {
-      sim.watch(nl::NetId(leaf), [&sim, &sync_stream, taps](Ps, V v) {
+      sim.watch(nl::NetId(leaf), [&sim, &regs, taps](Ps, V v) {
         if (v != V::V1) return;
-        for (const Tap& t : taps) {
-          sync_stream[t.name].push_back(sim.value(t.d));
-        }
+        for (const Tap& t : taps) regs.sync[t.reg].push_back(sim.value(t.d));
       });
     }
     apply_vector(sim, snl, clock, stim, 0);
@@ -203,7 +252,6 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
   }
 
   // ---------------------------------------------------------------- desync
-  std::map<std::string, std::vector<V>> desync_stream;
   {
     res.desync_cells = dr.netlist.num_live_cells();
     res.banks = dr.cg.num_banks();
@@ -234,12 +282,10 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
       // per-clock-leaf sampling).
       std::map<uint32_t, std::vector<Tap>> by_en;
       for (nl::CellId c : bank.latches) {
-        std::string name = dr.netlist.cell(c).name;
-        // FF masters are named "<ff>.m"; other even-bank latches (RAM
-        // write-port holds, "<ram>.m_p<i>") have no FF counterpart.
-        if (name.size() <= 2 || name.substr(name.size() - 2) != ".m") continue;
-        by_en[dr.netlist.cell(c).ins[1].value()].push_back(
-            Tap{name.substr(0, name.size() - 2), dr.netlist.cell(c).ins[0]});
+        const nl::CellData& cd = dr.netlist.cell(c);
+        const std::string_view ff = master_of(cd.name);
+        if (ff.empty()) continue;
+        by_en[cd.ins[1].value()].push_back(Tap{regs.row(ff), cd.ins[0]});
       }
       if (by_en.empty()) continue;
       if (leaf_captures.empty()) {
@@ -256,11 +302,11 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
         const size_t leaf = leaf_captures.size();
         leaf_captures.push_back(0);
         sim.watch(nl::NetId(en),
-                  [&sim, &desync_stream, &leaf_captures, &leaves_done,
+                  [&sim, &regs, &leaf_captures, &leaves_done,
                    &last_progress, leaf, needed, taps](Ps at, V v) {
                     if (v != V::V0) return;
                     for (const Tap& t : taps) {
-                      desync_stream[t.name].push_back(sim.value(t.d));
+                      regs.desync[t.reg].push_back(sim.value(t.d));
                     }
                     if (leaf_captures[leaf] < needed) last_progress = at;
                     if (++leaf_captures[leaf] == needed) ++leaves_done;
@@ -320,30 +366,38 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
   }
 
   // --------------------------------------------------------------- compare
-  res.registers_compared = sync_stream.size();
-  if (sync_stream.size() != desync_stream.size()) {
-    res.mismatch = cat("register count differs: sync=", sync_stream.size(),
-                       " desync=", desync_stream.size());
+  // Registers that captured at least once, per side.
+  size_t sync_regs = 0, desync_regs = 0;
+  for (size_t r = 0; r < regs.names.size(); ++r) {
+    sync_regs += !regs.sync[r].empty();
+    desync_regs += !regs.desync[r].empty();
+  }
+  res.registers_compared = sync_regs;
+  if (sync_regs != desync_regs) {
+    res.mismatch = cat("register count differs: sync=", sync_regs,
+                       " desync=", desync_regs);
     return res;
   }
-  for (const auto& [name, svals] : sync_stream) {
-    auto it = desync_stream.find(name);
-    if (it == desync_stream.end()) {
+  for (size_t r = 0; r < regs.names.size(); ++r) {
+    const std::vector<V>& svals = regs.sync[r];
+    const std::vector<V>& dvals = regs.desync[r];
+    if (svals.empty()) continue;
+    const std::string_view name = regs.names[r];
+    if (dvals.empty()) {
       res.mismatch = cat("register ", name, " missing in desync streams");
       return res;
     }
-    const auto& dvals = it->second;
     for (int k = 0; k < rounds; ++k) {
-      if (static_cast<size_t>(k) >= svals.size() ||
-          static_cast<size_t>(k) >= dvals.size()) {
+      const size_t i = static_cast<size_t>(k);
+      if (i >= svals.size() || i >= dvals.size()) {
         res.mismatch = cat("register ", name, " has too few captures (sync=",
                            svals.size(), ", desync=", dvals.size(), ")");
         return res;
       }
-      if (svals[static_cast<size_t>(k)] != dvals[static_cast<size_t>(k)]) {
+      if (svals[i] != dvals[i]) {
         res.mismatch = cat("register ", name, " differs at round ", k,
-                           ": sync=", cell::to_char(svals[static_cast<size_t>(k)]),
-                           " desync=", cell::to_char(dvals[static_cast<size_t>(k)]));
+                           ": sync=", cell::to_char(svals[i]),
+                           " desync=", cell::to_char(dvals[i]));
         return res;
       }
       ++res.captures_compared;

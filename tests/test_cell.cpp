@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cell/liberty.h"
 #include "cell/tech.h"
 
@@ -102,6 +104,140 @@ TEST(Gc, SetResetHoldConflict) {
   EXPECT_EQ(eval_state_holding(Kind::Gc, hold, V::V1), V::V1);
   EXPECT_EQ(eval_state_holding(Kind::Gc, hold, V::V0), V::V0);
   EXPECT_EQ(eval_state_holding(Kind::Gc, conflict, V::V0), V::VX);
+}
+
+/// Two-valued function of each combinational kind over input bits `x`.
+bool boolean_gate(Kind k, const std::vector<bool>& x) {
+  auto all = [&x] {
+    for (bool b : x) {
+      if (!b) return false;
+    }
+    return true;
+  };
+  auto any = [&x] {
+    for (bool b : x) {
+      if (b) return true;
+    }
+    return false;
+  };
+  switch (k) {
+    case Kind::TieLo: return false;
+    case Kind::TieHi: return true;
+    case Kind::Buf:
+    case Kind::Delay: return x[0];
+    case Kind::Inv: return !x[0];
+    case Kind::And: return all();
+    case Kind::Nand: return !all();
+    case Kind::Or: return any();
+    case Kind::Nor: return !any();
+    case Kind::Xor: return x[0] != x[1];
+    case Kind::Xnor: return x[0] == x[1];
+    case Kind::Mux2: return x[2] ? x[1] : x[0];
+    case Kind::Aoi21: return !((x[0] && x[1]) || x[2]);
+    case Kind::Oai21: return !((x[0] || x[1]) && x[2]);
+    default: ADD_FAILURE() << kind_name(k); return false;
+  }
+}
+
+/// Three-valued reference: the value every 0/1 completion of the X inputs
+/// agrees on, else X.
+V completed_gate(Kind k, const std::vector<V>& ins) {
+  std::vector<size_t> xs;
+  for (size_t i = 0; i < ins.size(); ++i) {
+    if (ins[i] == V::VX) xs.push_back(i);
+  }
+  std::vector<bool> bits(ins.size());
+  int seen = -1;
+  for (uint32_t m = 0; m < (1u << xs.size()); ++m) {
+    for (size_t i = 0; i < ins.size(); ++i) bits[i] = ins[i] == V::V1;
+    for (size_t j = 0; j < xs.size(); ++j) bits[xs[j]] = (m >> j) & 1;
+    const int y = boolean_gate(k, bits);
+    if (seen >= 0 && y != seen) return V::VX;
+    seen = y;
+  }
+  return from_bool(seen == 1);
+}
+
+/// State-holding reference: a C-element switches when its inputs agree, a
+/// gC on a lone set or reset; both hold otherwise.
+V state_holding_reference(Kind k, const std::vector<V>& ins, V prev) {
+  if (k == Kind::Gc) {
+    if (ins[0] == V::V1 && ins[1] == V::V1) return V::VX;
+    if (ins[0] == V::V1) return V::V1;
+    if (ins[1] == V::V1) return V::V0;
+    return prev;
+  }
+  if (std::all_of(ins.begin(), ins.end(), [](V x) { return x == V::V1; })) {
+    return V::V1;
+  }
+  if (std::all_of(ins.begin(), ins.end(), [](V x) { return x == V::V0; })) {
+    return V::V0;
+  }
+  return prev;
+}
+
+/// Every three-valued vector of `n` inputs.
+std::vector<std::vector<V>> all_vectors(size_t n) {
+  std::vector<std::vector<V>> out(1);
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<std::vector<V>> next;
+    for (const std::vector<V>& p : out) {
+      for (V x : {V::V0, V::V1, V::VX}) {
+        next.push_back(p);
+        next.back().push_back(x);
+      }
+    }
+    out = std::move(next);
+  }
+  return out;
+}
+
+TEST(Eval, AccessorFormMatchesSpanFormAndReference) {
+  // The simulator evaluates through an accessor over its net values, the
+  // settle passes and lint through a span; both must give the reference
+  // value on every input vector and arity.
+  struct Shape {
+    Kind kind;
+    size_t lo, hi;  // arities
+  };
+  const Shape shapes[] = {
+      {Kind::TieLo, 0, 0}, {Kind::TieHi, 0, 0}, {Kind::Buf, 1, 1},
+      {Kind::Inv, 1, 1},   {Kind::Delay, 1, 1}, {Kind::And, 1, 4},
+      {Kind::Nand, 1, 4},  {Kind::Or, 1, 4},    {Kind::Nor, 1, 4},
+      {Kind::Xor, 2, 2},   {Kind::Xnor, 2, 2},  {Kind::Mux2, 3, 3},
+      {Kind::Aoi21, 3, 3}, {Kind::Oai21, 3, 3}, {Kind::CElem, 1, 4},
+      {Kind::Gc, 2, 2},
+  };
+  size_t checked = 0;
+  for (const Shape& sh : shapes) {
+    for (size_t n = sh.lo; n <= sh.hi; ++n) {
+      for (const std::vector<V>& ins : all_vectors(n)) {
+        // Net-indexed values read through pin indices, as the simulator
+        // reads them: input i sits at net n - 1 - i.
+        std::vector<V> nets(ins.rbegin(), ins.rend());
+        auto accessor = [&nets, n](size_t i) { return nets[n - 1 - i]; };
+        std::string label = kind_name(sh.kind);
+        for (V x : ins) label += to_char(x);
+        if (is_state_holding(sh.kind)) {
+          for (V prev : {V::V0, V::V1, V::VX}) {
+            const V want = state_holding_reference(sh.kind, ins, prev);
+            EXPECT_EQ(eval_state_holding(sh.kind, ins, prev), want)
+                << label << " prev " << to_char(prev);
+            EXPECT_EQ(eval_state_holding(sh.kind, n, accessor, prev), want)
+                << label << " prev " << to_char(prev);
+            ++checked;
+          }
+        } else {
+          const V want = completed_gate(sh.kind, ins);
+          EXPECT_EQ(eval_comb(sh.kind, ins), want) << label;
+          EXPECT_EQ(eval_comb(sh.kind, n, accessor), want) << label;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2u + 3 * 3 + 4 * 120 + 2 * 9 + 3 * 27 +
+                         3 * 120 + 3 * 9);
 }
 
 TEST(Kinds, Classification) {

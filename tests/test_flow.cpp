@@ -951,5 +951,75 @@ TEST(FlowEq, WorstCaseSetupCountsPinned) {
   }
 }
 
+/// Two registers for driving the compare stage: "r0" samples input `d`,
+/// `r1` samples a tie cell (a constant stream). Both are clocked by `clk`
+/// unless `r1_on_ck2`, which clocks `r1` from input `ck2` instead.
+circuits::Circuit two_registers(const std::string& r1, bool r1_on_ck2 = false,
+                                Kind r1_tie = Kind::TieLo) {
+  circuits::Circuit c{Netlist("two_registers"), {}};
+  Netlist& nl = c.netlist;
+  c.clock = nl.add_input("clk");
+  const NetId d = nl.add_input("d");
+  const NetId ck2 = nl.add_input("ck2");
+  const NetId q0 = nl.add_net("q0");
+  const NetId z = nl.add_net("z");
+  const NetId q1 = nl.add_net("q1");
+  nl.add_cell(Kind::Dff, "r0", {d, c.clock}, {q0});
+  nl.add_cell(r1_tie, "tie", {}, {z});
+  nl.add_cell(Kind::Dff, r1, {z, r1_on_ck2 ? ck2 : c.clock}, {q1});
+  nl.mark_output(q0);
+  nl.mark_output(q1);
+  return c;
+}
+
+TEST(FlowEq, CompareStageMismatchTexts) {
+  // Each mismatch path of the compare stage, through the DesyncResult
+  // overload: the synchronous netlist and the desynchronized result are
+  // built from circuits that differ in one register. The texts are pinned
+  // as the map-based compare stage printed them.
+  const Tech& tech = Tech::generic90();
+  const circuits::Circuit ref = two_registers("r1");
+  const DesyncResult dr = desynchronize(ref.netlist, ref.clock, tech);
+  // Input 1 (`ck2`) rises every other round; input 0 (`d`) is random.
+  const verif::Stimulus random = verif::random_stimulus(17);
+  const verif::Stimulus stim = [&random](int round, size_t i) {
+    return i == 1 ? cell::from_bool(round % 2 == 1) : random(round, i);
+  };
+  auto check = [&](const circuits::Circuit& sync, const DesyncResult& d) {
+    return verif::check_flow_equivalence(sync.netlist, sync.clock, stim, tech,
+                                         d);
+  };
+
+  const verif::FlowEqResult same = check(ref, dr);
+  EXPECT_TRUE(same.equivalent) << same.mismatch;
+  EXPECT_EQ(same.registers_compared, 2u);
+  EXPECT_EQ(same.captures_compared, 80u);
+
+  // r1's master is dropped from its bank, so it is no tap.
+  DesyncResult untapped = dr;
+  const nl::CellId m1 = untapped.netlist.find_cell("r1.m");
+  ASSERT_TRUE(m1.valid());
+  for (Bank& b : untapped.banks.banks) std::erase(b.latches, m1);
+  verif::FlowEqResult r = check(ref, untapped);
+  EXPECT_FALSE(r.equivalent);
+  EXPECT_EQ(r.mismatch, "register count differs: sync=2 desync=1");
+  EXPECT_EQ(r.registers_compared, 2u);
+
+  // The desynchronized circuit calls the second register "r9".
+  const circuits::Circuit renamed = two_registers("r9");
+  r = check(ref, desynchronize(renamed.netlist, renamed.clock, tech));
+  EXPECT_EQ(r.mismatch, "register r1 missing in desync streams");
+  EXPECT_EQ(r.captures_compared, 40u);  // r0 compared in full
+
+  // The synchronous r1 captures on ck2's rises only: its stream ends early.
+  r = check(two_registers("r1", true), dr);
+  EXPECT_EQ(r.mismatch,
+            "register r1 has too few captures (sync=21, desync=41)");
+
+  // The synchronous r1 samples a 1 where the desynchronized one samples 0.
+  r = check(two_registers("r1", false, Kind::TieHi), dr);
+  EXPECT_EQ(r.mismatch, "register r1 differs at round 0: sync=1 desync=0");
+}
+
 }  // namespace
 }  // namespace desyn::flow

@@ -126,6 +126,18 @@ TEST(Analysis, IsSafeMatchesPlaceBoundsOnRandomLiveGraphs) {
                 place_bound(mg, ArcId(a)))
           << "arc " << a << "\n" << mg.to_dot();
     }
+    // The search is_safe runs, bounded at one token, agrees with the
+    // unbounded one on every distance up to 1 and reports the rest as
+    // unreachable.
+    for (uint32_t t = 0; t < mg.num_transitions(); ++t) {
+      const std::vector<int> full = search.from(TransId(t));
+      const std::vector<int>& bounded = search.from(TransId(t), 1);
+      for (uint32_t w = 0; w < mg.num_transitions(); ++w) {
+        EXPECT_EQ(bounded[w],
+                  full[w] <= 1 ? full[w] : MinTokenSearch::kUnreachable)
+            << "from t" << t << " to t" << w << "\n" << mg.to_dot();
+      }
+    }
     if (!is_live(mg)) continue;
     bool all_one = true;
     for (uint32_t a = 0; a < mg.num_arcs(); ++a) {
