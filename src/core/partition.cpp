@@ -1,19 +1,16 @@
 #include "core/partition.h"
 
-#include "base/rng.h"
-
 #include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
-#include <tuple>
 #include <unordered_map>
 
 #include "base/fault.h"
 #include "core/adjacency.h"
 #include "core/certificate.h"
+#include "core/cluster_rank.h"
 #include "core/latchify.h"
-#include "core/pair_table.h"
 #include "ctl/controller.h"
 #include "netlist/builder.h"
 #include "pn/mcr.h"
@@ -342,12 +339,6 @@ double predicted_period(const ctl::ControlGraph& cg, ctl::Protocol protocol,
 
 namespace {
 
-/// Deterministic candidate tie-break: candidates of equal weight order by
-/// splitmix64 (base/rng.h) of their pair key, salted with a fixed constant.
-/// Changing the salt reorders ties and so changes the committed partitions.
-constexpr uint64_t kTieSalt = 1;
-uint64_t tie_hash(uint64_t pair) { return splitmix64(kTieSalt ^ pair); }
-
 /// Total controller + matched-delay cell count the real synthesis would
 /// spend on `cg` — counted by running it against a scratch netlist, so the
 /// optimizer's cost can never drift from the hardware.
@@ -356,11 +347,6 @@ size_t synthesis_cost(const ctl::ControlGraph& cg, ctl::Protocol p,
   nl::Netlist scratch("cost_model");
   nl::Builder b(scratch);
   return ctl::synthesize_controllers(b, cg, p, tech).cells.size();
-}
-
-uint64_t pair_key(int a, int b) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-         static_cast<uint32_t>(b);
 }
 
 // ---------------------------------------------------------------------------
@@ -376,10 +362,8 @@ uint64_t pair_key(int a, int b) {
 class Evaluator {
  public:
   virtual ~Evaluator() = default;
-  /// Settle a candidate against the committed clustering: a value <= the
-  /// limit iff its predicted period fits; above the limit, a lower bound on
-  /// that period (the bound cache stores it).
-  virtual double probe_merge(int keep, int drop) = 0;
+  /// Against the committed clustering: does the merge fit the limit?
+  virtual bool probe_merge(int keep, int drop) = 0;
   virtual void commit_merge(int keep, int drop) = 0;
   /// The committed clustering itself — the single source of truth the
   /// search loop reads (labels, members, liveness).
@@ -395,15 +379,15 @@ class ReferenceEvaluator final : public Evaluator {
  public:
   ReferenceEvaluator(const ctl::ControlGraph& fine,
                      std::vector<char> merge_ok, ctl::Protocol p,
-                     const cell::Tech& tech)
-      : cq_(fine, std::move(merge_ok)), p_(p), tech_(tech) {}
+                     const cell::Tech& tech, double limit)
+      : cq_(fine, std::move(merge_ok)), p_(p), tech_(tech), limit_(limit) {}
 
-  double probe_merge(int keep, int drop) override {
+  bool probe_merge(int keep, int drop) override {
     cq_.merge(keep, drop);
     ++cold_;
     double p = predicted_period(cq_.materialize(), p_, tech_);
     cq_.undo();
-    return p;
+    return p <= limit_;
   }
   void commit_merge(int keep, int drop) override { cq_.merge(keep, drop); }
   const IncrementalQuotient& clusters() const override { return cq_; }
@@ -414,6 +398,7 @@ class ReferenceEvaluator final : public Evaluator {
   IncrementalQuotient cq_;
   ctl::Protocol p_;
   const cell::Tech& tech_;
+  double limit_;
   size_t cold_ = 0;
 };
 
@@ -427,9 +412,9 @@ class IncrementalEvaluator final : public Evaluator {
                        const cell::Tech& tech, double limit)
       : cq_(fine, std::move(merge_ok)), cert_(fine, cq_, p, tech, limit) {}
 
-  double probe_merge(int keep, int drop) override {
+  bool probe_merge(int keep, int drop) override {
     fault::maybe_throw("partition.probe");
-    return cert_.probe_merge(keep, drop) ? 0.0 : cert_.failure_ratio();
+    return cert_.probe_merge(keep, drop);
   }
   void commit_merge(int keep, int drop) override {
     cert_.commit_merge(keep, drop);
@@ -446,21 +431,6 @@ class IncrementalEvaluator final : public Evaluator {
 // ---------------------------------------------------------------------------
 // The shared greedy search
 // ---------------------------------------------------------------------------
-
-/// Candidate heap entry; stale entries are recognized by their epoch.
-struct HeapEntry {
-  uint64_t h;
-  int weight;
-  int a, b;
-  uint32_t epoch;
-};
-struct HeapCmp {
-  bool operator()(const HeapEntry& x, const HeapEntry& y) const {
-    if (x.weight != y.weight) return x.weight < y.weight;
-    if (x.h != y.h) return x.h > y.h;
-    return std::tie(x.a, x.b) > std::tie(y.a, y.b);
-  }
-};
 
 PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
                                  nl::NetId clock, const cell::Tech& tech,
@@ -513,22 +483,20 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
   // per-flip-flop start; measuring the budget against the larger of the
   // two baselines keeps the limit reachable.
   const double limit =
-      opt.period_budget * std::max(res.baseline_period, res.perff_period);
-  const double eps = 1e-6;
+      opt.period_budget * std::max(res.baseline_period, res.perff_period) +
+      1e-6;  // slack for the solvers' rounding
 
   std::unique_ptr<Evaluator> ev;
   if (incremental) {
     ev = std::make_unique<IncrementalEvaluator>(fine.cg, merge_ok,
-                                                opt.protocol, tech,
-                                                limit + eps);
+                                                opt.protocol, tech, limit);
   } else {
     ev = std::make_unique<ReferenceEvaluator>(fine.cg, merge_ok,
-                                              opt.protocol, tech);
+                                              opt.protocol, tech, limit);
   }
 
   // The committed clustering, owned and advanced by the evaluator; labels
-  // stay the smallest fine-group index, so the tie-break hash and the
-  // bound cache are stable.
+  // stay the smallest fine-group index, so the tie-break hash is stable.
   const IncrementalQuotient& cq = ev->clusters();
 
   // ---- initial candidate weights -----------------------------------------
@@ -536,19 +504,10 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
   // between two groups, +1 per fine bank with edges to (from) both groups
   // on the same side. Additive under merging — W(a∪b, x) = W(a,x) +
   // W(b,x) — which is what lets the rank structure update in O(deg) per
-  // commit instead of a full O(V+E) rescan per round. Accumulated densely,
-  // one group a at a time: a G-sized counter takes a's direct edges and,
-  // for every bank side listing a, the tail of that sorted list after a;
-  // the touched b > a come out in (a, b) order with no pair-key sort.
-  struct PairInfo {
-    int weight = 0;
-    uint32_t epoch = 0;
-  };
-  std::vector<HeapEntry> heap;
-  std::vector<std::vector<int>> partners(G);
-  auto entry = [&](int a, int b, const PairInfo& pi) {
-    return HeapEntry{tie_hash(pair_key(a, b)), pi.weight, a, b, pi.epoch};
-  };
+  // commit instead of a full O(V+E) rescan per round. Accumulated one group
+  // a at a time: the rank structure counts a's direct edges and, for every
+  // bank side listing a, the tail of that sorted list after a.
+  ClusterRank rank(G);
   {
     const size_t B = fine.cg.num_banks();
     // Per bank: the sorted mergeable groups it drives (first B lists) and
@@ -580,115 +539,33 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
             {static_cast<uint32_t>(s), static_cast<uint32_t>(i + 1)});
       }
     }
-    std::vector<int> count(G, 0);
-    std::vector<int> touched;
-    auto bump = [&](int b) {
-      if (count[static_cast<size_t>(b)]++ == 0) touched.push_back(b);
-    };
-    for (size_t a = 0; a < G; ++a) {
-      for (int b : direct[a]) bump(b);
-      for (const auto& [s, from] : tails[a]) {
+    for (int a = 0; a < static_cast<int>(G); ++a) {
+      for (int b : direct[static_cast<size_t>(a)]) rank.bump(a, b);
+      for (const auto& [s, from] : tails[static_cast<size_t>(a)]) {
         const std::vector<int>& v = sides[s];
-        for (size_t i = from; i < v.size(); ++i) bump(v[i]);
+        for (size_t i = from; i < v.size(); ++i) rank.bump(a, v[i]);
       }
-      std::sort(touched.begin(), touched.end());
-      for (int b : touched) {
-        const int ia = static_cast<int>(a);
-        heap.push_back(entry(ia, b, {count[static_cast<size_t>(b)], 0}));
-        partners[a].push_back(b);
-        partners[static_cast<size_t>(b)].push_back(ia);
-        count[static_cast<size_t>(b)] = 0;
-      }
-      touched.clear();
     }
   }
-
-  // ---- rank structure ------------------------------------------------------
-  // Live pairs sit in one open-addressed table sized once: a fold erases
-  // (b,x) before it may insert (a,x), so the live count never exceeds the
-  // initial one. The heap is a flat vector under HeapCmp, a total order on
-  // (weight, h, a, b), so its pop order never depends on its layout. An
-  // entry is stale once its pair is gone or its epoch moved on (exact: a
-  // dropped label never returns); when stale entries make up more than
-  // half the heap, one sequential sweep drops them all and re-heapifies.
-  PairTable<PairInfo> pairs(heap.size());
-  for (const HeapEntry& e : heap) {
-    *pairs.try_emplace(pair_key(e.a, e.b)).first = {e.weight, 0};
-  }
-  std::make_heap(heap.begin(), heap.end(), HeapCmp{});
-  std::unordered_map<uint64_t, double> bounds;
-  auto stale = [&](const HeapEntry& e) {
-    // A dropped label's fold erased all its pairs: no lookup needed.
-    if (!cq.live(e.a) || !cq.live(e.b)) return true;
-    const PairInfo* pi = pairs.find(pair_key(e.a, e.b));
-    return !pi || pi->epoch != e.epoch;
-  };
 
   // ---- greedy merges -----------------------------------------------------
-  // Pop candidates in rank order and commit the first one that stays in
-  // budget. A failed candidate's bound is *monotone* — any later state is
-  // coarser and coarsening only adds rendezvous — so it rejects the pair
-  // probe-free forever after, surviving label folds by max-transfer.
-  for (;;) {
-    if (heap.size() > 2 * pairs.size()) {
-      heap.erase(std::remove_if(heap.begin(), heap.end(), stale), heap.end());
-      std::make_heap(heap.begin(), heap.end(), HeapCmp{});
-    }
-    if (heap.empty()) break;
-    std::pop_heap(heap.begin(), heap.end(), HeapCmp{});
-    const HeapEntry e = heap.back();
-    heap.pop_back();
-    if (stale(e)) continue;
-    const uint64_t k = pair_key(e.a, e.b);
+  // Pop candidates in rank order and commit each one that stays in budget.
+  // A failed candidate stays over budget, as later states are coarser and
+  // coarsening only adds rendezvous: its failure mark rejects it probe-free
+  // for good, and a fold carries the mark from (b,x) to the coarser (a∪b,x).
+  while (const std::optional<ClusterRank::Candidate> c = rank.pop()) {
     ++res.stats.candidates;
-    // The oracle deliberately skips bound pruning: it re-solves pruned
-    // candidates cold, so an invalid bound would make the two searches
-    // commit different merges and fail the equivalence tests.
-    if (incremental) {
-      auto bi = bounds.find(k);
-      if (bi != bounds.end() && bi->second > limit + eps) {
-        ++res.stats.pruned;
-        continue;  // permanently over budget: monotone bound
-      }
-    }
-    const double score = ev->probe_merge(e.a, e.b);
-    if (score > limit + eps) {
-      double& bd = bounds[k];
-      bd = std::max(bd, score);
+    // The oracle deliberately skips pruning: it re-solves pruned candidates
+    // cold, so an invalid mark makes the two searches commit differently.
+    const bool pruned = incremental && c->failed;
+    res.stats.pruned += pruned;
+    if (pruned || !ev->probe_merge(c->a, c->b)) {
+      rank.reject();
       continue;
     }
-    const int a = e.a, b = e.b;
-    ev->commit_merge(a, b);
+    ev->commit_merge(c->a, c->b);
     ++res.merges;
-    // Fold b's rank structure into a: weights add, bounds max-transfer
-    // (merging a∪b with x is coarser than merging b with x was, so b's
-    // bound still holds).
-    for (int x : partners[static_cast<size_t>(b)]) {
-      uint64_t kbx = pair_key(std::min(b, x), std::max(b, x));
-      PairInfo bx_info;
-      if (!pairs.erase(kbx, &bx_info)) continue;
-      auto bx = bounds.find(kbx);
-      double bound = bx != bounds.end() ? bx->second : 0.0;
-      if (bx != bounds.end()) bounds.erase(bx);
-      if (x == a) continue;  // the committed pair itself
-      uint64_t kax = pair_key(std::min(a, x), std::max(a, x));
-      if (bound > 0) {
-        double& bd = bounds[kax];
-        bd = std::max(bd, bound);
-      }
-      auto [ax, fresh] = pairs.try_emplace(kax);
-      ax->weight += bx_info.weight;
-      ++ax->epoch;
-      heap.push_back(entry(std::min(a, x), std::max(a, x), *ax));
-      std::push_heap(heap.begin(), heap.end(), HeapCmp{});
-      if (fresh) {
-        // An existing (a,x) already has the partner links; only a pair
-        // born from the fold needs them.
-        partners[static_cast<size_t>(a)].push_back(x);
-        partners[static_cast<size_t>(x)].push_back(a);
-      }
-    }
-    partners[static_cast<size_t>(b)].clear();
+    rank.merge();
   }
 
   // ---- wrap up ------------------------------------------------------------

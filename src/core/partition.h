@@ -182,8 +182,8 @@ struct PartitionOptOptions {
 
 /// Where the optimizer's time went — the scaling counters the benches and
 /// CI track. `candidates` counts every merge the search considered;
-/// most are settled without any solver run, either rejected by a cached
-/// monotone lower bound (`pruned`) or by the exact potential certificate
+/// most are settled without any solver run, either rejected by an earlier
+/// failure (`pruned`) or by the exact potential certificate
 /// (`warm_solves`, see core/certificate.h); `cold_solves` counts full
 /// Howard solves (the per-flip-flop start; one per candidate for the
 /// reference oracle) and stays a constant regardless of design size.
@@ -217,17 +217,16 @@ struct PartitionOptResult {
 /// per-flip-flop control graph, every candidate is an O(deg) arc patch on
 /// the current quotient settled by an exact potential certificate (a
 /// backward repair of integer potentials that either settles — within
-/// budget — or closes an over-budget cycle; see core/certificate.h), and
-/// failed candidates leave a monotone lower bound that rejects them
-/// probe-free forever after (coarsening only adds rendezvous). Howard runs
-/// once, on the per-flip-flop start.
+/// budget — or closes an over-budget cycle; see core/certificate.h), and a
+/// failed candidate stays marked, rejected probe-free forever after
+/// (coarsening only adds rendezvous). Howard runs once, on the start.
 PartitionOptResult optimize_partition(const nl::Netlist& ff_netlist,
                                       nl::NetId clock, const cell::Tech& tech,
                                       const PartitionOptOptions& opt = {});
 
 /// The cold oracle: the identical search, but every candidate is scored by
 /// re-deriving its whole quotient control graph from scratch and solving
-/// it cold — no incremental state, no warm starts, no bound pruning.
+/// it cold — no incremental state, no warm starts, no failure pruning.
 /// Exists to pin optimize_partition(): both must return the same partition
 /// (equivalence-tested over the circuit suite). Use only for testing;
 /// it is orders of magnitude slower on large fabrics.
