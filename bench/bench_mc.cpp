@@ -1,37 +1,44 @@
-// bench_mc — the structure-shared batch Howard solver (pn::McrBatch) vs.
-// a cold solve per sample, on the mesh16x16x1 timed control model (~256
-// control banks, the partition-optimizer scale target).
+// bench_mc — Monte-Carlo period analysis on the sampled timed control
+// models of mesh16x16x1 (~256 control banks, the partition-optimizer scale
+// target) and rpipe128x4 (random_pipeline(3, 128, 4), whose critical
+// cycles the batch solver's 1- and 2-arc dictionary misses).
 //
 //   bench_mc [--samples N] [--json <path>] [--min-speedup X]
 //
-// A Monte-Carlo variation sweep solves the same marked graph under N
-// sampled delay assignments. The baseline is N independent cold solves
-// (McrBatch::solve_one_cold: a flat max_cycle_ratio, full structure build
-// + cold Howard per row); the contender builds the structure once and
-// warm-starts each sample from its block predecessor. Every batch ratio
-// is asserted bit-equal to its cold oracle before any time is reported,
-// and the parallel rows are asserted byte-identical to the serial ones.
+// Each model's N statistical samples (plus the 1.0 corner, seed 3) are the
+// rows flow::mc_analysis solves, materialized by flow::mc_delay_rows. The
+// baseline solves every row cold (McrBatch::solve_one_cold: a flat
+// max_cycle_ratio, full structure build + cold Howard); the contender is
+// McrBatch::solve_all, which builds the structure once and certifies each
+// sample from its block predecessor. Every batch ratio is asserted
+// bit-equal to its cold oracle before any time is reported, and the
+// parallel rows are asserted identical to the serial ones. The batch rows
+// also count the samples the dictionary certified as it stood, those it
+// certified after repairing itself with cycles the relaxation found, and
+// those sent to Howard (block heads and pop-budget overruns).
 //
-// The mc_analysis rows time the whole Monte-Carlo analysis of the same
-// flow end to end — the element draws and delay-matrix fill plus the batch
-// solve — in ms per sample at jobs 1, 2 and 4 (mean of 3 calls),
-// asserting the reports byte-identical across job counts.
+// The mc_analysis rows time the whole analysis end to end — every block
+// drawn and solved on the worker that owns it — at jobs 1, 2 and 4 (mean
+// of 3 calls), asserting the reports byte-identical across job counts.
+// Next to it they split the work: `fill` is mc_delay_rows (the draws plus
+// writing the matrix the analysis never builds) and `solve` the batch
+// solve of that matrix, at the same job count.
 //
-// --min-speedup gates the serial (jobs = 1) batch-vs-cold ratio — CI uses
-// 8 at 256 samples — so the structure sharing itself is gated, not thread
-// scaling (which a loaded single-CPU runner cannot promise). --json writes
-// the rows as a machine-readable report (schema desyn-bench-v1).
-#include <cmath>
+// --min-speedup gates the mesh16x16x1 serial (jobs = 1) batch-vs-cold
+// ratio — CI uses 8 at 256 samples — so the structure sharing itself is
+// gated, not thread scaling (which a loaded single-CPU runner cannot
+// promise). rpipe128x4's rows are reported, not gated: its cold solve is
+// about half the mesh's, so its ratio sits near the bound by construction.
+// --json writes the rows as a machine-readable report (schema
+// desyn-bench-v1).
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "base/cli_args.h"
-#include "base/rng.h"
 #include "bench_util.h"
 #include "circuits/circuits.h"
 #include "core/desynchronizer.h"
-#include "core/partition.h"
 #include "flow/mc.h"
 #include "pn/mcr.h"
 
@@ -45,39 +52,133 @@ struct Row {
   double cold_ms = 0;
   double fast_ms = 0;
   double speedup = 0;
+  pn::McrBatchStats stats;
   bool identical = false;  ///< bit-equal ratios vs. the cold oracle
 };
 
-/// One end-to-end flow::mc_analysis run (fill + solve).
+/// One end-to-end flow::mc_analysis run, with its fill/solve split.
 struct AnalysisRow {
   std::string name;
+  double fill_ms = 0;
+  double solve_ms = 0;
   double ms = 0;
   double ms_per_sample = 0;
   bool identical = false;  ///< report byte-equal to the jobs = 1 run
 };
 
-void write_json(const std::string& path, const std::vector<Row>& rows,
-                const std::vector<AnalysisRow>& analyses, size_t samples,
-                size_t nodes, size_t arcs) {
+struct ModelRows {
+  std::string model;
+  uint32_t nodes = 0;
+  size_t arcs = 0;
+  std::vector<Row> batch;
+  std::vector<AnalysisRow> analyses;
+};
+
+ModelRows run_model(const std::string& name, const circuits::Circuit& c,
+                    size_t samples) {
+  const cell::Tech& tech = cell::Tech::generic90();
+  const flow::DesyncResult dr = flow::desynchronize(c.netlist, c.clock, tech);
+  const flow::Margins margins(1.10);
+  flow::McOptions mc;
+  mc.samples = samples;
+  mc.seed = 3;
+  const flow::McDelayRows rows = flow::mc_delay_rows(dr, tech, margins, mc);
+  const size_t S = rows.samples;
+  const size_t na = rows.flat.from.size();
+  const pn::McrBatch batch(rows.flat.view());
+
+  ModelRows out{name, rows.flat.num_nodes, na, {}, {}};
+  std::printf("== %s: %u nodes, %zu arcs, %zu samples ==\n\n", name.c_str(),
+              out.nodes, na, S);
+
+  // Baseline: one independent cold solve per sample.
+  std::vector<pn::CycleRatioResult> cold(S);
+  const double cold_ms = time_ms([&] {
+    for (size_t s = 0; s < S; ++s) {
+      cold[s] = batch.solve_one_cold(
+          std::span<const Ps>(rows.rows).subspan(s * na, na));
+    }
+  });
+
+  std::vector<pn::CycleRatioResult> serial;
+  for (int jobs : {1, 2, 4}) {
+    std::vector<pn::CycleRatioResult> res;
+    Row r{cat("batch-j", jobs), cold_ms, 0, 0, {}, false};
+    r.fast_ms = time_ms(
+        [&] { res = batch.solve_all(rows.rows, S, jobs, &r.stats); });
+    r.speedup = cold_ms / r.fast_ms;
+    r.identical = res.size() == S;
+    for (size_t s = 0; r.identical && s < S; ++s) {
+      r.identical = res[s].ratio == cold[s].ratio &&
+                    (jobs == 1 || res[s].cycle_arcs == serial[s].cycle_arcs);
+    }
+    if (jobs == 1) serial = std::move(res);
+    out.batch.push_back(r);
+  }
+  std::printf("  %-10s %10s %10s %9s %9s %9s %7s %10s\n", "case", "cold(ms)",
+              "fast(ms)", "speedup", "certified", "repaired", "howard",
+              "identical");
+  for (const Row& r : out.batch) {
+    std::printf("  %-10s %10.3f %10.3f %8.1fx %9zu %9zu %7zu %10s\n",
+                r.name.c_str(), r.cold_ms, r.fast_ms, r.speedup,
+                r.stats.certified, r.stats.repaired, r.stats.howard,
+                r.identical ? "yes" : "NO");
+  }
+
+  flow::McReport serial_rep;
+  for (int jobs : {1, 2, 4}) {
+    mc.jobs = jobs;
+    AnalysisRow a{cat("mc_analysis-j", jobs), 0, 0, 0, 0, false};
+    a.fill_ms = time_ms(
+        [&] { (void)flow::mc_delay_rows(dr, tech, margins, mc); }, 3);
+    a.solve_ms =
+        time_ms([&] { (void)batch.solve_all(rows.rows, S, jobs); }, 3);
+    flow::McReport rep;
+    a.ms = time_ms([&] { rep = flow::mc_analysis(dr, tech, margins, mc); }, 3);
+    a.ms_per_sample = a.ms / static_cast<double>(rep.samples);
+    a.identical =
+        jobs == 1 || (rep.periods == serial_rep.periods &&
+                      rep.min_slacks == serial_rep.min_slacks &&
+                      rep.violation_samples == serial_rep.violation_samples);
+    if (jobs == 1) serial_rep = std::move(rep);
+    out.analyses.push_back(a);
+  }
+  std::printf("\n  %-14s %10s %10s %10s %10s %10s\n", "case", "fill(ms)",
+              "solve(ms)", "ms", "ms/sample", "identical");
+  for (const AnalysisRow& a : out.analyses) {
+    std::printf("  %-14s %10.3f %10.3f %10.3f %10.4f %10s\n", a.name.c_str(),
+                a.fill_ms, a.solve_ms, a.ms, a.ms_per_sample,
+                a.identical ? "yes" : "NO");
+  }
+  std::printf("\n");
+  return out;
+}
+
+void write_json(const std::string& path, const std::vector<ModelRows>& models,
+                size_t samples) {
   std::vector<std::string> cases;
-  for (const Row& r : rows) {
-    cases.push_back(bench::fmt(
-        "{\"case\": \"%s\", \"cold_ms\": %.3f, \"fast_ms\": %.3f, "
-        "\"speedup\": %.2f, \"identical\": %s}",
-        r.name.c_str(), r.cold_ms, r.fast_ms, r.speedup,
-        r.identical ? "true" : "false"));
+  for (const ModelRows& m : models) {
+    for (const Row& r : m.batch) {
+      cases.push_back(bench::fmt(
+          "{\"model\": \"%s\", \"nodes\": %u, \"arcs\": %zu, "
+          "\"case\": \"%s\", \"cold_ms\": %.3f, \"fast_ms\": %.3f, "
+          "\"speedup\": %.2f, \"certified\": %zu, \"repaired\": %zu, "
+          "\"howard\": %zu, \"identical\": %s}",
+          m.model.c_str(), m.nodes, m.arcs, r.name.c_str(), r.cold_ms,
+          r.fast_ms, r.speedup, r.stats.certified, r.stats.repaired,
+          r.stats.howard, r.identical ? "true" : "false"));
+    }
+    for (const AnalysisRow& a : m.analyses) {
+      cases.push_back(bench::fmt(
+          "{\"model\": \"%s\", \"case\": \"%s\", \"fill_ms\": %.3f, "
+          "\"solve_ms\": %.3f, \"ms\": %.3f, \"ms_per_sample\": %.4f, "
+          "\"identical\": %s}",
+          m.model.c_str(), a.name.c_str(), a.fill_ms, a.solve_ms, a.ms,
+          a.ms_per_sample, a.identical ? "true" : "false"));
+    }
   }
-  for (const AnalysisRow& r : analyses) {
-    cases.push_back(bench::fmt(
-        "{\"case\": \"%s\", \"ms\": %.3f, \"ms_per_sample\": %.4f, "
-        "\"identical\": %s}",
-        r.name.c_str(), r.ms, r.ms_per_sample,
-        r.identical ? "true" : "false"));
-  }
-  bench::write_report(
-      path, "bench_mc", cases,
-      bench::fmt("\"samples\": %zu, \"nodes\": %zu, \"arcs\": %zu", samples,
-                 nodes, arcs));
+  bench::write_report(path, "bench_mc", cases,
+                      bench::fmt("\"samples\": %zu, \"seed\": 3", samples));
 }
 
 }  // namespace
@@ -105,93 +206,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  const cell::Tech& tech = cell::Tech::generic90();
-  circuits::Circuit c = circuits::register_mesh(16, 16, 1);
-  flow::DesyncResult dr = flow::desynchronize(c.netlist, c.clock, tech);
-  pn::McrFlat flat = pn::flatten(flow::timed_control_model(dr, tech));
-  const size_t na = flat.from.size();
+  std::printf("== bench_mc: Monte-Carlo period analysis, %zu statistical "
+              "samples ==\n\n",
+              samples);
+  std::vector<ModelRows> models;
+  models.push_back(
+      run_model("mesh16x16x1", circuits::register_mesh(16, 16, 1), samples));
+  models.push_back(run_model(
+      "rpipe128x4", circuits::random_pipeline(3, 128, 4), samples));
 
-  // The sampled delay matrix: every arc of every sample gets an independent
-  // +/-10% factor from a counter-based draw, mimicking the variation
-  // model's per-element sampling (the solver cost is identical).
-  std::vector<Ps> delays(samples * na);
-  for (size_t s = 0; s < samples; ++s) {
-    for (size_t j = 0; j < na; ++j) {
-      double f = 0.9 + 0.2 * rng_unit(42, j, s);
-      delays[s * na + j] =
-          static_cast<Ps>(std::llround(static_cast<double>(flat.delay[j]) * f));
-    }
-  }
-
-  std::printf("== bench_mc: batched Howard on %s (%u nodes, %zu arcs, "
-              "%zu samples) ==\n\n",
-              c.netlist.name().c_str(), flat.num_nodes, na, samples);
-
-  pn::McrBatch batch(flat.view());
-
-  // Baseline: one independent cold solve per sample.
-  std::vector<pn::CycleRatioResult> cold(samples);
-  double cold_ms = time_ms([&] {
-    for (size_t s = 0; s < samples; ++s) {
-      cold[s] = batch.solve_one_cold(
-          std::span<const Ps>(delays).subspan(s * na, na));
-    }
-  });
-
-  std::vector<Row> rows;
-  std::vector<pn::CycleRatioResult> serial;
-  for (int jobs : {1, 2, 4}) {
-    std::vector<pn::CycleRatioResult> res;
-    double ms =
-        time_ms([&] { res = batch.solve_all(delays, samples, jobs); });
-    bool identical = res.size() == samples;
-    for (size_t s = 0; identical && s < samples; ++s) {
-      identical = res[s].ratio == cold[s].ratio &&
-                  (jobs == 1 || res[s].cycle_arcs == serial[s].cycle_arcs);
-    }
-    if (jobs == 1) serial = std::move(res);
-    rows.push_back({cat("batch-j", jobs), cold_ms, ms, cold_ms / ms,
-                    identical});
-  }
-
-  std::printf("  %-10s %10s %10s %9s %10s\n", "case", "cold(ms)", "fast(ms)",
-              "speedup", "identical");
+  if (!json_path.empty()) write_json(json_path, models, samples);
   bool ok = true;
-  for (const Row& r : rows) {
-    std::printf("  %-10s %10.3f %10.3f %8.1fx %10s\n", r.name.c_str(),
-                r.cold_ms, r.fast_ms, r.speedup, r.identical ? "yes" : "NO");
-    ok = ok && r.identical;
-  }
-
-  // End to end: the variation model's draws, the delay-matrix fill and the
-  // batch solve of flow::mc_analysis on the same flow.
-  std::vector<AnalysisRow> analyses;
-  flow::McReport serial_rep;
-  for (int jobs : {1, 2, 4}) {
-    flow::McOptions mc;
-    mc.samples = samples;
-    mc.jobs = jobs;
-    flow::McReport rep;
-    const double ms = time_ms(
-        [&] { rep = flow::mc_analysis(dr, tech, flow::Margins(), mc); }, 3);
-    const bool identical =
-        jobs == 1 || (rep.periods == serial_rep.periods &&
-                      rep.min_slacks == serial_rep.min_slacks &&
-                      rep.violation_samples == serial_rep.violation_samples);
-    analyses.push_back({cat("mc_analysis-j", jobs), ms,
-                        ms / static_cast<double>(rep.samples), identical});
-    if (jobs == 1) serial_rep = std::move(rep);
-  }
-  std::printf("\n  %-14s %10s %14s %10s\n", "case", "ms", "ms/sample",
-              "identical");
-  for (const AnalysisRow& r : analyses) {
-    std::printf("  %-14s %10.3f %14.4f %10s\n", r.name.c_str(), r.ms,
-                r.ms_per_sample, r.identical ? "yes" : "NO");
-    ok = ok && r.identical;
-  }
-
-  if (!json_path.empty()) {
-    write_json(json_path, rows, analyses, samples, flat.num_nodes, na);
+  for (const ModelRows& m : models) {
+    for (const Row& r : m.batch) ok = ok && r.identical;
+    for (const AnalysisRow& a : m.analyses) ok = ok && a.identical;
   }
   if (!ok) {
     std::fprintf(stderr,
@@ -199,13 +227,19 @@ int main(int argc, char** argv) {
                  "mc_analysis reports differ across job counts\n");
     return 1;
   }
-  if (min_speedup > 0 && rows[0].speedup < min_speedup) {
-    std::fprintf(stderr, "FAIL: serial batch speedup %.1fx < required %.1fx\n",
-                 rows[0].speedup, min_speedup);
+  if (min_speedup > 0 && models[0].batch[0].speedup < min_speedup) {
+    std::fprintf(stderr,
+                 "FAIL: %s serial batch speedup %.1fx < required %.1fx\n",
+                 models[0].model.c_str(), models[0].batch[0].speedup,
+                 min_speedup);
     return 1;
   }
-  std::printf("\nbatch %.1fx serial, %.1fx at 2 jobs, %.1fx at 4 jobs vs "
-              "%zu cold solves\n",
-              rows[0].speedup, rows[1].speedup, rows[2].speedup, samples);
+  for (const ModelRows& m : models) {
+    const Row& r = m.batch[0];
+    std::printf("%s: batch %.1fx serial, %.1fx at 2 jobs, %.1fx at 4 jobs "
+                "vs cold solves\n",
+                m.model.c_str(), r.speedup, m.batch[1].speedup,
+                m.batch[2].speedup);
+  }
   return 0;
 }

@@ -41,14 +41,16 @@ uint64_t skey(uint64_t kind, uint64_t a, uint64_t b = 0) {
                     splitmix64(a * 0xbf58476d1ce4e5b9ull + b));
 }
 
-/// ctl::hardware_model in batchable form: its arc list (flat MG arc j is
-/// arcs[j]) plus the per-bank sizing data the sampler needs, so sample 0
-/// (the 1.0 corner) reproduces the nominal predicted period bit-for-bit,
-/// and the element table: the prepared draw key
-/// (cell::VariationModel::prepare) of every sampled element, derived once
-/// per model and read by every sample of the fill and of the margin shaver.
+/// ctl::hardware_model in batchable form: the timing class and end banks
+/// of every arc (flat MG arc j is arc j of its arc list) plus the per-bank
+/// sizing data the sampler needs, so sample 0 (the 1.0 corner) reproduces
+/// the nominal predicted period bit-for-bit, and the element table: the
+/// prepared draw key (cell::VariationModel::prepare) of every sampled
+/// element, derived once per model and read by every sample of the fill
+/// and of the margin shaver.
 struct Model {
-  std::vector<ctl::ProtoArc> arcs;
+  std::vector<ctl::ArcTiming> arc_timing;
+  std::vector<uint32_t> arc_from, arc_to;  ///< source and target banks
   pn::McrFlat flat;
   std::vector<int> units;        ///< delay-line cells per destination bank
   std::vector<Ps> raw_required;  ///< de-margined worst path (+setup) per bank
@@ -82,10 +84,14 @@ Model build_model(const ctl::ControlGraph& cg, ctl::Protocol p,
   m.xorg = tech.delay(cell::Kind::Xor, 2, 1);
   m.unit = tech.delay_unit();
   m.pulse_width = ctl::min_pulse_width(tech);
-  m.arcs = std::move(hw.arcs);
+  for (const ctl::ProtoArc& a : hw.arcs) {
+    m.arc_timing.push_back(ctl::arc_timing(a));
+    m.arc_from.push_back(static_cast<uint32_t>(a.from));
+    m.arc_to.push_back(static_cast<uint32_t>(a.to));
+  }
   m.units = std::move(hw.line_cells);
   m.flat = pn::flatten(hw.mg);
-  DESYN_ASSERT(m.flat.from.size() == m.arcs.size());
+  DESYN_ASSERT(m.flat.from.size() == hw.arcs.size());
 
   const size_t nb = cg.num_banks();
   m.raw_required.assign(nb, 0);
@@ -124,38 +130,6 @@ Model build_model(const ctl::ControlGraph& cg, ctl::Protocol p,
   return m;
 }
 
-/// A sampled gate delay: each physical gate rounds to whole ps
-/// independently, like every hardware delay in the simulator.
-Ps gate(Ps nominal, const cell::VariationModel& vm, uint64_t key, size_t s) {
-  return static_cast<Ps>(std::llround(static_cast<double>(nominal) *
-                                      vm.factor_prepared(key, s)));
-}
-
-/// The first `cells` DELAY cells of bank `b`'s matched line.
-Ps line_total(const Model& m, const cell::VariationModel& vm, size_t b,
-              int cells, size_t s) {
-  const uint64_t* keys = m.line_keys.data() + m.line_begin[b];
-  Ps sum = 0;
-  for (int k = 0; k < cells; ++k) sum += gate(m.unit, vm, keys[k], s);
-  return sum;
-}
-
-/// Sampled controller response (marking inverter + C-element) of bank `b`.
-Ps ctrl_response(const Model& m, const cell::VariationModel& vm, size_t b,
-                 size_t s) {
-  return gate(m.inv, vm, m.inv_keys[b], s) +
-         gate(m.celem, vm, m.celem_keys[b], s);
-}
-
-/// Sampled response *credit* (inverter + C-element + pulse XOR) given the
-/// bank's sampled response `ctrl`: the control stages a request traverses
-/// before the capture edge, credited against the matched line exactly as
-/// controller_response_credit is.
-Ps credit_sample(const Model& m, const cell::VariationModel& vm, size_t b,
-                 Ps ctrl, size_t s) {
-  return ctrl + gate(m.xorg, vm, m.xor_keys[b], s);
-}
-
 McStats stats_of(std::vector<double> v) {
   McStats st;
   if (v.empty()) return st;
@@ -174,16 +148,161 @@ McStats stats_of(std::vector<double> v) {
   return st;
 }
 
-/// The Monte-Carlo sweep of a built model. The samples x arcs delay matrix
-/// and the per-sample slack scan are filled on `jobs` workers over the batch
-/// solver's kBlock sample blocks; each block writes only its own rows,
-/// slacks and violation flags, and every draw is a pure function of
-/// (seed, element, sample), so the report is byte-identical at any `jobs`.
+constexpr size_t kBlock = pn::McrBatch::kBlock;
+constexpr size_t kDraw = cell::VariationModel::kDrawBlock;
+
+/// The sampled elements of one draw chunk (at most kDraw consecutive
+/// samples), bank-major: x[b * kDraw + i] is bank b in the chunk's sample
+/// i.
+struct ChunkDraws {
+  std::vector<Ps> line, ctrl, pulse;
+};
+
+/// Add the sampled delays of the gates `keys`, each of nominal delay
+/// `nominal`, to sum[i] for the samples first + i, i < count <= kDraw: one
+/// gate at a time over the chunk. Each physical gate rounds to whole ps
+/// independently, like every hardware delay in the simulator; whole-ps
+/// sums in doubles are exact, so they equal an integer accumulation.
+void add_gates(const cell::VariationModel& vm, Ps nominal,
+               std::span<const uint64_t> keys, size_t first, size_t count,
+               double* sum) {
+  const double nom = static_cast<double>(nominal);
+  double f[kDraw];
+  for (uint64_t key : keys) {
+    vm.factors(key, first, count, f);
+    for (size_t i = 0; i < count; ++i) {
+      sum[i] += cell::round_half_up(nom * f[i]);
+    }
+  }
+}
+
+/// The first `cells` DELAY cells of bank b's matched line.
+std::span<const uint64_t> line_keys_of(const Model& m, size_t b,
+                                       size_t cells) {
+  return std::span(m.line_keys).subspan(m.line_begin[b], cells);
+}
+
+/// Bank b's sampled controller response (marking inverter + C-element)
+/// added to sum[i], as add_gates.
+void add_response(const Model& m, const cell::VariationModel& vm, size_t b,
+                  size_t first, size_t count, double* sum) {
+  add_gates(vm, m.inv, std::span(m.inv_keys).subspan(b, 1), first, count,
+            sum);
+  add_gates(vm, m.celem, std::span(m.celem_keys).subspan(b, 1), first, count,
+            sum);
+}
+
+/// Bank b's sampled response *credit* (inverter + C-element + pulse XOR)
+/// added to sum[i]: the control stages a request traverses before the
+/// capture edge, credited against the matched line exactly as
+/// controller_response_credit is.
+void add_credit(const Model& m, const cell::VariationModel& vm, size_t b,
+                size_t first, size_t count, double* sum) {
+  add_response(m, vm, b, first, count, sum);
+  add_gates(vm, m.xorg, std::span(m.xor_keys).subspan(b, 1), first, count,
+            sum);
+}
+
+/// Draw the samples [first, first + count) of every sampled element, one
+/// element at a time over the chunk, into `d` (each bank's line, controller
+/// response and pulse width) and into each sample's worst setup slack and
+/// violation flag. Every per-sample sum keeps the scalar draws' order.
+void draw_chunk(const Model& m, const cell::VariationModel& vm, size_t first,
+                size_t count, ChunkDraws& d, double* worst_slack,
+                uint8_t* violating) {
+  const size_t nb = m.num_banks();
+  d.line.resize(nb * kDraw);
+  d.ctrl.resize(nb * kDraw);
+  d.pulse.resize(nb * kDraw);
+  double sum[kDraw];
+  for (size_t b = 0; b < nb; ++b) {
+    std::fill(sum, sum + count, 0.0);
+    add_gates(vm, m.unit, line_keys_of(m, b, static_cast<size_t>(m.units[b])),
+              first, count, sum);
+    Ps* line = d.line.data() + b * kDraw;
+    for (size_t i = 0; i < count; ++i) line[i] = static_cast<Ps>(sum[i]);
+    std::fill(sum, sum + count, 0.0);
+    add_response(m, vm, b, first, count, sum);
+    Ps* ctrl = d.ctrl.data() + b * kDraw;
+    for (size_t i = 0; i < count; ++i) ctrl[i] = static_cast<Ps>(sum[i]);
+    // The pulse generator is a buffer chain; sample it as the staged path
+    // it is (3 stages at the nominal minimum width).
+    sta::sample_path_delays(m.pulse_width, m.unit, vm, m.pulse_keys_of(b),
+                            first, count, d.pulse.data() + b * kDraw);
+  }
+  std::fill(worst_slack, worst_slack + count,
+            m.timed_banks.empty() ? 0.0
+                                  : std::numeric_limits<double>::infinity());
+  Ps req[kDraw];
+  for (size_t b : m.timed_banks) {
+    // Available: the line plus the response credit; required: the sampled
+    // realization of the worst data path the bank captures.
+    const Ps* line = d.line.data() + b * kDraw;
+    const Ps* ctrl = d.ctrl.data() + b * kDraw;
+    std::fill(sum, sum + count, 0.0);
+    add_gates(vm, m.xorg, std::span(m.xor_keys).subspan(b, 1), first, count,
+              sum);
+    sta::sample_path_delays(m.raw_required[b], m.unit, vm, m.data_keys[b],
+                            first, count, req);
+    for (size_t i = 0; i < count; ++i) {
+      const Ps avail = line[i] + (ctrl[i] + static_cast<Ps>(sum[i]));
+      const double slack = static_cast<double>(avail - req[i]);
+      worst_slack[i] = std::min(worst_slack[i], slack);
+      if (slack < 0) violating[i] = 1;
+    }
+  }
+}
+
+/// Sample i of a drawn chunk as the timed model's delay row.
+void fill_row(const Model& m, const ChunkDraws& d, size_t i,
+              std::span<Ps> row) {
+  for (size_t j = 0; j < row.size(); ++j) {
+    const size_t to = m.arc_to[j] * kDraw + i;
+    row[j] = ctl::arc_delay(m.arc_timing[j], d.line[to], d.ctrl[to],
+                            d.pulse[m.arc_from[j] * kDraw + i]);
+  }
+}
+
+/// Every delay row of S samples, block by block on `jobs` workers: the
+/// worker that owns a kBlock sample block calls start() for the block's
+/// state, draws the block kDraw samples at a time (writing their entries
+/// of `slacks` and `violating`) and hands each sample's row to
+/// take(state, sample, row), in sample order.
+template <class Start, class Take>
+void for_each_row(const Model& m, const cell::VariationModel& vm, size_t S,
+                  int jobs, std::vector<double>& slacks,
+                  std::vector<uint8_t>& violating, const Start& start,
+                  const Take& take) {
+  slacks.resize(S);
+  violating.assign(S, 0);
+  parallel_for((S + kBlock - 1) / kBlock, jobs, [&](size_t block) {
+    auto state = start();
+    ChunkDraws d;
+    std::vector<Ps> row(m.arc_timing.size());
+    const size_t end = std::min(S, (block + 1) * kBlock);
+    for (size_t first = block * kBlock; first < end; first += kDraw) {
+      const size_t count = std::min(end, first + kDraw) - first;
+      draw_chunk(m, vm, first, count, d, slacks.data() + first,
+                 violating.data() + first);
+      for (size_t i = 0; i < count; ++i) {
+        fill_row(m, d, i, row);
+        take(state, first + i, std::span<const Ps>(row));
+      }
+    }
+  });
+}
+
+/// The Monte-Carlo sweep of a built model. Each kBlock sample block is
+/// drawn and solved on the worker that owns it: its rows are filled one at
+/// a time and handed to the block's pn::McrBatch::Block, so no samples x
+/// arcs matrix is ever built and a worker holds one chunk of draws. A
+/// block writes only its own periods, slacks and violation flags, and
+/// every draw is a pure function of (seed, element, sample), so the report
+/// is byte-identical at any `jobs`.
 McReport analyse(const Model& m, const cell::VariationModel& vm,
                  size_t statistical, int jobs) {
   const size_t S = vm.total_samples(statistical);
-  const size_t nb = m.num_banks();
-  const size_t na = m.arcs.size();
+  const size_t na = m.arc_timing.size();
   DESYN_ASSERT(S > 0);
 
   McReport rep;
@@ -191,50 +310,22 @@ McReport analyse(const Model& m, const cell::VariationModel& vm,
   rep.corner_samples = vm.corners.size();
   rep.mcr_arcs = na;
   rep.periods.resize(S);
-  rep.min_slacks.resize(S);
-
-  std::vector<Ps> delays(S * na);
-  std::vector<uint8_t> violating(S, 0);
-  constexpr size_t kBlock = pn::McrBatch::kBlock;
-  parallel_for((S + kBlock - 1) / kBlock, jobs, [&](size_t block) {
-    std::vector<Ps> line(nb), ctrl(nb), pulse(nb);
-    for (size_t s = block * kBlock; s < std::min(S, (block + 1) * kBlock);
-         ++s) {
-      for (size_t b = 0; b < nb; ++b) {
-        line[b] = line_total(m, vm, b, m.units[b], s);
-        ctrl[b] = ctrl_response(m, vm, b, s);
-        // The pulse generator is a buffer chain; sample it as the staged
-        // path it is (3 stages at the nominal minimum width).
-        pulse[b] = sta::sample_path_delay(m.pulse_width, m.unit, vm,
-                                          m.pulse_keys_of(b), s);
-      }
-      const std::span<Ps> row(delays.data() + s * na, na);
-      for (size_t j = 0; j < na; ++j) {
-        const ctl::ProtoArc& a = m.arcs[j];
-        const size_t to = static_cast<size_t>(a.to);
-        row[j] = ctl::arc_delay(ctl::arc_timing(a), line[to], ctrl[to],
-                                pulse[static_cast<size_t>(a.from)]);
-      }
-      double worst_slack = std::numeric_limits<double>::infinity();
-      for (size_t b : m.timed_banks) {
-        const Ps avail = line[b] + credit_sample(m, vm, b, ctrl[b], s);
-        // The sampled realization of the worst data path it captures.
-        const Ps req = sta::sample_path_delay(m.raw_required[b], m.unit, vm,
-                                              m.data_keys[b], s);
-        const double slack = static_cast<double>(avail - req);
-        worst_slack = std::min(worst_slack, slack);
-        if (slack < 0) violating[s] = 1;
-      }
-      rep.min_slacks[s] = m.timed_banks.empty() ? 0.0 : worst_slack;
-    }
-  });
-  rep.violation_samples = static_cast<size_t>(
-      std::count(violating.begin(), violating.end(), uint8_t{1}));
 
   const pn::McrBatch batch(m.flat.view());
-  const std::vector<pn::CycleRatioResult> res =
-      batch.solve_all(delays, S, jobs);
-  for (size_t s = 0; s < S; ++s) rep.periods[s] = res[s].ratio;
+  std::vector<uint8_t> violating;
+  struct Solver {
+    pn::McrBatch::Block block;
+    pn::CycleRatioResult res;
+  };
+  for_each_row(
+      m, vm, S, jobs, rep.min_slacks, violating,
+      [&] { return Solver{pn::McrBatch::Block(batch), {}}; },
+      [&](Solver& solver, size_t s, std::span<const Ps> row) {
+        solver.block.solve(row, &solver.res);
+        rep.periods[s] = solver.res.ratio;
+      });
+  rep.violation_samples = static_cast<size_t>(
+      std::count(violating.begin(), violating.end(), uint8_t{1}));
   rep.nominal_period = rep.corner_samples > 0 ? rep.periods[0] : 0.0;
   rep.period = stats_of(rep.periods);
   rep.min_slack = stats_of(rep.min_slacks);
@@ -253,6 +344,25 @@ McReport mc_analysis(const DesyncResult& r, const cell::Tech& tech,
                      const Margins& margins, const McOptions& opt) {
   return analyse(build_model(r.cg, r.protocol, tech, margins),
                  variation_of(opt), opt.samples, opt.jobs);
+}
+
+McDelayRows mc_delay_rows(const DesyncResult& r, const cell::Tech& tech,
+                          const Margins& margins, const McOptions& opt) {
+  Model m = build_model(r.cg, r.protocol, tech, margins);
+  const cell::VariationModel vm = variation_of(opt);
+  McDelayRows out;
+  out.samples = vm.total_samples(opt.samples);
+  const size_t na = m.arc_timing.size();
+  out.rows.resize(out.samples * na);
+  std::vector<double> slacks;
+  std::vector<uint8_t> violating;
+  for_each_row(
+      m, vm, out.samples, opt.jobs, slacks, violating, [] { return 0; },
+      [&](int, size_t s, std::span<const Ps> row) {
+        std::copy(row.begin(), row.end(), out.rows.begin() + s * na);
+      });
+  out.flat = std::move(m.flat);
+  return out;
 }
 
 MarginOptResult optimize_margins(const nl::Netlist& ff, nl::NetId clock,
@@ -288,23 +398,42 @@ MarginOptResult optimize_margins(const nl::Netlist& ff, nl::NetId clock,
     // even the full line cannot satisfy pins the bank at u0 (no shave —
     // the bank's yield loss is a baseline property, not ours to worsen).
     // The credit of each scanned sample is kept for the re-check below.
-    const uint64_t* line_keys = m.line_keys.data() + m.line_begin[b];
+    // Drawn kDraw samples at a time, each line cell over the chunk's
+    // samples still short of their requirement.
+    const std::span<const uint64_t> line_keys =
+        line_keys_of(m, b, static_cast<size_t>(u0));
+    const double unit = static_cast<double>(m.unit);
     std::vector<Ps> credit;
     credit.reserve(S);
     int need = 1;
-    for (size_t s = 0; s < S && need < u0; ++s) {
-      const Ps cr = credit_sample(m, vm, b, ctrl_response(m, vm, b, s), s);
-      credit.push_back(cr);
-      const Ps req =
-          sta::sample_path_delay(raw, m.unit, vm, m.data_keys[b], s) +
-          kGuardPs;
-      Ps acc = 0;
-      int u = 0;
-      while (u < u0 && acc + cr < req) {
-        acc += gate(m.unit, vm, line_keys[u], s);
-        ++u;
+    for (size_t first = 0; first < S && need < u0; first += kDraw) {
+      const size_t count = std::min(S, first + kDraw) - first;
+      double cr[kDraw] = {}, acc[kDraw] = {}, f[kDraw];
+      Ps req[kDraw];
+      int u[kDraw] = {};
+      add_credit(m, vm, b, first, count, cr);
+      sta::sample_path_delays(raw, m.unit, vm, m.data_keys[b], first, count,
+                              req);
+      for (size_t j = 0; j < count; ++j) req[j] += kGuardPs;
+      auto is_short = [&](size_t j) {
+        return acc[j] + cr[j] < static_cast<double>(req[j]);
+      };
+      for (int k = 0; k < u0; ++k) {
+        bool any_short = false;
+        for (size_t j = 0; j < count; ++j) any_short |= is_short(j);
+        if (!any_short) break;
+        vm.factors(line_keys[static_cast<size_t>(k)], first, count, f);
+        for (size_t j = 0; j < count; ++j) {
+          if (is_short(j)) {
+            acc[j] += cell::round_half_up(unit * f[j]);
+            u[j] = k + 1;
+          }
+        }
       }
-      need = std::max(need, u);
+      for (size_t j = 0; j < count && need < u0; ++j) {
+        credit.push_back(static_cast<Ps>(cr[j]));
+        need = std::max(need, u[j]);
+      }
     }
     if (need >= u0) return;  // every sample was scanned: credit is full
 
@@ -337,9 +466,17 @@ MarginOptResult optimize_margins(const nl::Netlist& ff, nl::NetId clock,
         keys = longer;
       }
       bool ok = true;
-      for (size_t s = 0; s < S && ok; ++s) {
-        const Ps avail = line_total(m, vm, b, achieved, s) + credit[s];
-        ok = avail >= sta::sample_path_delay(raw2, m.unit, vm, keys, s);
+      for (size_t first = 0; first < S && ok; first += kDraw) {
+        const size_t count = std::min(S, first + kDraw) - first;
+        double line[kDraw] = {};
+        Ps req[kDraw];
+        add_gates(vm, m.unit,
+                  line_keys_of(m, b, static_cast<size_t>(achieved)), first,
+                  count, line);
+        sta::sample_path_delays(raw2, m.unit, vm, keys, first, count, req);
+        for (size_t j = 0; j < count; ++j) {
+          ok = ok && static_cast<Ps>(line[j]) + credit[first + j] >= req[j];
+        }
       }
       if (ok) {
         shaved[i] = mb;

@@ -25,8 +25,11 @@
 //                    margins, and the baseline analysis is the answer.
 //
 // Every sampled element's draw key is prepared once per analysed model
-// (cell::VariationModel::prepare); the fill, the batch solve and the
-// margin shave run on McOptions::jobs.
+// (cell::VariationModel::prepare). The analysis runs in 64-sample blocks on
+// McOptions::jobs: a worker draws its block element by element
+// (VariationModel::factors) and solves the block's rows one at a time, so
+// the samples x arcs delay matrix never exists. The margin shave runs on
+// the same budget.
 //
 // Determinism: every draw is a pure function of (seed, stream, sample), so
 // reports are byte-identical for any --jobs count (the batch solver's
@@ -35,6 +38,7 @@
 
 #include "cell/variation.h"
 #include "core/desynchronizer.h"
+#include "pn/mcr.h"
 
 namespace desyn::flow {
 
@@ -45,9 +49,10 @@ struct McOptions {
   /// Corner factors prepended to the sample space; keep 1.0 first so
   /// sample 0 is the nominal design (optimize_margins relies on it).
   std::vector<double> corners = {1.0};
-  /// Worker threads (a parallel_for budget) for the delay-matrix fill and
-  /// the batch MCR solve, and for optimize_margins' per-bank shave;
-  /// byte-identical results for any value. Excluded from engine cache keys.
+  /// Worker threads (a parallel_for budget): each worker draws and solves
+  /// whole 64-sample blocks (pn::McrBatch::kBlock), and optimize_margins
+  /// shaves one bank per granule; byte-identical results for any value.
+  /// Excluded from engine cache keys.
   int jobs = 1;
 };
 
@@ -78,6 +83,20 @@ struct McReport {
 /// matched delays with them to recover the raw data-path requirement.
 McReport mc_analysis(const DesyncResult& r, const cell::Tech& tech,
                      const Margins& margins, const McOptions& opt = {});
+
+/// The sampled delay rows mc_analysis solves, materialized: row s (the
+/// flat model's num_arcs() delays) of sample s, row-major, next to the
+/// model's flat structure. For benches and tests that drive pn::McrBatch
+/// on a real sampled model; mc_analysis itself fills and solves each
+/// sample block on its worker and never builds this matrix.
+struct McDelayRows {
+  pn::McrFlat flat;       ///< the timed model (nominal delays)
+  size_t samples = 0;     ///< corners + statistical
+  std::vector<Ps> rows;   ///< samples x flat.from.size()
+};
+
+McDelayRows mc_delay_rows(const DesyncResult& r, const cell::Tech& tech,
+                          const Margins& margins, const McOptions& opt = {});
 
 struct MarginOptResult {
   /// Per-destination-bank margin vector for DesyncOptions::margins

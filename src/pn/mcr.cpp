@@ -57,10 +57,10 @@ bool positive_cycle(const McrArcs& g, double lambda,
   return true;
 }
 
-/// Rotate so the cycle starts at its smallest transition id (canonical,
-/// deterministic output) and fill in the transition list.
-void set_cycle(const McrArcs& g, std::vector<ArcId> arcs,
-               CycleRatioResult* res) {
+/// Rotate res->cycle_arcs so the cycle starts at its smallest transition id
+/// (canonical, deterministic output) and fill in the transition list.
+void canonicalize_cycle(const McrArcs& g, CycleRatioResult* res) {
+  std::vector<ArcId>& arcs = res->cycle_arcs;
   if (!arcs.empty()) {
     size_t best = 0;
     for (size_t i = 1; i < arcs.size(); ++i) {
@@ -71,7 +71,12 @@ void set_cycle(const McrArcs& g, std::vector<ArcId> arcs,
   }
   res->cycle.clear();
   for (ArcId a : arcs) res->cycle.push_back(TransId(g.from[a.value()]));
+}
+
+void set_cycle(const McrArcs& g, std::vector<ArcId> arcs,
+               CycleRatioResult* res) {
   res->cycle_arcs = std::move(arcs);
+  canonicalize_cycle(g, res);
 }
 
 /// Reference solver on the flat view; max_cycle_ratio_reference wraps it
@@ -137,13 +142,19 @@ constexpr double kEpsPotential = 1e-7;
 // component cap.
 constexpr int kMaxImproveSweeps = 2;
 constexpr int kGsIterCap = 32;
-// Pop budget of the certificate-repair worklist in McrBatch::solve_all, as
-// a multiple of the node count. Warm potentials from the previous sample
-// settle after roughly one node's worth of pops plus local cascades; a
-// relaxation that keeps popping has a cycle with ratio above the candidate
-// lambda (d rises around it forever) and must fall back to a full Howard
-// solve.
-constexpr size_t kCertPopFactor = 8;
+// Pop budget of the certificate relaxation in McrBatch::Block, as a
+// multiple of the node count, over all its repairs. Warm potentials from
+// the previous sample settle after two or three node's worth of pops, and
+// each repair costs about one more pass; a relaxation still popping past
+// the budget falls back to a full Howard solve (a pass costs a small
+// fraction of one). On the rpipe128x4 Monte-Carlo model (257 samples,
+// seed 3), 8 left 2 samples to Howard, 16 none.
+constexpr size_t kCertPopFactor = 16;
+// Passes over the nodes (in pops) before the certificate relaxation first
+// searches its raise arcs for a cycle above lambda; later searches follow
+// once per pass. A settling relaxation rarely outlasts two passes, so the
+// searches cost nothing where the dictionary holds the critical cycle.
+constexpr size_t kRaiseSearchFirst = 2;
 constexpr uint32_t kNoArc = UINT32_MAX;
 
 }  // namespace
@@ -534,51 +545,84 @@ McrBatch::McrBatch(const McrArcs& g)
       to_(g.to.begin(), g.to.end()),
       tokens_(g.tokens.begin(), g.tokens.end()) {
   DESYN_ASSERT(g.to.size() == from_.size() &&
-               g.tokens.size() == from_.size());
-  comps_ = structure_.build_structure(row_view({}));
+               g.tokens.size() == from_.size() &&
+               g.delay.size() == from_.size());
+  comps_ = structure_.build_structure(g);
+
+  const uint32_t n = num_nodes_;
+  const McrScratch& s = structure_;
+  for (uint32_t a : s.csr_arc_) {
+    cand_to_.push_back(to_[a]);
+    cand_tok_.push_back(static_cast<double>(tokens_[a]));
+  }
 
   // Predecessor index over the intra-SCC candidate arcs (certificate
   // worklist: raising d[v] can only violate arcs *into* v).
-  const uint32_t n = num_nodes_;
-  const McrScratch& s = structure_;
   pred_off_.assign(n + 1, 0);
-  for (uint32_t v = 0; v < n; ++v) {
-    for (uint32_t k = s.csr_off_[v]; k < s.csr_off_[v + 1]; ++k) {
-      ++pred_off_[to_[s.csr_arc_[k]] + 1];
-    }
-  }
+  for (uint32_t v : cand_to_) ++pred_off_[v + 1];
   for (uint32_t v = 0; v < n; ++v) pred_off_[v + 1] += pred_off_[v];
-  pred_arc_.resize(pred_off_[n]);
+  pred_from_.resize(pred_off_[n]);
   {
     std::vector<uint32_t> fill(pred_off_.begin(), pred_off_.end() - 1);
     for (uint32_t v = 0; v < n; ++v) {
       for (uint32_t k = s.csr_off_[v]; k < s.csr_off_[v + 1]; ++k) {
-        uint32_t a = s.csr_arc_[k];
-        pred_arc_[fill[to_[a]]++] = a;
+        pred_from_[fill[cand_to_[k]]++] = v;
       }
+    }
+  }
+
+  // The nominal solve: its converged potentials and critical cycle start
+  // every block's certificate, so no block pays a cold Howard solve.
+  {
+    McrScratch nominal = structure_;
+    nominal.init_policy_cold(g);
+    const CycleRatioResult r = nominal.howard(g, comps_);
+    if (nominal.howard_converged_) {
+      nominal_d_ = std::move(nominal.d_);
+      for (ArcId a : r.cycle_arcs) nominal_cycle_.push_back(a.value());
     }
   }
 
   // Structural cycle dictionary: every self-loop and every mutual arc
   // pair. On handshake control graphs these local loops are the entire
   // population the per-sample critical cycle is drawn from (longer
-  // critical cycles are learned per block via the Howard fallback).
+  // critical cycles are learned per block).
+  struct Seed {
+    int64_t tokens;
+    uint32_t a, b;
+  };
+  std::vector<Seed> seeds;
   for (uint32_t u = 0; u < n; ++u) {
     for (uint32_t k = s.csr_off_[u]; k < s.csr_off_[u + 1]; ++k) {
       uint32_t a = s.csr_arc_[k];
       uint32_t v = to_[a];
       if (v == u) {
-        if (tokens_[a] > 0) seed_cycles_.push_back({ArcId(a)});
+        if (tokens_[a] > 0) seeds.push_back({2 * int64_t{tokens_[a]}, a, a});
       } else if (v > u) {
         for (uint32_t j = s.csr_off_[v]; j < s.csr_off_[v + 1]; ++j) {
           uint32_t b = s.csr_arc_[j];
           if (to_[b] == u && tokens_[a] + tokens_[b] > 0) {
-            seed_cycles_.push_back({ArcId(a), ArcId(b)});
+            seeds.push_back({int64_t{tokens_[a]} + tokens_[b], a, b});
           }
         }
       }
     }
   }
+  // Grouped by token sum, the dictionary argmax compares plain delay sums
+  // within a group and cross-multiplies only across groups.
+  std::stable_sort(seeds.begin(), seeds.end(),
+                   [](const Seed& x, const Seed& y) {
+                     return x.tokens < y.tokens;
+                   });
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    if (i == 0 || seeds[i].tokens != seeds[i - 1].tokens) {
+      seed_group_off_.push_back(static_cast<uint32_t>(i));
+      seed_group_tok_.push_back(seeds[i].tokens);
+    }
+    seed_a_.push_back(seeds[i].a);
+    seed_b_.push_back(seeds[i].b);
+  }
+  seed_group_off_.push_back(static_cast<uint32_t>(seeds.size()));
 }
 
 CycleRatioResult McrBatch::solve_one_cold(
@@ -587,165 +631,299 @@ CycleRatioResult McrBatch::solve_one_cold(
   return max_cycle_ratio(row_view(delay_row));
 }
 
+// Per-block Monte-Carlo state for the certificate fast path. Adjacent
+// samples perturb the same nominal delays, so the critical cycle is drawn
+// from a tiny per-block dictionary (the seeds plus every longer cycle this
+// block ever found), and a converged solve's potentials remain a near-valid
+// optimality certificate for the next sample's delays.
+//
+// A sample is solved *without* Howard when (a) the best dictionary cycle
+// under its delays — an exact integer D/T comparison — yields lambda, and
+// (b) relaxing the inherited potentials settles every intra-SCC candidate
+// arc into d[v] >= d[w] + delay(a) - lambda * tokens(a) - eps, the exact
+// inequality Howard's own convergence establishes. Summing it around any
+// cycle bounds every cycle ratio by lambda + len * eps / T; with integer
+// picosecond delays and small token sums, distinct cycle ratios are
+// separated by far more than that slack, so the certificate pins the same
+// ratio a cold solve returns, bit for bit (property-tested).
+//
+// When the critical cycle is missing from the dictionary, the potentials
+// rise around it without bound. Each raise records the arc it came through
+// (raised_by_), and every cycle of those arcs has positive weight under
+// lambda, i.e. a ratio above it: along each recorded arc d[v] <= d[w] +
+// weight holds from the raise on, because d[w] only rises, and the arc
+// that closed the cycle raised its tail by more than eps. Once a
+// relaxation outlasts kRaiseSearchFirst passes over the nodes, the raise
+// arcs are searched for cycles once per further pass (linear in the
+// nodes). The best cycle found joins the dictionary, lambda rises to its
+// exact ratio, and the relaxation goes on from the current potentials:
+// every node off the worklist still satisfies its arcs at the larger
+// lambda. Only a relaxation that exhausts its pop budget falls back to a
+// warm Howard solve, which then grows the dictionary and refreshes the
+// potentials.
+McrBatch::Block::Block(const McrBatch& batch)
+    : batch_(batch), s_(batch.structure_) {
+  if (!batch.nominal_d_.empty()) {
+    dcert_ = batch.nominal_d_;
+    have_cert_ = true;
+    if (batch.nominal_cycle_.size() > 2) learn(batch.nominal_cycle_);
+  }
+}
+
+void McrBatch::Block::learn(std::span<const uint32_t> cycle) {
+  int64_t tokens = 0;
+  for (uint32_t a : cycle) tokens += batch_.tokens_[a];
+  learned_arc_.insert(learned_arc_.end(), cycle.begin(), cycle.end());
+  learned_off_.push_back(static_cast<uint32_t>(learned_arc_.size()));
+  learned_tok_.push_back(tokens);
+}
+
+bool McrBatch::Block::known(std::span<const ArcId> cycle) const {
+  // Every token-carrying cycle of one or two arcs is a seed.
+  if (cycle.size() <= 2) return true;
+  for (size_t c = 0; c + 1 < learned_off_.size(); ++c) {
+    if (std::equal(learned_arc_.begin() + learned_off_[c],
+                   learned_arc_.begin() + learned_off_[c + 1], cycle.begin(),
+                   cycle.end(),
+                   [](uint32_t a, ArcId b) { return a == b.value(); })) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool McrBatch::Block::best_cycle(std::span<const Ps> row) {
+  // Exact argmax over the dictionary under this row's delays: compare
+  // D1/T1 vs D2/T2 by integer cross-multiplication (delays are integer Ps,
+  // token sums are tiny — no overflow at any realistic model size).
+  const McrBatch& b = batch_;
+  int64_t bd = -1, bt = 1;
+  size_t seed = SIZE_MAX, learned = SIZE_MAX;
+  for (size_t g = 0; g < b.seed_group_tok_.size(); ++g) {
+    int64_t gd = -1;
+    size_t gi = 0;
+    for (size_t i = b.seed_group_off_[g]; i < b.seed_group_off_[g + 1]; ++i) {
+      const int64_t d = row[b.seed_a_[i]] + row[b.seed_b_[i]];
+      if (d > gd) {
+        gd = d;
+        gi = i;
+      }
+    }
+    if (gd * bt > bd * b.seed_group_tok_[g]) {
+      seed = gi;
+      bd = gd;
+      bt = b.seed_group_tok_[g];
+    }
+  }
+  for (size_t c = 0; c < learned_tok_.size(); ++c) {
+    int64_t d = 0;
+    for (uint32_t k = learned_off_[c]; k < learned_off_[c + 1]; ++k) {
+      d += row[learned_arc_[k]];
+    }
+    if (d * bt > bd * learned_tok_[c]) {
+      learned = c;
+      bd = d;
+      bt = learned_tok_[c];
+    }
+  }
+  best_arcs_.clear();
+  if (learned != SIZE_MAX) {
+    best_arcs_.assign(learned_arc_.begin() + learned_off_[learned],
+                      learned_arc_.begin() + learned_off_[learned + 1]);
+  } else if (seed != SIZE_MAX) {
+    best_arcs_.push_back(b.seed_a_[seed]);
+    if (b.seed_b_[seed] != b.seed_a_[seed]) {
+      best_arcs_.push_back(b.seed_b_[seed]);
+    }
+  } else {
+    return false;
+  }
+  best_d_ = bd;
+  best_t_ = bt;
+  return true;
+}
+
+bool McrBatch::Block::raise_cycle(std::span<const Ps> row) {
+  const McrBatch& b = batch_;
+  const uint32_t n = b.num_nodes_;
+  // A walk follows raise arcs from an unvisited node until it reaches a
+  // node never raised or one visited before; stamps above `base` mark the
+  // nodes of this search, and a walk that meets its own stamp went around
+  // a cycle.
+  if (walk_ > UINT32_MAX - n) {  // stamps about to wrap: start afresh
+    std::fill(visit_.begin(), visit_.end(), 0);
+    walk_ = 0;
+  }
+  const uint32_t base = walk_;
+  bool found = false;
+  for (uint32_t u = 0; u < n; ++u) {
+    if (raised_by_[u] == kNoArc || visit_[u] > base) continue;
+    const uint32_t id = ++walk_;
+    uint32_t x = u;
+    while (raised_by_[x] != kNoArc && visit_[x] <= base) {
+      visit_[x] = id;
+      x = b.to_[raised_by_[x]];
+    }
+    if (visit_[x] != id) continue;
+    const uint32_t head = x;
+    int64_t cd = 0, ct = 0;
+    do {
+      cd += row[raised_by_[x]];
+      ct += b.tokens_[raised_by_[x]];
+      x = b.to_[raised_by_[x]];
+    } while (x != head);
+    if (found && !(cd * cycle_t_ > cycle_d_ * ct)) continue;
+    found = true;
+    cycle_d_ = cd;
+    cycle_t_ = ct;
+    cycle_.clear();
+    do {
+      cycle_.push_back(raised_by_[x]);
+      x = b.to_[raised_by_[x]];
+    } while (x != head);
+  }
+  if (found) {
+    // Canonical rotation (smallest tail first), as Howard's cycles have.
+    std::rotate(cycle_.begin(),
+                std::min_element(cycle_.begin(), cycle_.end(),
+                                 [&](uint32_t p, uint32_t q) {
+                                   return b.from_[p] < b.from_[q];
+                                 }),
+                cycle_.end());
+  }
+  return found;
+}
+
+McrBatch::Block::Cert McrBatch::Block::certify(std::span<const Ps> row) {
+  const McrBatch& b = batch_;
+  const McrScratch& s = s_;
+  const uint32_t n = b.num_nodes_;
+  double lambda = static_cast<double>(best_d_) / static_cast<double>(best_t_);
+  auto& d = dcert_;
+  auto& q = queue_;
+  q.clear();
+  in_queue_.assign(n, 0);
+  for (uint32_t i = n; i-- > 0;) {
+    const uint32_t v = i;
+    if (s.csr_off_[v] < s.csr_off_[v + 1]) {
+      q.push_back(v);
+      in_queue_[v] = 1;
+    }
+  }
+  raised_by_.assign(n, kNoArc);
+  visit_.resize(n, 0);
+  bool repaired = false;
+  const size_t budget = kCertPopFactor * static_cast<size_t>(n) + 64;
+  size_t search_at = kRaiseSearchFirst * static_cast<size_t>(n);
+  size_t head = 0;
+  while (head < q.size()) {
+    if (head > budget) return Cert::Failed;
+    if (head >= search_at) {
+      search_at = head + n;
+      if (raise_cycle(row)) {
+        // Rounding could only blur a tie with lambda; Howard settles that.
+        if (cycle_t_ <= 0 || !(cycle_d_ * best_t_ > best_d_ * cycle_t_)) {
+          return Cert::Failed;
+        }
+        learn(cycle_);
+        best_arcs_ = cycle_;
+        best_d_ = cycle_d_;
+        best_t_ = cycle_t_;
+        lambda = static_cast<double>(best_d_) / static_cast<double>(best_t_);
+        repaired = true;
+        raised_by_.assign(n, kNoArc);
+      }
+    }
+    const uint32_t v = q[head++];
+    in_queue_[v] = 0;
+    double dv = d[v];
+    uint32_t raise = kNoArc;
+    for (uint32_t k = s.csr_off_[v]; k < s.csr_off_[v + 1]; ++k) {
+      const double val = d[b.cand_to_[k]] +
+                         static_cast<double>(row[s.csr_arc_[k]]) -
+                         lambda * b.cand_tok_[k];
+      if (val > dv + kEpsPotential) {
+        dv = val;
+        raise = k;
+      }
+    }
+    if (raise == kNoArc) continue;
+    d[v] = dv;
+    raised_by_[v] = s.csr_arc_[raise];
+    for (uint32_t k = b.pred_off_[v]; k < b.pred_off_[v + 1]; ++k) {
+      const uint32_t x = b.pred_from_[k];
+      if (!in_queue_[x]) {
+        in_queue_[x] = 1;
+        q.push_back(x);
+      }
+    }
+  }
+  return repaired ? Cert::Repaired : Cert::Certified;
+}
+
+void McrBatch::Block::solve(std::span<const Ps> row, CycleRatioResult* out) {
+  DESYN_ASSERT(row.size() == batch_.num_arcs());
+  // A tripped request deadline reaches the samples of every worker.
+  cancel_point();
+  const McrArcs g = batch_.row_view(row);
+  if (have_cert_ && best_cycle(row)) {
+    const Cert c = certify(row);
+    if (c != Cert::Failed) {
+      ++(c == Cert::Repaired ? stats_.repaired : stats_.certified);
+      out->ratio = static_cast<double>(best_d_) / static_cast<double>(best_t_);
+      out->cycle_arcs.clear();
+      for (uint32_t a : best_arcs_) out->cycle_arcs.push_back(ArcId(a));
+      canonicalize_cycle(g, out);
+      return;
+    }
+  }
+  if (cold_) s_.init_policy_cold(g);
+  cold_ = false;
+  ++stats_.howard;
+  *out = s_.howard(g, batch_.comps_);
+  if (!s_.howard_converged_) {
+    // howard() already handed the row to the reference solver; the
+    // cycling policy converged nowhere worth inheriting, so the next
+    // sample restarts Howard cold, without a certificate.
+    cold_ = true;
+    have_cert_ = false;
+  } else {
+    if (!known(out->cycle_arcs)) {
+      cycle_.clear();
+      for (ArcId a : out->cycle_arcs) cycle_.push_back(a.value());
+      learn(cycle_);
+    }
+    // The converged potentials certify this solve's per-component ratios;
+    // with the global lambda only larger on token-bearing arcs, they
+    // remain a valid starting certificate.
+    dcert_ = s_.d_;
+    have_cert_ = true;
+  }
+}
+
 std::vector<CycleRatioResult> McrBatch::solve_all(std::span<const Ps> delays,
-                                                  size_t samples,
-                                                  int jobs) const {
+                                                  size_t samples, int jobs,
+                                                  McrBatchStats* stats) const {
   const size_t m = num_arcs();
   DESYN_ASSERT(delays.size() == samples * m,
                "delay matrix must be samples x num_arcs, row-major");
   std::vector<CycleRatioResult> out(samples);
-  if (samples == 0) return out;
-
   const size_t blocks = (samples + kBlock - 1) / kBlock;
-  // Per-block Monte-Carlo state for the certificate fast path. Adjacent
-  // samples perturb the same nominal delays, so the critical cycle is drawn
-  // from a tiny per-block dictionary (every cycle a full solve of this
-  // block ever returned), and a converged solve's potentials remain a
-  // near-valid optimality certificate for the next sample's delays.
-  //
-  // A sample is solved *without* Howard when (a) the best dictionary cycle
-  // under its delays — an exact integer D/T comparison — yields lambda, and
-  // (b) relaxing the inherited potentials settles every intra-SCC candidate
-  // arc into d[v] >= d[w] + delay(a) - lambda * tokens(a) - eps, the exact
-  // inequality Howard's own convergence establishes. Summing it around any
-  // cycle bounds every cycle ratio by lambda + len * eps / T; with integer
-  // picosecond delays and small token sums, distinct cycle ratios are
-  // separated by far more than that slack, so the certificate pins the same
-  // ratio a cold solve returns, bit for bit (property-tested). A sample
-  // whose relaxation does not settle — a new critical cycle makes it
-  // diverge — falls back to a full warm Howard solve, which then grows the
-  // dictionary and refreshes the potentials.
-  struct BlockState {
-    std::vector<std::vector<ArcId>> learned;  // cycles beyond the seeds
-    std::vector<double> dcert;                // certificate potentials
-    std::vector<uint32_t> queue;              // relaxation worklist (FIFO)
-    std::vector<uint8_t> in_queue;
-    bool have_cert = false;
-  };
-  auto remember = [&](BlockState& bs, const CycleRatioResult& r) {
-    if (r.cycle_arcs.empty()) return;
-    for (const auto& c : seed_cycles_) {
-      if (c == r.cycle_arcs) return;
-    }
-    for (const auto& c : bs.learned) {
-      if (c == r.cycle_arcs) return;
-    }
-    bs.learned.push_back(r.cycle_arcs);
-  };
-  // Exact argmax over the dictionary under this row's delays: compare
-  // D1/T1 vs D2/T2 by integer cross-multiplication (delays are integer Ps,
-  // token sums are tiny — no overflow at any realistic model size).
-  auto best_cycle = [&](const BlockState& bs, const McrArcs& g) {
-    const std::vector<ArcId>* best = nullptr;
-    int64_t bd = -1, bt = 1;
-    auto consider = [&](const std::vector<ArcId>& cyc) {
-      int64_t d = 0, t = 0;
-      for (ArcId a : cyc) {
-        d += static_cast<int64_t>(g.delay[a.value()]);
-        t += static_cast<int64_t>(g.tokens[a.value()]);
-      }
-      if (d * bt > bd * t) {
-        best = &cyc;
-        bd = d;
-        bt = t;
-      }
-    };
-    for (const auto& c : seed_cycles_) consider(c);
-    for (const auto& c : bs.learned) consider(c);
-    return best;
-  };
-  // Worklist relaxation: raise d until every intra-SCC candidate arc
-  // satisfies the certificate inequality, or give up once the pop budget
-  // signals divergence (a cycle with ratio above lambda raises d around
-  // itself forever). Deterministic: sequential FIFO seeded in node order.
-  auto certify = [&](const McrScratch& s, BlockState& bs, const McrArcs& g,
-                     double lambda) {
-    const uint32_t n = num_nodes_;
-    auto& d = bs.dcert;
-    auto& q = bs.queue;
-    q.clear();
-    bs.in_queue.assign(n, 0);
-    for (uint32_t i = n; i-- > 0;) {
-      const uint32_t v = i;
-      if (s.csr_off_[v] < s.csr_off_[v + 1]) {
-        q.push_back(v);
-        bs.in_queue[v] = 1;
-      }
-    }
-    const size_t budget = kCertPopFactor * static_cast<size_t>(n) + 64;
-    size_t head = 0;
-    while (head < q.size()) {
-      if (head > budget) return false;
-      const uint32_t v = q[head++];
-      bs.in_queue[v] = 0;
-      double dv = d[v];
-      bool raised = false;
-      for (uint32_t k = s.csr_off_[v]; k < s.csr_off_[v + 1]; ++k) {
-        const uint32_t a = s.csr_arc_[k];
-        const double val = d[g.to[a]] + static_cast<double>(g.delay[a]) -
-                           lambda * static_cast<double>(g.tokens[a]);
-        if (val > dv + kEpsPotential) {
-          dv = val;
-          raised = true;
-        }
-      }
-      if (raised) {
-        d[v] = dv;
-        for (uint32_t k = pred_off_[v]; k < pred_off_[v + 1]; ++k) {
-          const uint32_t x = from_[pred_arc_[k]];
-          if (!bs.in_queue[x]) {
-            bs.in_queue[x] = 1;
-            q.push_back(x);
-          }
-        }
-      }
-    }
-    return true;
-  };
-  auto run_block = [&](size_t b) {
-    // One scratch copy per block, cheaper than the block's cold start.
-    McrScratch s = structure_;
-    const size_t lo = b * kBlock;
-    const size_t hi = std::min(samples, lo + kBlock);
-    BlockState bs;
-    bool cold = true;  // block starts are cold: blocks stay independent
-    for (size_t i = lo; i < hi; ++i) {
-      McrArcs g = row_view(delays.subspan(i * m, m));
-      if (!cold && bs.have_cert) {
-        const std::vector<ArcId>* cyc = best_cycle(bs, g);
-        if (cyc) {
-          const double lambda = cycle_ratio(g, *cyc);
-          if (certify(s, bs, g, lambda)) {
-            out[i].ratio = lambda;
-            set_cycle(g, *cyc, &out[i]);
-            continue;
-          }
-        }
-      }
-      if (cold) s.init_policy_cold(g);
-      cold = false;
-      out[i] = s.howard(g, comps_);
-      if (!s.howard_converged_) {
-        // howard() already handed the row to the reference solver; the
-        // cycling policy converged nowhere worth inheriting, so restart
-        // the warm chain (and the certificate state) at the next sample.
-        cold = true;
-        bs.have_cert = false;
-      } else {
-        remember(bs, out[i]);
-        // The converged potentials certify this solve's per-component
-        // ratios; with the global lambda only larger on token-bearing
-        // arcs, they remain a valid starting certificate.
-        bs.dcert = s.d_;
-        bs.have_cert = true;
-      }
-    }
-  };
-
+  std::vector<McrBatchStats> block_stats(blocks);
   // Every block's solves depend only on data inside the block and results
   // land at fixed sample indices, so the output is byte-identical at any
   // job count.
-  parallel_for(blocks, jobs, run_block);
+  parallel_for(blocks, jobs, [&](size_t b) {
+    Block block(*this);
+    for (size_t i = b * kBlock; i < std::min(samples, (b + 1) * kBlock);
+         ++i) {
+      block.solve(delays.subspan(i * m, m), &out[i]);
+    }
+    block_stats[b] = block.stats();
+  });
+  if (stats) {
+    for (const McrBatchStats& b : block_stats) *stats += b;
+  }
   return out;
 }
 

@@ -123,6 +123,20 @@ class McrScratch {
   bool howard_converged_ = true;
 };
 
+/// What McrBatch did with each sample it solved.
+struct McrBatchStats {
+  size_t certified = 0;  ///< the dictionary argmax certified as it stood
+  size_t repaired = 0;   ///< certified after the relaxation found better cycles
+  size_t howard = 0;     ///< Howard solves: pop-budget overruns
+
+  McrBatchStats& operator+=(const McrBatchStats& o) {
+    certified += o.certified;
+    repaired += o.repaired;
+    howard += o.howard;
+    return *this;
+  }
+};
+
 /// Structure-shared batch Howard solver for Monte-Carlo throughput sweeps.
 ///
 /// A variation sweep solves the *same* marked graph under hundreds of
@@ -142,37 +156,100 @@ class McrScratch {
 ///      separate distinct cycle ratios by far more than the epsilon
 ///      slack), so the certificate pins the exact answer.
 ///
-/// A sample whose relaxation diverges has a critical cycle outside the
-/// dictionary; it falls back to a full warm-started Howard solve, which
-/// grows the block's dictionary and refreshes the potentials. Results are
-/// bit-equal to independent cold solves either way (property-tested).
+/// The relaxation records the arc that raised each node. When the
+/// critical cycle is not in the dictionary, the potentials rise around it
+/// and those arcs close a cycle whose ratio is above lambda: the cycle
+/// joins the block's dictionary, lambda rises to its ratio, and the
+/// relaxation goes on from the current potentials. Only a sample that
+/// exhausts the pop budget falls back to a warm-started Howard solve.
+/// Results are bit-equal to independent cold solves either way
+/// (property-tested).
 ///
 /// Parallelism contract: samples are processed in fixed blocks of kBlock; a
-/// block's first sample solves from the cold policy and later samples reuse
-/// certificate state within the block only, so every block is independent
-/// of every other. Blocks are the granules of one parallel_for
-/// (base/parallel.h) and write results by sample index — byte-identical
-/// output at any `jobs` count, and identical to jobs = 1.
+/// block's first sample starts from the nominal solve and later samples
+/// reuse certificate state within the block only, so every block is
+/// independent of every other. A caller solves a block with one Block, on
+/// the worker that owns it; solve_all runs the blocks as the granules of
+/// one parallel_for (base/parallel.h) and writes results by sample index —
+/// byte-identical output at any `jobs` count, and identical to jobs = 1.
 class McrBatch {
  public:
   /// Samples per certificate block (also the parallel work granule). Each
-  /// block pays one full Howard solve up front; a larger block amortizes
-  /// that head further but leaves fewer independent granules for `jobs`.
+  /// block restarts its certificate chain from the nominal solve; a larger
+  /// block carries learned cycles further but leaves fewer independent
+  /// granules for `jobs`.
   static constexpr size_t kBlock = 64;
 
   /// Copies the structure (from/to/tokens) and runs the delay-independent
-  /// analysis once; `g.delay` is ignored and may be empty.
+  /// analysis once; `g.delay` is the nominal assignment, solved once here
+  /// so that its potentials and critical cycle start every block.
   explicit McrBatch(const McrArcs& g);
 
   uint32_t num_nodes() const { return num_nodes_; }
   size_t num_arcs() const { return from_.size(); }
 
+  /// The solver state of one sample block: feed it the block's delay rows
+  /// in sample order, at most kBlock of them. The first row is certified
+  /// from the nominal solve, every later one from its predecessor.
+  class Block {
+   public:
+    explicit Block(const McrBatch& batch);
+
+    /// Solve the next row (num_arcs() delays) into `*out`, reusing its
+    /// buffers. The cycle is genuinely critical for the row.
+    void solve(std::span<const Ps> row, CycleRatioResult* out);
+    const McrBatchStats& stats() const { return stats_; }
+
+   private:
+    enum class Cert { Failed, Certified, Repaired };
+    /// Exact argmax of the dictionary under `row` into best_*; false when
+    /// the dictionary is empty.
+    bool best_cycle(std::span<const Ps> row);
+    /// Certificate relaxation at the dictionary's best ratio, repairing it
+    /// with every better cycle its raise arcs close.
+    Cert certify(std::span<const Ps> row);
+    /// The best cycle among the raise arcs (each raised node's arc to the
+    /// node it was raised from) into cycle_, cycle_d_ and cycle_t_; false
+    /// when they close no cycle.
+    bool raise_cycle(std::span<const Ps> row);
+    /// Append a cycle to the learned dictionary.
+    void learn(std::span<const uint32_t> cycle);
+    /// Whether a canonical cycle is a seed or already learned.
+    bool known(std::span<const ArcId> cycle) const;
+
+    const McrBatch& batch_;
+    McrScratch s_;
+    bool cold_ = true;  ///< s_ holds no Howard policy yet
+    bool have_cert_ = false;
+    McrBatchStats stats_;
+    /// Learned cycles beyond the seeds: arcs learned_arc_[learned_off_[i]
+    /// .. learned_off_[i + 1]), token sum learned_tok_[i].
+    std::vector<uint32_t> learned_off_{0}, learned_arc_;
+    std::vector<int64_t> learned_tok_;
+    /// The current best cycle: its arcs and exact delay/token sums.
+    std::vector<uint32_t> best_arcs_;
+    int64_t best_d_ = 0, best_t_ = 1;
+    std::vector<double> dcert_;   ///< certificate potentials
+    std::vector<uint32_t> queue_;  ///< relaxation worklist (FIFO)
+    std::vector<uint8_t> in_queue_;
+    /// The arc that last raised each node since lambda last changed
+    /// (kNoArc: none), and the raise-cycle search's visit stamps.
+    std::vector<uint32_t> raised_by_;
+    std::vector<uint32_t> visit_;
+    uint32_t walk_ = 0;
+    /// The last cycle raise_cycle found, with its delay and token sums.
+    std::vector<uint32_t> cycle_;
+    int64_t cycle_d_ = 0, cycle_t_ = 1;
+  };
+
   /// Solve all `samples` rows of the row-major samples x num_arcs() delay
-  /// matrix. Every returned cycle is genuinely critical for its row
-  /// (cycle_ratio(row view, cycle_arcs) == ratio), bit-equal to
-  /// solve_one_cold on the same row (property-tested in test_pn.cpp).
+  /// matrix, one Block per kBlock rows. Every returned cycle is genuinely
+  /// critical for its row (cycle_ratio(row view, cycle_arcs) == ratio),
+  /// bit-equal to solve_one_cold on the same row (property-tested in
+  /// test_pn.cpp). `stats`, when given, receives the blocks' sums.
   std::vector<CycleRatioResult> solve_all(std::span<const Ps> delays,
-                                          size_t samples, int jobs = 1) const;
+                                          size_t samples, int jobs = 1,
+                                          McrBatchStats* stats = nullptr) const;
 
   /// Independent per-sample oracle: a cold max_cycle_ratio of one row,
   /// sharing nothing with the batch machinery (also the baseline the
@@ -189,13 +266,28 @@ class McrBatch {
   std::vector<int32_t> tokens_;
   McrScratch structure_;  ///< built once; copied into each block's scratch
   int comps_ = 0;
-  /// Every 1- and 2-arc cycle of the graph, canonical arc order — the
-  /// structural seed of each block's critical-cycle dictionary.
-  std::vector<std::vector<ArcId>> seed_cycles_;
-  /// Intra-SCC candidate arcs indexed by *target* node: when a relaxation
-  /// raises d[v], exactly the arcs pred_arc_[pred_off_[v]..pred_off_[v+1])
-  /// can newly violate the certificate inequality.
-  std::vector<uint32_t> pred_off_, pred_arc_;
+  /// Every 1- and 2-arc cycle of the graph — the structural seed of each
+  /// block's critical-cycle dictionary: arcs seed_a_[i] and seed_b_[i],
+  /// grouped by token sum (group g is [seed_group_off_[g],
+  /// seed_group_off_[g + 1]), token sum seed_group_tok_[g]). A self-loop a
+  /// is the pair (a, a): counting it twice doubles its delay and tokens
+  /// alike, so its ratio is unchanged.
+  std::vector<uint32_t> seed_a_, seed_b_;
+  std::vector<uint32_t> seed_group_off_;
+  std::vector<int64_t> seed_group_tok_;
+  /// The nominal solve's converged potentials and critical cycle (empty
+  /// if its Howard policy cycled).
+  std::vector<double> nominal_d_;
+  std::vector<uint32_t> nominal_cycle_;
+  /// The heads and token counts of the intra-SCC candidate arcs, in
+  /// McrScratch::csr_arc_ order, for the relaxation.
+  std::vector<uint32_t> cand_to_;
+  std::vector<double> cand_tok_;
+  /// Tails of the intra-SCC candidate arcs indexed by *head* node: when a
+  /// relaxation raises d[v], exactly the nodes
+  /// pred_from_[pred_off_[v]..pred_off_[v+1]) can newly violate the
+  /// certificate inequality.
+  std::vector<uint32_t> pred_off_, pred_from_;
 };
 
 /// Earliest-firing schedule: fire time of the k-th firing (k = 0..rounds-1)

@@ -1,6 +1,6 @@
 #include "sta/variation.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "base/rng.h"
 
@@ -33,7 +33,29 @@ Ps sample_path_delay(Ps nominal, Ps unit, const cell::VariationModel& model,
   for (size_t i = 0; i < stages; ++i) {
     acc += per_stage * model.factor_prepared(stage_keys[i], sample);
   }
-  return static_cast<Ps>(std::llround(acc));
+  return cell::round_delay(acc);
+}
+
+void sample_path_delays(Ps nominal, Ps unit,
+                        const cell::VariationModel& model,
+                        std::span<const uint64_t> stage_keys, size_t first,
+                        size_t count, Ps* out) {
+  const size_t stages = path_stages(nominal, unit);
+  if (stages == 0) {
+    std::fill(out, out + count, nominal);
+    return;
+  }
+  DESYN_ASSERT(stage_keys.size() >= stages &&
+               count <= cell::VariationModel::kDrawBlock);
+  const double per_stage =
+      static_cast<double>(nominal) / static_cast<double>(stages);
+  double acc[cell::VariationModel::kDrawBlock] = {};
+  double f[cell::VariationModel::kDrawBlock];
+  for (size_t i = 0; i < stages; ++i) {
+    model.factors(stage_keys[i], first, count, f);
+    for (size_t j = 0; j < count; ++j) acc[j] += per_stage * f[j];
+  }
+  for (size_t j = 0; j < count; ++j) out[j] = cell::round_delay(acc[j]);
 }
 
 Ps sample_path_delay(Ps nominal, Ps unit, const cell::VariationModel& model,

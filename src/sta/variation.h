@@ -31,6 +31,14 @@ std::vector<uint64_t> path_stage_keys(uint64_t stream, size_t n);
 Ps sample_path_delay(Ps nominal, Ps unit, const cell::VariationModel& model,
                      std::span<const uint64_t> stage_keys, size_t sample);
 
+/// sample_path_delay for the samples [first, first + count) into out[0 ..
+/// count), count <= cell::VariationModel::kDrawBlock: stage-major over the
+/// block, each sample summing its stages in the same order.
+void sample_path_delays(Ps nominal, Ps unit,
+                        const cell::VariationModel& model,
+                        std::span<const uint64_t> stage_keys, size_t first,
+                        size_t count, Ps* out);
+
 /// The same realization keyed by the path's stream: deterministic in
 /// (model.seed, stream, sample).
 Ps sample_path_delay(Ps nominal, Ps unit, const cell::VariationModel& model,

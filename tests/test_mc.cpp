@@ -18,6 +18,7 @@
 #include "dlx/programs.h"
 #include "core/partition.h"
 #include "base/rng.h"
+#include "base/sha256.h"
 #include "flow/engine.h"
 #include "pn/mcr.h"
 #include "sta/variation.h"
@@ -170,6 +171,197 @@ TEST(McDraws, PreparedStreamsReproduceTheFullDrawBitForBit) {
             << nominal;
       }
     }
+  }
+}
+
+/// The block draw kernel against the scalar draw, bit for bit: blocks
+/// inside, across and after the corner rows, full and partial, at a sigma
+/// that never truncates and one that hits the +/-3 sigma clamp and the
+/// 0.01 floor, with tail uniforms on both sides of both tail cut-offs.
+TEST(Variation, BlockKernelMatchesFactorPrepared) {
+  constexpr size_t kB = cell::VariationModel::kDrawBlock;
+  constexpr double kPlow = 0.02425;  // Acklam's tail cut-off
+  struct Window {
+    size_t first, count;
+  };
+  const Window windows[] = {{0, kB},      {0, 1},      {1, 2},
+                            {2, 5},       {3, kB},     {kB, kB},
+                            {61, 7},      {100, kB - 1}, {5000, kB},
+                            {123456, kB / 2 + 1}};
+  const Ps unit = Tech::generic90().delay_unit();
+  for (double sigma : {0.05, 0.4}) {
+    const cell::VariationModel vm{0x5eedull, sigma, {0.9, 1.0, 1.1}};
+    size_t draws = 0, clamped = 0, floored = 0;
+    // Nearest uniform seen below and above each tail cut-off.
+    double below_lo = 0, above_lo = 1, below_hi = 0, above_hi = 1;
+    CounterRng pick(29);
+    for (int e = 0; e < 1400; ++e) {
+      const uint64_t key = cell::VariationModel::prepare(pick.next());
+      for (const Window& w : windows) {
+        double f[kB];
+        vm.factors(key, w.first, w.count, f);
+        for (size_t i = 0; i < w.count; ++i) {
+          const size_t s = w.first + i;
+          ASSERT_EQ(f[i], vm.factor_prepared(key, s))
+              << "sigma " << sigma << " sample " << s;
+          if (s < vm.corners.size()) continue;
+          ++draws;
+          const double u =
+              (static_cast<double>(rng_draw_prepared(vm.seed, key, s) >> 11) +
+               0.5) *
+              0x1.0p-53;
+          const double z = cell::inverse_normal_cdf(u);
+          clamped += std::abs(z) > 3.0;
+          floored += 1.0 + sigma * std::clamp(z, -3.0, 3.0) < 0.01;
+          (u < kPlow ? below_lo : above_lo) =
+              u < kPlow ? std::max(below_lo, u) : std::min(above_lo, u);
+          (u < 1 - kPlow ? below_hi : above_hi) =
+              u < 1 - kPlow ? std::max(below_hi, u) : std::min(above_hi, u);
+        }
+        // The block path sampler sums the same factors per sample.
+        const std::vector<uint64_t> stages = sta::path_stage_keys(key, 9);
+        for (Ps nominal : {Ps{0}, unit - 1, Ps{9} * unit}) {
+          Ps out[kB];
+          sta::sample_path_delays(nominal, unit, vm, stages, w.first,
+                                  w.count, out);
+          for (size_t i = 0; i < w.count; ++i) {
+            ASSERT_EQ(out[i], sta::sample_path_delay(nominal, unit, vm,
+                                                     stages, w.first + i))
+                << nominal << " sample " << w.first + i;
+          }
+        }
+      }
+    }
+    EXPECT_GE(draws, 128000u);
+    EXPECT_LT(kPlow - below_lo, 1e-4) << sigma;
+    EXPECT_LT(above_lo - kPlow, 1e-4) << sigma;
+    EXPECT_LT(1 - kPlow - below_hi, 1e-4) << sigma;
+    EXPECT_LT(above_hi - (1 - kPlow), 1e-4) << sigma;
+    EXPECT_GT(clamped, 0u) << sigma;
+    // 1 + sigma * z reaches the floor only below z = -0.99 / sigma.
+    EXPECT_EQ(floored > 0, sigma == 0.4) << sigma;
+  }
+}
+
+/// The draws themselves, pinned: the SHA-256 of 96k scalar factors
+/// (corner and statistical samples, both sigmas), recorded before the
+/// inverse CDF's central branch was shared with the block kernel. A
+/// regrouping of its arithmetic moves factors by an ulp, which whole-ps
+/// reports rarely show.
+TEST(Variation, ScalarDrawsMatchRecordedHash) {
+  Sha256 h;
+  for (double sigma : {0.05, 0.4}) {
+    const cell::VariationModel vm{0x5eedull, sigma, {0.9, 1.0, 1.1}};
+    CounterRng pick(41);
+    for (int e = 0; e < 2000; ++e) {
+      const uint64_t key = cell::VariationModel::prepare(pick.next());
+      for (size_t s = 0; s < 24; ++s) h.field_f64(vm.factor_prepared(key, s));
+    }
+  }
+  EXPECT_EQ(h.digest().hex(),
+            "294f38b1e82a8896ef850229d5df4d22ac3a5394830d505d3170396a4a01d659");
+}
+
+TEST(Variation, RoundHalfUpIsLlround) {
+  std::vector<double> xs = {0.0,
+                            0.5,
+                            1.5,
+                            2.5,
+                            0.49999999999999994,
+                            std::nextafter(0.5, 1.0),
+                            std::nextafter(2.5, 0.0),
+                            4503599627370495.5,
+                            4503599627370494.5,
+                            123456.49999999999};
+  CounterRng pick(5);
+  for (int i = 0; i < 20000; ++i) {
+    const double nominal = static_cast<double>(pick.below(5000));
+    xs.push_back(nominal * (0.01 + 2.0 * rng_unit(5, 1, i)));
+    xs.push_back(std::floor(xs.back()) + 0.5);
+  }
+  for (double x : xs) {
+    EXPECT_EQ(cell::round_half_up(x), static_cast<double>(std::llround(x)))
+        << std::hexfloat << x;
+    EXPECT_EQ(cell::round_delay(x), std::llround(x)) << std::hexfloat << x;
+  }
+}
+
+/// Every field of a report, doubles by bit pattern.
+void hash_report(Sha256& h, const McReport& r) {
+  h.field_u64(r.samples).field_u64(r.corner_samples).field_u64(r.mcr_arcs);
+  h.field_f64(r.nominal_period);
+  for (const McStats& st : {r.period, r.min_slack}) {
+    h.field_f64(st.p50).field_f64(st.p95).field_f64(st.min).field_f64(st.max);
+  }
+  h.field_u64(r.violation_samples).field_f64(r.yield);
+  for (double p : r.periods) h.field_f64(p);
+  for (double s : r.min_slacks) h.field_f64(s);
+}
+
+/// Golden reports, recorded before the draws ran in blocks and the samples
+/// were solved where they are drawn: per design, the SHA-256 of
+/// mc_analysis and optimize_margins at 1, 63, 64, 65 and 257 samples
+/// (around one and four 64-sample blocks) under every protocol. lfsr16 and
+/// lfsr64 share a control graph (one bank each), hence a hash.
+TEST(McAnalysis, GoldenReportsAcrossBlockBoundaries) {
+  const Tech& t = Tech::generic90();
+  struct Golden {
+    std::string name;
+    circuits::Circuit circuit;
+    const char* sha256;
+  };
+  std::vector<Golden> golden;
+  const char* kHash[] = {
+      "b1d589af4ae240d82e0855c21bb63d05341bd9274369809697ac6c03ca2f53ed",
+      "6b19ae1ffd52ae7f8527e0498735f60dd525be8039328ea3bc07c5cb2896fa2b",
+      "a3406fed90b874f4defc8323ffbef9422a8829a379fecca72586a6ac493c9cb1",
+      "87166ebb5944a95546ee926ece2051c3a74dba1bd573efd273b8da78f9aa43d1",
+      "87166ebb5944a95546ee926ece2051c3a74dba1bd573efd273b8da78f9aa43d1",
+      "a8c21fa02b22cbccb3a2f6c49378d6a1e2b13712212e9fca7ebe5af4c21d147a",
+      "ffd24ece7d3607a84093a6977bb8bcf9498d5dba60afbeaf567d8c4d7e85e252",
+      "cfb33fa567fd2bc4ec3cb55bca8b2e99e16f0e196495d161766ec8974fcdf73b",
+      "c5f8cc4e549548a12b20c0f3d1c3db873914e316fc9b39a0e3a3bd59264080af",
+      "62a8f5bb63cfc3a5a86ce9143b7877d80c9404f0d055a36b5bf26b7082e32bca",
+      "6353d78d4381fcd1e6e15191fce3dfd2f0f1b8e2bf6c41d40f134b447060885b",
+  };
+  std::vector<circuits::Suite> suite = circuits::scaling_suite();
+  ASSERT_EQ(suite.size(), std::size(kHash));
+  for (size_t i = 0; i < suite.size(); ++i) {
+    golden.push_back({suite[i].name, std::move(suite[i].circuit), kHash[i]});
+  }
+  {
+    nl::Netlist nl("dlx");
+    dlx::build_dlx(nl, dlx::DlxConfig{}, dlx::fibonacci_program(8));
+    const nl::NetId clk = nl.find_net("clk");
+    golden.push_back(
+        {"dlx", {std::move(nl), clk},
+         "4ee138fb0f7434fea7d41648aa21e17180094e3e0ea330870d118c7ffcc0ad00"});
+  }
+  for (const Golden& g : golden) {
+    const nl::Netlist& ff = g.circuit.netlist;
+    Sha256 h;
+    for (ctl::Protocol p : ctl::kAllProtocols) {
+      DesyncOptions opt;
+      opt.protocol = p;
+      const std::shared_ptr<const DesyncResult> dr =
+          Engine::process(t).desynchronize(ff, g.circuit.clock, opt);
+      for (size_t total : {1, 63, 64, 65, 257}) {
+        McOptions mc;
+        mc.seed = 7;
+        mc.samples = total - mc.corners.size();
+        hash_report(h, mc_analysis(*dr, t, Margins(opt.margin, opt.margins),
+                                   mc));
+        const MarginOptResult r =
+            optimize_margins(ff, g.circuit.clock, t, opt, mc);
+        for (double m : r.margins) h.field_f64(m);
+        h.field_u64(r.banks_shaved)
+            .field_u64(r.delay_cells_before)
+            .field_u64(r.delay_cells_after);
+        hash_report(h, r.baseline);
+        hash_report(h, r.optimized);
+      }
+    }
+    EXPECT_EQ(h.digest().hex(), g.sha256) << g.name;
   }
 }
 

@@ -10,6 +10,7 @@
 #include "cell/tech.h"
 #include "circuits/circuits.h"
 #include "core/desynchronizer.h"
+#include "flow/mc.h"
 #include "pn/analysis.h"
 #include "pn/mcr.h"
 
@@ -594,6 +595,97 @@ TEST(McrBatch, ByteIdenticalAcrossJobs) {
         EXPECT_EQ(par[s].cycle_arcs, serial[s].cycle_arcs) << "jobs " << jobs;
       }
     }
+  }
+}
+
+/// A flower of token-carrying rings of 3 to 9 arcs through one hub, their
+/// nominal ratios all near 1000 ps: under the +/-20% per-arc jitter of
+/// sampled_rows the critical cycle is a long ring that changes from sample
+/// to sample, and no ring is a 1- or 2-arc seed of the batch dictionary.
+MarkedGraph flower_mg(uint64_t seed) {
+  Rng rng(seed * 0x9e3779b97f4a7c15ull + 3);
+  MarkedGraph mg(cat("flower", seed));
+  const TransId hub = mg.add_transition("hub");
+  const int petals = 4 + static_cast<int>(rng.below(5));
+  for (int p = 0; p < petals; ++p) {
+    const int len = 3 + static_cast<int>(rng.below(7));
+    const int tokens = 1 + static_cast<int>(rng.below(2));
+    const Ps delay = 1000 * tokens / len;
+    TransId prev = hub;
+    for (int i = 1; i < len; ++i) {
+      const TransId t = mg.add_transition(cat("p", p, "_", i));
+      mg.add_arc(prev, t, i <= tokens ? 1 : 0, delay);
+      prev = t;
+    }
+    mg.add_arc(prev, hub, 0, delay);
+  }
+  return mg;
+}
+
+TEST(McrBatch, RepairMatchesColdSolveWhenDictionaryMisses) {
+  struct Case {
+    std::string name;
+    McrFlat flat;
+    std::vector<Ps> rows;
+    size_t samples;
+  };
+  std::vector<Case> cases;
+  {
+    // The Monte-Carlo model whose critical cycles the 1- and 2-arc seeds
+    // miss: long handshake loops through the random pipeline's fan-in.
+    const cell::Tech& t = cell::Tech::generic90();
+    const circuits::Circuit c = circuits::random_pipeline(3, 128, 4);
+    const flow::DesyncResult dr = flow::desynchronize(c.netlist, c.clock, t);
+    flow::McOptions mc;
+    mc.samples = 256;
+    mc.seed = 3;
+    flow::McDelayRows r = flow::mc_delay_rows(dr, t, flow::Margins(1.10), mc);
+    cases.push_back(
+        {"rpipe128x4", std::move(r.flat), std::move(r.rows), r.samples});
+  }
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    const MarkedGraph mg = flower_mg(seed);
+    ASSERT_TRUE(is_live(mg));
+    McrFlat flat = flatten(mg);
+    // Five blocks, the last one partial.
+    std::vector<Ps> rows = sampled_rows(flat, seed, 257);
+    cases.push_back({mg.name(), std::move(flat), std::move(rows), 257});
+  }
+  for (const Case& c : cases) {
+    const McrBatch batch(c.flat.view());
+    const size_t m = batch.num_arcs();
+    McrBatchStats stats;
+    const auto res = batch.solve_all(c.rows, c.samples, 4, &stats);
+    ASSERT_EQ(res.size(), c.samples);
+    EXPECT_EQ(stats.certified + stats.repaired + stats.howard, c.samples)
+        << c.name;
+    EXPECT_GT(stats.repaired, 0u) << c.name;
+    for (size_t s = 0; s < c.samples; ++s) {
+      const std::span<const Ps> row(c.rows.data() + s * m, m);
+      EXPECT_EQ(res[s].ratio, batch.solve_one_cold(row).ratio)
+          << c.name << " sample " << s;
+      // Genuine: the arcs chain into the returned transition cycle, and
+      // their exact D/T under this row is the (cold, critical) ratio.
+      const CycleRatioResult& r = res[s];
+      ASSERT_FALSE(r.cycle_arcs.empty()) << c.name << " sample " << s;
+      ASSERT_EQ(r.cycle.size(), r.cycle_arcs.size()) << c.name;
+      for (size_t i = 0; i < r.cycle_arcs.size(); ++i) {
+        const uint32_t a = r.cycle_arcs[i].value();
+        EXPECT_EQ(c.flat.from[a], r.cycle[i].value()) << c.name;
+        EXPECT_EQ(c.flat.to[a], r.cycle[(i + 1) % r.cycle.size()].value())
+            << c.name;
+      }
+      const McrArcs g{c.flat.num_nodes, c.flat.from, c.flat.to,
+                      c.flat.tokens, row};
+      EXPECT_EQ(cycle_ratio(g, r.cycle_arcs), r.ratio)
+          << c.name << " sample " << s;
+    }
+    // The jobs = 1 stats are the same sums, block for block.
+    McrBatchStats serial;
+    (void)batch.solve_all(c.rows, c.samples, 1, &serial);
+    EXPECT_EQ(serial.certified, stats.certified) << c.name;
+    EXPECT_EQ(serial.repaired, stats.repaired) << c.name;
+    EXPECT_EQ(serial.howard, stats.howard) << c.name;
   }
 }
 
