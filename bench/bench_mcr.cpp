@@ -1,17 +1,17 @@
 // A3 — ablation: analytic vs. measured cycle time, plus the MCR solver
 // benchmark. Section 1 checks that the timed protocol model's maximum
 // cycle ratio predicts the event-driven simulation period. Section 2 races
-// Howard's policy iteration (the production solver) against the
-// binary-search reference on every suite control model and on large
-// generated fabrics (thousands of transitions), asserting agreement to
-// 1e-6; docs/PERF.md records the baseline numbers.
+// Howard's policy iteration (the production solver) against the exact
+// Bellman-Ford oracle of tests/mcr_reference.h on every suite control model
+// and on large generated fabrics (thousands of transitions), asserting
+// equal ratios and a genuine oracle cycle; docs/PERF.md records the
+// baseline numbers.
 //
 //   bench_mcr [--json <path>]
 //
 // --json writes the solver-race rows as a machine-readable report (schema
 // desyn-bench-v1) so per-commit perf trajectories can be tracked; CI
 // uploads it as an artifact.
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -23,6 +23,7 @@
 #include "core/desynchronizer.h"
 #include "pn/mcr.h"
 #include "verif/flow_equivalence.h"
+#include "../tests/mcr_reference.h"
 
 using namespace desyn;
 using bench::time_ms;
@@ -38,15 +39,18 @@ struct RaceRow {
   bool agree = false;
 };
 
-/// Time both solvers on one model, verify they agree to 1e-6, print a row.
-/// Returns false on disagreement (the bench then exits nonzero).
+/// Time both solvers on one model, verify their ratios are equal and the
+/// oracle's cycle is genuine, print a row. Returns false on disagreement
+/// (the bench then exits nonzero).
 bool race_solvers(const char* name, const pn::MarkedGraph& mg, int reps_h,
                   int reps_r, std::vector<RaceRow>* rows) {
   pn::CycleRatioResult h, r;
   double th = time_ms([&] { h = pn::max_cycle_ratio(mg); }, reps_h);
   double tr = time_ms([&] { r = pn::max_cycle_ratio_reference(mg); }, reps_r);
-  bool agree = std::abs(h.ratio - r.ratio) <= 1e-6 * (1.0 + h.ratio);
-  printf("  %-16s %6zu %6zu %10.3f %10.3f %8.0fx  %s\n", name,
+  bool agree =
+      h.ratio == r.ratio && !r.cycle_arcs.empty() &&
+      pn::cycle_ratio(pn::flatten(mg).view(), r.cycle_arcs) == r.ratio;
+  printf("  %-16s %6zu %6zu %10.3f %10.3f %8.2fx  %s\n", name,
          mg.num_transitions(), mg.num_arcs(), th, tr, tr / th,
          agree ? "" : "DISAGREE");
   rows->push_back({name, mg.num_transitions(), mg.num_arcs(), th, tr, h.ratio,
@@ -100,7 +104,7 @@ int main(int argc, char** argv) {
   printf("\n  the model abstracts fanout-dependent gate delays and the\n"
          "  pulse-generation path, so small positive errors are expected.\n");
 
-  printf("\n== MCR solvers: Howard policy iteration vs. binary-search "
+  printf("\n== MCR solvers: Howard policy iteration vs. Bellman-Ford "
          "reference ==\n\n");
   printf("  %-16s %6s %6s %10s %10s %9s\n", "model", "trans", "arcs",
          "howard(ms)", "ref(ms)", "speedup");
@@ -112,8 +116,7 @@ int main(int argc, char** argv) {
     pn::MarkedGraph mg = flow::timed_control_model(dr, t);
     ok &= race_solvers(s.name.c_str(), mg, 50, 5, &rows);
   }
-  // Large generated fabrics: thousands of control-model transitions, the
-  // regime the reference's O(64 n m) cannot survive.
+  // Large generated fabrics: thousands of control-model transitions.
   {
     auto c = circuits::register_mesh(32, 32, 1);
     flow::DesyncResult dr = flow::desynchronize(c.netlist, c.clock, t);
@@ -131,8 +134,7 @@ int main(int argc, char** argv) {
     printf("\n  SOLVER DISAGREEMENT (see rows above)\n");
     return 1;
   }
-  printf("\n  both solvers agree to 1e-6 on every model; Howard's policy\n"
-         "  iteration visits each arc a handful of times instead of 64\n"
-         "  Bellman-Ford sweeps, hence the widening gap with size.\n");
+  printf("\n  both solvers return the same exact ratio on every model, and\n"
+         "  every reference cycle is genuine.\n");
   return 0;
 }

@@ -481,10 +481,10 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
   }
   // Coarsening only adds rendezvous, so merged periods are never below the
   // per-flip-flop start; measuring the budget against the larger of the
-  // two baselines keeps the limit reachable.
+  // two baselines keeps the limit reachable: with a budget >= 1 the start's
+  // period, one exact division, never exceeds it.
   const double limit =
-      opt.period_budget * std::max(res.baseline_period, res.perff_period) +
-      1e-6;  // slack for the solvers' rounding
+      opt.period_budget * std::max(res.baseline_period, res.perff_period);
 
   std::unique_ptr<Evaluator> ev;
   if (incremental) {

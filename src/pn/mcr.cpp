@@ -1,7 +1,7 @@
 #include "pn/mcr.h"
 
 #include <algorithm>
-#include <cmath>
+#include <numeric>
 
 #include "base/cancel.h"
 #include "base/parallel.h"
@@ -10,52 +10,6 @@
 namespace desyn::pn {
 
 namespace {
-
-/// Longest-path relaxation with weights (delay - lambda * tokens); returns
-/// true if a positive cycle exists. When `cycle_out` is non-null and a
-/// positive cycle is found, the arcs of one such cycle are stored there in
-/// cycle order (every cycle of the predecessor graph after n rounds of
-/// relaxation is a positive cycle).
-bool positive_cycle(const McrArcs& g, double lambda,
-                    std::vector<ArcId>* cycle_out) {
-  const uint32_t n = g.num_nodes;
-  const uint32_t m = static_cast<uint32_t>(g.num_arcs());
-  std::vector<double> dist(n, 0.0);
-  std::vector<uint32_t> parent(n, UINT32_MAX);
-  uint32_t changed_node = UINT32_MAX;
-  for (uint32_t iter = 0; iter <= n; ++iter) {
-    changed_node = UINT32_MAX;
-    for (uint32_t a = 0; a < m; ++a) {
-      double w = static_cast<double>(g.delay[a]) -
-                 lambda * static_cast<double>(g.tokens[a]);
-      double nd = dist[g.from[a]] + w;
-      if (nd > dist[g.to[a]] + 1e-9) {
-        dist[g.to[a]] = nd;
-        parent[g.to[a]] = a;
-        changed_node = g.to[a];
-      }
-    }
-    if (changed_node == UINT32_MAX) return false;  // converged: no cycle
-  }
-  if (cycle_out) {
-    // Walk parents n steps to land inside a predecessor-graph cycle, then
-    // collect its arcs.
-    uint32_t v = changed_node;
-    for (uint32_t i = 0; i < n && parent[v] != UINT32_MAX; ++i) {
-      v = g.from[parent[v]];
-    }
-    cycle_out->clear();
-    uint32_t u = v;
-    do {
-      uint32_t a = parent[u];
-      if (a == UINT32_MAX) break;  // defensive; cycle nodes all have parents
-      cycle_out->push_back(ArcId(a));
-      u = g.from[a];
-    } while (u != v && cycle_out->size() <= n);
-    std::reverse(cycle_out->begin(), cycle_out->end());
-  }
-  return true;
-}
 
 /// Rotate res->cycle_arcs so the cycle starts at its smallest transition id
 /// (canonical, deterministic output) and fill in the transition list.
@@ -79,57 +33,41 @@ void set_cycle(const McrArcs& g, std::vector<ArcId> arcs,
   canonicalize_cycle(g, res);
 }
 
-/// Reference solver on the flat view; max_cycle_ratio_reference wraps it
-/// (node/arc indices of a flattened MarkedGraph coincide with its ids).
-CycleRatioResult reference_flat(const McrArcs& g) {
-  CycleRatioResult res;
-  std::vector<ArcId> arcs;
-  if (!positive_cycle(g, 0.0, nullptr)) {
-    // All cycles have zero total delay (or there are none). Any cycle is
-    // critical; at lambda = -1 every cycle has weight D + T >= 1 > 0, so
-    // detection finds one iff one exists.
-    res.ratio = 0.0;
-    if (positive_cycle(g, -1.0, &arcs)) set_cycle(g, std::move(arcs), &res);
-    return res;
-  }
-  double lo = 0.0, hi = 1.0;
-  for (size_t a = 0; a < g.num_arcs(); ++a) {
-    hi += static_cast<double>(g.delay[a]);
-  }
-  for (int it = 0; it < 64; ++it) {
-    double mid = 0.5 * (lo + hi);
-    if (positive_cycle(g, mid, nullptr)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  // Extraction: probe just below the answer, then climb by exact cycle
-  // ratios. Each extracted predecessor-graph cycle is positive at the probe
-  // lambda but not necessarily critical; adopting its exact D/T and
-  // re-probing strictly above it terminates (finitely many cycle ratios)
-  // with a genuinely critical cycle.
-  double probe = std::max(0.0, lo * (1.0 - 1e-9) - 1e-9);
-  if (!positive_cycle(g, probe, &arcs)) {
-    bool found = positive_cycle(g, 0.0, &arcs);
-    DESYN_ASSERT(found);
-  }
-  double r = cycle_ratio(g, arcs);
-  for (;;) {
-    std::vector<ArcId> better;
-    if (!positive_cycle(g, r + 1e-9 * (1.0 + r), &better)) break;
-    double r2 = cycle_ratio(g, better);
-    if (!(r2 > r)) break;
-    r = r2;
-    arcs = std::move(better);
-  }
-  res.ratio = r;
-  set_cycle(g, std::move(arcs), &res);
-  return res;
+/// Whether the ratio a/b exceeds c/d (b, d > 0), exactly.
+bool ratio_gt(int64_t a, int64_t b, int64_t c, int64_t d) {
+  if (b == d) return a > c;  // the common case: no products needed
+  return static_cast<__int128>(a) * d > static_cast<__int128>(c) * b;
 }
 
-constexpr double kEpsRatio = 1e-9;
-constexpr double kEpsPotential = 1e-7;
+/// floor(p * to / from) for from > 0: a potential scaled by `from`,
+/// rescaled to `to`. Flooring, unlike truncation, keeps every satisfied arc
+/// satisfied: x >= y + k with k an integer implies floor(x) >= floor(y) + k.
+int64_t rescale(int64_t p, int64_t to, int64_t from) {
+  const __int128 x = static_cast<__int128>(p) * to;
+  __int128 q = x / from;
+  if (q * from > x) --q;
+  return static_cast<int64_t>(q);
+}
+
+/// Token count of a cycle, at least 1: the scale at which McrBatch adopts
+/// the potentials of a Howard solve with that critical cycle (an acyclic
+/// graph's potentials are all zero).
+int64_t cycle_tokens(std::span<const int32_t> tokens,
+                     std::span<const uint32_t> cycle) {
+  int64_t t = 0;
+  for (uint32_t a : cycle) t += tokens[a];
+  return std::max<int64_t>(t, 1);
+}
+
+/// Howard's potentials, each scaled by its node's ratio denominator, as
+/// certificate potentials at scale t. The critical ratio D/t bounds every
+/// node's ratio, so each satisfied arc stays satisfied at D/t.
+void adopt_potentials(std::span<const int64_t> d, std::span<const int64_t> rd,
+                      int64_t t, std::vector<int64_t>* out) {
+  out->resize(d.size());
+  for (size_t v = 0; v < d.size(); ++v) (*out)[v] = rescale(d[v], t, rd[v]);
+}
+
 // Caps for the Gauss-Seidel fast path (attempt 0 of McrScratch::howard).
 // kMaxImproveSweeps bounds the inner sweeps per improve phase: one forward
 // plus one backward sweep delivers most of the propagation win, and every
@@ -188,21 +126,6 @@ double cycle_ratio(const McrArcs& g, std::span<const ArcId> arcs) {
                  "arcs do not chain into a closed cycle");
     delay += g.delay[a];
     tokens += g.tokens[a];
-  }
-  DESYN_ASSERT(tokens > 0, "cycle carries no token (dead marked graph?)");
-  return static_cast<double>(delay) / static_cast<double>(tokens);
-}
-
-double cycle_ratio(const MarkedGraph& mg, std::span<const ArcId> arcs) {
-  DESYN_ASSERT(!arcs.empty(), "cycle_ratio needs a non-empty cycle");
-  Ps delay = 0;
-  int64_t tokens = 0;
-  for (size_t i = 0; i < arcs.size(); ++i) {
-    const Arc& a = mg.arc(arcs[i]);
-    const Arc& next = mg.arc(arcs[(i + 1) % arcs.size()]);
-    DESYN_ASSERT(a.to == next.from, "arcs do not chain into a closed cycle");
-    delay += a.delay;
-    tokens += a.tokens;
   }
   DESYN_ASSERT(tokens > 0, "cycle carries no token (dead marked graph?)");
   return static_cast<double>(delay) / static_cast<double>(tokens);
@@ -307,8 +230,9 @@ void McrScratch::init_policy_cold(const McrArcs& g) {
   McrScratch& s = *this;
   const uint32_t n = g.num_nodes;
   s.policy_.assign(n, kNoArc);
-  s.r_.assign(n, 0.0);
-  s.d_.assign(n, 0.0);
+  s.rn_.assign(n, 0);
+  s.rd_.assign(n, 1);
+  s.d_.assign(n, 0);
   for (uint32_t v = 0; v < n; ++v) {
     if (s.csr_off_[v] < s.csr_off_[v + 1]) {
       s.policy_[v] = s.csr_arc_[s.csr_off_[v]];
@@ -322,11 +246,25 @@ CycleRatioResult McrScratch::howard(const McrArcs& g, int comps) {
   DESYN_ASSERT(g.to.size() == g.from.size() &&
                g.tokens.size() == g.from.size() &&
                g.delay.size() == g.from.size());
+  // A potential sums at most one weight rd * delay - rn * tokens per node
+  // along a policy path, with rd <= n * max_tokens and rn <= n * max_delay,
+  // so it stays below 2 n^2 max_delay max_tokens. The bound leaves three
+  // orders of magnitude for the batch certificate, whose potentials start
+  // from these and rise by at most one such weight per pop.
+  Ps max_delay = 0;
+  int32_t max_tokens = 0;
+  for (size_t a = 0; a < g.num_arcs(); ++a) {
+    max_delay = std::max(max_delay, g.delay[a]);
+    max_tokens = std::max(max_tokens, g.tokens[a]);
+  }
+  DESYN_ASSERT(static_cast<double>(g.num_nodes) * g.num_nodes *
+                       static_cast<double>(max_delay) * max_tokens <
+                   1e15,
+               "marked graph too large for 64-bit potentials");
 
   // ---- Howard per component ---------------------------------------------
-  double best = -1.0;
+  int64_t best_n = 0, best_d = 1;
   std::vector<uint32_t> best_arcs;
-  s.howard_converged_ = true;
   for (int c = 0; c < comps; ++c) {
     const uint32_t mb = s.comp_off_[static_cast<size_t>(c)];
     const uint32_t me = s.comp_off_[static_cast<size_t>(c) + 1];
@@ -336,10 +274,11 @@ CycleRatioResult McrScratch::howard(const McrArcs& g, int comps) {
       DESYN_ASSERT(s.policy_[s.members_[i]] != kNoArc,
                    "SCC node without an intra-component out-arc");
     }
-    // Howard converges in a handful of iterations in practice; the cap is
-    // a safety net against epsilon-induced policy cycling.
+    // With exact comparisons every policy improvement is strict, so plain
+    // Jacobi iteration cannot cycle; Howard converges in a handful of
+    // iterations in practice, and the cap only bounds a broken invariant.
     const int cap = 64 + 4 * static_cast<int>(me - mb);
-    double comp_best = -1.0;
+    int64_t comp_n = 0, comp_d = 1;
     size_t comp_best_off = 0, comp_best_len = 0;
     bool converged = false;
     for (int attempt = 0; attempt < 2 && !converged; ++attempt) {
@@ -348,10 +287,9 @@ CycleRatioResult McrScratch::howard(const McrArcs& g, int comps) {
     // chains that plain Jacobi resolves one hop per evaluate, but mutual
     // r-propagation can occasionally close a self-referential policy cycle
     // whose true ratio is below the propagated values — evaluate then
-    // lowers r and the flips repeat. Attempt 1 therefore restarts the
-    // component cold and runs the plain Jacobi improvement (one
-    // un-propagated pass per phase), which has converged on every graph
-    // seen in practice; the reference solver remains the last resort.
+    // lowers r and the flips repeat, exact values or not. Attempt 1
+    // therefore restarts the component cold and runs the plain Jacobi
+    // improvement (one un-propagated pass per phase), which converges.
     const bool gs = attempt == 0;
     const int acap = gs ? kGsIterCap : cap;
     if (attempt == 1) {
@@ -360,8 +298,9 @@ CycleRatioResult McrScratch::howard(const McrArcs& g, int comps) {
         s.policy_[v] =
             s.csr_off_[v] < s.csr_off_[v + 1] ? s.csr_arc_[s.csr_off_[v]]
                                               : kNoArc;
-        s.r_[v] = 0.0;
-        s.d_[v] = 0.0;
+        s.rn_[v] = 0;
+        s.rd_[v] = 1;
+        s.d_[v] = 0;
       }
     }
     for (int iter = 0; iter < acap; ++iter) {
@@ -370,7 +309,6 @@ CycleRatioResult McrScratch::howard(const McrArcs& g, int comps) {
       // able to abort a solve mid-component.
       cancel_point();
       // -- evaluate: score the policy graph, track its best cycle --------
-      comp_best = -1.0;
       comp_best_len = 0;
       for (uint32_t i = mb; i < me; ++i) s.state_[s.members_[i]] = 0;
       s.cycle_.clear();
@@ -386,34 +324,40 @@ CycleRatioResult McrScratch::howard(const McrArcs& g, int comps) {
         }
         size_t start = s.path_.size();  // first index of the new cycle
         if (s.state_[u] == 1) {
-          // Found a fresh policy cycle beginning at u; score it.
+          // Found a fresh policy cycle beginning at u; score it as a
+          // reduced fraction, so equal ratios have equal pairs.
           while (start > 0 && s.path_[start - 1] != u) --start;
           --start;
-          double dsum = 0.0, tsum = 0.0;
+          int64_t dsum = 0, tsum = 0;
           for (size_t k = start; k < s.path_.size(); ++k) {
             uint32_t a = s.policy_[s.path_[k]];
-            dsum += static_cast<double>(g.delay[a]);
-            tsum += static_cast<double>(g.tokens[a]);
+            dsum += g.delay[a];
+            tsum += g.tokens[a];
           }
           DESYN_ASSERT(tsum > 0, "token-free cycle in a live marked graph");
-          double rc = dsum / tsum;
-          if (rc > comp_best) {
-            comp_best = rc;
+          const int64_t common = std::gcd(dsum, tsum);
+          const int64_t cn = dsum / common, cd = tsum / common;
+          if (comp_best_len == 0 || ratio_gt(cn, cd, comp_n, comp_d)) {
+            comp_n = cn;
+            comp_d = cd;
             comp_best_off = s.cycle_.size();
             comp_best_len = s.path_.size() - start;
             for (size_t k = start; k < s.path_.size(); ++k) {
               s.cycle_.push_back(s.policy_[s.path_[k]]);
             }
           }
-          // Anchor d at the cycle head and walk the cycle forward.
-          double dv = 0.0;
+          // Anchor d at the cycle head and walk the cycle forward. Every
+          // potential is scaled by its node's ratio denominator: the step
+          // rd * delay - rn * tokens is an integer, and it sums to zero
+          // around the cycle.
+          int64_t dv = 0;
           for (size_t k = start; k < s.path_.size(); ++k) {
             uint32_t w = s.path_[k];
             uint32_t a = s.policy_[w];
-            s.r_[w] = rc;
+            s.rn_[w] = cn;
+            s.rd_[w] = cd;
             s.d_[w] = dv;
-            dv -= static_cast<double>(g.delay[a]) -
-                  rc * static_cast<double>(g.tokens[a]);
+            dv -= cd * g.delay[a] - cn * g.tokens[a];
           }
         }
         // Nodes draining into the cycle (or into an already-evaluated
@@ -422,9 +366,10 @@ CycleRatioResult McrScratch::howard(const McrArcs& g, int comps) {
           uint32_t w = s.path_[k];
           uint32_t a = s.policy_[w];
           uint32_t succ = g.to[a];
-          s.r_[w] = s.r_[succ];
-          s.d_[w] = static_cast<double>(g.delay[a]) -
-                    s.r_[w] * static_cast<double>(g.tokens[a]) + s.d_[succ];
+          s.rn_[w] = s.rn_[succ];
+          s.rd_[w] = s.rd_[succ];
+          s.d_[w] = s.rd_[w] * g.delay[a] - s.rn_[w] * g.tokens[a] +
+                    s.d_[succ];
         }
         for (uint32_t w : s.path_) s.state_[w] = 2;
       }
@@ -439,18 +384,23 @@ CycleRatioResult McrScratch::howard(const McrArcs& g, int comps) {
         const bool fwd = (sweep % 2) == 0;
         for (uint32_t step = 0; step < me - mb; ++step) {
           uint32_t v = s.members_[fwd ? mb + step : me - 1 - step];
-          double br = s.r_[v];
+          int64_t bn = s.rn_[v], bd = s.rd_[v];
           uint32_t ba = s.policy_[v];
           for (uint32_t k = s.csr_off_[v]; k < s.csr_off_[v + 1]; ++k) {
             uint32_t a = s.csr_arc_[k];
-            if (s.r_[g.to[a]] > br + kEpsRatio) {
-              br = s.r_[g.to[a]];
+            uint32_t w = g.to[a];
+            if (ratio_gt(s.rn_[w], s.rd_[w], bn, bd)) {
+              bn = s.rn_[w];
+              bd = s.rd_[w];
               ba = a;
             }
           }
           if (ba != s.policy_[v]) {
             s.policy_[v] = ba;
-            if (gs) s.r_[v] = br;
+            if (gs) {
+              s.rn_[v] = bn;
+              s.rd_[v] = bd;
+            }
             any = true;
             improved = true;
           }
@@ -458,20 +408,24 @@ CycleRatioResult McrScratch::howard(const McrArcs& g, int comps) {
         if (!any) break;
       }
       if (!improved) {
+        // No arc leads to a larger ratio, so every candidate arc's head has
+        // a ratio at most its tail's; the potential step compares only
+        // arcs between equal ratios, whose potentials share a scale.
         for (int sweep = 0; sweep < (gs ? kMaxImproveSweeps : 1); ++sweep) {
           bool any = false;
           const bool fwd = (sweep % 2) == 0;
           for (uint32_t step = 0; step < me - mb; ++step) {
             uint32_t v = s.members_[fwd ? mb + step : me - 1 - step];
-            double bd = s.d_[v];
+            const int64_t vn = s.rn_[v], vd = s.rd_[v];
+            int64_t bd = s.d_[v];
             uint32_t ba = s.policy_[v];
             for (uint32_t k = s.csr_off_[v]; k < s.csr_off_[v + 1]; ++k) {
               uint32_t a = s.csr_arc_[k];
               uint32_t w = g.to[a];
-              if (s.r_[w] + kEpsRatio < s.r_[v]) continue;
-              double val = s.d_[w] + static_cast<double>(g.delay[a]) -
-                           s.r_[v] * static_cast<double>(g.tokens[a]);
-              if (val > bd + kEpsPotential) {
+              if (s.rn_[w] != vn || s.rd_[w] != vd) continue;
+              const int64_t val =
+                  s.d_[w] + vd * g.delay[a] - vn * g.tokens[a];
+              if (val > bd) {
                 bd = val;
                 ba = a;
               }
@@ -492,15 +446,10 @@ CycleRatioResult McrScratch::howard(const McrArcs& g, int comps) {
       }
     }
     }
-    if (!converged) {
-      // Epsilon-induced policy cycling survived even a component-local
-      // cold restart (never observed in practice): hand the whole graph to
-      // the independent reference solver.
-      s.howard_converged_ = false;
-      return reference_flat(g);
-    }
-    if (comp_best > best) {
-      best = comp_best;
+    DESYN_ASSERT(converged, "Howard's policy iteration exceeded its cap");
+    if (best_arcs.empty() || ratio_gt(comp_n, comp_d, best_n, best_d)) {
+      best_n = comp_n;
+      best_d = comp_d;
       best_arcs.assign(
           s.cycle_.begin() + static_cast<ptrdiff_t>(comp_best_off),
           s.cycle_.begin() +
@@ -553,7 +502,7 @@ McrBatch::McrBatch(const McrArcs& g)
   const McrScratch& s = structure_;
   for (uint32_t a : s.csr_arc_) {
     cand_to_.push_back(to_[a]);
-    cand_tok_.push_back(static_cast<double>(tokens_[a]));
+    cand_tok_.push_back(tokens_[a]);
   }
 
   // Predecessor index over the intra-SCC candidate arcs (certificate
@@ -577,10 +526,9 @@ McrBatch::McrBatch(const McrArcs& g)
     McrScratch nominal = structure_;
     nominal.init_policy_cold(g);
     const CycleRatioResult r = nominal.howard(g, comps_);
-    if (nominal.howard_converged_) {
-      nominal_d_ = std::move(nominal.d_);
-      for (ArcId a : r.cycle_arcs) nominal_cycle_.push_back(a.value());
-    }
+    for (ArcId a : r.cycle_arcs) nominal_cycle_.push_back(a.value());
+    adopt_potentials(nominal.d_, nominal.rd_,
+                     cycle_tokens(tokens_, nominal_cycle_), &nominal_d_);
   }
 
   // Structural cycle dictionary: every self-loop and every mutual arc
@@ -638,44 +586,39 @@ CycleRatioResult McrBatch::solve_one_cold(
 // optimality certificate for the next sample's delays.
 //
 // A sample is solved *without* Howard when (a) the best dictionary cycle
-// under its delays — an exact integer D/T comparison — yields lambda, and
-// (b) relaxing the inherited potentials settles every intra-SCC candidate
-// arc into d[v] >= d[w] + delay(a) - lambda * tokens(a) - eps, the exact
-// inequality Howard's own convergence establishes. Summing it around any
-// cycle bounds every cycle ratio by lambda + len * eps / T; with integer
-// picosecond delays and small token sums, distinct cycle ratios are
-// separated by far more than that slack, so the certificate pins the same
-// ratio a cold solve returns, bit for bit (property-tested).
+// under its delays — an exact integer D/T comparison — yields lambda =
+// D/T, and (b) relaxing the inherited potentials settles every intra-SCC
+// candidate arc into P[v] >= P[w] + T * delay(a) - D * tokens(a), the
+// inequality Howard's own convergence establishes, with the potentials P
+// scaled by T. Summing it around any cycle bounds every cycle ratio by
+// lambda, so the certificate pins the exact ratio a cold solve returns,
+// bit for bit (property-tested).
 //
 // When the critical cycle is missing from the dictionary, the potentials
 // rise around it without bound. Each raise records the arc it came through
 // (raised_by_), and every cycle of those arcs has positive weight under
-// lambda, i.e. a ratio above it: along each recorded arc d[v] <= d[w] +
-// weight holds from the raise on, because d[w] only rises, and the arc
-// that closed the cycle raised its tail by more than eps. Once a
-// relaxation outlasts kRaiseSearchFirst passes over the nodes, the raise
-// arcs are searched for cycles once per further pass (linear in the
-// nodes). The best cycle found joins the dictionary, lambda rises to its
-// exact ratio, and the relaxation goes on from the current potentials:
-// every node off the worklist still satisfies its arcs at the larger
-// lambda. Only a relaxation that exhausts its pop budget falls back to a
-// warm Howard solve, which then grows the dictionary and refreshes the
-// potentials.
+// lambda, i.e. a ratio strictly above it: along each recorded arc P[v] <=
+// P[w] + weight holds from the raise on, because P[w] only rises, and the
+// arc that closed the cycle raised its tail. Once a relaxation outlasts
+// kRaiseSearchFirst passes over the nodes, the raise arcs are searched for
+// cycles once per further pass (linear in the nodes). The best cycle found
+// joins the dictionary, lambda rises to its exact ratio (set_lambda), and
+// the relaxation goes on from the current potentials: every node off the
+// worklist still satisfies its arcs at the larger lambda. Only a
+// relaxation that exhausts its pop budget falls back to a warm Howard
+// solve, which then grows the dictionary and refreshes the potentials.
 McrBatch::Block::Block(const McrBatch& batch)
-    : batch_(batch), s_(batch.structure_) {
-  if (!batch.nominal_d_.empty()) {
-    dcert_ = batch.nominal_d_;
-    have_cert_ = true;
-    if (batch.nominal_cycle_.size() > 2) learn(batch.nominal_cycle_);
-  }
+    : batch_(batch),
+      s_(batch.structure_),
+      best_t_(cycle_tokens(batch.tokens_, batch.nominal_cycle_)),
+      dcert_(batch.nominal_d_) {
+  if (batch.nominal_cycle_.size() > 2) learn(batch.nominal_cycle_);
 }
 
 void McrBatch::Block::learn(std::span<const uint32_t> cycle) {
-  int64_t tokens = 0;
-  for (uint32_t a : cycle) tokens += batch_.tokens_[a];
   learned_arc_.insert(learned_arc_.end(), cycle.begin(), cycle.end());
   learned_off_.push_back(static_cast<uint32_t>(learned_arc_.size()));
-  learned_tok_.push_back(tokens);
+  learned_tok_.push_back(cycle_tokens(batch_.tokens_, cycle));
 }
 
 bool McrBatch::Block::known(std::span<const ArcId> cycle) const {
@@ -694,8 +637,7 @@ bool McrBatch::Block::known(std::span<const ArcId> cycle) const {
 
 bool McrBatch::Block::best_cycle(std::span<const Ps> row) {
   // Exact argmax over the dictionary under this row's delays: compare
-  // D1/T1 vs D2/T2 by integer cross-multiplication (delays are integer Ps,
-  // token sums are tiny — no overflow at any realistic model size).
+  // D1/T1 vs D2/T2 by integer cross-multiplication.
   const McrBatch& b = batch_;
   int64_t bd = -1, bt = 1;
   size_t seed = SIZE_MAX, learned = SIZE_MAX;
@@ -709,7 +651,7 @@ bool McrBatch::Block::best_cycle(std::span<const Ps> row) {
         gi = i;
       }
     }
-    if (gd * bt > bd * b.seed_group_tok_[g]) {
+    if (ratio_gt(gd, b.seed_group_tok_[g], bd, bt)) {
       seed = gi;
       bd = gd;
       bt = b.seed_group_tok_[g];
@@ -720,7 +662,7 @@ bool McrBatch::Block::best_cycle(std::span<const Ps> row) {
     for (uint32_t k = learned_off_[c]; k < learned_off_[c + 1]; ++k) {
       d += row[learned_arc_[k]];
     }
-    if (d * bt > bd * learned_tok_[c]) {
+    if (ratio_gt(d, learned_tok_[c], bd, bt)) {
       learned = c;
       bd = d;
       bt = learned_tok_[c];
@@ -738,9 +680,19 @@ bool McrBatch::Block::best_cycle(std::span<const Ps> row) {
   } else {
     return false;
   }
-  best_d_ = bd;
-  best_t_ = bt;
+  set_lambda(bd, bt);
   return true;
+}
+
+void McrBatch::Block::set_lambda(int64_t d, int64_t t) {
+  const int64_t common = std::gcd(d, t);
+  d /= common;
+  t /= common;
+  if (best_t_ % t != 0) {
+    for (int64_t& p : dcert_) p = rescale(p, t, best_t_);
+    best_t_ = t;
+  }
+  best_d_ = d * (best_t_ / t);
 }
 
 bool McrBatch::Block::raise_cycle(std::span<const Ps> row) {
@@ -772,7 +724,7 @@ bool McrBatch::Block::raise_cycle(std::span<const Ps> row) {
       ct += b.tokens_[raised_by_[x]];
       x = b.to_[raised_by_[x]];
     } while (x != head);
-    if (found && !(cd * cycle_t_ > cycle_d_ * ct)) continue;
+    if (found && !ratio_gt(cd, ct, cycle_d_, cycle_t_)) continue;
     found = true;
     cycle_d_ = cd;
     cycle_t_ = ct;
@@ -798,7 +750,8 @@ McrBatch::Block::Cert McrBatch::Block::certify(std::span<const Ps> row) {
   const McrBatch& b = batch_;
   const McrScratch& s = s_;
   const uint32_t n = b.num_nodes_;
-  double lambda = static_cast<double>(best_d_) / static_cast<double>(best_t_);
+  // lambda = ld / lt; the potentials are scaled by lt.
+  int64_t ld = best_d_, lt = best_t_;
   auto& d = dcert_;
   auto& q = queue_;
   q.clear();
@@ -821,28 +774,25 @@ McrBatch::Block::Cert McrBatch::Block::certify(std::span<const Ps> row) {
     if (head >= search_at) {
       search_at = head + n;
       if (raise_cycle(row)) {
-        // Rounding could only blur a tie with lambda; Howard settles that.
-        if (cycle_t_ <= 0 || !(cycle_d_ * best_t_ > best_d_ * cycle_t_)) {
-          return Cert::Failed;
-        }
+        DESYN_ASSERT(cycle_t_ > 0 && ratio_gt(cycle_d_, cycle_t_, ld, lt),
+                     "a raise cycle's ratio must exceed lambda");
         learn(cycle_);
         best_arcs_ = cycle_;
-        best_d_ = cycle_d_;
-        best_t_ = cycle_t_;
-        lambda = static_cast<double>(best_d_) / static_cast<double>(best_t_);
+        set_lambda(cycle_d_, cycle_t_);
+        ld = best_d_;
+        lt = best_t_;
         repaired = true;
         raised_by_.assign(n, kNoArc);
       }
     }
     const uint32_t v = q[head++];
     in_queue_[v] = 0;
-    double dv = d[v];
+    int64_t dv = d[v];
     uint32_t raise = kNoArc;
     for (uint32_t k = s.csr_off_[v]; k < s.csr_off_[v + 1]; ++k) {
-      const double val = d[b.cand_to_[k]] +
-                         static_cast<double>(row[s.csr_arc_[k]]) -
-                         lambda * b.cand_tok_[k];
-      if (val > dv + kEpsPotential) {
+      const int64_t val = d[b.cand_to_[k]] + lt * row[s.csr_arc_[k]] -
+                          ld * b.cand_tok_[k];
+      if (val > dv) {
         dv = val;
         raise = k;
       }
@@ -866,7 +816,7 @@ void McrBatch::Block::solve(std::span<const Ps> row, CycleRatioResult* out) {
   // A tripped request deadline reaches the samples of every worker.
   cancel_point();
   const McrArcs g = batch_.row_view(row);
-  if (have_cert_ && best_cycle(row)) {
+  if (best_cycle(row)) {
     const Cert c = certify(row);
     if (c != Cert::Failed) {
       ++(c == Cert::Repaired ? stats_.repaired : stats_.certified);
@@ -881,24 +831,14 @@ void McrBatch::Block::solve(std::span<const Ps> row, CycleRatioResult* out) {
   cold_ = false;
   ++stats_.howard;
   *out = s_.howard(g, batch_.comps_);
-  if (!s_.howard_converged_) {
-    // howard() already handed the row to the reference solver; the
-    // cycling policy converged nowhere worth inheriting, so the next
-    // sample restarts Howard cold, without a certificate.
-    cold_ = true;
-    have_cert_ = false;
-  } else {
-    if (!known(out->cycle_arcs)) {
-      cycle_.clear();
-      for (ArcId a : out->cycle_arcs) cycle_.push_back(a.value());
-      learn(cycle_);
-    }
-    // The converged potentials certify this solve's per-component ratios;
-    // with the global lambda only larger on token-bearing arcs, they
-    // remain a valid starting certificate.
-    dcert_ = s_.d_;
-    have_cert_ = true;
-  }
+  cycle_.clear();
+  for (ArcId a : out->cycle_arcs) cycle_.push_back(a.value());
+  if (!known(out->cycle_arcs)) learn(cycle_);
+  // The converged potentials certify this solve's per-component ratios;
+  // with the global lambda only larger on token-bearing arcs, they remain
+  // a valid starting certificate.
+  best_t_ = cycle_tokens(batch_.tokens_, cycle_);
+  adopt_potentials(s_.d_, s_.rd_, best_t_, &dcert_);
 }
 
 std::vector<CycleRatioResult> McrBatch::solve_all(std::span<const Ps> delays,
@@ -934,13 +874,6 @@ std::vector<CycleRatioResult> McrBatch::solve_all(std::span<const Ps> delays,
 CycleRatioResult max_cycle_ratio(const MarkedGraph& mg) {
   DESYN_ASSERT(is_live(mg), "max_cycle_ratio requires a live marked graph");
   return max_cycle_ratio(flatten(mg).view());
-}
-
-CycleRatioResult max_cycle_ratio_reference(const MarkedGraph& mg) {
-  DESYN_ASSERT(is_live(mg),
-               "max_cycle_ratio_reference requires a live marked graph");
-  McrFlat flat = flatten(mg);
-  return reference_flat(flat.view());
 }
 
 std::vector<std::vector<Ps>> earliest_schedule(const MarkedGraph& mg,

@@ -7,12 +7,13 @@
 // time of a desynchronized circuit analytically; bench A3 cross-checks it
 // against event-driven simulation.
 //
-// Two solvers are provided (see docs/PERF.md for the full comparison):
-//  * max_cycle_ratio — Howard's policy iteration, the production solver.
-//    Near-linear in practice; the hot path of every throughput query.
-//  * max_cycle_ratio_reference — parametric binary search over Bellman-Ford
-//    positive-cycle detection, O(64·n·m). Kept as an independent oracle for
-//    cross-checking (tests compare the two on randomized marked graphs).
+// max_cycle_ratio is Howard's policy iteration, near-linear in practice;
+// McrBatch solves many delay assignments of one graph for Monte-Carlo
+// sweeps. Delays are integer picoseconds and tokens small integers, so
+// every cycle ratio is an exact fraction, and both solvers compare ratios
+// and potentials exactly, in integers (docs/PERF.md). The independent
+// oracle the tests and bench_mcr check them against lives in
+// tests/mcr_reference.h.
 #pragma once
 
 #include <span>
@@ -26,25 +27,15 @@ struct CycleRatioResult {
   std::vector<TransId> cycle;     ///< critical cycle: transitions in order
   /// Arcs of the critical cycle: cycle_arcs[i] runs from cycle[i] to
   /// cycle[(i+1) % size]. Empty iff the graph has no cycle at all. The
-  /// cycle is genuine: cycle_ratio(mg, cycle_arcs) == ratio.
+  /// cycle is genuine: cycle_ratio(flatten(mg).view(), cycle_arcs) == ratio.
   std::vector<ArcId> cycle_arcs;
 };
-
-/// Exact delay/token ratio of the closed cycle formed by `arcs`
-/// (consecutive arcs must chain head-to-tail and wrap around). Asserts the
-/// cycle carries at least one token, as liveness guarantees.
-double cycle_ratio(const MarkedGraph& mg, std::span<const ArcId> arcs);
 
 /// Maximum cycle ratio via Howard's policy iteration, run independently on
 /// every strongly-connected component (arcs not on any cycle never bound
 /// the ratio). Requires a live MG; graphs without any cycle yield ratio 0
 /// and an empty cycle.
 CycleRatioResult max_cycle_ratio(const MarkedGraph& mg);
-
-/// Reference solver: parametric binary search + Bellman-Ford positive-cycle
-/// detection, followed by an exact cycle-ratio climb so the returned cycle
-/// is genuinely critical (its exact D/T is the returned ratio).
-CycleRatioResult max_cycle_ratio_reference(const MarkedGraph& mg);
 
 // ---------------------------------------------------------------------------
 // Flat solver interface
@@ -75,15 +66,21 @@ struct McrFlat {
 };
 McrFlat flatten(const MarkedGraph& mg);
 
-/// Exact delay/token ratio of a closed arc cycle of a flat graph (the
-/// McrArcs twin of cycle_ratio above).
+/// Delay/token ratio of the closed cycle formed by `arcs` (consecutive arcs
+/// must chain head-to-tail and wrap around): one division of the exact
+/// integer sums. Asserts the cycle carries at least one token, as liveness
+/// guarantees.
 double cycle_ratio(const McrArcs& g, std::span<const ArcId> arcs);
 
 /// Maximum cycle ratio of a flat graph: Howard's policy iteration from a
-/// cold policy (every node's first intra-SCC out-arc), falling back to the
-/// reference solver if epsilon-induced policy cycling keeps it from
-/// converging. max_cycle_ratio(MarkedGraph) and McrBatch::solve_one_cold
-/// are this solve.
+/// cold policy (every node's first intra-SCC out-arc). Each node's ratio is
+/// a (delay, tokens) pair reduced by its gcd and compared by exact
+/// cross-multiplication, and its potential an integer scaled by that
+/// ratio's denominator, so every policy improvement is strict. A
+/// Gauss-Seidel pass runs first; a component whose in-place propagation
+/// cycles restarts as plain Jacobi iteration, which converges.
+/// max_cycle_ratio(MarkedGraph) and McrBatch::solve_one_cold are this
+/// solve.
 CycleRatioResult max_cycle_ratio(const McrArcs& g);
 
 /// Per-solve working memory of a Howard solve.
@@ -104,9 +101,7 @@ class McrScratch {
 
   /// Phases of a solve (bodies in mcr.cpp). build_structure returns the
   /// component count; howard requires the structure to describe `g` and
-  /// policy_ to hold an intra-SCC out-arc for every SCC node, and sets
-  /// howard_converged_ (false = epsilon-induced policy cycling, caller
-  /// falls back to the reference solver).
+  /// policy_ to hold an intra-SCC out-arc for every SCC node.
   int build_structure(const McrArcs& g);
   void init_policy_cold(const McrArcs& g);
   CycleRatioResult howard(const McrArcs& g, int comps);
@@ -118,9 +113,10 @@ class McrScratch {
   std::vector<uint32_t> index_, low_, stack_, members_, comp_off_;
   std::vector<uint8_t> on_stack_, state_;
   std::vector<uint32_t> policy_, path_;
-  std::vector<double> r_, d_;
+  /// Each node's ratio rn_/rd_ (reduced, rd_ > 0) and its potential, scaled
+  /// by rd_.
+  std::vector<int64_t> rn_, rd_, d_;
   std::vector<uint32_t> cycle_;
-  bool howard_converged_ = true;
 };
 
 /// What McrBatch did with each sample it solved.
@@ -150,16 +146,19 @@ struct McrBatchStats {
 ///      comparison) and take the best ratio as the candidate lambda.
 ///   2. Repair the previous sample's node potentials by worklist
 ///      relaxation until every intra-SCC candidate arc satisfies
-///      d[v] >= d[w] + delay - lambda * tokens - eps — the very inequality
-///      Howard's convergence establishes. Summing it around any cycle
-///      bounds every cycle ratio by lambda (integer picosecond delays
-///      separate distinct cycle ratios by far more than the epsilon
-///      slack), so the certificate pins the exact answer.
+///      P[v] >= P[w] + T * delay - D * tokens — the very inequality
+///      Howard's convergence establishes — where lambda = D/T and the
+///      potentials P are integers at the scale T. Summing it around any
+///      cycle bounds every cycle ratio by lambda, so the certificate pins
+///      the exact answer. The scale stays put while the reduced
+///      denominator of lambda divides it; otherwise the potentials are
+///      rescaled to that denominator by floor(P * T_new / T_old), which
+///      keeps satisfied arcs satisfied.
 ///
 /// The relaxation records the arc that raised each node. When the
 /// critical cycle is not in the dictionary, the potentials rise around it
-/// and those arcs close a cycle whose ratio is above lambda: the cycle
-/// joins the block's dictionary, lambda rises to its ratio, and the
+/// and those arcs close a cycle whose ratio is strictly above lambda: the
+/// cycle joins the block's dictionary, lambda rises to its ratio, and the
 /// relaxation goes on from the current potentials. Only a sample that
 /// exhausts the pop budget falls back to a warm-started Howard solve.
 /// Results are bit-equal to independent cold solves either way
@@ -205,8 +204,13 @@ class McrBatch {
     /// Exact argmax of the dictionary under `row` into best_*; false when
     /// the dictionary is empty.
     bool best_cycle(std::span<const Ps> row);
+    /// Make d/t lambda. The potentials keep their scale best_t_ when it is
+    /// a multiple of the reduced denominator, and are rescaled to that
+    /// denominator otherwise; best_d_ / best_t_ is lambda at the scale.
+    void set_lambda(int64_t d, int64_t t);
     /// Certificate relaxation at the dictionary's best ratio, repairing it
-    /// with every better cycle its raise arcs close.
+    /// with every better cycle its raise arcs close; Failed when it runs
+    /// out of its pop budget.
     Cert certify(std::span<const Ps> row);
     /// The best cycle among the raise arcs (each raised node's arc to the
     /// node it was raised from) into cycle_, cycle_d_ and cycle_t_; false
@@ -220,16 +224,16 @@ class McrBatch {
     const McrBatch& batch_;
     McrScratch s_;
     bool cold_ = true;  ///< s_ holds no Howard policy yet
-    bool have_cert_ = false;
     McrBatchStats stats_;
     /// Learned cycles beyond the seeds: arcs learned_arc_[learned_off_[i]
     /// .. learned_off_[i + 1]), token sum learned_tok_[i].
     std::vector<uint32_t> learned_off_{0}, learned_arc_;
     std::vector<int64_t> learned_tok_;
-    /// The current best cycle: its arcs and exact delay/token sums.
+    /// The current best cycle: its arcs and its ratio best_d_ / best_t_,
+    /// exact, at the potentials' scale best_t_.
     std::vector<uint32_t> best_arcs_;
     int64_t best_d_ = 0, best_t_ = 1;
-    std::vector<double> dcert_;   ///< certificate potentials
+    std::vector<int64_t> dcert_;  ///< certificate potentials, scaled by best_t_
     std::vector<uint32_t> queue_;  ///< relaxation worklist (FIFO)
     std::vector<uint8_t> in_queue_;
     /// The arc that last raised each node since lambda last changed
@@ -275,14 +279,14 @@ class McrBatch {
   std::vector<uint32_t> seed_a_, seed_b_;
   std::vector<uint32_t> seed_group_off_;
   std::vector<int64_t> seed_group_tok_;
-  /// The nominal solve's converged potentials and critical cycle (empty
-  /// if its Howard policy cycled).
-  std::vector<double> nominal_d_;
+  /// The nominal solve's critical cycle and converged potentials, scaled by
+  /// the cycle's token count.
   std::vector<uint32_t> nominal_cycle_;
+  std::vector<int64_t> nominal_d_;
   /// The heads and token counts of the intra-SCC candidate arcs, in
   /// McrScratch::csr_arc_ order, for the relaxation.
   std::vector<uint32_t> cand_to_;
-  std::vector<double> cand_tok_;
+  std::vector<int32_t> cand_tok_;
   /// Tails of the intra-SCC candidate arcs indexed by *head* node: when a
   /// relaxation raises d[v], exactly the nodes
   /// pred_from_[pred_off_[v]..pred_off_[v+1]) can newly violate the

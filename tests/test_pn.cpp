@@ -11,6 +11,7 @@
 #include "circuits/circuits.h"
 #include "core/desynchronizer.h"
 #include "flow/mc.h"
+#include "mcr_reference.h"
 #include "pn/analysis.h"
 #include "pn/mcr.h"
 
@@ -238,17 +239,16 @@ TEST(Mcr, EarliestScheduleRespectsCausality) {
 
 TEST(Mcr, ReferenceAgreesOnClassicCases) {
   auto r = max_cycle_ratio_reference(ring2(1, 0, 100, 200));
-  EXPECT_NEAR(r.ratio, 300.0, 1e-9);
+  EXPECT_EQ(r.ratio, 300.0);
   auto r2 = max_cycle_ratio_reference(ring2(1, 1, 100, 200));
-  EXPECT_NEAR(r2.ratio, 150.0, 1e-9);
+  EXPECT_EQ(r2.ratio, 150.0);
   auto rz = max_cycle_ratio_reference(ring2(1, 0, 0, 0));
-  EXPECT_NEAR(rz.ratio, 0.0, 1e-12);
+  EXPECT_EQ(rz.ratio, 0.0);
+  EXPECT_FALSE(rz.cycle_arcs.empty());
 }
 
 /// Both solvers must return a *genuine* critical cycle: a closed arc walk
-/// whose exact delay/token ratio equals the reported ratio (the old
-/// extraction re-ran detection at an epsilon-shifted lambda and could hand
-/// back any positive — not critical — cycle).
+/// whose exact delay/token ratio equals the reported ratio, bit for bit.
 void expect_genuine_critical_cycle(const MarkedGraph& mg,
                                    const CycleRatioResult& r) {
   ASSERT_FALSE(r.cycle_arcs.empty()) << mg.name();
@@ -258,8 +258,7 @@ void expect_genuine_critical_cycle(const MarkedGraph& mg,
     EXPECT_EQ(a.from, r.cycle[i]) << mg.name();
     EXPECT_EQ(a.to, r.cycle[(i + 1) % r.cycle.size()]) << mg.name();
   }
-  EXPECT_NEAR(cycle_ratio(mg, r.cycle_arcs), r.ratio,
-              1e-9 * (1.0 + r.ratio))
+  EXPECT_EQ(cycle_ratio(flatten(mg).view(), r.cycle_arcs), r.ratio)
       << mg.name();
 }
 
@@ -276,7 +275,7 @@ TEST(Mcr, CriticalCycleIsGenuine) {
   ArcId slow2 = mg.add_arc(c, a, 0, 400);
   for (auto solve : {&max_cycle_ratio, &max_cycle_ratio_reference}) {
     auto r = solve(mg);
-    EXPECT_NEAR(r.ratio, 900.0, 1e-6);
+    EXPECT_EQ(r.ratio, 900.0);
     expect_genuine_critical_cycle(mg, r);
     std::vector<ArcId> sorted = r.cycle_arcs;
     std::sort(sorted.begin(), sorted.end());
@@ -422,8 +421,7 @@ TEST_P(HowardVsReference, SolversAgreeAndCyclesAreGenuine) {
   ASSERT_TRUE(is_live(mg));
   auto howard = max_cycle_ratio(mg);
   auto ref = max_cycle_ratio_reference(mg);
-  EXPECT_NEAR(howard.ratio, ref.ratio, 1e-6 * (1.0 + howard.ratio))
-      << mg.to_dot();
+  EXPECT_EQ(howard.ratio, ref.ratio) << mg.to_dot();
   expect_genuine_critical_cycle(mg, howard);
   expect_genuine_critical_cycle(mg, ref);
 }
@@ -442,8 +440,7 @@ TEST(Mcr, SuiteControlModelCriticalCyclesAreExact) {
     MarkedGraph mg = flow::timed_control_model(dr, t);
     auto howard = max_cycle_ratio(mg);
     auto ref = max_cycle_ratio_reference(mg);
-    EXPECT_NEAR(howard.ratio, ref.ratio, 1e-6 * (1.0 + howard.ratio))
-        << s.name;
+    EXPECT_EQ(howard.ratio, ref.ratio) << s.name;
     expect_genuine_critical_cycle(mg, howard);
     expect_genuine_critical_cycle(mg, ref);
   }
@@ -496,11 +493,9 @@ TEST_P(MergeDeltas, FlatSolveMatchesReferenceOnMergedGraphs) {
     const McrFlat flat = flatten(cur);
     CycleRatioResult r = max_cycle_ratio(flat.view());
     CycleRatioResult ref = max_cycle_ratio_reference(cur);
-    EXPECT_NEAR(r.ratio, ref.ratio, 1e-6 * (1.0 + r.ratio))
+    EXPECT_EQ(r.ratio, ref.ratio)
         << "after merging " << drop << " into " << keep << ":\n"
         << cur.to_dot();
-    EXPECT_EQ(cycle_ratio(flat.view(), r.cycle_arcs),
-              cycle_ratio(cur, r.cycle_arcs));
     expect_genuine_critical_cycle(cur, r);
   }
 }
@@ -687,6 +682,55 @@ TEST(McrBatch, RepairMatchesColdSolveWhenDictionaryMisses) {
     EXPECT_EQ(serial.repaired, stats.repaired) << c.name;
     EXPECT_EQ(serial.howard, stats.howard) << c.name;
   }
+}
+
+/// Two rings through one hub, every arc carrying one token: ring A with
+/// 40 000 arcs and D = 4 000 001, ring B with 39 999 arcs. In the sample
+/// row B totals 3 999 901 and beats A by 1/(40 000 * 39 999), about
+/// 6.3e-10 ps, a gap finer than any double epsilon the solvers could have
+/// used; in the nominal row B totals 3 999 896 and A is critical. The cold
+/// solve, the oracle, and a batch whose certificate starts from A must all
+/// return B's exact ratio with B's arcs. The potentials scaled by these
+/// token counts reach magnitudes no other test does.
+TEST(Mcr, RatiosCloserThanTheOldEpsilonResolveExactly) {
+  McrFlat nominal;
+  nominal.num_nodes = 1 + 39999 + 39998;
+  auto ring = [&](uint32_t first, uint32_t len) {
+    for (uint32_t i = 0; i < len; ++i) {
+      nominal.from.push_back(i == 0 ? 0 : first + i - 1);
+      nominal.to.push_back(i + 1 == len ? 0 : first + i);
+      nominal.tokens.push_back(1);
+      nominal.delay.push_back(100);
+    }
+  };
+  ring(1, 40000);
+  ring(40000, 39999);
+  const size_t m = nominal.delay.size();
+  nominal.delay[0] = 101;  // A: 4 000 001
+  std::vector<ArcId> b_arcs;
+  for (size_t a = 40000; a < m; ++a) {
+    b_arcs.push_back(ArcId(static_cast<uint32_t>(a)));
+  }
+  std::vector<Ps> sample = nominal.delay;
+  sample[40000] = 101;  // B: 3 999 901
+  for (size_t a = m - 4; a < m; ++a) nominal.delay[a] = 99;  // B: 3 999 896
+  const McrArcs g{nominal.num_nodes, nominal.from, nominal.to, nominal.tokens,
+                  sample};
+  const double b_ratio = 3999901.0 / 39999.0;
+  ASSERT_GT(b_ratio, 4000001.0 / 40000.0);
+
+  auto expect_b = [&](const CycleRatioResult& r, const char* solver) {
+    EXPECT_EQ(r.ratio, b_ratio) << solver;
+    EXPECT_EQ(r.cycle_arcs, b_arcs) << solver;
+  };
+  expect_b(max_cycle_ratio(g), "cold");
+  expect_b(reference_flat(g), "oracle");
+  const McrBatch batch(nominal.view());
+  EXPECT_EQ(batch.solve_one_cold(nominal.delay).ratio, 4000001.0 / 40000.0);
+  McrBatchStats stats;
+  const auto res = batch.solve_all(sample, 1, 1, &stats);
+  expect_b(res[0], "batch");
+  EXPECT_EQ(stats.repaired, 1u);
 }
 
 }  // namespace
