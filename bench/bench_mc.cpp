@@ -7,15 +7,14 @@
 //
 // Each model's N statistical samples (plus the 1.0 corner, seed 3) are the
 // rows flow::mc_analysis solves, materialized by flow::mc_delay_rows. The
-// baseline solves every row cold (McrBatch::solve_one_cold: a flat
-// max_cycle_ratio, full structure build + cold Howard); the contender is
+// baseline solves every row cold (pn::max_cycle_ratio: the structure
+// build plus one certificate climb from zero potentials); the contender is
 // McrBatch::solve_all, which builds the structure once and certifies each
 // sample from its block predecessor. Every batch ratio is asserted
-// bit-equal to its cold oracle before any time is reported, and the
+// bit-equal to its cold solve before any time is reported, and the
 // parallel rows are asserted identical to the serial ones. The batch rows
-// also count the samples the dictionary certified as it stood, those it
-// certified after repairing itself with cycles the relaxation found, and
-// those sent to Howard (block heads and pop-budget overruns).
+// also count the samples the dictionary certified as it stood and those it
+// certified after repairing itself with cycles the relaxation found.
 //
 // The mc_analysis rows time the whole analysis end to end — every block
 // drawn and solved on the worker that owns it — at jobs 1, 2 and 4 (mean
@@ -25,7 +24,7 @@
 // solve of that matrix, at the same job count.
 //
 // --min-speedup gates the mesh16x16x1 serial (jobs = 1) batch-vs-cold
-// ratio — CI uses 8 at 256 samples — so the structure sharing itself is
+// ratio — CI uses 4 at 256 samples — so the structure sharing itself is
 // gated, not thread scaling (which a loaded single-CPU runner cannot
 // promise). rpipe128x4's rows are reported, not gated: its cold solve is
 // about half the mesh's, so its ratio sits near the bound by construction.
@@ -53,7 +52,7 @@ struct Row {
   double fast_ms = 0;
   double speedup = 0;
   pn::McrBatchStats stats;
-  bool identical = false;  ///< bit-equal ratios vs. the cold oracle
+  bool identical = false;  ///< bit-equal ratios vs. the cold solves
 };
 
 /// One end-to-end flow::mc_analysis run, with its fill/solve split.
@@ -95,8 +94,9 @@ ModelRows run_model(const std::string& name, const circuits::Circuit& c,
   std::vector<pn::CycleRatioResult> cold(S);
   const double cold_ms = time_ms([&] {
     for (size_t s = 0; s < S; ++s) {
-      cold[s] = batch.solve_one_cold(
-          std::span<const Ps>(rows.rows).subspan(s * na, na));
+      pn::McrArcs row = rows.flat.view();
+      row.delay = std::span<const Ps>(rows.rows).subspan(s * na, na);
+      cold[s] = pn::max_cycle_ratio(row);
     }
   });
 
@@ -115,13 +115,12 @@ ModelRows run_model(const std::string& name, const circuits::Circuit& c,
     if (jobs == 1) serial = std::move(res);
     out.batch.push_back(r);
   }
-  std::printf("  %-10s %10s %10s %9s %9s %9s %7s %10s\n", "case", "cold(ms)",
-              "fast(ms)", "speedup", "certified", "repaired", "howard",
-              "identical");
+  std::printf("  %-10s %10s %10s %9s %9s %9s %10s\n", "case", "cold(ms)",
+              "fast(ms)", "speedup", "certified", "repaired", "identical");
   for (const Row& r : out.batch) {
-    std::printf("  %-10s %10.3f %10.3f %8.1fx %9zu %9zu %7zu %10s\n",
+    std::printf("  %-10s %10.3f %10.3f %8.1fx %9zu %9zu %10s\n",
                 r.name.c_str(), r.cold_ms, r.fast_ms, r.speedup,
-                r.stats.certified, r.stats.repaired, r.stats.howard,
+                r.stats.certified, r.stats.repaired,
                 r.identical ? "yes" : "NO");
   }
 
@@ -163,10 +162,10 @@ void write_json(const std::string& path, const std::vector<ModelRows>& models,
           "{\"model\": \"%s\", \"nodes\": %u, \"arcs\": %zu, "
           "\"case\": \"%s\", \"cold_ms\": %.3f, \"fast_ms\": %.3f, "
           "\"speedup\": %.2f, \"certified\": %zu, \"repaired\": %zu, "
-          "\"howard\": %zu, \"identical\": %s}",
+          "\"identical\": %s}",
           m.model.c_str(), m.nodes, m.arcs, r.name.c_str(), r.cold_ms,
           r.fast_ms, r.speedup, r.stats.certified, r.stats.repaired,
-          r.stats.howard, r.identical ? "true" : "false"));
+          r.identical ? "true" : "false"));
     }
     for (const AnalysisRow& a : m.analyses) {
       cases.push_back(bench::fmt(

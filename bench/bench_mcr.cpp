@@ -1,11 +1,11 @@
 // A3 — ablation: analytic vs. measured cycle time, plus the MCR solver
 // benchmark. Section 1 checks that the timed protocol model's maximum
 // cycle ratio predicts the event-driven simulation period. Section 2 races
-// Howard's policy iteration (the production solver) against the exact
-// Bellman-Ford oracle of tests/mcr_reference.h on every suite control model
-// and on large generated fabrics (thousands of transitions), asserting
-// equal ratios and a genuine oracle cycle; docs/PERF.md records the
-// baseline numbers.
+// the production solver (pn::max_cycle_ratio, one certificate climb) against
+// the exact Bellman-Ford oracle of tests/mcr_reference.h on every suite
+// control model and on large generated fabrics (thousands of transitions),
+// asserting equal ratios and a genuine oracle cycle; docs/PERF.md records
+// the baseline numbers.
 //
 //   bench_mcr [--json <path>]
 //
@@ -34,7 +34,7 @@ namespace {
 struct RaceRow {
   std::string model;
   size_t transitions = 0, arcs = 0;
-  double howard_ms = 0, ref_ms = 0;
+  double solver_ms = 0, ref_ms = 0;
   double ratio = 0;
   bool agree = false;
 };
@@ -42,10 +42,10 @@ struct RaceRow {
 /// Time both solvers on one model, verify their ratios are equal and the
 /// oracle's cycle is genuine, print a row. Returns false on disagreement
 /// (the bench then exits nonzero).
-bool race_solvers(const char* name, const pn::MarkedGraph& mg, int reps_h,
+bool race_solvers(const char* name, const pn::MarkedGraph& mg, int reps_s,
                   int reps_r, std::vector<RaceRow>* rows) {
   pn::CycleRatioResult h, r;
-  double th = time_ms([&] { h = pn::max_cycle_ratio(mg); }, reps_h);
+  double th = time_ms([&] { h = pn::max_cycle_ratio(mg); }, reps_s);
   double tr = time_ms([&] { r = pn::max_cycle_ratio_reference(mg); }, reps_r);
   bool agree =
       h.ratio == r.ratio && !r.cycle_arcs.empty() &&
@@ -63,9 +63,9 @@ void write_json(const std::string& path, const std::vector<RaceRow>& rows) {
   for (const RaceRow& r : rows) {
     cases.push_back(bench::fmt(
         "{\"model\": \"%s\", \"transitions\": %zu, \"arcs\": %zu, "
-        "\"howard_ms\": %.6f, \"reference_ms\": %.6f, \"ratio_ps\": %.6f, "
+        "\"solver_ms\": %.6f, \"reference_ms\": %.6f, \"ratio_ps\": %.6f, "
         "\"agree\": %s}",
-        r.model.c_str(), r.transitions, r.arcs, r.howard_ms, r.ref_ms, r.ratio,
+        r.model.c_str(), r.transitions, r.arcs, r.solver_ms, r.ref_ms, r.ratio,
         r.agree ? "true" : "false"));
   }
   bench::write_report(path, "bench_mcr", cases);
@@ -104,10 +104,10 @@ int main(int argc, char** argv) {
   printf("\n  the model abstracts fanout-dependent gate delays and the\n"
          "  pulse-generation path, so small positive errors are expected.\n");
 
-  printf("\n== MCR solvers: Howard policy iteration vs. Bellman-Ford "
+  printf("\n== MCR solvers: certificate climb vs. Bellman-Ford "
          "reference ==\n\n");
   printf("  %-16s %6s %6s %10s %10s %9s\n", "model", "trans", "arcs",
-         "howard(ms)", "ref(ms)", "speedup");
+         "solver(ms)", "ref(ms)", "speedup");
   bool ok = true;
   std::vector<RaceRow> rows;
   for (auto& s : circuits::scaling_suite()) {

@@ -10,7 +10,7 @@
 //
 // Cost reported is the real synthesized control network (controller logic
 // + DELAY cells, ctl::synthesize_controllers output), not an estimate;
-// predicted periods are Howard max-cycle-ratio of the timed control model.
+// predicted periods are the max cycle ratio of the timed control model.
 // auto:* rows additionally report the optimizer's scaling counters
 // (candidates / pruned / warm / cold solves) and wall time.
 //

@@ -42,10 +42,10 @@
 // Monte-Carlo sweep mode — pass --mc-samples to switch the sweep from
 // simulation to the analytic variation model (flow/mc.h): every cell is
 // desynchronized and its hardware timed model is swept over N statistical
-// samples by one batched Howard solve, reporting the period distribution
-// (p50/p95/max), the worst setup-slack distribution and the zero-violation
-// yield. No gate-level simulation runs, so the MC sweep covers the same
-// matrix orders of magnitude faster:
+// samples by one batched max-cycle-ratio solve, reporting the period
+// distribution (p50/p95/max), the worst setup-slack distribution and the
+// zero-violation yield. No gate-level simulation runs, so the MC sweep
+// covers the same matrix orders of magnitude faster:
 //
 //   desyn_cli sweep --mc-samples 256 [--mc-seed S] [--mc-sigma 0.05]
 //                   [--jobs N] [other sweep options]

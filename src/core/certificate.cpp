@@ -248,8 +248,8 @@ void BudgetCertificate::revert() {
 /// raise closes a cycle of parent arcs (false, failure_* filled in).
 /// Raised nodes are logged in touched_/old_pi_ for restore_potentials().
 bool BudgetCertificate::settle() {
-  // One deadline/cancel poll per repair, as Howard polls once per policy
-  // iteration: a repair walks only the region the merge disturbed.
+  // One deadline/cancel poll per repair, as pn::max_cycle_ratio polls once
+  // per relaxation pass: a repair walks only the region the merge disturbed.
   cancel_point();
   if (++epoch_ == 0) {  // wrapped: no stale stamp may alias the new epoch
     std::fill(stamp_.begin(), stamp_.end(), 0);

@@ -8,7 +8,7 @@
 // M tokens (M = the marked-arc count), so with p/q the largest fraction of
 // denominator <= M whose double quotient is <= L, a cycle passes iff
 // q*D - p*T <= 0 (rounding is monotone, so this matches `ratio <= L` on the
-// double a Howard solve reports, bit for bit). Every cycle passes iff
+// double pn::max_cycle_ratio reports, bit for bit). Every cycle passes iff
 // integer potentials exist with
 //
 //     pi[u] >= pi[v] + q*delay(a) - p*tokens(a)   for every arc a = u -> v

@@ -404,7 +404,7 @@ class ReferenceEvaluator final : public Evaluator {
 
 /// The production scorer: every candidate is settled by the exact
 /// potential certificate (core/certificate.h) — an O(deg) arc patch plus a
-/// backward repair, no Howard solve.
+/// backward repair, no max-cycle-ratio solve.
 class IncrementalEvaluator final : public Evaluator {
  public:
   IncrementalEvaluator(const ctl::ControlGraph& fine,
@@ -460,7 +460,7 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
   std::vector<char> merge_ok(G);
   for (size_t g = 0; g < G; ++g) merge_ok[g] = perff.groups()[g].ram ? 0 : 1;
 
-  // The per-flip-flop start: the one Howard solve the search itself needs.
+  // The per-flip-flop start: the one cold solve the search itself needs.
   res.perff_period = predicted_period(fine.cg, opt.protocol, tech);
   {
     // The Prefix baseline is a quotient of the fine graph too: every

@@ -16,7 +16,7 @@
 //     options structs and CLI flags ("prefix:2", "auto:1.05", ...).
 //   * `optimize_partition()` — an MCR-guided greedy clustering search:
 //     start from per-flip-flop, merge banks while the predicted period
-//     (Howard max-cycle-ratio of the timed control model) stays within a
+//     (max cycle ratio of the timed control model) stays within a
 //     user budget of the Prefix baseline, minimizing controller +
 //     matched-delay gate cost.
 //
@@ -185,8 +185,8 @@ struct PartitionOptOptions {
 /// most are settled without any solver run, either rejected by an earlier
 /// failure (`pruned`) or by the exact potential certificate
 /// (`warm_solves`, see core/certificate.h); `cold_solves` counts full
-/// Howard solves (the per-flip-flop start; one per candidate for the
-/// reference oracle) and stays a constant regardless of design size.
+/// max-cycle-ratio solves (the per-flip-flop start; one per candidate for
+/// the reference oracle) and stays a constant regardless of design size.
 struct OptimizeStats {
   size_t candidates = 0;
   size_t pruned = 0;
@@ -208,8 +208,8 @@ struct PartitionOptResult {
 /// Search for a cheap partition of `ff_netlist` whose predicted period
 /// stays within `opt.period_budget` of the Prefix baseline. Greedy
 /// agglomerative: start from per-flip-flop and repeatedly commit the
-/// highest-ranked candidate merge that keeps the predicted period (Howard
-/// max-cycle-ratio of the candidate's timed control model) within budget.
+/// highest-ranked candidate merge that keeps the predicted period (max
+/// cycle ratio of the candidate's timed control model) within budget.
 /// Candidates rank by co-occurrence weight, ties broken by a fixed hash of
 /// the pair, so the search is deterministic.
 ///
@@ -219,7 +219,7 @@ struct PartitionOptResult {
 /// backward repair of integer potentials that either settles — within
 /// budget — or closes an over-budget cycle; see core/certificate.h), and a
 /// failed candidate stays marked, rejected probe-free forever after
-/// (coarsening only adds rendezvous). Howard runs once, on the start.
+/// (coarsening only adds rendezvous). A cold solve runs once, on the start.
 PartitionOptResult optimize_partition(const nl::Netlist& ff_netlist,
                                       nl::NetId clock, const cell::Tech& tech,
                                       const PartitionOptOptions& opt = {});
@@ -235,8 +235,8 @@ PartitionOptResult optimize_partition_reference(
     const PartitionOptOptions& opt = {});
 
 /// Predicted cycle time of a control graph under `protocol`: the max cycle
-/// ratio of ctl::hardware_model's timed MG (Howard). The single scoring
-/// rule shared by the flow and the optimizer.
+/// ratio of ctl::hardware_model's timed MG (pn::max_cycle_ratio). The
+/// single scoring rule shared by the flow and the optimizer.
 double predicted_period(const ctl::ControlGraph& cg, ctl::Protocol protocol,
                         const cell::Tech& tech);
 

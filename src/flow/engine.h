@@ -84,7 +84,7 @@ struct StageCounters {
   size_t synth_runs = 0;      ///< full controller synthesis
   size_t synth_hits = 0;
   size_t synth_patched = 0;   ///< field-patch replays of a cached synth
-  size_t mcr_runs = 0;        ///< cold Howard solves
+  size_t mcr_runs = 0;        ///< cold max-cycle-ratio solves
   size_t mcr_hits = 0;
   size_t mcr_warm = 0;        ///< always 0: the mcr stage solves cold
   size_t lint_runs = 0;       ///< static-verification (check::lint) runs
@@ -101,7 +101,7 @@ struct FlowStats {
   size_t delay_cells = 0;       ///< matched-delay DELAY cells
   size_t cells_in = 0;          ///< live cells of the submitted netlist
   size_t cells_out = 0;         ///< live cells of the desynchronized one
-  double predicted_period_ps = 0;  ///< Howard max-cycle-ratio prediction
+  double predicted_period_ps = 0;  ///< max-cycle-ratio prediction
   bool operator==(const FlowStats&) const = default;
 };
 

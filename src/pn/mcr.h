@@ -7,13 +7,13 @@
 // time of a desynchronized circuit analytically; bench A3 cross-checks it
 // against event-driven simulation.
 //
-// max_cycle_ratio is Howard's policy iteration, near-linear in practice;
-// McrBatch solves many delay assignments of one graph for Monte-Carlo
-// sweeps. Delays are integer picoseconds and tokens small integers, so
-// every cycle ratio is an exact fraction, and both solvers compare ratios
-// and potentials exactly, in integers (docs/PERF.md). The independent
-// oracle the tests and bench_mcr check them against lives in
-// tests/mcr_reference.h.
+// One algorithm computes it, the certificate climb of McrBatch::Block:
+// max_cycle_ratio runs it once from zero potentials, and McrBatch runs it
+// for every Monte-Carlo sample from its predecessor's potentials. Delays
+// are integer picoseconds and tokens small integers, so every cycle ratio
+// is an exact fraction, and the climb compares ratios and potentials
+// exactly, in integers (docs/PERF.md). The independent oracle the tests
+// and bench_mcr check it against lives in tests/mcr_reference.h.
 #pragma once
 
 #include <span>
@@ -31,10 +31,8 @@ struct CycleRatioResult {
   std::vector<ArcId> cycle_arcs;
 };
 
-/// Maximum cycle ratio via Howard's policy iteration, run independently on
-/// every strongly-connected component (arcs not on any cycle never bound
-/// the ratio). Requires a live MG; graphs without any cycle yield ratio 0
-/// and an empty cycle.
+/// Maximum cycle ratio of a live MG (max_cycle_ratio of its flatten()).
+/// Graphs without any cycle yield ratio 0 and an empty cycle.
 CycleRatioResult max_cycle_ratio(const MarkedGraph& mg);
 
 // ---------------------------------------------------------------------------
@@ -72,97 +70,79 @@ McrFlat flatten(const MarkedGraph& mg);
 /// guarantees.
 double cycle_ratio(const McrArcs& g, std::span<const ArcId> arcs);
 
-/// Maximum cycle ratio of a flat graph: Howard's policy iteration from a
-/// cold policy (every node's first intra-SCC out-arc). Each node's ratio is
-/// a (delay, tokens) pair reduced by its gcd and compared by exact
-/// cross-multiplication, and its potential an integer scaled by that
-/// ratio's denominator, so every policy improvement is strict. A
-/// Gauss-Seidel pass runs first; a component whose in-place propagation
-/// cycles restarts as plain Jacobi iteration, which converges.
-/// max_cycle_ratio(MarkedGraph) and McrBatch::solve_one_cold are this
-/// solve.
+/// Maximum cycle ratio of a flat graph: one certificate climb (McrBatch's
+/// nominal solve) from zero potentials, at the best 1- or 2-arc cycle's
+/// ratio, or at -1/1 when the graph has none. Polls cancel_point() before
+/// it relaxes and once per relaxation pass.
 CycleRatioResult max_cycle_ratio(const McrArcs& g);
-
-/// Per-solve working memory of a Howard solve.
-///
-/// The solve decomposes into two phases with different data dependence:
-/// build_structure() (out-arc CSR, Tarjan SCCs, intra-SCC policy-candidate
-/// CSR, members by component) reads only the arc *structure* — never a
-/// delay — while init_policy_cold()/howard() read the delays. McrBatch
-/// exploits the split: one structure build amortized over every
-/// Monte-Carlo sample.
-class McrScratch {
- public:
-  McrScratch() = default;
-
- private:
-  friend CycleRatioResult max_cycle_ratio(const McrArcs& g);
-  friend class McrBatch;
-
-  /// Phases of a solve (bodies in mcr.cpp). build_structure returns the
-  /// component count; howard requires the structure to describe `g` and
-  /// policy_ to hold an intra-SCC out-arc for every SCC node.
-  int build_structure(const McrArcs& g);
-  void init_policy_cold(const McrArcs& g);
-  CycleRatioResult howard(const McrArcs& g, int comps);
-
-  // Tarjan + CSR adjacency + Howard state, sized on first use and reused.
-  std::vector<uint32_t> csr_off_, csr_arc_;        // intra-SCC out-arcs
-  std::vector<uint32_t> out_off_, out_arc_;        // all out-arcs (Tarjan)
-  std::vector<int> comp_;
-  std::vector<uint32_t> index_, low_, stack_, members_, comp_off_;
-  std::vector<uint8_t> on_stack_, state_;
-  std::vector<uint32_t> policy_, path_;
-  /// Each node's ratio rn_/rd_ (reduced, rd_ > 0) and its potential, scaled
-  /// by rd_.
-  std::vector<int64_t> rn_, rd_, d_;
-  std::vector<uint32_t> cycle_;
-};
 
 /// What McrBatch did with each sample it solved.
 struct McrBatchStats {
   size_t certified = 0;  ///< the dictionary argmax certified as it stood
   size_t repaired = 0;   ///< certified after the relaxation found better cycles
-  size_t howard = 0;     ///< Howard solves: pop-budget overruns
 
   McrBatchStats& operator+=(const McrBatchStats& o) {
     certified += o.certified;
     repaired += o.repaired;
-    howard += o.howard;
     return *this;
   }
 };
 
-/// Structure-shared batch Howard solver for Monte-Carlo throughput sweeps.
+/// Structure-shared max-cycle-ratio solver: the cold solve and the
+/// Monte-Carlo batch.
 ///
 /// A variation sweep solves the *same* marked graph under hundreds of
 /// sampled delay assignments; only the delays change. McrBatch runs the
-/// delay-independent analysis once at construction — CSR builds, Tarjan
-/// SCCs, and a dictionary of every 1- and 2-arc cycle (on handshake control
-/// graphs the critical cycle is almost always one of these local loops) —
-/// and then solves most samples without running Howard at all:
+/// delay-independent analysis once at construction — Tarjan SCCs, the
+/// intra-SCC arc CSR and its predecessor index, and a dictionary of every
+/// 1- and 2-arc cycle (on handshake control graphs the critical cycle is
+/// almost always one of these local loops). Every solve is then one
+/// certificate climb:
 ///
-///   1. Score the dictionary under the sample's delays (exact integer D/T
-///      comparison) and take the best ratio as the candidate lambda.
-///   2. Repair the previous sample's node potentials by worklist
-///      relaxation until every intra-SCC candidate arc satisfies
-///      P[v] >= P[w] + T * delay - D * tokens — the very inequality
-///      Howard's convergence establishes — where lambda = D/T and the
-///      potentials P are integers at the scale T. Summing it around any
-///      cycle bounds every cycle ratio by lambda, so the certificate pins
-///      the exact answer. The scale stays put while the reduced
-///      denominator of lambda divides it; otherwise the potentials are
-///      rescaled to that denominator by floor(P * T_new / T_old), which
-///      keeps satisfied arcs satisfied.
+///   1. Score the dictionary under the row's delays (exact integer D/T
+///      comparison) and take the best ratio as lambda = D/T, or -1/1 when
+///      the dictionary is empty (every cycle of a live graph weighs D + T
+///      >= 1 there, zero delays included).
+///   2. Relax the node potentials P (integers at the scale T) by a FIFO
+///      worklist until every intra-SCC arc a = v -> w satisfies
+///      P[v] >= P[w] + T * delay(a) - D * tokens(a). Summing it around any
+///      cycle bounds every cycle ratio by lambda, and lambda is a cycle's
+///      ratio, so the settled certificate pins the exact answer.
+///   3. Each raise records the arc it came through. After two passes over
+///      the nodes, and once per pass after that, the raise arcs are
+///      searched for a cycle. Every such cycle weighs more than zero, i.e.
+///      its ratio is strictly above lambda: it joins the block's
+///      dictionary, lambda rises to its exact ratio, and the relaxation
+///      goes on from the current potentials (every node off the worklist
+///      still satisfies its arcs at the larger lambda). The potentials
+///      keep their scale while the new reduced denominator divides it, and
+///      are otherwise rescaled by floor(P * T_new / T_old), which keeps
+///      satisfied arcs satisfied.
 ///
-/// The relaxation records the arc that raised each node. When the
-/// critical cycle is not in the dictionary, the potentials rise around it
-/// and those arcs close a cycle whose ratio is strictly above lambda: the
-/// cycle joins the block's dictionary, lambda rises to its ratio, and the
-/// relaxation goes on from the current potentials. Only a sample that
-/// exhausts the pop budget falls back to a warm-started Howard solve.
-/// Results are bit-equal to independent cold solves either way
-/// (property-tested).
+/// Termination. Fix lambda and let W be the largest arc weight. A raise
+/// arc v -> w keeps P[v] <= P[w] + weight from the raise on, because P[w]
+/// only rises, so along a raise-arc chain that ends at a node not raised
+/// since lambda last changed (whose potential has not moved) every
+/// potential is at most that node's value plus n * W. Potentials rise in
+/// integer steps, so a relaxation that keeps raising soon lifts some node
+/// above every such bound; from then on that node's chain cannot end, and
+/// a raise-arc cycle exists at every moment. The next per-pass search
+/// therefore finds it. Each found cycle raises lambda strictly to the
+/// ratio of a simple cycle, and there are finitely many simple cycles, so
+/// lambda stops rising and the relaxation at the last lambda settles. The
+/// argument gives no polynomial bound; on the bench models a cold solve
+/// settles within a few passes (docs/PERF.md).
+///
+/// Overflow. The constructor asserts n^2 * max_delay * max_tokens < 1e15
+/// on the nominal delays: at a reduced lambda D/T (D <= n * max_delay,
+/// T <= n * max_tokens) that keeps a chain of n arc weights below 2e15.
+/// Every raise search also asserts the potentials below INT64_MAX / 4, so
+/// a relaxation that outgrows 64 bits stops at an assertion instead of
+/// wrapping.
+///
+/// The constructor solves the nominal delays this way from zero
+/// potentials (max_cycle_ratio is that solve). A sample is "certified"
+/// when step 3 found nothing, "repaired" otherwise.
 ///
 /// Parallelism contract: samples are processed in fixed blocks of kBlock; a
 /// block's first sample starts from the nominal solve and later samples
@@ -200,30 +180,27 @@ class McrBatch {
     const McrBatchStats& stats() const { return stats_; }
 
    private:
-    enum class Cert { Failed, Certified, Repaired };
-    /// Exact argmax of the dictionary under `row` into best_*; false when
-    /// the dictionary is empty.
-    bool best_cycle(std::span<const Ps> row);
+    friend class McrBatch;
+
+    /// Exact argmax of the dictionary under `row` into best_*, and lambda
+    /// set to its ratio; lambda = -1/1 and best_arcs_ empty when the
+    /// dictionary is empty.
+    void best_cycle(std::span<const Ps> row);
     /// Make d/t lambda. The potentials keep their scale best_t_ when it is
     /// a multiple of the reduced denominator, and are rescaled to that
     /// denominator otherwise; best_d_ / best_t_ is lambda at the scale.
     void set_lambda(int64_t d, int64_t t);
-    /// Certificate relaxation at the dictionary's best ratio, repairing it
-    /// with every better cycle its raise arcs close; Failed when it runs
-    /// out of its pop budget.
-    Cert certify(std::span<const Ps> row);
+    /// Certificate relaxation at the dictionary's best ratio, climbing to
+    /// every better cycle its raise arcs close; true when it climbed.
+    bool certify(std::span<const Ps> row);
     /// The best cycle among the raise arcs (each raised node's arc to the
     /// node it was raised from) into cycle_, cycle_d_ and cycle_t_; false
     /// when they close no cycle.
     bool raise_cycle(std::span<const Ps> row);
     /// Append a cycle to the learned dictionary.
     void learn(std::span<const uint32_t> cycle);
-    /// Whether a canonical cycle is a seed or already learned.
-    bool known(std::span<const ArcId> cycle) const;
 
     const McrBatch& batch_;
-    McrScratch s_;
-    bool cold_ = true;  ///< s_ holds no Howard policy yet
     McrBatchStats stats_;
     /// Learned cycles beyond the seeds: arcs learned_arc_[learned_off_[i]
     /// .. learned_off_[i + 1]), token sum learned_tok_[i].
@@ -249,27 +226,22 @@ class McrBatch {
   /// Solve all `samples` rows of the row-major samples x num_arcs() delay
   /// matrix, one Block per kBlock rows. Every returned cycle is genuinely
   /// critical for its row (cycle_ratio(row view, cycle_arcs) == ratio),
-  /// bit-equal to solve_one_cold on the same row (property-tested in
-  /// test_pn.cpp). `stats`, when given, receives the blocks' sums.
+  /// and its ratio equals the oracle's (property-tested in test_pn.cpp).
+  /// `stats`, when given, receives the blocks' sums.
   std::vector<CycleRatioResult> solve_all(std::span<const Ps> delays,
                                           size_t samples, int jobs = 1,
                                           McrBatchStats* stats = nullptr) const;
 
-  /// Independent per-sample oracle: a cold max_cycle_ratio of one row,
-  /// sharing nothing with the batch machinery (also the baseline the
-  /// bench_mc speedup is measured against).
-  CycleRatioResult solve_one_cold(std::span<const Ps> delay_row) const;
-
  private:
-  McrArcs row_view(std::span<const Ps> row) const {
-    return {num_nodes_, from_, to_, tokens_, row};
-  }
+  friend CycleRatioResult max_cycle_ratio(const McrArcs& g);
 
   uint32_t num_nodes_ = 0;
   std::vector<uint32_t> from_, to_;
   std::vector<int32_t> tokens_;
-  McrScratch structure_;  ///< built once; copied into each block's scratch
-  int comps_ = 0;
+  /// Intra-SCC out-arcs of each node v, arc ids ascending:
+  /// csr_arc_[csr_off_[v] .. csr_off_[v + 1]). Arcs between components lie
+  /// on no cycle and never bound the ratio.
+  std::vector<uint32_t> csr_off_, csr_arc_;
   /// Every 1- and 2-arc cycle of the graph — the structural seed of each
   /// block's critical-cycle dictionary: arcs seed_a_[i] and seed_b_[i],
   /// grouped by token sum (group g is [seed_group_off_[g],
@@ -279,18 +251,17 @@ class McrBatch {
   std::vector<uint32_t> seed_a_, seed_b_;
   std::vector<uint32_t> seed_group_off_;
   std::vector<int64_t> seed_group_tok_;
-  /// The nominal solve's critical cycle and converged potentials, scaled by
-  /// the cycle's token count.
+  /// The nominal solve's critical cycle (canonical; empty when the graph
+  /// has none) and settled potentials, scaled by the cycle's token count.
   std::vector<uint32_t> nominal_cycle_;
   std::vector<int64_t> nominal_d_;
-  /// The heads and token counts of the intra-SCC candidate arcs, in
-  /// McrScratch::csr_arc_ order, for the relaxation.
+  /// The heads and token counts of the intra-SCC arcs, in csr_arc_ order,
+  /// for the relaxation.
   std::vector<uint32_t> cand_to_;
   std::vector<int32_t> cand_tok_;
-  /// Tails of the intra-SCC candidate arcs indexed by *head* node: when a
-  /// relaxation raises d[v], exactly the nodes
-  /// pred_from_[pred_off_[v]..pred_off_[v+1]) can newly violate the
-  /// certificate inequality.
+  /// Tails of the intra-SCC arcs indexed by *head* node: when a relaxation
+  /// raises d[v], exactly the nodes pred_from_[pred_off_[v]..pred_off_[v+1])
+  /// can newly violate the certificate inequality.
   std::vector<uint32_t> pred_off_, pred_from_;
 };
 

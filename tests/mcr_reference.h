@@ -1,7 +1,8 @@
 // The maximum-cycle-ratio oracle: exact Bellman-Ford positive-cycle
-// detection, independent of Howard's policy iteration (pn::max_cycle_ratio)
-// and of the Monte-Carlo certificate (pn::McrBatch). test_pn checks both
-// solvers against it; bench_mcr races it against Howard.
+// detection, sharing no code with the production certificate climb
+// (pn::max_cycle_ratio and pn::McrBatch). test_pn checks the cold solve and
+// every Monte-Carlo sample against it; bench_mcr races it against the cold
+// solve.
 //
 // At lambda = D/T a cycle is positive under the integer arc weights
 // T * delay - D * tokens exactly when its ratio exceeds lambda. The search

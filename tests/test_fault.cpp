@@ -21,6 +21,7 @@
 
 #include "base/cancel.h"
 #include "circuits/circuits.h"
+#include "core/desynchronizer.h"
 #include "flow/engine.h"
 #include "netlist/builder.h"
 #include "netlist/writer.h"
@@ -245,6 +246,20 @@ TEST(Cancel, ExpiredDeadlineAbortsParallelPartitionRun) {
   CancelScope scope(&t);
   EXPECT_THROW(engine.run(mesh.netlist, mesh.clock, parallel_auto()),
                DeadlineError);
+}
+
+// A tripped token aborts a cold max-cycle-ratio solve with the typed error
+// (the solve polls before it relaxes and once per relaxation pass).
+TEST(Cancel, CancelledTokenAbortsCycleRatioSolve) {
+  const circuits::Circuit mesh = circuits::register_mesh(16, 16, 1);
+  const Tech& tech = Tech::generic90();
+  const pn::MarkedGraph mg = flow::timed_control_model(
+      flow::desynchronize(mesh.netlist, mesh.clock, tech), tech);
+  ASSERT_GT(pn::max_cycle_ratio(mg).ratio, 0.0);
+  CancelToken t;
+  t.cancel();
+  CancelScope scope(&t);
+  EXPECT_THROW(pn::max_cycle_ratio(mg), CancelledError);
 }
 
 // A request deadline reaches the Monte-Carlo batch solver's worker threads:

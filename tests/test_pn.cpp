@@ -419,10 +419,10 @@ class HowardVsReference : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(HowardVsReference, SolversAgreeAndCyclesAreGenuine) {
   MarkedGraph mg = random_timed_mg(GetParam());
   ASSERT_TRUE(is_live(mg));
-  auto howard = max_cycle_ratio(mg);
+  auto solved = max_cycle_ratio(mg);
   auto ref = max_cycle_ratio_reference(mg);
-  EXPECT_EQ(howard.ratio, ref.ratio) << mg.to_dot();
-  expect_genuine_critical_cycle(mg, howard);
+  EXPECT_EQ(solved.ratio, ref.ratio) << mg.to_dot();
+  expect_genuine_critical_cycle(mg, solved);
   expect_genuine_critical_cycle(mg, ref);
 }
 
@@ -438,10 +438,10 @@ TEST(Mcr, SuiteControlModelCriticalCyclesAreExact) {
     flow::DesyncResult dr =
         flow::desynchronize(s.circuit.netlist, s.circuit.clock, t);
     MarkedGraph mg = flow::timed_control_model(dr, t);
-    auto howard = max_cycle_ratio(mg);
+    auto solved = max_cycle_ratio(mg);
     auto ref = max_cycle_ratio_reference(mg);
-    EXPECT_EQ(howard.ratio, ref.ratio) << s.name;
-    expect_genuine_critical_cycle(mg, howard);
+    EXPECT_EQ(solved.ratio, ref.ratio) << s.name;
+    expect_genuine_critical_cycle(mg, solved);
     expect_genuine_critical_cycle(mg, ref);
   }
 }
@@ -517,9 +517,9 @@ TEST(Mcr, ArcFreeTransitionsDoNotChangeTheRatio) {
 }
 
 // ---------------------------------------------------------------------------
-// McrBatch: structure-shared Monte-Carlo solves are bit-equal to per-sample
-// cold solves, every cycle is genuine, and results are byte-identical at
-// any worker count.
+// McrBatch: structure-shared Monte-Carlo solves are bit-equal to the
+// oracle's per-sample solves, every cycle is genuine, and results are
+// byte-identical at any worker count.
 // ---------------------------------------------------------------------------
 
 /// Sampled delay rows: counter-based jitter (+/-20%) around the nominal
@@ -556,12 +556,11 @@ TEST_P(BatchVsCold, WarmBlocksBitEqualColdOracle) {
     ASSERT_EQ(res.size(), samples);
     for (size_t s = 0; s < samples; ++s) {
       const std::span<const Ps> row(rows.data() + s * m, m);
-      const CycleRatioResult cold = batch.solve_one_cold(row);
-      EXPECT_EQ(res[s].ratio, cold.ratio)  // bit-equal, not just close
-          << mg.name() << " sample " << s << "/" << samples;
       // The cycle is genuine for *this row's* delays: its exact D/T
       // quotient is the returned ratio.
       const McrArcs g{flat.num_nodes, flat.from, flat.to, flat.tokens, row};
+      EXPECT_EQ(res[s].ratio, reference_flat(g).ratio)  // bit-equal
+          << mg.name() << " sample " << s << "/" << samples;
       ASSERT_FALSE(res[s].cycle_arcs.empty());
       EXPECT_EQ(cycle_ratio(g, res[s].cycle_arcs), res[s].ratio)
           << mg.name() << " sample " << s;
@@ -652,15 +651,16 @@ TEST(McrBatch, RepairMatchesColdSolveWhenDictionaryMisses) {
     McrBatchStats stats;
     const auto res = batch.solve_all(c.rows, c.samples, 4, &stats);
     ASSERT_EQ(res.size(), c.samples);
-    EXPECT_EQ(stats.certified + stats.repaired + stats.howard, c.samples)
-        << c.name;
+    EXPECT_EQ(stats.certified + stats.repaired, c.samples) << c.name;
     EXPECT_GT(stats.repaired, 0u) << c.name;
     for (size_t s = 0; s < c.samples; ++s) {
       const std::span<const Ps> row(c.rows.data() + s * m, m);
-      EXPECT_EQ(res[s].ratio, batch.solve_one_cold(row).ratio)
+      const McrArcs g{c.flat.num_nodes, c.flat.from, c.flat.to,
+                      c.flat.tokens, row};
+      EXPECT_EQ(res[s].ratio, reference_flat(g).ratio)
           << c.name << " sample " << s;
       // Genuine: the arcs chain into the returned transition cycle, and
-      // their exact D/T under this row is the (cold, critical) ratio.
+      // their exact D/T under this row is the (oracle's, critical) ratio.
       const CycleRatioResult& r = res[s];
       ASSERT_FALSE(r.cycle_arcs.empty()) << c.name << " sample " << s;
       ASSERT_EQ(r.cycle.size(), r.cycle_arcs.size()) << c.name;
@@ -670,8 +670,6 @@ TEST(McrBatch, RepairMatchesColdSolveWhenDictionaryMisses) {
         EXPECT_EQ(c.flat.to[a], r.cycle[(i + 1) % r.cycle.size()].value())
             << c.name;
       }
-      const McrArcs g{c.flat.num_nodes, c.flat.from, c.flat.to,
-                      c.flat.tokens, row};
       EXPECT_EQ(cycle_ratio(g, r.cycle_arcs), r.ratio)
           << c.name << " sample " << s;
     }
@@ -680,7 +678,55 @@ TEST(McrBatch, RepairMatchesColdSolveWhenDictionaryMisses) {
     (void)batch.solve_all(c.rows, c.samples, 1, &serial);
     EXPECT_EQ(serial.certified, stats.certified) << c.name;
     EXPECT_EQ(serial.repaired, stats.repaired) << c.name;
-    EXPECT_EQ(serial.howard, stats.howard) << c.name;
+  }
+}
+
+/// Sixteen 3-arc rings through one hub, next to a 2-arc seed loop of
+/// ratio 1. Ring i (0-based) carries 2^(16 - i) - 1 tokens on its first arc
+/// and, in the sample row, a delay of tokens * (2 + i), so its ratio is
+/// 2 + i; in the nominal row the rings have no delay and the seed is
+/// critical. At ring j's ratio, ring j + 1 outweighs every later ring
+/// (T_{j+1} > 2 * T_{j+2}), so the certificate climbs from the seed
+/// through all sixteen rings, one per relaxation pass: more than 16n + 64
+/// pops, where a capped relaxation would have stopped. The climb alone
+/// must reach the last ring's exact ratio.
+TEST(McrBatch, ClimbThroughSixteenRingsSettlesExactly) {
+  McrFlat flat;
+  std::vector<Ps> sample;
+  auto arc = [&](uint32_t from, uint32_t to, int32_t tokens, Ps nominal,
+                 Ps sampled) {
+    flat.from.push_back(from);
+    flat.to.push_back(to);
+    flat.tokens.push_back(tokens);
+    flat.delay.push_back(nominal);
+    sample.push_back(sampled);
+  };
+  flat.num_nodes = 2;  // the hub 0 and the seed loop's node 1
+  arc(0, 1, 1, 1, 1);
+  arc(1, 0, 0, 0, 0);
+  const int kRings = 16;
+  for (int i = 0; i < kRings; ++i) {
+    const int32_t tokens = (1 << (kRings - i)) - 1;
+    const Ps d = Ps{tokens} * (2 + i);
+    const uint32_t a = flat.num_nodes++, b = flat.num_nodes++;
+    arc(0, a, tokens, 0, d - 2 * (d / 3));
+    arc(a, b, 0, 0, d / 3);
+    arc(b, 0, 0, 0, d / 3);
+  }
+  const McrArcs g{flat.num_nodes, flat.from, flat.to, flat.tokens, sample};
+  const CycleRatioResult ref = reference_flat(g);
+  ASSERT_EQ(ref.ratio, 2.0 + (kRings - 1));
+  const std::vector<ArcId> last_ring = {ArcId(47), ArcId(48), ArcId(49)};
+  ASSERT_EQ(ref.cycle_arcs, last_ring);
+
+  const McrBatch batch(flat.view());
+  McrBatchStats stats;
+  const auto res = batch.solve_all(sample, 1, 1, &stats);
+  EXPECT_EQ(stats.repaired, 1u);
+  for (const CycleRatioResult& r : {res[0], max_cycle_ratio(g)}) {
+    EXPECT_EQ(r.ratio, ref.ratio);
+    EXPECT_EQ(r.cycle_arcs, last_ring);
+    EXPECT_EQ(cycle_ratio(g, r.cycle_arcs), r.ratio);
   }
 }
 
@@ -726,7 +772,7 @@ TEST(Mcr, RatiosCloserThanTheOldEpsilonResolveExactly) {
   expect_b(max_cycle_ratio(g), "cold");
   expect_b(reference_flat(g), "oracle");
   const McrBatch batch(nominal.view());
-  EXPECT_EQ(batch.solve_one_cold(nominal.delay).ratio, 4000001.0 / 40000.0);
+  EXPECT_EQ(max_cycle_ratio(nominal.view()).ratio, 4000001.0 / 40000.0);
   McrBatchStats stats;
   const auto res = batch.solve_all(sample, 1, 1, &stats);
   expect_b(res[0], "batch");
