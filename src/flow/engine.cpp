@@ -103,23 +103,6 @@ Sha256 coordinate_hash(std::string_view tag, const cell::Tech& tech,
   return h;
 }
 
-/// Hash of the storage-cell layout (id, name, kind, macro params) in id
-/// order. The legacy partition strategies read exactly this, and a cached
-/// Partition's member ids are valid in any netlist with the same census.
-Hash256 census_hash(const nl::Netlist& nl) {
-  Sha256 h;
-  h.field("census-v1");
-  for (nl::CellId c : nl.cells()) {
-    const nl::CellData& cd = nl.cell(c);
-    if (!cell::is_storage(cd.kind)) continue;
-    h.field_u64(c.value());
-    h.field(cd.name);
-    h.field_u64(static_cast<uint64_t>(cd.kind));
-    h.field_u64(cd.p0).field_u64(cd.p1);
-  }
-  return h.digest();
-}
-
 /// Content hash of an explicit partition (group names, ram flags, member
 /// cell names — id independent; the census pins the ids separately).
 Hash256 partition_content_hash(const Partition& p, const nl::Netlist& nl) {
@@ -438,10 +421,10 @@ std::shared_ptr<const A> Engine::serve(std::string_view kind,
 
 Engine::Submission Engine::identify(const nl::Netlist& ff, nl::NetId clock,
                                     const DesyncOptions& opt) {
-  Submission sub{nl::content_hash(ff), ff.net(clock).name, {}};
+  Submission sub{nl::content_hash(ff), ff.net(clock).name, {}, {}};
   Sha256 h;
   h.field("partition-v1").field(tech_.name());
-  mix(h, census_hash(ff));
+  mix(h, nl::census_hash(ff));
   using M = PartitionSpec::Mode;
   switch (opt.strategy.mode) {
     case M::Prefix:
@@ -471,6 +454,10 @@ Engine::Submission Engine::identify(const nl::Netlist& ff, nl::NetId clock,
       break;
   }
   sub.part_key = h.digest();
+  Sha256 lh;
+  lh.field("latchify-v1").field(tech_.name());
+  mix(lh, sub.ff_hash).field(sub.clock);
+  sub.latch_key = mix(lh, sub.part_key).digest();
   return sub;
 }
 
@@ -517,10 +504,7 @@ Engine::Stages Engine::run_stages(const nl::Netlist& ff, nl::NetId clock,
       part_des);
 
   // ---- latchify stage -----------------------------------------------------
-  Sha256 lh;
-  lh.field("latchify-v1").field(tech_.name());
-  mix(lh, sub.ff_hash).field(sub.clock);
-  const Hash256 latch_key = mix(lh, sub.part_key).digest();
+  const Hash256& latch_key = sub.latch_key;
   auto latch = serve<LatchArtifact>(
       "latchify", latch_key, &StageCounters::latchify_hits,
       "engine.stage.latchify", [&]() -> Computed {
@@ -677,6 +661,30 @@ std::shared_ptr<const DesyncResult> Engine::desynchronize(
   count(&StageCounters::runs);
   Stages st = run_stages(ff, clock, opt, identify(ff, clock, opt));
   return {st.synth, &st.synth->result};
+}
+
+ArtifactStore::Ptr Engine::proof_setup(const nl::Netlist& ff, nl::NetId clock,
+                                       const DesyncOptions& opt,
+                                       const ProofBuild& build) {
+  // Keyed like the synth stage: the set-up depends on the design and the
+  // desynchronized circuit, never on the stimulus or the rounds compared.
+  // Memory tier only; a proof builds what it misses, with no fault probe.
+  const Submission sub = identify(ff, clock, opt);
+  return serve<Artifact>(
+      "proof", coordinate_hash("synth-v1", tech_, opt, sub.latch_key).digest(),
+      &StageCounters::proof_hits, nullptr, [&]() -> Computed {
+        const Stages st = run_stages(ff, clock, opt, sub);
+        Sha256 h;
+        h.field("sync-ref-v1").field(tech_.name());
+        mix(h, sub.ff_hash).field(sub.clock);
+        auto sync = serve<Artifact>(
+            "sync_ref", h.digest(), &StageCounters::sync_ref_hits, nullptr,
+            [&]() -> Computed {
+              return {build.sync_ref(), &StageCounters::sync_ref_runs};
+            });
+        return {build.setup(std::move(sync), {st.synth, &st.synth->result}),
+                &StageCounters::proof_runs};
+      });
 }
 
 std::shared_ptr<const check::LintReport> Engine::lint(

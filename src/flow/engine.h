@@ -16,7 +16,18 @@
 //   result      H(tech, ff_hash, clock, partition key, margins, protocol)
 //
 // lint and mc are keyed at the result's coordinates (mc adds its sampling
-// knobs).
+// knobs). Two more memory-tier stages hold the design-only set-up of a
+// flow-equivalence proof (verif::check_flow_equivalence):
+//
+//   sync_ref    H(tech, ff_hash, clock)
+//   proof       the synth stage's key
+//
+// The first proof of a design builds its sync reference (the clocked
+// netlist with its clock tree, the STA period, the compiled simulator
+// image and the capture taps); the first proof of a coordinate builds its
+// set-up (the desync image, taps, worst-case setup table, predicted period
+// and register table). The flow stages never build either, and a repeat
+// proof costs its two simulations.
 //
 // Re-submitting an unchanged design is a pure result-cache hit: no stage
 // runs, the stored Verilog is returned. An *edited* design re-runs only
@@ -48,6 +59,7 @@
 // computation on a racing miss is benign.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -64,7 +76,11 @@ struct LintReport;
 namespace desyn::flow {
 
 struct EngineOptions {
-  size_t capacity = 96;   ///< in-memory artifact entries before eviction
+  /// In-memory artifact entries before eviction. 128 holds perfbench
+  /// `verify`'s working set of 113 entries: 78 flow entries (partition
+  /// and latchify of 14 design/strategy pairs, adjacency and synth of 25
+  /// coordinates), 10 sync references and 25 proof set-ups.
+  size_t capacity = 128;
   std::string cache_dir;  ///< on-disk artifact tier; empty = memory only
 };
 
@@ -91,6 +107,10 @@ struct StageCounters {
   size_t lint_hits = 0;       ///< lint reports served from the cache
   size_t mc_runs = 0;         ///< Monte-Carlo analyses (flow::mc_analysis)
   size_t mc_hits = 0;         ///< MC reports served from the cache
+  size_t sync_ref_runs = 0;   ///< proof sync references built (per design)
+  size_t sync_ref_hits = 0;
+  size_t proof_runs = 0;      ///< proof set-ups built (per coordinate)
+  size_t proof_hits = 0;
 };
 
 /// The summary a flow submission reports (the server's response payload;
@@ -149,6 +169,25 @@ class Engine {
                                      nl::NetId clock, const DesyncOptions& opt,
                                      const McOptions& mc);
 
+  /// The design-only set-up of a flow-equivalence proof as two
+  /// memory-tier stages (see the file comment); verif/flow_equivalence.cpp
+  /// defines the artifacts and builds them, the engine keys, caches and
+  /// counts them. `sync_ref` builds the submitted design's sync reference;
+  /// `setup` builds one coordinate's set-up from that reference and the
+  /// flow result, which it must keep alive.
+  struct ProofBuild {
+    std::function<ArtifactStore::Ptr()> sync_ref;
+    std::function<ArtifactStore::Ptr(ArtifactStore::Ptr sync_ref,
+                                     std::shared_ptr<const DesyncResult>)>
+        setup;
+  };
+  /// The proof set-up of (ff_netlist, clock, opt), built through `build`
+  /// on a miss. A hit consults no flow stage: the set-up holds the flow
+  /// result it was built from.
+  ArtifactStore::Ptr proof_setup(const nl::Netlist& ff_netlist,
+                                 nl::NetId clock, const DesyncOptions& opt,
+                                 const ProofBuild& build);
+
   StageCounters counters() const;
   ArtifactStore::Stats store_stats() const;
   const cell::Tech& tech() const { return tech_; }
@@ -185,6 +224,7 @@ class Engine {
     Hash256 ff_hash;    ///< canonical content of the flip-flop netlist
     std::string clock;  ///< clock net name
     Hash256 part_key;   ///< the partition stage's key
+    Hash256 latch_key;  ///< the latchify stage's key
   };
 
   /// A stage compute's outcome, handed back to serve(): the artifact, the

@@ -1,10 +1,16 @@
 #include "netlist/hash.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace desyn::nl {
 
-Hash256 content_hash(const Netlist& nl) {
+namespace {
+
+std::atomic<uint64_t> computations{0};
+
+Hash256 compute_content_hash(const Netlist& nl) {
+  computations.fetch_add(1, std::memory_order_relaxed);
   Sha256 h;
   h.field("desyn-nl-v1");
   h.field(nl.name());
@@ -55,6 +61,37 @@ Hash256 content_hash(const Netlist& nl) {
     }
   }
   return h.digest();
+}
+
+Hash256 compute_census_hash(const Netlist& nl) {
+  computations.fetch_add(1, std::memory_order_relaxed);
+  Sha256 h;
+  h.field("census-v1");
+  for (CellId c : nl.cells()) {
+    const CellData& cd = nl.cell(c);
+    if (!cell::is_storage(cd.kind)) continue;
+    h.field_u64(c.value());
+    h.field(cd.name);
+    h.field_u64(static_cast<uint64_t>(cd.kind));
+    h.field_u64(cd.p0).field_u64(cd.p1);
+  }
+  return h.digest();
+}
+
+}  // namespace
+
+Hash256 content_hash(const Netlist& nl) {
+  return nl.memo_.get(&Netlist::HashMemo::content,
+                      [&nl] { return compute_content_hash(nl); });
+}
+
+Hash256 census_hash(const Netlist& nl) {
+  return nl.memo_.get(&Netlist::HashMemo::census,
+                      [&nl] { return compute_census_hash(nl); });
+}
+
+uint64_t hash_computations() {
+  return computations.load(std::memory_order_relaxed);
 }
 
 }  // namespace desyn::nl

@@ -21,9 +21,21 @@
 
 namespace desyn::nl {
 
-/// Canonical hash of `nl` as described above. Cost is one sort of the
-/// live cell names plus one SHA-256 pass — cheap enough to run per flow
-/// submission.
+/// Canonical hash of `nl` as described above. The first call costs one
+/// sort of the live cell names plus one SHA-256 pass; later calls on
+/// unchanged content return the netlist's memo (netlist.h).
 Hash256 content_hash(const Netlist& nl);
+
+/// Hash of the storage-cell layout (id, name, kind, macro params) in id
+/// order — unlike content_hash, representation dependent on purpose: the
+/// legacy partition strategies read exactly this, and a cached Partition's
+/// member ids are valid in any netlist with the same census. Memoized
+/// like content_hash.
+Hash256 census_hash(const Netlist& nl);
+
+/// Digests content_hash and census_hash have computed in this process
+/// (memo hits excluded) — what tests count to pin that a repeat proof or
+/// a warm submission hashes nothing.
+uint64_t hash_computations();
 
 }  // namespace desyn::nl

@@ -17,6 +17,7 @@ std::string Netlist::unique_cell_name(std::string base) {
 }
 
 NetId Netlist::add_net(std::string name) {
+  memo_.clear();
   NetId id(static_cast<uint32_t>(nets_.size()));
   NetData nd;
   nd.name = unique_net_name(std::move(name));
@@ -34,6 +35,7 @@ NetId Netlist::add_input(std::string name) {
 
 void Netlist::mark_output(NetId net) {
   DESYN_ASSERT(net.valid() && net.value() < nets_.size());
+  memo_.clear();
   if (std::find(outputs_.begin(), outputs_.end(), net) == outputs_.end()) {
     outputs_.push_back(net);
   }
@@ -50,6 +52,7 @@ CellId Netlist::add_cell(cell::Kind kind, std::string name,
                ins.size());
   DESYN_ASSERT(static_cast<int>(outs.size()) == want_out);
 
+  memo_.clear();
   CellId id(static_cast<uint32_t>(cells_.size()));
   CellData cd;
   cd.kind = kind;
@@ -79,6 +82,7 @@ CellId Netlist::add_cell(cell::Kind kind, std::string name,
 }
 
 int32_t Netlist::add_payload(std::vector<uint64_t> words) {
+  memo_.clear();
   payloads_.push_back(std::move(words));
   return static_cast<int32_t>(payloads_.size() - 1);
 }

@@ -3,12 +3,21 @@
 // Storage is arena-style (vectors indexed by 32-bit strong ids); cells are
 // tombstoned on removal so ids stay stable across flow transformations
 // (FF->latch conversion, clock-tree removal, controller insertion).
+//
+// A netlist memoizes its canonical hashes (nl::content_hash and
+// nl::census_hash, netlist/hash.h): the first call computes, later calls
+// on unchanged content return the stored digest, and every mutator clears
+// the memo. A copy or a move starts with an empty memo, so no netlist can
+// return another's.
 #pragma once
 
+#include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "base/sha256.h"
 #include "cell/cells.h"
 
 namespace desyn::nl {
@@ -88,6 +97,7 @@ class Netlist {
   void replace_payload(int32_t idx, std::vector<uint64_t> words) {
     DESYN_ASSERT(idx >= 0 && static_cast<size_t>(idx) < payloads_.size());
     DESYN_ASSERT(payloads_[static_cast<size_t>(idx)].size() == words.size());
+    memo_.clear();
     payloads_[static_cast<size_t>(idx)] = std::move(words);
   }
   /// Swap the cell kind for another with identical pin structure (used by
@@ -145,12 +155,51 @@ class Netlist {
 
  private:
   friend class Builder;
+  friend Hash256 content_hash(const Netlist& nl);
+  friend Hash256 census_hash(const Netlist& nl);
+
+  /// The hash memo (see the file comment). Hashing one const netlist from
+  /// several threads at once is safe: the slots are read and filled under
+  /// `mu`.
+  struct HashMemo {
+    mutable std::mutex mu;
+    std::optional<Hash256> content, census;
+    HashMemo() = default;
+    HashMemo(const HashMemo&) noexcept {}
+    HashMemo& operator=(const HashMemo&) noexcept {
+      clear();
+      return *this;
+    }
+    void clear() {
+      content.reset();
+      census.reset();
+    }
+    /// Slot `slot`, filled by `compute` on first use. The digest is
+    /// computed outside the lock; two threads racing on an empty slot
+    /// both compute the same value.
+    template <class Compute>
+    Hash256 get(std::optional<Hash256> HashMemo::*slot, Compute compute) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (const std::optional<Hash256>& h = this->*slot) return *h;
+      }
+      const Hash256 h = compute();
+      std::lock_guard<std::mutex> lock(mu);
+      this->*slot = h;
+      return h;
+    }
+  };
+
+  // Every non-const path to a cell or net goes through these two, so each
+  // edit clears the memo.
   CellData& cell_mut(CellId id) {
     DESYN_ASSERT(id.value() < cells_.size());
+    memo_.clear();
     return cells_[id.value()];
   }
   NetData& net_mut(NetId id) {
     DESYN_ASSERT(id.value() < nets_.size());
+    memo_.clear();
     return nets_[id.value()];
   }
   std::string unique_net_name(std::string base);
@@ -166,6 +215,7 @@ class Netlist {
   std::unordered_map<std::string, uint32_t> cell_by_name_;
   size_t live_cells_ = 0;
   uint64_t auto_name_counter_ = 0;
+  mutable HashMemo memo_;
 };
 
 class Netlist::CellRange {

@@ -107,21 +107,30 @@ bool Simulator::EventQueue::pop_next(Ps limit, Event* out) {
   }
 }
 
-Simulator::Simulator(const nl::Netlist& nl, const cell::Tech& tech)
-    : nl_(nl), tech_(tech) {
-  val_.assign(nl_.num_nets(), V::VX);
-  last_change_.assign(nl_.num_nets(), -1);
-  toggles_.assign(nl_.num_nets(), 0);
-  version_.assign(nl_.num_nets(), 0);
-  pending_.assign(nl_.num_nets(), 0);
-  delay_.resize(nl_.num_cells(), 0);
-  ram_state_.resize(nl_.num_cells());
-  watchers_.resize(nl_.num_nets());
-  clock_half_period_.assign(nl_.num_nets(), 0);
-  for (CellId c : nl_.cells()) {
-    delay_[c.value()] = nl::cell_delay(nl_, c, tech_);
+namespace {
+
+/// Decodes an address from bit nets (index 0 = LSB). Returns false on X.
+bool decode_addr(const std::vector<V>& val, const std::vector<NetId>& ins,
+                 size_t begin, size_t bits, uint64_t* addr) {
+  uint64_t a = 0;
+  for (size_t i = 0; i < bits; ++i) {
+    V v = val[ins[begin + i].value()];
+    if (v == V::VX) return false;
+    if (v == V::V1) a |= (1ull << i);
   }
-  dff_setup_ = tech_.dff_setup();
+  *addr = a;
+  return true;
+}
+
+}  // namespace
+
+Compiled::Compiled(const nl::Netlist& nl, const cell::Tech& tech)
+    : nl_(nl), dff_setup_(tech.dff_setup()), latch_setup_(tech.latch_setup()) {
+  delay_.resize(nl_.num_cells(), 0);
+  for (CellId c : nl_.cells()) {
+    delay_[c.value()] = nl::cell_delay(nl_, c, tech);
+    if (nl_.cell(c).kind == Kind::Ram) rams_.push_back(c);
+  }
   // Flatten each net's fanout into the DFF-clock fast path + the rest.
   ff_ck_off_.reserve(nl_.num_nets() + 1);
   fan_off_.reserve(nl_.num_nets() + 1);
@@ -141,7 +150,6 @@ Simulator::Simulator(const nl::Netlist& nl, const cell::Tech& tech)
   ff_ck_off_.push_back(static_cast<uint32_t>(ff_ck_.size()));
   fan_off_.push_back(static_cast<uint32_t>(fan_pins_.size()));
   // Flatten each cell's pins (tombstoned cells included: ids stay dense).
-  latch_setup_ = tech_.latch_setup();
   flat_.reserve(nl_.num_cells());
   in_.reserve(ff_ck_.size() + fan_pins_.size());  // every live input pin
   for (uint32_t c = 0; c < nl_.num_cells(); ++c) {
@@ -151,43 +159,24 @@ Simulator::Simulator(const nl::Netlist& nl, const cell::Tech& tech)
                              static_cast<uint16_t>(cd.ins.size()), cd.kind});
     in_.insert(in_.end(), cd.ins.begin(), cd.ins.end());
   }
-  settle_initial_state();
+  settle();
 }
 
-namespace {
-
-/// Decodes an address from bit nets (index 0 = LSB). Returns false on X.
-bool decode_addr(const std::vector<V>& val, const std::vector<NetId>& ins,
-                 size_t begin, size_t bits, uint64_t* addr) {
-  uint64_t a = 0;
-  for (size_t i = 0; i < bits; ++i) {
-    V v = val[ins[begin + i].value()];
-    if (v == V::VX) return false;
-    if (v == V::V1) a |= (1ull << i);
-  }
-  *addr = a;
-  return true;
-}
-
-}  // namespace
-
-void Simulator::settle_initial_state() {
+void Compiled::settle() {
   // Reset state: storage and state-holding outputs take their init value;
-  // RAM contents copy their payload.
+  // RAM contents are their payload (each simulator copies it).
+  reset_.assign(nl_.num_nets(), V::VX);
   for (CellId c : nl_.cells()) {
     const nl::CellData& cd = nl_.cell(c);
-    if (cd.kind == Kind::Ram) {
-      ram_state_[c.value()] = nl_.payload(cd.payload);
-      continue;
-    }
+    if (cd.kind == Kind::Ram) continue;
     if (cell::is_storage(cd.kind) || cell::is_state_holding(cd.kind)) {
-      for (NetId o : cd.outs) val_[o.value()] = cd.init;
+      for (NetId o : cd.outs) reset_[o.value()] = cd.init;
     }
   }
   // Input i of cell c, read in place.
   auto input = [this](uint32_t c) {
     return [this, in = in_.data() + flat_[c].in](size_t i) {
-      return val_[in[i].value()];
+      return reset_[in[i].value()];
     };
   };
   auto arity = [this](uint32_t c) { return size_t{flat_[c].n_in}; };
@@ -195,16 +184,15 @@ void Simulator::settle_initial_state() {
   for (CellId c : nl::topo_order(nl_)) {
     const nl::CellData& cd = nl_.cell(c);
     if (cell::is_combinational(cd.kind) && cd.kind != Kind::Rom) {
-      val_[cd.outs[0].value()] =
+      reset_[cd.outs[0].value()] =
           cell::eval_comb(cd.kind, arity(c.value()), input(c.value()));
     } else if (cd.kind == Kind::Rom || cd.kind == Kind::Ram) {
       size_t ra_begin = cd.kind == Kind::Rom ? 0 : size_t{2} + cd.p0 + cd.p1;
       uint64_t addr = 0;
-      bool known = decode_addr(val_, cd.ins, ra_begin, cd.p0, &addr);
-      const auto& mem = cd.kind == Kind::Rom ? nl_.payload(cd.payload)
-                                             : ram_state_[c.value()];
+      bool known = decode_addr(reset_, cd.ins, ra_begin, cd.p0, &addr);
+      const auto& mem = nl_.payload(cd.payload);
       for (size_t b = 0; b < cd.outs.size(); ++b) {
-        val_[cd.outs[b].value()] =
+        reset_[cd.outs[b].value()] =
             known ? cell::from_bool((mem[addr] >> b) & 1) : V::VX;
       }
     }
@@ -216,21 +204,62 @@ void Simulator::settle_initial_state() {
     const nl::CellData& cd = nl_.cell(c);
     if (cell::is_latch(cd.kind)) {
       V t = cd.kind == Kind::Latch ? V::V1 : V::V0;
-      if (val_[cd.ins[1].value()] == t) {
-        V d = val_[cd.ins[0].value()];
-        if (d != val_[cd.outs[0].value()]) {
-          schedule(cd.outs[0], d, delay_[c.value()]);
+      if (reset_[cd.ins[1].value()] == t) {
+        V d = reset_[cd.ins[0].value()];
+        if (d != reset_[cd.outs[0].value()]) {
+          kicks_.push_back({cd.outs[0], d, delay_[c.value()]});
         }
       }
     } else if (cell::is_state_holding(cd.kind)) {
       V nv = cell::eval_state_holding(cd.kind, arity(c.value()),
                                       input(c.value()),
-                                      val_[cd.outs[0].value()]);
-      if (nv != val_[cd.outs[0].value()]) {
-        schedule(cd.outs[0], nv, delay_[c.value()]);
+                                      reset_[cd.outs[0].value()]);
+      if (nv != reset_[cd.outs[0].value()]) {
+        kicks_.push_back({cd.outs[0], nv, delay_[c.value()]});
       }
     }
   }
+}
+
+std::shared_ptr<const Compiled> compile(const nl::Netlist& nl,
+                                        const cell::Tech& tech) {
+  return std::make_shared<const Compiled>(nl, tech);
+}
+
+Simulator::Simulator(const nl::Netlist& nl, const cell::Tech& tech)
+    : Simulator(compile(nl, tech)) {}
+
+Simulator::Simulator(std::shared_ptr<const Compiled> image)
+    : img_(std::move(image)),
+      nl_(img_->nl_),
+      delay_(img_->delay_),
+      ff_ck_(img_->ff_ck_),
+      ff_ck_off_(img_->ff_ck_off_),
+      fan_pins_(img_->fan_pins_),
+      fan_off_(img_->fan_off_),
+      flat_(img_->flat_),
+      in_(img_->in_),
+      dff_setup_(img_->dff_setup_),
+      latch_setup_(img_->latch_setup_),
+      val_(img_->reset_) {
+  const size_t nets = nl_.num_nets();
+  last_change_.assign(nets, -1);
+  toggles_.assign(nets, 0);
+  version_.assign(nets, 0);
+  pending_.assign(nets, 0);
+  watchers_.resize(nets);
+  clock_half_period_.assign(nets, 0);
+  ram_state_.reserve(img_->rams_.size());
+  for (CellId c : img_->rams_) {
+    ram_state_.push_back(nl_.payload(nl_.cell(c).payload));
+  }
+  for (const Compiled::Kick& k : img_->kicks_) schedule(k.net, k.value, k.at);
+}
+
+size_t Simulator::ram_slot(CellId c) const {
+  const std::vector<CellId>& rams = img_->rams_;
+  return static_cast<size_t>(std::lower_bound(rams.begin(), rams.end(), c) -
+                             rams.begin());
 }
 
 void Simulator::schedule(NetId net, V v, Ps at) {
@@ -271,7 +300,7 @@ void Simulator::clear_activity() {
 }
 
 uint64_t Simulator::ram_word(CellId ram, uint64_t addr) const {
-  const auto& mem = ram_state_[ram.value()];
+  const auto& mem = ram_state_[ram_slot(ram)];
   DESYN_ASSERT(addr < mem.size());
   return mem[addr];
 }
@@ -339,7 +368,7 @@ void Simulator::evaluate_fanout(const Change& ch) {
   if (ch.oldv == V::V0 && ch.newv == V::V1) {
     const uint32_t end = ff_ck_off_[ni + 1];
     for (uint32_t i = ff_ck_off_[ni]; i < end; ++i) {
-      const FfCkPin& ff = ff_ck_[i];
+      const Compiled::FfCkPin& ff = ff_ck_[i];
       const Ps lc = last_change_[ff.d.value()];
       if (lc >= 0) {
         const Ps slack = (now_ - lc) - dff_setup_;
@@ -370,7 +399,7 @@ void Simulator::check_setup(CellId c, NetId data, Ps setup) {
 
 void Simulator::evaluate_pin(Pin p, V oldv) {
   const uint32_t c = p.cell.value();
-  const FlatCell& fc = flat_[c];
+  const Compiled::FlatCell& fc = flat_[c];
   const Kind kind = fc.kind;
   const NetId* in = in_.data() + fc.in;
   const NetId out = fc.out;
@@ -419,7 +448,7 @@ void Simulator::evaluate_pin(Pin p, V oldv) {
                 if (v == V::V1) word |= (1ull << b);
               }
               if (known) {
-                ram_state_[c][wa] = word;
+                ram_state_[ram_slot(p.cell)][wa] = word;
                 read_dirty = true;  // write-through visibility
               }
             }
@@ -429,7 +458,7 @@ void Simulator::evaluate_pin(Pin p, V oldv) {
       if (read_dirty) {
         uint64_t ra = 0;
         bool known = decode_addr(val_, cd.ins, ra_begin, cd.p0, &ra);
-        const auto& mem = ram_state_[c];
+        const auto& mem = ram_state_[ram_slot(p.cell)];
         for (size_t b = 0; b < cd.outs.size(); ++b) {
           V v = known ? cell::from_bool((mem[ra] >> b) & 1) : V::VX;
           schedule(cd.outs[b], v, now_ + d);

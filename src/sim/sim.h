@@ -27,21 +27,32 @@
 //    Events scheduled at t during a step (watcher stimulus, zero-delay
 //    cells) run as a further step at the same t.
 //
+// Construction: a Simulator runs a compiled image (sim::Compiled), the
+// immutable part of everything it derives before time 0 — per-cell
+// delays, the CSR fanout and pin tables, the DFF clock records, and the
+// settled reset state with its reset-kick events. The netlist constructor
+// compiles, then constructs; a caller that simulates one netlist many
+// times (a flow-equivalence proof per stimulus) compiles once and shares
+// the image, even across threads. Constructing from an image copies the
+// reset values, zeroes the per-net state and replays the kicks, so both
+// paths give the same simulator event for event.
+//
 // Performance: all per-net and per-cell state (values, toggle counters,
 // RAM contents, watchers, clock periods, cached delays) lives in dense
 // vectors indexed by id, and the pending-event set is a time-bucketed
 // calendar queue (timing wheel + overflow heap) — O(1) schedule/pop
 // instead of hash lookups and binary-heap reshuffles on the inner loop.
-// The constructor flattens each net's fanout and each cell's pins (kind,
-// first output, input nets) into CSR tables, so gates, latches and
-// C-elements evaluate from those tables and the net values in place,
-// through cell::eval_comb / eval_state_holding — the one gate evaluator —
-// without reading a CellData or copying their inputs. Only RAM and ROM
-// macros read their CellData.
+// The image flattens each net's fanout and each cell's pins (kind, first
+// output, input nets) into CSR tables, so gates, latches and C-elements
+// evaluate from those tables and the net values in place, through
+// cell::eval_comb / eval_state_holding — the one gate evaluator — without
+// reading a CellData or copying their inputs. Only RAM and ROM macros
+// read their CellData.
 #pragma once
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <span>
 #include <vector>
@@ -60,9 +71,77 @@ struct SetupViolation {
   Ps slack = 0;          ///< (negative) setup slack observed
 };
 
+/// The compiled image of a netlist (see the file comment). The netlist
+/// must outlive the image and stay unmodified.
+class Compiled {
+ public:
+  Compiled(const nl::Netlist& nl, const cell::Tech& tech);
+  Compiled(const Compiled&) = delete;  // simulators point into it
+  Compiled& operator=(const Compiled&) = delete;
+
+  const nl::Netlist& netlist() const { return nl_; }
+  /// Propagation delay of cell `c` (the model sta::Sta times with).
+  Ps delay(nl::CellId c) const { return delay_[c.value()]; }
+
+ private:
+  friend class Simulator;
+
+  /// A DFF clock pin, pre-resolved: the bulk of a clocked design's event
+  /// traffic, acted on only for rising edges, so the inner loop touches
+  /// no CellData and falling clock edges skip every flip-flop.
+  struct FfCkPin {
+    nl::NetId d, q;
+    nl::CellId cell;  // for setup-violation reporting
+    Ps delay;
+  };
+  /// Flattened pins of one cell: kind, first output and its input nets
+  /// `in_[in]` to `in_[in + n_in - 1]`.
+  struct FlatCell {
+    uint32_t in;
+    nl::NetId out;
+    uint16_t n_in;
+    cell::Kind kind;
+  };
+  /// A reset-release event: a state element whose settled inputs already
+  /// disagree with its reset output starts moving at time `at`.
+  struct Kick {
+    nl::NetId net;
+    V value;
+    Ps at;
+  };
+
+  /// Settle the reset state combinationally (zero time) and record the
+  /// kicks it releases.
+  void settle();
+
+  const nl::Netlist& nl_;
+  std::vector<Ps> delay_;  // per cell
+  /// Flattened fanout, CSR-indexed by net id: DFF clock pins in ff_ck_,
+  /// every other pin in fan_pins_ (evaluated by Simulator::evaluate_pin).
+  std::vector<FfCkPin> ff_ck_;
+  std::vector<uint32_t> ff_ck_off_;  // num_nets + 1 offsets into ff_ck_
+  std::vector<nl::Pin> fan_pins_;
+  std::vector<uint32_t> fan_off_;  // num_nets + 1 offsets into fan_pins_
+  std::vector<FlatCell> flat_;     // per cell
+  std::vector<nl::NetId> in_;
+  std::vector<nl::CellId> rams_;   // RAM cells in id order
+  Ps dff_setup_ = 0;    // tech.dff_setup()
+  Ps latch_setup_ = 0;  // tech.latch_setup()
+  std::vector<V> reset_;     // per net: the settled reset state
+  std::vector<Kick> kicks_;  // in the order they are scheduled
+};
+
+/// Compile `nl` under `tech` into a shareable image.
+std::shared_ptr<const Compiled> compile(const nl::Netlist& nl,
+                                        const cell::Tech& tech);
+
 class Simulator {
  public:
+  /// Compile `nl`, then construct from the image.
   Simulator(const nl::Netlist& nl, const cell::Tech& tech);
+  /// Simulate a compiled image, which the simulator shares and never
+  /// modifies.
+  explicit Simulator(std::shared_ptr<const Compiled> image);
 
   const nl::Netlist& netlist() const { return nl_; }
 
@@ -185,56 +264,39 @@ class Simulator {
   void commit(const Event& ev);
   void evaluate_fanout(const Change& ch);
   void evaluate_pin(nl::Pin p, V old_cause);
-  void settle_initial_state();
+  /// Slot of RAM cell `c` in ram_state_.
+  size_t ram_slot(nl::CellId c) const;
   /// A capture edge of cell `c` now: records a violation if `data` changed
   /// less than `setup` ago.
   void check_setup(nl::CellId c, nl::NetId data, Ps setup);
   void record_violation(const SetupViolation& v);
 
+  std::shared_ptr<const Compiled> img_;
   const nl::Netlist& nl_;
-  const cell::Tech& tech_;
+  // The image's tables, viewed directly so the inner loop indexes them
+  // as it would its own vectors.
+  std::span<const Ps> delay_;
+  std::span<const Compiled::FfCkPin> ff_ck_;
+  std::span<const uint32_t> ff_ck_off_;
+  std::span<const nl::Pin> fan_pins_;
+  std::span<const uint32_t> fan_off_;
+  std::span<const Compiled::FlatCell> flat_;
+  std::span<const nl::NetId> in_;
+  Ps dff_setup_ = 0;
+  Ps latch_setup_ = 0;
 
   std::vector<V> val_;             // per net
   std::vector<Ps> last_change_;    // per net, for setup checks
   std::vector<uint64_t> toggles_;  // per net
   std::vector<uint64_t> version_;  // per net, pending-event version
   std::vector<uint8_t> pending_;   // per net, 1 if latest schedule not applied
-  std::vector<Ps> delay_;          // per cell, cached
   EventQueue queue_;
   uint64_t seq_ = 0;
   std::vector<Change> changes_;  // the current step's commits
 
-  std::vector<std::vector<uint64_t>> ram_state_;  // per cell; empty unless RAM
+  std::vector<std::vector<uint64_t>> ram_state_;  // per image RAM slot
   std::vector<std::vector<Watcher>> watchers_;    // per net
   std::vector<Ps> clock_half_period_;  // per net; 0 = not a free-running clock
-
-  /// Flattened fanout, CSR-indexed by net id. DFF clock pins — the bulk of
-  /// a clocked design's event traffic — are pre-resolved into a dedicated
-  /// record (D net, Q net, delay) acted on only for rising edges, so the
-  /// inner loop touches no CellData at all and falling clock edges skip
-  /// every flip-flop. All remaining pins go through evaluate_pin.
-  struct FfCkPin {
-    nl::NetId d, q;
-    nl::CellId cell;  // for setup-violation reporting
-    Ps delay;
-  };
-  std::vector<FfCkPin> ff_ck_;
-  std::vector<uint32_t> ff_ck_off_;  // num_nets + 1 offsets into ff_ck_
-  std::vector<nl::Pin> fan_pins_;
-  std::vector<uint32_t> fan_off_;  // num_nets + 1 offsets into fan_pins_
-
-  /// Flattened pins of one cell: kind, first output and its input nets
-  /// `in_[in]` to `in_[in + n_in - 1]`.
-  struct FlatCell {
-    uint32_t in;
-    nl::NetId out;
-    uint16_t n_in;
-    cell::Kind kind;
-  };
-  std::vector<FlatCell> flat_;  // per cell
-  std::vector<nl::NetId> in_;
-  Ps dff_setup_ = 0;    // cached tech_.dff_setup()
-  Ps latch_setup_ = 0;  // cached tech_.latch_setup()
 
   std::vector<SetupViolation> violations_;
   uint64_t violation_count_ = 0;

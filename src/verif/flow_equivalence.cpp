@@ -26,8 +26,14 @@ constexpr size_t kPeriodRounds = 32;
 constexpr double kClockMargin = 1.10;
 
 struct Tap {
-  size_t reg;   // row in Registers
-  nl::NetId d;  // data net sampled at capture
+  uint32_t reg;  // row in the register table
+  nl::NetId d;   // data net sampled at capture
+};
+
+/// The taps that capture on one net's edge.
+struct TapGroup {
+  nl::NetId net;
+  std::vector<Tap> taps;
 };
 
 /// FF master latches are named "<ff>.m"; returns "<ff>", or an empty view
@@ -38,80 +44,63 @@ std::string_view master_of(std::string_view latch) {
   return latch.substr(0, latch.size() - 2);
 }
 
-/// Every register name either side can capture, in name order, with its
-/// sync and desync capture streams. Taps resolve their row once, when the
-/// watchers are set up; a capture is then one push_back. A row whose
-/// stream stays empty is a register that side never captured.
-struct Registers {
-  std::vector<std::string_view> names;
-  std::vector<std::vector<V>> sync, desync;
+/// The per-design half of a proof's set-up: the clocked reference of one
+/// flip-flop netlist. Never moved once built (the image and the names
+/// point into `netlist`), so it lives behind a shared_ptr.
+struct SyncReference : flow::Artifact {
+  nl::Netlist netlist;  ///< the flip-flop netlist with its clock tree
+  nl::NetId clock;
+  std::vector<nl::NetId> inputs;     ///< stimulus inputs (all but the clock)
+  std::vector<nl::NetId> tree_nets;  ///< the clock network, for power
+  Ps period = 0;                     ///< margined STA period, even
+  std::shared_ptr<const sim::Compiled> image;
+  std::vector<std::string_view> dffs;  ///< flip-flop names in cell order
+  /// DFF taps by clock leaf (net id order); Tap::reg indexes `dffs`.
+  std::vector<TapGroup> leaves;
 
-  Registers(const nl::Netlist& ff_netlist, const flow::DesyncResult& dr,
-            size_t reserve) {
-    for (nl::CellId c : ff_netlist.cells()) {
-      const nl::CellData& cd = ff_netlist.cell(c);
-      if (cd.kind == cell::Kind::Dff) names.push_back(cd.name);
+  SyncReference(const nl::Netlist& ff, nl::NetId ff_clock,
+                const cell::Tech& tech)
+      : netlist(ff), clock(ff_clock) {
+    tree_nets = flow::build_clock_tree(netlist, clock, tech).nets;
+    for (nl::NetId in : netlist.inputs()) {
+      if (in != clock) inputs.push_back(in);
     }
-    for (const flow::Bank& bank : dr.banks.banks) {
-      if (!bank.even) continue;
-      for (nl::CellId c : bank.latches) {
-        const std::string_view ff = master_of(dr.netlist.cell(c).name);
-        if (!ff.empty()) names.push_back(ff);
-      }
+    const sta::Sta sta(ff, tech);
+    period = static_cast<Ps>(
+        static_cast<double>(sta.min_clock_period().min_period) *
+        kClockMargin);
+    period += period % 2;  // clock generator needs an even period
+    image = sim::compile(netlist, tech);
+    // Capture taps grouped by clock leaf: D sampled at the leaf's rise.
+    std::map<uint32_t, std::vector<Tap>> by_leaf;
+    for (nl::CellId c : netlist.cells()) {
+      const nl::CellData& cd = netlist.cell(c);
+      if (cd.kind != cell::Kind::Dff) continue;
+      const auto reg = static_cast<uint32_t>(dffs.size());
+      dffs.push_back(cd.name);
+      by_leaf[cd.ins[1].value()].push_back(Tap{reg, cd.ins[0]});
     }
-    std::sort(names.begin(), names.end());
-    names.erase(std::unique(names.begin(), names.end()), names.end());
-    sync.resize(names.size());
-    desync.resize(names.size());
-    for (size_t r = 0; r < names.size(); ++r) {
-      sync[r].reserve(reserve);
-      desync[r].reserve(reserve);
+    for (auto& [leaf, taps] : by_leaf) {
+      leaves.push_back({nl::NetId(leaf), std::move(taps)});
     }
-  }
-
-  size_t row(std::string_view name) const {
-    return static_cast<size_t>(
-        std::lower_bound(names.begin(), names.end(), name) - names.begin());
   }
 };
 
-/// Data-independent setup check under the simulated enable schedule. The
-/// simulator's own check sees only the paths the stimulus toggles within
-/// the horizon. This one charges every bank closing edge with the STA
-/// worst-case arrival (flow::BankTiming) from each source bank's latest
-/// opening and from the latest input vector, so a matched delay too short
-/// for a path the stimulus reaches only late is caught in the first
-/// rounds. Each latch launches and captures at its own enable-tree
-/// insertion delay. RAM macros are left to the simulated check.
-class WorstCaseSetup {
- public:
-  /// Watches every bank enable of `sim`, which simulates dr.netlist.
-  WorstCaseSetup(const flow::DesyncResult& dr, nl::NetId clock,
-                 const cell::Tech& tech, sim::Simulator& sim);
-  WorstCaseSetup(const WorstCaseSetup&) = delete;  // watchers hold `this`
-  WorstCaseSetup& operator=(const WorstCaseSetup&) = delete;
-  /// The testbench applied an input vector at `at`.
-  void vector_applied(Ps at) { open_.back() = at; }
-  /// Closing edges that missed setup, counted once per source.
-  uint64_t violations() const { return violations_; }
-
- private:
-  struct Pred {
-    size_t src;  // source bank; preds_.size() stands for the inputs
-    Ps worst;    // worst arrival after the source's opening, less the
-                 // capturing latch's own insertion delay
-  };
-  std::vector<std::vector<Pred>> preds_;  // per capturing bank
-  std::vector<Ps> open_;  // latest opening per bank, then the inputs
-  Ps setup_;
-  uint64_t violations_ = 0;
+/// A source of a capturing bank in the worst-case setup check.
+struct Pred {
+  size_t src;  // source bank; the bank count stands for the inputs
+  Ps worst;    // worst arrival after the source's opening, less the
+               // capturing latch's own insertion delay
 };
 
-WorstCaseSetup::WorstCaseSetup(const flow::DesyncResult& dr, nl::NetId clock,
-                               const cell::Tech& tech, sim::Simulator& sim)
-    : preds_(dr.banks.banks.size()),
-      open_(dr.banks.banks.size() + 1, -1),
-      setup_(tech.latch_setup()) {
+/// The data-independent half of the worst-case setup check (see
+/// WorstCaseSetup): per capturing bank, the STA worst-case arrival from
+/// each source bank's opening and from the inputs.
+std::vector<std::vector<Pred>> worst_case_preds(const flow::DesyncResult& dr,
+                                                nl::NetId clock,
+                                                const cell::Tech& tech,
+                                                const sim::Compiled& image) {
+  std::vector<std::vector<Pred>> preds(dr.banks.banks.size());
   const nl::Netlist& nl = dr.netlist;
   const size_t nbanks = dr.banks.banks.size();
 
@@ -129,7 +118,7 @@ WorstCaseSetup::WorstCaseSetup(const flow::DesyncResult& dr, nl::NetId clock,
       for (const nl::Pin& p : nl.net(n).fanout) {
         const nl::CellData& cd = nl.cell(p.cell);
         if (cd.kind != cell::Kind::Buf) continue;
-        net_ins[cd.outs[0].value()] = net_ins[n.value()] + sim.delay(p.cell);
+        net_ins[cd.outs[0].value()] = net_ins[n.value()] + image.delay(p.cell);
         stack.push_back(cd.outs[0]);
       }
     }
@@ -144,109 +133,220 @@ WorstCaseSetup::WorstCaseSetup(const flow::DesyncResult& dr, nl::NetId clock,
   flow::BankTiming timing(nl, dr.banks, tech, std::move(cell_ins));
   for (size_t s = 0; s < nbanks; ++s) {
     for (auto [d, worst] : timing.from_bank(s).banks) {
-      preds_[static_cast<size_t>(d)].push_back({s, worst});
+      preds[static_cast<size_t>(d)].push_back({s, worst});
     }
   }
   for (auto [d, worst] : timing.from_inputs(clock).banks) {
-    preds_[static_cast<size_t>(d)].push_back({nbanks, worst});
+    preds[static_cast<size_t>(d)].push_back({nbanks, worst});
+  }
+  return preds;
+}
+
+/// The per-coordinate half of a proof's set-up: the desynchronized side,
+/// and the register table joining it to the design's sync reference.
+struct ProofSetup : flow::Artifact {
+  std::shared_ptr<const SyncReference> sync;
+  std::shared_ptr<const flow::DesyncResult> dr;
+  /// Every register name either side can capture, in name order (views
+  /// into the two netlists). A capture stream is a row of this table.
+  std::vector<std::string_view> names;
+  std::vector<TapGroup> sync_taps;  ///< sync->leaves with rows resolved
+  std::shared_ptr<const sim::Compiled> image;
+  std::vector<nl::NetId> inputs;  ///< sync->inputs, by name in dr->netlist
+  /// Root enable of the first master bank: the round timer's net.
+  nl::NetId round_enable;
+  /// Master taps by leaf enable, bank by bank: high-fanout enables get a
+  /// buffered distribution tree, so a latch captures at its *leaf*
+  /// enable, insertion-delay after the bank root — on a wide bank the D
+  /// pin can legitimately change in between (mirrors the sync side's
+  /// per-clock-leaf sampling).
+  std::vector<TapGroup> leaf_taps;
+  std::vector<std::vector<Pred>> worst_preds;  ///< see worst_case_preds
+  double predicted_period = 0;
+
+  ProofSetup(std::shared_ptr<const SyncReference> s,
+             std::shared_ptr<const flow::DesyncResult> d,
+             const cell::Tech& tech);
+
+  uint32_t row(std::string_view name) const {
+    return static_cast<uint32_t>(
+        std::lower_bound(names.begin(), names.end(), name) - names.begin());
+  }
+};
+
+ProofSetup::ProofSetup(std::shared_ptr<const SyncReference> s,
+                       std::shared_ptr<const flow::DesyncResult> d,
+                       const cell::Tech& tech)
+    : sync(std::move(s)), dr(std::move(d)) {
+  const nl::Netlist& dnl = dr->netlist;
+  names = sync->dffs;
+  for (const flow::Bank& bank : dr->banks.banks) {
+    if (!bank.even) continue;
+    for (nl::CellId c : bank.latches) {
+      const std::string_view ff = master_of(dnl.cell(c).name);
+      if (!ff.empty()) names.push_back(ff);
+    }
+  }
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+
+  for (const TapGroup& g : sync->leaves) {
+    TapGroup& r = sync_taps.emplace_back(TapGroup{g.net, g.taps});
+    for (Tap& t : r.taps) t.reg = row(sync->dffs[t.reg]);
   }
 
-  for (size_t b = 0; b < nbanks; ++b) {
-    sim.watch(dr.enable(static_cast<int>(b)), [this, b](Ps at, V v) {
-      if (v == V::V1) {
-        open_[b] = at;
-        return;
-      }
-      if (v != V::V0 || open_[b] < 0) return;  // not a closing edge
-      for (const Pred& p : preds_[b]) {
-        // A source opening at the closing instant launches the next token.
-        const Ps o = open_[p.src];
-        if (o >= 0 && o < at && o + p.worst + setup_ > at) ++violations_;
-      }
-    });
+  // Both sides bind vector index i to the same-named input.
+  for (nl::NetId in : sync->inputs) {
+    inputs.push_back(dnl.find_net(sync->netlist.net(in).name));
+    DESYN_ASSERT(dnl.is_primary_input(inputs.back()));
+  }
+  DESYN_ASSERT(inputs.size() + 1 == dnl.inputs().size());
+  image = sim::compile(dnl, tech);
+  for (size_t i = 0; i < dr->banks.banks.size(); ++i) {
+    const flow::Bank& bank = dr->banks.banks[i];
+    if (!bank.even || bank.latches.empty()) continue;
+    std::map<uint32_t, std::vector<Tap>> by_en;
+    for (nl::CellId c : bank.latches) {
+      const nl::CellData& cd = dnl.cell(c);
+      const std::string_view ff = master_of(cd.name);
+      if (ff.empty()) continue;
+      by_en[cd.ins[1].value()].push_back(Tap{row(ff), cd.ins[0]});
+    }
+    if (by_en.empty()) continue;
+    if (!round_enable.valid()) round_enable = dr->enable(static_cast<int>(i));
+    for (auto& [en, taps] : by_en) {
+      leaf_taps.push_back({nl::NetId(en), std::move(taps)});
+    }
+  }
+  worst_preds = worst_case_preds(
+      *dr, dnl.find_net(sync->netlist.net(sync->clock).name), tech, *image);
+  predicted_period =
+      pn::max_cycle_ratio(flow::timed_control_model(*dr, tech)).ratio;
+}
+
+/// One side's capture streams: the first `rounds` values each register
+/// captured (row-major, one row per register) and how many it captured
+/// in all. A capture is one store; a row whose count stays 0 is a
+/// register that side never captured.
+class Streams {
+ public:
+  Streams(size_t regs, size_t rounds)
+      : rounds_(rounds), vals_(regs * rounds), count_(regs, 0) {}
+  void push(size_t reg, V v) {
+    if (count_[reg] < rounds_) vals_[reg * rounds_ + count_[reg]] = v;
+    ++count_[reg];
+  }
+  size_t count(size_t reg) const { return count_[reg]; }
+  V at(size_t reg, size_t k) const { return vals_[reg * rounds_ + k]; }
+
+ private:
+  size_t rounds_;
+  std::vector<V> vals_;
+  std::vector<size_t> count_;
+};
+
+/// Data-independent setup check under the simulated enable schedule. The
+/// simulator's own check sees only the paths the stimulus toggles within
+/// the horizon. This one charges every bank closing edge with the STA
+/// worst-case arrival (flow::BankTiming) from each source bank's latest
+/// opening and from the latest input vector, so a matched delay too short
+/// for a path the stimulus reaches only late is caught in the first
+/// rounds. Each latch launches and captures at its own enable-tree
+/// insertion delay. RAM macros are left to the simulated check.
+class WorstCaseSetup {
+ public:
+  /// Watches every bank enable of `sim`, which simulates dr.netlist.
+  WorstCaseSetup(const std::vector<std::vector<Pred>>& preds,
+                 const flow::DesyncResult& dr, const cell::Tech& tech,
+                 sim::Simulator& sim);
+  WorstCaseSetup(const WorstCaseSetup&) = delete;  // watchers hold `this`
+  WorstCaseSetup& operator=(const WorstCaseSetup&) = delete;
+  /// The testbench applied an input vector at `at`.
+  void vector_applied(Ps at) { open_.back() = at; }
+  /// Closing edges that missed setup, counted once per source.
+  uint64_t violations() const { return violations_; }
+
+ private:
+  std::vector<Ps> open_;  // latest opening per bank, then the inputs
+  uint64_t violations_ = 0;
+};
+
+WorstCaseSetup::WorstCaseSetup(const std::vector<std::vector<Pred>>& preds,
+                               const flow::DesyncResult& dr,
+                               const cell::Tech& tech, sim::Simulator& sim)
+    : open_(dr.banks.banks.size() + 1, -1) {
+  const Ps setup = tech.latch_setup();
+  for (size_t b = 0; b < preds.size(); ++b) {
+    sim.watch(dr.enable(static_cast<int>(b)),
+              [this, b, setup, &srcs = preds[b]](Ps at, V v) {
+                if (v == V::V1) {
+                  open_[b] = at;
+                  return;
+                }
+                if (v != V::V0 || open_[b] < 0) return;  // not a closing edge
+                for (const Pred& p : srcs) {
+                  // A source opening at the closing instant launches the
+                  // next token.
+                  const Ps o = open_[p.src];
+                  if (o >= 0 && o < at && o + p.worst + setup > at) {
+                    ++violations_;
+                  }
+                }
+              });
   }
 }
 
-/// Apply stimulus vector `round` to every non-clock primary input.
-void apply_vector(sim::Simulator& sim, const nl::Netlist& nl, nl::NetId clock,
+/// Apply stimulus vector `round`: input i takes stim(round, i).
+void apply_vector(sim::Simulator& sim, const std::vector<nl::NetId>& inputs,
                   const Stimulus& stim, int round) {
-  size_t idx = 0;
-  for (nl::NetId in : nl.inputs()) {
-    if (in == clock) continue;
-    sim.set_input(in, stim(round, idx), sim.now());
-    ++idx;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    sim.set_input(inputs[i], stim(round, i), sim.now());
   }
 }
 
-}  // namespace
-
-FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
-                                    nl::NetId clock, const Stimulus& stim,
-                                    const cell::Tech& tech,
-                                    const FlowEqOptions& opt) {
-  // Prove the engine's cached result in place; the shared_ptr keeps it
-  // alive should the cache evict it meanwhile.
-  const std::shared_ptr<const flow::DesyncResult> dr =
-      flow::Engine::process(tech).desynchronize(ff_netlist, clock,
-                                                opt.desync);
-  return check_flow_equivalence(ff_netlist, clock, stim, tech, *dr, opt);
-}
-
-FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
-                                    nl::NetId clock, const Stimulus& stim,
-                                    const cell::Tech& tech,
-                                    const flow::DesyncResult& dr,
-                                    const FlowEqOptions& opt) {
+/// The proof proper: both simulations and the stream comparison. Reads
+/// `setup` only, so a cached set-up makes a proof cost its two runs.
+FlowEqResult prove(const ProofSetup& setup, const Stimulus& stim,
+                   const cell::Tech& tech, const FlowEqOptions& opt) {
+  const SyncReference& sref = *setup.sync;
+  const flow::DesyncResult& dr = *setup.dr;
   FlowEqResult res;
   const int rounds = opt.rounds;
-  // Each side captures about `rounds + 2` values per register.
-  Registers regs(ff_netlist, dr, static_cast<size_t>(rounds) + 3);
+  const size_t nregs = setup.names.size();
+  Streams sync_streams(nregs, static_cast<size_t>(rounds));
+  Streams desync_streams(nregs, static_cast<size_t>(rounds));
 
   // ------------------------------------------------------------------ sync
   {
-    nl::Netlist snl = ff_netlist;
-    flow::ClockTree tree = flow::build_clock_tree(snl, clock, tech);
-    res.sync_cells = snl.num_live_cells();
-
-    sta::Sta sta(ff_netlist, tech);
-    Ps period = static_cast<Ps>(
-        static_cast<double>(sta.min_clock_period().min_period) *
-        kClockMargin);
-    period += period % 2;  // clock generator needs an even period
+    res.sync_cells = sref.netlist.num_live_cells();
+    const Ps period = sref.period;
     res.sync_period = period;
+    sim::Simulator sim(sref.image);
 
-    sim::Simulator sim(snl, tech);
-
-    // Capture taps grouped by clock leaf: D sampled at the leaf's rise.
-    std::map<uint32_t, std::vector<Tap>> by_leaf;
-    for (nl::CellId c : snl.cells()) {
-      const nl::CellData& cd = snl.cell(c);
-      if (cd.kind != cell::Kind::Dff) continue;
-      by_leaf[cd.ins[1].value()].push_back(Tap{regs.row(cd.name), cd.ins[0]});
-    }
-    for (auto& [leaf, taps] : by_leaf) {
-      sim.watch(nl::NetId(leaf), [&sim, &regs, taps](Ps, V v) {
+    for (const TapGroup& g : setup.sync_taps) {
+      sim.watch(g.net, [&sim, &sync_streams, &taps = g.taps](Ps, V v) {
         if (v != V::V1) return;
-        for (const Tap& t : taps) regs.sync[t.reg].push_back(sim.value(t.d));
+        for (const Tap& t : taps) sync_streams.push(t.reg, sim.value(t.d));
       });
     }
-    apply_vector(sim, snl, clock, stim, 0);
+    apply_vector(sim, sref.inputs, stim, 0);
     int round = 0;
-    sim.watch(clock, [&](Ps at, V v) {
+    sim.watch(sref.clock, [&](Ps at, V v) {
       // New vector mid-cycle (falling edge): safely after the capture edge
       // reached every leaf, and a half period before the next one. The
       // initial X->0 reset assignment at t=0 is not a falling edge.
       if (v == V::V0 && at > 0 && round <= rounds + 2) {
         ++round;
-        apply_vector(sim, snl, clock, stim, round);
+        apply_vector(sim, sref.inputs, stim, round);
       }
     });
-    sim.add_clock(clock, period, period / 2);
+    sim.add_clock(sref.clock, period, period / 2);
     sim.run_until(period * (rounds + 2));
     res.sync_setup_violations = sim.setup_violation_count();
 
     // The clock tree is globally routed wiring; bank enables are local.
-    sim::PowerReport p = sim::estimate_power(sim, tech, tree.nets, tree.nets);
+    sim::PowerReport p =
+        sim::estimate_power(sim, tech, sref.tree_nets, sref.tree_nets);
     res.sync_power_mw = p.total_mw;
     res.sync_clock_power_mw = p.clock_network_mw;
   }
@@ -257,63 +357,42 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
     res.banks = dr.cg.num_banks();
     res.controller_cells = dr.ctrl.cells.size() - dr.ctrl.delay_units;
     res.delay_cells = dr.ctrl.delay_units;
-    res.predicted_period =
-        pn::max_cycle_ratio(flow::timed_control_model(dr, tech)).ratio;
-    sim::Simulator sim(dr.netlist, tech);
+    res.predicted_period = setup.predicted_period;
+    sim::Simulator sim(setup.image);
 
     std::vector<Ps> round_times;  // capture times of the first master bank
     // Captures per leaf-enable tap group, and how many groups reached the
     // `rounds + 1` the comparison needs.
     const uint64_t needed = static_cast<uint64_t>(rounds) + 1;
     const size_t window_end = kWarmupRounds + kPeriodRounds;
-    std::vector<uint64_t> leaf_captures;
+    std::vector<uint64_t> leaf_captures(setup.leaf_taps.size(), 0);
     size_t leaves_done = 0;
     // Latest capture that still counted toward the stop condition; the
     // watchdog measures progress from it.
     Ps last_progress = 0;
 
-    for (size_t i = 0; i < dr.banks.banks.size(); ++i) {
-      const flow::Bank& bank = dr.banks.banks[i];
-      if (!bank.even || bank.latches.empty()) continue;
-      // Group taps by the latch's actual EN net: high-fanout enables get a
-      // buffered distribution tree, so the latch captures at its *leaf*
-      // enable, insertion-delay after the bank root — on a wide bank the D
-      // pin can legitimately change in between (mirrors the sync side's
-      // per-clock-leaf sampling).
-      std::map<uint32_t, std::vector<Tap>> by_en;
-      for (nl::CellId c : bank.latches) {
-        const nl::CellData& cd = dr.netlist.cell(c);
-        const std::string_view ff = master_of(cd.name);
-        if (ff.empty()) continue;
-        by_en[cd.ins[1].value()].push_back(Tap{regs.row(ff), cd.ins[0]});
-      }
-      if (by_en.empty()) continue;
-      if (leaf_captures.empty()) {
-        // Round timing stays on the first master bank's root (one event
-        // per capture, before any tree delay).
-        sim.watch(dr.enable(static_cast<int>(i)),
-                  [&round_times, &last_progress, window_end](Ps at, V v) {
-                    if (v != V::V0) return;
-                    if (round_times.size() <= window_end) last_progress = at;
-                    round_times.push_back(at);
-                  });
-      }
-      for (auto& [en, taps] : by_en) {
-        const size_t leaf = leaf_captures.size();
-        leaf_captures.push_back(0);
-        sim.watch(nl::NetId(en),
-                  [&sim, &regs, &leaf_captures, &leaves_done,
-                   &last_progress, leaf, needed, taps](Ps at, V v) {
-                    if (v != V::V0) return;
-                    for (const Tap& t : taps) {
-                      regs.desync[t.reg].push_back(sim.value(t.d));
-                    }
-                    if (leaf_captures[leaf] < needed) last_progress = at;
-                    if (++leaf_captures[leaf] == needed) ++leaves_done;
-                  });
-      }
+    if (setup.round_enable.valid()) {
+      // Round timing stays on the first master bank's root (one event per
+      // capture, before any tree delay).
+      sim.watch(setup.round_enable,
+                [&round_times, &last_progress, window_end](Ps at, V v) {
+                  if (v != V::V0) return;
+                  if (round_times.size() <= window_end) last_progress = at;
+                  round_times.push_back(at);
+                });
     }
-    WorstCaseSetup worst_case(dr, clock, tech, sim);
+    for (size_t leaf = 0; leaf < setup.leaf_taps.size(); ++leaf) {
+      const TapGroup& g = setup.leaf_taps[leaf];
+      sim.watch(g.net, [&sim, &desync_streams, &leaf_captures, &leaves_done,
+                        &last_progress, &taps = g.taps, leaf,
+                        needed](Ps at, V v) {
+        if (v != V::V0) return;
+        for (const Tap& t : taps) desync_streams.push(t.reg, sim.value(t.d));
+        if (leaf_captures[leaf] < needed) last_progress = at;
+        if (++leaf_captures[leaf] == needed) ++leaves_done;
+      });
+    }
+    WorstCaseSetup worst_case(setup.worst_preds, dr, tech, sim);
 
     // The environment publishes vectors where the matched-delay model puts
     // the env bank's data launch. Under Pulse ([O+ O- E+ E-]) that is the
@@ -326,12 +405,12 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
     // delays are sized from, and the b- -> a+ arcs guarantee every
     // consumer captured vector k before it.
     const bool pulse_env = dr.protocol == ctl::Protocol::Pulse;
-    apply_vector(sim, dr.netlist, clock, stim, 0);
+    apply_vector(sim, setup.inputs, stim, 0);
     worst_case.vector_applied(sim.now());
     int dround = pulse_env ? 0 : 1;
     sim.watch(dr.env_src_enable(), [&](Ps at, V v) {
       if (v == (pulse_env ? V::V0 : V::V1)) {
-        apply_vector(sim, dr.netlist, clock, stim, dround);
+        apply_vector(sim, setup.inputs, stim, dround);
         worst_case.vector_applied(at);
         ++dround;
       }
@@ -368,9 +447,9 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
   // --------------------------------------------------------------- compare
   // Registers that captured at least once, per side.
   size_t sync_regs = 0, desync_regs = 0;
-  for (size_t r = 0; r < regs.names.size(); ++r) {
-    sync_regs += !regs.sync[r].empty();
-    desync_regs += !regs.desync[r].empty();
+  for (size_t r = 0; r < nregs; ++r) {
+    sync_regs += sync_streams.count(r) != 0;
+    desync_regs += desync_streams.count(r) != 0;
   }
   res.registers_compared = sync_regs;
   if (sync_regs != desync_regs) {
@@ -378,26 +457,28 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
                        " desync=", desync_regs);
     return res;
   }
-  for (size_t r = 0; r < regs.names.size(); ++r) {
-    const std::vector<V>& svals = regs.sync[r];
-    const std::vector<V>& dvals = regs.desync[r];
-    if (svals.empty()) continue;
-    const std::string_view name = regs.names[r];
-    if (dvals.empty()) {
+  for (size_t r = 0; r < nregs; ++r) {
+    const size_t ns = sync_streams.count(r);
+    const size_t nd = desync_streams.count(r);
+    if (ns == 0) continue;
+    const std::string_view name = setup.names[r];
+    if (nd == 0) {
       res.mismatch = cat("register ", name, " missing in desync streams");
       return res;
     }
     for (int k = 0; k < rounds; ++k) {
       const size_t i = static_cast<size_t>(k);
-      if (i >= svals.size() || i >= dvals.size()) {
+      if (i >= ns || i >= nd) {
         res.mismatch = cat("register ", name, " has too few captures (sync=",
-                           svals.size(), ", desync=", dvals.size(), ")");
+                           ns, ", desync=", nd, ")");
         return res;
       }
-      if (svals[i] != dvals[i]) {
+      const V sv = sync_streams.at(r, i);
+      const V dv = desync_streams.at(r, i);
+      if (sv != dv) {
         res.mismatch = cat("register ", name, " differs at round ", k,
-                           ": sync=", cell::to_char(svals[i]),
-                           " desync=", cell::to_char(dvals[i]));
+                           ": sync=", cell::to_char(sv),
+                           " desync=", cell::to_char(dv));
         return res;
       }
       ++res.captures_compared;
@@ -405,6 +486,47 @@ FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
   }
   res.equivalent = true;
   return res;
+}
+
+}  // namespace
+
+FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
+                                    nl::NetId clock, const Stimulus& stim,
+                                    const cell::Tech& tech,
+                                    const FlowEqOptions& opt) {
+  // The engine serves the set-up: built by the first proof of this
+  // coordinate (its sync reference by the first proof of the design),
+  // then shared. It holds the engine's flow result, so it stays valid
+  // should the cache evict either meanwhile.
+  flow::Engine::ProofBuild build;
+  build.sync_ref = [&]() -> flow::ArtifactStore::Ptr {
+    return std::make_shared<const SyncReference>(ff_netlist, clock, tech);
+  };
+  build.setup = [&](flow::ArtifactStore::Ptr sync,
+                    std::shared_ptr<const flow::DesyncResult> dr)
+      -> flow::ArtifactStore::Ptr {
+    return std::make_shared<const ProofSetup>(
+        std::static_pointer_cast<const SyncReference>(std::move(sync)),
+        std::move(dr), tech);
+  };
+  const auto setup = std::static_pointer_cast<const ProofSetup>(
+      flow::Engine::process(tech).proof_setup(ff_netlist, clock, opt.desync,
+                                              build));
+  return prove(*setup, stim, tech, opt);
+}
+
+FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
+                                    nl::NetId clock, const Stimulus& stim,
+                                    const cell::Tech& tech,
+                                    const flow::DesyncResult& dr,
+                                    const FlowEqOptions& opt) {
+  // The same set-up, built fresh and never cached: `dr` is the caller's
+  // (typically a mutant), borrowed for the duration of the call.
+  const ProofSetup setup(
+      std::make_shared<const SyncReference>(ff_netlist, clock, tech),
+      std::shared_ptr<const flow::DesyncResult>(std::shared_ptr<void>(), &dr),
+      tech);
+  return prove(setup, stim, tech, opt);
 }
 
 }  // namespace desyn::verif

@@ -32,6 +32,18 @@
 // from each source bank's latest opening (and from the latest input
 // vector). The second catches a matched delay too short for a path the
 // stimulus would reach only after the compared rounds.
+//
+// Cost. A proof's set-up depends only on the design: the clocked copy
+// with its clock tree, the STA period, both compiled simulator images,
+// the capture taps, the worst-case setup table (flow::BankTiming), the
+// predicted period (an MCR solve) and the register table. The engine
+// overload caches it in the process engine (flow/engine.h: a sync
+// reference per design, a proof set-up per coordinate), built by the
+// first proof that needs it. A repeat proof of a coordinate hashes no
+// netlist (the netlist memoizes its hash), builds nothing and costs its
+// two simulation runs; on perfbench `verify` those are about nine tenths
+// of it (docs/PERF.md, "A proof pays for its simulations"). The
+// prebuilt-DesyncResult overload builds the set-up afresh on every call.
 #pragma once
 
 #include "core/desynchronizer.h"
@@ -80,19 +92,26 @@ struct FlowEqResult {
   double desync_power_mw = 0;
   double sync_clock_power_mw = 0;   ///< clock-tree share
   double desync_ctl_power_mw = 0;   ///< controller+delay-line share
+  bool operator==(const FlowEqResult&) const = default;
 };
 
 /// Build both implementations of `ff_netlist` and check flow equivalence
 /// under `stim`. The FF netlist must be single-clock with `clock` as the
-/// clock input.
+/// clock input. The flow and the proof set-up are served from
+/// flow::Engine::process(tech). Vector index i drives the i-th non-clock
+/// input of the netlist that built the design's cached sync reference —
+/// the caller's, unless a canonically equal netlist with another port
+/// order was proved first — and the same-named input of the
+/// desynchronized one.
 FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
                                     nl::NetId clock, const Stimulus& stim,
                                     const cell::Tech& tech,
                                     const FlowEqOptions& opt = {});
 
 /// The same check against an already-built desynchronized implementation
-/// `dr` of `ff_netlist` (`opt.desync` is unused). The overload above runs
-/// flow::desynchronize and then this; tests use it to check mutants.
+/// `dr` of `ff_netlist` (`opt.desync` is unused), with the set-up built
+/// afresh through the same code and never cached; tests use it to check
+/// mutants.
 FlowEqResult check_flow_equivalence(const nl::Netlist& ff_netlist,
                                     nl::NetId clock, const Stimulus& stim,
                                     const cell::Tech& tech,

@@ -8,9 +8,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 #include <tuple>
 
 #include "netlist/builder.h"
+#include "netlist/hash.h"
 #include "netlist/writer.h"
 
 namespace desyn::flow {
@@ -451,6 +453,38 @@ TEST(EngineDesynchronize, MatchesReferenceAndSharesArtifacts) {
   StageCounters after = engine.counters();
   EXPECT_EQ(after.synth_runs, before.synth_runs);
   EXPECT_EQ(after.synth_hits, before.synth_hits + 1);
+}
+
+TEST(EngineDesynchronize, ConcurrentSubmissionsShareOneNetlistsMemo) {
+  // Threads submitting one const netlist race on its hash memo
+  // (netlist.h) and on the engine's stages; every submission identifies
+  // the same content and gets the same bytes. The TSan job runs this.
+  NetId clk;
+  const Netlist ff = counter4(&clk);
+  Engine engine(Tech::generic90());
+  const std::string want = nl::to_verilog(
+      desynchronize_reference(ff, clk, Tech::generic90(), DesyncOptions{})
+          .netlist);
+  constexpr int kThreads = 4;
+  std::vector<std::string> got(kThreads);
+  std::vector<Hash256> hashes(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      DesyncOptions opt;
+      opt.protocol = ctl::kAllProtocols[static_cast<size_t>(t) %
+                                        std::size(ctl::kAllProtocols)];
+      (void)engine.desynchronize(ff, clk, opt);
+      hashes[static_cast<size_t>(t)] = nl::content_hash(ff);
+      got[static_cast<size_t>(t)] =
+          nl::to_verilog(engine.desynchronize(ff, clk, DesyncOptions{})->netlist);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[static_cast<size_t>(t)], want);
+    EXPECT_EQ(hashes[static_cast<size_t>(t)], hashes[0]);
+  }
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 #include "core/report.h"
 #include "dlx/cpu_builder.h"
 #include "dlx/programs.h"
+#include "flow/engine.h"
 #include "mutants.h"
 #include "netlist/builder.h"
+#include "netlist/hash.h"
 #include "netlist/reader.h"
 #include "netlist/writer.h"
 #include "pn/analysis.h"
@@ -751,6 +753,90 @@ TEST_P(FlowEq, ShortHorizonKeepsVerdicts) {
     EXPECT_FALSE(v.shrt.flagged()) << s.name;
     EXPECT_EQ(v.shrt.violations, v.lng.violations) << s.name;
   }
+}
+
+TEST_P(FlowEq, CachedSetupMatchesFreshProof) {
+  // The engine overload proves from the cached set-up; the prebuilt
+  // overload builds the same set-up fresh. They must agree field for
+  // field, and a repeat proof must build nothing: no set-up artifact, no
+  // flow stage and no netlist hash.
+  const Tech& tech = Tech::generic90();
+  const verif::Stimulus stim = verif::random_stimulus(23);
+  std::vector<circuits::Suite> designs = circuits::scaling_suite();
+  circuits::Circuit dlx_cpu{Netlist("dlx"), {}};
+  dlx_cpu.clock = dlx::build_dlx(dlx_cpu.netlist, dlx::DlxConfig{},
+                                 dlx::fibonacci_program(6))
+                      .clk;
+  designs.push_back({"dlx", std::move(dlx_cpu)});
+  Engine& engine = Engine::process(tech);
+  for (const circuits::Suite& s : designs) {
+    for (const char* strategy : {"prefix", "perff"}) {
+      SCOPED_TRACE(cat(s.name, " / ", strategy));
+      const Netlist& ff = s.circuit.netlist;
+      verif::FlowEqOptions opt;
+      opt.desync.protocol = GetParam();
+      opt.desync.strategy = PartitionSpec::parse(strategy);
+      const verif::FlowEqResult fresh = verif::check_flow_equivalence(
+          ff, s.circuit.clock, stim, tech,
+          desynchronize(ff, s.circuit.clock, tech, opt.desync), opt);
+      EXPECT_TRUE(fresh.equivalent) << fresh.mismatch;
+      EXPECT_GT(fresh.desync_power_mw, 0.0);
+
+      const StageCounters c0 = engine.counters();
+      const verif::FlowEqResult first =
+          verif::check_flow_equivalence(ff, s.circuit.clock, stim, tech, opt);
+      const StageCounters c1 = engine.counters();
+      const uint64_t hashes = nl::hash_computations();
+      const verif::FlowEqResult again =
+          verif::check_flow_equivalence(ff, s.circuit.clock, stim, tech, opt);
+      const StageCounters c2 = engine.counters();
+      EXPECT_TRUE(first == fresh) << first.mismatch;
+      EXPECT_TRUE(again == fresh) << again.mismatch;
+
+      // The first engine proof of this coordinate builds its set-up; the
+      // design's sync reference exists only after its first coordinate.
+      EXPECT_EQ(c1.proof_runs, c0.proof_runs + 1);
+      if (std::string(strategy) == "perff") {
+        EXPECT_EQ(c1.sync_ref_runs, c0.sync_ref_runs);
+        EXPECT_EQ(c1.sync_ref_hits, c0.sync_ref_hits + 1);
+      }
+      // The repeat is one set-up hit and nothing else.
+      EXPECT_EQ(c2.proof_hits, c1.proof_hits + 1);
+      EXPECT_EQ(c2.proof_runs, c1.proof_runs);
+      EXPECT_EQ(c2.sync_ref_runs, c1.sync_ref_runs);
+      EXPECT_EQ(c2.sync_ref_hits, c1.sync_ref_hits);
+      EXPECT_EQ(c2.runs, c1.runs);
+      EXPECT_EQ(c2.partition_hits + c2.latchify_hits + c2.adjacency_hits +
+                    c2.synth_hits,
+                c1.partition_hits + c1.latchify_hits + c1.adjacency_hits +
+                    c1.synth_hits);
+      EXPECT_EQ(nl::hash_computations(), hashes);
+    }
+  }
+}
+
+TEST(FlowEqCache, OtherProtocolReusesSyncReference) {
+  // A design's sync reference (clock tree, STA period, compiled image)
+  // does not depend on the protocol: a second protocol builds only its
+  // own set-up.
+  const Tech& tech = Tech::generic90();
+  const circuits::Suite s = circuits::scaling_suite().front();
+  Engine& engine = Engine::process(tech);
+  verif::FlowEqOptions opt;
+  opt.desync.protocol = ctl::Protocol::SemiDecoupled;
+  const verif::Stimulus stim = verif::random_stimulus(29);
+  EXPECT_TRUE(verif::check_flow_equivalence(s.circuit.netlist, s.circuit.clock,
+                                            stim, tech, opt)
+                  .equivalent);
+  const StageCounters c0 = engine.counters();
+  opt.desync.protocol = ctl::Protocol::Pulse;
+  EXPECT_TRUE(verif::check_flow_equivalence(s.circuit.netlist, s.circuit.clock,
+                                            stim, tech, opt)
+                  .equivalent);
+  const StageCounters c1 = engine.counters();
+  EXPECT_EQ(c1.sync_ref_runs, c0.sync_ref_runs);
+  EXPECT_EQ(c1.sync_ref_hits, c0.sync_ref_hits + 1);
+  EXPECT_EQ(c1.proof_runs, c0.proof_runs + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, FlowEq, ::testing::ValuesIn(kProtocols),

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "circuits/circuits.h"
 #include "netlist/builder.h"
 #include "netlist/hash.h"
@@ -497,6 +499,108 @@ TEST(ContentHash, SensitiveToGroupAndPayload) {
   Netlist grouped = rom_toy({2, 1});
   grouped.set_group(cell_named(grouped, "x"), 7);
   EXPECT_NE(content_hash(grouped), base) << "group attribute";
+}
+
+// ---------------------------------------------------------------------------
+// The hash memo: a netlist keeps its content and census hashes until an
+// edit (netlist.h).
+// ---------------------------------------------------------------------------
+
+TEST(HashMemo, EveryMutatorRefreshesTheMemo) {
+  // Each public mutator in turn, on a netlist whose hashes are memoized:
+  // afterwards both hashes must equal those of a never-hashed netlist that
+  // received the same edits. `changes` marks the edits that change the
+  // content hash, so a stale memo cannot pass by accident.
+  struct Edit {
+    const char* name;
+    bool changes;
+    std::function<void(Netlist&)> apply;
+  };
+  const std::vector<Edit> edits = {
+      {"add_net", false, [](Netlist& n) { n.add_net("spare"); }},
+      {"add_input", true, [](Netlist& n) { n.add_input("d2"); }},
+      {"add_cell", true,
+       [](Netlist& n) {
+         n.add_cell(Kind::Inv, "inv", {n.find_net("d2")}, {n.find_net("spare")});
+       }},
+      {"mark_output", true,
+       [](Netlist& n) { n.mark_output(n.find_net("spare")); }},
+      {"add_payload", false, [](Netlist& n) { n.add_payload({2, 1}); }},
+      {"add_cell (ROM)", true,
+       [](Netlist& n) {
+         n.add_cell(Kind::Rom, "lut", {n.find_net("d2")},
+                    {n.add_net("lut0"), n.add_net("lut1")}, V::V0, 0, 1, 2);
+       }},
+      {"replace_payload", true,
+       [](Netlist& n) { n.replace_payload(0, {1, 2}); }},
+      {"rewire_input", true,
+       [](Netlist& n) {
+         n.rewire_input(cell_named(n, "x"), 0, n.find_net("lut0"));
+       }},
+      {"set_kind", true,
+       [](Netlist& n) { n.set_kind(cell_named(n, "x"), Kind::And); }},
+      {"set_kind (storage)", true,
+       [](Netlist& n) { n.set_kind(cell_named(n, "r.b"), Kind::Latch); }},
+      {"set_init", true,
+       [](Netlist& n) { n.set_init(cell_named(n, "r.a"), V::V1); }},
+      {"set_group", true,
+       [](Netlist& n) { n.set_group(cell_named(n, "x"), 3); }},
+      {"remove_cell", true,
+       [](Netlist& n) { n.remove_cell(cell_named(n, "inv")); }},
+  };
+  Netlist edited = hash_toy(false);
+  for (size_t k = 0; k < edits.size(); ++k) {
+    SCOPED_TRACE(edits[k].name);
+    const Hash256 before = content_hash(edited);
+    (void)census_hash(edited);
+    edits[k].apply(edited);
+    Netlist fresh = hash_toy(false);
+    for (size_t i = 0; i <= k; ++i) edits[i].apply(fresh);
+    const uint64_t computed = hash_computations();
+    EXPECT_EQ(content_hash(edited), content_hash(fresh));
+    EXPECT_EQ(census_hash(edited), census_hash(fresh));
+    // The edit cleared the memo, so all four hashes were computed.
+    EXPECT_EQ(hash_computations(), computed + 4);
+    EXPECT_EQ(content_hash(edited) != before, edits[k].changes);
+  }
+  // Unchanged content is served from the memo.
+  const uint64_t computed = hash_computations();
+  (void)content_hash(edited);
+  (void)census_hash(edited);
+  EXPECT_EQ(hash_computations(), computed);
+}
+
+TEST(HashMemo, CopiesNeverReturnTheOriginalsMemo) {
+  // A copy edited after the copy, and an original edited after it was
+  // copied, hash their own content; so does a copy-assigned netlist.
+  Netlist original = hash_toy(false);
+  const Hash256 base = content_hash(original);
+  const Hash256 edited_hash = [] {
+    Netlist n = hash_toy(false);
+    n.set_init(cell_named(n, "r.a"), V::V1);
+    return content_hash(n);
+  }();
+  ASSERT_NE(edited_hash, base);
+
+  Netlist copy = original;
+  copy.set_init(cell_named(copy, "r.a"), V::V1);
+  EXPECT_EQ(content_hash(copy), edited_hash);
+  EXPECT_EQ(content_hash(original), base);
+
+  Netlist assigned("other");
+  (void)content_hash(assigned);
+  assigned = original;
+  EXPECT_EQ(content_hash(assigned), base);
+  assigned.set_init(cell_named(assigned, "r.a"), V::V1);
+  EXPECT_EQ(content_hash(assigned), edited_hash);
+
+  Netlist kept = original;
+  Netlist moved = std::move(copy);
+  original.set_init(cell_named(original, "r.a"), V::V1);
+  EXPECT_EQ(content_hash(original), edited_hash);
+  EXPECT_EQ(content_hash(kept), base);
+  EXPECT_EQ(content_hash(moved), edited_hash);
+  static_assert(std::is_nothrow_move_constructible_v<Netlist>);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <sstream>
 #include <string_view>
+#include <thread>
 #include <tuple>
 
 #include "circuits/circuits.h"
@@ -873,11 +874,13 @@ uint64_t fnv(std::string_view bytes) {
 }
 
 /// Apply `pokes`, free-run `clock` (if valid) at `period`, and run to
-/// `horizon` in one call or, with `chunk` > 0, in chunk-sized steps.
+/// `horizon` in one call or, with `chunk` > 0, in chunk-sized steps. The
+/// simulator is built from `image` when one is given, else from `netl`.
 RunRecord run_scattered(const Netlist& netl, const Tech& tech,
                         const std::vector<Poke>& pokes, Ps horizon,
-                        Ps chunk = 0, NetId clock = {}, Ps period = 0) {
-  Simulator sim(netl, tech);
+                        Ps chunk = 0, NetId clock = {}, Ps period = 0,
+                        std::shared_ptr<const Compiled> image = {}) {
+  Simulator sim = image ? Simulator(std::move(image)) : Simulator(netl, tech);
   std::vector<NetId> vcd_nets;  // a strided subset bounds the stream size
   const size_t stride = std::max<size_t>(1, netl.num_nets() / 256);
   for (size_t i = 0; i < netl.num_nets(); i += stride) {
@@ -1141,6 +1144,57 @@ TEST(Sim, RamStateMatchesAcrossChunkedRuns) {
   EXPECT_EQ(once.state, 0x1e956eb81549871aull);
   EXPECT_TRUE(once ==
               run_scattered(netl, tech, pokes, kHorizon, 997, ck, 4'000));
+}
+
+TEST(Sim, SharedCompiledImageRunsLikeTheNetlist) {
+  // Simulators built from one compiled image, one after the other and on
+  // two threads at once, run exactly like one built from the netlist: the
+  // image is immutable and all run state is each simulator's own. A
+  // self-timed circuit (reset kicks), a clocked one (a setup violation)
+  // and two RAMs (per-simulator contents).
+  const Tech& tech = Tech::generic90();
+  const circuits::Circuit pipe = circuits::pipeline(4, 8, 2);
+  const flow::DesyncResult dr =
+      flow::desynchronize(pipe.netlist, pipe.clock, tech, {});
+  const circuits::Circuit clocked = circuits::pipeline(8, 16, 3);
+  const Netlist rams = two_ram_netlist();
+  const NetId ck = rams.find_net("ck");
+  struct Case {
+    const char* name;
+    const Netlist& netl;
+    std::vector<Poke> pokes;
+    Ps horizon;
+    NetId clock;
+    Ps period;
+  };
+  const Case cases[] = {
+      {"desync pipe4x8", dr.netlist,
+       scattered_pokes(dr.netlist, pipe.clock, 29, 30'000, 6), 30'000, {}, 0},
+      {"clocked pipe8x16", clocked.netlist,
+       scattered_pokes(clocked.netlist, clocked.clock, 23, 40'000, 8), 40'000,
+       clocked.clock, 2'000},
+      {"two RAMs", rams, scattered_pokes(rams, ck, 31, 50'000, 10), 50'000, ck,
+       4'000},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto run = [&c, &tech](std::shared_ptr<const Compiled> image) {
+      return run_scattered(c.netl, tech, c.pokes, c.horizon, 0, c.clock,
+                           c.period, std::move(image));
+    };
+    const RunRecord ref = run(nullptr);
+    EXPECT_GT(ref.events, 100u);
+    const std::shared_ptr<const Compiled> image = compile(c.netl, tech);
+    EXPECT_TRUE(run(image) == ref);
+    EXPECT_TRUE(run(image) == ref);
+    RunRecord a, b;
+    std::thread ta([&] { a = run(image); });
+    std::thread tb([&] { b = run(image); });
+    ta.join();
+    tb.join();
+    EXPECT_TRUE(a == ref);
+    EXPECT_TRUE(b == ref);
+  }
 }
 
 }  // namespace
