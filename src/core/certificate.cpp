@@ -1,11 +1,7 @@
 #include "core/certificate.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <unordered_map>
+#include <numeric>
 
-#include "base/cancel.h"
 #include "ctl/controller.h"
 
 namespace desyn::flow {
@@ -14,37 +10,19 @@ namespace {
 
 uint32_t bank_of(uint32_t trans) { return trans >> 1; }
 
-/// The largest fraction p/q with q <= max_den whose double quotient (the
-/// way pn::cycle_ratio divides) is <= limit. For any D/T with T <= max_den:
-/// if fl(D/T) <= limit then D <= D_T, the largest such numerator over T, so
-/// D/T <= p/q; if fl(D/T) > limit >= fl(p/q) then D/T > p/q.
-std::pair<int64_t, int64_t> budget_fraction(double limit, int64_t max_den) {
-  auto fits = [limit](int64_t d, int64_t t) {
-    return static_cast<double>(d) / static_cast<double>(t) <= limit;
-  };
-  int64_t best_p = 0, best_q = 0;
-  for (int64_t t = 1; t <= max_den; ++t) {
-    auto d = static_cast<int64_t>(std::floor(limit * static_cast<double>(t)));
-    while (fits(d + 1, t)) ++d;
-    while (!fits(d, t)) --d;
-    if (best_q == 0 || d * best_q > best_p * t) {
-      best_p = d;
-      best_q = t;
-    }
-  }
-  return {best_p, best_q};
-}
-
 }  // namespace
 
 BudgetCertificate::BudgetCertificate(const ctl::ControlGraph& fine,
                                      IncrementalQuotient& cq,
                                      ctl::Protocol protocol,
-                                     const cell::Tech& tech, double limit)
-    : cq_(cq), tech_(tech) {
-  DESYN_ASSERT(limit >= 0 && limit < 1e12, "period limit out of range");
-  G_ = cq.num_groups();
-  num_nodes_ = 2 * static_cast<uint32_t>(fine.num_banks());
+                                     const cell::Tech& tech,
+                                     int64_t limit_num, int64_t limit_den)
+    : cq_(cq),
+      tech_(tech),
+      G_(cq.num_groups()),
+      num_nodes_(2 * static_cast<uint32_t>(fine.num_banks())),
+      relax_(std::vector<int64_t>(num_nodes_)) {
+  DESYN_ASSERT(limit_num >= 0 && limit_den > 0, "period limit out of range");
   ctrl_ = ctl::controller_response_delay(tech);
   pulse_ = ctl::min_pulse_width(tech);
 
@@ -80,36 +58,18 @@ BudgetCertificate::BudgetCertificate(const ctl::ControlGraph& fine,
       }
     }
   }
-  index_in_arcs();
+  in_.assign(num_nodes_, {});
+  for (uint32_t j = 0; j < m; ++j) in_[to_[j]].push_back(j);
 
-  int64_t marked = 0;
-  Ps max_delay = 0;
-  for (size_t j = 0; j < tokens_.size(); ++j) {
-    marked += tokens_[j];
-    max_delay = std::max(max_delay, delay_[j]);
-  }
-  std::tie(p_, q_) = budget_fraction(limit, std::max<int64_t>(1, marked));
-  // Potentials sum at most one weight per node along a longest path.
-  DESYN_ASSERT(static_cast<double>(q_) * static_cast<double>(max_delay) *
-                       static_cast<double>(num_nodes_) <
-                   1e18,
-               "control graph too large for 64-bit potentials");
-
-  pi_.assign(num_nodes_, 0);
-  parent_.assign(num_nodes_, 0);
-  stamp_.assign(num_nodes_, 0);
-  queued_.assign(num_nodes_, 0);
-  // Longest-path potentials of the start: repair pi = 0 against every arc.
-  journal_.clear();
-  journal_.reserve(from_.size());
-  for (uint32_t j = 0; j < from_.size(); ++j) {
-    journal_.push_back({j, from_[j], to_[j], delay_[j]});
-  }
-  const bool fits = settle();
+  // Longest-path potentials of the start: relax zero potentials against
+  // every arc.
+  relax_.set_lambda(limit_num, limit_den);
+  patched_.resize(from_.size());
+  std::iota(patched_.begin(), patched_.end(), 0u);
+  const bool fits = certify();
   DESYN_ASSERT(fits, "the starting clustering exceeds the period limit");
-  journal_.clear();
-  touched_.clear();
-  old_pi_.clear();
+  relax_.commit();
+  patched_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -129,66 +89,10 @@ Ps BudgetCertificate::arc_delay(size_t j, Ps line) const {
   return ctl::arc_delay(kind_[j], line, ctrl_, pulse_);
 }
 
-/// Merging never removes arcs — parallel duplicates pile onto the surviving
-/// transitions (same tokens, same delay: both are functions of parity, sign
-/// and destination alone, merge-invariant) — so every kCompactEvery merges
-/// the arc list is deduplicated in place (first-occurrence order, so the
-/// rebuild is deterministic), keeping each repair proportional to the
-/// *live* quotient.
-void BudgetCertificate::compact() {
-  const size_t m = from_.size();
-  std::unordered_map<uint64_t, uint32_t> seen;
-  seen.reserve(m);
-  std::vector<uint32_t> nfrom, nto;
-  std::vector<Ps> ndelay;
-  std::vector<ctl::ArcTiming> nkind;
-  std::vector<int32_t> ntokens;
-  for (size_t j = 0; j < m; ++j) {
-    uint64_t key = (static_cast<uint64_t>(from_[j]) << 35) |
-                   (static_cast<uint64_t>(to_[j]) << 3) |
-                   (static_cast<uint64_t>(kind_[j]) << 1) |
-                   static_cast<uint64_t>(tokens_[j]);
-    auto [it, inserted] =
-        seen.try_emplace(key, static_cast<uint32_t>(nfrom.size()));
-    if (inserted) {
-      nfrom.push_back(from_[j]);
-      nto.push_back(to_[j]);
-      ndelay.push_back(delay_[j]);
-      nkind.push_back(kind_[j]);
-      ntokens.push_back(tokens_[j]);
-    } else {
-      // Parallel duplicates carry identical annotations by construction.
-      DESYN_ASSERT(ndelay[it->second] == delay_[j]);
-    }
-  }
-  from_ = std::move(nfrom);
-  to_ = std::move(nto);
-  delay_ = std::move(ndelay);
-  kind_ = std::move(nkind);
-  tokens_ = std::move(ntokens);
-  incident_.assign(G_, {});
-  for (size_t j = 0; j < from_.size(); ++j) {
-    uint32_t last = UINT32_MAX;
-    for (uint32_t trans : {from_[j], to_[j]}) {
-      uint32_t bank = bank_of(trans);
-      if (bank < 2 * G_ && bank / 2 != last) {
-        last = bank / 2;
-        incident_[last].push_back(static_cast<uint32_t>(j));
-      }
-    }
-  }
-  merges_since_compact_ = 0;
-  index_in_arcs();
-}
-
-void BudgetCertificate::index_in_arcs() {
-  in_.assign(num_nodes_, {});
-  for (uint32_t j = 0; j < to_.size(); ++j) in_[to_[j]].push_back(j);
-}
-
 /// Apply merge(drop -> keep): O(deg) endpoint rewrites on the dropped
 /// cluster's incident arcs, delay re-quantization where the merged
-/// destination's worst-in grew. journal_ records every patched arc.
+/// destination's worst-in grew, and the dropped cluster's in-arc lists
+/// appended to the kept one's. patched_/journal_ record every patched arc.
 void BudgetCertificate::apply(const Delta& d) {
   const int keep = d.keep, drop = d.drop;
   const Ps qe_old = qdelay(2 * static_cast<uint32_t>(keep));
@@ -197,7 +101,8 @@ void BudgetCertificate::apply(const Delta& d) {
   const Ps qe = qdelay(2 * static_cast<uint32_t>(keep));
   const Ps qo = qdelay(2 * static_cast<uint32_t>(keep) + 1);
   auto patch = [&](uint32_t j) {
-    journal_.push_back({j, from_[j], to_[j], delay_[j]});
+    patched_.push_back(j);
+    journal_.push_back({from_[j], to_[j], delay_[j]});
   };
   for (uint32_t j : incident_[static_cast<size_t>(drop)]) {
     patch(j);
@@ -222,120 +127,63 @@ void BudgetCertificate::apply(const Delta& d) {
       delay_[j] = arc_delay(j, (tb & 1) == 0 ? qe : qo);
     }
   }
-  alias_to_ = keep;
-  alias_from_ = drop;
+  // Every arc that ended at a dropped node now ends at the kept node of
+  // the same bank parity and sign.
+  for (uint32_t s = 0; s < 4; ++s) {
+    auto& into = in_[4 * static_cast<uint32_t>(keep) + s];
+    const auto& from = in_[4 * static_cast<uint32_t>(drop) + s];
+    keep_in_len_[s] = into.size();
+    into.insert(into.end(), from.begin(), from.end());
+  }
 }
 
-/// Undo the applied merge: arcs from the journal, the clustering by undo.
-void BudgetCertificate::revert() {
+/// Undo the applied merge: arcs from the journal, the kept in-arc lists to
+/// their lengths, the clustering by undo.
+void BudgetCertificate::revert(const Delta& d) {
   for (size_t i = journal_.size(); i-- > 0;) {
     const Patch& p = journal_[i];
-    from_[p.arc] = p.from;
-    to_[p.arc] = p.to;
-    delay_[p.arc] = p.delay;
+    from_[patched_[i]] = p.from;
+    to_[patched_[i]] = p.to;
+    delay_[patched_[i]] = p.delay;
   }
+  patched_.clear();
   journal_.clear();
+  for (uint32_t s = 0; s < 4; ++s) {
+    in_[4 * static_cast<uint32_t>(d.keep) + s].resize(keep_in_len_[s]);
+  }
   cq_.undo();
-  alias_to_ = alias_from_ = -1;
 }
 
 // ---------------------------------------------------------------------------
 // Potentials
 // ---------------------------------------------------------------------------
 
-/// Restore every arc constraint after the merge in journal_: relax the
-/// patched arcs, then walk raises backward until nothing moves (true) or a
-/// raise closes a cycle of parent arcs (false, failure_* filled in).
-/// Raised nodes are logged in touched_/old_pi_ for restore_potentials().
-bool BudgetCertificate::settle() {
-  // One deadline/cancel poll per repair, as pn::max_cycle_ratio polls once
-  // per relaxation pass: a repair walks only the region the merge disturbed.
-  cancel_point();
-  if (++epoch_ == 0) {  // wrapped: no stale stamp may alias the new epoch
-    std::fill(stamp_.begin(), stamp_.end(), 0);
-    epoch_ = 1;
+bool BudgetCertificate::certify() {
+  const pn::McrArcs g{num_nodes_, from_, to_, tokens_, delay_};
+  if (relax_.relax(g, in_, patched_) == pn::Relaxation::Outcome::Settled) {
+    return true;
   }
-  queue_.clear();
-  bool ok = true;
-  for (size_t i = 0; ok && i < journal_.size(); ++i) {
-    ok = relax(journal_[i].arc);
-  }
-  size_t head = 0;
-  while (ok && head < queue_.size()) {
-    const uint32_t x = queue_[head++];
-    queued_[x] = 0;
-    auto scan = [&](const std::vector<uint32_t>& arcs) {
-      for (uint32_t j : arcs) {
-        if (to_[j] == x && !relax(j)) return false;
-      }
-      return true;
-    };
-    ok = scan(in_[x]);
-    if (ok && static_cast<int>(x / 4) == alias_to_) {
-      ok = scan(in_[4 * static_cast<uint32_t>(alias_from_) + (x & 3)]);
-    }
-  }
-  for (; head < queue_.size(); ++head) queued_[queue_[head]] = 0;
-  return ok;
-}
-
-/// Enforce pi[u] >= pi[v] + w on arc j = u -> v, raising pi[u] if needed.
-/// Parent arcs of this repair's raised nodes form a forest; the raise
-/// closes a cycle iff u is an ancestor of v, and every such cycle has
-/// positive weight (its last raise was strict, so summing the tight parent
-/// inequalities around it leaves w > 0).
-bool BudgetCertificate::relax(uint32_t j) {
-  const uint32_t u = from_[j], v = to_[j];
-  const int64_t want = pi_[v] + weight(j);
-  if (want <= pi_[u]) return true;
-  if (stamp_[u] != epoch_) {
-    stamp_[u] = epoch_;
-    touched_.push_back(u);
-    old_pi_.push_back(pi_[u]);
-  }
-  pi_[u] = want;
-  parent_[u] = j;
-  for (uint32_t z = v; stamp_[z] == epoch_; z = to_[parent_[z]]) {
-    if (z == u) {
-      record_cycle(u, j);
-      return false;
-    }
-  }
-  if (!queued_[u]) {
-    queued_[u] = 1;
-    queue_.push_back(u);
-  }
-  return true;
-}
-
-void BudgetCertificate::record_cycle(uint32_t u, uint32_t j) {
   fail_cycle_.clear();
-  Ps delay = 0;
-  int64_t tokens = 0;
-  for (uint32_t a = j;; a = parent_[to_[a]]) {
-    fail_cycle_.push_back({from_[a], to_[a], delay_[a], tokens_[a]});
-    delay += delay_[a];
-    tokens += tokens_[a];
-    if (to_[a] == u) break;
+  for (uint32_t j : relax_.cycle()) {
+    fail_cycle_.push_back({from_[j], to_[j], delay_[j], tokens_[j]});
   }
-  fail_ratio_ = tokens > 0
-                    ? static_cast<double>(delay) / static_cast<double>(tokens)
-                    : std::numeric_limits<double>::infinity();
+  fail_delay_ = relax_.cycle_delay();
+  fail_tokens_ = relax_.cycle_tokens();
+  relax_.rollback();
+  return false;
 }
 
 bool BudgetCertificate::consistent() const {
   DESYN_ASSERT(!has_pending_, "a passing probe is outstanding");
+  const std::span<const int64_t> pi = relax_.potentials();
   for (uint32_t j = 0; j < from_.size(); ++j) {
-    if (pi_[from_[j]] < pi_[to_[j]] + weight(j)) return false;
+    const __int128 want = static_cast<__int128>(pi[to_[j]]) +
+                          static_cast<__int128>(relax_.scale()) * delay_[j] -
+                          static_cast<__int128>(relax_.lambda_num()) *
+                              tokens_[j];
+    if (pi[from_[j]] < want) return false;
   }
   return true;
-}
-
-void BudgetCertificate::restore_potentials() {
-  for (size_t i = touched_.size(); i-- > 0;) pi_[touched_[i]] = old_pi_[i];
-  touched_.clear();
-  old_pi_.clear();
-  has_pending_ = false;
 }
 
 // ---------------------------------------------------------------------------
@@ -343,17 +191,18 @@ void BudgetCertificate::restore_potentials() {
 // ---------------------------------------------------------------------------
 
 bool BudgetCertificate::probe_merge(int keep, int drop) {
-  restore_potentials();  // a previous passing probe that was not committed
+  if (has_pending_) {  // a previous passing probe that was not committed
+    relax_.rollback();
+    has_pending_ = false;
+  }
   ++probes_;
   const Delta d{keep, drop};
   apply(d);
-  const bool ok = settle();
-  revert();
+  const bool ok = certify();
+  revert(d);
   if (ok) {
     pending_ = d;
     has_pending_ = true;
-  } else {
-    restore_potentials();
   }
   return ok;
 }
@@ -361,17 +210,16 @@ bool BudgetCertificate::probe_merge(int keep, int drop) {
 void BudgetCertificate::commit_merge(int keep, int drop) {
   const Delta d{keep, drop};
   const bool proven = has_pending_ && pending_ == d;
-  if (!proven) restore_potentials();
+  if (has_pending_ && !proven) relax_.rollback();
+  has_pending_ = false;
   apply(d);
   if (!proven) {
-    const bool fits = settle();
+    const bool fits = certify();
     DESYN_ASSERT(fits, "committed a merge that exceeds the period limit");
   }
-  touched_.clear();
-  old_pi_.clear();
-  has_pending_ = false;
+  relax_.commit();
+  patched_.clear();
   journal_.clear();
-  alias_to_ = alias_from_ = -1;
   // The dropped cluster's arcs (and the arcs ending at its nodes) now
   // belong to keep.
   auto& win = incident_[static_cast<size_t>(keep)];
@@ -379,13 +227,10 @@ void BudgetCertificate::commit_merge(int keep, int drop) {
   win.insert(win.end(), lose.begin(), lose.end());
   lose.clear();
   for (uint32_t s = 0; s < 4; ++s) {
-    auto& into = in_[4 * static_cast<uint32_t>(keep) + s];
     auto& from = in_[4 * static_cast<uint32_t>(drop) + s];
-    into.insert(into.end(), from.begin(), from.end());
     from.clear();
     from.shrink_to_fit();
   }
-  if (++merges_since_compact_ >= kCompactEvery) compact();
 }
 
 }  // namespace desyn::flow

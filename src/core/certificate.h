@@ -2,34 +2,28 @@
 //
 // The optimizer asks one question of every candidate clustering: does its
 // predicted period — the max cycle ratio D(C)/T(C) of the candidate
-// quotient's timed control model — stay within the limit L? It never needs
-// the period itself, only the verdict, and the verdict is exact in
-// integers: delays are whole picoseconds and a simple cycle carries at most
-// M tokens (M = the marked-arc count), so with p/q the largest fraction of
-// denominator <= M whose double quotient is <= L, a cycle passes iff
-// q*D - p*T <= 0 (rounding is monotone, so this matches `ratio <= L` on the
-// double pn::max_cycle_ratio reports, bit for bit). Every cycle passes iff
-// integer potentials exist with
-//
-//     pi[u] >= pi[v] + q*delay(a) - p*tokens(a)   for every arc a = u -> v
-//
-// (sum the inequality around a cycle). The certificate keeps such a pi for
-// the committed clustering. A candidate merge patches O(deg) arcs — the
-// dropped cluster's, re-pointed onto the kept one — and then repairs pi by
-// a backward worklist from the patched arcs' tails: each raise of pi[u]
-// through arc a records a as u's parent, and a raise that closes a cycle
-// of parent arcs proves a positive cycle — an over-budget cycle of the
-// candidate, whose exact D/T is the failure bound. A repair that settles proves the candidate within budget; the
-// committed winner keeps its repaired pi, so a commit costs no extra work.
+// quotient's timed control model — stay within the limit p/q, an exact
+// fraction? It never needs the period itself, only the verdict. The
+// certificate keeps integer potentials that prove every cycle ratio of the
+// committed clustering <= p/q: the relaxation kernel pn::Relaxation at
+// lambda = p/q. A candidate merge patches O(deg) arcs — the dropped
+// cluster's, re-pointed onto the kept one — and is one kernel call from
+// the patched arcs. A call that settles proves the candidate within budget;
+// the committed winner keeps its relaxed potentials, so a commit costs no
+// extra work. A returned cycle is an over-budget cycle of the candidate,
+// its exact D/T the failure bound, and the kernel rolls the potentials
+// back.
 //
 // Arc endpoints live in quotient transition space: cluster c's banks are 2c
 // (even/master) and 2c+1 (odd/slave), the env pair keeps fine banks 2G and
 // 2G+1, and bank b's transitions are 2b (+) and 2b+1 (-). Merged-away
-// clusters leave holes with no arcs. Arc delays are ctl::hardware_model's:
-// each arc keeps its ctl::ArcTiming, and every delay the certificate writes
-// is ctl::arc_delay of that timing, with the quotient's line — the quantized
-// worst-in of the arc's target bank under the current clustering, sized by
-// ctl::matched_delay_cells as the synthesis sizes it.
+// clusters leave holes with no arcs, and parallel arcs pile up on the kept
+// ones (deduplicating them did not pay, docs/PERF.md). Arc delays are
+// ctl::hardware_model's: each arc keeps its ctl::ArcTiming, and every delay
+// the certificate writes is ctl::arc_delay of that timing, with the
+// quotient's line — the quantized worst-in of the arc's target bank under
+// the current clustering, sized by ctl::matched_delay_cells as the
+// synthesis sizes it.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +32,7 @@
 #include "cell/tech.h"
 #include "core/adjacency.h"
 #include "ctl/protocol.h"
+#include "pn/mcr.h"
 
 namespace desyn::flow {
 
@@ -55,22 +50,23 @@ class BudgetCertificate {
   /// caller. The certificate keeps its arc arrays in lockstep with it:
   /// probes apply a merge to `cq` and undo it, commits apply it for good.
   /// The caller must not change `cq` otherwise. The clustering `cq` holds
-  /// at construction must fit within `limit`.
+  /// at construction must fit within the limit limit_num / limit_den.
   BudgetCertificate(const ctl::ControlGraph& fine, IncrementalQuotient& cq,
                     ctl::Protocol protocol, const cell::Tech& tech,
-                    double limit);
+                    int64_t limit_num, int64_t limit_den);
 
   /// Does merging cluster `drop` into `keep` keep every cycle ratio
-  /// <= limit? On false, failure_ratio()/failure_cycle() hold the proof.
+  /// <= limit? On false, failure_cycle() and its sums hold the proof.
   bool probe_merge(int keep, int drop);
   /// Commit a merge that fits the limit (asserted). Free right after a
-  /// passing probe of the same merge: its repaired potentials are kept.
+  /// passing probe of the same merge: its relaxed potentials are kept.
   void commit_merge(int keep, int drop);
 
-  /// Exact delay/token ratio of the last failing probe's cycle (> limit;
-  /// +infinity for a token-free cycle).
-  double failure_ratio() const { return fail_ratio_; }
+  /// The last failing probe's cycle and its exact delay and token sums:
+  /// their ratio exceeds the limit (0 tokens: an infinite ratio).
   const std::vector<CycleArc>& failure_cycle() const { return fail_cycle_; }
+  Ps failure_delay() const { return fail_delay_; }
+  int64_t failure_tokens() const { return fail_tokens_; }
   /// Candidates settled so far (merge probes).
   size_t probes() const { return probes_; }
   /// Whether the potentials satisfy every arc of the committed quotient —
@@ -80,11 +76,7 @@ class BudgetCertificate {
   bool consistent() const;
 
  private:
-  /// Compact when this many merges piled parallel arcs onto the quotient.
-  static constexpr size_t kCompactEvery = 256;
-
   struct Patch {
-    uint32_t arc;
     uint32_t from, to;
     Ps delay;
   };
@@ -95,24 +87,18 @@ class BudgetCertificate {
 
   Ps qdelay(uint32_t qb) const;
   Ps arc_delay(size_t j, Ps line) const;
-  int64_t weight(uint32_t j) const { return q_ * delay_[j] - p_ * tokens_[j]; }
 
-  void compact();
-  void index_in_arcs();
   void apply(const Delta& d);
-  void revert();
-
-  bool settle();
-  bool relax(uint32_t j);
-  void record_cycle(uint32_t u, uint32_t j);
-  void restore_potentials();
+  void revert(const Delta& d);
+  /// One kernel call from the patched arcs; on a cycle, the failure is
+  /// recorded and the potentials rolled back.
+  bool certify();
 
   IncrementalQuotient& cq_;
   const cell::Tech& tech_;
   size_t G_ = 0;
   uint32_t num_nodes_ = 0;
   Ps ctrl_ = 0, pulse_ = 0;
-  int64_t p_ = 0, q_ = 1;  ///< the limit as an exact fraction
 
   // The quotient's arc list (parallel arrays by arc id).
   std::vector<uint32_t> from_, to_;
@@ -120,29 +106,21 @@ class BudgetCertificate {
   std::vector<ctl::ArcTiming> kind_;
   std::vector<int32_t> tokens_;
   std::vector<std::vector<uint32_t>> incident_;  ///< arc ids per cluster
-  /// Per node, a superset of the arcs ending there (entries whose head
-  /// moved away are skipped on scan).
-  std::vector<std::vector<uint32_t>> in_;
-  size_t merges_since_compact_ = 0;
-  std::vector<Patch> journal_;  ///< the applied merge's arc patches
+  std::vector<std::vector<uint32_t>> in_;  ///< arc ids ending at each node
+  /// The applied merge: its patched arcs, their values before, and the
+  /// lengths of the kept cluster's in-arc lists before the dropped
+  /// cluster's were appended.
+  std::vector<uint32_t> patched_;
+  std::vector<Patch> journal_;
+  size_t keep_in_len_[4] = {};
 
-  // Potentials and the repair worklist.
-  std::vector<int64_t> pi_;
-  std::vector<uint32_t> parent_;  ///< arc that set pi[u] (this repair only)
-  std::vector<uint32_t> stamp_;   ///< repair epoch that raised the node
-  std::vector<uint8_t> queued_;
-  std::vector<uint32_t> queue_;
-  std::vector<uint32_t> touched_;  ///< nodes raised since the last commit
-  std::vector<int64_t> old_pi_;    ///< their values before
-  uint32_t epoch_ = 0;
-  /// While a merge is applied, in-arcs of `alias_to_`'s nodes may still be
-  /// listed under `alias_from_`'s (the cluster the merge drains).
-  int alias_to_ = -1, alias_from_ = -1;
-  Delta pending_;  ///< the passing probe whose potentials pi_ holds
+  pn::Relaxation relax_;
+  Delta pending_;  ///< the passing probe whose potentials relax_ holds
   bool has_pending_ = false;
 
-  double fail_ratio_ = 0;
   std::vector<CycleArc> fail_cycle_;
+  Ps fail_delay_ = 0;
+  int64_t fail_tokens_ = 0;
   size_t probes_ = 0;
 };
 

@@ -1,8 +1,10 @@
 #include "core/partition.h"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <unordered_map>
 
@@ -327,10 +329,41 @@ Partition make_partition(const nl::Netlist& ff_netlist, nl::NetId clock,
   fail("unreachable PartitionSpec mode");
 }
 
+std::pair<int64_t, int64_t> exact_decimal(double v) {
+  char buf[64];
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed);
+  DESYN_ASSERT(ec == std::errc() && v >= 0, "not a finite non-negative number");
+  int64_t num = 0, den = 1;
+  bool fraction = false;
+  for (const char* c = buf; c != end; ++c) {
+    if (*c == '.') {
+      fraction = true;
+      continue;
+    }
+    DESYN_ASSERT(num < INT64_MAX / 10 && den < INT64_MAX / 10,
+                 "too many digits for an exact fraction");
+    num = 10 * num + (*c - '0');
+    if (fraction) den *= 10;
+  }
+  const int64_t common = std::gcd(num, den);
+  return {num / common, den / common};
+}
+
+namespace {
+
+/// The critical cycle of `cg`'s timed model, with its exact sums.
+pn::CycleRatioResult predicted_cycle(const ctl::ControlGraph& cg,
+                                     ctl::Protocol protocol,
+                                     const cell::Tech& tech) {
+  return pn::max_cycle_ratio(ctl::hardware_model(cg, protocol, tech).mg);
+}
+
+}  // namespace
+
 double predicted_period(const ctl::ControlGraph& cg, ctl::Protocol protocol,
                         const cell::Tech& tech) {
-  return pn::max_cycle_ratio(ctl::hardware_model(cg, protocol, tech).mg)
-      .ratio;
+  return predicted_cycle(cg, protocol, tech).ratio;
 }
 
 // ---------------------------------------------------------------------------
@@ -338,6 +371,22 @@ double predicted_period(const ctl::ControlGraph& cg, ctl::Protocol protocol,
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// The largest fraction a/b <= p/q (p >= 0, q > 0) with b <= max_den. No
+/// fraction of a denominator <= max_den lies in (a/b, p/q], so a cycle of
+/// at most max_den tokens fits a/b exactly when it fits p/q.
+std::pair<int64_t, int64_t> floor_fraction(__int128 p, __int128 q,
+                                           int64_t max_den) {
+  int64_t num = 0, den = 1;
+  for (int64_t b = 1; b <= max_den; ++b) {
+    const auto a = static_cast<int64_t>(p * b / q);
+    if (static_cast<__int128>(a) * den > static_cast<__int128>(num) * b) {
+      num = a;
+      den = b;
+    }
+  }
+  return {num, den};
+}
 
 /// Total controller + matched-delay cell count the real synthesis would
 /// spend on `cg` — counted by running it against a scratch netlist, so the
@@ -379,15 +428,21 @@ class ReferenceEvaluator final : public Evaluator {
  public:
   ReferenceEvaluator(const ctl::ControlGraph& fine,
                      std::vector<char> merge_ok, ctl::Protocol p,
-                     const cell::Tech& tech, double limit)
-      : cq_(fine, std::move(merge_ok)), p_(p), tech_(tech), limit_(limit) {}
+                     const cell::Tech& tech, int64_t limit_num,
+                     int64_t limit_den)
+      : cq_(fine, std::move(merge_ok)),
+        p_(p),
+        tech_(tech),
+        limit_num_(limit_num),
+        limit_den_(limit_den) {}
 
   bool probe_merge(int keep, int drop) override {
     cq_.merge(keep, drop);
     ++cold_;
-    double p = predicted_period(cq_.materialize(), p_, tech_);
+    const pn::CycleRatioResult r =
+        predicted_cycle(cq_.materialize(), p_, tech_);
     cq_.undo();
-    return p <= limit_;
+    return !pn::ratio_greater(r.delay, r.tokens, limit_num_, limit_den_);
   }
   void commit_merge(int keep, int drop) override { cq_.merge(keep, drop); }
   const IncrementalQuotient& clusters() const override { return cq_; }
@@ -398,7 +453,7 @@ class ReferenceEvaluator final : public Evaluator {
   IncrementalQuotient cq_;
   ctl::Protocol p_;
   const cell::Tech& tech_;
-  double limit_;
+  int64_t limit_num_, limit_den_;
   size_t cold_ = 0;
 };
 
@@ -409,8 +464,10 @@ class IncrementalEvaluator final : public Evaluator {
  public:
   IncrementalEvaluator(const ctl::ControlGraph& fine,
                        std::vector<char> merge_ok, ctl::Protocol p,
-                       const cell::Tech& tech, double limit)
-      : cq_(fine, std::move(merge_ok)), cert_(fine, cq_, p, tech, limit) {}
+                       const cell::Tech& tech, int64_t limit_num,
+                       int64_t limit_den)
+      : cq_(fine, std::move(merge_ok)),
+        cert_(fine, cq_, p, tech, limit_num, limit_den) {}
 
   bool probe_merge(int keep, int drop) override {
     fault::maybe_throw("partition.probe");
@@ -461,7 +518,10 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
   for (size_t g = 0; g < G; ++g) merge_ok[g] = perff.groups()[g].ram ? 0 : 1;
 
   // The per-flip-flop start: the one cold solve the search itself needs.
-  res.perff_period = predicted_period(fine.cg, opt.protocol, tech);
+  const pn::CycleRatioResult start =
+      predicted_cycle(fine.cg, opt.protocol, tech);
+  res.perff_period = start.ratio;
+  pn::CycleRatioResult baseline;
   {
     // The Prefix baseline is a quotient of the fine graph too: every
     // flip-flop group joins the first group with its bank_prefix, and RAM
@@ -475,24 +535,35 @@ PartitionOptResult optimize_impl(const nl::Netlist& ff_netlist,
           static_cast<int>(g));
       if (!inserted) prefix.merge(it->second, static_cast<int>(g));
     }
-    res.baseline_period =
-        predicted_period(prefix.materialize(), opt.protocol, tech);
+    baseline = predicted_cycle(prefix.materialize(), opt.protocol, tech);
+    res.baseline_period = baseline.ratio;
     res.baseline_banks = prefix.num_live();
   }
   // Coarsening only adds rendezvous, so merged periods are never below the
   // per-flip-flop start; measuring the budget against the larger of the
-  // two baselines keeps the limit reachable: with a budget >= 1 the start's
-  // period, one exact division, never exceeds it.
-  const double limit =
-      opt.period_budget * std::max(res.baseline_period, res.perff_period);
+  // two baselines keeps the limit reachable: with a budget >= 1 the start
+  // fits. The limit is exact: the budget's decimal fraction times that
+  // baseline's cycle sums, floored to the denominators a simple cycle's
+  // token count can take (at most one token per arc, one arc per
+  // transition), which changes no verdict and keeps the potentials small.
+  const pn::CycleRatioResult& base =
+      pn::ratio_greater(start.delay, start.tokens, baseline.delay,
+                        baseline.tokens)
+          ? start
+          : baseline;
+  const auto [bn, bd] = exact_decimal(opt.period_budget);
+  const auto [limit_num, limit_den] = floor_fraction(
+      static_cast<__int128>(bn) * base.delay,
+      static_cast<__int128>(bd) * std::max<int64_t>(base.tokens, 1),
+      static_cast<int64_t>(2 * fine.cg.num_banks()));
 
   std::unique_ptr<Evaluator> ev;
   if (incremental) {
-    ev = std::make_unique<IncrementalEvaluator>(fine.cg, merge_ok,
-                                                opt.protocol, tech, limit);
+    ev = std::make_unique<IncrementalEvaluator>(
+        fine.cg, merge_ok, opt.protocol, tech, limit_num, limit_den);
   } else {
-    ev = std::make_unique<ReferenceEvaluator>(fine.cg, merge_ok,
-                                              opt.protocol, tech, limit);
+    ev = std::make_unique<ReferenceEvaluator>(
+        fine.cg, merge_ok, opt.protocol, tech, limit_num, limit_den);
   }
 
   // The committed clustering, owned and advanced by the evaluator; labels

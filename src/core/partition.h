@@ -155,6 +155,11 @@ struct PartitionSpec {
   std::string label() const;
 };
 
+/// `v` as the exact decimal fraction of its shortest round-trip text,
+/// reduced: the numerator and denominator of 1.05 are 21 and 20. The
+/// optimizer reads its period budget this way.
+std::pair<int64_t, int64_t> exact_decimal(double v);
+
 /// Materialize `spec` for `ff_netlist`. Mode::Auto runs
 /// optimize_partition() with `protocol`/`margin` (the knobs that shape the
 /// control graph being scored); the other modes ignore tech entirely.

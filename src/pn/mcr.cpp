@@ -11,58 +11,57 @@ namespace desyn::pn {
 
 namespace {
 
-/// Rotate res->cycle_arcs so the cycle starts at its smallest transition id
-/// (canonical, deterministic output) and fill in the transition list.
-void canonicalize_cycle(std::span<const uint32_t> from,
-                        CycleRatioResult* res) {
-  std::vector<ArcId>& arcs = res->cycle_arcs;
-  if (!arcs.empty()) {
-    size_t best = 0;
-    for (size_t i = 1; i < arcs.size(); ++i) {
-      if (from[arcs[i].value()] < from[arcs[best].value()]) best = i;
-    }
-    std::rotate(arcs.begin(), arcs.begin() + static_cast<ptrdiff_t>(best),
-                arcs.end());
-  }
+/// Fill *res with the cycle `arcs` under `delay`: its arcs rotated to start
+/// at the smallest transition id (canonical, deterministic output), the
+/// transition list, the exact sums and their one division. An empty cycle
+/// (an acyclic graph) reads ratio 0.
+void set_cycle(std::span<const uint32_t> from, std::span<const Ps> delay,
+               std::span<const int32_t> tokens, std::span<const uint32_t> arcs,
+               CycleRatioResult* res) {
+  res->cycle_arcs.clear();
   res->cycle.clear();
-  for (ArcId a : arcs) res->cycle.push_back(TransId(from[a.value()]));
+  res->delay = 0;
+  res->tokens = 0;
+  res->ratio = 0;
+  if (arcs.empty()) return;
+  size_t first = 0;
+  for (size_t i = 1; i < arcs.size(); ++i) {
+    if (from[arcs[i]] < from[arcs[first]]) first = i;
+  }
+  for (size_t i = 0; i < arcs.size(); ++i) {
+    const uint32_t a = arcs[(first + i) % arcs.size()];
+    res->cycle_arcs.push_back(ArcId(a));
+    res->cycle.push_back(TransId(from[a]));
+    res->delay += delay[a];
+    res->tokens += tokens[a];
+  }
+  res->ratio =
+      static_cast<double>(res->delay) / static_cast<double>(res->tokens);
 }
 
-/// Whether the ratio a/b exceeds c/d (b, d > 0), exactly.
-bool ratio_gt(int64_t a, int64_t b, int64_t c, int64_t d) {
-  if (b == d) return a > c;  // the common case: no products needed
-  return static_cast<__int128>(a) * d > static_cast<__int128>(c) * b;
-}
+constexpr uint32_t kNoArc = UINT32_MAX;
+// The kernel searches its parent arcs for a cycle once the in-arcs its pops
+// relaxed since the last search (the dirty arcs do not count) exceed
+// kSearchEvery times the nodes raised since lambda was set. A search costs
+// O(raised nodes), so searching costs at most 1/kSearchEvery of the
+// relaxation (docs/PERF.md has the measurement that chose 8).
+constexpr size_t kSearchEvery = 8;
+// The overflow rule's bounds (mcr.h, Overflow).
+constexpr int64_t kTermCap = int64_t{1} << 30;
+constexpr int64_t kPotentialCap = int64_t{1} << 62;
 
 /// floor(p * to / from) for from > 0: a potential scaled by `from`,
-/// rescaled to `to`. Flooring, unlike truncation, keeps every satisfied arc
-/// satisfied: x >= y + k with k an integer implies floor(x) >= floor(y) + k.
+/// rescaled to `to`, asserted inside the potentials' range.
 int64_t rescale(int64_t p, int64_t to, int64_t from) {
   const __int128 x = static_cast<__int128>(p) * to;
   __int128 q = x / from;
   if (q * from > x) --q;
+  DESYN_ASSERT(q < kPotentialCap && q > -kPotentialCap,
+               "potentials outgrew 64 bits");
   return static_cast<int64_t>(q);
 }
 
-/// Token count of a cycle, at least 1: the scale of the potentials that
-/// certify it as critical (an acyclic graph's potentials keep scale 1).
-int64_t cycle_tokens(std::span<const int32_t> tokens,
-                     std::span<const uint32_t> cycle) {
-  int64_t t = 0;
-  for (uint32_t a : cycle) t += tokens[a];
-  return std::max<int64_t>(t, 1);
-}
-
-// Passes over the nodes (in pops) before the certificate relaxation first
-// searches its raise arcs for a cycle above lambda; later searches follow
-// once per pass. A settling relaxation rarely outlasts two passes, so the
-// searches cost nothing where the dictionary holds the critical cycle.
-constexpr size_t kRaiseSearchFirst = 2;
-constexpr uint32_t kNoArc = UINT32_MAX;
-// Ceiling the raise search asserts every potential below (mcr.h, Overflow).
-constexpr int64_t kPotentialCap = INT64_MAX / 4;
-
-/// The intra-SCC out-arcs of every node of `g`, arc ids ascending, as a CSR
+/// The intra-SCC in-arcs of every node of `g`, arc ids ascending, as a CSR
 /// arcs[off[v] .. off[v + 1]). Components come from an iterative Tarjan
 /// (large fabrics would overflow the call stack) over all out-arcs.
 void intra_scc_csr(const McrArcs& g, std::vector<uint32_t>* off,
@@ -125,16 +124,16 @@ void intra_scc_csr(const McrArcs& g, std::vector<uint32_t>* off,
     }
   }
 
-  // ---- intra-SCC out-arc CSR ----------------------------------------------
+  // ---- intra-SCC in-arc CSR -----------------------------------------------
   off->assign(n + 1, 0);
   for (uint32_t a = 0; a < m; ++a) {
-    if (comp[g.from[a]] == comp[g.to[a]]) ++(*off)[g.from[a] + 1];
+    if (comp[g.from[a]] == comp[g.to[a]]) ++(*off)[g.to[a] + 1];
   }
   for (uint32_t v = 0; v < n; ++v) (*off)[v + 1] += (*off)[v];
   arcs->resize((*off)[n]);
   cursor.assign(off->begin(), off->end() - 1);
   for (uint32_t a = 0; a < m; ++a) {
-    if (comp[g.from[a]] == comp[g.to[a]]) (*arcs)[cursor[g.from[a]]++] = a;
+    if (comp[g.from[a]] == comp[g.to[a]]) (*arcs)[cursor[g.to[a]]++] = a;
   }
 }
 
@@ -174,6 +173,165 @@ double cycle_ratio(const McrArcs& g, std::span<const ArcId> arcs) {
   return static_cast<double>(delay) / static_cast<double>(tokens);
 }
 
+bool ratio_greater(int64_t a, int64_t b, int64_t c, int64_t d) {
+  if (b == d) return a > c;  // the common case: no products needed
+  return static_cast<__int128>(a) * d > static_cast<__int128>(c) * b;
+}
+
+// ---------------------------------------------------------------------------
+// The relaxation kernel
+// ---------------------------------------------------------------------------
+
+Relaxation::Relaxation(std::vector<int64_t> potentials, int64_t scale)
+    : p_(std::move(potentials)),
+      scale_(scale),
+      parent_(p_.size(), kNoArc),
+      stamp_(p_.size(), 0),
+      visit_(p_.size(), 0),
+      queued_(p_.size(), 0) {}
+
+void Relaxation::commit() {
+  if (++epoch_ == 0) {  // wrapped: no stale stamp may alias the new epoch
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
+  }
+  log_.clear();
+}
+
+void Relaxation::set_lambda(int64_t d, int64_t t) {
+  const int64_t common = std::gcd(d, t);
+  d /= common;
+  t /= common;
+  DESYN_ASSERT(t > 0 && t < kTermCap && d < kTermCap && d > -kTermCap,
+               "lambda out of the 64-bit range (mcr.h, Overflow)");
+  if (scale_ % t != 0 || (d != 0 && scale_ / t >= kTermCap / std::abs(d))) {
+    for (int64_t& p : p_) p = rescale(p, t, scale_);
+    scale_ = t;
+  }
+  ld_ = d * (scale_ / t);
+  commit();
+}
+
+
+void Relaxation::rollback() {
+  for (size_t i = log_.size(); i-- > 0;) p_[log_[i].node] = log_[i].old;
+  for (; head_ < queue_.size(); ++head_) queued_[queue_[head_]] = 0;
+  queue_.clear();
+  head_ = 0;
+  commit();
+}
+
+void Relaxation::raise(uint32_t u, uint32_t j, int64_t want) {
+  DESYN_ASSERT(want < kPotentialCap, "potentials outgrew 64 bits");
+  if (stamp_[u] != epoch_) {
+    stamp_[u] = epoch_;
+    log_.push_back({u, p_[u]});
+  }
+  p_[u] = want;
+  parent_[u] = j;
+  if (!queued_[u]) {
+    queued_[u] = 1;
+    queue_.push_back(u);
+  }
+}
+
+bool Relaxation::search(const McrArcs& g) {
+  // A walk follows parent arcs from a raised node until it reaches a node
+  // not raised in this epoch or one visited before; visit stamps above
+  // `base` mark this search's walks, and a walk that meets its own stamp
+  // went around a cycle. Parent arcs form a functional graph, so its
+  // cycles are disjoint and the search costs O(raised nodes).
+  const uint32_t n = static_cast<uint32_t>(p_.size());
+  if (walk_ > UINT32_MAX - n) {  // stamps about to wrap: start afresh
+    std::fill(visit_.begin(), visit_.end(), 0);
+    walk_ = 0;
+  }
+  const uint32_t base = walk_;
+  bool found = false;
+  for (const Raise& r : log_) {
+    const uint32_t u = r.node;
+    if (visit_[u] > base) continue;
+    const uint32_t id = ++walk_;
+    uint32_t x = u;
+    while (stamp_[x] == epoch_ && visit_[x] <= base) {
+      visit_[x] = id;
+      x = g.to[parent_[x]];
+    }
+    if (visit_[x] != id) continue;
+    const uint32_t head = x;
+    Ps cd = 0;
+    int64_t ct = 0;
+    do {
+      cd += g.delay[parent_[x]];
+      ct += g.tokens[parent_[x]];
+      x = g.to[parent_[x]];
+    } while (x != head);
+    if (found && !ratio_greater(cd, ct, cycle_d_, cycle_t_)) continue;
+    found = true;
+    cycle_d_ = cd;
+    cycle_t_ = ct;
+    cycle_.clear();
+    do {
+      cycle_.push_back(parent_[x]);
+      x = g.to[parent_[x]];
+    } while (x != head);
+  }
+  return found;
+}
+
+template <class InArcs>
+Relaxation::Outcome Relaxation::relax(const McrArcs& g, const InArcs& in,
+                                      std::span<const uint32_t> dirty) {
+  DESYN_ASSERT(g.num_nodes == p_.size() && in.size() == p_.size());
+  cancel_point();
+  // Enforce arc j = u -> v against P[v] = pv. With every term below
+  // kTermCap and pv below kPotentialCap nothing here wraps (mcr.h,
+  // Overflow); raise() keeps the potentials below kPotentialCap.
+  auto relax_arc = [&](uint32_t j, int64_t pv) {
+    const int64_t want = pv + scale_ * g.delay[j] - ld_ * g.tokens[j];
+    if (want > p_[g.from[j]]) raise(g.from[j], j, want);
+  };
+  for (uint32_t j : dirty) {
+    DESYN_ASSERT(static_cast<uint64_t>(g.delay[j]) < kTermCap &&
+                     static_cast<uint64_t>(g.tokens[j]) < kTermCap,
+                 "arc delay or tokens out of the 64-bit range (mcr.h, "
+                 "Overflow)");
+    relax_arc(j, p_[g.to[j]]);
+  }
+  const size_t n = p_.size();
+  size_t pops = 0, since_search = 0;
+  while (head_ < queue_.size()) {
+    if (++pops == n) {
+      // Once per pass: poll the request token and drop the popped prefix
+      // of the worklist (at most n nodes are queued).
+      pops = 0;
+      cancel_point();
+      queue_.erase(queue_.begin(),
+                   queue_.begin() + static_cast<ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    if (since_search > kSearchEvery * log_.size()) {
+      since_search = 0;
+      if (search(g)) return Outcome::Cycle;
+    }
+    const uint32_t v = queue_[head_++];
+    queued_[v] = 0;
+    const int64_t pv = p_[v];
+    since_search += in[v].size();
+    for (uint32_t j : in[v]) relax_arc(j, pv);
+  }
+  queue_.clear();
+  head_ = 0;
+  return Outcome::Settled;
+}
+
+template Relaxation::Outcome Relaxation::relax(
+    const McrArcs&, const std::vector<std::vector<uint32_t>>&,
+    std::span<const uint32_t>);
+template Relaxation::Outcome Relaxation::relax(const McrArcs&,
+                                               const InArcCsr&,
+                                               std::span<const uint32_t>);
+
 // ---------------------------------------------------------------------------
 // The cold flat solve
 // ---------------------------------------------------------------------------
@@ -181,10 +339,7 @@ double cycle_ratio(const McrArcs& g, std::span<const ArcId> arcs) {
 CycleRatioResult max_cycle_ratio(const McrArcs& g) {
   const McrBatch batch(g);  // solves g.delay
   CycleRatioResult res;
-  if (batch.nominal_cycle_.empty()) return res;  // acyclic: ratio 0
-  for (uint32_t a : batch.nominal_cycle_) res.cycle_arcs.push_back(ArcId(a));
-  res.ratio = cycle_ratio(g, res.cycle_arcs);  // exact D/T of the cycle
-  canonicalize_cycle(g.from, &res);
+  set_cycle(g.from, g.delay, g.tokens, batch.nominal_cycle_, &res);
   return res;
 }
 
@@ -200,38 +355,8 @@ McrBatch::McrBatch(const McrArcs& g)
   DESYN_ASSERT(g.to.size() == from_.size() &&
                g.tokens.size() == from_.size() &&
                g.delay.size() == from_.size());
-  Ps max_delay = 0;
-  int32_t max_tokens = 0;
-  for (size_t a = 0; a < g.num_arcs(); ++a) {
-    max_delay = std::max(max_delay, g.delay[a]);
-    max_tokens = std::max(max_tokens, g.tokens[a]);
-  }
-  DESYN_ASSERT(static_cast<double>(g.num_nodes) * g.num_nodes *
-                       static_cast<double>(max_delay) * max_tokens <
-                   1e15,
-               "marked graph too large for 64-bit potentials");
-  intra_scc_csr(g, &csr_off_, &csr_arc_);
-
   const uint32_t n = num_nodes_;
-  for (uint32_t a : csr_arc_) {
-    cand_to_.push_back(to_[a]);
-    cand_tok_.push_back(tokens_[a]);
-  }
-
-  // Predecessor index over the intra-SCC arcs (certificate worklist:
-  // raising d[v] can only violate arcs *into* v).
-  pred_off_.assign(n + 1, 0);
-  for (uint32_t v : cand_to_) ++pred_off_[v + 1];
-  for (uint32_t v = 0; v < n; ++v) pred_off_[v + 1] += pred_off_[v];
-  pred_from_.resize(pred_off_[n]);
-  {
-    std::vector<uint32_t> fill(pred_off_.begin(), pred_off_.end() - 1);
-    for (uint32_t v = 0; v < n; ++v) {
-      for (uint32_t k = csr_off_[v]; k < csr_off_[v + 1]; ++k) {
-        pred_from_[fill[cand_to_[k]]++] = v;
-      }
-    }
-  }
+  intra_scc_csr(g, &in_off_, &in_arc_);
 
   // Structural cycle dictionary: every self-loop and every mutual arc
   // pair. On handshake control graphs these local loops are the entire
@@ -243,15 +368,15 @@ McrBatch::McrBatch(const McrArcs& g)
   };
   std::vector<Seed> seeds;
   for (uint32_t u = 0; u < n; ++u) {
-    for (uint32_t k = csr_off_[u]; k < csr_off_[u + 1]; ++k) {
-      uint32_t a = csr_arc_[k];
-      uint32_t v = to_[a];
+    for (uint32_t k = in_off_[u]; k < in_off_[u + 1]; ++k) {
+      uint32_t a = in_arc_[k];
+      uint32_t v = from_[a];
       if (v == u) {
         if (tokens_[a] > 0) seeds.push_back({2 * int64_t{tokens_[a]}, a, a});
       } else if (v > u) {
-        for (uint32_t j = csr_off_[v]; j < csr_off_[v + 1]; ++j) {
-          uint32_t b = csr_arc_[j];
-          if (to_[b] == u && tokens_[a] + tokens_[b] > 0) {
+        for (uint32_t j = in_off_[v]; j < in_off_[v + 1]; ++j) {
+          uint32_t b = in_arc_[j];
+          if (from_[b] == u && tokens_[a] + tokens_[b] > 0) {
             seeds.push_back({int64_t{tokens_[a]} + tokens_[b], a, b});
           }
         }
@@ -276,19 +401,18 @@ McrBatch::McrBatch(const McrArcs& g)
 
   // The nominal solve, a climb from zero potentials: its settled
   // potentials and critical cycle start every block.
-  nominal_d_.assign(n, 0);
+  nominal_p_.assign(n, 0);
   Block nominal(*this);
   CycleRatioResult r;
   nominal.solve(g.delay, &r);
   for (ArcId a : r.cycle_arcs) nominal_cycle_.push_back(a.value());
-  const int64_t t = cycle_tokens(tokens_, nominal_cycle_);
-  for (uint32_t v = 0; v < n; ++v) {
-    nominal_d_[v] = rescale(nominal.dcert_[v], t, nominal.best_t_);
-  }
+  const std::span<const int64_t> p = nominal.relax_.potentials();
+  nominal_p_.assign(p.begin(), p.end());
+  nominal_scale_ = nominal.relax_.scale();
 }
 
 // ---------------------------------------------------------------------------
-// McrBatch::Block: the certificate climb
+// McrBatch::Block: the climb
 // ---------------------------------------------------------------------------
 
 // Adjacent samples perturb the same nominal delays, so the critical cycle
@@ -297,16 +421,16 @@ McrBatch::McrBatch(const McrArcs& g)
 // near-valid certificate for the next sample's delays. mcr.h states the
 // climb and why it terminates.
 McrBatch::Block::Block(const McrBatch& batch)
-    : batch_(batch),
-      best_t_(cycle_tokens(batch.tokens_, batch.nominal_cycle_)),
-      dcert_(batch.nominal_d_) {
+    : batch_(batch), relax_(batch.nominal_p_, batch.nominal_scale_) {
   if (batch.nominal_cycle_.size() > 2) learn(batch.nominal_cycle_);
 }
 
 void McrBatch::Block::learn(std::span<const uint32_t> cycle) {
   learned_arc_.insert(learned_arc_.end(), cycle.begin(), cycle.end());
   learned_off_.push_back(static_cast<uint32_t>(learned_arc_.size()));
-  learned_tok_.push_back(cycle_tokens(batch_.tokens_, cycle));
+  int64_t t = 0;
+  for (uint32_t a : cycle) t += batch_.tokens_[a];
+  learned_tok_.push_back(t);
 }
 
 void McrBatch::Block::best_cycle(std::span<const Ps> row) {
@@ -325,7 +449,7 @@ void McrBatch::Block::best_cycle(std::span<const Ps> row) {
         gi = i;
       }
     }
-    if (ratio_gt(gd, b.seed_group_tok_[g], bd, bt)) {
+    if (ratio_greater(gd, b.seed_group_tok_[g], bd, bt)) {
       seed = gi;
       bd = gd;
       bt = b.seed_group_tok_[g];
@@ -336,7 +460,7 @@ void McrBatch::Block::best_cycle(std::span<const Ps> row) {
     for (uint32_t k = learned_off_[c]; k < learned_off_[c + 1]; ++k) {
       d += row[learned_arc_[k]];
     }
-    if (ratio_gt(d, learned_tok_[c], bd, bt)) {
+    if (ratio_greater(d, learned_tok_[c], bd, bt)) {
       learned = c;
       bd = d;
       bt = learned_tok_[c];
@@ -352,144 +476,35 @@ void McrBatch::Block::best_cycle(std::span<const Ps> row) {
       best_arcs_.push_back(b.seed_b_[seed]);
     }
   }
-  set_lambda(bd, bt);  // -1/1 when the dictionary is empty
-}
-
-void McrBatch::Block::set_lambda(int64_t d, int64_t t) {
-  const int64_t common = std::gcd(d, t);
-  d /= common;
-  t /= common;
-  if (best_t_ % t != 0) {
-    for (int64_t& p : dcert_) p = rescale(p, t, best_t_);
-    best_t_ = t;
-  }
-  best_d_ = d * (best_t_ / t);
-}
-
-bool McrBatch::Block::raise_cycle(std::span<const Ps> row) {
-  const McrBatch& b = batch_;
-  const uint32_t n = b.num_nodes_;
-  // A walk follows raise arcs from an unvisited node until it reaches a
-  // node never raised or one visited before; stamps above `base` mark the
-  // nodes of this search, and a walk that meets its own stamp went around
-  // a cycle.
-  if (walk_ > UINT32_MAX - n) {  // stamps about to wrap: start afresh
-    std::fill(visit_.begin(), visit_.end(), 0);
-    walk_ = 0;
-  }
-  DESYN_ASSERT(*std::max_element(dcert_.begin(), dcert_.end()) <
-                   kPotentialCap,
-               "certificate potentials outgrew 64 bits");
-  const uint32_t base = walk_;
-  bool found = false;
-  for (uint32_t u = 0; u < n; ++u) {
-    if (raised_by_[u] == kNoArc || visit_[u] > base) continue;
-    const uint32_t id = ++walk_;
-    uint32_t x = u;
-    while (raised_by_[x] != kNoArc && visit_[x] <= base) {
-      visit_[x] = id;
-      x = b.to_[raised_by_[x]];
-    }
-    if (visit_[x] != id) continue;
-    const uint32_t head = x;
-    int64_t cd = 0, ct = 0;
-    do {
-      cd += row[raised_by_[x]];
-      ct += b.tokens_[raised_by_[x]];
-      x = b.to_[raised_by_[x]];
-    } while (x != head);
-    if (found && !ratio_gt(cd, ct, cycle_d_, cycle_t_)) continue;
-    found = true;
-    cycle_d_ = cd;
-    cycle_t_ = ct;
-    cycle_.clear();
-    do {
-      cycle_.push_back(raised_by_[x]);
-      x = b.to_[raised_by_[x]];
-    } while (x != head);
-  }
-  return found;
+  relax_.set_lambda(bd, bt);  // -1/1 when the dictionary is empty
 }
 
 bool McrBatch::Block::certify(std::span<const Ps> row) {
   const McrBatch& b = batch_;
-  const uint32_t n = b.num_nodes_;
-  // lambda = ld / lt; the potentials are scaled by lt.
-  int64_t ld = best_d_, lt = best_t_;
-  auto& d = dcert_;
-  auto& q = queue_;
-  q.clear();
-  in_queue_.assign(n, 0);
-  for (uint32_t v = n; v-- > 0;) {
-    if (b.csr_off_[v] < b.csr_off_[v + 1]) {
-      q.push_back(v);
-      in_queue_[v] = 1;
-    }
-  }
-  raised_by_.assign(n, kNoArc);
-  visit_.resize(n, 0);
+  const McrArcs g{b.num_nodes_, b.from_, b.to_, b.tokens_, row};
+  const InArcCsr in{b.in_off_, b.in_arc_};
+  std::span<const uint32_t> dirty = b.in_arc_;
   bool repaired = false;
-  size_t search_at = kRaiseSearchFirst * static_cast<size_t>(n);
-  size_t head = 0;
-  while (head < q.size()) {
-    if (head >= search_at) {
-      // Once per pass: poll the request token, drop the popped prefix of
-      // the worklist (at most n nodes are live), and search the raise arcs.
-      cancel_point();
-      q.erase(q.begin(), q.begin() + static_cast<ptrdiff_t>(head));
-      head = 0;
-      search_at = n;
-      if (raise_cycle(row)) {
-        DESYN_ASSERT(cycle_t_ > 0 && ratio_gt(cycle_d_, cycle_t_, ld, lt),
-                     "a raise cycle's ratio must exceed lambda");
-        learn(cycle_);
-        best_arcs_ = cycle_;
-        set_lambda(cycle_d_, cycle_t_);
-        ld = best_d_;
-        lt = best_t_;
-        repaired = true;
-        raised_by_.assign(n, kNoArc);
-      }
-    }
-    const uint32_t v = q[head++];
-    in_queue_[v] = 0;
-    int64_t dv = d[v];
-    uint32_t raise = kNoArc;
-    for (uint32_t k = b.csr_off_[v]; k < b.csr_off_[v + 1]; ++k) {
-      const int64_t val = d[b.cand_to_[k]] + lt * row[b.csr_arc_[k]] -
-                          ld * b.cand_tok_[k];
-      if (val > dv) {
-        dv = val;
-        raise = k;
-      }
-    }
-    if (raise == kNoArc) continue;
-    d[v] = dv;
-    raised_by_[v] = b.csr_arc_[raise];
-    for (uint32_t k = b.pred_off_[v]; k < b.pred_off_[v + 1]; ++k) {
-      const uint32_t x = b.pred_from_[k];
-      if (!in_queue_[x]) {
-        in_queue_[x] = 1;
-        q.push_back(x);
-      }
-    }
+  while (relax_.relax(g, in, dirty) == Relaxation::Outcome::Cycle) {
+    const int64_t d = relax_.cycle_delay(), t = relax_.cycle_tokens();
+    DESYN_ASSERT(t > 0 && ratio_greater(d, t, relax_.lambda_num(),
+                                        relax_.scale()),
+                 "a raise cycle's ratio must exceed lambda");
+    learn(relax_.cycle());
+    best_arcs_.assign(relax_.cycle().begin(), relax_.cycle().end());
+    relax_.set_lambda(d, t);
+    dirty = {};
+    repaired = true;
   }
   return repaired;
 }
 
 void McrBatch::Block::solve(std::span<const Ps> row, CycleRatioResult* out) {
   DESYN_ASSERT(row.size() == batch_.num_arcs());
-  // A tripped request deadline reaches every solve, cold or sampled.
-  cancel_point();
   best_cycle(row);
   ++(certify(row) ? stats_.repaired : stats_.certified);
   // An acyclic graph keeps lambda at -1/1 and no cycle: its ratio is 0.
-  out->ratio = best_arcs_.empty() ? 0.0
-                                  : static_cast<double>(best_d_) /
-                                        static_cast<double>(best_t_);
-  out->cycle_arcs.clear();
-  for (uint32_t a : best_arcs_) out->cycle_arcs.push_back(ArcId(a));
-  canonicalize_cycle(batch_.from_, out);
+  set_cycle(batch_.from_, row, batch_.tokens_, best_arcs_, out);
 }
 
 std::vector<CycleRatioResult> McrBatch::solve_all(std::span<const Ps> delays,

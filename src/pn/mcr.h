@@ -7,13 +7,16 @@
 // time of a desynchronized circuit analytically; bench A3 cross-checks it
 // against event-driven simulation.
 //
-// One algorithm computes it, the certificate climb of McrBatch::Block:
-// max_cycle_ratio runs it once from zero potentials, and McrBatch runs it
-// for every Monte-Carlo sample from its predecessor's potentials. Delays
-// are integer picoseconds and tokens small integers, so every cycle ratio
-// is an exact fraction, and the climb compares ratios and potentials
-// exactly, in integers (docs/PERF.md). The independent oracle the tests
-// and bench_mcr check it against lives in tests/mcr_reference.h.
+// One kernel proves "every cycle ratio <= lambda": Relaxation, integer
+// potentials relaxed at a fixed exact lambda. The max-cycle-ratio climb of
+// McrBatch::Block is that kernel in a loop (max_cycle_ratio runs it once
+// from zero potentials, McrBatch for every Monte-Carlo sample), and the
+// partition optimizer's budget certificate (core/certificate.h) is one
+// kernel call per candidate. Delays are integer picoseconds and tokens
+// small integers, so every cycle ratio is an exact fraction, and the
+// kernel compares ratios and potentials exactly, in integers
+// (docs/PERF.md). The independent oracle the tests and bench_mcr check the
+// climb against lives in tests/mcr_reference.h.
 #pragma once
 
 #include <span>
@@ -23,7 +26,11 @@
 namespace desyn::pn {
 
 struct CycleRatioResult {
-  double ratio = 0;               ///< asymptotic period (ps per token)
+  double ratio = 0;               ///< asymptotic period: delay / tokens
+  /// Exact delay and token sums of the critical cycle (0 when there is
+  /// none); `ratio` is their one division.
+  Ps delay = 0;
+  int64_t tokens = 0;
   std::vector<TransId> cycle;     ///< critical cycle: transitions in order
   /// Arcs of the critical cycle: cycle_arcs[i] runs from cycle[i] to
   /// cycle[(i+1) % size]. Empty iff the graph has no cycle at all. The
@@ -70,10 +77,136 @@ McrFlat flatten(const MarkedGraph& mg);
 /// guarantees.
 double cycle_ratio(const McrArcs& g, std::span<const ArcId> arcs);
 
-/// Maximum cycle ratio of a flat graph: one certificate climb (McrBatch's
-/// nominal solve) from zero potentials, at the best 1- or 2-arc cycle's
-/// ratio, or at -1/1 when the graph has none. Polls cancel_point() before
-/// it relaxes and once per relaxation pass.
+/// Whether the ratio a/b exceeds c/d, exactly (b, d >= 0; a zero
+/// denominator reads as +infinity for a positive numerator).
+bool ratio_greater(int64_t a, int64_t b, int64_t c, int64_t d);
+
+/// Arc lists per node as one CSR: node v's arcs are arc[off[v] ..
+/// off[v + 1]).
+struct InArcCsr {
+  std::span<const uint32_t> off, arc;
+  size_t size() const { return off.size() - 1; }
+  std::span<const uint32_t> operator[](size_t v) const {
+    return arc.subspan(off[v], off[v + 1] - off[v]);
+  }
+};
+
+/// The relaxation kernel: integer potentials P that prove every cycle ratio
+/// of a graph is at most a fixed, reduced lambda = D/T, or a positive cycle
+/// that proves otherwise.
+///
+/// For every arc a = u -> v the kernel enforces
+///
+///     P[u] >= P[v] + T * delay(a) - D * tokens(a)
+///
+/// (summed around a cycle, the inequalities bound its ratio by lambda). A
+/// relax() call starts from the caller's dirty arcs (the arcs whose delay
+/// or endpoints the caller changed) and from whatever an earlier call left
+/// queued, and pushes each raise over the in-arcs of the raised node, FIFO,
+/// until nothing moves ("settled") or it finds a positive cycle ("cycle").
+/// Each raise of P[u] through arc a records a as u's parent. Once the
+/// in-arcs its pops relaxed since the last search exceed a fixed multiple
+/// of the nodes raised since lambda was set, the kernel searches those
+/// nodes' parent arcs for a cycle, at a cost linear in the raised nodes.
+/// Every parent cycle is positive: its last raise was strict, so summing
+/// the tight parent inequalities around it leaves a positive weight, and
+/// its exact ratio cycle_delay() / cycle_tokens() exceeds lambda. The
+/// search returns the best one. The kernel polls cancel_point() on entry
+/// and once per pass (num_nodes pops).
+///
+/// Termination. Fix lambda and let W be the largest arc weight. A parent
+/// arc u -> v keeps P[u] <= P[v] + weight from the raise on, because P[v]
+/// only rises, so along a parent chain that ends at a node not raised since
+/// lambda was set (whose potential has not moved) every potential is at
+/// most that node's value plus n * W. Potentials rise in integer steps, so
+/// a relaxation that keeps raising soon lifts some node above every such
+/// bound; from then on its chain cannot end, a parent cycle exists at every
+/// moment, and the next search finds it. A relax() call therefore returns.
+///
+/// Overflow. set_lambda() asserts D and T, and relax() every dirty arc's
+/// delay and tokens, below 2^30 in magnitude, and the potentials' scale
+/// stays a reduced denominator, so no weight term reaches 2^60. Every raise
+/// and rescale asserts the potential below 2^62 in magnitude, so no sum of
+/// a potential and a weight wraps: a relaxation that outgrows 64 bits stops
+/// at an assertion. An arc the kernel relaxes through an in-arc list was
+/// dirty when it last changed, so its terms were checked then.
+///
+/// Undo. The kernel logs the first raise of each node since the last
+/// commit() or set_lambda(); rollback() restores those potentials bit for
+/// bit and empties the worklist.
+class Relaxation {
+ public:
+  enum class Outcome { Settled, Cycle };
+
+  /// `potentials` at scale `scale`, lambda = 0 / scale.
+  explicit Relaxation(std::vector<int64_t> potentials, int64_t scale = 1);
+
+  /// Make d/t (t > 0) lambda, reduced. The potentials keep their scale while
+  /// the reduced denominator divides it (and the numerator at that scale
+  /// stays below 2^30), and are otherwise rescaled to it by
+  /// floor(P * t / scale), which keeps every satisfied arc satisfied (x >=
+  /// y + k with k an integer implies floor(x) >= floor(y) + k); at a larger
+  /// lambda every arc weight drops, so queued work resumes where it stopped.
+  /// Forgets the parent forest and commits.
+  void set_lambda(int64_t d, int64_t t);
+  /// lambda = lambda_num() / scale(), at the potentials' scale.
+  int64_t lambda_num() const { return ld_; }
+  int64_t scale() const { return scale_; }
+  std::span<const int64_t> potentials() const { return p_; }
+
+  /// Relax arcs `g` from `dirty` and the queued nodes. `in[v]` lists the
+  /// arcs of `g` that end at v (the only arcs the kernel relaxes besides
+  /// `dirty`): per-node vectors (the optimizer's, which merges extend) or
+  /// an InArcCsr (McrBatch's, built once).
+  template <class InArcs>
+  Outcome relax(const McrArcs& g, const InArcs& in,
+                std::span<const uint32_t> dirty);
+  /// The positive cycle of the last Outcome::Cycle: arcs in cycle order
+  /// and their exact delay and token sums (tokens may be 0: an infinite
+  /// ratio).
+  std::span<const uint32_t> cycle() const { return cycle_; }
+  Ps cycle_delay() const { return cycle_d_; }
+  int64_t cycle_tokens() const { return cycle_t_; }
+
+  /// Keep the potentials as they are: forget the undo log and the parent
+  /// forest.
+  void commit();
+  /// Restore the potentials of the last commit() or set_lambda() and empty
+  /// the worklist.
+  void rollback();
+
+ private:
+  /// The one potential raise: P[u] = want through arc j, recorded as u's
+  /// parent.
+  void raise(uint32_t u, uint32_t j, int64_t want);
+  /// The best cycle of the parent forest into cycle_; false when acyclic.
+  bool search(const McrArcs& g);
+
+  std::vector<int64_t> p_;
+  int64_t ld_ = 0, scale_ = 1;
+  /// Parent arc of each node raised in the current epoch (stamp_ ==
+  /// epoch_), the log of their first raises (the undo log, and the nodes
+  /// the cycle search walks from), and the FIFO worklist.
+  std::vector<uint32_t> parent_, stamp_;
+  uint32_t epoch_ = 1;
+  std::vector<uint32_t> visit_;  ///< the cycle search's walk stamps
+  uint32_t walk_ = 0;
+  struct Raise {
+    uint32_t node;
+    int64_t old;
+  };
+  std::vector<Raise> log_;
+  std::vector<uint32_t> queue_;
+  size_t head_ = 0;
+  std::vector<uint8_t> queued_;
+  std::vector<uint32_t> cycle_;
+  Ps cycle_d_ = 0;
+  int64_t cycle_t_ = 0;
+};
+
+/// Maximum cycle ratio of a flat graph: one climb (McrBatch's nominal
+/// solve) from zero potentials, at the best 1- or 2-arc cycle's ratio, or
+/// at -1/1 when the graph has none.
 CycleRatioResult max_cycle_ratio(const McrArcs& g);
 
 /// What McrBatch did with each sample it solved.
@@ -94,55 +227,30 @@ struct McrBatchStats {
 /// A variation sweep solves the *same* marked graph under hundreds of
 /// sampled delay assignments; only the delays change. McrBatch runs the
 /// delay-independent analysis once at construction — Tarjan SCCs, the
-/// intra-SCC arc CSR and its predecessor index, and a dictionary of every
-/// 1- and 2-arc cycle (on handshake control graphs the critical cycle is
-/// almost always one of these local loops). Every solve is then one
-/// certificate climb:
+/// intra-SCC in-arc CSR, and a dictionary of every 1- and 2-arc cycle (on
+/// handshake control graphs the critical cycle is almost always one of
+/// these local loops). Every solve is then one climb:
 ///
 ///   1. Score the dictionary under the row's delays (exact integer D/T
 ///      comparison) and take the best ratio as lambda = D/T, or -1/1 when
 ///      the dictionary is empty (every cycle of a live graph weighs D + T
 ///      >= 1 there, zero delays included).
-///   2. Relax the node potentials P (integers at the scale T) by a FIFO
-///      worklist until every intra-SCC arc a = v -> w satisfies
-///      P[v] >= P[w] + T * delay(a) - D * tokens(a). Summing it around any
-///      cycle bounds every cycle ratio by lambda, and lambda is a cycle's
-///      ratio, so the settled certificate pins the exact answer.
-///   3. Each raise records the arc it came through. After two passes over
-///      the nodes, and once per pass after that, the raise arcs are
-///      searched for a cycle. Every such cycle weighs more than zero, i.e.
-///      its ratio is strictly above lambda: it joins the block's
-///      dictionary, lambda rises to its exact ratio, and the relaxation
-///      goes on from the current potentials (every node off the worklist
-///      still satisfies its arcs at the larger lambda). The potentials
-///      keep their scale while the new reduced denominator divides it, and
-///      are otherwise rescaled by floor(P * T_new / T_old), which keeps
-///      satisfied arcs satisfied.
+///   2. Relax the potentials with the kernel, every intra-SCC arc dirty.
+///      Settled potentials bound every cycle ratio by lambda, and lambda is
+///      a cycle's ratio, so they pin the exact answer.
+///   3. A returned cycle has a ratio strictly above lambda: it joins the
+///      block's dictionary, lambda rises to its exact ratio, and the
+///      relaxation resumes from the current potentials.
 ///
-/// Termination. Fix lambda and let W be the largest arc weight. A raise
-/// arc v -> w keeps P[v] <= P[w] + weight from the raise on, because P[w]
-/// only rises, so along a raise-arc chain that ends at a node not raised
-/// since lambda last changed (whose potential has not moved) every
-/// potential is at most that node's value plus n * W. Potentials rise in
-/// integer steps, so a relaxation that keeps raising soon lifts some node
-/// above every such bound; from then on that node's chain cannot end, and
-/// a raise-arc cycle exists at every moment. The next per-pass search
-/// therefore finds it. Each found cycle raises lambda strictly to the
-/// ratio of a simple cycle, and there are finitely many simple cycles, so
-/// lambda stops rising and the relaxation at the last lambda settles. The
-/// argument gives no polynomial bound; on the bench models a cold solve
-/// settles within a few passes (docs/PERF.md).
-///
-/// Overflow. The constructor asserts n^2 * max_delay * max_tokens < 1e15
-/// on the nominal delays: at a reduced lambda D/T (D <= n * max_delay,
-/// T <= n * max_tokens) that keeps a chain of n arc weights below 2e15.
-/// Every raise search also asserts the potentials below INT64_MAX / 4, so
-/// a relaxation that outgrows 64 bits stops at an assertion instead of
-/// wrapping.
+/// Each step 3 raises lambda strictly to the ratio of a simple cycle, and
+/// there are finitely many simple cycles, so lambda stops rising and the
+/// relaxation at the last lambda settles. The argument gives no polynomial
+/// bound; on the bench models a cold solve settles within a few passes
+/// (docs/PERF.md).
 ///
 /// The constructor solves the nominal delays this way from zero
 /// potentials (max_cycle_ratio is that solve). A sample is "certified"
-/// when step 3 found nothing, "repaired" otherwise.
+/// when step 3 never ran, "repaired" otherwise.
 ///
 /// Parallelism contract: samples are processed in fixed blocks of kBlock; a
 /// block's first sample starts from the nominal solve and later samples
@@ -182,21 +290,13 @@ class McrBatch {
    private:
     friend class McrBatch;
 
-    /// Exact argmax of the dictionary under `row` into best_*, and lambda
-    /// set to its ratio; lambda = -1/1 and best_arcs_ empty when the
+    /// Exact argmax of the dictionary under `row` into best_arcs_, and
+    /// lambda set to its ratio; lambda = -1/1 and best_arcs_ empty when the
     /// dictionary is empty.
     void best_cycle(std::span<const Ps> row);
-    /// Make d/t lambda. The potentials keep their scale best_t_ when it is
-    /// a multiple of the reduced denominator, and are rescaled to that
-    /// denominator otherwise; best_d_ / best_t_ is lambda at the scale.
-    void set_lambda(int64_t d, int64_t t);
-    /// Certificate relaxation at the dictionary's best ratio, climbing to
-    /// every better cycle its raise arcs close; true when it climbed.
+    /// The climb from the dictionary's best ratio, learning every cycle the
+    /// kernel returns; true when it climbed.
     bool certify(std::span<const Ps> row);
-    /// The best cycle among the raise arcs (each raised node's arc to the
-    /// node it was raised from) into cycle_, cycle_d_ and cycle_t_; false
-    /// when they close no cycle.
-    bool raise_cycle(std::span<const Ps> row);
     /// Append a cycle to the learned dictionary.
     void learn(std::span<const uint32_t> cycle);
 
@@ -206,21 +306,9 @@ class McrBatch {
     /// .. learned_off_[i + 1]), token sum learned_tok_[i].
     std::vector<uint32_t> learned_off_{0}, learned_arc_;
     std::vector<int64_t> learned_tok_;
-    /// The current best cycle: its arcs and its ratio best_d_ / best_t_,
-    /// exact, at the potentials' scale best_t_.
+    /// The current best cycle; its ratio is lambda.
     std::vector<uint32_t> best_arcs_;
-    int64_t best_d_ = 0, best_t_ = 1;
-    std::vector<int64_t> dcert_;  ///< certificate potentials, scaled by best_t_
-    std::vector<uint32_t> queue_;  ///< relaxation worklist (FIFO)
-    std::vector<uint8_t> in_queue_;
-    /// The arc that last raised each node since lambda last changed
-    /// (kNoArc: none), and the raise-cycle search's visit stamps.
-    std::vector<uint32_t> raised_by_;
-    std::vector<uint32_t> visit_;
-    uint32_t walk_ = 0;
-    /// The last cycle raise_cycle found, with its delay and token sums.
-    std::vector<uint32_t> cycle_;
-    int64_t cycle_d_ = 0, cycle_t_ = 1;
+    Relaxation relax_;
   };
 
   /// Solve all `samples` rows of the row-major samples x num_arcs() delay
@@ -238,10 +326,10 @@ class McrBatch {
   uint32_t num_nodes_ = 0;
   std::vector<uint32_t> from_, to_;
   std::vector<int32_t> tokens_;
-  /// Intra-SCC out-arcs of each node v, arc ids ascending:
-  /// csr_arc_[csr_off_[v] .. csr_off_[v + 1]). Arcs between components lie
-  /// on no cycle and never bound the ratio.
-  std::vector<uint32_t> csr_off_, csr_arc_;
+  /// Intra-SCC in-arcs of each node v: in_arc_[in_off_[v] ..
+  /// in_off_[v + 1]); in_arc_ is also every solve's dirty set. Arcs between
+  /// components lie on no cycle and never bound the ratio.
+  std::vector<uint32_t> in_off_, in_arc_;
   /// Every 1- and 2-arc cycle of the graph — the structural seed of each
   /// block's critical-cycle dictionary: arcs seed_a_[i] and seed_b_[i],
   /// grouped by token sum (group g is [seed_group_off_[g],
@@ -252,17 +340,10 @@ class McrBatch {
   std::vector<uint32_t> seed_group_off_;
   std::vector<int64_t> seed_group_tok_;
   /// The nominal solve's critical cycle (canonical; empty when the graph
-  /// has none) and settled potentials, scaled by the cycle's token count.
+  /// has none) and settled potentials at scale nominal_scale_.
   std::vector<uint32_t> nominal_cycle_;
-  std::vector<int64_t> nominal_d_;
-  /// The heads and token counts of the intra-SCC arcs, in csr_arc_ order,
-  /// for the relaxation.
-  std::vector<uint32_t> cand_to_;
-  std::vector<int32_t> cand_tok_;
-  /// Tails of the intra-SCC arcs indexed by *head* node: when a relaxation
-  /// raises d[v], exactly the nodes pred_from_[pred_off_[v]..pred_off_[v+1])
-  /// can newly violate the certificate inequality.
-  std::vector<uint32_t> pred_off_, pred_from_;
+  std::vector<int64_t> nominal_p_;
+  int64_t nominal_scale_ = 1;
 };
 
 /// Earliest-firing schedule: fire time of the k-th firing (k = 0..rounds-1)

@@ -82,6 +82,10 @@ inline CycleRatioResult reference_flat(const McrArcs& g) {
     }
   }
   if (res.cycle_arcs.empty()) return res;
+  for (ArcId a : res.cycle_arcs) {
+    res.delay += g.delay[a.value()];
+    res.tokens += g.tokens[a.value()];
+  }
   res.ratio = cycle_ratio(g, res.cycle_arcs);
   std::rotate(res.cycle_arcs.begin(),
               std::min_element(res.cycle_arcs.begin(), res.cycle_arcs.end(),

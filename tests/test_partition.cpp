@@ -277,6 +277,17 @@ TEST(PartitionSpec, ParseAndLabelRoundTrip) {
   EXPECT_THROW(PartitionSpec::parse("prefix:x"), Error);
   EXPECT_THROW(PartitionSpec::parse("auto:0.5"), Error);
   EXPECT_THROW(PartitionSpec::parse("auto:"), Error);
+  // The optimizer reads the budget as the exact decimal fraction of its
+  // shortest round-trip text.
+  using Frac = std::pair<int64_t, int64_t>;
+  EXPECT_EQ(exact_decimal(PartitionSpec::parse("auto:1.0").auto_budget),
+            Frac(1, 1));
+  EXPECT_EQ(exact_decimal(PartitionSpec::parse("auto:1.02").auto_budget),
+            Frac(51, 50));
+  EXPECT_EQ(exact_decimal(PartitionSpec::parse("auto:1.05").auto_budget),
+            Frac(21, 20));
+  EXPECT_EQ(exact_decimal(PartitionSpec::parse("auto:100").auto_budget),
+            Frac(100, 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -524,12 +535,20 @@ FineGraph fine_graph(const Netlist& nl, NetId clk, ctl::Protocol proto) {
   return f;
 }
 
+/// The critical cycle of `cg`'s timed model, with its exact sums.
+pn::CycleRatioResult critical(const ctl::ControlGraph& cg,
+                              ctl::Protocol proto) {
+  return pn::max_cycle_ratio(
+      ctl::hardware_model(cg, proto, Tech::generic90()).mg);
+}
+
 /// Check that `cycle` (certificate transition space, under clustering
 /// `cand`) is a closed cycle of real arcs of `cand`'s timed model and that
-/// its exact delay/token ratio is `ratio`.
+/// its exact delay and token sums are `delay` and `tokens`.
 void expect_real_cycle(const IncrementalQuotient& cand, ctl::Protocol proto,
                        const std::vector<BudgetCertificate::CycleArc>& cycle,
-                       double ratio, const std::string& what) {
+                       Ps delay_sum, int64_t token_sum,
+                       const std::string& what) {
   ASSERT_FALSE(cycle.empty()) << what;
   const Tech& tech = Tech::generic90();
   const pn::MarkedGraph mg =
@@ -563,8 +582,8 @@ void expect_real_cycle(const IncrementalQuotient& cand, ctl::Protocol proto,
     tokens += a.tokens;
   }
   ASSERT_GT(tokens, 0) << what;
-  EXPECT_EQ(static_cast<double>(delay) / static_cast<double>(tokens), ratio)
-      << what;
+  EXPECT_EQ(delay, delay_sum) << what;
+  EXPECT_EQ(tokens, token_sum) << what;
 }
 
 TEST(BudgetCertificate, VerdictsMatchColdSolvesOnRandomDeltas) {
@@ -579,11 +598,13 @@ TEST(BudgetCertificate, VerdictsMatchColdSolvesOnRandomDeltas) {
          {ctl::Protocol::Pulse, ctl::Protocol::SemiDecoupled}) {
       const FineGraph f =
           fine_graph(s.circuit.netlist, s.circuit.clock, proto);
-      const double start = predicted_period(f.adj.cg, proto, tech);
+      const pn::CycleRatioResult start = critical(f.adj.cg, proto);
       for (double budget : {1.0, 1.05}) {
-        const double limit = budget * start + 1e-6;
+        // The exact limit budget * start: the start's cycle fits it.
+        const auto [bn, bd] = exact_decimal(budget);
+        const int64_t ln = bn * start.delay, ld = bd * start.tokens;
         IncrementalQuotient cq(f.adj.cg, f.merge_ok);
-        BudgetCertificate cert(f.adj.cg, cq, proto, tech, limit);
+        BudgetCertificate cert(f.adj.cg, cq, proto, tech, ln, ld);
         Rng rng(0x5eed ^ std::hash<std::string>()(s.name) ^
                 static_cast<uint64_t>(budget * 100));
         const size_t G = cq.num_groups();
@@ -602,18 +623,21 @@ TEST(BudgetCertificate, VerdictsMatchColdSolvesOnRandomDeltas) {
           const int keep = std::min(x, y), drop = std::max(x, y);
           IncrementalQuotient cand = cq;
           cand.merge(keep, drop);
-          const double cold = predicted_period(cand.materialize(), proto, tech);
+          const pn::CycleRatioResult cold = critical(cand.materialize(), proto);
           const std::string what =
               cat(s.name, " ", ctl::protocol_name(proto), " budget ", budget,
                   " step ", step, " merge ", keep, "+", drop);
           const bool pass = cert.probe_merge(keep, drop);
-          EXPECT_EQ(pass, cold <= limit) << what << ": cold period " << cold;
+          EXPECT_EQ(pass, !pn::ratio_greater(cold.delay, cold.tokens, ln, ld))
+              << what << ": cold period " << cold.delay << "/" << cold.tokens;
           if (!pass) {
             ++failures;
-            EXPECT_GT(cert.failure_ratio(), limit) << what;
-            EXPECT_LE(cert.failure_ratio(), cold) << what;
-            expect_real_cycle(cand, proto, cert.failure_cycle(),
-                              cert.failure_ratio(), what);
+            const Ps fd = cert.failure_delay();
+            const int64_t ft = cert.failure_tokens();
+            EXPECT_TRUE(pn::ratio_greater(fd, ft, ln, ld)) << what;
+            EXPECT_FALSE(pn::ratio_greater(fd, ft, cold.delay, cold.tokens))
+                << what;
+            expect_real_cycle(cand, proto, cert.failure_cycle(), fd, ft, what);
             EXPECT_TRUE(cert.consistent()) << what;
             continue;
           }
@@ -631,8 +655,10 @@ TEST(BudgetCertificate, VerdictsMatchColdSolvesOnRandomDeltas) {
   EXPECT_GT(failures, 100u);
 }
 
-/// The verdict flips exactly at the candidate's period: a limit equal to it
-/// passes, the next double below fails.
+/// The verdict flips exactly at the candidate's period D/T: that limit
+/// passes, and the next smaller fraction fails. A simple cycle carries at
+/// most one token per transition, so with N transitions no cycle ratio
+/// lies strictly between (D*N - 1)/(T*N) and D/T.
 TEST(BudgetCertificate, VerdictFlipsExactlyAtThePeriod) {
   const Tech& tech = Tech::generic90();
   size_t checked = 0;
@@ -644,7 +670,8 @@ TEST(BudgetCertificate, VerdictFlipsExactlyAtThePeriod) {
          {ctl::Protocol::Pulse, ctl::Protocol::SemiDecoupled}) {
       const FineGraph f =
           fine_graph(s.circuit.netlist, s.circuit.clock, proto);
-      const double start = predicted_period(f.adj.cg, proto, tech);
+      const pn::CycleRatioResult start = critical(f.adj.cg, proto);
+      const int64_t N = 2 * static_cast<int64_t>(f.adj.cg.num_banks());
       Rng rng(0xb0a7 ^ std::hash<std::string>()(s.name));
       const int G = static_cast<int>(f.merge_ok.size());
       for (int trial = 0; trial < 12; ++trial) {
@@ -657,16 +684,22 @@ TEST(BudgetCertificate, VerdictFlipsExactlyAtThePeriod) {
         const int keep = std::min(a, b), drop = std::max(a, b);
         IncrementalQuotient cand(f.adj.cg, f.merge_ok);
         cand.merge(keep, drop);
-        const double period = predicted_period(cand.materialize(), proto, tech);
-        const double below = std::nextafter(period, 0.0);
-        if (below < start) continue;  // the start itself must fit
+        const pn::CycleRatioResult period = critical(cand.materialize(), proto);
+        const int64_t below_num = period.delay * N - 1;
+        const int64_t below_den = period.tokens * N;
+        if (pn::ratio_greater(start.delay, start.tokens, below_num,
+                              below_den)) {
+          continue;  // the start itself must fit
+        }
         const std::string what = cat(s.name, " ", ctl::protocol_name(proto),
                                      " merge ", keep, "+", drop);
-        for (double limit : {period, below}) {
+        for (const auto& [num, den, fits] :
+             {std::tuple{period.delay, period.tokens, true},
+              std::tuple{below_num, below_den, false}}) {
           IncrementalQuotient cq(f.adj.cg, f.merge_ok);
-          BudgetCertificate cert(f.adj.cg, cq, proto, tech, limit);
-          EXPECT_EQ(cert.probe_merge(keep, drop), limit == period)
-              << what << " at limit " << limit;
+          BudgetCertificate cert(f.adj.cg, cq, proto, tech, num, den);
+          EXPECT_EQ(cert.probe_merge(keep, drop), fits)
+              << what << " at limit " << num << "/" << den;
         }
         ++checked;
       }

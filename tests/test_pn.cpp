@@ -260,6 +260,19 @@ void expect_genuine_critical_cycle(const MarkedGraph& mg,
   }
   EXPECT_EQ(cycle_ratio(flatten(mg).view(), r.cycle_arcs), r.ratio)
       << mg.name();
+  // The exact sums are the returned arcs' sums, and the ratio is their one
+  // division.
+  Ps delay = 0;
+  int64_t tokens = 0;
+  for (ArcId a : r.cycle_arcs) {
+    delay += mg.arc(a).delay;
+    tokens += mg.arc(a).tokens;
+  }
+  EXPECT_EQ(r.delay, delay) << mg.name();
+  EXPECT_EQ(r.tokens, tokens) << mg.name();
+  EXPECT_EQ(r.ratio, static_cast<double>(r.delay) /
+                         static_cast<double>(r.tokens))
+      << mg.name();
 }
 
 TEST(Mcr, CriticalCycleIsGenuine) {
@@ -564,6 +577,18 @@ TEST_P(BatchVsCold, WarmBlocksBitEqualColdOracle) {
       ASSERT_FALSE(res[s].cycle_arcs.empty());
       EXPECT_EQ(cycle_ratio(g, res[s].cycle_arcs), res[s].ratio)
           << mg.name() << " sample " << s;
+      // The exact sums belong to the returned arcs under this row.
+      Ps delay = 0;
+      int64_t tokens = 0;
+      for (ArcId a : res[s].cycle_arcs) {
+        delay += row[a.value()];
+        tokens += flat.tokens[a.value()];
+      }
+      EXPECT_EQ(res[s].delay, delay) << mg.name() << " sample " << s;
+      EXPECT_EQ(res[s].tokens, tokens) << mg.name() << " sample " << s;
+      EXPECT_EQ(res[s].ratio, static_cast<double>(res[s].delay) /
+                                  static_cast<double>(res[s].tokens))
+          << mg.name() << " sample " << s;
     }
   }
 }
@@ -614,6 +639,85 @@ MarkedGraph flower_mg(uint64_t seed) {
     mg.add_arc(prev, hub, 0, delay);
   }
   return mg;
+}
+
+/// The relaxation kernel on its own: settle potentials at a flower's exact
+/// nominal ratio, raise the delays of a few random arcs, and relax from
+/// those arcs alone. It must settle exactly when the oracle's ratio still
+/// fits lambda; otherwise its cycle is genuine and exactly above lambda.
+/// Either way, a rollback restores the settled potentials bit for bit.
+TEST(Relaxation, DirtyArcsSettleIffOracleFitsAndRollBackExactly) {
+  size_t settled = 0, cycles = 0;
+  for (uint64_t seed = 0; seed < 16; ++seed) {
+    const MarkedGraph mg = flower_mg(seed);
+    ASSERT_TRUE(is_live(mg));
+    McrFlat flat = flatten(mg);
+    const uint32_t m = static_cast<uint32_t>(flat.delay.size());
+    std::vector<std::vector<uint32_t>> in(flat.num_nodes);
+    std::vector<uint32_t> all(m);
+    for (uint32_t a = 0; a < m; ++a) {
+      in[flat.to[a]].push_back(a);
+      all[a] = a;
+    }
+    const CycleRatioResult nominal = reference_flat(flat.view());
+    const Ps D = nominal.delay;
+    const int64_t T = nominal.tokens;
+    Relaxation relax(std::vector<int64_t>(flat.num_nodes));
+    relax.set_lambda(D, T);
+    ASSERT_EQ(relax.relax(flat.view(), in, all), Relaxation::Outcome::Settled)
+        << mg.name();
+    relax.commit();
+    const std::vector<Ps> rows = sampled_rows(flat, seed, 8);
+    Rng rng(seed + 77);
+    for (size_t trial = 0; trial < 8; ++trial) {
+      const std::vector<int64_t> before(relax.potentials().begin(),
+                                        relax.potentials().end());
+      McrFlat raised = flat;
+      std::vector<uint32_t> dirty;
+      for (int k = 0; k < 3; ++k) {
+        const uint32_t a = static_cast<uint32_t>(rng.below(m));
+        raised.delay[a] = std::max(flat.delay[a], rows[trial * m + a]);
+        dirty.push_back(a);
+      }
+      const McrArcs g = raised.view();
+      const CycleRatioResult ref = reference_flat(g);
+      const bool fits = !ratio_greater(ref.delay, ref.tokens, D, T);
+      const std::string what = cat(mg.name(), " trial ", trial);
+      const Relaxation::Outcome out = relax.relax(g, in, dirty);
+      EXPECT_EQ(out == Relaxation::Outcome::Settled, fits) << what;
+      if (out == Relaxation::Outcome::Settled) {
+        ++settled;
+        const std::span<const int64_t> p = relax.potentials();
+        for (uint32_t a = 0; a < m; ++a) {
+          EXPECT_GE(p[g.from[a]], p[g.to[a]] + relax.scale() * g.delay[a] -
+                                      relax.lambda_num() * g.tokens[a])
+              << what << " arc " << a;
+        }
+      } else {
+        ++cycles;
+        const std::span<const uint32_t> cyc = relax.cycle();
+        ASSERT_FALSE(cyc.empty()) << what;
+        Ps cd = 0;
+        int64_t ct = 0;
+        for (size_t i = 0; i < cyc.size(); ++i) {
+          EXPECT_EQ(g.to[cyc[i]], g.from[cyc[(i + 1) % cyc.size()]]) << what;
+          cd += g.delay[cyc[i]];
+          ct += g.tokens[cyc[i]];
+        }
+        EXPECT_EQ(relax.cycle_delay(), cd) << what;
+        EXPECT_EQ(relax.cycle_tokens(), ct) << what;
+        EXPECT_TRUE(ratio_greater(cd, ct, D, T)) << what;
+        EXPECT_FALSE(ratio_greater(cd, ct, ref.delay, ref.tokens)) << what;
+      }
+      relax.rollback();
+      EXPECT_TRUE(std::equal(before.begin(), before.end(),
+                             relax.potentials().begin()))
+          << what << ": rollback changed a potential";
+    }
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(settled, 10u);
+  EXPECT_GT(cycles, 10u);
 }
 
 TEST(McrBatch, RepairMatchesColdSolveWhenDictionaryMisses) {
